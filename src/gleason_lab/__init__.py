@@ -41,7 +41,6 @@ from .linalg import (
     random_vector,
 )
 from .spectral import (
-    ComplexEmbedding,
     EigenDecomposition,
     PolarDecomposition,
     abs_op,

@@ -70,7 +70,8 @@ def _config_from_args(args) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "demo":
         text = demo_counterexamples(args.out)
         if args.out is None:
@@ -84,7 +85,10 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.write(f"{prop.name:40s} {prop.law}\n")
         return 0
 
-    cfg = _config_from_args(args)
+    try:
+        cfg = _config_from_args(args)
+    except ValueError as exc:
+        parser.error(str(exc))
     report = run_suite(cfg)
     blob = emit_report(report, args.format)
     if args.out:

@@ -50,14 +50,16 @@ class DensityOperator:
         if not matrix.is_square:
             raise ValueError("state matrix must be square")
         defect = matrix.hermitian_defect()
-        if defect > tol * max(1.0, matrix.max_abs()):
+        # a NaN or inf entry makes the ratio NaN, and NaN fails every comparison
+        if not (defect / max(1.0, matrix.max_abs()) <= tol):
             raise NotHermitian(f"state is not Hermitian: defect {defect:.3e}")
         dec = eig_hermitian(matrix)
         low = float(dec.values.min())
         if low < -tol:
             raise NotPositive(f"state has eigenvalue {low:.3e}")
         tr = real_trace(matrix)
-        if abs(tr - 1.0) > tol:
+        # NaN fails every comparison
+        if not (abs(tr - 1.0) <= tol):
             raise ValueError(f"state trace {tr} differs from 1 beyond {tol}")
         self.matrix = matrix
         self._eigen = dec
@@ -117,7 +119,6 @@ class LatticeMeasure:
     """Probability assignment on projectors, trace-backed or a raw oracle."""
 
     evaluate: Callable[[Projector], float]
-    kind: str
     state: DensityOperator | None = None
 
     def __call__(self, P: Projector) -> float:
@@ -128,11 +129,11 @@ class LatticeMeasure:
         def ev(P: Projector) -> float:
             return real_trace(P.matrix @ state.matrix)
 
-        return cls(evaluate=ev, kind="trace-backed", state=state)
+        return cls(evaluate=ev, state=state)
 
     @classmethod
     def oracle_backed(cls, fn: Callable[[Projector], float]) -> "LatticeMeasure":
-        return cls(evaluate=fn, kind="oracle-backed")
+        return cls(evaluate=fn)
 
 
 def measure_from_state(state: DensityOperator) -> LatticeMeasure:

@@ -1,13 +1,9 @@
-"""Hot numeric kernels.
+"""Hot numeric kernels: the Hermitian eigensolver and the quaternion matrix product.
 
 Every Hermitian eigendecomposition in the package runs through :func:`eigh`,
-LAPACK's complex Hermitian solver as shipped with numpy, so it needs nothing
-beyond the one hard dependency.  The quaternion matrix product has a numba
-``@njit`` implementation and a pure-numpy one, and the cyclic Jacobi sweep is
-kept in both forms as an independent reference solver for the tests.  The
-backend of those two is chosen at import time: numba is used when it is
-importable and the environment variable ``GLEASON_LAB_JIT`` is not set to
-``0``/``false``/``off``.  ``benchmarks/bench_kernels.py`` compares the two.
+LAPACK's complex Hermitian solver as shipped with numpy, and every matrix
+product through :func:`quat_matmul`, sixteen real BLAS products.  Both need
+nothing beyond numpy, the one hard dependency.
 
 Quaternion matrices are stored as float64 arrays of shape (n, m, 4) holding
 the components of a + bi + cj + dk per entry.  Real and complex matrices use
@@ -17,35 +13,17 @@ these kernels.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from .errors import ConvergenceFailure
 
-_env = os.environ.get("GLEASON_LAB_JIT", "1").strip().lower()
-JIT_REQUESTED = _env not in ("0", "false", "off", "no")
-
-try:
-    import numba
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via the env flag instead
-    numba = None
-    HAS_NUMBA = False
-
-JIT_ENABLED = JIT_REQUESTED and HAS_NUMBA
-
 
 def active_backend() -> str:
-    return "numba" if JIT_ENABLED else "numpy"
+    """Name of the numeric backend, reported in benchmark environment blocks."""
+    return "numpy"
 
 
-# ---------------------------------------------------------------------------
-# quaternion matrix product
-# ---------------------------------------------------------------------------
-
-def quat_matmul_numpy(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def quat_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Hamilton-product matrix multiply, (n,k,4) @ (k,m,4) -> (n,m,4)."""
     a0, a1, a2, a3 = A[..., 0], A[..., 1], A[..., 2], A[..., 3]
     b0, b1, b2, b3 = B[..., 0], B[..., 1], B[..., 2], B[..., 3]
@@ -56,32 +34,6 @@ def quat_matmul_numpy(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     out[..., 3] = a0 @ b3 + a1 @ b2 - a2 @ b1 + a3 @ b0
     return out
 
-
-def _quat_matmul_loops(A, B):
-    n, k = A.shape[0], A.shape[1]
-    m = B.shape[1]
-    out = np.zeros((n, m, 4))
-    for r in range(n):
-        for s in range(k):
-            p0 = A[r, s, 0]
-            p1 = A[r, s, 1]
-            p2 = A[r, s, 2]
-            p3 = A[r, s, 3]
-            for c in range(m):
-                q0 = B[s, c, 0]
-                q1 = B[s, c, 1]
-                q2 = B[s, c, 2]
-                q3 = B[s, c, 3]
-                out[r, c, 0] += p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3
-                out[r, c, 1] += p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2
-                out[r, c, 2] += p0 * q2 - p1 * q3 + p2 * q0 + p3 * q1
-                out[r, c, 3] += p0 * q3 + p1 * q2 - p2 * q1 + p3 * q0
-    return out
-
-
-# ---------------------------------------------------------------------------
-# LAPACK Hermitian eigensolver
-# ---------------------------------------------------------------------------
 
 def eigh(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(eigenvalues ascending, eigenvector columns) of a complex Hermitian matrix.
@@ -98,120 +50,3 @@ def eigh(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.linalg.eigh(H)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"LAPACK eigh did not converge: {exc}") from exc
-
-
-# ---------------------------------------------------------------------------
-# cyclic Jacobi eigensolver for complex Hermitian matrices
-# ---------------------------------------------------------------------------
-#
-# One cyclic sweep annihilates every off-diagonal pair (p, q) with a unitary
-# plane rotation; sweeps repeat until the largest off-diagonal entry falls
-# below tol * max(|diag|, 1).  Returns (eigenvalues, eigenvector columns),
-# unsorted.  Quadratic convergence makes ~6-10 sweeps enough at n <= 64.
-# No production path calls it; it stays as an independent reference solver.
-
-_JACOBI_TOL = 1e-13
-_JACOBI_MAX_SWEEPS = 64
-
-
-def _jacobi_eigh_loops(H):
-    n = H.shape[0]
-    A = H.copy()
-    V = np.eye(n, dtype=np.complex128)
-    vals = np.empty(n)
-    if n == 1:
-        vals[0] = A[0, 0].real
-        return vals, V
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = 0.0
-        scale = 1.0
-        for p in range(n):
-            scale = max(scale, abs(A[p, p].real))
-            for q in range(p + 1, n):
-                off = max(off, abs(A[p, q]))
-        if off <= _JACOBI_TOL * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                mag = abs(apq)
-                if mag <= 1e-300:
-                    continue
-                phase = apq / mag
-                theta = (A[q, q].real - A[p, p].real) / (2.0 * mag)
-                if theta >= 0.0:
-                    t = 1.0 / (theta + np.sqrt(1.0 + theta * theta))
-                else:
-                    t = -1.0 / (-theta + np.sqrt(1.0 + theta * theta))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c * phase
-                sc = np.conj(s)
-                for r in range(n):
-                    arp = A[r, p]
-                    arq = A[r, q]
-                    A[r, p] = c * arp - sc * arq
-                    A[r, q] = s * arp + c * arq
-                for r in range(n):
-                    apr = A[p, r]
-                    aqr = A[q, r]
-                    A[p, r] = c * apr - s * aqr
-                    A[q, r] = sc * apr + c * aqr
-                for r in range(n):
-                    vrp = V[r, p]
-                    vrq = V[r, q]
-                    V[r, p] = c * vrp - sc * vrq
-                    V[r, q] = s * vrp + c * vrq
-    for p in range(n):
-        vals[p] = A[p, p].real
-    return vals, V
-
-
-def jacobi_eigh_numpy(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Same sweep as the jit kernel with row/column updates done by slicing."""
-    n = H.shape[0]
-    A = H.astype(np.complex128, copy=True)
-    V = np.eye(n, dtype=np.complex128)
-    if n == 1:
-        return A.real.diagonal().copy(), V
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        strict = np.abs(A - np.diag(np.diag(A)))
-        scale = max(np.abs(np.diag(A).real).max(), 1.0)
-        if strict.max() <= _JACOBI_TOL * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                mag = abs(apq)
-                if mag <= 1e-300:
-                    continue
-                phase = apq / mag
-                theta = (A[q, q].real - A[p, p].real) / (2.0 * mag)
-                t = np.sign(theta) if theta != 0 else 1.0
-                t = t / (abs(theta) + np.sqrt(1.0 + theta * theta))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c * phase
-                col_p = A[:, p].copy()
-                A[:, p] = c * col_p - np.conj(s) * A[:, q]
-                A[:, q] = s * col_p + c * A[:, q]
-                row_p = A[p, :].copy()
-                A[p, :] = c * row_p - s * A[q, :]
-                A[q, :] = np.conj(s) * row_p + c * A[q, :]
-                vcol_p = V[:, p].copy()
-                V[:, p] = c * vcol_p - np.conj(s) * V[:, q]
-                V[:, q] = s * vcol_p + c * V[:, q]
-    return A.diagonal().real.copy(), V
-
-
-if JIT_ENABLED:
-    quat_matmul_jit = numba.njit(cache=True)(_quat_matmul_loops)
-    jacobi_eigh_jit = numba.njit(cache=True)(_jacobi_eigh_loops)
-
-    def quat_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        return quat_matmul_jit(np.ascontiguousarray(A), np.ascontiguousarray(B))
-
-    def jacobi_eigh(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return jacobi_eigh_jit(np.ascontiguousarray(H, dtype=np.complex128))
-
-else:
-    quat_matmul = quat_matmul_numpy
-    jacobi_eigh = jacobi_eigh_numpy

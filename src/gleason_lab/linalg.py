@@ -7,8 +7,8 @@ entry and linear in the right entry.  With this pairing A(x q) = (A x) q holds
 for every scalar q, and the adjoint satisfies <A* x | y> = <x | A y>.
 
 Storage is a float64 component array of shape (n, m, 4) per matrix (rows,
-columns, quaternion components), shared by all three algebras; see
-:mod:`gleason_lab.kernels`.
+columns, quaternion components), shared by all three algebras.  Matrix
+products go through :func:`gleason_lab.kernels.quat_matmul`.
 """
 
 from __future__ import annotations
@@ -193,9 +193,6 @@ class Matrix:
         _check_same_algebra(self, other)
         return Matrix(self.algebra, kernels.quat_matmul(self.comps, other.comps))
 
-    def apply(self, x: Vector) -> Vector:
-        return self @ x
-
     def __add__(self, other: "Matrix") -> "Matrix":
         _check_same_algebra(self, other)
         return Matrix(self.algebra, self.comps + other.comps)
@@ -260,10 +257,6 @@ class Matrix:
         if mat.n != obj["rows"] or mat.m != obj["cols"]:
             raise ValueError("row/col counts disagree with data shape")
         return mat
-
-
-def adjoint(A: Matrix) -> Matrix:
-    return A.adjoint()
 
 
 def outer(u: Vector, v: Vector, coeff=None) -> Matrix:
@@ -365,7 +358,9 @@ class Projector:
             raise ValueError("projector matrix must be square")
         idem = (matrix @ matrix - matrix).max_abs()
         herm = matrix.hermitian_defect()
-        if max(idem, herm) > tol * max(1.0, matrix.max_abs()):
+        scale = max(1.0, matrix.max_abs())
+        # a NaN or inf entry makes a defect NaN, and NaN fails every comparison
+        if not (idem / scale <= tol and herm / scale <= tol):
             raise ValueError(
                 f"not a projector: idempotency defect {idem:.3e}, hermitian defect {herm:.3e}"
             )
@@ -393,9 +388,6 @@ class Projector:
 
     def complement(self) -> "Projector":
         return Projector(Matrix.identity(self.n, self.algebra) - self.matrix)
-
-    def apply(self, x: Vector) -> Vector:
-        return self.matrix @ x
 
     def __repr__(self) -> str:
         return f"Projector({self.algebra.value}, n={self.n}, rank={self.rank})"

@@ -31,7 +31,8 @@ class Observable:
 
     def __init__(self, matrix: Matrix, tol: float = 1e-8):
         defect = matrix.hermitian_defect()
-        if defect > tol * max(1.0, matrix.max_abs()):
+        # a NaN or inf entry makes the ratio NaN, and NaN fails every comparison
+        if not (defect / max(1.0, matrix.max_abs()) <= tol):
             raise NotHermitian(f"observable must be Hermitian, defect {defect:.3e}")
         self.matrix = matrix
         self._dec = None
@@ -184,7 +185,8 @@ class SymmetryOp:
             raise ValueError("anti-unitary symmetries exist only over C")
         ident = Matrix.identity(V.n, V.algebra)
         defect = (V.adjoint() @ V - ident).max_abs()
-        if defect > 1e-8:
+        # NaN fails every comparison
+        if not (defect <= 1e-8):
             raise NotUnitary(f"U*U - I has magnitude {defect:.3e}")
 
     @property

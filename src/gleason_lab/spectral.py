@@ -57,17 +57,17 @@ class PolarDecomposition:
     absolute: Matrix
 
 
-@dataclass(frozen=True)
-class ComplexEmbedding:
-    image: np.ndarray
-
-
 def _complex_blocks(A: Matrix) -> tuple[np.ndarray, np.ndarray]:
     c = A.comps
     return c[..., 0] + 1j * c[..., 1], c[..., 2] + 1j * c[..., 3]
 
 
-def _embed_comps(A: Matrix) -> np.ndarray:
+def embed(A: Matrix) -> np.ndarray:
+    """Complex 2n x 2n image chi(A) of a square quaternionic matrix."""
+    if A.algebra is not Algebra.H:
+        raise AlgebraMismatch("embedding is defined for quaternionic matrices")
+    if not A.is_square:
+        raise ValueError("embedding needs a square matrix")
     A1, A2 = _complex_blocks(A)
     n = A.n
     X = np.empty((2 * n, 2 * n), dtype=np.complex128)
@@ -76,15 +76,6 @@ def _embed_comps(A: Matrix) -> np.ndarray:
     X[n:, :n] = -A2.conj()
     X[n:, n:] = A1.conj()
     return X
-
-
-def embed(A: Matrix) -> ComplexEmbedding:
-    """Complex 2n x 2n image of a square quaternionic matrix."""
-    if A.algebra is not Algebra.H:
-        raise AlgebraMismatch("embedding is defined for quaternionic matrices")
-    if not A.is_square:
-        raise ValueError("embedding needs a square matrix")
-    return ComplexEmbedding(_embed_comps(A))
 
 
 def _vector_from_complex(col: np.ndarray, algebra: Algebra) -> Vector:
@@ -120,7 +111,7 @@ def _group_indices(values: np.ndarray, tol: float) -> list[tuple[int, int]]:
 
 def _eig_hermitian_quaternionic(A: Matrix) -> EigenDecomposition:
     n = A.n
-    w, V = kernels.eigh(_embed_comps(A))
+    w, V = kernels.eigh(embed(A))
     order = np.argsort(-w, kind="stable")
     w = w[order]
     V = V[:, order]
@@ -165,7 +156,8 @@ def eig_hermitian(A: Matrix, tol: float = _HERMITIAN_TOL) -> EigenDecomposition:
     if not A.is_square:
         raise ValueError("eigendecomposition needs a square matrix")
     defect = A.hermitian_defect()
-    if defect > tol * max(1.0, A.max_abs()):
+    # a NaN or inf entry makes the ratio NaN, and NaN fails every comparison
+    if not (defect / max(1.0, A.max_abs()) <= tol):
         raise NotHermitian(f"|A - A*| = {defect:.3e} exceeds tolerance")
     sym = (A + A.adjoint()) * 0.5
     if A.algebra is Algebra.H:
@@ -199,10 +191,7 @@ def sqrt_positive(B: Matrix, tol: float = _CLAMP_REL) -> Matrix:
         raise NotPositive(f"minimum eigenvalue {dec.values.min():.3e} below -{tol * scale:.1e}")
     vals = np.where(np.abs(dec.values) <= tol * scale, 0.0, dec.values)
     vals = np.sqrt(np.clip(vals, 0.0, None))
-    acc = Matrix.zeros(B.n, B.n, B.algebra)
-    for s, u in zip(vals, dec.basis):
-        acc = acc + outer(u, u) * float(s)
-    return acc
+    return EigenDecomposition(dec.basis, vals).reconstruct()
 
 
 def abs_op(A: Matrix) -> Matrix:

@@ -58,6 +58,10 @@ class RunConfig:
             raise ValueError("trials must be >= 1")
         for letter in self.algebras:
             Algebra.from_letter(letter)
+        known = {prop.name for prop in REGISTRY}
+        unknown = sorted(set(self.tolerances) - known)
+        if unknown:
+            raise ValueError(f"tolerances name no registered property: {', '.join(unknown)}")
 
     def to_json(self) -> dict:
         return {
@@ -545,10 +549,7 @@ def _run_state_conjugation(cell: Cell) -> float:
     for _ in range(cell.trials):
         T = gl.random_density(cell.dim, cell.algebra, cell.rng)
         U = random_unitary(cell.dim, cell.algebra, cell.rng)
-        try:
-            moved = qm.conjugate_state(U, T)
-        except Exception:
-            return 1.0
+        moved = qm.conjugate_state(U, T)
         worst = max(worst, abs(tr.real_trace(moved.matrix) - 1.0))
     return worst
 

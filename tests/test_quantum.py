@@ -7,6 +7,7 @@ from gleason_lab.errors import NotHermitian, NotUnitary
 from gleason_lab.gleason import DensityOperator, pure_state, random_density
 from gleason_lab.linalg import (
     Matrix,
+    Projector,
     Vector,
     inner,
     outer,
@@ -31,6 +32,7 @@ from gleason_lab.quantum import (
 )
 from gleason_lab.rng import SplitMix64
 from gleason_lab.scalars import Algebra, Quaternion
+from gleason_lab.spectral import eig_hermitian
 from gleason_lab.trace import real_trace
 
 from conftest import ALGEBRAS
@@ -291,3 +293,27 @@ class TestGroupPathsAndContinuity:
         jumps = [continuity_scan(A, T, path, 100 * 2**k).max_jump for k in range(3)]
         assert jumps[1] < 0.75 * jumps[0]
         assert jumps[2] < 0.75 * jumps[1]
+
+
+@pytest.mark.parametrize(
+    "make, error",
+    [
+        (Projector, ValueError),
+        (Observable, NotHermitian),
+        (SymmetryOp, NotUnitary),
+        (DensityOperator, NotHermitian),
+        (eig_hermitian, NotHermitian),
+    ],
+    ids=["Projector", "Observable", "SymmetryOp", "DensityOperator", "eig_hermitian"],
+)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("where", ["every entry", "one off-diagonal entry"])
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+def test_validators_reject_non_finite_entries(make, error, bad, where, algebra):
+    comps = np.zeros((3, 3, 4))
+    if where == "every entry":
+        comps[..., 0] = bad
+    else:
+        comps[0, 1, 0] = bad
+    with np.errstate(all="ignore"), pytest.raises(error):
+        make(Matrix(algebra, comps))

@@ -32,21 +32,21 @@ I, J, K = Quaternion.I, Quaternion.J, Quaternion.K
 
 class TestEmbedding:
     def test_identity_maps_to_identity(self):
-        X = embed(Matrix.identity(3, Algebra.H)).image
+        X = embed(Matrix.identity(3, Algebra.H))
         assert np.abs(X - np.eye(6)).max() == 0.0
 
     def test_homomorphism_laws(self):
         rng = SplitMix64(20)
         A = random_matrix(4, 4, Algebra.H, rng)
         B = random_matrix(4, 4, Algebra.H, rng)
-        XA, XB = embed(A).image, embed(B).image
-        assert np.abs(embed(A @ B).image - XA @ XB).max() < 1e-12
-        assert np.abs(embed(A.adjoint()).image - XA.conj().T).max() < 1e-14
+        XA, XB = embed(A), embed(B)
+        assert np.abs(embed(A @ B) - XA @ XB).max() < 1e-12
+        assert np.abs(embed(A.adjoint()) - XA.conj().T).max() < 1e-14
 
     def test_hermitian_spectrum_has_even_multiplicities(self):
         rng = SplitMix64(21)
         A = random_hermitian(5, Algebra.H, rng)
-        w = np.sort(np.linalg.eigvalsh(embed(A).image))
+        w = np.sort(np.linalg.eigvalsh(embed(A)))
         assert np.abs(w[0::2] - w[1::2]).max() < 1e-10
 
     def test_wrong_algebra_is_rejected(self):
@@ -108,7 +108,7 @@ class TestEigHermitian:
         A = random_hermitian(6, Algebra.H, rng)
         dec = eig_hermitian(A)
         doubled = np.sort(np.repeat(dec.values, 2))
-        reference = np.sort(np.linalg.eigvalsh(embed(A).image))
+        reference = np.sort(np.linalg.eigvalsh(embed(A)))
         assert np.abs(doubled - reference).max() < 1e-8
 
     def test_rejects_non_hermitian(self):

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from gleason_lab import quantum
 from gleason_lab.cli import main as cli_main
 from gleason_lab.suite import (
     REGISTRY,
@@ -89,6 +90,19 @@ class TestRunSuite:
             RunConfig(trials=0)
         with pytest.raises(ValueError):
             RunConfig(algebras=("X",))
+        with pytest.raises(ValueError, match="no.such.property"):
+            RunConfig(tolerances={"no.such.property": 1.0})
+
+    def test_runner_errors_are_recorded_with_their_message(self, monkeypatch):
+        def broken(U, T):
+            raise RuntimeError("conjugation exploded")
+
+        monkeypatch.setattr(quantum, "conjugate_state", broken)
+        report = run_suite(_small_cfg(dims=(3,), trials=1, only="quantum.state_conjugation"))
+        assert report.records
+        for r in report.records:
+            assert r.passed is False
+            assert r.error == "RuntimeError: conjugation exploded"
 
 
 class TestCoverage:
@@ -145,6 +159,14 @@ class TestCli:
             "--out", str(tmp_path / "r.json"), "--format", "json",
         ])
         assert code == 1
+
+    def test_misspelled_tolerance_key_exits_non_zero(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", "--tol", "no.such.property=1",
+                      "--out", str(tmp_path / "r.json")])
+        assert exc.value.code != 0
+        assert "no.such.property" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
