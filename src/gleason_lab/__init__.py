@@ -31,6 +31,7 @@ from .linalg import (
     is_positive,
     is_positive_selfadjoint,
     outer,
+    outer_sum,
     projector_leq,
     projector_onto,
     random_hermitian,

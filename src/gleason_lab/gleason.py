@@ -27,6 +27,7 @@ from .linalg import (
     gram_schmidt,
     inner,
     outer,
+    outer_sum,
     projector_onto,
     random_phase,
     random_projector,
@@ -49,10 +50,8 @@ class DensityOperator:
     def __init__(self, matrix: Matrix, *, tol: float = _STATE_TOL):
         if not matrix.is_square:
             raise ValueError("state matrix must be square")
-        defect = matrix.hermitian_defect()
-        # a NaN or inf entry makes the ratio NaN, and NaN fails every comparison
-        if not (defect / max(1.0, matrix.max_abs()) <= tol):
-            raise NotHermitian(f"state is not Hermitian: defect {defect:.3e}")
+        if not matrix.is_hermitian(tol):
+            raise NotHermitian(f"state is not Hermitian: defect {matrix.hermitian_defect():.3e}")
         dec = eig_hermitian(matrix)
         low = float(dec.values.min())
         if low < -tol:
@@ -103,11 +102,7 @@ def random_density(n: int, algebra: Algebra, rng: SplitMix64, rank: int | None =
     U = random_unitary(n, algebra, rng)
     raw = rng.uniform_block(rank)
     weights = raw / raw.sum()
-    acc = Matrix.zeros(n, n, algebra)
-    for m in range(rank):
-        u = U.col(m)
-        acc = acc + outer(u, u) * float(weights[m])
-    return DensityOperator(acc)
+    return DensityOperator(outer_sum(Matrix(algebra, U.comps[:, :rank]), weights))
 
 
 # ---------------------------------------------------------------------------
@@ -298,11 +293,9 @@ def extremal_split(state: DensityOperator) -> tuple[float, DensityOperator, Dens
         raise ValueError("state is extremal (rank one); no nontrivial split exists")
     top = dec.basis[0]
     T1 = DensityOperator(outer(top, top))
-    rest = Matrix.zeros(state.n, state.n, state.algebra)
-    for s, u in zip(dec.values[1:], list(dec.basis)[1:]):
-        if s > 0.0:
-            rest = rest + outer(u, u) * (float(s) / (1.0 - w1))
-    T2 = DensityOperator(rest)
+    keep = np.flatnonzero(dec.values[1:] > 0.0) + 1
+    rest = Matrix(state.algebra, dec.basis.matrix().comps[:, keep])
+    T2 = DensityOperator(outer_sum(rest, dec.values[keep] / (1.0 - w1)))
     return w1, T1, T2
 
 

@@ -9,6 +9,11 @@ for every scalar q, and the adjoint satisfies <A* x | y> = <x | A y>.
 Storage is a float64 component array of shape (n, m, 4) per matrix (rows,
 columns, quaternion components), shared by all three algebras.  Matrix
 products go through :func:`gleason_lab.kernels.quat_matmul`.
+
+:func:`outer_sum` is the one place where vectors become operators: every
+spectral sum, projector, state, polar factor and phase group is assembled as
+(U diag(q)) V* from the columns of U and V in a single product, and
+:func:`outer` is its one-column case.
 """
 
 from __future__ import annotations
@@ -225,7 +230,9 @@ class Matrix:
         return (self - self.adjoint()).max_abs()
 
     def is_hermitian(self, tol: float = 1e-9) -> bool:
-        return self.hermitian_defect() <= tol * max(1.0, self.max_abs())
+        # a ratio, not defect <= tol * max|A_rc|: an inf entry makes that bound
+        # inf, but makes the ratio NaN, and NaN fails every comparison
+        return self.hermitian_defect() / max(1.0, self.max_abs()) <= tol
 
     def approx_eq(self, other: "Matrix", tol: float = 1e-9) -> bool:
         return bool(np.abs(self.comps - other.comps).max() <= tol)
@@ -259,12 +266,26 @@ class Matrix:
         return mat
 
 
+def outer_sum(U: Matrix, coeffs=None, V: Matrix | None = None) -> Matrix:
+    """The operator x -> sum_m u_m q_m <v_m|x> over the columns of U and V.
+
+    Computed as (U diag(q)) V* with one quaternion matrix product.  V defaults
+    to U; ``coeffs`` is None (every q_m = 1), one real per column, or one
+    quaternion per column as an (m, 4) component array.
+    """
+    V = U if V is None else V
+    algebra = _check_same_algebra(U, V)
+    uc = U.comps
+    if coeffs is not None:
+        q = np.asarray(coeffs, dtype=np.float64)
+        uc = uc * q[None, :, None] if q.ndim == 1 else _mul_comps(uc, q[None, :, :])
+    return Matrix(algebra, kernels.quat_matmul(uc, np.transpose(_conj_comps(V.comps), (1, 0, 2))))
+
+
 def outer(u: Vector, v: Vector, coeff=None) -> Matrix:
     """The operator x -> u q <v|x>, as a matrix u_r q conj(v_c)."""
-    algebra = _check_same_algebra(u, v)
-    uc = u.comps if coeff is None else _mul_comps(u.comps, as_quaternion(coeff).to_array()[None, :])
-    vc = _conj_comps(v.comps)
-    return Matrix(algebra, _mul_comps(uc[:, None, :], vc[None, :, :]))
+    q = None if coeff is None else as_quaternion(coeff).to_array()[None, :]
+    return outer_sum(Matrix(u.algebra, u.comps[:, None, :]), q, Matrix(v.algebra, v.comps[:, None, :]))
 
 
 class Basis:
@@ -307,13 +328,9 @@ class Basis:
         return Matrix.from_columns(list(self._vectors))
 
     def orthonormality_defect(self) -> float:
-        worst = 0.0
-        for r, u in enumerate(self._vectors):
-            for c, v in enumerate(self._vectors):
-                g = inner(u, v)
-                target = Quaternion.ONE if r == c else Quaternion.ZERO
-                worst = max(worst, abs(g - target))
-        return worst
+        """Largest entry magnitude of U*U - I."""
+        U = self.matrix()
+        return (U.adjoint() @ U - Matrix.identity(len(self), self.algebra)).max_abs()
 
 
 def gram_schmidt(vectors: list[Vector], *, drop: bool = False) -> Basis:
@@ -326,7 +343,11 @@ def gram_schmidt(vectors: list[Vector], *, drop: bool = False) -> Basis:
     """
     if not vectors:
         raise ValueError("need at least one vector")
-    scale = max(v.norm() for v in vectors)
+    norms = [v.norm() for v in vectors]
+    # NaN would slip through every comparison below, and inf would normalize to 0
+    if not np.isfinite(norms).all():
+        raise DegenerateInput("input vector has a non-finite norm")
+    scale = max(norms)
     if scale == 0.0:
         if drop:
             raise DegenerateInput("all inputs are zero")
@@ -397,12 +418,7 @@ def projector_onto(vectors: list[Vector], *, drop: bool = False) -> Projector:
     """Projector onto the span of the given (not necessarily orthonormal) vectors."""
     if not vectors:
         raise ValueError("need at least one spanning vector")
-    basis = gram_schmidt(vectors, drop=drop)
-    n = basis.space_dim
-    acc = Matrix.zeros(n, n, basis.algebra)
-    for u in basis:
-        acc = acc + outer(u, u)
-    return Projector(acc)
+    return Projector(outer_sum(gram_schmidt(vectors, drop=drop).matrix()))
 
 
 def projector_leq(P: Projector, Q: Projector, tol: float = 1e-8) -> bool:

@@ -16,9 +16,9 @@ import numpy as np
 
 from .errors import NotHermitian, NotUnitary
 from .gleason import DensityOperator
-from .linalg import Matrix, Projector, outer
+from .linalg import Matrix, Projector, outer_sum
 from .scalars import Algebra, Quaternion
-from .spectral import EigenDecomposition, eig_hermitian
+from .spectral import EigenDecomposition, _group_indices, eig_hermitian
 from .trace import real_trace
 
 _ATOM_REL_TOL = 1e-7
@@ -30,10 +30,8 @@ class Observable:
     __slots__ = ("matrix", "_dec")
 
     def __init__(self, matrix: Matrix, tol: float = 1e-8):
-        defect = matrix.hermitian_defect()
-        # a NaN or inf entry makes the ratio NaN, and NaN fails every comparison
-        if not (defect / max(1.0, matrix.max_abs()) <= tol):
-            raise NotHermitian(f"observable must be Hermitian, defect {defect:.3e}")
+        if not matrix.is_hermitian(tol):
+            raise NotHermitian(f"observable must be Hermitian, defect {matrix.hermitian_defect():.3e}")
         self.matrix = matrix
         self._dec = None
 
@@ -83,21 +81,11 @@ def pvm_of(A: Observable) -> PVMap:
     """Group the eigendecomposition into distinct-eigenvalue atoms."""
     dec = A.decomposition
     scale = max(1.0, float(np.abs(dec.values).max(initial=0.0)))
-    tol = _ATOM_REL_TOL * scale
-    atoms: list[tuple[float, Projector]] = []
-    idx = 0
-    n = A.n
-    while idx < len(dec.values):
-        stop = idx + 1
-        while stop < len(dec.values) and abs(dec.values[stop] - dec.values[idx]) <= tol:
-            stop += 1
-        acc = Matrix.zeros(n, n, A.algebra)
-        for m in range(idx, stop):
-            u = dec.basis[m]
-            acc = acc + outer(u, u)
-        atoms.append((float(np.mean(dec.values[idx:stop])), Projector(acc)))
-        idx = stop
-    return PVMap(tuple(atoms))
+    U = dec.basis.matrix().comps
+    return PVMap(tuple(
+        (float(np.mean(dec.values[a:b])), Projector(outer_sum(Matrix(A.algebra, U[:, a:b]))))
+        for a, b in _group_indices(dec.values, _ATOM_REL_TOL * scale)
+    ))
 
 
 def apply_function(A: Observable, f: Callable[[float], float]) -> Observable:
@@ -236,13 +224,13 @@ def rotation_group_from_hermitian(H: Matrix, imag_unit: Quaternion) -> Callable[
     if H.algebra is Algebra.R:
         raise ValueError("use rotation_group_from_skew over R")
     dec = eig_hermitian(H)
+    U = dec.basis.matrix()
+    unit = imag_unit.to_array()
 
     def path(t: float) -> Matrix:
-        acc = Matrix.zeros(H.n, H.n, H.algebra)
-        for s, u in zip(dec.values, dec.basis):
-            phase = Quaternion(math.cos(t * float(s))) + imag_unit * math.sin(t * float(s))
-            acc = acc + outer(u, u, coeff=phase)
-        return acc
+        phases = np.sin(t * dec.values)[:, None] * unit
+        phases[:, 0] += np.cos(t * dec.values)
+        return outer_sum(U, phases)
 
     return path
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import kernels
 from .errors import AlgebraMismatch, ConvergenceFailure, NotHermitian, NotPositive
-from .linalg import Basis, Matrix, Vector, inner, outer, random_vector
+from .linalg import Basis, Matrix, Vector, inner, outer_sum, random_vector
 from .rng import SplitMix64
 from .scalars import Algebra, Quaternion
 
@@ -41,11 +41,7 @@ class EigenDecomposition:
     values: np.ndarray
 
     def reconstruct(self) -> Matrix:
-        n = self.basis.space_dim
-        acc = Matrix.zeros(n, n, self.basis.algebra)
-        for s, u in zip(self.values, self.basis):
-            acc = acc + outer(u, u) * float(s)
-        return acc
+        return outer_sum(self.basis.matrix(), self.values)
 
     def residual(self, A: Matrix) -> float:
         return (self.reconstruct() - A).max_abs()
@@ -155,10 +151,8 @@ def eig_hermitian(A: Matrix, tol: float = _HERMITIAN_TOL) -> EigenDecomposition:
     """Orthonormal eigenbasis of a Hermitian matrix over R, C or H."""
     if not A.is_square:
         raise ValueError("eigendecomposition needs a square matrix")
-    defect = A.hermitian_defect()
-    # a NaN or inf entry makes the ratio NaN, and NaN fails every comparison
-    if not (defect / max(1.0, A.max_abs()) <= tol):
-        raise NotHermitian(f"|A - A*| = {defect:.3e} exceeds tolerance")
+    if not A.is_hermitian(tol):
+        raise NotHermitian(f"|A - A*| = {A.hermitian_defect():.3e} exceeds tolerance")
     sym = (A + A.adjoint()) * 0.5
     if A.algebra is Algebra.H:
         return _eig_hermitian_quaternionic(sym)
@@ -218,14 +212,10 @@ def polar(A: Matrix) -> PolarDecomposition:
     top = max(1.0, float(sigmas.max(initial=0.0)))
     # kernel cut sits at the noise floor of sigma = sqrt(eigenvalue): keeping
     # smaller directions would normalize pure rounding noise into U
-    cut = 1e-8 * top
-    absolute = Matrix.zeros(A.n, A.n, A.algebra)
-    isometry = Matrix.zeros(A.n, A.n, A.algebra)
-    for s, u in zip(sigmas, basis):
-        if s > cut:
-            absolute = absolute + outer(u, u) * float(s)
-            isometry = isometry + outer((A @ u).scale_right(1.0 / float(s)), u)
-    return PolarDecomposition(isometry, absolute)
+    keep = sigmas > 1e-8 * top
+    s = sigmas[keep]
+    U_k = Matrix(A.algebra, basis.matrix().comps[:, keep])
+    return PolarDecomposition(outer_sum(A @ U_k, 1.0 / s, U_k), outer_sum(U_k, s))
 
 
 def make_J(A: Matrix, kernel_unit: Quaternion = Quaternion.I) -> Matrix:
@@ -250,12 +240,12 @@ def _skew_polar(A: Matrix, kernel_unit: Quaternion = Quaternion.I) -> tuple[Matr
         raise ValueError("kernel_unit must be a unit imaginary quaternion")
     C = A - A.adjoint()
     sigmas, basis = _singular_data(C)
-    J = Matrix.zeros(A.n, A.n, Algebra.H)
-    for sigma, u in zip(sigmas, basis):
-        if sigma > 0.0:
-            J = J + outer((C @ u).scale_right(1.0 / float(sigma)), u)
-        else:
-            J = J + outer(u, u, coeff=kernel_unit)
+    U = basis.matrix().comps
+    live = sigmas > 0.0
+    U_plus = Matrix(Algebra.H, U[:, live])
+    U_zero = Matrix(Algebra.H, U[:, ~live])
+    units = np.tile(kernel_unit.to_array(), (U_zero.m, 1))
+    J = outer_sum(C @ U_plus, 1.0 / sigmas[live], U_plus) + outer_sum(U_zero, units)
     return J, float(sigmas.sum())
 
 

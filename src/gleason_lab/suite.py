@@ -249,9 +249,10 @@ def _run_adapted_trace_formula(cell: Cell) -> float:
     worst = 0.0
     for _ in range(cell.trials):
         A = random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
+        scale = 1.0 + tr.trace_norm(A)
         for unit in (Quaternion.I, random_unit_imaginary(cell.algebra, cell.rng)):
             check = tr.quaternionic_trace_formula_check(A, unit)
-            worst = max(worst, check.residual / (1.0 + tr.trace_norm(A)))
+            worst = max(worst, check.residual / scale)
     return worst
 
 

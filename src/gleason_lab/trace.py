@@ -14,9 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Basis, Matrix, inner
+from .linalg import Basis, Matrix, _conj_comps, _mul_comps
 from .scalars import Algebra, Quaternion, scalar_to_json
 from .spectral import op_norm, singular_values
+
+
+def _diagonal(A: Matrix, basis: Basis) -> np.ndarray:
+    """Components (len(basis), 4) of <u|Au> for every u in the basis, in order."""
+    U = basis.matrix()
+    return _mul_comps(_conj_comps(U.comps), (A @ U).comps).sum(axis=0)
 
 
 def trace_n(A: Matrix, basis: Basis) -> Quaternion:
@@ -25,10 +31,7 @@ def trace_n(A: Matrix, basis: Basis) -> Quaternion:
         raise ValueError("trace needs a square matrix")
     if len(basis) != A.n:
         raise ValueError(f"basis has {len(basis)} vectors, space dimension is {A.n}")
-    total = Quaternion.ZERO
-    for u in basis:
-        total = total + inner(u, A @ u)
-    return total
+    return Quaternion.from_array(_diagonal(A, basis).sum(axis=0))
 
 
 def real_trace(A: Matrix) -> float:
@@ -48,7 +51,7 @@ def trace_norm(A: Matrix) -> float:
 
 def absolute_diagonal_sum(A: Matrix, basis: Basis) -> float:
     """sum_{u in N} |<u|Au>|, the quantity bounded by the trace norm over C and H."""
-    return float(sum(abs(inner(u, A @ u)) for u in basis))
+    return float(np.sqrt((_diagonal(A, basis) ** 2).sum(axis=1)).sum())
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from gleason_lab.linalg import (
     is_positive,
     is_positive_selfadjoint,
     outer,
+    outer_sum,
     projector_leq,
     projector_onto,
     random_matrix,
@@ -24,6 +25,7 @@ from gleason_lab.linalg import (
 )
 from gleason_lab.rng import SplitMix64
 from gleason_lab.scalars import Algebra, Quaternion
+from gleason_lab.trace import absolute_diagonal_sum, trace_n
 
 from conftest import ALGEBRAS
 
@@ -145,6 +147,22 @@ class TestGramSchmidt:
         for algebra in ALGEBRAS:
             basis = gram_schmidt([random_vector(5, algebra, rng) for _ in range(5)])
             assert basis.orthonormality_defect() < 1e-10
+
+    @pytest.mark.parametrize("drop", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("algebra", ALGEBRAS)
+    def test_non_finite_input_is_rejected(self, algebra, bad, drop):
+        good = random_vector(3, algebra, SplitMix64(7))
+        comps = np.zeros((3, 4))
+        comps[1, 0] = bad
+        poisoned = Vector(algebra, comps)
+        all_nan = Vector(algebra, np.full((3, 4), np.nan))
+        for vectors in ([poisoned], [good, poisoned], [poisoned, good], [all_nan]):
+            with np.errstate(all="ignore"):
+                with pytest.raises(DegenerateInput):
+                    gram_schmidt(vectors, drop=drop)
+                with pytest.raises(DegenerateInput):
+                    projector_onto(vectors, drop=drop)
 
 
 class TestPositivity:
@@ -273,3 +291,80 @@ def test_basis_matrix_is_unitary_when_complete():
     basis = gram_schmidt([random_vector(4, Algebra.H, rng) for _ in range(4)])
     U = basis.matrix()
     assert (U.adjoint() @ U - Matrix.identity(4, Algebra.H)).max_abs() < 1e-10
+
+
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+@pytest.mark.parametrize("kind", ["none", "real", "quaternion"])
+@pytest.mark.parametrize("same", [True, False], ids=["V=U", "V!=U"])
+def test_outer_sum_is_the_sum_of_column_outer_products(algebra, kind, same):
+    rng = SplitMix64(18)
+    U = random_matrix(4, 3, algebra, rng)
+    V = U if same else random_matrix(4, 3, algebra, rng)
+    coeffs, per_column = None, [None] * 3
+    if kind == "real":
+        coeffs = rng.gaussian_block(3)
+        per_column = [float(x) for x in coeffs]
+    elif kind == "quaternion":
+        k = algebra.component_count
+        coeffs = np.zeros((3, 4))
+        coeffs[:, :k] = rng.gaussian_block(3 * k).reshape(3, k)
+        per_column = [Quaternion.from_array(row) for row in coeffs]
+    expect = Matrix.zeros(4, 4, algebra)
+    for u, v, coeff in zip(U.columns(), V.columns(), per_column):
+        expect = expect + outer(u, v, coeff)
+    got = outer_sum(U, coeffs) if same else outer_sum(U, coeffs, V)
+    assert got.algebra is algebra
+    assert got.approx_eq(expect, tol=1e-12)
+
+
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+def test_outer_sum_of_no_columns_is_zero(algebra):
+    U = Matrix.zeros(3, 0, algebra)
+    assert outer_sum(U).approx_eq(Matrix.zeros(3, 3, algebra), tol=0.0)
+    assert outer_sum(U, np.zeros(0)).approx_eq(Matrix.zeros(3, 3, algebra), tol=0.0)
+
+
+def test_outer_sum_rejects_mismatched_factors():
+    U = Matrix.zeros(3, 2, Algebra.C)
+    with pytest.raises(ValueError):
+        outer_sum(U, None, Matrix.zeros(3, 1, Algebra.C))
+    with pytest.raises(AlgebraMismatch):
+        outer_sum(U, None, Matrix.zeros(3, 2, Algebra.H))
+
+
+# per-vector oracles for the product forms in trace.py and Basis
+def _trace_reference(A: Matrix, basis: Basis) -> Quaternion:
+    total = Quaternion.ZERO
+    for u in basis:
+        total = total + inner(u, A @ u)
+    return total
+
+
+def _absolute_sum_reference(A: Matrix, basis: Basis) -> float:
+    return float(sum(abs(inner(u, A @ u)) for u in basis))
+
+
+def _orthonormality_reference(basis: Basis) -> float:
+    worst = 0.0
+    for r, u in enumerate(basis):
+        for c, v in enumerate(basis):
+            target = ONE if r == c else Quaternion.ZERO
+            worst = max(worst, abs(inner(u, v) - target))
+    return worst
+
+
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_basis_products_match_per_vector_loops(algebra, n):
+    rng = SplitMix64(19)
+    A = random_matrix(n, n, algebra, rng)
+    bases = [
+        Basis.standard(n, algebra),
+        gram_schmidt([random_vector(n, algebra, rng) for _ in range(n)]),
+        # not orthonormal, so the defect is far from zero
+        Basis([random_vector(n, algebra, rng) for _ in range(n)]),
+    ]
+    for basis in bases:
+        assert trace_n(A, basis).isclose(_trace_reference(A, basis), tol=1e-12)
+        assert abs(absolute_diagonal_sum(A, basis) - _absolute_sum_reference(A, basis)) <= 1e-12
+        assert abs(basis.orthonormality_defect() - _orthonormality_reference(basis)) <= 1e-12

@@ -10,6 +10,7 @@ from gleason_lab.linalg import (
     Projector,
     Vector,
     inner,
+    is_positive_selfadjoint,
     outer,
     random_hermitian,
     random_matrix,
@@ -303,8 +304,11 @@ class TestGroupPathsAndContinuity:
         (SymmetryOp, NotUnitary),
         (DensityOperator, NotHermitian),
         (eig_hermitian, NotHermitian),
+        (Matrix.is_hermitian, None),
+        (is_positive_selfadjoint, None),
     ],
-    ids=["Projector", "Observable", "SymmetryOp", "DensityOperator", "eig_hermitian"],
+    ids=["Projector", "Observable", "SymmetryOp", "DensityOperator", "eig_hermitian",
+         "is_hermitian", "is_positive_selfadjoint"],
 )
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
 @pytest.mark.parametrize("where", ["every entry", "one off-diagonal entry"])
@@ -315,5 +319,9 @@ def test_validators_reject_non_finite_entries(make, error, bad, where, algebra):
         comps[..., 0] = bad
     else:
         comps[0, 1, 0] = bad
-    with np.errstate(all="ignore"), pytest.raises(error):
-        make(Matrix(algebra, comps))
+    with np.errstate(all="ignore"):
+        if error is None:  # a predicate: it must answer False, not raise
+            assert make(Matrix(algebra, comps)) is False
+        else:
+            with pytest.raises(error):
+                make(Matrix(algebra, comps))
