@@ -24,7 +24,6 @@ from .linalg import (
     Matrix,
     Projector,
     Vector,
-    gram_schmidt,
     inner,
     outer,
     outer_sum,
@@ -149,13 +148,6 @@ class FrameFunction:
     def from_measure(cls, mu: LatticeMeasure) -> "FrameFunction":
         def ev(x: Vector) -> float:
             return mu(projector_onto([x]))
-
-        return cls(evaluate=ev)
-
-    @classmethod
-    def from_state(cls, state: DensityOperator) -> "FrameFunction":
-        def ev(x: Vector) -> float:
-            return inner(x, state.matrix @ x).real
 
         return cls(evaluate=ev)
 

@@ -14,6 +14,10 @@ products go through :func:`gleason_lab.kernels.quat_matmul`.
 spectral sum, projector, state, polar factor and phase group is assembled as
 (U diag(q)) V* from the columns of U and V in a single product, and
 :func:`outer` is its one-column case.
+
+A :class:`Basis` is one column block, a single :class:`Matrix`, and
+:func:`_orthonormalize` is the one Gram-Schmidt, shared by :func:`gram_schmidt`
+and the quaternionic eigenvector lift in :mod:`gleason_lab.spectral`.
 """
 
 from __future__ import annotations
@@ -47,6 +51,10 @@ def _mul_comps(p: np.ndarray, q: np.ndarray) -> np.ndarray:
         ],
         axis=-1,
     )
+
+
+# _HAMILTON[a, b] holds the components of the product of units e_a e_b, e = 1, i, j, k
+_HAMILTON = _mul_comps(np.eye(4)[:, None, :], np.eye(4)[None, :, :])
 
 
 def _check_same_algebra(x, y) -> Algebra:
@@ -162,6 +170,8 @@ class Matrix:
     @classmethod
     def from_columns(cls, columns: list[Vector]) -> "Matrix":
         algebra = columns[0].algebra
+        for col in columns:
+            _check_same_algebra(columns[0], col)
         comps = np.stack([col.comps for col in columns], axis=1)
         return cls(algebra, comps)
 
@@ -218,9 +228,6 @@ class Matrix:
     def adjoint(self) -> "Matrix":
         out = np.transpose(_conj_comps(self.comps), (1, 0, 2))
         return Matrix(self.algebra, np.ascontiguousarray(out))
-
-    def fro_norm(self) -> float:
-        return float(np.sqrt((self.comps**2).sum()))
 
     def max_abs(self) -> float:
         """Largest entry magnitude |A_rc|."""
@@ -289,52 +296,84 @@ def outer(u: Vector, v: Vector, coeff=None) -> Matrix:
 
 
 class Basis:
-    """Ordered list of pairwise-orthonormal vectors."""
+    """Ordered orthonormal vectors, stored as the columns of one matrix."""
 
-    __slots__ = ("algebra", "_vectors")
+    __slots__ = ("algebra", "_matrix")
 
     def __init__(self, vectors: list[Vector]):
         if not vectors:
             raise ValueError("empty basis")
-        self.algebra = vectors[0].algebra
-        self._vectors = tuple(vectors)
+        self._matrix = Matrix.from_columns(vectors)
+        self.algebra = self._matrix.algebra
+
+    @classmethod
+    def of_columns(cls, U: Matrix) -> "Basis":
+        """The basis of the columns of U, which is kept, not copied."""
+        if U.m == 0:
+            raise ValueError("empty basis")
+        basis = cls.__new__(cls)
+        basis._matrix = U
+        basis.algebra = U.algebra
+        return basis
 
     @classmethod
     def standard(cls, n: int, algebra: Algebra) -> "Basis":
-        return cls([Vector.basis_vector(m, n, algebra) for m in range(n)])
-
-    @property
-    def vectors(self) -> tuple[Vector, ...]:
-        return self._vectors
+        return cls.of_columns(Matrix.identity(n, algebra))
 
     def __len__(self) -> int:
-        return len(self._vectors)
+        return self._matrix.m
 
     def __iter__(self):
-        return iter(self._vectors)
+        return (self._matrix.col(c) for c in range(len(self)))
 
     def __getitem__(self, idx: int) -> Vector:
-        return self._vectors[idx]
-
-    @property
-    def space_dim(self) -> int:
-        return self._vectors[0].n
-
-    def is_complete(self) -> bool:
-        return len(self) == self.space_dim
+        return self._matrix.col(idx)
 
     def matrix(self) -> Matrix:
         """Matrix whose columns are the basis vectors (unitary when complete)."""
-        return Matrix.from_columns(list(self._vectors))
+        return self._matrix
 
     def orthonormality_defect(self) -> float:
         """Largest entry magnitude of U*U - I."""
-        U = self.matrix()
+        U = self._matrix
         return (U.adjoint() @ U - Matrix.identity(len(self), self.algebra)).max_abs()
 
 
+def _orthonormalize(W: np.ndarray, tol: float, limit: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Gram-Schmidt over the columns of an (n, m, 4) component array, in order.
+
+    Each column w becomes w - sum_u u <u|w> over the columns u kept so far,
+    twice ("twice is enough"), and is kept, normalized, if its residual norm
+    exceeds ``tol``; the sweep stops once ``limit`` columns are kept.  Over R
+    the u e (e = 1, i, j, k) are orthonormal 4n-vectors whose inner products
+    with w are the components of <u|w>, so each pass is two real products.
+    Returns the kept columns (n, k, 4) and the residual of every column tried.
+    """
+    n, m, _ = W.shape
+    limit = m if limit is None else min(limit, m)
+    B = np.empty((4 * n, 4 * limit))  # column 4k + e holds u_k e
+    residuals = []
+    k = 0
+    for c in range(m):
+        if k == limit:
+            break
+        w = W[:, c, :].reshape(4 * n)
+        if k:
+            Bk = B[:, : 4 * k]
+            for _ in range(2):
+                w = w - Bk @ (Bk.T @ w)
+        nrm = float(np.sqrt(w @ w))
+        residuals.append(nrm)
+        if nrm > tol:
+            u = (w / nrm).reshape(n, 4)
+            B[:, 4 * k : 4 * k + 4] = np.einsum("ra,aec->rce", u, _HAMILTON).reshape(4 * n, 4)
+            k += 1
+    Q = B[:, 0 : 4 * k : 4].reshape(n, 4, k).transpose(0, 2, 1)
+    return np.ascontiguousarray(Q), np.array(residuals)
+
+
 def gram_schmidt(vectors: list[Vector], *, drop: bool = False) -> Basis:
-    """Modified Gram-Schmidt with one re-orthogonalization pass.
+    """Gram-Schmidt with one re-orthogonalization pass, via :func:`_orthonormalize`.
 
     Normalization divides on the right, so the span is preserved under the
     right-scalar convention.  Vectors whose residual falls below
@@ -343,30 +382,24 @@ def gram_schmidt(vectors: list[Vector], *, drop: bool = False) -> Basis:
     """
     if not vectors:
         raise ValueError("need at least one vector")
-    norms = [v.norm() for v in vectors]
+    W = Matrix.from_columns(vectors)
+    norms = np.sqrt((W.comps**2).sum(axis=(0, 2)))
     # NaN would slip through every comparison below, and inf would normalize to 0
     if not np.isfinite(norms).all():
         raise DegenerateInput("input vector has a non-finite norm")
-    scale = max(norms)
+    scale = float(norms.max())
     if scale == 0.0:
         if drop:
             raise DegenerateInput("all inputs are zero")
         raise DegenerateInput("zero input vector")
-    out: list[Vector] = []
-    for v in vectors:
-        w = v
-        for _ in range(2):
-            for u in out:
-                w = w - u.scale_right(inner(u, w))
-        nrm = w.norm()
-        if nrm <= _RANK_TOL * scale:
-            if drop:
-                continue
-            raise DegenerateInput(f"vector numerically dependent (residual {nrm:.3e})")
-        out.append(w.scale_right(1.0 / nrm))
-    if not out:
+    tol = _RANK_TOL * scale
+    Q, residuals = _orthonormalize(W.comps, tol)
+    if Q.shape[1] < len(vectors) and not drop:
+        nrm = residuals[residuals <= tol][0]
+        raise DegenerateInput(f"vector numerically dependent (residual {nrm:.3e})")
+    if Q.shape[1] == 0:
         raise DegenerateInput("no independent vectors")
-    return Basis(out)
+    return Basis.of_columns(Matrix(W.algebra, Q))
 
 
 class Projector:
@@ -431,12 +464,15 @@ def is_positive(A: Matrix, tol: float = 1e-9) -> bool:
 
     Over C and H this forces A = A*, so the anti-Hermitian part must vanish;
     over R an antisymmetric part contributes nothing to <x|Ax> and is ignored.
-    The Hermitian part is tested through its minimum eigenvalue.
+    The Hermitian part is tested through its minimum eigenvalue.  A matrix
+    with a NaN or infinite entry is not positive.
     """
     from .spectral import eig_hermitian, op_norm
 
     if not A.is_square:
         raise ValueError("positivity needs a square matrix")
+    if not np.isfinite(A.comps).all():
+        return False
     scale = max(1.0, A.max_abs())
     if not A.algebra.is_real:
         skew = A - A.adjoint()

@@ -108,9 +108,6 @@ class OutcomeMeasure:
         if probs.size and (probs.min() < -1e-8 or probs.max() > 1.0 + 1e-8):
             raise ValueError("probabilities escape [0, 1] beyond tolerance")
 
-    def probability_of(self, member: Callable[[float], bool]) -> float:
-        return float(sum(p for s, p in self.support if member(s)))
-
     def total(self) -> float:
         return float(sum(p for _, p in self.support))
 

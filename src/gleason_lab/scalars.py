@@ -121,10 +121,6 @@ class Quaternion:
     def isclose(self, other, tol: float = DEFAULT_TOL) -> bool:
         return abs(self - as_quaternion(other)) <= tol
 
-    def in_algebra(self, algebra: Algebra, tol: float = DEFAULT_TOL) -> bool:
-        extra = self.to_array()[algebra.component_count:]
-        return bool(np.all(np.abs(extra) <= tol))
-
     def __repr__(self) -> str:
         return f"Quaternion({self.a:g}, {self.b:g}, {self.c:g}, {self.d:g})"
 

@@ -12,8 +12,11 @@ A = A1 + A2 j with complex blocks,
 is a *-homomorphism into 2n x 2n complex matrices (chi(AB) = chi(A) chi(B),
 chi(A*) = chi(A)*, chi(I) = I), every eigenvalue of chi(A) appears with even
 multiplicity, and a complex eigenvector (u; v) lifts to the quaternionic
-eigenvector w = u - conj(v) j.  The lift is checked by residual; degenerate
-groups are resolved by Gram-Schmidt over the lifted candidates.
+eigenvector w = u - conj(v) j.  The lift is guarded twice: chi(A)'s sorted
+spectrum must be n consecutive equal pairs, else ConvergenceFailure, and the
+lifted columns of each group of equal eigenvalues go through the one
+Gram-Schmidt, :func:`gleason_lab.linalg._orthonormalize`, which must keep
+one column per pair.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 
 from . import kernels
 from .errors import AlgebraMismatch, ConvergenceFailure, NotHermitian, NotPositive
-from .linalg import Basis, Matrix, Vector, inner, outer_sum, random_vector
+from .linalg import Basis, Matrix, Vector, _orthonormalize, inner, outer_sum, random_vector
 from .rng import SplitMix64
 from .scalars import Algebra, Quaternion
 
@@ -74,24 +77,6 @@ def embed(A: Matrix) -> np.ndarray:
     return X
 
 
-def _vector_from_complex(col: np.ndarray, algebra: Algebra) -> Vector:
-    comps = np.zeros((col.shape[0], 4))
-    comps[:, 0] = col.real
-    comps[:, 1] = col.imag
-    return Vector(algebra, comps)
-
-
-def _lift(col: np.ndarray, n: int) -> Vector:
-    """(u; v) eigenvector of chi(A) -> quaternionic w = u - conj(v) j."""
-    u, v = col[:n], col[n:]
-    comps = np.empty((n, 4))
-    comps[:, 0] = u.real
-    comps[:, 1] = u.imag
-    comps[:, 2] = -v.real
-    comps[:, 3] = v.imag
-    return Vector(Algebra.H, comps)
-
-
 def _group_indices(values: np.ndarray, tol: float) -> list[tuple[int, int]]:
     groups = []
     m = 0
@@ -112,39 +97,26 @@ def _eig_hermitian_quaternionic(A: Matrix) -> EigenDecomposition:
     w = w[order]
     V = V[:, order]
     scale = max(1.0, float(np.abs(w).max(initial=0.0)))
-    groups = _group_indices(w, _GROUP_TOL * scale)
-    # Symplectic symmetry doubles every multiplicity; an odd group means the
-    # grouping tolerance split a pair, so merge forward and retry once.
-    merged: list[tuple[int, int]] = []
-    for a, b in groups:
-        if merged and (merged[-1][1] - merged[-1][0]) % 2 == 1:
-            merged[-1] = (merged[-1][0], b)
-        else:
-            merged.append((a, b))
-    if any((b - a) % 2 == 1 for a, b in merged):
-        raise ConvergenceFailure("eigenvalue pairing failed: odd multiplicity group")
+    # symplectic symmetry doubles every eigenvalue, so the sorted spectrum is
+    # n consecutive pairs
+    if np.abs(w[0::2] - w[1::2]).max(initial=0.0) > _GROUP_TOL * scale:
+        raise ConvergenceFailure("eigenvalue pairing failed: chi(A) spectrum is not doubled")
+    # every eigenvector (u; v) of chi(A) lifts to u - conj(v) j, all columns at once
+    lifted = np.stack([V[:n].real, V[:n].imag, -V[n:].real, V[n:].imag], axis=-1)
     vals: list[float] = []
-    vecs: list[Vector] = []
-    for a, b in merged:
-        want = (b - a) // 2
-        got: list[Vector] = []
-        for t in range(a, b):
-            cand = _lift(V[:, t], n)
-            for u in got:
-                cand = cand - u.scale_right(inner(u, cand))
-            nrm = cand.norm()
-            if nrm > 1e-6:
-                got.append(cand.scale_right(1.0 / nrm))
-            if len(got) == want:
-                break
-        if len(got) != want:
+    cols: list[np.ndarray] = []
+    for a, b in _group_indices(0.5 * (w[0::2] + w[1::2]), _GROUP_TOL * scale):
+        want = b - a
+        got, _ = _orthonormalize(lifted[:, 2 * a : 2 * b], 1e-6, limit=want)
+        if got.shape[1] != want:
             raise ConvergenceFailure(
-                f"could not lift {want} independent eigenvectors from a group of {b - a}"
+                f"could not lift {want} independent eigenvectors from a group of {2 * want}"
             )
-        mean = float(np.mean(w[a:b]))
-        vals.extend([mean] * want)
-        vecs.extend(got)
-    return EigenDecomposition(Basis(vecs), np.array(vals))
+        vals.extend([float(np.mean(w[2 * a : 2 * b]))] * want)
+        cols.append(got)
+    return EigenDecomposition(
+        Basis.of_columns(Matrix(Algebra.H, np.concatenate(cols, axis=1))), np.array(vals)
+    )
 
 
 def eig_hermitian(A: Matrix, tol: float = _HERMITIAN_TOL) -> EigenDecomposition:
@@ -162,8 +134,10 @@ def eig_hermitian(A: Matrix, tol: float = _HERMITIAN_TOL) -> EigenDecomposition:
     order = np.argsort(-w, kind="stable")
     w = w[order]
     V = V[:, order]
-    vecs = [_vector_from_complex(V[:, t], A.algebra) for t in range(A.n)]
-    return EigenDecomposition(Basis(vecs), w.copy())
+    comps = np.zeros((A.n, A.n, 4))
+    comps[..., 0] = V.real
+    comps[..., 1] = V.imag
+    return EigenDecomposition(Basis.of_columns(Matrix(A.algebra, comps)), w)
 
 
 def op_norm(A: Matrix) -> float:

@@ -18,6 +18,7 @@ from gleason_lab.linalg import (
     projector_leq,
     projector_onto,
     random_matrix,
+    random_phase,
     random_projector,
     random_unit_vector,
     random_unitary,
@@ -368,3 +369,36 @@ def test_basis_products_match_per_vector_loops(algebra, n):
         assert trace_n(A, basis).isclose(_trace_reference(A, basis), tol=1e-12)
         assert abs(absolute_diagonal_sum(A, basis) - _absolute_sum_reference(A, basis)) <= 1e-12
         assert abs(basis.orthonormality_defect() - _orthonormality_reference(basis)) <= 1e-12
+
+
+def _gram_schmidt_reference(vectors: list[Vector]) -> list[Vector]:
+    """Per-vector modified Gram-Schmidt, two passes, dropping dependent vectors."""
+    scale = max(v.norm() for v in vectors)
+    out: list[Vector] = []
+    for v in vectors:
+        w = v
+        for _ in range(2):
+            for u in out:
+                w = w - u.scale_right(inner(u, w))
+        nrm = w.norm()
+        if nrm > 1e-10 * scale:
+            out.append(w.scale_right(1.0 / nrm))
+    return out
+
+
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("rank", ["full", "deficient"])
+def test_gram_schmidt_matches_per_vector_loop(algebra, n, rank):
+    rng = SplitMix64(24)
+    vectors = [random_vector(n, algebra, rng) for _ in range(n)]
+    if rank == "deficient":
+        # a right multiple of the first vector, a combination and a zero vector
+        q = random_phase(algebra, rng)
+        dependent = vectors[0].scale_right(q)
+        vectors = [vectors[0], dependent, *vectors[1:], dependent - vectors[-1],
+                   Vector(algebra, np.zeros((n, 4)))]
+    basis = gram_schmidt(vectors, drop=rank == "deficient")
+    expect = _gram_schmidt_reference(vectors)
+    assert len(basis) == len(expect) == n
+    assert basis.matrix().approx_eq(Matrix.from_columns(expect), tol=1e-10)

@@ -10,6 +10,7 @@ from gleason_lab.linalg import (
     Projector,
     Vector,
     inner,
+    is_positive,
     is_positive_selfadjoint,
     outer,
     random_hermitian,
@@ -305,10 +306,11 @@ class TestGroupPathsAndContinuity:
         (DensityOperator, NotHermitian),
         (eig_hermitian, NotHermitian),
         (Matrix.is_hermitian, None),
+        (is_positive, None),
         (is_positive_selfadjoint, None),
     ],
     ids=["Projector", "Observable", "SymmetryOp", "DensityOperator", "eig_hermitian",
-         "is_hermitian", "is_positive_selfadjoint"],
+         "is_hermitian", "is_positive", "is_positive_selfadjoint"],
 )
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
 @pytest.mark.parametrize("where", ["every entry", "one off-diagonal entry"])

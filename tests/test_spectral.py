@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from gleason_lab.errors import AlgebraMismatch, NotHermitian, NotPositive
+from gleason_lab import kernels
+from gleason_lab.errors import AlgebraMismatch, ConvergenceFailure, NotHermitian, NotPositive
 from gleason_lab.linalg import (
     Basis,
     Matrix,
     Vector,
     inner,
     outer,
+    outer_sum,
     random_hermitian,
     random_matrix,
     random_unitary,
@@ -100,6 +102,31 @@ class TestEigHermitian:
         assert np.allclose(np.sort(dec.values), np.sort(spectrum), atol=1e-9)
         assert dec.residual(A) < 1e-9
         assert dec.basis.orthonormality_defect() < 1e-9
+
+    def test_grouped_quaternionic_eigenvalues_are_exactly_equal(self):
+        U = random_unitary(5, Algebra.H, SplitMix64(25))
+        A = outer_sum(U, np.array([2.0, 2.0, 2.0, -1.0, -1.0]))
+        dec = eig_hermitian(A)
+        assert dec.values[0] == dec.values[1] == dec.values[2]
+        assert dec.values[3] == dec.values[4]
+        assert np.abs(dec.values - [2.0, 2.0, 2.0, -1.0, -1.0]).max() <= 1e-10
+        assert dec.residual(A) <= 1e-10
+        assert dec.basis.orthonormality_defect() <= 1e-10
+
+    @pytest.mark.parametrize("fault", ["unpaired spectrum", "dependent eigenvectors"])
+    def test_quaternionic_lift_rejects_a_broken_eigensolve(self, monkeypatch, fault):
+        real_eigh = kernels.eigh
+
+        def broken_eigh(X):
+            w, V = real_eigh(X)
+            if fault == "unpaired spectrum":
+                return np.arange(len(w), dtype=float), V
+            # a doubled spectrum whose eigenvectors all lift to one line
+            return np.ones(len(w)), np.repeat(V[:, :1], len(w), axis=1)
+
+        monkeypatch.setattr(kernels, "eigh", broken_eigh)
+        with pytest.raises(ConvergenceFailure):
+            eig_hermitian(Matrix.identity(2, Algebra.H))
 
     def test_spectrum_against_embedding_oracle(self):
         # quaternionic eigenvalues equal the embedded complex ones, which come
