@@ -1,9 +1,12 @@
-"""Hot numeric kernels: the Hermitian eigensolver and the quaternion matrix product.
+"""Hot numeric kernels: the Hermitian eigensolver, the quaternion matrix product,
+and the Hamilton table.
 
 Every Hermitian eigendecomposition in the package runs through :func:`eigh`,
 LAPACK's complex Hermitian solver as shipped with numpy, and every matrix
 product through :func:`quat_matmul`, sixteen real BLAS products.  Both need
-nothing beyond numpy, the one hard dependency.
+nothing beyond numpy, the one hard dependency.  :data:`HAMILTON` is the one
+written-out multiplication table of the units 1, i, j, k; the pointwise
+product and the Gram-Schmidt block in :mod:`gleason_lab.linalg` are read off it.
 
 Quaternion matrices are stored as float64 arrays of shape (n, m, 4) holding
 the components of a + bi + cj + dk per entry.  Real and complex matrices use
@@ -16,6 +19,19 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConvergenceFailure
+
+# HAMILTON[a, b] holds the components of e_a e_b for the units e = 1, i, j, k
+HAMILTON = np.array(
+    [
+        # right factor:  1             i              j              k
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],  # 1
+        [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]],  # i
+        [[0, 0, 1, 0], [0, 0, 0, -1], [-1, 0, 0, 0], [0, 1, 0, 0]],  # j
+        [[0, 0, 0, 1], [0, 0, 1, 0], [0, -1, 0, 0], [-1, 0, 0, 0]],  # k
+    ],
+    dtype=np.float64,
+)
+HAMILTON.flags.writeable = False
 
 
 def active_backend() -> str:

@@ -18,6 +18,12 @@ spectral sum, projector, state, polar factor and phase group is assembled as
 A :class:`Basis` is one column block, a single :class:`Matrix`, and
 :func:`_orthonormalize` is the one Gram-Schmidt, shared by :func:`gram_schmidt`
 and the quaternionic eigenvector lift in :mod:`gleason_lab.spectral`.
+
+The pointwise Hamilton product :func:`_mul_comps` is table-driven: it reads
+the left-regular form of its left factor off :data:`gleason_lab.kernels.HAMILTON`,
+the table the Gram-Schmidt block uses too.  :meth:`Projector.rank_one` builds
+the projector onto one line from one such broadcast product, with no matrix
+product; the frame-function probe of :mod:`gleason_lab.gleason` runs on it.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import numpy as np
 
 from . import kernels
 from .errors import AlgebraMismatch, DegenerateInput
+from .kernels import HAMILTON
 from .rng import SplitMix64
 from .scalars import Algebra, Quaternion, as_quaternion, scalar_from_json, scalar_to_json
 
@@ -39,22 +46,13 @@ def _conj_comps(comps: np.ndarray) -> np.ndarray:
 
 
 def _mul_comps(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Pointwise Hamilton product of broadcastable (..., 4) component arrays."""
-    p0, p1, p2, p3 = (p[..., m] for m in range(4))
-    q0, q1, q2, q3 = (q[..., m] for m in range(4))
-    return np.stack(
-        [
-            p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3,
-            p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2,
-            p0 * q2 - p1 * q3 + p2 * q0 + p3 * q1,
-            p0 * q3 + p1 * q2 - p2 * q1 + p3 * q0,
-        ],
-        axis=-1,
-    )
+    """Pointwise Hamilton product of broadcastable (..., 4) component arrays.
 
-
-# _HAMILTON[a, b] holds the components of the product of units e_a e_b, e = 1, i, j, k
-_HAMILTON = _mul_comps(np.eye(4)[:, None, :], np.eye(4)[None, :, :])
+    left[..., b, e] = sum_a p_a HAMILTON[a, b, e] is the matrix of q -> p q
+    (the left-regular form of p), so the product is one contraction with q.
+    """
+    left = (p @ HAMILTON.reshape(4, 16)).reshape(p.shape[:-1] + (4, 4))
+    return np.einsum("...be,...b->...e", left, q)
 
 
 def _check_same_algebra(x, y) -> Algebra:
@@ -366,7 +364,7 @@ def _orthonormalize(W: np.ndarray, tol: float, limit: int | None = None) -> tupl
         residuals.append(nrm)
         if nrm > tol:
             u = (w / nrm).reshape(n, 4)
-            B[:, 4 * k : 4 * k + 4] = np.einsum("ra,aec->rce", u, _HAMILTON).reshape(4 * n, 4)
+            B[:, 4 * k : 4 * k + 4] = np.einsum("ra,aec->rce", u, HAMILTON).reshape(4 * n, 4)
             k += 1
     Q = B[:, 0 : 4 * k : 4].reshape(n, 4, k).transpose(0, 2, 1)
     return np.ascontiguousarray(Q), np.array(residuals)
@@ -382,7 +380,11 @@ def gram_schmidt(vectors: list[Vector], *, drop: bool = False) -> Basis:
     """
     if not vectors:
         raise ValueError("need at least one vector")
-    W = Matrix.from_columns(vectors)
+    return _gram_schmidt_columns(Matrix.from_columns(vectors), drop=drop)
+
+
+def _gram_schmidt_columns(W: Matrix, *, drop: bool = False) -> Basis:
+    """:func:`gram_schmidt` over the columns of W, which stay one block."""
     norms = np.sqrt((W.comps**2).sum(axis=(0, 2)))
     # NaN would slip through every comparison below, and inf would normalize to 0
     if not np.isfinite(norms).all():
@@ -394,7 +396,7 @@ def gram_schmidt(vectors: list[Vector], *, drop: bool = False) -> Basis:
         raise DegenerateInput("zero input vector")
     tol = _RANK_TOL * scale
     Q, residuals = _orthonormalize(W.comps, tol)
-    if Q.shape[1] < len(vectors) and not drop:
+    if Q.shape[1] < W.m and not drop:
         nrm = residuals[residuals <= tol][0]
         raise DegenerateInput(f"vector numerically dependent (residual {nrm:.3e})")
     if Q.shape[1] == 0:
@@ -410,15 +412,31 @@ class Projector:
     def __init__(self, matrix: Matrix, tol: float = 1e-8):
         if not matrix.is_square:
             raise ValueError("projector matrix must be square")
-        idem = (matrix @ matrix - matrix).max_abs()
-        herm = matrix.hermitian_defect()
-        scale = max(1.0, matrix.max_abs())
-        # a NaN or inf entry makes a defect NaN, and NaN fails every comparison
-        if not (idem / scale <= tol and herm / scale <= tol):
-            raise ValueError(
-                f"not a projector: idempotency defect {idem:.3e}, hermitian defect {herm:.3e}"
-            )
+        _certify_projector(matrix, (matrix @ matrix - matrix).max_abs(), tol)
         self.matrix = matrix
+
+    @classmethod
+    def rank_one(cls, x: Vector) -> "Projector":
+        """The projector u u* onto the line of x, u = x / |x|, with no matrix product.
+
+        The entries u_r conj(u_c) come from one broadcast Hamilton product.
+        Idempotency is read from the rank-one identity P^2 - P = (|u|^2 - 1) P,
+        so its defect is ||u|^2 - 1| max|P_rc|; both certificates use the
+        constructor's tolerance.  A zero or non-finite x raises DegenerateInput.
+        """
+        nrm = x.norm()
+        # NaN would slip through the zero test, and inf would normalize to 0
+        if not np.isfinite(nrm):
+            raise DegenerateInput("input vector has a non-finite norm")
+        if nrm == 0.0:
+            raise DegenerateInput("zero input vector")
+        u = x.comps / nrm
+        matrix = Matrix(x.algebra, _mul_comps(u[:, None, :], _conj_comps(u)[None, :, :]))
+        row_sq = (u**2).sum(axis=1)  # |u_r|^2; max|P_rc| = max_r |u_r|^2
+        _certify_projector(matrix, abs(float(row_sq.sum()) - 1.0) * float(row_sq.max()), 1e-8)
+        P = cls.__new__(cls)
+        P.matrix = matrix
+        return P
 
     @classmethod
     def zero(cls, n: int, algebra: Algebra) -> "Projector":
@@ -445,6 +463,18 @@ class Projector:
 
     def __repr__(self) -> str:
         return f"Projector({self.algebra.value}, n={self.n}, rank={self.rank})"
+
+
+def _certify_projector(matrix: Matrix, idem: float, tol: float) -> None:
+    """Raise ValueError unless the idempotency defect ``idem`` and the Hermitian
+    defect of ``matrix`` are within ``tol`` relative to max(1, max|P_rc|)."""
+    herm = matrix.hermitian_defect()
+    scale = max(1.0, matrix.max_abs())
+    # a NaN or inf entry makes a defect NaN, and NaN fails every comparison
+    if not (idem / scale <= tol and herm / scale <= tol):
+        raise ValueError(
+            f"not a projector: idempotency defect {idem:.3e}, hermitian defect {herm:.3e}"
+        )
 
 
 def projector_onto(vectors: list[Vector], *, drop: bool = False) -> Projector:
@@ -532,7 +562,7 @@ def random_unitary(n: int, algebra: Algebra, rng) -> Matrix:
     rng = _as_rng(rng)
     for _ in range(4):
         try:
-            basis = gram_schmidt(random_matrix(n, n, algebra, rng).columns())
+            basis = _gram_schmidt_columns(random_matrix(n, n, algebra, rng))
         except DegenerateInput:
             continue
         return basis.matrix()

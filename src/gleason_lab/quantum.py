@@ -19,7 +19,7 @@ from .gleason import DensityOperator
 from .linalg import Matrix, Projector, outer_sum
 from .scalars import Algebra, Quaternion
 from .spectral import EigenDecomposition, _group_indices, eig_hermitian
-from .trace import real_trace
+from .trace import real_pairing, real_trace
 
 _ATOM_REL_TOL = 1e-7
 
@@ -124,19 +124,19 @@ class OutcomeMeasure:
 def outcome_measure(A: Observable, T: DensityOperator) -> OutcomeMeasure:
     """Per-eigenvalue probabilities Re tr(P_s T)."""
     pvm = pvm_of(A)
-    rows = sorted((s, real_trace(P.matrix @ T.matrix)) for s, P in pvm.atoms)
+    rows = sorted((s, real_pairing(P.matrix, T.matrix)) for s, P in pvm.atoms)
     return OutcomeMeasure(tuple(rows))
 
 
 def expectation(A: Observable, T: DensityOperator) -> float:
     """<A>_T = Re tr(A T); agrees with the first moment of the outcome measure."""
-    return real_trace(A.matrix @ T.matrix)
+    return real_pairing(A.matrix, T.matrix)
 
 
 def std_deviation(A: Observable, T: DensityOperator) -> float:
     """sqrt(Re tr(A^2 T) - Re tr(A T)^2), clamping radicands in [-1e-10, 0)."""
     mean = expectation(A, T)
-    radicand = real_trace((A.matrix @ A.matrix) @ T.matrix) - mean * mean
+    radicand = real_pairing(A.matrix @ A.matrix, T.matrix) - mean * mean
     if radicand < -1e-10:
         raise ValueError(f"variance radicand {radicand:.3e} below clamp window")
     return math.sqrt(max(radicand, 0.0))

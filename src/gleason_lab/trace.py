@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Basis, Matrix, _conj_comps, _mul_comps
+from .linalg import Basis, Matrix, _check_same_algebra, _conj_comps, _mul_comps
 from .scalars import Algebra, Quaternion, scalar_to_json
 from .spectral import op_norm, singular_values
 
@@ -40,6 +40,19 @@ def real_trace(A: Matrix) -> float:
         raise ValueError("trace needs a square matrix")
     n = A.n
     return float(A.comps[np.arange(n), np.arange(n), 0].sum())
+
+
+def real_pairing(A: Matrix, B: Matrix) -> float:
+    """Re tr(AB) = sum_rc Re(A_rc B_cr), for A of shape (n, m) and B of shape (m, n).
+
+    Re(pq) = p_0 q_0 - p_1 q_1 - p_2 q_2 - p_3 q_3, so this is O(nm) work and
+    forms no product AB.
+    """
+    _check_same_algebra(A, B)
+    if A.n != B.m or A.m != B.n:
+        raise ValueError(f"cannot pair {A.n}x{A.m} with {B.n}x{B.m}: need (n, m) and (m, n)")
+    prod = A.comps * np.transpose(B.comps, (1, 0, 2))
+    return float(prod[..., 0].sum() - prod[..., 1:].sum())
 
 
 def trace_norm(A: Matrix) -> float:

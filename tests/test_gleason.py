@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gleason_lab import kernels
 from gleason_lab.errors import InvalidWeights, NotAFrameFunction, NotHermitian, NotPositive
 from gleason_lab.gleason import (
     DensityOperator,
@@ -34,6 +35,7 @@ from gleason_lab.linalg import (
     random_projector,
     random_unit_vector,
     random_unitary,
+    random_vector,
 )
 from gleason_lab.rng import SplitMix64
 from gleason_lab.scalars import Algebra
@@ -170,6 +172,45 @@ class TestReconstruction:
         f = FrameFunction.from_measure(measure_from_state(T))
         rebuilt = reconstruct_state(f, n, algebra, rng=rng)
         assert (rebuilt.matrix - T.matrix).max_abs() < 1e-9
+
+    @pytest.mark.parametrize("algebra", ALGEBRAS)
+    def test_frame_function_probe_builds_no_matrix_product(self, algebra, monkeypatch):
+        rng = SplitMix64(61)
+        T = random_density(4, algebra, rng)
+        x = random_vector(4, algebra, rng)
+        expect = inner(x, T.matrix @ x).real / x.norm() ** 2
+        f = FrameFunction.from_measure(measure_from_state(T))
+        calls = []
+        product = kernels.quat_matmul
+
+        def counting(A, B):
+            calls.append(A.shape)
+            return product(A, B)
+
+        monkeypatch.setattr(kernels, "quat_matmul", counting)
+        value = f(x)
+        assert calls == []
+        assert abs(value - expect) < 1e-12
+
+    @pytest.mark.parametrize("algebra", ALGEBRAS)
+    def test_every_verification_probe_calls_the_oracle_once(self, algebra):
+        T = random_density(3, algebra, SplitMix64(62))
+        f = FrameFunction.from_measure(measure_from_state(T))
+
+        def calls_with(probes: int) -> int:
+            calls = 0
+
+            def ev(x: Vector) -> float:
+                nonlocal calls
+                calls += 1
+                return f(x)
+
+            rebuilt = reconstruct_state(FrameFunction(evaluate=ev), 3, algebra,
+                                        rng=SplitMix64(63), verification_probes=probes)
+            assert (rebuilt.matrix - T.matrix).max_abs() < 1e-9
+            return calls
+
+        assert calls_with(100) - calls_with(0) == 100
 
     def test_constant_frame_function_gives_uniform_state(self):
         f = FrameFunction(evaluate=lambda x: x.norm() ** 2 / 3.0)

@@ -3,6 +3,7 @@ import pytest
 
 from gleason_lab import kernels
 from gleason_lab.errors import ConvergenceFailure
+from gleason_lab.linalg import _mul_comps
 from gleason_lab.rng import SplitMix64
 from gleason_lab.scalars import Quaternion
 
@@ -40,6 +41,40 @@ def test_quat_matmul_identity_and_associativity():
     left = kernels.quat_matmul(kernels.quat_matmul(A, B), C)
     right = kernels.quat_matmul(A, kernels.quat_matmul(B, C))
     assert np.abs(left - right).max() < 1e-11
+
+
+def _closed_form_products(p, q):
+    # Quaternion.__mul__ entry by entry over the broadcast operands
+    bp, bq = np.broadcast_arrays(p, q)
+    rows = [(Quaternion.from_array(a) * Quaternion.from_array(b)).to_array()
+            for a, b in zip(bp.reshape(-1, 4), bq.reshape(-1, 4))]
+    return np.array(rows).reshape(bp.shape)
+
+
+def test_hamilton_table_matches_quaternion_multiplication_on_units():
+    units = np.eye(4)
+    for a in range(4):
+        for b in range(4):
+            expect = (Quaternion.from_array(units[a]) * Quaternion.from_array(units[b])).to_array()
+            assert np.array_equal(kernels.HAMILTON[a, b], expect)
+            assert np.array_equal(_mul_comps(units[a], units[b]), expect)
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+@pytest.mark.parametrize(
+    "shapes",
+    [((-1, 4), (1, 4)), ((-1, 1, 4), (1, -1, 4)), ((-1, -1, 4), (-1, -1, 4))],
+    ids=["(n,4)x(1,4)", "(n,1,4)x(1,n,4)", "(n,n,4)x(n,n,4)"],
+)
+def test_pointwise_product_matches_quaternion_multiplication(n, shapes):
+    rng = SplitMix64(7 + n)
+    p_shape, q_shape = (tuple(n if d == -1 else d for d in shape) for shape in shapes)
+    p = rng.gaussian_block(int(np.prod(p_shape))).reshape(p_shape)
+    q = rng.gaussian_block(int(np.prod(q_shape))).reshape(q_shape)
+    got = _mul_comps(p, q)
+    expect = _closed_form_products(p, q)
+    assert got.shape == expect.shape
+    assert np.abs(got - expect).max() < 1e-14
 
 
 def _random_hermitian_complex(rng, n):

@@ -253,6 +253,30 @@ class TestProjectors:
             Projector(Matrix.from_rows([[2.0]], Algebra.R))
 
 
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("phase", [False, True], ids=["x", "xq"])
+def test_rank_one_projector_matches_projector_onto(algebra, n, phase):
+    rng = SplitMix64(51 + n)
+    x = random_vector(n, algebra, rng)
+    if phase:
+        # a non-unit scalar: the line, and so the projector, stays the same
+        x = x.scale_right(Quaternion.from_array(3.7 * random_phase(algebra, rng).to_array()))
+    P = Projector.rank_one(x)
+    expect = projector_onto([x]).matrix
+    assert P.matrix.algebra is algebra and P.rank == 1
+    assert np.abs(P.matrix.comps - expect.comps).max() < 1e-12
+
+
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+@pytest.mark.parametrize("bad", [0.0, np.nan, np.inf, -np.inf], ids=["zero", "nan", "+inf", "-inf"])
+def test_rank_one_projector_rejects_zero_and_non_finite_input(algebra, bad):
+    comps = np.zeros((3, 4))
+    comps[1, 0] = bad
+    with pytest.raises(DegenerateInput):
+        Projector.rank_one(Vector(algebra, comps))
+
+
 class TestPolarizationNondegeneracy:
     def test_nonzero_operators_show_up_in_quadratic_forms_over_c_and_h(self):
         rng = SplitMix64(14)

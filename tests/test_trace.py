@@ -24,6 +24,7 @@ from gleason_lab.trace import (
     check_norm_inequalities,
     full_trace_cyclic_gap,
     quaternionic_trace_formula_check,
+    real_pairing,
     real_trace,
     real_trace_cyclic_gap,
     realification_check,
@@ -48,6 +49,25 @@ def _antisymmetric_blocks(m):
         comps[2 * b, 2 * b + 1, 0] = -1.0
         comps[2 * b + 1, 2 * b, 0] = 1.0
     return Matrix(Algebra.R, comps)
+
+
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+@pytest.mark.parametrize("shape", [(1, 1), (4, 4), (2, 5), (5, 2)])
+def test_real_pairing_is_the_real_trace_of_the_product(algebra, shape):
+    n, m = shape
+    rng = SplitMix64(41 + 7 * n + m)
+    A = random_matrix(n, m, algebra, rng)
+    B = random_matrix(m, n, algebra, rng)
+    assert abs(real_pairing(A, B) - real_trace(A @ B)) < 1e-12
+    assert abs(real_pairing(B, A) - real_trace(B @ A)) < 1e-12
+
+
+@pytest.mark.parametrize("shapes", [((2, 3), (2, 3)), ((2, 3), (3, 3)), ((2, 2), (3, 3))])
+def test_real_pairing_rejects_mismatched_shapes(shapes):
+    rng = SplitMix64(43)
+    A, B = (random_matrix(n, m, Algebra.H, rng) for n, m in shapes)
+    with pytest.raises(ValueError):
+        real_pairing(A, B)
 
 
 class TestTraceN:
