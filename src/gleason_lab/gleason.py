@@ -31,6 +31,7 @@ from .linalg import (
     random_phase,
     random_projector,
     random_unit_vector,
+    random_unit_vectors,
     random_unitary,
 )
 from .rng import SplitMix64
@@ -193,26 +194,6 @@ def _polarization_vector(k: int, l: int, q: Quaternion, n: int, algebra: Algebra
     return Vector(algebra, comps)
 
 
-def _unit_probe_block(n: int, count: int, algebra: Algebra, rng: SplitMix64) -> np.ndarray:
-    """``count`` random unit vectors as the columns of an (n, count, 4) array.
-
-    The same Gaussian stream, in the same order, as ``count`` successive
-    :func:`random_unit_vector` draws, including the fallback to e_0 for a
-    zero-norm draw.
-    """
-    k = algebra.component_count
-    X = np.zeros((count, n, 4))
-    X[:, :, :k] = rng.gaussian_block(count * n * k).reshape(count, n, k)
-    norms = np.sqrt((X**2).sum(axis=(1, 2)))
-    zero = norms < 1e-12
-    scale = np.ones(count)
-    scale[~zero] = 1.0 / norms[~zero]
-    X *= scale[:, None, None]
-    X[zero] = 0.0
-    X[zero, 0, 0] = 1.0
-    return X.transpose(1, 0, 2)
-
-
 def _check_phase_invariance(f: FrameFunction, probes: list[Vector], algebra: Algebra,
                             rng: SplitMix64, tol: float) -> None:
     for x in probes:
@@ -240,7 +221,8 @@ def reconstruct_state(
     probes f((e_k + e_l q)/sqrt2) = (T_kk + T_ll)/2 + Re(T_kl q) with q running
     over 1 and the imaginary units of the algebra.  The result is verified
     against ``verification_probes`` random unit vectors, drawn as the columns
-    of one block X: Re<x|Tx> comes for all of them from the one product T X,
+    of one block X by :func:`random_unit_vectors`: Re<x|Tx> comes for all of
+    them from the one product T X,
     while the opaque f is still called once per probe, in order.  The verified
     matrix is certified as a state.
     """
@@ -270,11 +252,11 @@ def reconstruct_state(
             comps[l, k] = entry.conjugate().to_array()
     T = Matrix(algebra, comps)
 
-    X = _unit_probe_block(n, verification_probes, algebra, rng)
+    X = random_unit_vectors(n, verification_probes, algebra, rng)
     # Re<x|Tx> = sum_m Re(conj(x_m) (Tx)_m), the componentwise dot product
-    predicted = (X * (T @ Matrix(algebra, X)).comps).sum(axis=(0, 2))
+    predicted = (X.comps * (T @ X).comps).sum(axis=(0, 2))
     for p in range(verification_probes):
-        error = abs(predicted[p] - f(Vector(algebra, X[:, p])))
+        error = abs(predicted[p] - f(X.col(p)))
         if error > tol:
             raise NotAFrameFunction(f"oracle is not a quadratic form: probe error {error:.3e}")
     return DensityOperator(T)

@@ -24,6 +24,10 @@ the left-regular form of its left factor off :data:`gleason_lab.kernels.HAMILTON
 the table the Gram-Schmidt block uses too.  :meth:`Projector.rank_one` builds
 the projector onto one line from one such broadcast product, with no matrix
 product; the frame-function probe of :mod:`gleason_lab.gleason` runs on it.
+
+Random instances share one Gaussian layout, :func:`_gaussian_comps`;
+:func:`random_unit_vectors` draws a block of unit vectors, and
+:func:`random_unit_vector` is its one-column case.
 """
 
 from __future__ import annotations
@@ -404,12 +408,15 @@ def _gram_schmidt_columns(W: Matrix, *, drop: bool = False) -> Basis:
     return Basis.of_columns(Matrix(W.algebra, Q))
 
 
+_PROJECTOR_TOL = 1e-8
+
+
 class Projector:
     """Orthogonal projector: PP = P and P* = P, checked on construction."""
 
     __slots__ = ("matrix",)
 
-    def __init__(self, matrix: Matrix, tol: float = 1e-8):
+    def __init__(self, matrix: Matrix, tol: float = _PROJECTOR_TOL):
         if not matrix.is_square:
             raise ValueError("projector matrix must be square")
         _certify_projector(matrix, (matrix @ matrix - matrix).max_abs(), tol)
@@ -433,7 +440,8 @@ class Projector:
         u = x.comps / nrm
         matrix = Matrix(x.algebra, _mul_comps(u[:, None, :], _conj_comps(u)[None, :, :]))
         row_sq = (u**2).sum(axis=1)  # |u_r|^2; max|P_rc| = max_r |u_r|^2
-        _certify_projector(matrix, abs(float(row_sq.sum()) - 1.0) * float(row_sq.max()), 1e-8)
+        _certify_projector(matrix, abs(float(row_sq.sum()) - 1.0) * float(row_sq.max()), _PROJECTOR_TOL)
+        # bypasses __init__ once the certificates hold: must set every slot
         P = cls.__new__(cls)
         P.matrix = matrix
         return P
@@ -528,28 +536,42 @@ def _as_rng(seed_or_rng) -> SplitMix64:
     return SplitMix64(int(seed_or_rng))
 
 
-def random_vector(n: int, algebra: Algebra, rng) -> Vector:
+def _gaussian_comps(shape: tuple[int, ...], algebra: Algebra, rng) -> np.ndarray:
+    """Components of the given leading shape filled, in row-major order, with
+    standard Gaussians in the algebra's components and zeros elsewhere."""
     rng = _as_rng(rng)
-    comps = np.zeros((n, 4))
     k = algebra.component_count
-    comps[:, :k] = rng.gaussian_block(n * k).reshape(n, k)
-    return Vector(algebra, comps)
+    comps = np.zeros(shape + (4,))
+    comps[..., :k] = rng.gaussian_block(int(np.prod(shape)) * k).reshape(shape + (k,))
+    return comps
+
+
+def random_vector(n: int, algebra: Algebra, rng) -> Vector:
+    return Vector(algebra, _gaussian_comps((n,), algebra, rng))
+
+
+def random_unit_vectors(n: int, count: int, algebra: Algebra, rng) -> Matrix:
+    """``count`` random unit vectors as the columns of an n x count matrix.
+
+    Column p is the p-th of ``count`` successive :func:`random_vector` draws
+    from the stream, scaled by its reciprocal norm; a draw of norm below
+    1e-12 becomes e_0.
+    """
+    X = _gaussian_comps((count, n), algebra, rng)
+    norms = np.sqrt((X**2).sum(axis=(1, 2)))
+    zero = norms < 1e-12
+    X[~zero] *= (1.0 / norms[~zero])[:, None, None]
+    X[zero] = 0.0
+    X[zero, 0, 0] = 1.0
+    return Matrix(algebra, np.ascontiguousarray(X.transpose(1, 0, 2)))
 
 
 def random_unit_vector(n: int, algebra: Algebra, rng) -> Vector:
-    v = random_vector(n, algebra, rng)
-    nrm = v.norm()
-    if nrm < 1e-12:
-        return Vector.basis_vector(0, n, algebra)
-    return v.scale_right(1.0 / nrm)
+    return random_unit_vectors(n, 1, algebra, rng).col(0)
 
 
 def random_matrix(n: int, m: int, algebra: Algebra, rng) -> Matrix:
-    rng = _as_rng(rng)
-    comps = np.zeros((n, m, 4))
-    k = algebra.component_count
-    comps[:, :, :k] = rng.gaussian_block(n * m * k).reshape(n, m, k)
-    return Matrix(algebra, comps)
+    return Matrix(algebra, _gaussian_comps((n, m), algebra, rng))
 
 
 def random_hermitian(n: int, algebra: Algebra, rng) -> Matrix:

@@ -26,7 +26,6 @@ from .linalg import (
     Basis,
     Matrix,
     Vector,
-    _gram_schmidt_columns,
     inner,
     random_hermitian,
     random_matrix,
@@ -168,7 +167,7 @@ class SuiteReport:
 # ---------------------------------------------------------------------------
 
 def _random_basis(n: int, algebra: Algebra, rng) -> Basis:
-    return _gram_schmidt_columns(random_matrix(n, n, algebra, rng))
+    return Basis.of_columns(random_unitary(n, algebra, rng))
 
 
 def _run_basis_invariance_rc(cell: Cell) -> float:

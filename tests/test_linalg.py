@@ -21,6 +21,7 @@ from gleason_lab.linalg import (
     random_phase,
     random_projector,
     random_unit_vector,
+    random_unit_vectors,
     random_unitary,
     random_vector,
 )
@@ -275,6 +276,34 @@ def test_rank_one_projector_rejects_zero_and_non_finite_input(algebra, bad):
     comps[1, 0] = bad
     with pytest.raises(DegenerateInput):
         Projector.rank_one(Vector(algebra, comps))
+
+
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_random_unit_vectors_are_successive_normalized_draws(algebra, n):
+    rng, ref = SplitMix64(70 + n), SplitMix64(70 + n)
+    X = random_unit_vectors(n, 7, algebra, rng)
+    assert X.algebra is algebra and (X.n, X.m) == (n, 7)
+    for p in range(7):
+        v = random_vector(n, algebra, ref)
+        assert X.comps[:, p].tobytes() == (v.comps * (1.0 / v.norm())).tobytes()
+    # the block consumed exactly the variates of its draws, Box-Muller spare included
+    assert random_vector(n, algebra, rng).comps.tobytes() == random_vector(n, algebra, ref).comps.tobytes()
+    first = random_unit_vector(n, algebra, SplitMix64(70 + n))
+    assert first.comps.tobytes() == X.comps[:, 0].tobytes()
+
+
+def test_random_unit_vectors_fall_back_to_e0_on_a_zero_draw():
+    class ZeroSecondDraw(SplitMix64):
+        def gaussian_block(self, count):
+            g = super().gaussian_block(count)
+            g[12:24] = 0.0  # the second of three H vectors of dimension 3
+            return g
+
+    X = random_unit_vectors(3, 3, Algebra.H, ZeroSecondDraw(5))
+    assert X.col(1).comps.tobytes() == Vector.basis_vector(0, 3, Algebra.H).comps.tobytes()
+    for p in (0, 2):
+        assert abs(X.col(p).norm() - 1.0) < 1e-15
 
 
 class TestPolarizationNondegeneracy:
