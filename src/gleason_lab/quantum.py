@@ -277,7 +277,7 @@ def continuity_scan(
     values = []
     for t in ts:
         U = group_path(float(t))
-        values.append(real_trace(A @ U @ T.matrix @ U.adjoint()))
+        values.append(real_pairing(A @ U @ T.matrix, U.adjoint()))
     arr = np.array(values)
     jumps = np.abs(np.diff(arr))
     return ContinuityReport(

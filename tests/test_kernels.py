@@ -43,6 +43,77 @@ def test_quat_matmul_identity_and_associativity():
     assert np.abs(left - right).max() < 1e-11
 
 
+def _triple_loop(A, B):
+    ref = np.zeros((A.shape[0], B.shape[1], 4))
+    for r in range(A.shape[0]):
+        for c in range(B.shape[1]):
+            acc = Quaternion.ZERO
+            for s in range(A.shape[1]):
+                acc = acc + Quaternion.from_array(A[r, s]) * Quaternion.from_array(B[s, c])
+            ref[r, c] = acc.to_array()
+    return ref
+
+
+@pytest.mark.parametrize(
+    "operands",
+    [
+        lambda rng: (_random_qmat(rng, 3, 0), _random_qmat(rng, 0, 2)),
+        lambda rng: (_random_qmat(rng, 4, 3), _random_qmat(rng, 3, 1)),
+        # outer_sum's right factor: the conjugate transpose of a column block
+        lambda rng: (
+            _random_qmat(rng, 4, 2),
+            np.transpose(_random_qmat(rng, 5, 2) * [1.0, -1.0, -1.0, -1.0], (1, 0, 2)),
+        ),
+        lambda rng: (_random_qmat(rng, 3, 6)[:, 1:5], _random_qmat(rng, 4, 7)[:, ::3]),
+    ],
+    ids=["k=0", "m=1", "conjugate-transpose", "column-slice"],
+)
+def test_quat_matmul_edge_shapes_match_triple_loop(operands):
+    A, B = operands(SplitMix64(8))
+    got = kernels.quat_matmul(A, B)
+    assert got.shape == (A.shape[0], B.shape[1], 4)
+    assert np.abs(got - _triple_loop(A, B)).max(initial=0.0) < 1e-12
+    if A.shape[1] == 0:
+        assert np.array_equal(got, np.zeros_like(got))
+
+
+def _chi(A):
+    # the complex adjoint [[A1, A2], [-conj A2, conj A1]] of A = A1 + A2 j
+    A1 = A[..., 0] + 1j * A[..., 1]
+    A2 = A[..., 2] + 1j * A[..., 3]
+    return np.block([[A1, A2], [-A2.conj(), A1.conj()]])
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_quat_matmul_is_multiplicative_under_the_complex_adjoint(n):
+    rng = SplitMix64(9 + n)
+    A = _random_qmat(rng, n, n)
+    B = _random_qmat(rng, n, n)
+    expect = _chi(A) @ _chi(B)
+    got = _chi(kernels.quat_matmul(A, B))
+    assert np.abs(got - expect).max() < 1e-10 * np.abs(expect).max()
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 32])
+@pytest.mark.parametrize("components, zero", [(1, slice(1, 4)), (2, slice(2, 4))], ids=["R", "C"])
+def test_quat_matmul_keeps_real_and_complex_products_in_their_algebra(n, components, zero):
+    rng = SplitMix64(10 + n)
+    A = np.zeros((n, n, 4))
+    B = np.zeros((n, n, 4))
+    A[..., :components] = _random_qmat(rng, n, n)[..., :components]
+    B[..., :components] = _random_qmat(rng, n, n)[..., :components]
+    got = kernels.quat_matmul(A, B)
+    assert np.array_equal(got[..., zero], np.zeros((n, n, 4))[..., zero])
+    assert np.abs(got - _triple_loop(A, B)).max() < 1e-11
+
+
+@pytest.mark.parametrize("shapes", [((3, 2), (1, 2)), ((3, 2), (3, 2)), ((2, 1), (3, 1))])
+def test_quat_matmul_rejects_mismatched_inner_dimensions(shapes):
+    (n, k), (k2, m) = shapes
+    with pytest.raises(ValueError, match="cannot multiply"):
+        kernels.quat_matmul(np.zeros((n, k, 4)), np.zeros((k2, m, 4)))
+
+
 def _closed_form_products(p, q):
     # Quaternion.__mul__ entry by entry over the broadcast operands
     bp, bq = np.broadcast_arrays(p, q)

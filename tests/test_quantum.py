@@ -286,6 +286,22 @@ class TestGroupPathsAndContinuity:
         report = continuity_scan(H, T, path, 40)
         assert report.max_jump < 1e-12
 
+    @pytest.mark.parametrize("algebra, unit", [(Algebra.C, I), (Algebra.H, Quaternion(0, 0.6, 0.0, 0.8))])
+    def test_scan_matches_a_real_trace_reference(self, algebra, unit):
+        rng = SplitMix64(132)
+        A = random_matrix(3, 3, algebra, rng)
+        T = random_density(3, algebra, rng)
+        path = rotation_group_from_hermitian(random_hermitian(3, algebra, rng), unit)
+        samples = 60
+        values = []
+        for t in np.linspace(0.0, 1.0, samples + 1):
+            U = path(float(t))
+            values.append(real_trace(A @ U @ T.matrix @ U.adjoint()))
+        report = continuity_scan(A, T, path, samples)
+        assert abs(report.max_jump - np.abs(np.diff(values)).max()) < 1e-12
+        assert abs(report.value_range[0] - min(values)) < 1e-12
+        assert abs(report.value_range[1] - max(values)) < 1e-12
+
     def test_refinement_halves_the_jumps(self):
         rng = SplitMix64(131)
         A = random_matrix(3, 3, Algebra.C, rng)
