@@ -22,7 +22,6 @@ from .errors import (
 from .rng import SplitMix64
 from .scalars import Algebra, Quaternion
 from .linalg import (
-    Basis,
     Matrix,
     Projector,
     Vector,

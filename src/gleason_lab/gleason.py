@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import InvalidWeights, NotAFrameFunction, NotHermitian, NotPositive
 from .linalg import (
-    Basis,
     Matrix,
     Projector,
     Vector,
@@ -157,8 +156,9 @@ class FrameFunction:
 
         return cls(evaluate=ev)
 
-    def basis_weight(self, basis: Basis) -> float:
-        return float(sum(self(u) for u in basis))
+    def basis_weight(self, basis: Matrix) -> float:
+        """sum_u f(u) over the columns u of ``basis``."""
+        return float(sum(self(u) for u in basis.columns()))
 
 
 def lattice_join(projectors: list[Projector]) -> Projector:
@@ -174,7 +174,7 @@ def lattice_join(projectors: list[Projector]) -> Projector:
     spanning: list[Vector] = []
     for P in projectors:
         dec = eig_hermitian(P.matrix)
-        for s, u in zip(dec.values, dec.basis):
+        for s, u in zip(dec.values, dec.basis.columns()):
             if s > 0.5:
                 spanning.append(u)
     if not spanning:
@@ -293,10 +293,10 @@ def extremal_split(state: DensityOperator) -> tuple[float, DensityOperator, Dens
     w1 = float(dec.values[0])
     if 1.0 - w1 <= _STATE_TOL:
         raise ValueError("state is extremal (rank one); no nontrivial split exists")
-    top = dec.basis[0]
+    top = dec.basis.col(0)
     T1 = DensityOperator(outer(top, top))
     keep = np.flatnonzero(dec.values[1:] > 0.0) + 1
-    rest = Matrix(state.algebra, dec.basis.matrix().comps[:, keep])
+    rest = Matrix(state.algebra, dec.basis.comps[:, keep])
     T2 = DensityOperator(outer_sum(rest, dec.values[keep] / (1.0 - w1)))
     return w1, T1, T2
 
@@ -333,7 +333,7 @@ def separating_state(P: Projector, Q: Projector) -> DensityOperator | None:
     idx = int(np.argmax(np.abs(dec.values)))
     if abs(float(dec.values[idx])) <= 1e-8:
         return None
-    return pure_state(dec.basis[idx])
+    return pure_state(dec.basis.col(idx))
 
 
 def separation_check(P: Projector, Q: Projector) -> bool:

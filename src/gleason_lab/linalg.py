@@ -15,7 +15,7 @@ spectral sum, projector, state, polar factor and phase group is assembled as
 (U diag(q)) V* from the columns of U and V in a single product, and
 :func:`outer` is its one-column case.
 
-A :class:`Basis` is one column block, a single :class:`Matrix`, and
+A basis is the :class:`Matrix` of its columns, and
 :func:`_orthonormalize` is the one Gram-Schmidt, shared by :func:`gram_schmidt`
 and the quaternionic eigenvector lift in :mod:`gleason_lab.spectral`.
 
@@ -235,6 +235,10 @@ class Matrix:
         """Largest entry magnitude |A_rc|."""
         return float(np.sqrt((self.comps**2).sum(axis=2)).max())
 
+    def orthonormality_defect(self) -> float:
+        """Largest entry magnitude of U*U - I over the columns of U."""
+        return (self.adjoint() @ self - Matrix.identity(self.m, self.algebra)).max_abs()
+
     def hermitian_defect(self) -> float:
         return (self - self.adjoint()).max_abs()
 
@@ -297,50 +301,6 @@ def outer(u: Vector, v: Vector, coeff=None) -> Matrix:
     return outer_sum(Matrix(u.algebra, u.comps[:, None, :]), q, Matrix(v.algebra, v.comps[:, None, :]))
 
 
-class Basis:
-    """Ordered orthonormal vectors, stored as the columns of one matrix."""
-
-    __slots__ = ("algebra", "_matrix")
-
-    def __init__(self, vectors: list[Vector]):
-        if not vectors:
-            raise ValueError("empty basis")
-        self._matrix = Matrix.from_columns(vectors)
-        self.algebra = self._matrix.algebra
-
-    @classmethod
-    def of_columns(cls, U: Matrix) -> "Basis":
-        """The basis of the columns of U, which is kept, not copied."""
-        if U.m == 0:
-            raise ValueError("empty basis")
-        basis = cls.__new__(cls)
-        basis._matrix = U
-        basis.algebra = U.algebra
-        return basis
-
-    @classmethod
-    def standard(cls, n: int, algebra: Algebra) -> "Basis":
-        return cls.of_columns(Matrix.identity(n, algebra))
-
-    def __len__(self) -> int:
-        return self._matrix.m
-
-    def __iter__(self):
-        return (self._matrix.col(c) for c in range(len(self)))
-
-    def __getitem__(self, idx: int) -> Vector:
-        return self._matrix.col(idx)
-
-    def matrix(self) -> Matrix:
-        """Matrix whose columns are the basis vectors (unitary when complete)."""
-        return self._matrix
-
-    def orthonormality_defect(self) -> float:
-        """Largest entry magnitude of U*U - I."""
-        U = self._matrix
-        return (U.adjoint() @ U - Matrix.identity(len(self), self.algebra)).max_abs()
-
-
 def _orthonormalize(W: np.ndarray, tol: float, limit: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Gram-Schmidt over the columns of an (n, m, 4) component array, in order.
 
@@ -374,20 +334,21 @@ def _orthonormalize(W: np.ndarray, tol: float, limit: int | None = None) -> tupl
     return np.ascontiguousarray(Q), np.array(residuals)
 
 
-def gram_schmidt(vectors: list[Vector], *, drop: bool = False) -> Basis:
+def gram_schmidt(vectors: list[Vector], *, drop: bool = False) -> Matrix:
     """Gram-Schmidt with one re-orthogonalization pass, via :func:`_orthonormalize`.
 
     Normalization divides on the right, so the span is preserved under the
     right-scalar convention.  Vectors whose residual falls below
     1e-10 * max input norm are rejected: with ``drop=True`` they are skipped,
-    otherwise DegenerateInput is raised.
+    otherwise DegenerateInput is raised.  The basis comes back as the columns
+    of one matrix.
     """
     if not vectors:
         raise ValueError("need at least one vector")
     return _gram_schmidt_columns(Matrix.from_columns(vectors), drop=drop)
 
 
-def _gram_schmidt_columns(W: Matrix, *, drop: bool = False) -> Basis:
+def _gram_schmidt_columns(W: Matrix, *, drop: bool = False) -> Matrix:
     """:func:`gram_schmidt` over the columns of W, which stay one block."""
     norms = np.sqrt((W.comps**2).sum(axis=(0, 2)))
     # NaN would slip through every comparison below, and inf would normalize to 0
@@ -405,7 +366,7 @@ def _gram_schmidt_columns(W: Matrix, *, drop: bool = False) -> Basis:
         raise DegenerateInput(f"vector numerically dependent (residual {nrm:.3e})")
     if Q.shape[1] == 0:
         raise DegenerateInput("no independent vectors")
-    return Basis.of_columns(Matrix(W.algebra, Q))
+    return Matrix(W.algebra, Q)
 
 
 _PROJECTOR_TOL = 1e-8
@@ -489,7 +450,7 @@ def projector_onto(vectors: list[Vector], *, drop: bool = False) -> Projector:
     """Projector onto the span of the given (not necessarily orthonormal) vectors."""
     if not vectors:
         raise ValueError("need at least one spanning vector")
-    return Projector(outer_sum(gram_schmidt(vectors, drop=drop).matrix()))
+    return Projector(outer_sum(gram_schmidt(vectors, drop=drop)))
 
 
 def projector_leq(P: Projector, Q: Projector, tol: float = 1e-8) -> bool:
@@ -584,10 +545,9 @@ def random_unitary(n: int, algebra: Algebra, rng) -> Matrix:
     rng = _as_rng(rng)
     for _ in range(4):
         try:
-            basis = _gram_schmidt_columns(random_matrix(n, n, algebra, rng))
+            return _gram_schmidt_columns(random_matrix(n, n, algebra, rng))
         except DegenerateInput:
             continue
-        return basis.matrix()
     raise DegenerateInput("could not draw an invertible Gaussian matrix")
 
 

@@ -81,7 +81,7 @@ def pvm_of(A: Observable) -> PVMap:
     """Group the eigendecomposition into distinct-eigenvalue atoms."""
     dec = A.decomposition
     scale = max(1.0, float(np.abs(dec.values).max(initial=0.0)))
-    U = dec.basis.matrix().comps
+    U = dec.basis.comps
     return PVMap(tuple(
         (float(np.mean(dec.values[a:b])), Projector(outer_sum(Matrix(A.algebra, U[:, a:b]))))
         for a, b in _group_indices(dec.values, _ATOM_REL_TOL * scale)
@@ -168,8 +168,9 @@ class SymmetryOp:
         V = self.unitary
         if self.antiunitary and V.algebra is not Algebra.C:
             raise ValueError("anti-unitary symmetries exist only over C")
-        ident = Matrix.identity(V.n, V.algebra)
-        defect = (V.adjoint() @ V - ident).max_abs()
+        if not V.is_square:
+            raise NotUnitary(f"a {V.n}x{V.m} matrix is not unitary")
+        defect = V.orthonormality_defect()
         # NaN fails every comparison
         if not (defect <= 1e-8):
             raise NotUnitary(f"U*U - I has magnitude {defect:.3e}")
@@ -221,7 +222,7 @@ def rotation_group_from_hermitian(H: Matrix, imag_unit: Quaternion) -> Callable[
     if H.algebra is Algebra.R:
         raise ValueError("use rotation_group_from_skew over R")
     dec = eig_hermitian(H)
-    U = dec.basis.matrix()
+    U = dec.basis
     unit = imag_unit.to_array()
 
     def path(t: float) -> Matrix:

@@ -27,8 +27,7 @@ import numpy as np
 
 from . import kernels
 from .errors import AlgebraMismatch, ConvergenceFailure, NotHermitian, NotPositive
-from .linalg import Basis, Matrix, Vector, _orthonormalize, inner, outer_sum, random_vector
-from .rng import SplitMix64
+from .linalg import Matrix, Vector, _mul_comps, _orthonormalize, inner, outer_sum
 from .scalars import Algebra, Quaternion
 
 _HERMITIAN_TOL = 1e-8
@@ -38,13 +37,14 @@ _CLAMP_REL = 1e-10
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Full orthonormal eigenbasis with real eigenvalues, sorted descending."""
+    """Full orthonormal eigenbasis, as the columns of ``basis``, with real
+    eigenvalues sorted descending."""
 
-    basis: Basis
+    basis: Matrix
     values: np.ndarray
 
     def reconstruct(self) -> Matrix:
-        return outer_sum(self.basis.matrix(), self.values)
+        return outer_sum(self.basis, self.values)
 
     def residual(self, A: Matrix) -> float:
         return (self.reconstruct() - A).max_abs()
@@ -114,9 +114,7 @@ def _eig_hermitian_quaternionic(A: Matrix) -> EigenDecomposition:
             )
         vals.extend([float(np.mean(w[2 * a : 2 * b]))] * want)
         cols.append(got)
-    return EigenDecomposition(
-        Basis.of_columns(Matrix(Algebra.H, np.concatenate(cols, axis=1))), np.array(vals)
-    )
+    return EigenDecomposition(Matrix(Algebra.H, np.concatenate(cols, axis=1)), np.array(vals))
 
 
 def eig_hermitian(A: Matrix, tol: float = _HERMITIAN_TOL) -> EigenDecomposition:
@@ -137,7 +135,7 @@ def eig_hermitian(A: Matrix, tol: float = _HERMITIAN_TOL) -> EigenDecomposition:
     comps = np.zeros((A.n, A.n, 4))
     comps[..., 0] = V.real
     comps[..., 1] = V.imag
-    return EigenDecomposition(Basis.of_columns(Matrix(A.algebra, comps)), w)
+    return EigenDecomposition(Matrix(A.algebra, comps), w)
 
 
 def op_norm(A: Matrix) -> float:
@@ -149,12 +147,14 @@ def op_norm(A: Matrix) -> float:
 def sqrt_positive(B: Matrix, tol: float = _CLAMP_REL) -> Matrix:
     """Unique positive square root of a positive Hermitian matrix.
 
-    Eigenvalues with |s| <= tol*scale are kernel noise and become exactly
-    zero (the square root would amplify them to sqrt-of-noise otherwise);
-    anything below -tol*scale raises NotPositive.
+    Eigenvalues with |s| <= tol*scale, scale = max|s|, are kernel noise and
+    become exactly zero (the square root would amplify them to sqrt-of-noise
+    otherwise); anything below -tol*scale raises NotPositive.  The cut is
+    relative to the spectrum at every size, so a small positive matrix keeps
+    its square root.
     """
     dec = eig_hermitian(B)
-    scale = max(1.0, float(np.abs(dec.values).max(initial=0.0)))
+    scale = float(np.abs(dec.values).max(initial=0.0))
     if dec.values.min(initial=0.0) < -tol * scale:
         raise NotPositive(f"minimum eigenvalue {dec.values.min():.3e} below -{tol * scale:.1e}")
     vals = np.where(np.abs(dec.values) <= tol * scale, 0.0, dec.values)
@@ -167,9 +167,9 @@ def abs_op(A: Matrix) -> Matrix:
     return sqrt_positive(A.adjoint() @ A)
 
 
-def _singular_data(A: Matrix) -> tuple[np.ndarray, Basis]:
+def _singular_data(A: Matrix) -> tuple[np.ndarray, Matrix]:
     gram = eig_hermitian(A.adjoint() @ A)
-    scale = max(1.0, float(np.abs(gram.values).max(initial=0.0)))
+    scale = float(np.abs(gram.values).max(initial=0.0))
     vals = np.where(np.abs(gram.values) <= _CLAMP_REL * scale, 0.0, gram.values)
     return np.sqrt(np.clip(vals, 0.0, None)), gram.basis
 
@@ -183,12 +183,12 @@ def polar(A: Matrix) -> PolarDecomposition:
     if not A.is_square:
         raise ValueError("polar decomposition needs a square matrix")
     sigmas, basis = _singular_data(A)
-    top = max(1.0, float(sigmas.max(initial=0.0)))
+    top = float(sigmas.max(initial=0.0))
     # kernel cut sits at the noise floor of sigma = sqrt(eigenvalue): keeping
     # smaller directions would normalize pure rounding noise into U
     keep = sigmas > 1e-8 * top
     s = sigmas[keep]
-    U_k = Matrix(A.algebra, basis.matrix().comps[:, keep])
+    U_k = Matrix(A.algebra, basis.comps[:, keep])
     return PolarDecomposition(outer_sum(A @ U_k, 1.0 / s, U_k), outer_sum(U_k, s))
 
 
@@ -214,7 +214,7 @@ def _skew_polar(A: Matrix, kernel_unit: Quaternion = Quaternion.I) -> tuple[Matr
         raise ValueError("kernel_unit must be a unit imaginary quaternion")
     C = A - A.adjoint()
     sigmas, basis = _singular_data(C)
-    U = basis.matrix().comps
+    U = basis.comps
     live = sigmas > 0.0
     U_plus = Matrix(Algebra.H, U[:, live])
     U_zero = Matrix(Algebra.H, U[:, ~live])
@@ -232,14 +232,20 @@ def _perpendicular_imaginary(imag_unit: Quaternion) -> Quaternion:
     return Quaternion(0.0, *perp)
 
 
-def adapted_basis(J: Matrix, imag_unit: Quaternion) -> Basis:
-    """Orthonormal basis of the full space inside {z : J z = z imag_unit}.
+def adapted_basis(J: Matrix, imag_unit: Quaternion) -> Matrix:
+    """Orthonormal basis of the full space inside {z : J z = z imag_unit}, as
+    the columns of one matrix.
 
-    Members of that slice are found by the involution z -> -J z imag_unit,
-    whose +1 eigenspace it is; candidates are projected standard basis
-    vectors, completed by a perpendicular-imaginary twist and, if necessary,
-    random probes.  Gram-Schmidt coefficients between slice members commute
-    with imag_unit, so orthonormalization does not leave the slice.
+    Members of that slice are found by pi, the projection onto the +1
+    eigenspace of the involution z -> -J z imag_unit; the candidates pi(e_m)
+    and pi(e_m t), for the standard basis vectors e_m and a unit imaginary t
+    perpendicular to imag_unit, are tried in order until n are kept.  They
+    always suffice: pi(e_m t) = (e_m - pi(e_m)) t, so every e_m splits into
+    the two candidates, and a unit x in the slice orthogonal to the vectors
+    kept so far has |<x|e_m>| >= 1/sqrt(n) for some m, hence a component of at
+    least 1/(2 sqrt(n)) along one of them.  Gram-Schmidt coefficients between
+    slice members commute with imag_unit, so orthonormalization does not
+    leave the slice.
     """
     if J.algebra is not Algebra.H:
         raise AlgebraMismatch("adapted bases live in quaternionic space")
@@ -253,33 +259,30 @@ def adapted_basis(J: Matrix, imag_unit: Quaternion) -> Basis:
     def project(z: Vector) -> Vector:
         return (z - (J @ z).scale_right(imag_unit)).scale_right(0.5)
 
-    twist = _perpendicular_imaginary(imag_unit)
-    candidates: list[Vector] = []
-    for m in range(n):
-        e = Vector.basis_vector(m, n, Algebra.H)
-        candidates.append(project(e))
-        candidates.append(project(e.scale_right(twist)))
+    def candidates():
+        # projected lazily: the loop below stops as soon as n are kept
+        twist = _perpendicular_imaginary(imag_unit)
+        for m in range(n):
+            e = Vector.basis_vector(m, n, Algebra.H)
+            yield project(e)
+            yield project(e.scale_right(twist))
 
     out: list[Vector] = []
-    rng = SplitMix64(0xADA9).derive("adapted-basis", n)
-    for attempt in range(3):
-        for cand in candidates:
-            w = cand
-            for _ in range(2):
-                for u in out:
-                    w = w - u.scale_right(inner(u, w))
-            nrm = w.norm()
-            if nrm > 1e-8:
-                out.append(w.scale_right(1.0 / nrm))
+    for w in candidates():
+        for _ in range(2):
+            for u in out:
+                w = w - u.scale_right(inner(u, w))
+        nrm = w.norm()
+        if nrm > 1e-8:
+            out.append(w.scale_right(1.0 / nrm))
             if len(out) == n:
                 break
-        if len(out) == n:
-            break
-        candidates = [project(random_vector(n, Algebra.H, rng)) for _ in range(2 * n)]
     if len(out) != n:
         raise ConvergenceFailure("could not extract a full adapted basis")
-    basis = Basis(out)
-    worst = max((J @ u - u.scale_right(imag_unit)).norm() for u in basis)
+    basis = Matrix.from_columns(out)
+    # J u - u imag_unit for every column u at once
+    defect = (J @ basis).comps - _mul_comps(basis.comps, imag_unit.to_array())
+    worst = float(np.sqrt((defect**2).sum(axis=(0, 2))).max())
     if worst > 1e-9:
         raise ConvergenceFailure(f"adapted-basis residual {worst:.3e} exceeds 1e-9")
     return basis

@@ -23,9 +23,7 @@ from . import quantum as qm
 from . import spectral as sp
 from . import trace as tr
 from .linalg import (
-    Basis,
     Matrix,
-    Vector,
     inner,
     random_hermitian,
     random_matrix,
@@ -37,8 +35,6 @@ from .linalg import (
 )
 from .rng import SplitMix64
 from .scalars import Algebra, Quaternion
-
-SKIP_DIM_GT2 = "dim>2 required"
 
 
 @dataclass(frozen=True)
@@ -103,7 +99,6 @@ class PropertyDef:
     min_dim: int = 1
     only_dims: tuple[int, ...] | None = None
     tol: float = 1e-9
-    skip_reason_below_min: str = SKIP_DIM_GT2
 
 
 @dataclass(frozen=True)
@@ -166,16 +161,12 @@ class SuiteReport:
 # property runners; each returns a worst-case residual (smaller is better)
 # ---------------------------------------------------------------------------
 
-def _random_basis(n: int, algebra: Algebra, rng) -> Basis:
-    return Basis.of_columns(random_unitary(n, algebra, rng))
-
-
 def _run_basis_invariance_rc(cell: Cell) -> float:
     worst = 0.0
     for _ in range(cell.trials):
         A = random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
-        t0 = tr.trace_n(A, _random_basis(cell.dim, cell.algebra, cell.rng))
-        t1 = tr.trace_n(A, _random_basis(cell.dim, cell.algebra, cell.rng))
+        t0 = tr.trace_n(A, random_unitary(cell.dim, cell.algebra, cell.rng))
+        t1 = tr.trace_n(A, random_unitary(cell.dim, cell.algebra, cell.rng))
         worst = max(worst, abs(t0 - t1))
     return worst
 
@@ -184,8 +175,8 @@ def _run_hermitian_invariance_h(cell: Cell) -> float:
     worst = 0.0
     for _ in range(cell.trials):
         A = random_hermitian(cell.dim, cell.algebra, cell.rng)
-        t0 = tr.trace_n(A, _random_basis(cell.dim, cell.algebra, cell.rng))
-        t1 = tr.trace_n(A, _random_basis(cell.dim, cell.algebra, cell.rng))
+        t0 = tr.trace_n(A, random_unitary(cell.dim, cell.algebra, cell.rng))
+        t1 = tr.trace_n(A, random_unitary(cell.dim, cell.algebra, cell.rng))
         worst = max(worst, abs(t0 - t1))
     return worst
 
@@ -201,8 +192,8 @@ def _run_nonhermitian_dependence_h(cell: Cell) -> float:
             continue
         best = 0.0
         for _ in range(6):
-            t0 = tr.trace_n(A, _random_basis(cell.dim, cell.algebra, cell.rng))
-            t1 = tr.trace_n(A, _random_basis(cell.dim, cell.algebra, cell.rng))
+            t0 = tr.trace_n(A, random_unitary(cell.dim, cell.algebra, cell.rng))
+            t1 = tr.trace_n(A, random_unitary(cell.dim, cell.algebra, cell.rng))
             best = max(best, abs(t0 - t1))
         worst = max(worst, max(0.0, 1e-3 - best))
     return worst
@@ -214,7 +205,7 @@ def _run_real_trace_invariance(cell: Cell) -> float:
         A = random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
         base = tr.real_trace(A)
         for _ in range(3):
-            got = tr.trace_n(A, _random_basis(cell.dim, cell.algebra, cell.rng)).real
+            got = tr.trace_n(A, random_unitary(cell.dim, cell.algebra, cell.rng)).real
             worst = max(worst, abs(got - base))
     return worst
 
@@ -277,7 +268,7 @@ def _run_projector_sandwich(cell: Cell) -> float:
         lhs = tr.real_trace(P.matrix @ A)
         sandwiched = P.matrix @ A @ P.matrix
         worst = max(worst, abs(lhs - tr.real_trace(sandwiched)))
-        t = tr.trace_n(sandwiched, Basis.standard(cell.dim, cell.algebra))
+        t = tr.trace_n(sandwiched, Matrix.identity(cell.dim, cell.algebra))
         worst = max(worst, abs(t - Quaternion(t.real)))
     return worst
 
@@ -314,7 +305,7 @@ def _run_absolute_sum_bound(cell: Cell) -> float:
         A = random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
         bound = tr.trace_norm(A)
         for _ in range(3):
-            total = tr.absolute_diagonal_sum(A, _random_basis(cell.dim, cell.algebra, cell.rng))
+            total = tr.absolute_diagonal_sum(A, random_unitary(cell.dim, cell.algebra, cell.rng))
             worst = max(worst, max(0.0, total - bound) / max(1.0, bound))
     return worst
 
@@ -333,8 +324,8 @@ def _run_witness_basis_dependent_trace(cell: Cell) -> float:
     # One-dimensional quaternionic space; left multiplication by j changes the
     # sign of its basis trace between the bases {1} and {i}.
     A = Matrix.from_rows([[Quaternion.J]], Algebra.H)
-    one = Basis([Vector.from_scalars([Quaternion.ONE], Algebra.H)])
-    i_basis = Basis([Vector.from_scalars([Quaternion.I], Algebra.H)])
+    one = Matrix.from_rows([[Quaternion.ONE]], Algebra.H)
+    i_basis = Matrix.from_rows([[Quaternion.I]], Algebra.H)
     r1 = abs(tr.trace_n(A, one) - Quaternion.J)
     r2 = abs(tr.trace_n(A, i_basis) + Quaternion.J)
     return max(r1, r2)
@@ -344,7 +335,7 @@ def _run_witness_cyclicity_failure(cell: Cell) -> float:
     n = max(cell.dim, 2)
     A = Matrix.diag([Quaternion.I] + [0.0] * (n - 1), Algebra.H)
     B = Matrix.diag([Quaternion.J] + [0.0] * (n - 1), Algebra.H)
-    basis = Basis.standard(n, Algebra.H)
+    basis = Matrix.identity(n, Algebra.H)
     full_gap = abs(tr.trace_n(A @ B, basis) - tr.trace_n(B @ A, basis))
     return max(tr.real_trace_cyclic_gap(A, B), abs(full_gap - 2.0))
 
@@ -364,7 +355,7 @@ def _run_witness_antisymmetric(cell: Cell) -> float:
     worst = (sp.abs_op(A) - Matrix.identity(n, Algebra.R)).max_abs()
     worst = max(worst, abs(tr.trace_norm(A) - n))
     for _ in range(min(cell.trials, 20)):
-        basis = _random_basis(n, Algebra.R, cell.rng)
+        basis = random_unitary(n, Algebra.R, cell.rng)
         worst = max(worst, tr.absolute_diagonal_sum(A, basis))
     return worst
 
@@ -683,7 +674,6 @@ REGISTRY: tuple[PropertyDef, ...] = (
         _run_witness_antisymmetric,
         algebras=("R",),
         min_dim=2,
-        skip_reason_below_min="dim>1 required",
         tol=1e-10,
     ),
     PropertyDef(
@@ -710,7 +700,6 @@ REGISTRY: tuple[PropertyDef, ...] = (
         "pure states are extremal; mixed states split into a verified convex combination",
         _run_extremality,
         min_dim=2,
-        skip_reason_below_min="dim>1 required",
         tol=1e-8,
     ),
     PropertyDef(
@@ -799,6 +788,17 @@ def load_shipped_manifest() -> list[dict]:
     return json.loads(text)
 
 
+def _skip_reason(prop: PropertyDef, letter: str, dim: int) -> str | None:
+    """Why ``prop`` does not run on the (algebra, dim) cell, or None if it runs."""
+    if letter not in prop.algebras:
+        return f"not applicable over {letter}"
+    if prop.only_dims is not None and dim not in prop.only_dims:
+        return f"only meaningful at dim in {list(prop.only_dims)}"
+    if dim < prop.min_dim:
+        return f"dim>{prop.min_dim - 1} required"
+    return None
+
+
 def run_suite(cfg: RunConfig) -> SuiteReport:
     records: list[PropertyRecord] = []
     for prop in REGISTRY:
@@ -818,22 +818,10 @@ def run_suite(cfg: RunConfig) -> SuiteReport:
                         trials=cfg.trials,
                         tolerance=tol,
                     )
-                    if letter not in prop.algebras:
+                    skip = _skip_reason(prop, letter, dim)
+                    if skip is not None:
                         records.append(PropertyRecord(
-                            **base, max_residual=None, passed=None,
-                            skip_reason=f"not applicable over {letter}",
-                        ))
-                        continue
-                    if prop.only_dims is not None and dim not in prop.only_dims:
-                        records.append(PropertyRecord(
-                            **base, max_residual=None, passed=None,
-                            skip_reason=f"only meaningful at dim in {list(prop.only_dims)}",
-                        ))
-                        continue
-                    if dim < prop.min_dim:
-                        records.append(PropertyRecord(
-                            **base, max_residual=None, passed=None,
-                            skip_reason=prop.skip_reason_below_min,
+                            **base, max_residual=None, passed=None, skip_reason=skip,
                         ))
                         continue
                     rng = SplitMix64(seed).derive(prop.name, letter, dim)
@@ -895,8 +883,8 @@ def demo_counterexamples(out_path: str | None = None) -> str:
     say()
     say("(1) Basis dependence of the trace over H")
     A = Matrix.from_rows([[Quaternion.J]], Algebra.H)
-    one = Basis([Vector.from_scalars([Quaternion.ONE], Algebra.H)])
-    i_basis = Basis([Vector.from_scalars([Quaternion.I], Algebra.H)])
+    one = Matrix.from_rows([[Quaternion.ONE]], Algebra.H)
+    i_basis = Matrix.from_rows([[Quaternion.I]], Algebra.H)
     say("    operator: left multiplication by j on the 1-dim quaternionic space")
     say(f"    trace over basis {{1}}: {tr.trace_n(A, one)}")
     say(f"    trace over basis {{i}}: {tr.trace_n(A, i_basis)}")
@@ -905,7 +893,7 @@ def demo_counterexamples(out_path: str | None = None) -> str:
     say("(2) Failure of cyclicity over H")
     A2 = Matrix.diag([Quaternion.I, 0.0], Algebra.H)
     B2 = Matrix.diag([Quaternion.J, 0.0], Algebra.H)
-    basis2 = Basis.standard(2, Algebra.H)
+    basis2 = Matrix.identity(2, Algebra.H)
     say("    A = diag(i, 0), B = diag(j, 0)")
     say(f"    tr(AB) = {tr.trace_n(A2 @ B2, basis2)}")
     say(f"    tr(BA) = {tr.trace_n(B2 @ A2, basis2)}")
@@ -917,7 +905,7 @@ def demo_counterexamples(out_path: str | None = None) -> str:
     say("    A_m = m rotation blocks [[0,-1],[1,0]]: |A| = I, <u|Au> = 0 always")
     for m in (1, 2, 4, 8):
         A3 = _antisymmetric_witness(m)
-        basis = _random_basis(2 * m, Algebra.R, rng)
+        basis = random_unitary(2 * m, Algebra.R, rng)
         say(
             f"    m={m}: trace norm = {tr.trace_norm(A3):5.1f}, "
             f"random-basis absolute sum = {tr.absolute_diagonal_sum(A3, basis):.2e}"

@@ -14,23 +14,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Basis, Matrix, _check_same_algebra, _conj_comps, _mul_comps
+from .kernels import HAMILTON
+from .linalg import Matrix, _check_same_algebra, _conj_comps, _mul_comps
 from .scalars import Algebra, Quaternion, scalar_to_json
 from .spectral import op_norm, singular_values
 
 
-def _diagonal(A: Matrix, basis: Basis) -> np.ndarray:
-    """Components (len(basis), 4) of <u|Au> for every u in the basis, in order."""
-    U = basis.matrix()
-    return _mul_comps(_conj_comps(U.comps), (A @ U).comps).sum(axis=0)
+def _diagonal(A: Matrix, basis: Matrix) -> np.ndarray:
+    """Components (basis.m, 4) of <u|Au> for every column u of the basis, in order."""
+    return _mul_comps(_conj_comps(basis.comps), (A @ basis).comps).sum(axis=0)
 
 
-def trace_n(A: Matrix, basis: Basis) -> Quaternion:
-    """Basis trace sum_{u in N} <u|Au>, summed in the basis order."""
+def trace_n(A: Matrix, basis: Matrix) -> Quaternion:
+    """Basis trace sum_{u in N} <u|Au> over the columns u of ``basis``, in order."""
     if not A.is_square:
         raise ValueError("trace needs a square matrix")
-    if len(basis) != A.n:
-        raise ValueError(f"basis has {len(basis)} vectors, space dimension is {A.n}")
+    if basis.m != A.n:
+        raise ValueError(f"basis has {basis.m} vectors, space dimension is {A.n}")
     return Quaternion.from_array(_diagonal(A, basis).sum(axis=0))
 
 
@@ -62,7 +62,7 @@ def trace_norm(A: Matrix) -> float:
     return float(singular_values(A).sum())
 
 
-def absolute_diagonal_sum(A: Matrix, basis: Basis) -> float:
+def absolute_diagonal_sum(A: Matrix, basis: Matrix) -> float:
     """sum_{u in N} |<u|Au>|, the quantity bounded by the trace norm over C and H."""
     return float(np.sqrt((_diagonal(A, basis) ** 2).sum(axis=1)).sum())
 
@@ -108,9 +108,9 @@ def real_trace_cyclic_gap(A: Matrix, B: Matrix) -> float:
     return abs(real_trace(A @ B) - real_trace(B @ A))
 
 
-def full_trace_cyclic_gap(A: Matrix, B: Matrix, basis: Basis | None = None) -> float:
+def full_trace_cyclic_gap(A: Matrix, B: Matrix, basis: Matrix | None = None) -> float:
     """|tr_N(AB) - tr_N(BA)|; generally nonzero over H."""
-    basis = basis or Basis.standard(A.n, A.algebra)
+    basis = Matrix.identity(A.n, A.algebra) if basis is None else basis
     return abs(trace_n(A @ B, basis) - trace_n(B @ A, basis))
 
 
@@ -154,32 +154,19 @@ def quaternionic_trace_formula_check(A: Matrix, imag_unit: Quaternion) -> Adapte
 # realification: the same space viewed as a real Hilbert space of dimension 4n
 # ---------------------------------------------------------------------------
 
-def _left_mult_block(q: np.ndarray) -> np.ndarray:
-    """4x4 real matrix of left multiplication by q on coordinates (1, i, j, k)."""
-    a, b, c, d = q
-    return np.array(
-        [
-            [a, -b, -c, -d],
-            [b, a, -d, c],
-            [c, d, a, -b],
-            [d, -c, b, a],
-        ]
-    )
-
-
 def realify(A: Matrix) -> Matrix:
     """Real 4n x 4n matrix of a quaternionic operator on the realified space.
 
     The realified space uses the basis {u, ui, uj, uk} per quaternionic basis
-    vector u and the real scalar product Re<.|.>.
+    vector u and the real scalar product Re<.|.>.  Block (r, c) is the 4x4
+    matrix of q -> A_rc q, whose entry (e, f) is component e of A_rc e_f, read
+    off HAMILTON for all blocks at once.
     """
     if A.algebra is not Algebra.H:
         raise ValueError("realification applies to quaternionic matrices")
     n, m = A.n, A.m
     out = np.zeros((4 * n, 4 * m, 4))
-    for r in range(n):
-        for c in range(m):
-            out[4 * r : 4 * r + 4, 4 * c : 4 * c + 4, 0] = _left_mult_block(A.comps[r, c])
+    out[..., 0] = np.einsum("rca,afe->recf", A.comps, HAMILTON).reshape(4 * n, 4 * m)
     return Matrix(Algebra.R, out)
 
 
@@ -228,7 +215,7 @@ class TraceReport:
         }
 
 
-def trace_report(A: Matrix, basis: Basis, basis_id: str) -> TraceReport:
+def trace_report(A: Matrix, basis: Matrix, basis_id: str) -> TraceReport:
     return TraceReport(
         basis_id=basis_id,
         value=trace_n(A, basis),

@@ -24,9 +24,7 @@ from gleason_lab.gleason import (
     reconstruct_state,
 )
 from gleason_lab.linalg import (
-    Basis,
     Matrix,
-    Vector,
     gram_schmidt,
     random_hermitian,
     random_matrix,
@@ -75,8 +73,8 @@ def _random_basis(n, algebra, rng):
 
 def test_criterion_01_one_dim_trace_witness():
     A = Matrix.from_rows([[J]], Algebra.H)
-    basis_one = Basis([Vector.from_scalars([Quaternion.ONE], Algebra.H)])
-    basis_i = Basis([Vector.from_scalars([I], Algebra.H)])
+    basis_one = Matrix.from_rows([[Quaternion.ONE]], Algebra.H)
+    basis_i = Matrix.from_rows([[I]], Algebra.H)
 
     def run():
         return trace_n(A, basis_one), trace_n(A, basis_i)

@@ -307,7 +307,7 @@ class TestConvexMix:
         rng = SplitMix64(95)
         T = random_density(4, Algebra.H, rng)
         dec = T.eigen()
-        parts = [pure_state(u) for u in dec.basis]
+        parts = [pure_state(u) for u in dec.basis.columns()]
         weights = [max(float(s), 0.0) for s in dec.values]
         weights = [w / sum(weights) for w in weights]
         remixed = convex_mix(parts, weights)

@@ -5,7 +5,6 @@ import pytest
 
 from gleason_lab.errors import AlgebraMismatch, DegenerateInput
 from gleason_lab.linalg import (
-    Basis,
     Matrix,
     Projector,
     Vector,
@@ -115,26 +114,26 @@ class TestMatrixBasics:
 class TestGramSchmidt:
     def test_standard_basis_is_fixed(self):
         basis = gram_schmidt([_e(m, 3) for m in range(3)])
-        for m, u in enumerate(basis):
+        for m, u in enumerate(basis.columns()):
             assert u.approx_eq(_e(m, 3))
 
     def test_two_dimensional_real_example(self):
         v1 = Vector.from_scalars([1.0, 0.0], Algebra.R)
         v2 = Vector.from_scalars([1.0, 1.0], Algebra.R)
         basis = gram_schmidt([v1, v2])
-        assert basis[0].approx_eq(Vector.from_scalars([1.0, 0.0], Algebra.R))
-        assert basis[1].approx_eq(Vector.from_scalars([0.0, 1.0], Algebra.R))
+        assert basis.col(0).approx_eq(Vector.from_scalars([1.0, 0.0], Algebra.R))
+        assert basis.col(1).approx_eq(Vector.from_scalars([0.0, 1.0], Algebra.R))
 
     def test_single_quaternion_normalizes(self):
         q = Vector.from_scalars([Quaternion(1, 1, 1, 1)], Algebra.H)
         basis = gram_schmidt([q])
-        assert inner(basis[0], basis[0]).isclose(ONE, tol=1e-12)
-        assert abs(basis[0].norm() - 1.0) < 1e-12
+        assert inner(basis.col(0), basis.col(0)).isclose(ONE, tol=1e-12)
+        assert abs(basis.col(0).norm() - 1.0) < 1e-12
 
     def test_unitary_columns_pass_through_unchanged(self):
         U = random_unitary(4, Algebra.C, SplitMix64(5))
         basis = gram_schmidt(U.columns())
-        for m, u in enumerate(basis):
+        for m, u in enumerate(basis.columns()):
             assert u.approx_eq(U.col(m), tol=1e-9)
 
     def test_rank_deficiency_raises_or_drops(self):
@@ -142,7 +141,7 @@ class TestGramSchmidt:
         with pytest.raises(DegenerateInput):
             gram_schmidt([v, v.scale_right(3.0)])
         basis = gram_schmidt([v, v.scale_right(3.0)], drop=True)
-        assert len(basis) == 1
+        assert basis.m == 1
 
     def test_orthonormality_of_random_output(self):
         rng = SplitMix64(6)
@@ -342,8 +341,7 @@ def test_outer_product_matches_componentwise_definition():
 
 def test_basis_matrix_is_unitary_when_complete():
     rng = SplitMix64(17)
-    basis = gram_schmidt([random_vector(4, Algebra.H, rng) for _ in range(4)])
-    U = basis.matrix()
+    U = gram_schmidt([random_vector(4, Algebra.H, rng) for _ in range(4)])
     assert (U.adjoint() @ U - Matrix.identity(4, Algebra.H)).max_abs() < 1e-10
 
 
@@ -386,22 +384,22 @@ def test_outer_sum_rejects_mismatched_factors():
         outer_sum(U, None, Matrix.zeros(3, 2, Algebra.H))
 
 
-# per-vector oracles for the product forms in trace.py and Basis
-def _trace_reference(A: Matrix, basis: Basis) -> Quaternion:
+# per-vector oracles for the product forms in trace.py and Matrix.orthonormality_defect
+def _trace_reference(A: Matrix, basis: Matrix) -> Quaternion:
     total = Quaternion.ZERO
-    for u in basis:
+    for u in basis.columns():
         total = total + inner(u, A @ u)
     return total
 
 
-def _absolute_sum_reference(A: Matrix, basis: Basis) -> float:
-    return float(sum(abs(inner(u, A @ u)) for u in basis))
+def _absolute_sum_reference(A: Matrix, basis: Matrix) -> float:
+    return float(sum(abs(inner(u, A @ u)) for u in basis.columns()))
 
 
-def _orthonormality_reference(basis: Basis) -> float:
+def _orthonormality_reference(basis: Matrix) -> float:
     worst = 0.0
-    for r, u in enumerate(basis):
-        for c, v in enumerate(basis):
+    for r, u in enumerate(basis.columns()):
+        for c, v in enumerate(basis.columns()):
             target = ONE if r == c else Quaternion.ZERO
             worst = max(worst, abs(inner(u, v) - target))
     return worst
@@ -413,10 +411,10 @@ def test_basis_products_match_per_vector_loops(algebra, n):
     rng = SplitMix64(19)
     A = random_matrix(n, n, algebra, rng)
     bases = [
-        Basis.standard(n, algebra),
+        Matrix.identity(n, algebra),
         gram_schmidt([random_vector(n, algebra, rng) for _ in range(n)]),
         # not orthonormal, so the defect is far from zero
-        Basis([random_vector(n, algebra, rng) for _ in range(n)]),
+        Matrix.from_columns([random_vector(n, algebra, rng) for _ in range(n)]),
     ]
     for basis in bases:
         assert trace_n(A, basis).isclose(_trace_reference(A, basis), tol=1e-12)
@@ -453,5 +451,5 @@ def test_gram_schmidt_matches_per_vector_loop(algebra, n, rank):
                    Vector(algebra, np.zeros((n, 4)))]
     basis = gram_schmidt(vectors, drop=rank == "deficient")
     expect = _gram_schmidt_reference(vectors)
-    assert len(basis) == len(expect) == n
-    assert basis.matrix().approx_eq(Matrix.from_columns(expect), tol=1e-10)
+    assert basis.m == len(expect) == n
+    assert basis.approx_eq(Matrix.from_columns(expect), tol=1e-10)

@@ -126,7 +126,7 @@ class TestOutcomeStatistics:
         rng = SplitMix64(115)
         A = Observable(random_hermitian(4, Algebra.H, rng))
         dec = A.decomposition
-        T = pure_state(dec.basis[0])
+        T = pure_state(dec.basis.col(0))
         dist = outcome_measure(A, T)
         top = max(dist.support, key=lambda sp: sp[1])
         assert math.isclose(top[1], 1.0, abs_tol=1e-9)
@@ -160,7 +160,7 @@ class TestExpectationAndDeviation:
         rng = SplitMix64(119)
         A = Observable(random_hermitian(4, Algebra.C, rng))
         dec = A.decomposition
-        T = pure_state(dec.basis[1])
+        T = pure_state(dec.basis.col(1))
         assert math.isclose(expectation(A, T), float(dec.values[1]), abs_tol=1e-8)
         assert std_deviation(A, T) < 1e-6
 
@@ -225,6 +225,12 @@ class TestSymmetries:
     def test_non_unitary_rejected(self):
         with pytest.raises(NotUnitary):
             SymmetryOp(Matrix.diag([2.0, 1.0], Algebra.C))
+
+    def test_isometry_that_is_not_square_is_rejected(self):
+        # orthonormal columns pass U*U = I, but a symmetry must be square
+        U = random_unitary(3, Algebra.C, SplitMix64(126))
+        with pytest.raises(NotUnitary):
+            SymmetryOp(Matrix(Algebra.C, U.comps[:, :2]))
 
     def test_conjugated_states_remain_states(self):
         rng = SplitMix64(125)

@@ -1,10 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from gleason_lab import kernels
 from gleason_lab.errors import AlgebraMismatch, ConvergenceFailure, NotHermitian, NotPositive
 from gleason_lab.linalg import (
-    Basis,
     Matrix,
     Vector,
     inner,
@@ -13,6 +14,7 @@ from gleason_lab.linalg import (
     random_hermitian,
     random_matrix,
     random_unitary,
+    random_vector,
 )
 from gleason_lab.rng import SplitMix64
 from gleason_lab.scalars import Algebra, Quaternion
@@ -26,6 +28,7 @@ from gleason_lab.spectral import (
     polar,
     sqrt_positive,
 )
+from gleason_lab.trace import check_norm_inequalities, trace_norm
 
 from conftest import ALGEBRAS
 
@@ -65,7 +68,7 @@ class TestEigHermitian:
     def test_real_diagonal(self):
         dec = eig_hermitian(Matrix.diag([2.0, -1.0], Algebra.R))
         assert np.allclose(dec.values, [2.0, -1.0])
-        assert abs(abs(dec.basis[0].entry(0)) - 1.0) < 1e-12
+        assert abs(abs(dec.basis.entry(0, 0)) - 1.0) < 1e-12
 
     def test_quaternionic_pauli_like_matrix(self):
         # A = [[0, j], [-j, 0]] squares to the identity and has zero trace
@@ -74,7 +77,7 @@ class TestEigHermitian:
         assert np.allclose(np.sort(dec.values), [-1.0, 1.0], atol=1e-12)
         assert dec.residual(A) < 1e-12
         # quaternionic scalings of eigenvectors are still eigenvectors
-        u = dec.basis[0].scale_right(Quaternion(0.5, 0.5, 0.5, 0.5))
+        u = dec.basis.col(0).scale_right(Quaternion(0.5, 0.5, 0.5, 0.5))
         resid = (A @ u - u.scale_right(float(dec.values[0]))).norm()
         assert resid < 1e-12
 
@@ -88,7 +91,7 @@ class TestEigHermitian:
         assert dec.residual(A) <= 1e-8 * scale
         assert dec.basis.orthonormality_defect() < 1e-9
         assert list(dec.values) == sorted(dec.values, reverse=True)
-        for s, u in zip(dec.values, dec.basis):
+        for s, u in zip(dec.values, dec.basis.columns()):
             assert (A @ u - u.scale_right(float(s))).norm() <= 1e-8 * scale
 
     def test_degenerate_quaternionic_spectrum(self):
@@ -167,6 +170,20 @@ class TestSqrtAbsPolar:
     def test_sqrt_rejects_negative_operators(self):
         with pytest.raises(NotPositive):
             sqrt_positive(Matrix.identity(2, Algebra.R) * -1.0)
+
+    @pytest.mark.parametrize("algebra", ALGEBRAS)
+    def test_small_matrices_keep_their_spectrum(self, algebra):
+        # the kernel cut is relative to the largest eigenvalue, not absolute
+        # below 1, so a uniformly small matrix is not mistaken for zero
+        ident = Matrix.identity(3, algebra)
+        tiny = ident * 1e-6
+        assert math.isclose(trace_norm(tiny), 3e-6, rel_tol=1e-12)
+        assert check_norm_inequalities(tiny, ident).all_hold()
+        assert abs_op(tiny).approx_eq(tiny, tol=1e-18)
+        assert polar(tiny).partial_isometry.approx_eq(ident, tol=1e-12)
+        assert sqrt_positive(tiny * 1e-6).approx_eq(tiny, tol=1e-18)
+        with pytest.raises(NotPositive):
+            sqrt_positive(tiny * -1e-6)
 
     def test_abs_of_rotation_block_is_identity(self):
         A = Matrix.from_rows([[0.0, -1.0], [1.0, 0.0]], Algebra.R)
@@ -261,7 +278,7 @@ class TestAdaptedBasis:
         n = 3
         Jop = Matrix.diag([I, I, I], Algebra.H)
         basis = adapted_basis(Jop, I)
-        for u in basis:
+        for u in basis.columns():
             assert (Jop @ u - u.scale_right(I)).norm() < 1e-9
         assert basis.orthonormality_defect() < 1e-9
 
@@ -270,9 +287,9 @@ class TestAdaptedBasis:
         A = random_matrix(4, 4, Algebra.H, SplitMix64(40))
         Jop = make_J(A)
         basis = adapted_basis(Jop, unit)
-        assert len(basis) == 4
+        assert basis.m == 4
         assert basis.orthonormality_defect() < 1e-9
-        for u in basis:
+        for u in basis.columns():
             assert (Jop @ u - u.scale_right(unit)).norm() <= 1e-9
 
     def test_conjugated_unit_shifts_the_basis_by_right_scaling(self):
@@ -281,9 +298,29 @@ class TestAdaptedBasis:
         basis = adapted_basis(Jop, I)
         s = Quaternion(0.5, 0.5, 0.5, 0.5)  # unit quaternion
         rotated_unit = s.inverse() * I * s
-        for u in basis:
+        for u in basis.columns():
             v = u.scale_right(s)
             assert (Jop @ v - v.scale_right(rotated_unit)).norm() < 1e-9
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    @pytest.mark.parametrize("kind", ["random", "hermitian", "rank_one_skew"])
+    def test_standard_candidates_complete_the_basis(self, n, kind):
+        # the projected e_m and e_m t alone span the slice, also when J is the
+        # kernel unit on all of the space (hermitian) or on most of it
+        rng = SplitMix64(42 + n)
+        A = random_matrix(n, n, Algebra.H, rng)
+        if kind == "hermitian":
+            A = (A + A.adjoint()) * 0.5
+        elif kind == "rank_one_skew":
+            u = random_vector(n, Algebra.H, rng)
+            A = outer(u, u, I)
+        Jop = make_J(A)
+        for unit in (I, J, K, Quaternion(0, 0.6, 0.0, 0.8)):
+            basis = adapted_basis(Jop, unit)
+            assert basis.m == n
+            assert basis.orthonormality_defect() < 1e-9
+            for u in basis.columns():
+                assert (Jop @ u - u.scale_right(unit)).norm() <= 1e-9
 
     def test_rejects_bad_unit(self):
         Jop = Matrix.diag([I, I], Algebra.H)

@@ -11,7 +11,6 @@ from gleason_lab.cli import main as cli_main
 from gleason_lab.suite import (
     REGISTRY,
     RunConfig,
-    SKIP_DIM_GT2,
     claims_manifest,
     demo_counterexamples,
     emit_report,
@@ -37,7 +36,7 @@ class TestRunSuite:
     def test_gleason_skips_below_dim_three_with_the_required_marker(self):
         report = run_suite(_small_cfg(dims=(2,), only="gleason.round_trip"))
         assert all(r.passed is None for r in report.records)
-        assert all(r.skip_reason == SKIP_DIM_GT2 for r in report.records)
+        assert all(r.skip_reason == "dim>2 required" for r in report.records)
 
     def test_dim2_record_present_and_passing_at_dim_two(self):
         report = run_suite(_small_cfg(algebras=("C",), dims=(2,), only="gleason.dim2_obstruction"))

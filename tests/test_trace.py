@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from gleason_lab.linalg import (
-    Basis,
     Matrix,
     Vector,
     gram_schmidt,
@@ -74,13 +73,13 @@ class TestTraceN:
     def test_identity_has_trace_n(self):
         for algebra in ALGEBRAS:
             for n in (1, 3, 5):
-                t = trace_n(Matrix.identity(n, algebra), Basis.standard(n, algebra))
+                t = trace_n(Matrix.identity(n, algebra), Matrix.identity(n, algebra))
                 assert t.isclose(Quaternion(float(n)), tol=1e-14)
 
     def test_left_multiplication_by_j_is_basis_dependent(self):
         A = Matrix.from_rows([[J]], Algebra.H)
-        over_one = trace_n(A, Basis([Vector.from_scalars([ONE], Algebra.H)]))
-        over_i = trace_n(A, Basis([Vector.from_scalars([I], Algebra.H)]))
+        over_one = trace_n(A, Matrix.from_rows([[ONE]], Algebra.H))
+        over_i = trace_n(A, Matrix.from_rows([[I]], Algebra.H))
         assert over_one.isclose(J, tol=1e-14)
         assert over_i.isclose(-J, tol=1e-14)
 
@@ -101,13 +100,13 @@ class TestTraceN:
             for m in range(4, 0, -1):
                 k = rng.integer(m + 1)
                 perm[m], perm[k] = perm[k], perm[m]
-            shuffled = Basis([basis[p] for p in perm])
+            shuffled = Matrix.from_columns([basis.col(p) for p in perm])
             assert trace_n(A, shuffled).isclose(t0, tol=1e-12)
 
     def test_incomplete_basis_is_rejected(self):
         A = Matrix.identity(3, Algebra.C)
         with pytest.raises(ValueError):
-            trace_n(A, Basis([Vector.basis_vector(0, 3, Algebra.C)]))
+            trace_n(A, Matrix.from_columns([Vector.basis_vector(0, 3, Algebra.C)]))
 
 
 class TestRealTrace:
@@ -171,7 +170,7 @@ class TestTraceNorm:
         absA = abs_op(A)
         for _ in range(2):
             basis = _random_basis(4, Algebra.H, rng)
-            total = sum(inner(u, absA @ u).real for u in basis)
+            total = sum(inner(u, absA @ u).real for u in basis.columns())
             assert math.isclose(total, trace_norm(A), rel_tol=1e-9)
 
     def test_norm_inequality_reports(self):
@@ -200,7 +199,7 @@ class TestCyclicity:
     def test_quaternionic_witness_full_gap_two_real_gap_zero(self):
         A = Matrix.diag([I, 0.0], Algebra.H)
         B = Matrix.diag([J, 0.0], Algebra.H)
-        basis = Basis.standard(2, Algebra.H)
+        basis = Matrix.identity(2, Algebra.H)
         assert trace_n(A @ B, basis).isclose(K, tol=1e-14)
         assert trace_n(B @ A, basis).isclose(-K, tol=1e-14)
         assert math.isclose(full_trace_cyclic_gap(A, B), 2.0, abs_tol=1e-13)
@@ -236,7 +235,7 @@ class TestCyclicity:
             mid = P.matrix @ A @ P.matrix
             assert math.isclose(lhs, real_trace(mid), abs_tol=1e-9)
             assert mid.is_hermitian(1e-9)
-            t = trace_n(mid, Basis.standard(4, algebra))
+            t = trace_n(mid, Matrix.identity(4, algebra))
             assert abs(t - Quaternion(t.real)) < 1e-9
 
 
@@ -320,6 +319,19 @@ class TestRealification:
         assert math.isclose(check.trace_norm_h, 1.0, abs_tol=1e-12)
         assert math.isclose(check.trace_norm_real, 4.0, abs_tol=1e-12)
 
+    def test_blocks_are_left_multiplication_by_each_entry(self):
+        # block (r, c) column f is A_rc e_f, against Quaternion.__mul__
+        rng = SplitMix64(76)
+        A = random_matrix(2, 3, Algebra.H, rng)
+        AR = realify(A)
+        assert (AR.n, AR.m) == (8, 12)
+        assert not AR.comps[..., 1:].any()
+        for r in range(2):
+            for c in range(3):
+                block = AR.comps[4 * r : 4 * r + 4, 4 * c : 4 * c + 4, 0]
+                for f, unit in enumerate((ONE, I, J, K)):
+                    assert (block[:, f] == (A.entry(r, c) * unit).to_array()).all()
+
     def test_pure_j_realifies_to_traceless_rotation(self):
         A = Matrix.from_rows([[J]], Algebra.H)
         AR = realify(A)
@@ -347,7 +359,7 @@ class TestRealification:
 
 def test_trace_report_json():
     A = Matrix.from_rows([[J]], Algebra.H)
-    basis = Basis([Vector.from_scalars([ONE], Algebra.H)])
+    basis = Matrix.from_rows([[ONE]], Algebra.H)
     report = trace_report(A, basis, basis_id="unit-basis")
     payload = json.loads(json.dumps(report.to_json()))
     assert payload["basis"] == "unit-basis"
