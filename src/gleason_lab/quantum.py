@@ -80,7 +80,7 @@ class PVMap:
 def pvm_of(A: Observable) -> PVMap:
     """Group the eigendecomposition into distinct-eigenvalue atoms."""
     dec = A.decomposition
-    scale = max(1.0, float(np.abs(dec.values).max(initial=0.0)))
+    scale = float(np.abs(dec.values).max(initial=0.0))
     U = dec.basis.comps
     return PVMap(tuple(
         (float(np.mean(dec.values[a:b])), Projector(outer_sum(Matrix(A.algebra, U[:, a:b]))))

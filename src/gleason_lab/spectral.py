@@ -96,7 +96,9 @@ def _eig_hermitian_quaternionic(A: Matrix) -> EigenDecomposition:
     order = np.argsort(-w, kind="stable")
     w = w[order]
     V = V[:, order]
-    scale = max(1.0, float(np.abs(w).max(initial=0.0)))
+    # pairing and grouping tolerances are relative to the spectrum, so a
+    # small spectrum is neither merged into its mean nor misread as unpaired
+    scale = float(np.abs(w).max(initial=0.0))
     # symplectic symmetry doubles every eigenvalue, so the sorted spectrum is
     # n consecutive pairs
     if np.abs(w[0::2] - w[1::2]).max(initial=0.0) > _GROUP_TOL * scale:
@@ -199,7 +201,9 @@ def make_J(A: Matrix, kernel_unit: Quaternion = Quaternion.I) -> Matrix:
     On the kernel any anti-selfadjoint unitary extension is admissible; this
     one acts as left multiplication by ``kernel_unit`` in an orthonormal basis
     of the kernel, so different units give different valid J's that agree
-    where it matters.
+    where it matters.  The kernel cut is relative to |A - A*| itself, so a
+    skew part of any size, down to the rounding left in a numerically
+    Hermitian A, gets its own polar factor.
     """
     return _skew_polar(A, kernel_unit)[0]
 

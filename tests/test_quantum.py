@@ -57,6 +57,14 @@ class TestPVM:
             assert proj.rank == 1
 
     @pytest.mark.parametrize("algebra", ALGEBRAS)
+    def test_small_spectrum_keeps_its_atoms(self, algebra):
+        # atoms are merged relative to the largest eigenvalue, so a spectrum
+        # far below 1 is not collapsed into one atom
+        pvm = pvm_of(Observable(Matrix.diag([1e-9, 2e-9, 3e-9], algebra)))
+        assert np.allclose(sorted(pvm.eigenvalues), [1e-9, 2e-9, 3e-9], rtol=1e-9, atol=0.0)
+        assert [proj.rank for _, proj in pvm.atoms] == [1, 1, 1]
+
+    @pytest.mark.parametrize("algebra", ALGEBRAS)
     def test_partition_laws(self, algebra):
         rng = SplitMix64(110)
         A = Observable(random_hermitian(5, algebra, rng))

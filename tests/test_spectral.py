@@ -65,6 +65,15 @@ class TestEigHermitian:
         assert np.allclose(dec.values, 1.0)
         assert dec.basis.orthonormality_defect() < 1e-12
 
+    @pytest.mark.parametrize("algebra", ALGEBRAS)
+    def test_small_spectrum_is_resolved(self, algebra):
+        # eigenvalues are grouped relative to the largest one, so a spectrum
+        # far below 1 is not merged into one mean value
+        A = Matrix.diag([1e-9, 3e-9, 2e-9], algebra)
+        dec = eig_hermitian(A)
+        assert np.allclose(dec.values, [3e-9, 2e-9, 1e-9], rtol=1e-9, atol=0.0)
+        assert dec.residual(A) < 1e-20
+
     def test_real_diagonal(self):
         dec = eig_hermitian(Matrix.diag([2.0, -1.0], Algebra.R))
         assert np.allclose(dec.values, [2.0, -1.0])
@@ -184,6 +193,13 @@ class TestSqrtAbsPolar:
         assert sqrt_positive(tiny * 1e-6).approx_eq(tiny, tol=1e-18)
         with pytest.raises(NotPositive):
             sqrt_positive(tiny * -1e-6)
+        # a small spectrum that is not a multiple of the identity
+        D = Matrix.diag([1e-6, 2e-6, 3e-6], algebra)
+        assert math.isclose(trace_norm(D), 6e-6, rel_tol=1e-9)
+        assert abs_op(D).approx_eq(D, tol=1e-18)
+        U = polar(D).partial_isometry
+        assert U.orthonormality_defect() < 1e-12
+        assert U.approx_eq(ident, tol=1e-9)
 
     def test_abs_of_rotation_block_is_identity(self):
         A = Matrix.from_rows([[0.0, -1.0], [1.0, 0.0]], Algebra.R)
@@ -270,6 +286,24 @@ class TestMakeJ:
 
     def test_laws_with_degenerate_skew_part(self):
         A = Matrix.diag([J, 0.0, 0.0], Algebra.H)
+        assert self._laws(A, make_J(A)) < 1e-10
+
+    def test_small_skew_part_gets_a_unitary_J(self):
+        # the skew part's singular values are 2e-6, 0, 0: the polar factor is
+        # i on the first axis and the kernel extension i on the other two
+        A = Matrix.diag([I * 1e-6, 0.0, 0.0], Algebra.H)
+        Jop = make_J(A)
+        assert self._laws(A, Jop) < 1e-10
+        assert Jop.approx_eq(Matrix.diag([I, I, I], Algebra.H), tol=1e-10)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_numerically_hermitian_input_gets_a_unitary_J(self, n):
+        # U D U* is Hermitian only up to rounding; J is the polar factor of
+        # that rounding-level skew part and must still be a valid J
+        rng = SplitMix64(36 + n)
+        U = random_unitary(n, Algebra.H, rng)
+        A = U @ Matrix.diag(list(rng.gaussian_block(n)), Algebra.H) @ U.adjoint()
+        assert (A - A.adjoint()).max_abs() < 1e-14
         assert self._laws(A, make_J(A)) < 1e-10
 
 

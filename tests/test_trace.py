@@ -265,6 +265,23 @@ class TestAdaptedTraceFormula:
                 check = quaternionic_trace_formula_check(A, unit)
                 assert check.residual <= check.tolerance
 
+    def test_small_skew_part(self):
+        A = Matrix.diag([I * 1e-6, 0.0, 0.0], Algebra.H)
+        for unit in (I, J):
+            check = quaternionic_trace_formula_check(A, unit)
+            assert math.isclose(check.skew_trace_norm, 2e-6, rel_tol=1e-9)
+            assert check.residual <= check.tolerance
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_numerically_hermitian_input(self, n):
+        rng = SplitMix64(80 + n)
+        U = random_unitary(n, Algebra.H, rng)
+        A = U @ Matrix.diag(list(rng.gaussian_block(n)), Algebra.H) @ U.adjoint()
+        for unit in (I, J):
+            check = quaternionic_trace_formula_check(A, unit)
+            assert check.skew_trace_norm < 1e-13
+            assert check.residual <= check.tolerance
+
     def test_imaginary_part_sits_along_the_chosen_unit(self):
         A = random_matrix(3, 3, Algebra.H, SplitMix64(70))
         unit = Quaternion(0, 0.6, 0.8, 0.0)
