@@ -46,6 +46,7 @@ from .spectral import (
     abs_op,
     adapted_basis,
     eig_hermitian,
+    eigvals_hermitian,
     embed,
     make_J,
     op_norm,

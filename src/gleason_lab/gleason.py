@@ -35,7 +35,7 @@ from .linalg import (
 )
 from .rng import SplitMix64
 from .scalars import Algebra, Quaternion
-from .spectral import EigenDecomposition, eig_hermitian
+from .spectral import EigenDecomposition, eig_hermitian, eigvals_hermitian
 from .trace import real_pairing, real_trace
 
 _STATE_TOL = 1e-8
@@ -44,15 +44,15 @@ _STATE_TOL = 1e-8
 class DensityOperator:
     """Hermitian positive operator with unit real trace (a quantum state)."""
 
-    __slots__ = ("matrix", "_eigen")
+    __slots__ = ("matrix", "eigenvalues", "_eigen")
 
     def __init__(self, matrix: Matrix, *, tol: float = _STATE_TOL):
         if not matrix.is_square:
             raise ValueError("state matrix must be square")
         if not matrix.is_hermitian(tol):
             raise NotHermitian(f"state is not Hermitian: defect {matrix.hermitian_defect():.3e}")
-        dec = eig_hermitian(matrix)
-        low = float(dec.values.min())
+        values = eigvals_hermitian(matrix)
+        low = float(values.min())
         if low < -tol:
             raise NotPositive(f"state has eigenvalue {low:.3e}")
         tr = real_trace(matrix)
@@ -60,7 +60,9 @@ class DensityOperator:
         if not (abs(tr - 1.0) <= tol):
             raise ValueError(f"state trace {tr} differs from 1 beyond {tol}")
         self.matrix = matrix
-        self._eigen = dec
+        #: spectrum, sorted descending
+        self.eigenvalues = values
+        self._eigen = None
 
     @property
     def algebra(self) -> Algebra:
@@ -71,10 +73,13 @@ class DensityOperator:
         return self.matrix.n
 
     def eigen(self) -> EigenDecomposition:
+        """Eigendecomposition, computed on first use."""
+        if self._eigen is None:
+            self._eigen = eig_hermitian(self.matrix)
         return self._eigen
 
     def rank(self, tol: float = _STATE_TOL) -> int:
-        return int((self._eigen.values > tol).sum())
+        return int((self.eigenvalues > tol).sum())
 
     def to_json(self) -> dict:
         payload = self.matrix.to_json()
@@ -280,7 +285,7 @@ def convex_mix(states: list[DensityOperator], weights: list[float]) -> DensityOp
 
 def is_extremal(state: DensityOperator, tol: float = _STATE_TOL) -> bool:
     """True iff the state is a rank-one projector (a pure state)."""
-    values = state.eigen().values
+    values = state.eigenvalues
     return len(values) == 1 or float(values[1]) <= tol
 
 

@@ -43,10 +43,13 @@ from .scalars import Algebra, Quaternion, as_quaternion, scalar_from_json, scala
 _RANK_TOL = 1e-10
 
 
+# components of the quaternion conjugate: a - bi - cj - dk
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
+_CONJ.flags.writeable = False
+
+
 def _conj_comps(comps: np.ndarray) -> np.ndarray:
-    out = comps.copy()
-    out[..., 1:] *= -1.0
-    return out
+    return comps * _CONJ
 
 
 def _mul_comps(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -228,8 +231,9 @@ class Matrix:
     __rmul__ = __mul__
 
     def adjoint(self) -> "Matrix":
-        out = np.transpose(_conj_comps(self.comps), (1, 0, 2))
-        return Matrix(self.algebra, np.ascontiguousarray(out))
+        # conjugate and transpose in one pass into contiguous storage
+        out = np.multiply(self.comps.transpose(1, 0, 2), _CONJ, out=np.empty((self.m, self.n, 4)))
+        return Matrix(self.algebra, out)
 
     def max_abs(self) -> float:
         """Largest entry magnitude |A_rc|."""
@@ -466,7 +470,7 @@ def is_positive(A: Matrix, tol: float = 1e-9) -> bool:
     The Hermitian part is tested through its minimum eigenvalue.  A matrix
     with a NaN or infinite entry is not positive.
     """
-    from .spectral import eig_hermitian, op_norm
+    from .spectral import eigvals_hermitian, op_norm
 
     if not A.is_square:
         raise ValueError("positivity needs a square matrix")
@@ -478,8 +482,7 @@ def is_positive(A: Matrix, tol: float = 1e-9) -> bool:
         if op_norm(skew) / 2.0 > tol * scale:
             return False
     herm = (A + A.adjoint()) * 0.5
-    dec = eig_hermitian(herm)
-    return bool(dec.values.min() >= -tol * scale)
+    return bool(eigvals_hermitian(herm).min() >= -tol * scale)
 
 
 def is_positive_selfadjoint(A: Matrix, tol: float = 1e-9) -> bool:

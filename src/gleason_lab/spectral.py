@@ -17,6 +17,13 @@ spectrum must be n consecutive equal pairs, else ConvergenceFailure, and the
 lifted columns of each group of equal eigenvalues go through the one
 Gram-Schmidt, :func:`gleason_lab.linalg._orthonormalize`, which must keep
 one column per pair.
+
+Both public solvers share one guarded solve, ``_solve``.  :func:`eig_hermitian`
+lifts the eigenbasis; :func:`eigvals_hermitian` reads the spectrum alone, over
+H as the pair means, and builds no basis.  The norms (:func:`singular_values`,
+:func:`op_norm`), positivity and the state check read only the spectrum, so
+they take :func:`eigvals_hermitian`; the polar factor, square roots and
+spectral measures need the basis.
 """
 
 from __future__ import annotations
@@ -90,19 +97,63 @@ def _group_indices(values: np.ndarray, tol: float) -> list[tuple[int, int]]:
     return groups
 
 
-def _eig_hermitian_quaternionic(A: Matrix) -> EigenDecomposition:
-    n = A.n
-    w, V = kernels.eigh(embed(A))
+def _solve(A: Matrix, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues descending, eigenvector columns) of the exactly Hermitian
+    part of A over R and C, of its image chi under H, after every guard:
+    square, Hermitian up to ``tol`` (the ratio test, which NaN fails) and,
+    over H, a doubled spectrum."""
+    if not A.is_square:
+        raise ValueError("eigendecomposition needs a square matrix")
+    adj = A.adjoint()
+    defect = (A - adj).max_abs()
+    # the ratio of Matrix.is_hermitian: an inf entry makes it NaN
+    if not (defect / max(1.0, A.max_abs()) <= tol):
+        raise NotHermitian(f"|A - A*| = {defect:.3e} exceeds tolerance")
+    sym = (A + adj) * 0.5
+    if A.algebra is Algebra.H:
+        X = embed(sym)
+    else:
+        c = sym.comps
+        X = c[..., 0] + 1j * c[..., 1]
+    w, V = kernels.eigh(X)
     order = np.argsort(-w, kind="stable")
     w = w[order]
     V = V[:, order]
-    # pairing and grouping tolerances are relative to the spectrum, so a
-    # small spectrum is neither merged into its mean nor misread as unpaired
+    # symplectic symmetry doubles every eigenvalue of chi(A), so the sorted
+    # spectrum is n consecutive pairs; the tolerance is relative to the
+    # spectrum, so a small spectrum is not misread as unpaired
+    if A.algebra is Algebra.H:
+        scale = float(np.abs(w).max(initial=0.0))
+        if np.abs(w[0::2] - w[1::2]).max(initial=0.0) > _GROUP_TOL * scale:
+            raise ConvergenceFailure("eigenvalue pairing failed: chi(A) spectrum is not doubled")
+    return w, V
+
+
+def eigvals_hermitian(A: Matrix, tol: float = _HERMITIAN_TOL) -> np.ndarray:
+    """Real eigenvalues, sorted descending, of a Hermitian matrix over R, C or H.
+
+    The guards and the one eigensolve are those of :func:`eig_hermitian`; no
+    eigenbasis is built.  Over H each eigenvalue is the mean of its pair in
+    chi(A)'s spectrum.
+    """
+    w, _ = _solve(A, tol)
+    if A.algebra is Algebra.H:
+        return 0.5 * (w[0::2] + w[1::2])
+    return w
+
+
+def eig_hermitian(A: Matrix, tol: float = _HERMITIAN_TOL) -> EigenDecomposition:
+    """Orthonormal eigenbasis of a Hermitian matrix over R, C or H."""
+    w, V = _solve(A, tol)
+    if A.algebra is not Algebra.H:
+        comps = np.zeros((A.n, A.n, 4))
+        comps[..., 0] = V.real
+        comps[..., 1] = V.imag
+        return EigenDecomposition(Matrix(A.algebra, comps), w)
+    n = A.n
+    # grouping is relative to the spectrum, so a small spectrum is not merged
+    # into its mean
     scale = float(np.abs(w).max(initial=0.0))
-    # symplectic symmetry doubles every eigenvalue, so the sorted spectrum is
-    # n consecutive pairs
-    if np.abs(w[0::2] - w[1::2]).max(initial=0.0) > _GROUP_TOL * scale:
-        raise ConvergenceFailure("eigenvalue pairing failed: chi(A) spectrum is not doubled")
     # every eigenvector (u; v) of chi(A) lifts to u - conj(v) j, all columns at once
     lifted = np.stack([V[:n].real, V[:n].imag, -V[n:].real, V[n:].imag], axis=-1)
     vals: list[float] = []
@@ -119,31 +170,18 @@ def _eig_hermitian_quaternionic(A: Matrix) -> EigenDecomposition:
     return EigenDecomposition(Matrix(Algebra.H, np.concatenate(cols, axis=1)), np.array(vals))
 
 
-def eig_hermitian(A: Matrix, tol: float = _HERMITIAN_TOL) -> EigenDecomposition:
-    """Orthonormal eigenbasis of a Hermitian matrix over R, C or H."""
-    if not A.is_square:
-        raise ValueError("eigendecomposition needs a square matrix")
-    if not A.is_hermitian(tol):
-        raise NotHermitian(f"|A - A*| = {A.hermitian_defect():.3e} exceeds tolerance")
-    sym = (A + A.adjoint()) * 0.5
-    if A.algebra is Algebra.H:
-        return _eig_hermitian_quaternionic(sym)
-    c = sym.comps
-    X = c[..., 0] + 1j * c[..., 1]
-    w, V = kernels.eigh(X)
-    order = np.argsort(-w, kind="stable")
-    w = w[order]
-    V = V[:, order]
-    comps = np.zeros((A.n, A.n, 4))
-    comps[..., 0] = V.real
-    comps[..., 1] = V.imag
-    return EigenDecomposition(Matrix(A.algebra, comps), w)
-
-
 def op_norm(A: Matrix) -> float:
     """Operator (spectral) norm: largest singular value."""
-    gram = eig_hermitian(A.adjoint() @ A)
-    return float(np.sqrt(max(gram.values.max(initial=0.0), 0.0)))
+    gram_values = eigvals_hermitian(A.adjoint() @ A)
+    return float(np.sqrt(max(gram_values.max(initial=0.0), 0.0)))
+
+
+def _root_spectrum(values: np.ndarray, tol: float = _CLAMP_REL) -> np.ndarray:
+    """Square roots of a positive spectrum, with every |s| <= tol * max|s| cut
+    to exactly zero first."""
+    scale = float(np.abs(values).max(initial=0.0))
+    vals = np.where(np.abs(values) <= tol * scale, 0.0, values)
+    return np.sqrt(np.clip(vals, 0.0, None))
 
 
 def sqrt_positive(B: Matrix, tol: float = _CLAMP_REL) -> Matrix:
@@ -156,12 +194,10 @@ def sqrt_positive(B: Matrix, tol: float = _CLAMP_REL) -> Matrix:
     its square root.
     """
     dec = eig_hermitian(B)
-    scale = float(np.abs(dec.values).max(initial=0.0))
-    if dec.values.min(initial=0.0) < -tol * scale:
-        raise NotPositive(f"minimum eigenvalue {dec.values.min():.3e} below -{tol * scale:.1e}")
-    vals = np.where(np.abs(dec.values) <= tol * scale, 0.0, dec.values)
-    vals = np.sqrt(np.clip(vals, 0.0, None))
-    return EigenDecomposition(dec.basis, vals).reconstruct()
+    floor = tol * float(np.abs(dec.values).max(initial=0.0))
+    if dec.values.min(initial=0.0) < -floor:
+        raise NotPositive(f"minimum eigenvalue {dec.values.min():.3e} below -{floor:.1e}")
+    return EigenDecomposition(dec.basis, _root_spectrum(dec.values, tol)).reconstruct()
 
 
 def abs_op(A: Matrix) -> Matrix:
@@ -171,13 +207,11 @@ def abs_op(A: Matrix) -> Matrix:
 
 def _singular_data(A: Matrix) -> tuple[np.ndarray, Matrix]:
     gram = eig_hermitian(A.adjoint() @ A)
-    scale = float(np.abs(gram.values).max(initial=0.0))
-    vals = np.where(np.abs(gram.values) <= _CLAMP_REL * scale, 0.0, gram.values)
-    return np.sqrt(np.clip(vals, 0.0, None)), gram.basis
+    return _root_spectrum(gram.values), gram.basis
 
 
 def singular_values(A: Matrix) -> np.ndarray:
-    return _singular_data(A)[0]
+    return _root_spectrum(eigvals_hermitian(A.adjoint() @ A))
 
 
 def polar(A: Matrix) -> PolarDecomposition:

@@ -138,11 +138,12 @@ def quaternionic_trace_formula_check(A: Matrix, imag_unit: Quaternion) -> Adapte
     J, skew_norm = _skew_polar(A)
     basis = adapted_basis(J, imag_unit)
     lhs = trace_n(A, basis)
-    rhs = Quaternion(real_trace(A)) + imag_unit * (skew_norm / 2.0)
+    real_part = real_trace(A)
+    rhs = Quaternion(real_part) + imag_unit * (skew_norm / 2.0)
     tol = 1e-8 * (1.0 + trace_norm(A))
     return AdaptedTraceCheck(
         basis_trace=lhs,
-        real_part=real_trace(A),
+        real_part=real_part,
         skew_trace_norm=skew_norm,
         imag_unit=imag_unit,
         residual=abs(lhs - rhs),

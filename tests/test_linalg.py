@@ -82,6 +82,16 @@ class TestMatrixBasics:
         one_by_one = Matrix.from_rows([[J]], Algebra.H)
         assert one_by_one.adjoint().entry(0, 0).isclose(-J)
 
+    @pytest.mark.parametrize("shape", [(2, 5), (5, 2), (4, 4)])
+    def test_adjoint_is_the_entrywise_conjugate_transpose(self, shape):
+        A = random_matrix(*shape, Algebra.H, SplitMix64(4))
+        adj = A.adjoint()
+        assert (adj.n, adj.m) == (A.m, A.n) and adj.comps.flags.c_contiguous
+        for r in range(A.n):
+            for c in range(A.m):
+                expect = A.entry(r, c).conjugate().to_array()
+                assert adj.comps[c, r].tobytes() == expect.tobytes()
+
     def test_adjoint_antihomomorphism_and_pairing(self):
         rng = SplitMix64(3)
         for algebra in ALGEBRAS:

@@ -34,7 +34,7 @@ from gleason_lab.quantum import (
 )
 from gleason_lab.rng import SplitMix64
 from gleason_lab.scalars import Algebra, Quaternion
-from gleason_lab.spectral import eig_hermitian
+from gleason_lab.spectral import eig_hermitian, eigvals_hermitian
 from gleason_lab.trace import real_trace
 
 from conftest import ALGEBRAS
@@ -335,12 +335,13 @@ class TestGroupPathsAndContinuity:
         (SymmetryOp, NotUnitary),
         (DensityOperator, NotHermitian),
         (eig_hermitian, NotHermitian),
+        (eigvals_hermitian, NotHermitian),
         (Matrix.is_hermitian, None),
         (is_positive, None),
         (is_positive_selfadjoint, None),
     ],
     ids=["Projector", "Observable", "SymmetryOp", "DensityOperator", "eig_hermitian",
-         "is_hermitian", "is_positive", "is_positive_selfadjoint"],
+         "eigvals_hermitian", "is_hermitian", "is_positive", "is_positive_selfadjoint"],
 )
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
 @pytest.mark.parametrize("where", ["every entry", "one off-diagonal entry"])

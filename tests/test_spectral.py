@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from gleason_lab import kernels
+from gleason_lab import gleason, kernels, spectral
 from gleason_lab.errors import AlgebraMismatch, ConvergenceFailure, NotHermitian, NotPositive
+from gleason_lab.gleason import DensityOperator, is_extremal, random_density
 from gleason_lab.linalg import (
     Matrix,
     Vector,
     inner,
+    is_positive,
     outer,
     outer_sum,
     random_hermitian,
@@ -22,10 +24,12 @@ from gleason_lab.spectral import (
     abs_op,
     adapted_basis,
     eig_hermitian,
+    eigvals_hermitian,
     embed,
     make_J,
     op_norm,
     polar,
+    singular_values,
     sqrt_positive,
 )
 from gleason_lab.trace import check_norm_inequalities, trace_norm
@@ -57,6 +61,16 @@ class TestEmbedding:
     def test_wrong_algebra_is_rejected(self):
         with pytest.raises(AlgebraMismatch):
             embed(Matrix.identity(2, Algebra.C))
+
+
+def _degenerate_quaternionic_spectra() -> list[Matrix]:
+    """Quaternionic Hermitian matrices with spectra {3, 3, 3, -2, -2} and {2, 2, 2, -1, -1}."""
+    U = random_unitary(5, Algebra.H, SplitMix64(22))
+    A = Matrix.zeros(5, 5, Algebra.H)
+    for s, c in zip([3.0, 3.0, 3.0, -2.0, -2.0], range(5)):
+        A = A + outer(U.col(c), U.col(c)) * s
+    B = outer_sum(random_unitary(5, Algebra.H, SplitMix64(25)), np.array([2.0, 2.0, 2.0, -1.0, -1.0]))
+    return [A, B]
 
 
 class TestEigHermitian:
@@ -104,20 +118,15 @@ class TestEigHermitian:
             assert (A @ u - u.scale_right(float(s))).norm() <= 1e-8 * scale
 
     def test_degenerate_quaternionic_spectrum(self):
-        rng = SplitMix64(22)
-        U = random_unitary(5, Algebra.H, rng)
         spectrum = [3.0, 3.0, 3.0, -2.0, -2.0]
-        A = Matrix.zeros(5, 5, Algebra.H)
-        for s, c in zip(spectrum, range(5)):
-            A = A + outer(U.col(c), U.col(c)) * s
+        A = _degenerate_quaternionic_spectra()[0]
         dec = eig_hermitian(A)
         assert np.allclose(np.sort(dec.values), np.sort(spectrum), atol=1e-9)
         assert dec.residual(A) < 1e-9
         assert dec.basis.orthonormality_defect() < 1e-9
 
     def test_grouped_quaternionic_eigenvalues_are_exactly_equal(self):
-        U = random_unitary(5, Algebra.H, SplitMix64(25))
-        A = outer_sum(U, np.array([2.0, 2.0, 2.0, -1.0, -1.0]))
+        A = _degenerate_quaternionic_spectra()[1]
         dec = eig_hermitian(A)
         assert dec.values[0] == dec.values[1] == dec.values[2]
         assert dec.values[3] == dec.values[4]
@@ -153,6 +162,111 @@ class TestEigHermitian:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
             eig_hermitian(Matrix.from_rows([[0.0, 1.0], [0.0, 0.0]], Algebra.R))
+
+
+class TestEigvalsHermitian:
+    @pytest.mark.parametrize("algebra", ALGEBRAS)
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
+    def test_agrees_with_eig_hermitian(self, algebra, n):
+        A = random_hermitian(n, algebra, SplitMix64(1100 + n))
+        values = eigvals_hermitian(A)
+        reference = eig_hermitian(A).values
+        assert values.shape == (n,)
+        assert np.abs(values - reference).max() <= 1e-12 * max(1.0, np.abs(reference).max())
+
+    @pytest.mark.parametrize("case", [0, 1])
+    def test_agrees_on_degenerate_quaternionic_spectra(self, case):
+        A = _degenerate_quaternionic_spectra()[case]
+        values = eigvals_hermitian(A)
+        reference = eig_hermitian(A).values
+        assert np.abs(values - reference).max() <= 1e-12 * max(1.0, np.abs(reference).max())
+
+    def test_builds_no_basis(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvals_hermitian must not orthonormalize")
+
+        monkeypatch.setattr(spectral, "_orthonormalize", refuse)
+        A = _degenerate_quaternionic_spectra()[0]
+        assert np.allclose(eigvals_hermitian(A), [3.0, 3.0, 3.0, -2.0, -2.0], atol=1e-9)
+
+    @pytest.mark.parametrize("solve", [eig_hermitian, eigvals_hermitian])
+    @pytest.mark.parametrize("algebra", ALGEBRAS)
+    def test_non_square_input_is_rejected(self, solve, algebra):
+        with pytest.raises(ValueError):
+            solve(Matrix.zeros(2, 3, algebra))
+
+    @pytest.mark.parametrize("solve", [eig_hermitian, eigvals_hermitian])
+    def test_unpaired_spectrum_is_rejected(self, monkeypatch, solve):
+        real_eigh = kernels.eigh
+
+        def broken_eigh(X):
+            w, V = real_eigh(X)
+            return np.arange(len(w), dtype=float), V
+
+        monkeypatch.setattr(kernels, "eigh", broken_eigh)
+        with pytest.raises(ConvergenceFailure):
+            solve(Matrix.identity(2, Algebra.H))
+
+
+class TestSpectrumReaders:
+    """Norms, positivity and the state check read the spectrum alone: they
+    succeed with eig_hermitian unavailable, each with the solves it needs."""
+
+    @pytest.fixture
+    def eigh_calls(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("no eigenbasis may be built here")
+
+        for module in (spectral, gleason):
+            monkeypatch.setattr(module, "eig_hermitian", refuse)
+        real_eigh = kernels.eigh
+        calls = []
+
+        def counting_eigh(X):
+            calls.append(X.shape[0])
+            return real_eigh(X)
+
+        monkeypatch.setattr(kernels, "eigh", counting_eigh)
+        return calls
+
+    @pytest.mark.parametrize("algebra", ALGEBRAS)
+    def test_norms_and_positivity(self, eigh_calls, algebra):
+        rng = SplitMix64(1200)
+        A = random_matrix(4, 4, algebra, rng)
+        P = A.adjoint() @ A
+        # is_positive over C and H also takes the operator norm of the skew part
+        for read, solves in [(singular_values, 1), (op_norm, 1), (trace_norm, 1),
+                             (is_positive, 1 if algebra is Algebra.R else 2)]:
+            eigh_calls.clear()
+            read(P)
+            assert len(eigh_calls) == solves, read.__name__
+        assert is_positive(P)
+
+    @pytest.mark.parametrize("algebra", ALGEBRAS)
+    def test_state_check(self, eigh_calls, algebra):
+        T = random_density(4, algebra, SplitMix64(1201), rank=2)
+        eigh_calls.clear()
+        state = DensityOperator(T.matrix)
+        assert len(eigh_calls) == 1
+        assert state.rank() == 2 and not is_extremal(state)
+        assert len(eigh_calls) == 1
+
+    @pytest.mark.parametrize("algebra", ALGEBRAS)
+    def test_state_decomposes_once_on_first_use(self, algebra, monkeypatch):
+        T = random_density(3, algebra, SplitMix64(1202))
+        real_eigh = kernels.eigh
+        calls = []
+
+        def counting_eigh(X):
+            calls.append(X.shape[0])
+            return real_eigh(X)
+
+        monkeypatch.setattr(kernels, "eigh", counting_eigh)
+        dec = T.eigen()
+        assert len(calls) == 1
+        assert T.eigen() is dec
+        assert len(calls) == 1
+        assert np.abs(dec.values - T.eigenvalues).max() <= 1e-12
 
 
 class TestSqrtAbsPolar:
