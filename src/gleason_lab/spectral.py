@@ -104,12 +104,9 @@ def _solve(A: Matrix, tol: float) -> tuple[np.ndarray, np.ndarray]:
     over H, a doubled spectrum."""
     if not A.is_square:
         raise ValueError("eigendecomposition needs a square matrix")
-    adj = A.adjoint()
-    defect = (A - adj).max_abs()
-    # the ratio of Matrix.is_hermitian: an inf entry makes it NaN
-    if not (defect / max(1.0, A.max_abs()) <= tol):
-        raise NotHermitian(f"|A - A*| = {defect:.3e} exceeds tolerance")
-    sym = (A + adj) * 0.5
+    if not A.is_hermitian(tol):
+        raise NotHermitian(f"|A - A*| = {A.hermitian_defect():.3e} exceeds tolerance")
+    sym = (A + A.adjoint()) * 0.5
     if A.algebra is Algebra.H:
         X = embed(sym)
     else:
@@ -129,14 +126,14 @@ def _solve(A: Matrix, tol: float) -> tuple[np.ndarray, np.ndarray]:
     return w, V
 
 
-def eigvals_hermitian(A: Matrix, tol: float = _HERMITIAN_TOL) -> np.ndarray:
+def eigvals_hermitian(A: Matrix) -> np.ndarray:
     """Real eigenvalues, sorted descending, of a Hermitian matrix over R, C or H.
 
     The guards and the one eigensolve are those of :func:`eig_hermitian`; no
     eigenbasis is built.  Over H each eigenvalue is the mean of its pair in
     chi(A)'s spectrum.
     """
-    w, _ = _solve(A, tol)
+    w, _ = _solve(A, _HERMITIAN_TOL)
     if A.algebra is Algebra.H:
         return 0.5 * (w[0::2] + w[1::2])
     return w
