@@ -8,26 +8,32 @@ constructively, the extremal/pure classification, and the dimension-2
 counterexample showing why the bijection needs dim > 2.
 
 Measures are represented by oracles, not tables: even at n = 3 the lattice is
-infinite, so every check samples projectors.
+infinite, so every check samples projectors.  A frame function is probed in
+blocks: it takes the probe vectors as the columns of one matrix, and a measure
+is read on the stack of their line projectors from :meth:`Projector.rank_ones`,
+so :func:`reconstruct_state` makes four block calls in place of one call per
+probe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidWeights, NotAFrameFunction, NotHermitian, NotPositive
+from .errors import InvalidWeights, NotAFrameFunction, NotPositive
 from .linalg import (
     Matrix,
     Projector,
     Vector,
+    _conj_comps,
+    _mul_comps,
     inner,  # re-exported: perfbench's tracer test checks this binding
     outer,
     outer_sum,
     projector_onto,
-    random_phase,
+    random_phases,
     random_projector,
     random_unit_vector,
     random_unit_vectors,
@@ -42,15 +48,18 @@ _STATE_TOL = 1e-8
 
 
 class DensityOperator:
-    """Hermitian positive operator with unit real trace (a quantum state)."""
+    """Hermitian positive operator with unit real trace (a quantum state).
+
+    ``tol`` bounds the negative eigenvalues and the trace error.  The Hermitian
+    test is the eigensolver's own (:func:`eigvals_hermitian`: the ratio test of
+    :meth:`Matrix.is_hermitian` at 1e-8), which raises NotHermitian.
+    """
 
     __slots__ = ("matrix", "eigenvalues", "_eigen")
 
     def __init__(self, matrix: Matrix, *, tol: float = _STATE_TOL):
         if not matrix.is_square:
             raise ValueError("state matrix must be square")
-        if not matrix.is_hermitian(tol):
-            raise NotHermitian(f"state is not Hermitian: defect {matrix.hermitian_defect():.3e}")
         values = eigvals_hermitian(matrix)
         low = float(values.min())
         if low < -tol:
@@ -144,26 +153,38 @@ def measure_from_state(state: DensityOperator) -> LatticeMeasure:
 class FrameFunction:
     """Unit-vector oracle; the restriction of a measure to rank-one projectors.
 
-    :meth:`from_measure` probes the measure at x through
-    :meth:`Projector.rank_one`, so one call costs O(n^2) array work and no
-    matrix product when the measure is trace-backed.
+    ``evaluate`` is block-shaped: it takes an n x k :class:`Matrix` of probe
+    columns and returns their k values, in column order, and ``f(x)`` is its
+    one-column case.  :meth:`from_measure` reads the measure on the stack of
+    line projectors of :meth:`Projector.rank_ones`, with no matrix product when
+    the measure is trace-backed; :meth:`pointwise` wraps an opaque per-vector
+    oracle.
     """
 
-    evaluate: Callable[[Vector], float]
+    evaluate: Callable[[Matrix], Sequence[float]]
 
     def __call__(self, x: Vector) -> float:
-        return float(self.evaluate(x))
+        return float(self.evaluate(Matrix(x.algebra, x.comps[:, None, :]))[0])
 
     @classmethod
     def from_measure(cls, mu: LatticeMeasure) -> "FrameFunction":
-        def ev(x: Vector) -> float:
-            return mu(Projector.rank_one(x))
+        def ev(X: Matrix) -> list[float]:
+            return [mu(P) for P in Projector.rank_ones(X)]
+
+        return cls(evaluate=ev)
+
+    @classmethod
+    def pointwise(cls, fn: Callable[[Vector], float]) -> "FrameFunction":
+        """The frame function of a per-vector oracle, called once per column, in order."""
+
+        def ev(X: Matrix) -> list[float]:
+            return [float(fn(x)) for x in X.columns()]
 
         return cls(evaluate=ev)
 
     def basis_weight(self, basis: Matrix) -> float:
-        """sum_u f(u) over the columns u of ``basis``."""
-        return float(sum(self(u) for u in basis.columns()))
+        """sum_u f(u) over the columns u of ``basis``, evaluated as one block."""
+        return float(sum(self.evaluate(basis)))
 
 
 def lattice_join(projectors: list[Projector]) -> Projector:
@@ -191,26 +212,6 @@ def lattice_join(projectors: list[Projector]) -> Projector:
 # reconstruction: measure -> density operator
 # ---------------------------------------------------------------------------
 
-def _polarization_vector(k: int, l: int, q: Quaternion, n: int, algebra: Algebra) -> Vector:
-    comps = np.zeros((n, 4))
-    comps[k, 0] = 1.0
-    comps[l] = q.to_array()
-    comps /= np.sqrt(2.0)
-    return Vector(algebra, comps)
-
-
-def _check_phase_invariance(f: FrameFunction, probes: list[Vector], algebra: Algebra,
-                            rng: SplitMix64, tol: float) -> None:
-    for x in probes:
-        fx = f(x)
-        for _ in range(10):
-            q = random_phase(algebra, rng)
-            if abs(f(x.scale_right(q)) - fx) > tol:
-                raise NotAFrameFunction(
-                    f"oracle is not phase invariant: |f(xq) - f(x)| > {tol}"
-                )
-
-
 def reconstruct_state(
     f: FrameFunction,
     n: int,
@@ -224,46 +225,68 @@ def reconstruct_state(
 
     Diagonal entries are f(e_k); off-diagonal entries come from polarization
     probes f((e_k + e_l q)/sqrt2) = (T_kk + T_ll)/2 + Re(T_kl q) with q running
-    over 1 and the imaginary units of the algebra.  The result is verified
-    against ``verification_probes`` random unit vectors, drawn as the columns
-    of one block X by :func:`random_unit_vectors`: Re<x|Tx> comes for all of
-    them from the one product T X,
-    while the opaque f is still called once per probe, in order.  The verified
-    matrix is certified as a state.
+    over 1 and the imaginary units of the algebra.  f is evaluated on four
+    blocks, in this order: phase invariance (up to four basis vectors and two
+    random unit vectors, each followed by its turns x q for 10 random phases
+    q), the standard basis, every polarization probe, and ``verification_probes``
+    random unit vectors drawn by :func:`random_unit_vectors`.  Re<x|Tx> comes
+    for all verification probes from the one product T X.  An opaque oracle
+    wrapped by :meth:`FrameFunction.pointwise` is still called once per probe,
+    in this order.  The verified matrix is certified as a state.
     """
     rng = rng or SplitMix64(0x51EA).derive("reconstruct", algebra.value, n)
-    ident_units = (Quaternion.ONE,) + algebra.imaginary_units
-    basis_vectors = [Vector.basis_vector(m, n, algebra) for m in range(n)]
+    units = np.array([q.to_array() for q in (Quaternion.ONE,) + algebra.imaginary_units])
 
-    phase_probes = basis_vectors[: min(n, 4)] + [
-        random_unit_vector(n, algebra, rng) for _ in range(2)
-    ]
-    _check_phase_invariance(f, phase_probes, algebra, rng, 10.0 * tol)
+    def probe(X: Matrix) -> np.ndarray:
+        values = np.asarray(f.evaluate(X), dtype=np.float64)
+        if values.shape != (X.m,):
+            raise NotAFrameFunction(f"oracle returned {values.shape} values for {X.m} probes")
+        return values
 
-    diag = np.array([f(e) for e in basis_vectors])
+    m = min(n, 4)
+    phase_probes = np.zeros((n, m + 2, 1, 4))
+    phase_probes[np.arange(m), np.arange(m), 0, 0] = 1.0
+    phase_probes[:, m:, 0] = random_unit_vectors(n, 2, algebra, rng).comps
+    phases = random_phases(10 * (m + 2), algebra, rng).reshape(m + 2, 10, 4)
+    turns = _mul_comps(phase_probes, phases)  # x q, column by column
+    block = np.concatenate([phase_probes, turns], axis=2).reshape(n, 11 * (m + 2), 4)
+    fx = probe(Matrix(algebra, block)).reshape(m + 2, 11)
+    # NaN fails every comparison
+    if not (np.abs(fx[:, 1:] - fx[:, :1]) <= 10.0 * tol).all():
+        raise NotAFrameFunction(f"oracle is not phase invariant: |f(xq) - f(x)| > {10.0 * tol}")
+
+    diag = probe(Matrix.identity(n, algebra))
     weight = float(diag.sum())
-    if abs(weight - 1.0) > 10.0 * tol * n:
+    if not abs(weight - 1.0) <= 10.0 * tol * n:
         raise NotAFrameFunction(f"basis weight {weight} differs from 1")
 
+    # column (pair, q) of the polarization block is (e_k + e_l q)/sqrt2, pairs k < l in row order
+    k, l = np.triu_indices(n, 1)
+    pairs = np.arange(len(k))
+    polar = np.zeros((n, len(k), len(units), 4))
+    polar[k, pairs, :, 0] = 1.0
+    polar[l, pairs] = units
+    polar /= np.sqrt(2.0)
+    r = probe(Matrix(algebra, polar.reshape(n, -1, 4))).reshape(len(k), len(units))
+    r = r - ((diag[k] + diag[l]) / 2.0)[:, None]
+    # T_kl = sum_q conj(q) Re(T_kl q), summed from zero in the order of the units
+    entries = np.zeros((len(k), 4))
+    for u, q in enumerate(units):
+        entries = entries + _conj_comps(q) * r[:, u, None]
     comps = np.zeros((n, n, 4))
     comps[np.arange(n), np.arange(n), 0] = diag
-    for k in range(n):
-        for l in range(k + 1, n):
-            entry = Quaternion.ZERO
-            for q in ident_units:
-                r_q = f(_polarization_vector(k, l, q, n, algebra)) - (diag[k] + diag[l]) / 2.0
-                entry = entry + q.conjugate() * r_q
-            comps[k, l] = entry.to_array()
-            comps[l, k] = entry.conjugate().to_array()
+    comps[k, l] = entries
+    comps[l, k] = _conj_comps(entries)
     T = Matrix(algebra, comps)
 
     X = random_unit_vectors(n, verification_probes, algebra, rng)
     # Re<x|Tx> = sum_m Re(conj(x_m) (Tx)_m), the componentwise dot product
     predicted = (X.comps * (T @ X).comps).sum(axis=(0, 2))
-    for p in range(verification_probes):
-        error = abs(predicted[p] - f(X.col(p)))
-        if error > tol:
-            raise NotAFrameFunction(f"oracle is not a quadratic form: probe error {error:.3e}")
+    errors = np.abs(predicted - probe(X))
+    failed = np.flatnonzero(~(errors <= tol))
+    if failed.size:
+        error = errors[failed[0]]
+        raise NotAFrameFunction(f"oracle is not a quadratic form: probe error {error:.3e}")
     return DensityOperator(T)
 
 

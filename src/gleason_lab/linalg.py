@@ -21,13 +21,16 @@ and the quaternionic eigenvector lift in :mod:`gleason_lab.spectral`.
 
 The pointwise Hamilton product :func:`_mul_comps` is table-driven: it reads
 the left-regular form of its left factor off :data:`gleason_lab.kernels.HAMILTON`,
-the table the Gram-Schmidt block uses too.  :meth:`Projector.rank_one` builds
-the projector onto one line from one such broadcast product, with no matrix
-product; the frame-function probe of :mod:`gleason_lab.gleason` runs on it.
+the table the Gram-Schmidt block uses too.  :meth:`Projector.rank_ones` builds
+the projectors onto the lines of a block of columns from one such broadcast
+product, with no matrix product, and certifies the whole stack at once;
+:meth:`Projector.rank_one` is its one-column case.  The frame-function probes
+of :mod:`gleason_lab.gleason` run on it.
 
 Random instances share one Gaussian layout, :func:`_gaussian_comps`;
 :func:`random_unit_vectors` draws a block of unit vectors, and
-:func:`random_unit_vector` is its one-column case.
+:func:`random_unit_vector` is its one-column case; :func:`random_phases` and
+:func:`random_phase` stand in the same relation.
 """
 
 from __future__ import annotations
@@ -384,32 +387,47 @@ class Projector:
     def __init__(self, matrix: Matrix, tol: float = _PROJECTOR_TOL):
         if not matrix.is_square:
             raise ValueError("projector matrix must be square")
-        _certify_projector(matrix, (matrix @ matrix - matrix).max_abs(), tol)
+        idem = (matrix @ matrix - matrix).max_abs()
+        _certify_projectors(matrix.comps[None], np.array([idem]), tol)
         self.matrix = matrix
 
     @classmethod
-    def rank_one(cls, x: Vector) -> "Projector":
-        """The projector u u* onto the line of x, u = x / |x|, with no matrix product.
+    def rank_ones(cls, X: Matrix) -> list["Projector"]:
+        """The projectors u u* onto the lines of the columns x of X, u = x / |x|,
+        in column order, with no matrix product.
 
-        The entries u_r conj(u_c) come from one broadcast Hamilton product.
-        Idempotency is read from the rank-one identity P^2 - P = (|u|^2 - 1) P,
-        so its defect is ||u|^2 - 1| max|P_rc|; both certificates use the
-        constructor's tolerance.  A zero or non-finite x raises DegenerateInput.
+        The entries u_r conj(u_c) of every projector come from one broadcast
+        Hamilton product.  Idempotency is read from the rank-one identity
+        P^2 - P = (|u|^2 - 1) P, so its defect is ||u|^2 - 1| max|P_rc|; both
+        certificates run over the whole stack at the constructor's tolerance.
+        A zero or non-finite column raises DegenerateInput.
         """
-        nrm = x.norm()
+        # one row of 4n contiguous components per column, so each norm sums
+        # in the order that a lone column's does
+        Xt = np.ascontiguousarray(X.comps.transpose(1, 0, 2))
+        norms = np.sqrt((Xt**2).sum(axis=(1, 2)))
         # NaN would slip through the zero test, and inf would normalize to 0
-        if not np.isfinite(nrm):
+        if not np.isfinite(norms).all():
             raise DegenerateInput("input vector has a non-finite norm")
-        if nrm == 0.0:
+        if (norms == 0.0).any():
             raise DegenerateInput("zero input vector")
-        u = x.comps / nrm
-        matrix = Matrix(x.algebra, _mul_comps(u[:, None, :], _conj_comps(u)[None, :, :]))
-        row_sq = (u**2).sum(axis=1)  # |u_r|^2; max|P_rc| = max_r |u_r|^2
-        _certify_projector(matrix, abs(float(row_sq.sum()) - 1.0) * float(row_sq.max()), _PROJECTOR_TOL)
-        # bypasses __init__ once the certificates hold: must set every slot
-        P = cls.__new__(cls)
-        P.matrix = matrix
-        return P
+        U = Xt / norms[:, None, None]
+        stack = _mul_comps(U[:, :, None, :], _conj_comps(U)[:, None, :, :])
+        row_sq = (U**2).sum(axis=2)  # |u_r|^2; max|P_rc| = max_r |u_r|^2
+        idem = np.abs(row_sq.sum(axis=1) - 1.0) * row_sq.max(axis=1)
+        _certify_projectors(stack, idem, _PROJECTOR_TOL)
+        projectors = []
+        for comps in stack:
+            # bypasses __init__ once the certificates hold: must set every slot
+            P = cls.__new__(cls)
+            P.matrix = Matrix(X.algebra, comps)
+            projectors.append(P)
+        return projectors
+
+    @classmethod
+    def rank_one(cls, x: Vector) -> "Projector":
+        """The projector onto the line of x: the one-column case of :meth:`rank_ones`."""
+        return cls.rank_ones(Matrix(x.algebra, x.comps[:, None, :]))[0]
 
     @classmethod
     def zero(cls, n: int, algebra: Algebra) -> "Projector":
@@ -438,15 +456,22 @@ class Projector:
         return f"Projector({self.algebra.value}, n={self.n}, rank={self.rank})"
 
 
-def _certify_projector(matrix: Matrix, idem: float, tol: float) -> None:
-    """Raise ValueError unless the idempotency defect ``idem`` and the Hermitian
-    defect of ``matrix`` are within ``tol`` relative to max(1, max|P_rc|)."""
-    herm = matrix.hermitian_defect()
-    scale = max(1.0, matrix.max_abs())
+def _certify_projectors(stack: np.ndarray, idem: np.ndarray, tol: float) -> None:
+    """Raise ValueError unless, for every matrix P of the (k, n, n, 4) ``stack``,
+    its idempotency defect ``idem[p]`` and its Hermitian defect are within
+    ``tol`` relative to max(1, max|P_rc|)."""
+
+    def max_abs(c: np.ndarray) -> np.ndarray:
+        return np.sqrt((c**2).sum(axis=3)).max(axis=(1, 2))
+
+    herm = max_abs(stack - _conj_comps(stack.transpose(0, 2, 1, 3)))
+    scale = np.maximum(1.0, max_abs(stack))
     # a NaN or inf entry makes a defect NaN, and NaN fails every comparison
-    if not (idem / scale <= tol and herm / scale <= tol):
+    failed = np.flatnonzero(~((idem / scale <= tol) & (herm / scale <= tol)))
+    if failed.size:
+        p = failed[0]
         raise ValueError(
-            f"not a projector: idempotency defect {idem:.3e}, hermitian defect {herm:.3e}"
+            f"not a projector: idempotency defect {idem[p]:.3e}, hermitian defect {herm[p]:.3e}"
         )
 
 
@@ -477,11 +502,12 @@ def is_positive(A: Matrix, tol: float = 1e-9) -> bool:
     if not np.isfinite(A.comps).all():
         return False
     scale = max(1.0, A.max_abs())
+    A_star = A.adjoint()
     if not A.algebra.is_real:
-        skew = A - A.adjoint()
+        skew = A - A_star
         if op_norm(skew) / 2.0 > tol * scale:
             return False
-    herm = (A + A.adjoint()) * 0.5
+    herm = (A + A_star) * 0.5
     return bool(eigvals_hermitian(herm).min() >= -tol * scale)
 
 
@@ -569,17 +595,27 @@ def random_unit_imaginary(algebra: Algebra, rng) -> Quaternion:
     return Quaternion.from_array(comps)
 
 
-def random_phase(algebra: Algebra, rng) -> Quaternion:
-    """Unit-modulus scalar of the algebra (a sign when the algebra is R)."""
+def random_phases(count: int, algebra: Algebra, rng) -> np.ndarray:
+    """``count`` unit-modulus scalars of the algebra as a (count, 4) component array.
+
+    Row p is the p-th of ``count`` successive :func:`random_phase` draws from
+    the stream: k Gaussians (k the algebra's component count) divided by their
+    norm; a draw of norm below 1e-12 becomes 1.
+    """
     rng = _as_rng(rng)
     k = algebra.component_count
-    parts = rng.gaussian_block(k)
-    nrm = float(np.sqrt((parts**2).sum()))
-    if nrm < 1e-12:
-        return Quaternion.ONE
-    comps = np.zeros(4)
-    comps[:k] = parts / nrm
-    return Quaternion.from_array(comps)
+    parts = rng.gaussian_block(count * k).reshape(count, k)
+    norms = np.sqrt((parts**2).sum(axis=1))
+    small = norms < 1e-12
+    comps = np.zeros((count, 4))
+    comps[~small, :k] = parts[~small] / norms[~small, None]
+    comps[small, 0] = 1.0
+    return comps
+
+
+def random_phase(algebra: Algebra, rng) -> Quaternion:
+    """Unit-modulus scalar of the algebra (a sign when the algebra is R)."""
+    return Quaternion.from_array(random_phases(1, algebra, rng)[0])
 
 
 def random_projector(n: int, rank: int, algebra: Algebra, rng) -> Projector:

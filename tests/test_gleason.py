@@ -31,6 +31,7 @@ from gleason_lab.linalg import (
     inner,
     outer,
     projector_onto,
+    random_matrix,
     random_phase,
     random_projector,
     random_unit_vector,
@@ -54,6 +55,17 @@ class TestDensityOperator:
         bad = Matrix.from_rows([[0.5, 1.0], [0.0, 0.5]], Algebra.R)
         with pytest.raises(NotHermitian):
             DensityOperator(bad)
+
+    def test_hermitian_ratio_test_is_the_eigensolvers_at_1e_8(self):
+        def state(defect: float) -> Matrix:
+            comps = np.zeros((3, 3, 4))
+            comps[[0, 1, 2], [0, 1, 2], 0] = [0.5, 0.3, 0.2]
+            comps[0, 1, 1] = defect  # |A - A*| = defect, max|A_rc| = 0.5: the ratio is the defect
+            return Matrix(Algebra.C, comps)
+
+        with pytest.raises(NotHermitian):
+            DensityOperator(state(2e-8))
+        assert DensityOperator(state(5e-9)).rank() == 3
 
     def test_rejects_negative_operators(self):
         with pytest.raises(NotPositive):
@@ -174,11 +186,22 @@ class TestReconstruction:
         assert (rebuilt.matrix - T.matrix).max_abs() < 1e-9
 
     @pytest.mark.parametrize("algebra", ALGEBRAS)
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_block_probes_match_pointwise_probes_bit_for_bit(self, algebra, n):
+        T = random_density(n, algebra, SplitMix64(910 + n))
+        f = FrameFunction.from_measure(measure_from_state(T))
+        block = reconstruct_state(f, n, algebra).matrix.comps
+        pointwise = reconstruct_state(FrameFunction.pointwise(f), n, algebra).matrix.comps
+        assert np.array_equal(block, pointwise)
+
+    @pytest.mark.parametrize("algebra", ALGEBRAS)
     def test_frame_function_probe_builds_no_matrix_product(self, algebra, monkeypatch):
         rng = SplitMix64(61)
         T = random_density(4, algebra, rng)
         x = random_vector(4, algebra, rng)
         expect = inner(x, T.matrix @ x).real / x.norm() ** 2
+        X = random_matrix(4, 50, algebra, rng)
+        expect_block = [inner(u, T.matrix @ u).real / u.norm() ** 2 for u in X.columns()]
         f = FrameFunction.from_measure(measure_from_state(T))
         calls = []
         product = kernels.quat_matmul
@@ -189,8 +212,10 @@ class TestReconstruction:
 
         monkeypatch.setattr(kernels, "quat_matmul", counting)
         value = f(x)
+        values = f.evaluate(X)
         assert calls == []
         assert abs(value - expect) < 1e-12
+        assert len(values) == 50 and np.abs(np.subtract(values, expect_block)).max() < 1e-12
 
     @pytest.mark.parametrize("algebra", ALGEBRAS)
     def test_every_verification_probe_calls_the_oracle_once(self, algebra):
@@ -205,15 +230,44 @@ class TestReconstruction:
                 calls += 1
                 return f(x)
 
-            rebuilt = reconstruct_state(FrameFunction(evaluate=ev), 3, algebra,
+            rebuilt = reconstruct_state(FrameFunction.pointwise(ev), 3, algebra,
                                         rng=SplitMix64(63), verification_probes=probes)
             assert (rebuilt.matrix - T.matrix).max_abs() < 1e-9
             return calls
 
         assert calls_with(100) - calls_with(0) == 100
 
+    @pytest.mark.parametrize("error, message", [(1e-3, "1.000e-03"), (np.nan, "nan")])
+    def test_first_failing_verification_probe_is_reported(self, error, message):
+        T = random_density(3, Algebra.C, SplitMix64(64))
+        f = FrameFunction.from_measure(measure_from_state(T))
+        calls = 0
+
+        def ev(x: Vector) -> float:
+            nonlocal calls
+            calls += 1
+            return f(x)
+
+        reconstruct_state(FrameFunction.pointwise(ev), 3, Algebra.C)
+        # the 100 verification probes come last: the third of them, then the fifth
+        third, fifth, calls = calls - 97, calls - 95, 0
+
+        def failing(x: Vector) -> float:
+            nonlocal calls
+            calls += 1
+            off = {third: error, fifth: 2e-3}.get(calls, 0.0)
+            return f(x) + off
+
+        with pytest.raises(NotAFrameFunction, match=f"probe error {message}$"):
+            reconstruct_state(FrameFunction.pointwise(failing), 3, Algebra.C)
+
+    def test_block_oracle_with_the_wrong_number_of_values_is_rejected(self):
+        f = FrameFunction(evaluate=lambda X: [1.0 / 3.0])
+        with pytest.raises(NotAFrameFunction, match="values for 55 probes"):
+            reconstruct_state(f, 3, Algebra.C)
+
     def test_constant_frame_function_gives_uniform_state(self):
-        f = FrameFunction(evaluate=lambda x: x.norm() ** 2 / 3.0)
+        f = FrameFunction.pointwise(lambda x: x.norm() ** 2 / 3.0)
         T = reconstruct_state(f, 3, Algebra.C)
         assert T.matrix.approx_eq(Matrix.identity(3, Algebra.C) * (1.0 / 3.0), tol=1e-10)
 
@@ -243,7 +297,7 @@ class TestReconstruction:
             return max(x.comps[0, 0], 0.0)
 
         with pytest.raises(NotAFrameFunction):
-            reconstruct_state(FrameFunction(evaluate=ev), 3, Algebra.C)
+            reconstruct_state(FrameFunction.pointwise(ev), 3, Algebra.C)
 
     def test_non_quadratic_oracle_is_rejected(self):
         def ev(x: Vector) -> float:
@@ -251,7 +305,7 @@ class TestReconstruction:
             return abs(x.entry(0) * x.entry(0).conjugate()).real ** 2 / max(p, 1e-12)
 
         with pytest.raises(NotAFrameFunction):
-            reconstruct_state(FrameFunction(evaluate=ev), 3, Algebra.C)
+            reconstruct_state(FrameFunction.pointwise(ev), 3, Algebra.C)
 
     def test_indefinite_quadratic_form_is_rejected_as_not_positive(self):
         T0 = Matrix.diag([1.5, -0.5, 0.0], Algebra.C)
@@ -260,7 +314,7 @@ class TestReconstruction:
             return inner(x, T0 @ x).real
 
         with pytest.raises(NotPositive):
-            reconstruct_state(FrameFunction(evaluate=ev), 3, Algebra.C)
+            reconstruct_state(FrameFunction.pointwise(ev), 3, Algebra.C)
 
 
 class TestExtremality:

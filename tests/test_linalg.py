@@ -8,6 +8,7 @@ from gleason_lab.linalg import (
     Matrix,
     Projector,
     Vector,
+    _certify_projectors,
     gram_schmidt,
     inner,
     is_positive,
@@ -18,6 +19,7 @@ from gleason_lab.linalg import (
     projector_onto,
     random_matrix,
     random_phase,
+    random_phases,
     random_projector,
     random_unit_vector,
     random_unit_vectors,
@@ -279,12 +281,75 @@ def test_rank_one_projector_matches_projector_onto(algebra, n, phase):
 
 
 @pytest.mark.parametrize("algebra", ALGEBRAS)
-@pytest.mark.parametrize("bad", [0.0, np.nan, np.inf, -np.inf], ids=["zero", "nan", "+inf", "-inf"])
-def test_rank_one_projector_rejects_zero_and_non_finite_input(algebra, bad):
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_rank_ones_match_rank_one_column_by_column(algebra, n):
+    X = random_matrix(n, 40, algebra, SplitMix64(55 + n))
+    stack = Projector.rank_ones(X)
+    assert len(stack) == 40
+    for p, P in enumerate(stack):
+        assert P.matrix.comps.tobytes() == Projector.rank_one(X.col(p)).matrix.comps.tobytes()
+
+
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+@pytest.mark.parametrize(
+    "bad, block",
+    [(bad, block) for block in (False, True) for bad in (0.0, np.nan, np.inf, -np.inf)],
+    ids=["zero", "nan", "+inf", "-inf", "zero-column", "nan-column", "+inf-column", "-inf-column"],
+)
+def test_rank_one_projector_rejects_zero_and_non_finite_input(algebra, bad, block):
+    if block:
+        # one bad column among good ones
+        X = random_matrix(3, 5, algebra, SplitMix64(56)).comps.copy()
+        X[:, 2] = 0.0
+        X[1, 2, 0] = bad
+        with pytest.raises(DegenerateInput):
+            Projector.rank_ones(Matrix(algebra, X))
+        return
     comps = np.zeros((3, 4))
     comps[1, 0] = bad
     with pytest.raises(DegenerateInput):
         Projector.rank_one(Vector(algebra, comps))
+
+
+def test_projector_certificates_check_every_matrix_of_a_stack():
+    P = Projector.rank_ones(random_matrix(3, 2, Algebra.H, SplitMix64(58)))
+    stack = np.stack([P[0].matrix.comps, P[1].matrix.comps])
+    _certify_projectors(stack, np.zeros(2), 1e-8)
+    skewed = stack.copy()
+    skewed[1, 0, 1, 1] += 1e-6  # the second matrix is no longer Hermitian
+    with pytest.raises(ValueError, match="hermitian defect 1.000e-06"):
+        _certify_projectors(skewed, np.zeros(2), 1e-8)
+    with pytest.raises(ValueError, match="idempotency defect 1.000e-06"):
+        _certify_projectors(stack, np.array([0.0, 1e-6]), 1e-8)
+
+
+class ZeroThirdDraw(SplitMix64):
+    """A stream whose Gaussians 8..11 are zero."""
+
+    def gaussian_block(self, count):
+        g = super().gaussian_block(count)
+        g[8:12] = 0.0
+        return g
+
+
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+def test_random_phases_are_successive_random_phase_draws(algebra):
+    rng, ref = SplitMix64(57), SplitMix64(57)
+    Q = random_phases(9, algebra, rng)
+    k = algebra.component_count
+    for p in range(9):
+        # one draw, written out: k Gaussians divided by their norm
+        parts = ref.gaussian_block(k)
+        expect = np.zeros(4)
+        expect[:k] = parts / float(np.sqrt((parts**2).sum()))
+        assert Q[p].tobytes() == expect.tobytes()
+    assert random_phase(algebra, SplitMix64(57)).to_array().tobytes() == Q[0].tobytes()
+    # the block consumed exactly the variates of its draws, Box-Muller spare included
+    assert rng.gaussian_block(3).tobytes() == ref.gaussian_block(3).tobytes()
+    # a zero draw is 1, as it is for one draw
+    k = algebra.component_count
+    Q = random_phases(12 // k + 1, algebra, ZeroThirdDraw(5))
+    assert Q[8 // k].tobytes() == ONE.to_array().tobytes()
 
 
 @pytest.mark.parametrize("algebra", ALGEBRAS)
