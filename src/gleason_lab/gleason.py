@@ -45,6 +45,9 @@ from .spectral import EigenDecomposition, eig_hermitian, eigvals_hermitian
 from .trace import real_pairing, real_trace
 
 _STATE_TOL = 1e-8
+# entries of the (k, n, n, 4) stack of line projectors that FrameFunction.from_measure
+# builds at once; a wider probe block is read in column chunks of this many entries
+_PROBE_CHUNK_ENTRIES = 1 << 21
 
 
 class DensityOperator:
@@ -157,8 +160,9 @@ class FrameFunction:
     columns and returns their k values, in column order, and ``f(x)`` is its
     one-column case.  :meth:`from_measure` reads the measure on the stack of
     line projectors of :meth:`Projector.rank_ones`, with no matrix product when
-    the measure is trace-backed; :meth:`pointwise` wraps an opaque per-vector
-    oracle.
+    the measure is trace-backed, one column chunk of at most
+    ``_PROBE_CHUNK_ENTRIES`` stack entries at a time; :meth:`pointwise` wraps an
+    opaque per-vector oracle.
     """
 
     evaluate: Callable[[Matrix], Sequence[float]]
@@ -169,7 +173,9 @@ class FrameFunction:
     @classmethod
     def from_measure(cls, mu: LatticeMeasure) -> "FrameFunction":
         def ev(X: Matrix) -> list[float]:
-            return [mu(P) for P in Projector.rank_ones(X)]
+            width = max(1, _PROBE_CHUNK_ENTRIES // (4 * X.n * X.n))
+            chunks = (Matrix(X.algebra, X.comps[:, c:c + width]) for c in range(0, X.m, width))
+            return [mu(P) for chunk in chunks for P in Projector.rank_ones(chunk)]
 
         return cls(evaluate=ev)
 

@@ -6,13 +6,23 @@ returns a worst-case residual for a given (algebra, dimension, seed) cell,
 and a tolerance.  ``run_suite`` executes the whole matrix deterministically;
 ``emit_report`` serializes the outcome.  The registry doubles as the coverage
 manifest shipped in ``claims.json``.
+
+Most runners are written per trial: ``trial(cell, t)`` draws trial ``t`` from
+``cell.rng`` and returns its residual terms (possibly none), and
+``_per_trial`` turns it into the cell runner, which runs the trials in order
+on the one stream.  The residual of a cell is the worst of its terms,
+``max(0.0, *terms)`` taken in order by ``_worst``, so a term <= 0 counts for
+nothing.  A NaN term makes the residual NaN, and ``run_suite`` records any
+non-finite residual as a failure with no residual.
 """
 
 from __future__ import annotations
 
 import fnmatch
 import json
-from dataclasses import dataclass, field, asdict
+import math
+from collections.abc import Callable, Iterable
+from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 
 import numpy as np
@@ -36,6 +46,9 @@ from .linalg import (
 from .rng import SplitMix64
 from .scalars import Algebra, Quaternion
 
+# how RunConfig.from_json turns a JSON value into its field
+_FROM_JSON = {"algebras": tuple, "dims": tuple, "seeds": tuple, "trials": int, "tolerances": dict}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -52,11 +65,19 @@ class RunConfig:
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         for letter in self.algebras:
-            Algebra.from_letter(letter)
+            if letter not in ("R", "C", "H"):
+                raise ValueError(f"unknown algebra {letter!r}, expected R, C or H")
+        for name in ("algebras", "dims", "seeds"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ValueError(f"duplicate {name}: {list(values)}")
         known = {prop.name for prop in REGISTRY}
         unknown = sorted(set(self.tolerances) - known)
         if unknown:
             raise ValueError(f"tolerances name no registered property: {', '.join(unknown)}")
+        non_finite = sorted(k for k, v in self.tolerances.items() if not math.isfinite(float(v)))
+        if non_finite:
+            raise ValueError(f"tolerances must be finite: {', '.join(non_finite)}")
 
     def to_json(self) -> dict:
         return {
@@ -70,14 +91,11 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "RunConfig":
-        return cls(
-            algebras=tuple(obj.get("algebras", ("R", "C", "H"))),
-            dims=tuple(obj.get("dims", (3,))),
-            seeds=tuple(obj.get("seeds", (0,))),
-            trials=int(obj.get("trials", 10)),
-            tolerances=dict(obj.get("tolerances", {})),
-            only=obj.get("only"),
-        )
+        """The config of a ``to_json`` object; absent keys keep the field defaults."""
+        unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        return cls(**{k: _FROM_JSON[k](v) if k in _FROM_JSON else v for k, v in obj.items()})
 
 
 @dataclass
@@ -161,183 +179,166 @@ class SuiteReport:
 # property runners; each returns a worst-case residual (smaller is better)
 # ---------------------------------------------------------------------------
 
-def _run_basis_invariance_rc(cell: Cell) -> float:
-    worst = 0.0
-    for _ in range(cell.trials):
-        A = random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
-        t0 = tr.trace_n(A, random_unitary(cell.dim, cell.algebra, cell.rng))
-        t1 = tr.trace_n(A, random_unitary(cell.dim, cell.algebra, cell.rng))
-        worst = max(worst, abs(t0 - t1))
-    return worst
+Terms = Iterable[float]
 
 
-def _run_hermitian_invariance_h(cell: Cell) -> float:
-    worst = 0.0
-    for _ in range(cell.trials):
-        A = random_hermitian(cell.dim, cell.algebra, cell.rng)
-        t0 = tr.trace_n(A, random_unitary(cell.dim, cell.algebra, cell.rng))
-        t1 = tr.trace_n(A, random_unitary(cell.dim, cell.algebra, cell.rng))
-        worst = max(worst, abs(t0 - t1))
-    return worst
+def _worst(terms: Terms) -> float:
+    """max(0.0, *terms), taken in order, or NaN as soon as a term is NaN (Python's
+    max drops a NaN that is not its first argument)."""
+    peak = 0.0
+    for term in terms:
+        if math.isnan(term):
+            return math.nan
+        peak = max(peak, term)
+    return peak
 
 
-def _run_nonhermitian_dependence_h(cell: Cell) -> float:
-    # A failing-to-be-invariant witness must exist: residual is the shortfall
+def _per_trial(trial: Callable[[Cell, int], Terms]) -> Callable[[Cell], float]:
+    """The cell runner of ``trial(cell, t)``: trials t = 0 .. cell.trials - 1 run
+    in order on ``cell.rng``, and the residual is the worst of all their terms."""
+
+    def runner(cell: Cell) -> float:
+        return _worst(term for t in range(cell.trials) for term in trial(cell, t))
+
+    return runner
+
+
+def _basis_gap(A: Matrix, cell: Cell) -> float:
+    """|tr_N(A) in one random orthonormal basis - tr_N(A) in the next one drawn|."""
+    t0 = tr.trace_n(A, random_unitary(cell.dim, cell.algebra, cell.rng))
+    t1 = tr.trace_n(A, random_unitary(cell.dim, cell.algebra, cell.rng))
+    return abs(t0 - t1)
+
+
+def _basis_invariance(draw: Callable[[Cell], Matrix]) -> Callable[[Cell], float]:
+    """Per trial, the basis-trace gap of one operator from ``draw``."""
+    return _per_trial(lambda cell, t: (_basis_gap(draw(cell), cell),))
+
+
+_run_basis_invariance_rc = _basis_invariance(lambda c: random_matrix(c.dim, c.dim, c.algebra, c.rng))
+_run_hermitian_invariance_h = _basis_invariance(lambda c: random_hermitian(c.dim, c.algebra, c.rng))
+
+
+@_per_trial
+def _run_nonhermitian_dependence_h(cell: Cell, t: int) -> Terms:
+    # A failing-to-be-invariant witness must exist: the term is the shortfall
     # of the best basis-trace gap found below the 1e-3 detection threshold.
-    worst = 0.0
-    for _ in range(cell.trials):
-        A = random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
-        skew = (A - A.adjoint()).max_abs()
-        if skew < 0.1:
-            continue
-        best = 0.0
-        for _ in range(6):
-            t0 = tr.trace_n(A, random_unitary(cell.dim, cell.algebra, cell.rng))
-            t1 = tr.trace_n(A, random_unitary(cell.dim, cell.algebra, cell.rng))
-            best = max(best, abs(t0 - t1))
-        worst = max(worst, max(0.0, 1e-3 - best))
-    return worst
+    A = random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
+    if (A - A.adjoint()).max_abs() < 0.1:
+        return ()
+    return (1e-3 - _worst(_basis_gap(A, cell) for _ in range(6)),)
 
 
-def _run_real_trace_invariance(cell: Cell) -> float:
-    worst = 0.0
-    for _ in range(cell.trials):
-        A = random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
-        base = tr.real_trace(A)
-        for _ in range(3):
-            got = tr.trace_n(A, random_unitary(cell.dim, cell.algebra, cell.rng)).real
-            worst = max(worst, abs(got - base))
-    return worst
+@_per_trial
+def _run_real_trace_invariance(cell: Cell, t: int) -> Terms:
+    A = random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
+    base = tr.real_trace(A)
+    bases = (random_unitary(cell.dim, cell.algebra, cell.rng) for _ in range(3))
+    return [abs(tr.trace_n(A, U).real - base) for U in bases]
 
 
-def _run_real_cyclicity(cell: Cell) -> float:
-    worst = 0.0
-    for _ in range(cell.trials):
-        A = random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
-        B = random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
-        worst = max(worst, tr.real_trace_cyclic_gap(A, B) / (1.0 + tr.trace_norm(A) * sp.op_norm(B)))
-    return worst
+@_per_trial
+def _run_real_cyclicity(cell: Cell, t: int) -> Terms:
+    A = random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
+    B = random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
+    return (tr.real_trace_cyclic_gap(A, B) / (1.0 + tr.trace_norm(A) * sp.op_norm(B)),)
 
 
-def _run_norm_inequalities(cell: Cell) -> float:
-    worst = 0.0
-    for _ in range(cell.trials):
-        A = random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
-        B = random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
-        rep = tr.check_norm_inequalities(A, B)
-        worst = max(
-            worst,
-            -min(rep.slack_ab, 0.0),
-            -min(rep.slack_ba, 0.0),
-            abs(rep.adjoint_gap),
-            -min(rep.op_vs_trace_slack, 0.0),
-        )
-    return worst
+@_per_trial
+def _run_norm_inequalities(cell: Cell, t: int) -> Terms:
+    A = random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
+    B = random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
+    rep = tr.check_norm_inequalities(A, B)
+    return -rep.slack_ab, -rep.slack_ba, abs(rep.adjoint_gap), -rep.op_vs_trace_slack
 
 
-def _run_adapted_trace_formula(cell: Cell) -> float:
-    worst = 0.0
-    for _ in range(cell.trials):
-        A = random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
-        scale = 1.0 + tr.trace_norm(A)
-        for unit in (Quaternion.I, random_unit_imaginary(cell.algebra, cell.rng)):
-            check = tr.quaternionic_trace_formula_check(A, unit)
-            worst = max(worst, check.residual / scale)
-    return worst
+@_per_trial
+def _run_adapted_trace_formula(cell: Cell, t: int) -> Terms:
+    A = random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
+    scale = 1.0 + tr.trace_norm(A)
+    units = (Quaternion.I, random_unit_imaginary(cell.algebra, cell.rng))
+    return [tr.quaternionic_trace_formula_check(A, unit).residual / scale for unit in units]
 
 
-def _run_diagonal_basis_cyclicity(cell: Cell) -> float:
-    worst = 0.0
-    for _ in range(cell.trials):
-        A = random_hermitian(cell.dim, cell.algebra, cell.rng)
-        B = random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
-        basis = sp.eig_hermitian(A).basis
-        worst = max(worst, abs(tr.trace_n(A @ B, basis) - tr.trace_n(B @ A, basis)))
-        BH = (B + B.adjoint()) * 0.5
-        t = tr.trace_n(A @ BH, basis)
-        worst = max(worst, abs(t - Quaternion(t.real)))
-    return worst
+@_per_trial
+def _run_diagonal_basis_cyclicity(cell: Cell, t: int) -> Terms:
+    A = random_hermitian(cell.dim, cell.algebra, cell.rng)
+    B = random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
+    basis = sp.eig_hermitian(A).basis
+    gap = abs(tr.trace_n(A @ B, basis) - tr.trace_n(B @ A, basis))
+    BH = (B + B.adjoint()) * 0.5
+    full = tr.trace_n(A @ BH, basis)
+    return gap, abs(full - Quaternion(full.real))
 
 
-def _run_projector_sandwich(cell: Cell) -> float:
-    worst = 0.0
-    for _ in range(cell.trials):
-        A = random_hermitian(cell.dim, cell.algebra, cell.rng)
-        rank = 1 + cell.rng.integer(cell.dim)
-        P = random_projector(cell.dim, rank, cell.algebra, cell.rng)
-        lhs = tr.real_trace(P.matrix @ A)
-        sandwiched = P.matrix @ A @ P.matrix
-        worst = max(worst, abs(lhs - tr.real_trace(sandwiched)))
-        t = tr.trace_n(sandwiched, Matrix.identity(cell.dim, cell.algebra))
-        worst = max(worst, abs(t - Quaternion(t.real)))
-    return worst
+@_per_trial
+def _run_projector_sandwich(cell: Cell, t: int) -> Terms:
+    A = random_hermitian(cell.dim, cell.algebra, cell.rng)
+    rank = 1 + cell.rng.integer(cell.dim)
+    P = random_projector(cell.dim, rank, cell.algebra, cell.rng)
+    lhs = tr.real_trace(P.matrix @ A)
+    sandwiched = P.matrix @ A @ P.matrix
+    full = tr.trace_n(sandwiched, Matrix.identity(cell.dim, cell.algebra))
+    return abs(lhs - tr.real_trace(sandwiched)), abs(full - Quaternion(full.real))
 
 
-def _run_linearity_star(cell: Cell) -> float:
-    worst = 0.0
-    for _ in range(cell.trials):
-        A = random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
-        B = random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
-        a = cell.rng.gaussian()
-        b = cell.rng.gaussian()
-        lin = tr.real_trace(A * a + B * b) - a * tr.real_trace(A) - b * tr.real_trace(B)
-        star = tr.real_trace(A.adjoint()) - tr.real_trace(A)
-        worst = max(worst, abs(lin), abs(star))
-    return worst
+@_per_trial
+def _run_linearity_star(cell: Cell, t: int) -> Terms:
+    A = random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
+    B = random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
+    a = cell.rng.gaussian()
+    b = cell.rng.gaussian()
+    lin = tr.real_trace(A * a + B * b) - a * tr.real_trace(A) - b * tr.real_trace(B)
+    star = tr.real_trace(A.adjoint()) - tr.real_trace(A)
+    return abs(lin), abs(star)
 
 
-def _run_positivity_monotonicity(cell: Cell) -> float:
-    worst = 0.0
-    for _ in range(cell.trials):
-        C = random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
-        D = random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
-        B = random_hermitian(cell.dim, cell.algebra, cell.rng)
-        pos = C.adjoint() @ C
-        worst = max(worst, -min(tr.real_trace(pos), 0.0))
-        A = B + D.adjoint() @ D  # A >= B by construction
-        worst = max(worst, max(0.0, tr.real_trace(B) - tr.real_trace(A)))
-    return worst
+@_per_trial
+def _run_positivity_monotonicity(cell: Cell, t: int) -> Terms:
+    C = random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
+    D = random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
+    B = random_hermitian(cell.dim, cell.algebra, cell.rng)
+    A = B + D.adjoint() @ D  # A >= B by construction
+    return -tr.real_trace(C.adjoint() @ C), tr.real_trace(B) - tr.real_trace(A)
 
 
-def _run_absolute_sum_bound(cell: Cell) -> float:
-    worst = 0.0
-    for _ in range(cell.trials):
-        A = random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
-        bound = tr.trace_norm(A)
-        for _ in range(3):
-            total = tr.absolute_diagonal_sum(A, random_unitary(cell.dim, cell.algebra, cell.rng))
-            worst = max(worst, max(0.0, total - bound) / max(1.0, bound))
-    return worst
+@_per_trial
+def _run_absolute_sum_bound(cell: Cell, t: int) -> Terms:
+    A = random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
+    bound = tr.trace_norm(A)
+    bases = (random_unitary(cell.dim, cell.algebra, cell.rng) for _ in range(3))
+    return [(tr.absolute_diagonal_sum(A, U) - bound) / max(1.0, bound) for U in bases]
 
 
-def _run_realification_quarter(cell: Cell) -> float:
-    worst = 0.0
-    for _ in range(cell.trials):
-        A = random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
-        check = tr.realification_check(A)
-        scale = 1.0 + check.trace_norm_h
-        worst = max(worst, check.trace_norm_gap / scale, check.trace_gap / scale)
-    return worst
+@_per_trial
+def _run_realification_quarter(cell: Cell, t: int) -> Terms:
+    check = tr.realification_check(random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng))
+    scale = 1.0 + check.trace_norm_h
+    return check.trace_norm_gap / scale, check.trace_gap / scale
+
+
+def _j_on_h1() -> list[Matrix]:
+    """Left multiplication by j on H^1, with the bases {1} and {i}."""
+    return [Matrix.from_rows([[q]], Algebra.H) for q in (Quaternion.J, Quaternion.ONE, Quaternion.I)]
+
+
+def _cyclicity_witness(n: int) -> list[Matrix]:
+    """diag(i, 0, ..., 0) and diag(j, 0, ..., 0) on H^n."""
+    return [Matrix.diag([q] + [0.0] * (n - 1), Algebra.H) for q in (Quaternion.I, Quaternion.J)]
 
 
 def _run_witness_basis_dependent_trace(cell: Cell) -> float:
-    # One-dimensional quaternionic space; left multiplication by j changes the
-    # sign of its basis trace between the bases {1} and {i}.
-    A = Matrix.from_rows([[Quaternion.J]], Algebra.H)
-    one = Matrix.from_rows([[Quaternion.ONE]], Algebra.H)
-    i_basis = Matrix.from_rows([[Quaternion.I]], Algebra.H)
-    r1 = abs(tr.trace_n(A, one) - Quaternion.J)
-    r2 = abs(tr.trace_n(A, i_basis) + Quaternion.J)
-    return max(r1, r2)
+    # the trace is +j in the basis {1} and -j in the basis {i}
+    A, one, i_basis = _j_on_h1()
+    return _worst((abs(tr.trace_n(A, one) - Quaternion.J), abs(tr.trace_n(A, i_basis) + Quaternion.J)))
 
 
 def _run_witness_cyclicity_failure(cell: Cell) -> float:
     n = max(cell.dim, 2)
-    A = Matrix.diag([Quaternion.I] + [0.0] * (n - 1), Algebra.H)
-    B = Matrix.diag([Quaternion.J] + [0.0] * (n - 1), Algebra.H)
+    A, B = _cyclicity_witness(n)
     basis = Matrix.identity(n, Algebra.H)
     full_gap = abs(tr.trace_n(A @ B, basis) - tr.trace_n(B @ A, basis))
-    return max(tr.real_trace_cyclic_gap(A, B), abs(full_gap - 2.0))
+    return _worst((tr.real_trace_cyclic_gap(A, B), abs(full_gap - 2.0)))
 
 
 def _antisymmetric_witness(m: int) -> Matrix:
@@ -352,73 +353,55 @@ def _run_witness_antisymmetric(cell: Cell) -> float:
     m = max(cell.dim // 2, 1)
     A = _antisymmetric_witness(m)
     n = 2 * m
-    worst = (sp.abs_op(A) - Matrix.identity(n, Algebra.R)).max_abs()
-    worst = max(worst, abs(tr.trace_norm(A) - n))
-    for _ in range(min(cell.trials, 20)):
-        basis = random_unitary(n, Algebra.R, cell.rng)
-        worst = max(worst, tr.absolute_diagonal_sum(A, basis))
-    return worst
+    terms = [(sp.abs_op(A) - Matrix.identity(n, Algebra.R)).max_abs(), abs(tr.trace_norm(A) - n)]
+    bases = (random_unitary(n, Algebra.R, cell.rng) for _ in range(min(cell.trials, 20)))
+    return _worst(terms + [tr.absolute_diagonal_sum(A, U) for U in bases])
 
 
-def _run_gleason_round_trip(cell: Cell) -> float:
-    worst = 0.0
-    for _ in range(cell.trials):
-        T = gl.random_density(cell.dim, cell.algebra, cell.rng)
-        f = gl.FrameFunction.from_measure(gl.measure_from_state(T))
-        rebuilt = gl.reconstruct_state(f, cell.dim, cell.algebra, rng=cell.rng)
-        worst = max(worst, (rebuilt.matrix - T.matrix).max_abs())
-    return worst
+@_per_trial
+def _run_gleason_round_trip(cell: Cell, t: int) -> Terms:
+    T = gl.random_density(cell.dim, cell.algebra, cell.rng)
+    f = gl.FrameFunction.from_measure(gl.measure_from_state(T))
+    rebuilt = gl.reconstruct_state(f, cell.dim, cell.algebra, rng=cell.rng)
+    return ((rebuilt.matrix - T.matrix).max_abs(),)
 
 
-def _run_sigma_additivity(cell: Cell) -> float:
-    worst = 0.0
-    for _ in range(cell.trials):
-        mu = gl.measure_from_state(gl.random_density(cell.dim, cell.algebra, cell.rng))
-        parts = gl.random_orthogonal_decomposition(cell.dim, cell.algebra, cell.rng)
-        worst = max(worst, abs(sum(mu(P) for P in parts) - 1.0))
-    return worst
+@_per_trial
+def _run_sigma_additivity(cell: Cell, t: int) -> Terms:
+    mu = gl.measure_from_state(gl.random_density(cell.dim, cell.algebra, cell.rng))
+    parts = gl.random_orthogonal_decomposition(cell.dim, cell.algebra, cell.rng)
+    return (abs(sum(mu(P) for P in parts) - 1.0),)
 
 
-def _run_measure_range(cell: Cell) -> float:
-    worst = 0.0
-    for _ in range(cell.trials):
-        mu = gl.measure_from_state(gl.random_density(cell.dim, cell.algebra, cell.rng))
-        rank = 1 + cell.rng.integer(cell.dim)
-        value = mu(random_projector(cell.dim, rank, cell.algebra, cell.rng))
-        worst = max(worst, max(0.0, -value), max(0.0, value - 1.0))
-    return worst
+@_per_trial
+def _run_measure_range(cell: Cell, t: int) -> Terms:
+    mu = gl.measure_from_state(gl.random_density(cell.dim, cell.algebra, cell.rng))
+    rank = 1 + cell.rng.integer(cell.dim)
+    value = mu(random_projector(cell.dim, rank, cell.algebra, cell.rng))
+    return -value, value - 1.0
 
 
-def _run_extremality(cell: Cell) -> float:
-    worst = 0.0
-    for _ in range(cell.trials):
-        psi = random_unit_vector(cell.dim, cell.algebra, cell.rng)
-        if not gl.is_extremal(gl.pure_state(psi)):
-            worst = max(worst, 1.0)
-        rank = 2 + cell.rng.integer(cell.dim - 1) if cell.dim > 2 else 2
-        mixed = gl.random_density(cell.dim, cell.algebra, cell.rng, rank=min(rank, cell.dim))
-        if gl.is_extremal(mixed):
-            worst = max(worst, 1.0)
-            continue
-        w1, T1, T2 = gl.extremal_split(mixed)
-        recombined = gl.convex_mix([T1, T2], [w1, 1.0 - w1])
-        worst = max(worst, (recombined.matrix - mixed.matrix).max_abs())
-    return worst
+@_per_trial
+def _run_extremality(cell: Cell, t: int) -> Terms:
+    psi = random_unit_vector(cell.dim, cell.algebra, cell.rng)
+    pure_failed = float(not gl.is_extremal(gl.pure_state(psi)))
+    rank = 2 + cell.rng.integer(cell.dim - 1) if cell.dim > 2 else 2
+    mixed = gl.random_density(cell.dim, cell.algebra, cell.rng, rank=min(rank, cell.dim))
+    if gl.is_extremal(mixed):
+        return pure_failed, 1.0
+    w1, T1, T2 = gl.extremal_split(mixed)
+    recombined = gl.convex_mix([T1, T2], [w1, 1.0 - w1])
+    return pure_failed, (recombined.matrix - mixed.matrix).max_abs()
 
 
-def _run_separation(cell: Cell) -> float:
-    worst = 0.0
-    for _ in range(cell.trials):
-        rank_p = 1 + cell.rng.integer(cell.dim)
-        rank_q = 1 + cell.rng.integer(cell.dim)
-        P = random_projector(cell.dim, rank_p, cell.algebra, cell.rng)
-        Q = random_projector(cell.dim, rank_q, cell.algebra, cell.rng)
-        distinct = (P.matrix - Q.matrix).max_abs() > 1e-6
-        if distinct != gl.separation_check(P, Q):
-            worst = max(worst, 1.0)
-        if gl.separation_check(P, P):
-            worst = max(worst, 1.0)
-    return worst
+@_per_trial
+def _run_separation(cell: Cell, t: int) -> Terms:
+    rank_p = 1 + cell.rng.integer(cell.dim)
+    rank_q = 1 + cell.rng.integer(cell.dim)
+    P = random_projector(cell.dim, rank_p, cell.algebra, cell.rng)
+    Q = random_projector(cell.dim, rank_q, cell.algebra, cell.rng)
+    distinct = (P.matrix - Q.matrix).max_abs() > 1e-6
+    return float(distinct != gl.separation_check(P, Q)), float(gl.separation_check(P, P))
 
 
 def _run_unit_lemma(cell: Cell) -> float:
@@ -438,111 +421,85 @@ def _run_unit_lemma(cell: Cell) -> float:
     return float(violations)
 
 
-def _run_mix_linearity(cell: Cell) -> float:
-    worst = 0.0
-    for _ in range(cell.trials):
-        t1 = gl.random_density(cell.dim, cell.algebra, cell.rng)
-        t2 = gl.random_density(cell.dim, cell.algebra, cell.rng)
-        w = cell.rng.uniform()
-        mixed = gl.convex_mix([t1, t2], [w, 1.0 - w])
-        P = random_projector(cell.dim, 1 + cell.rng.integer(cell.dim), cell.algebra, cell.rng)
-        lhs = gl.measure_from_state(mixed)(P)
-        rhs = w * gl.measure_from_state(t1)(P) + (1.0 - w) * gl.measure_from_state(t2)(P)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+@_per_trial
+def _run_mix_linearity(cell: Cell, t: int) -> Terms:
+    t1 = gl.random_density(cell.dim, cell.algebra, cell.rng)
+    t2 = gl.random_density(cell.dim, cell.algebra, cell.rng)
+    w = cell.rng.uniform()
+    mixed = gl.convex_mix([t1, t2], [w, 1.0 - w])
+    P = random_projector(cell.dim, 1 + cell.rng.integer(cell.dim), cell.algebra, cell.rng)
+    lhs = gl.measure_from_state(mixed)(P)
+    rhs = w * gl.measure_from_state(t1)(P) + (1.0 - w) * gl.measure_from_state(t2)(P)
+    return (abs(lhs - rhs),)
 
 
-def _run_pure_phase_classes(cell: Cell) -> float:
-    worst = 0.0
-    for _ in range(cell.trials):
-        psi = random_unit_vector(cell.dim, cell.algebra, cell.rng)
-        q = random_phase(cell.algebra, cell.rng)
-        T0 = gl.pure_state(psi)
-        T1 = gl.pure_state(psi.scale_right(q))
-        worst = max(worst, (T0.matrix - T1.matrix).max_abs())
-    return worst
+@_per_trial
+def _run_pure_phase_classes(cell: Cell, t: int) -> Terms:
+    psi = random_unit_vector(cell.dim, cell.algebra, cell.rng)
+    q = random_phase(cell.algebra, cell.rng)
+    T0 = gl.pure_state(psi)
+    T1 = gl.pure_state(psi.scale_right(q))
+    return ((T0.matrix - T1.matrix).max_abs(),)
 
 
 def _run_dim2_obstruction(cell: Cell) -> float:
     mu, cert = gl.dim2_counterexample(probes=max(cell.trials * 10, 100))
     # additivity must hold tightly AND the best trace fit must miss badly
-    residual = cert.additivity_gap + abs(cert.identity_value - 1.0)
-    residual = max(residual, max(0.0, 0.05 - cert.best_fit_max_error))
-    return residual
+    fit_shortfall = 0.05 - cert.best_fit_max_error
+    return _worst((cert.additivity_gap + abs(cert.identity_value - 1.0), fit_shortfall))
 
 
-def _run_pvm_partition(cell: Cell) -> float:
-    worst = 0.0
-    for _ in range(cell.trials):
-        A = qm.Observable(random_hermitian(cell.dim, cell.algebra, cell.rng))
-        pvm = qm.pvm_of(A)
-        ident = Matrix.identity(cell.dim, cell.algebra)
-        worst = max(worst, (pvm.total() - ident).max_abs())
-        for s1, P1 in pvm.atoms:
-            for s2, P2 in pvm.atoms:
-                if s1 != s2:
-                    worst = max(worst, (P1.matrix @ P2.matrix).max_abs())
-    return worst
+@_per_trial
+def _run_pvm_partition(cell: Cell, t: int) -> Terms:
+    pvm = qm.pvm_of(qm.Observable(random_hermitian(cell.dim, cell.algebra, cell.rng)))
+    return [(pvm.total() - Matrix.identity(cell.dim, cell.algebra)).max_abs()] + [
+        (P1.matrix @ P2.matrix).max_abs() for s1, P1 in pvm.atoms for s2, P2 in pvm.atoms if s1 != s2
+    ]
 
 
-def _run_functional_calculus(cell: Cell) -> float:
-    worst = 0.0
-    for _ in range(cell.trials):
-        A = qm.Observable(random_hermitian(cell.dim, cell.algebra, cell.rng))
-        scale = max(1.0, A.matrix.max_abs() ** 2)
-        worst = max(worst, (qm.apply_function(A, lambda t: t).matrix - A.matrix).max_abs())
-        square = qm.apply_function(A, lambda t: t * t).matrix
-        worst = max(worst, (square - A.matrix @ A.matrix).max_abs() / scale)
-    return worst
+@_per_trial
+def _run_functional_calculus(cell: Cell, t: int) -> Terms:
+    A = qm.Observable(random_hermitian(cell.dim, cell.algebra, cell.rng))
+    scale = max(1.0, A.matrix.max_abs() ** 2)
+    identity_gap = (qm.apply_function(A, lambda x: x).matrix - A.matrix).max_abs()
+    square = qm.apply_function(A, lambda x: x * x).matrix
+    return identity_gap, (square - A.matrix @ A.matrix).max_abs() / scale
 
 
-def _run_expectation_duality(cell: Cell) -> float:
-    worst = 0.0
-    for _ in range(cell.trials):
-        A = qm.Observable(random_hermitian(cell.dim, cell.algebra, cell.rng))
-        T = gl.random_density(cell.dim, cell.algebra, cell.rng)
-        dist = qm.outcome_measure(A, T)
-        worst = max(worst, abs(dist.total() - 1.0))
-        worst = max(worst, abs(qm.expectation(A, T) - dist.mean()))
-        via_moments = np.sqrt(max(dist.second_moment() - dist.mean() ** 2, 0.0))
-        worst = max(worst, abs(qm.std_deviation(A, T) - via_moments))
-    return worst
+@_per_trial
+def _run_expectation_duality(cell: Cell, t: int) -> Terms:
+    A = qm.Observable(random_hermitian(cell.dim, cell.algebra, cell.rng))
+    T = gl.random_density(cell.dim, cell.algebra, cell.rng)
+    dist = qm.outcome_measure(A, T)
+    via_moments = np.sqrt(max(dist.second_moment() - dist.mean() ** 2, 0.0))
+    return (abs(dist.total() - 1.0), abs(qm.expectation(A, T) - dist.mean()),
+            abs(qm.std_deviation(A, T) - via_moments))
 
 
-def _run_pure_state_reduction(cell: Cell) -> float:
-    worst = 0.0
-    for _ in range(cell.trials):
-        A = qm.Observable(random_hermitian(cell.dim, cell.algebra, cell.rng))
-        psi = random_unit_vector(cell.dim, cell.algebra, cell.rng)
-        T = gl.pure_state(psi)
-        for s, P in qm.pvm_of(A).atoms:
-            prob = tr.real_trace(P.matrix @ T.matrix)
-            worst = max(worst, abs(prob - (P.matrix @ psi).norm() ** 2))
-        worst = max(worst, abs(qm.expectation(A, T) - inner(psi, A.matrix @ psi).real))
-    return worst
+@_per_trial
+def _run_pure_state_reduction(cell: Cell, t: int) -> Terms:
+    A = qm.Observable(random_hermitian(cell.dim, cell.algebra, cell.rng))
+    psi = random_unit_vector(cell.dim, cell.algebra, cell.rng)
+    T = gl.pure_state(psi)
+    atoms = qm.pvm_of(A).atoms
+    terms = [abs(tr.real_trace(P.matrix @ T.matrix) - (P.matrix @ psi).norm() ** 2) for _, P in atoms]
+    return terms + [abs(qm.expectation(A, T) - inner(psi, A.matrix @ psi).real)]
 
 
-def _run_symmetry_duality(cell: Cell) -> float:
-    worst = 0.0
-    for trial in range(cell.trials):
-        A = random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
-        B = random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
-        U = random_unitary(cell.dim, cell.algebra, cell.rng)
-        anti = cell.algebra is Algebra.C and trial % 2 == 1
-        sym = qm.SymmetryOp(U, antiunitary=anti)
-        gap = qm.symmetry_duality_gap(A, B, sym)
-        worst = max(worst, gap / (1.0 + tr.trace_norm(A) * sp.op_norm(B)))
-    return worst
+@_per_trial
+def _run_symmetry_duality(cell: Cell, t: int) -> Terms:
+    A = random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
+    B = random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
+    U = random_unitary(cell.dim, cell.algebra, cell.rng)
+    sym = qm.SymmetryOp(U, antiunitary=cell.algebra is Algebra.C and t % 2 == 1)
+    return (qm.symmetry_duality_gap(A, B, sym) / (1.0 + tr.trace_norm(A) * sp.op_norm(B)),)
 
 
-def _run_state_conjugation(cell: Cell) -> float:
-    worst = 0.0
-    for _ in range(cell.trials):
-        T = gl.random_density(cell.dim, cell.algebra, cell.rng)
-        U = random_unitary(cell.dim, cell.algebra, cell.rng)
-        moved = qm.conjugate_state(U, T)
-        worst = max(worst, abs(tr.real_trace(moved.matrix) - 1.0))
-    return worst
+@_per_trial
+def _run_state_conjugation(cell: Cell, t: int) -> Terms:
+    T = gl.random_density(cell.dim, cell.algebra, cell.rng)
+    U = random_unitary(cell.dim, cell.algebra, cell.rng)
+    return (abs(tr.real_trace(qm.conjugate_state(U, T).matrix) - 1.0),)
 
 
 def _make_group_path(cell: Cell):
@@ -561,11 +518,8 @@ def _run_continuity_trend(cell: Cell) -> float:
     path = _make_group_path(cell)
     base = 64
     jumps = [qm.continuity_scan(A, T, path, base * (2**k)).max_jump for k in range(3)]
-    worst = 0.0
-    for prev, nxt in zip(jumps, jumps[1:]):
-        worst = max(worst, nxt - 0.7 * prev)
     group_defect = (path(0.3) @ path(0.4) - path(0.7)).max_abs()
-    return max(worst, group_defect)
+    return _worst([nxt - 0.7 * prev for prev, nxt in zip(jumps, jumps[1:])] + [group_defect])
 
 
 REGISTRY: tuple[PropertyDef, ...] = (
@@ -828,10 +782,12 @@ def run_suite(cfg: RunConfig) -> SuiteReport:
                     cell = Cell(algebra=algebra, dim=dim, rng=rng, trials=cfg.trials)
                     try:
                         residual = float(prop.runner(cell))
+                        error = None if math.isfinite(residual) else f"non-finite residual: {residual}"
                     except Exception as exc:  # recorded, not raised
+                        error = f"{type(exc).__name__}: {exc}"
+                    if error is not None:
                         records.append(PropertyRecord(
-                            **base, max_residual=None, passed=False,
-                            error=f"{type(exc).__name__}: {exc}",
+                            **base, max_residual=None, passed=False, error=error,
                         ))
                         continue
                     records.append(PropertyRecord(
@@ -843,7 +799,7 @@ def run_suite(cfg: RunConfig) -> SuiteReport:
 
 def emit_report(report: SuiteReport, fmt: str = "json") -> bytes:
     if fmt == "json":
-        return json.dumps(report.to_json(), indent=2, sort_keys=True).encode()
+        return json.dumps(report.to_json(), indent=2, sort_keys=True, allow_nan=False).encode()
     if fmt == "text":
         lines = []
         for r in report.records:
@@ -882,17 +838,14 @@ def demo_counterexamples(out_path: str | None = None) -> str:
     say("=" * 64)
     say()
     say("(1) Basis dependence of the trace over H")
-    A = Matrix.from_rows([[Quaternion.J]], Algebra.H)
-    one = Matrix.from_rows([[Quaternion.ONE]], Algebra.H)
-    i_basis = Matrix.from_rows([[Quaternion.I]], Algebra.H)
+    A, one, i_basis = _j_on_h1()
     say("    operator: left multiplication by j on the 1-dim quaternionic space")
     say(f"    trace over basis {{1}}: {tr.trace_n(A, one)}")
     say(f"    trace over basis {{i}}: {tr.trace_n(A, i_basis)}")
     say("    the two values differ, so 'the' trace is ill defined unless A = A*")
     say()
     say("(2) Failure of cyclicity over H")
-    A2 = Matrix.diag([Quaternion.I, 0.0], Algebra.H)
-    B2 = Matrix.diag([Quaternion.J, 0.0], Algebra.H)
+    A2, B2 = _cyclicity_witness(2)
     basis2 = Matrix.identity(2, Algebra.H)
     say("    A = diag(i, 0), B = diag(j, 0)")
     say(f"    tr(AB) = {tr.trace_n(A2 @ B2, basis2)}")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gleason_lab import kernels
+from gleason_lab import gleason, kernels
 from gleason_lab.errors import InvalidWeights, NotAFrameFunction, NotHermitian, NotPositive
 from gleason_lab.gleason import (
     DensityOperator,
@@ -193,6 +193,45 @@ class TestReconstruction:
         block = reconstruct_state(f, n, algebra).matrix.comps
         pointwise = reconstruct_state(FrameFunction.pointwise(f), n, algebra).matrix.comps
         assert np.array_equal(block, pointwise)
+
+    @staticmethod
+    def _spy_rank_ones(monkeypatch) -> list[int]:
+        """Record the column count of every Projector.rank_ones call."""
+        widths = []
+        rank_ones = Projector.rank_ones
+
+        def spy(X):
+            widths.append(X.m)
+            return rank_ones(X)
+
+        monkeypatch.setattr(Projector, "rank_ones", staticmethod(spy))
+        return widths
+
+    @pytest.mark.parametrize("algebra", ALGEBRAS)
+    def test_probe_blocks_wider_than_one_chunk_match_pointwise_probes_bit_for_bit(
+        self, algebra, monkeypatch
+    ):
+        n = 5
+        T = random_density(n, algebra, SplitMix64(930))
+        f = FrameFunction.from_measure(measure_from_state(T))
+        X = random_matrix(n, 40, algebra, SplitMix64(931))
+        one_by_one = [f(x) for x in X.columns()]
+        monkeypatch.setattr(gleason, "_PROBE_CHUNK_ENTRIES", 7 * 4 * n * n)  # 7 columns
+        widths = self._spy_rank_ones(monkeypatch)
+        assert f.evaluate(X) == one_by_one
+        assert widths == [7] * 5 + [5]
+        widths.clear()
+        block = reconstruct_state(f, n, algebra).matrix.comps
+        assert max(widths) == 7 and len(widths) > 4  # four blocks, cut into chunks
+        pointwise = reconstruct_state(FrameFunction.pointwise(f), n, algebra).matrix.comps
+        assert np.array_equal(block, pointwise)
+
+    @pytest.mark.parametrize("algebra", ALGEBRAS)
+    def test_probe_blocks_stay_one_chunk_up_to_n_8(self, algebra, monkeypatch):
+        T = random_density(8, algebra, SplitMix64(932))
+        widths = self._spy_rank_ones(monkeypatch)
+        reconstruct_state(FrameFunction.from_measure(measure_from_state(T)), 8, algebra)
+        assert len(widths) == 4
 
     @pytest.mark.parametrize("algebra", ALGEBRAS)
     def test_frame_function_probe_builds_no_matrix_product(self, algebra, monkeypatch):

@@ -6,10 +6,11 @@ import sys
 
 import pytest
 
-from gleason_lab import quantum
+from gleason_lab import quantum, suite, trace
 from gleason_lab.cli import main as cli_main
 from gleason_lab.suite import (
     REGISTRY,
+    PropertyDef,
     RunConfig,
     claims_manifest,
     demo_counterexamples,
@@ -18,6 +19,19 @@ from gleason_lab.suite import (
     parse_report,
     run_suite,
 )
+
+
+def _strict_loads(text):
+    """json.loads that refuses the NaN, Infinity and -Infinity tokens."""
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def _nan(*args, **kwargs):
+    return math.nan
 
 
 def _small_cfg(**overrides):
@@ -60,7 +74,9 @@ class TestRunSuite:
 
     def test_report_round_trip(self):
         report = run_suite(_small_cfg(dims=(3,), trials=2, only="trace.real_cyclicity"))
-        assert parse_report(emit_report(report, "json")) == report
+        blob = emit_report(report, "json")
+        _strict_loads(blob)
+        assert parse_report(blob) == report
 
     def test_empty_selection_gives_a_valid_report(self):
         report = run_suite(_small_cfg(only="no.such.property"))
@@ -91,6 +107,71 @@ class TestRunSuite:
             RunConfig(algebras=("X",))
         with pytest.raises(ValueError, match="no.such.property"):
             RunConfig(tolerances={"no.such.property": 1.0})
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(algebras=("r",)), "'r'"),
+        (dict(algebras=("R", "R")), "duplicate algebras"),
+        (dict(dims=(3, 3)), "duplicate dims"),
+        (dict(seeds=(0, 1, 0)), "duplicate seeds"),
+        (dict(tolerances={"trace.real_cyclicity": math.nan}), "finite: trace.real_cyclicity"),
+        (dict(tolerances={"trace.real_cyclicity": math.inf}), "finite: trace.real_cyclicity"),
+        (dict(tolerances={"trace.real_cyclicity": -math.inf}), "finite: trace.real_cyclicity"),
+    ])
+    def test_config_it_cannot_honour_is_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            RunConfig(**kwargs)
+
+    def test_config_json_with_unknown_keys_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown config keys: dim, trial"):
+            RunConfig.from_json({"trial": 5, "dim": [4]})
+
+    def test_config_json_takes_the_field_defaults(self):
+        assert RunConfig.from_json({}) == RunConfig()
+        cfg = RunConfig(algebras=("C",), dims=(2, 4), seeds=(7,), trials=3,
+                        tolerances={"trace.real_cyclicity": 1e-6}, only="trace.*")
+        assert RunConfig.from_json(cfg.to_json()) == cfg
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_residual_fails_its_record(self, monkeypatch, value):
+        prop = PropertyDef("probe.non_finite", "a runner that returns a non-finite residual",
+                           lambda cell: value, algebras=("C",))
+        monkeypatch.setattr(suite, "REGISTRY", (prop,))
+        report = run_suite(_small_cfg(algebras=("C",), dims=(3,)))
+        (record,) = report.records
+        assert record.passed is False and record.max_residual is None
+        assert record.error == f"non-finite residual: {value}"
+        assert _strict_loads(emit_report(report, "json"))["summary"]["failed"] == 1
+
+    def _assert_non_finite_failures(self, name, algebras):
+        report = run_suite(_small_cfg(dims=(3,), only=name))
+        ran = [r for r in report.records if r.skip_reason is None]
+        assert [r.algebra for r in ran] == sorted(algebras)
+        for r in ran:
+            assert r.passed is False and r.max_residual is None
+            assert r.error == "non-finite residual: nan"
+        _strict_loads(emit_report(report, "json"))
+
+    @pytest.mark.parametrize("name", ["trace.linearity_star", "trace.positivity_monotonicity"])
+    def test_nan_real_trace_fails_its_claims(self, monkeypatch, name):
+        monkeypatch.setattr(trace, "real_trace", _nan)
+        self._assert_non_finite_failures(name, ("R", "C", "H"))
+
+    @pytest.mark.parametrize("name, algebras", [
+        ("trace.norm_inequalities", ("R", "C", "H")),
+        ("trace.absolute_sum_bound", ("C", "H")),
+    ])
+    def test_nan_trace_norm_fails_its_claims(self, monkeypatch, name, algebras):
+        monkeypatch.setattr(trace, "trace_norm", _nan)
+        self._assert_non_finite_failures(name, algebras)
+
+    def test_worst_of_terms_starts_from_zero_and_keeps_nan(self):
+        from gleason_lab.suite import _worst
+
+        assert _worst([]) == 0.0
+        assert math.copysign(1.0, _worst([-1.0, -0.0])) == 1.0
+        assert _worst([0.5, 2.0, 1.0]) == 2.0
+        assert math.isnan(_worst([1.0, math.nan, 2.0]))
+        assert _worst([1.0, math.inf]) == math.inf
 
     def test_runner_errors_are_recorded_with_their_message(self, monkeypatch):
         def broken(U, T):
@@ -146,7 +227,7 @@ class TestCli:
             "--format", "json", "--out", str(out),
         ])
         assert code == 0
-        payload = json.loads(out.read_text())
+        payload = _strict_loads(out.read_text())
         assert payload["summary"]["failed"] == 0
         assert payload["records"][0]["name"] == "trace.real_cyclicity"
         assert payload["records"][0]["seed"] == 5
@@ -165,6 +246,24 @@ class TestCli:
                       "--out", str(tmp_path / "r.json")])
         assert exc.value.code != 0
         assert "no.such.property" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("config, argv, message", [
+        ({"trial": 5, "dim": [4]}, [], "unknown config keys: dim, trial"),
+        ({"algebras": ["r"]}, [], "unknown algebra 'r'"),
+        (None, ["--dim", "3", "3"], "duplicate dims"),
+        (None, ["--tol", "trace.real_cyclicity=nan"], "finite: trace.real_cyclicity"),
+        (None, ["--tol", "trace.real_cyclicity=inf"], "finite: trace.real_cyclicity"),
+    ], ids=["unknown-key", "lowercase-algebra", "duplicate-dim", "nan-tolerance", "inf-tolerance"])
+    def test_config_it_cannot_honour_exits_non_zero(self, tmp_path, capsys, config, argv, message):
+        if config is not None:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(config))
+            argv = ["--config", str(cfg_path), *argv]
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", *argv, "--out", str(tmp_path / "r.json")])
+        assert exc.value.code != 0
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
     def test_config_file_with_flag_override(self, tmp_path):
