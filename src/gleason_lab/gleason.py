@@ -8,11 +8,15 @@ constructively, the extremal/pure classification, and the dimension-2
 counterexample showing why the bijection needs dim > 2.
 
 Measures are represented by oracles, not tables: even at n = 3 the lattice is
-infinite, so every check samples projectors.  A frame function is probed in
-blocks: it takes the probe vectors as the columns of one matrix, and a measure
-is read on the stack of their line projectors from :meth:`Projector.rank_ones`,
-so :func:`reconstruct_state` makes four block calls in place of one call per
-probe.
+infinite, so every check samples projectors.  Both oracles are block-shaped.
+A frame function takes the probe vectors as the columns of one matrix, and a
+lattice measure takes the certified (k, n, n, 4) stack of their line
+projectors from :meth:`Projector.rank_ones`.  A trace-backed measure reads
+Re tr(P T) for the whole stack in one contraction
+(:func:`gleason_lab.trace._real_pairings`), so :func:`reconstruct_state` makes
+four block calls and builds no object per probe.  Its verification step
+predicts each probe value as Re<x|Tx> from the vectors, not from the projector
+stack, so it checks the probe path rather than repeating it.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidWeights, NotAFrameFunction, NotPositive
+from .errors import AlgebraMismatch, InvalidWeights, NotAFrameFunction, NotPositive
 from .linalg import (
     Matrix,
     Projector,
@@ -42,7 +46,7 @@ from .linalg import (
 from .rng import SplitMix64
 from .scalars import Algebra, Quaternion
 from .spectral import EigenDecomposition, eig_hermitian, eigvals_hermitian
-from .trace import real_pairing, real_trace
+from .trace import _real_pairings, real_trace
 
 _STATE_TOL = 1e-8
 # entries of the (k, n, n, 4) stack of line projectors that FrameFunction.from_measure
@@ -127,24 +131,39 @@ def random_density(n: int, algebra: Algebra, rng: SplitMix64, rank: int | None =
 
 @dataclass(frozen=True)
 class LatticeMeasure:
-    """Probability assignment on projectors, trace-backed or a raw oracle."""
+    """Probability assignment on projectors, trace-backed or a raw oracle.
 
-    evaluate: Callable[[Projector], float]
+    ``evaluate`` is block-shaped: it takes the algebra and a certified (k, n, n, 4)
+    stack of projectors, as :meth:`Projector.rank_ones` returns it, and gives
+    their k values in stack order; ``mu(P)`` is its one-projector case.
+    """
+
+    evaluate: Callable[[Algebra, np.ndarray], np.ndarray]
     state: DensityOperator | None = None
 
     def __call__(self, P: Projector) -> float:
-        return float(self.evaluate(P))
+        return float(self.evaluate(P.algebra, P.matrix.comps[None])[0])
 
     @classmethod
     def trace_backed(cls, state: DensityOperator) -> "LatticeMeasure":
-        def ev(P: Projector) -> float:
-            return real_pairing(P.matrix, state.matrix)
+        """Re tr(P T) for the whole stack in one contraction, with no product PT."""
+
+        def ev(algebra: Algebra, stack: np.ndarray) -> np.ndarray:
+            if algebra is not state.algebra:
+                raise AlgebraMismatch(f"mixed algebras {algebra.value} and {state.algebra.value}")
+            return _real_pairings(stack, state.matrix.comps)
 
         return cls(evaluate=ev, state=state)
 
     @classmethod
     def oracle_backed(cls, fn: Callable[[Projector], float]) -> "LatticeMeasure":
-        return cls(evaluate=fn)
+        """The measure of a per-projector oracle, called once per projector, in stack order."""
+
+        def ev(algebra: Algebra, stack: np.ndarray) -> np.ndarray:
+            values = [float(fn(Projector._certified(Matrix(algebra, comps)))) for comps in stack]
+            return np.array(values, dtype=np.float64)
+
+        return cls(evaluate=ev)
 
 
 def measure_from_state(state: DensityOperator) -> LatticeMeasure:
@@ -158,11 +177,10 @@ class FrameFunction:
 
     ``evaluate`` is block-shaped: it takes an n x k :class:`Matrix` of probe
     columns and returns their k values, in column order, and ``f(x)`` is its
-    one-column case.  :meth:`from_measure` reads the measure on the stack of
-    line projectors of :meth:`Projector.rank_ones`, with no matrix product when
-    the measure is trace-backed, one column chunk of at most
-    ``_PROBE_CHUNK_ENTRIES`` stack entries at a time; :meth:`pointwise` wraps an
-    opaque per-vector oracle.
+    one-column case.  :meth:`from_measure` hands the measure the stack of line
+    projectors of :meth:`Projector.rank_ones`, one column chunk of at most
+    ``_PROBE_CHUNK_ENTRIES`` stack entries at a time, whatever kind of measure
+    it is; :meth:`pointwise` wraps an opaque per-vector oracle.
     """
 
     evaluate: Callable[[Matrix], Sequence[float]]
@@ -174,8 +192,11 @@ class FrameFunction:
     def from_measure(cls, mu: LatticeMeasure) -> "FrameFunction":
         def ev(X: Matrix) -> list[float]:
             width = max(1, _PROBE_CHUNK_ENTRIES // (4 * X.n * X.n))
-            chunks = (Matrix(X.algebra, X.comps[:, c:c + width]) for c in range(0, X.m, width))
-            return [mu(P) for chunk in chunks for P in Projector.rank_ones(chunk)]
+            values: list[float] = []
+            for c in range(0, X.m, width):
+                stack = Projector.rank_ones(Matrix(X.algebra, X.comps[:, c:c + width]))
+                values += mu.evaluate(X.algebra, stack).tolist()
+            return values
 
         return cls(evaluate=ev)
 

@@ -23,9 +23,10 @@ The pointwise Hamilton product :func:`_mul_comps` is table-driven: it reads
 the left-regular form of its left factor off :data:`gleason_lab.kernels.HAMILTON`,
 the table the Gram-Schmidt block uses too.  :meth:`Projector.rank_ones` builds
 the projectors onto the lines of a block of columns from one such broadcast
-product, with no matrix product, and certifies the whole stack at once;
-:meth:`Projector.rank_one` is its one-column case.  The frame-function probes
-of :mod:`gleason_lab.gleason` run on it.
+product, with no matrix product, certifies the whole stack at once and returns
+it as one (k, n, n, 4) array, with no object per projector;
+:meth:`Projector.rank_one` wraps entry 0 of a one-column stack.  The
+frame-function probes of :mod:`gleason_lab.gleason` read the stack whole.
 
 Random instances share one Gaussian layout, :func:`_gaussian_comps`;
 :func:`random_unit_vectors` draws a block of unit vectors, and
@@ -392,9 +393,9 @@ class Projector:
         self.matrix = matrix
 
     @classmethod
-    def rank_ones(cls, X: Matrix) -> list["Projector"]:
-        """The projectors u u* onto the lines of the columns x of X, u = x / |x|,
-        in column order, with no matrix product.
+    def rank_ones(cls, X: Matrix) -> np.ndarray:
+        """The certified (k, n, n, 4) stack of the projectors u u* onto the lines of
+        the k columns x of X, u = x / |x|, in column order, with no matrix product.
 
         The entries u_r conj(u_c) of every projector come from one broadcast
         Hamilton product.  Idempotency is read from the rank-one identity
@@ -416,18 +417,20 @@ class Projector:
         row_sq = (U**2).sum(axis=2)  # |u_r|^2; max|P_rc| = max_r |u_r|^2
         idem = np.abs(row_sq.sum(axis=1) - 1.0) * row_sq.max(axis=1)
         _certify_projectors(stack, idem, _PROJECTOR_TOL)
-        projectors = []
-        for comps in stack:
-            # bypasses __init__ once the certificates hold: must set every slot
-            P = cls.__new__(cls)
-            P.matrix = Matrix(X.algebra, comps)
-            projectors.append(P)
-        return projectors
+        return stack
 
     @classmethod
     def rank_one(cls, x: Vector) -> "Projector":
-        """The projector onto the line of x: the one-column case of :meth:`rank_ones`."""
-        return cls.rank_ones(Matrix(x.algebra, x.comps[:, None, :]))[0]
+        """The projector onto the line of x: entry 0 of the :meth:`rank_ones` stack."""
+        stack = cls.rank_ones(Matrix(x.algebra, x.comps[:, None, :]))
+        return cls._certified(Matrix(x.algebra, stack[0]))
+
+    @classmethod
+    def _certified(cls, matrix: Matrix) -> "Projector":
+        """Wrap a matrix whose projector certificates already hold, skipping __init__."""
+        P = cls.__new__(cls)
+        P.matrix = matrix  # must set every slot
+        return P
 
     @classmethod
     def zero(cls, n: int, algebra: Algebra) -> "Projector":

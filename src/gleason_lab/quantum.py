@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NotHermitian, NotUnitary
-from .gleason import DensityOperator
+from .gleason import DensityOperator, measure_from_state
 from .linalg import Matrix, Projector, outer_sum
 from .scalars import Algebra, Quaternion
 from .spectral import EigenDecomposition, _group_indices, eig_hermitian
@@ -122,10 +122,12 @@ class OutcomeMeasure:
 
 
 def outcome_measure(A: Observable, T: DensityOperator) -> OutcomeMeasure:
-    """Per-eigenvalue probabilities Re tr(P_s T)."""
+    """Per-eigenvalue probabilities Re tr(P_s T), read by the state's lattice
+    measure on the stack of the atoms."""
     pvm = pvm_of(A)
-    rows = sorted((s, real_pairing(P.matrix, T.matrix)) for s, P in pvm.atoms)
-    return OutcomeMeasure(tuple(rows))
+    stack = np.stack([P.matrix.comps for _, P in pvm.atoms])
+    probs = measure_from_state(T).evaluate(A.algebra, stack)
+    return OutcomeMeasure(tuple(sorted(zip(pvm.eigenvalues, probs.tolist()))))
 
 
 def expectation(A: Observable, T: DensityOperator) -> float:

@@ -46,8 +46,26 @@ from .linalg import (
 from .rng import SplitMix64
 from .scalars import Algebra, Quaternion
 
-# how RunConfig.from_json turns a JSON value into its field
-_FROM_JSON = {"algebras": tuple, "dims": tuple, "seeds": tuple, "trials": int, "tolerances": dict}
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_int_list(v) -> bool:
+    return isinstance(v, list) and all(_is_int(x) for x in v)
+
+
+# the JSON type that RunConfig.from_json requires of each value, and how it names it
+_JSON_TYPES = {
+    "algebras": (lambda v: isinstance(v, list), "a list"),
+    "dims": (_is_int_list, "a list of integers"),
+    "seeds": (_is_int_list, "a list of integers"),
+    "trials": (_is_int, "an integer"),
+    "tolerances": (lambda v: isinstance(v, dict)
+                   and all(_is_int(x) or isinstance(x, float) for x in v.values()),
+                   "an object of numbers"),
+    "only": (lambda v: v is None or isinstance(v, str), "a string or null"),
+}
 
 
 @dataclass(frozen=True)
@@ -91,11 +109,21 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "RunConfig":
-        """The config of a ``to_json`` object; absent keys keep the field defaults."""
+        """The config of a ``to_json`` object; absent keys keep the field defaults.
+
+        Each value must have its JSON type (``_JSON_TYPES``), and a boolean is
+        not a number; lists become tuples.
+        """
+        if not isinstance(obj, dict):
+            raise ValueError(f"config must be a JSON object, got {obj!r}")
         unknown = sorted(set(obj) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        return cls(**{k: _FROM_JSON[k](v) if k in _FROM_JSON else v for k, v in obj.items()})
+        for key, value in obj.items():
+            valid, kind = _JSON_TYPES[key]
+            if not valid(value):
+                raise ValueError(f"config {key} must be {kind}, got {value!r}")
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in obj.items()})
 
 
 @dataclass

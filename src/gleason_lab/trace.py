@@ -6,6 +6,11 @@ canonical witness) unless A is Hermitian, but its REAL PART is always basis
 independent and cyclic, which is what every downstream probability formula
 uses.  The trace norm is the sum of singular values; in finite dimension
 every operator is trace class and the norm is the nuclear norm.
+
+Re tr(AB) has one kernel, :func:`_real_pairings`: it pairs a whole stack of
+matrices with one operand in a single broadcast product and forms no matrix
+product.  :func:`real_pairing` is its one-matrix case, and the trace-backed
+lattice measure of :mod:`gleason_lab.gleason` reads a probe stack with it.
 """
 
 from __future__ import annotations
@@ -42,17 +47,33 @@ def real_trace(A: Matrix) -> float:
     return float(A.comps[np.arange(n), np.arange(n), 0].sum())
 
 
+def _real_pairings(stack: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Re tr(A_p B) for every A_p of the (k, n, m, 4) ``stack`` and the (m, n, 4)
+    operand ``B``: the one pairing kernel, shared by :func:`real_pairing`.
+
+    Re(pq) = p_0 q_0 - p_1 q_1 - p_2 q_2 - p_3 q_3, so this is O(knm) work and
+    forms no product.  Value p sums only the entries of A_p, so a stack of k
+    gives the k one-matrix values, bit for bit.
+    """
+    if stack.ndim != 4:
+        raise ValueError(f"need a (k, n, m, 4) stack, got shape {stack.shape}")
+    if stack.shape[1:3] != B.shape[1::-1]:
+        raise ValueError(
+            f"cannot pair {stack.shape[1]}x{stack.shape[2]} with {B.shape[0]}x{B.shape[1]}: "
+            "need (n, m) and (m, n)"
+        )
+    # plain sums, not einsum, which would reorder the additions
+    prod = stack * np.transpose(B, (1, 0, 2))
+    return prod[..., 0].sum(axis=(1, 2)) - prod[..., 1:].sum(axis=(1, 2, 3))
+
+
 def real_pairing(A: Matrix, B: Matrix) -> float:
     """Re tr(AB) = sum_rc Re(A_rc B_cr), for A of shape (n, m) and B of shape (m, n).
 
-    Re(pq) = p_0 q_0 - p_1 q_1 - p_2 q_2 - p_3 q_3, so this is O(nm) work and
-    forms no product AB.
+    The one-matrix case of :func:`_real_pairings`: O(nm) work, no product AB.
     """
     _check_same_algebra(A, B)
-    if A.n != B.m or A.m != B.n:
-        raise ValueError(f"cannot pair {A.n}x{A.m} with {B.n}x{B.m}: need (n, m) and (m, n)")
-    prod = A.comps * np.transpose(B.comps, (1, 0, 2))
-    return float(prod[..., 0].sum() - prod[..., 1:].sum())
+    return float(_real_pairings(A.comps[None], B.comps)[0])
 
 
 def trace_norm(A: Matrix) -> float:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gleason_lab import gleason, kernels
+from gleason_lab import gleason, kernels, linalg
 from gleason_lab.errors import InvalidWeights, NotAFrameFunction, NotHermitian, NotPositive
 from gleason_lab.gleason import (
     DensityOperator,
@@ -173,6 +173,87 @@ class TestMeasureFromState:
         bad = LatticeMeasure.oracle_backed(lambda P: 1.5)
         with pytest.raises(ValueError):
             probe_measure(bad, 3, Algebra.C, rng, probes=5)
+
+
+class TestBlockMeasure:
+    @pytest.mark.parametrize("algebra", ALGEBRAS)
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_trace_backed_stack_matches_one_projector_at_a_time(self, algebra, n):
+        rng = SplitMix64(940 + n)
+        T = random_density(n, algebra, rng)
+        mu = measure_from_state(T)
+        stack = Projector.rank_ones(random_matrix(n, 30, algebra, rng))
+        values = mu.evaluate(algebra, stack)
+        projectors = [Projector(Matrix(algebra, comps)) for comps in stack]
+        assert values.tolist() == [mu(P) for P in projectors]
+        expect = [real_trace(P.matrix @ T.matrix) for P in projectors]
+        assert np.abs(values - expect).max() < 1e-12
+
+    @pytest.mark.parametrize("algebra", ALGEBRAS)
+    def test_oracle_is_called_once_per_projector_in_stack_order(self, algebra):
+        seen = []
+
+        def oracle(P: Projector) -> float:
+            seen.append(P.matrix.comps)
+            return float(len(seen))
+
+        mu = LatticeMeasure.oracle_backed(oracle)
+        stack = Projector.rank_ones(random_matrix(4, 9, algebra, SplitMix64(943)))
+        assert mu.evaluate(algebra, stack).tolist() == [float(p) for p in range(1, 10)]
+        assert len(seen) == 9
+        assert all(np.array_equal(comps, stack[p]) for p, comps in enumerate(seen))
+
+    @pytest.mark.parametrize("algebra", ALGEBRAS)
+    def test_a_stack_of_the_wrong_dimension_is_rejected(self, algebra):
+        mu = measure_from_state(random_density(3, algebra, SplitMix64(944)))
+        stack = Projector.rank_ones(random_matrix(4, 5, algebra, SplitMix64(945)))
+        with pytest.raises(ValueError, match="cannot pair 4x4 with 3x3"):
+            mu.evaluate(algebra, stack)
+        with pytest.raises(ValueError, match="cannot pair"):
+            mu(Projector.identity(4, algebra))
+
+    @pytest.mark.parametrize("algebra", ALGEBRAS)
+    def test_every_probe_chunk_is_certified_once(self, algebra, monkeypatch):
+        n = 5
+        T = random_density(n, algebra, SplitMix64(946))
+        f = FrameFunction.from_measure(measure_from_state(T))
+        certified = []
+        certify = linalg._certify_projectors
+
+        def spy(stack, idem, tol):
+            certified.append(stack.shape[0])
+            return certify(stack, idem, tol)
+
+        monkeypatch.setattr(linalg, "_certify_projectors", spy)
+        reconstruct_state(f, n, algebra)
+        assert len(certified) == 4  # one per probe block, each one chunk
+        certified.clear()
+        monkeypatch.setattr(gleason, "_PROBE_CHUNK_ENTRIES", 7 * 4 * n * n)  # 7 columns
+        f.evaluate(random_matrix(n, 40, algebra, SplitMix64(947)))
+        assert certified == [7] * 5 + [5]
+
+    @pytest.mark.parametrize("algebra", ALGEBRAS)
+    def test_no_probe_builds_a_matrix(self, algebra, monkeypatch):
+        """A reconstruction at n = 8 makes more than twice the probes of one at
+        n = 5, but builds the same number of matrices."""
+
+        def matrices_built(n: int) -> int:
+            T = random_density(n, algebra, SplitMix64(948))
+            f = FrameFunction.from_measure(measure_from_state(T))
+            count = 0
+            init = Matrix.__init__
+
+            def counting(self, *args):
+                nonlocal count
+                count += 1
+                init(self, *args)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(Matrix, "__init__", counting)
+                reconstruct_state(f, n, algebra)
+            return count
+
+        assert matrices_built(5) == matrices_built(8)
 
 
 class TestReconstruction:

@@ -285,9 +285,9 @@ def test_rank_one_projector_matches_projector_onto(algebra, n, phase):
 def test_rank_ones_match_rank_one_column_by_column(algebra, n):
     X = random_matrix(n, 40, algebra, SplitMix64(55 + n))
     stack = Projector.rank_ones(X)
-    assert len(stack) == 40
-    for p, P in enumerate(stack):
-        assert P.matrix.comps.tobytes() == Projector.rank_one(X.col(p)).matrix.comps.tobytes()
+    assert stack.shape == (40, n, n, 4)
+    for p, comps in enumerate(stack):
+        assert comps.tobytes() == Projector.rank_one(X.col(p)).matrix.comps.tobytes()
 
 
 @pytest.mark.parametrize("algebra", ALGEBRAS)
@@ -312,8 +312,7 @@ def test_rank_one_projector_rejects_zero_and_non_finite_input(algebra, bad, bloc
 
 
 def test_projector_certificates_check_every_matrix_of_a_stack():
-    P = Projector.rank_ones(random_matrix(3, 2, Algebra.H, SplitMix64(58)))
-    stack = np.stack([P[0].matrix.comps, P[1].matrix.comps])
+    stack = Projector.rank_ones(random_matrix(3, 2, Algebra.H, SplitMix64(58)))
     _certify_projectors(stack, np.zeros(2), 1e-8)
     skewed = stack.copy()
     skewed[1, 0, 1, 1] += 1e-6  # the second matrix is no longer Hermitian

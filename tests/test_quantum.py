@@ -35,7 +35,7 @@ from gleason_lab.quantum import (
 from gleason_lab.rng import SplitMix64
 from gleason_lab.scalars import Algebra, Quaternion
 from gleason_lab.spectral import eig_hermitian, eigvals_hermitian
-from gleason_lab.trace import real_trace
+from gleason_lab.trace import real_pairing, real_trace
 
 from conftest import ALGEBRAS
 
@@ -149,6 +149,14 @@ class TestOutcomeStatistics:
             dist = outcome_measure(A, T)
             assert math.isclose(dist.total(), 1.0, abs_tol=1e-9)
             assert all(-1e-10 <= p <= 1.0 + 1e-10 for _, p in dist.support)
+
+    @pytest.mark.parametrize("algebra", ALGEBRAS)
+    def test_atom_probabilities_are_the_real_pairings_bit_for_bit(self, algebra):
+        rng = SplitMix64(118)
+        A = Observable(random_hermitian(5, algebra, rng))
+        T = random_density(5, algebra, rng)
+        expect = sorted((s, real_pairing(P.matrix, T.matrix)) for s, P in pvm_of(A).atoms)
+        assert outcome_measure(A, T).support == tuple(expect)
 
     def test_json_is_sorted_by_eigenvalue(self):
         rng = SplitMix64(117)

@@ -125,6 +125,28 @@ class TestRunSuite:
         with pytest.raises(ValueError, match="unknown config keys: dim, trial"):
             RunConfig.from_json({"trial": 5, "dim": [4]})
 
+    @pytest.mark.parametrize("obj, message", [
+        ([3], "config must be a JSON object, got [3]"),
+        ({"algebras": "RCH"}, "config algebras must be a list, got 'RCH'"),
+        ({"dims": 3}, "config dims must be a list of integers, got 3"),
+        ({"seeds": 0}, "config seeds must be a list of integers, got 0"),
+        ({"trials": 2.7}, "config trials must be an integer, got 2.7"),
+        ({"trials": True}, "config trials must be an integer, got True"),
+        ({"dims": [3.5]}, "config dims must be a list of integers, got [3.5]"),
+        ({"dims": [True]}, "config dims must be a list of integers, got [True]"),
+        ({"seeds": [0, "1"]}, "config seeds must be a list of integers, got [0, '1']"),
+        ({"seeds": [False]}, "config seeds must be a list of integers, got [False]"),
+        ({"tolerances": [1e-9]}, "config tolerances must be an object of numbers"),
+        ({"tolerances": {"trace.real_cyclicity": None}}, "config tolerances must be an object"),
+        ({"only": 3}, "config only must be a string or null, got 3"),
+    ], ids=["top-level-list", "algebras-string", "dims-int", "seeds-int", "trials-float",
+            "trials-bool", "dim-float", "dim-bool", "seed-string", "seed-bool",
+            "tolerances-list", "tolerance-null", "only-int"])
+    def test_config_json_of_the_wrong_type_is_rejected(self, obj, message):
+        with pytest.raises(ValueError) as exc:
+            RunConfig.from_json(obj)
+        assert message in str(exc.value)
+
     def test_config_json_takes_the_field_defaults(self):
         assert RunConfig.from_json({}) == RunConfig()
         cfg = RunConfig(algebras=("C",), dims=(2, 4), seeds=(7,), trials=3,
@@ -263,6 +285,21 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli_main(["run", *argv, "--out", str(tmp_path / "r.json")])
         assert exc.value.code != 0
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("config, message", [
+        ([3], "config must be a JSON object"),
+        ({"dims": 3}, "config dims must be a list of integers"),
+        ({"trials": 2.7}, "config trials must be an integer"),
+        ({"dims": [3.5]}, "config dims must be a list of integers"),
+    ], ids=["top-level-list", "dims-int", "trials-float", "dim-float"])
+    def test_config_file_of_the_wrong_type_exits_non_zero(self, tmp_path, capsys, config, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r.json")])
+        assert exc.value.code == 2  # parser.error, not a traceback
         assert message in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 

@@ -19,6 +19,7 @@ from gleason_lab.rng import SplitMix64
 from gleason_lab.scalars import Algebra, Quaternion
 from gleason_lab.spectral import eig_hermitian
 from gleason_lab.trace import (
+    _real_pairings,
     absolute_diagonal_sum,
     check_norm_inequalities,
     full_trace_cyclic_gap,
@@ -67,6 +68,20 @@ def test_real_pairing_rejects_mismatched_shapes(shapes):
     A, B = (random_matrix(n, m, Algebra.H, rng) for n, m in shapes)
     with pytest.raises(ValueError):
         real_pairing(A, B)
+
+
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+@pytest.mark.parametrize("n", [3, 8, 64])
+@pytest.mark.parametrize("k", [1, 7, 300])
+def test_stacked_pairing_is_a_loop_of_real_pairing_bit_for_bit(algebra, n, k):
+    rng = SplitMix64(44 + n + k)
+    stack = np.ascontiguousarray(
+        random_matrix(n, k * n, algebra, rng).comps.reshape(n, k, n, 4).transpose(1, 0, 2, 3)
+    )
+    B = random_matrix(n, n, algebra, rng)
+    values = _real_pairings(stack, B.comps)
+    assert values.shape == (k,)
+    assert values.tolist() == [real_pairing(Matrix(algebra, A), B) for A in stack]
 
 
 class TestTraceN:
