@@ -22,10 +22,15 @@ and the quaternionic eigenvector lift in :mod:`gleason_lab.spectral`.
 The pointwise Hamilton product :func:`_mul_comps` is table-driven: it reads
 the left-regular form of its left factor off :data:`gleason_lab.kernels.HAMILTON`,
 the table the Gram-Schmidt block uses too.  :meth:`Projector.rank_ones` builds
-the projectors onto the lines of a block of columns from one such broadcast
-product, with no matrix product, certifies the whole stack at once and returns
+the projectors onto the lines of a block of columns with no matrix product and
+no Hamilton table: read as complex pairs, each entry u = z1 + z2 j, and
+u_r conj(u_c) = (z1_r conj z1_c + z2_r conj z2_c) + (z2_r z1_c - z1_r z2_c) j
+(:func:`_line_projectors`).  It certifies the whole stack at once and returns
 it as one (k, n, n, 4) array, with no object per projector;
 :meth:`Projector.rank_one` wraps entry 0 of a one-column stack.  The
+certificate, :func:`_certify_projectors`, reads the stack as built, through its
+four real components and the quaternion conjugate, and shares no step with the
+complex-pair formula, so a build that breaks P* = P fails it.  The
 frame-function probes of :mod:`gleason_lab.gleason` read the stack whole.
 
 Random instances share one Gaussian layout, :func:`_gaussian_comps`;
@@ -397,11 +402,14 @@ class Projector:
         """The certified (k, n, n, 4) stack of the projectors u u* onto the lines of
         the k columns x of X, u = x / |x|, in column order, with no matrix product.
 
-        The entries u_r conj(u_c) of every projector come from one broadcast
-        Hamilton product.  Idempotency is read from the rank-one identity
-        P^2 - P = (|u|^2 - 1) P, so its defect is ||u|^2 - 1| max|P_rc|; both
-        certificates run over the whole stack at the constructor's tolerance.
-        A zero or non-finite column raises DegenerateInput.
+        The entries u_r conj(u_c) of every projector come from two complex
+        broadcast products per complex part (:func:`_line_projectors`).  The
+        Hermitian defect is read from the stack as built, in its real
+        components, independently of that formula.  Idempotency is read from
+        the rank-one identity P^2 - P = (|u|^2 - 1) P, so its defect is
+        ||u|^2 - 1| max|P_rc|; both certificates run over the whole stack at
+        the constructor's tolerance.  A zero or non-finite column raises
+        DegenerateInput.
         """
         # one row of 4n contiguous components per column, so each norm sums
         # in the order that a lone column's does
@@ -413,7 +421,7 @@ class Projector:
         if (norms == 0.0).any():
             raise DegenerateInput("zero input vector")
         U = Xt / norms[:, None, None]
-        stack = _mul_comps(U[:, :, None, :], _conj_comps(U)[:, None, :, :])
+        stack = _line_projectors(U)
         row_sq = (U**2).sum(axis=2)  # |u_r|^2; max|P_rc| = max_r |u_r|^2
         idem = np.abs(row_sq.sum(axis=1) - 1.0) * row_sq.max(axis=1)
         _certify_projectors(stack, idem, _PROJECTOR_TOL)
@@ -459,13 +467,40 @@ class Projector:
         return f"Projector({self.algebra.value}, n={self.n}, rank={self.rank})"
 
 
+def _line_projectors(U: np.ndarray) -> np.ndarray:
+    """The (k, n, n, 4) stack of the entries u_r conj(u_c) of u u* over the k
+    unit vectors u stored as the rows of a C-contiguous (k, n, 4) array.
+
+    Read as complex pairs, as :func:`gleason_lab.kernels.quat_matmul` reads
+    its left factor, each entry is u = z1 + z2 j, and
+
+        u_r conj(u_c) = (z1_r conj z1_c + z2_r conj z2_c) + (z2_r z1_c - z1_r z2_c) j,
+
+    two complex broadcast products per part, written into the complex view of
+    the stack.
+    """
+    k, n, _ = U.shape
+    z = U.view(np.complex128)
+    z1, z2 = z[:, :, 0], z[:, :, 1]
+    pairs = np.empty((k, n, n, 2), dtype=np.complex128)
+    first, second = pairs[..., 0], pairs[..., 1]
+    np.multiply(z1[:, :, None], z1.conj()[:, None, :], out=first)
+    first += z2[:, :, None] * z2.conj()[:, None, :]
+    np.multiply(z2[:, :, None], z1[:, None, :], out=second)
+    second -= z1[:, :, None] * z2[:, None, :]
+    return pairs.view(np.float64)
+
+
 def _certify_projectors(stack: np.ndarray, idem: np.ndarray, tol: float) -> None:
     """Raise ValueError unless, for every matrix P of the (k, n, n, 4) ``stack``,
     its idempotency defect ``idem[p]`` and its Hermitian defect are within
     ``tol`` relative to max(1, max|P_rc|)."""
 
     def max_abs(c: np.ndarray) -> np.ndarray:
-        return np.sqrt((c**2).sum(axis=3)).max(axis=(1, 2))
+        # sqrt is monotone and correctly rounded, so one per matrix, after the
+        # max of the squared moduli, gives the max of the moduli bit for bit
+        sq = c * c
+        return np.sqrt((sq[..., 0] + sq[..., 1] + sq[..., 2] + sq[..., 3]).max(axis=(1, 2)))
 
     herm = max_abs(stack - _conj_comps(stack.transpose(0, 2, 1, 3)))
     scale = np.maximum(1.0, max_abs(stack))

@@ -258,7 +258,7 @@ class TestBlockMeasure:
 
 class TestReconstruction:
     @pytest.mark.parametrize("algebra", ALGEBRAS)
-    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("n", [3, 4, 16])
     def test_round_trip(self, algebra, n):
         rng = SplitMix64(900 + n)
         T = random_density(n, algebra, rng)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from gleason_lab import kernels, linalg
 from gleason_lab.errors import AlgebraMismatch, DegenerateInput
 from gleason_lab.linalg import (
     Matrix,
@@ -291,6 +292,33 @@ def test_rank_ones_match_rank_one_column_by_column(algebra, n):
 
 
 @pytest.mark.parametrize("algebra", ALGEBRAS)
+@pytest.mark.parametrize("n", [1, 3, 8, 16])
+def test_rank_ones_match_a_matrix_product_of_each_unit_column_with_its_adjoint(algebra, n):
+    X = random_matrix(n, 12, algebra, SplitMix64(57 + n))
+    stack = Projector.rank_ones(X)
+    for p in range(X.m):
+        x = X.comps[:, p, :]
+        u = Matrix(algebra, (x / np.sqrt((x**2).sum()))[:, None, :])
+        expect = kernels.quat_matmul(u.comps, u.adjoint().comps)
+        assert np.abs(stack[p] - expect).max() <= 1e-15
+    # the components outside the algebra are exactly zero (either sign)
+    assert (stack[..., algebra.component_count :] == 0).all()
+
+
+def test_rank_ones_certify_the_stack_as_built(monkeypatch):
+    build = linalg._line_projectors
+
+    def skewed(U):
+        stack = build(U)
+        stack[1, 0, 1, 1] += 1e-6  # the second projector is no longer Hermitian
+        return stack
+
+    monkeypatch.setattr(linalg, "_line_projectors", skewed)
+    with pytest.raises(ValueError, match="hermitian defect"):
+        Projector.rank_ones(random_matrix(3, 2, Algebra.H, SplitMix64(58)))
+
+
+@pytest.mark.parametrize("algebra", ALGEBRAS)
 @pytest.mark.parametrize(
     "bad, block",
     [(bad, block) for block in (False, True) for bad in (0.0, np.nan, np.inf, -np.inf)],
@@ -320,6 +348,13 @@ def test_projector_certificates_check_every_matrix_of_a_stack():
         _certify_projectors(skewed, np.zeros(2), 1e-8)
     with pytest.raises(ValueError, match="idempotency defect 1.000e-06"):
         _certify_projectors(stack, np.array([0.0, 1e-6]), 1e-8)
+    # a non-finite entry, off or on the diagonal, makes a defect ratio NaN
+    for bad in (np.nan, np.inf, -np.inf):
+        for entry in ((1, 0, 1, 3), (1, 2, 2, 0)):
+            broken = stack.copy()
+            broken[entry] = bad
+            with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not a projector"):
+                _certify_projectors(broken, np.zeros(2), 1e-8)
 
 
 class ZeroThirdDraw(SplitMix64):
