@@ -1,11 +1,13 @@
 """Hot numeric kernels: the Hermitian eigensolver, the quaternion matrix product,
 and the Hamilton table.
 
-Every Hermitian eigendecomposition in the package runs through :func:`eigh`,
-LAPACK's complex Hermitian solver as shipped with numpy, and every matrix
-product through :func:`quat_matmul`, one complex GEMM through the block form
-of the complex adjoint chi.  A real regular-representation block (4n x 4k of
-A, or 4k x 4m of B) would also make one GEMM, but it builds sixteen doubles
+Every Hermitian eigensolve in the package runs through :func:`eigh`, LAPACK's
+complex Hermitian solver as shipped with numpy.  A caller that reads only the
+spectrum asks for no eigenvectors (``vectors=False``) and gets LAPACK's
+eigenvalue-only driver; the guards are the same in both modes.  Every matrix
+product runs through :func:`quat_matmul`, one complex GEMM through the block
+form of the complex adjoint chi.  A real regular-representation block (4n x 4k
+of A, or 4k x 4m of B) would also make one GEMM, but it builds sixteen doubles
 per quaternion entry and measured about four times slower than the complex
 block at n = 64.  Both kernels need nothing beyond numpy, the one hard
 dependency.  :data:`HAMILTON` is the one written-out multiplication table of
@@ -73,18 +75,23 @@ def quat_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return (Ac @ R.reshape(2 * k, 4 * m).view(np.complex128)).view(np.float64).reshape(n, m, 4)
 
 
-def eigh(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def eigh(H: np.ndarray, *, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """(eigenvalues ascending, eigenvector columns) of a complex Hermitian matrix.
 
+    With ``vectors=False`` the eigenvectors are not computed: the spectrum
+    comes from LAPACK's eigenvalue-only driver (``np.linalg.eigvalsh``) and
+    the second item is None.  The caller picks the mode by what it reads.
     LAPACK reads only the lower triangle, so the caller must pass an exactly
-    Hermitian matrix.  Non-finite entries in either triangle, and a solver
-    that does not converge, raise ConvergenceFailure instead of returning a
-    spectrum.
+    Hermitian matrix.  In both modes, non-finite entries in either triangle,
+    and a solver that does not converge, raise ConvergenceFailure instead of
+    returning a spectrum.
     """
     H = np.asarray(H, dtype=np.complex128)
     if not np.isfinite(H).all():
         raise ConvergenceFailure("Hermitian eigenproblem has a non-finite entry")
     try:
-        return np.linalg.eigh(H)
+        if vectors:
+            return np.linalg.eigh(H)
+        return np.linalg.eigvalsh(H), None
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"LAPACK eigh did not converge: {exc}") from exc

@@ -256,9 +256,7 @@ class Matrix:
         return (self - self.adjoint()).max_abs()
 
     def is_hermitian(self, tol: float = 1e-9) -> bool:
-        # a ratio, not defect <= tol * max|A_rc|: an inf entry makes that bound
-        # inf, but makes the ratio NaN, and NaN fails every comparison
-        return self.hermitian_defect() / max(1.0, self.max_abs()) <= tol
+        return _hermitian_ratio(self, self.adjoint()) <= tol
 
     def approx_eq(self, other: "Matrix", tol: float = 1e-9) -> bool:
         return bool(np.abs(self.comps - other.comps).max() <= tol)
@@ -290,6 +288,16 @@ class Matrix:
         if mat.n != obj["rows"] or mat.m != obj["cols"]:
             raise ValueError("row/col counts disagree with data shape")
         return mat
+
+
+def _hermitian_ratio(A: Matrix, A_star: Matrix) -> float:
+    """|A - A*| / max(1, max|A_rc|), the Hermitian test's statistic, from the
+    adjoint A* that the caller has formed.
+
+    A ratio, not defect <= tol * max|A_rc|: an inf entry makes that bound inf,
+    but makes the ratio NaN, and NaN fails every comparison.
+    """
+    return (A - A_star).max_abs() / max(1.0, A.max_abs())
 
 
 def outer_sum(U: Matrix, coeffs=None, V: Matrix | None = None) -> Matrix:
@@ -393,6 +401,10 @@ class Projector:
     def __init__(self, matrix: Matrix, tol: float = _PROJECTOR_TOL):
         if not matrix.is_square:
             raise ValueError("projector matrix must be square")
+        # the certificate rejects a non-finite entry too, but only after numpy
+        # has warned about the arithmetic on it
+        if not np.isfinite(matrix.comps).all():
+            raise ValueError("projector matrix has a non-finite entry")
         idem = (matrix @ matrix - matrix).max_abs()
         _certify_projectors(matrix.comps[None], np.array([idem]), tol)
         self.matrix = matrix

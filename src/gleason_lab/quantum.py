@@ -30,6 +30,9 @@ class Observable:
     __slots__ = ("matrix", "_dec")
 
     def __init__(self, matrix: Matrix, tol: float = 1e-8):
+        # rejected before any arithmetic, which would make numpy warn
+        if not np.isfinite(matrix.comps).all():
+            raise NotHermitian("observable has a non-finite entry")
         if not matrix.is_hermitian(tol):
             raise NotHermitian(f"observable must be Hermitian, defect {matrix.hermitian_defect():.3e}")
         self.matrix = matrix

@@ -18,12 +18,15 @@ lifted columns of each group of equal eigenvalues go through the one
 Gram-Schmidt, :func:`gleason_lab.linalg._orthonormalize`, which must keep
 one column per pair.
 
-Both public solvers share one guarded solve, ``_solve``.  :func:`eig_hermitian`
-lifts the eigenbasis; :func:`eigvals_hermitian` reads the spectrum alone, over
-H as the pair means, and builds no basis.  The norms (:func:`singular_values`,
-:func:`op_norm`), positivity and the state check read only the spectrum, so
-they take :func:`eigvals_hermitian`; the polar factor, square roots and
-spectral measures need the basis.
+Both public solvers share one guarded solve, ``_solve``, and its guards are
+identical for both.  :func:`eig_hermitian` asks the kernel for eigenvectors
+and lifts the eigenbasis; :func:`eigvals_hermitian` asks for eigenvalues only
+(LAPACK's eigenvalue-only driver), reads the spectrum, over H as the pair
+means, and builds no basis.  The norms (:func:`singular_values`,
+:func:`op_norm`, and through them the trace norm), positivity and the state
+check read only the spectrum, so they take :func:`eigvals_hermitian` and
+compute no eigenvectors; the polar factor, square roots and spectral measures
+need the basis.
 """
 
 from __future__ import annotations
@@ -34,7 +37,15 @@ import numpy as np
 
 from . import kernels
 from .errors import AlgebraMismatch, ConvergenceFailure, NotHermitian, NotPositive
-from .linalg import Matrix, Vector, _mul_comps, _orthonormalize, inner, outer_sum
+from .linalg import (
+    Matrix,
+    Vector,
+    _hermitian_ratio,
+    _mul_comps,
+    _orthonormalize,
+    inner,
+    outer_sum,
+)
 from .scalars import Algebra, Quaternion
 
 _HERMITIAN_TOL = 1e-8
@@ -97,25 +108,33 @@ def _group_indices(values: np.ndarray, tol: float) -> list[tuple[int, int]]:
     return groups
 
 
-def _solve(A: Matrix, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """(eigenvalues descending, eigenvector columns) of the exactly Hermitian
-    part of A over R and C, of its image chi under H, after every guard:
-    square, Hermitian up to ``tol`` (the ratio test, which NaN fails) and,
-    over H, a doubled spectrum."""
+def _solve(A: Matrix, tol: float, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """(eigenvalues descending, eigenvector columns or None) of the exactly
+    Hermitian part of A over R and C, of its image chi under H, after every
+    guard: square, finite, Hermitian up to ``tol`` (the ratio test of
+    :meth:`Matrix.is_hermitian`) and, over H, a doubled spectrum.  With
+    ``vectors=False`` the kernel computes no eigenvectors."""
     if not A.is_square:
         raise ValueError("eigendecomposition needs a square matrix")
-    if not A.is_hermitian(tol):
-        raise NotHermitian(f"|A - A*| = {A.hermitian_defect():.3e} exceeds tolerance")
-    sym = (A + A.adjoint()) * 0.5
+    # a non-finite entry fails the ratio test anyway; rejecting it before any
+    # arithmetic keeps numpy from warning about the validator's internals
+    if not np.isfinite(A.comps).all():
+        raise NotHermitian("matrix has a non-finite entry")
+    A_star = A.adjoint()
+    ratio = _hermitian_ratio(A, A_star)
+    if not ratio <= tol:
+        raise NotHermitian(f"|A - A*| / max(1, max|A_rc|) = {ratio:.3e} exceeds {tol:.1e}")
+    sym = (A + A_star) * 0.5
     if A.algebra is Algebra.H:
         X = embed(sym)
     else:
         c = sym.comps
         X = c[..., 0] + 1j * c[..., 1]
-    w, V = kernels.eigh(X)
+    w, V = kernels.eigh(X, vectors=vectors)
     order = np.argsort(-w, kind="stable")
     w = w[order]
-    V = V[:, order]
+    if vectors:
+        V = V[:, order]
     # symplectic symmetry doubles every eigenvalue of chi(A), so the sorted
     # spectrum is n consecutive pairs; the tolerance is relative to the
     # spectrum, so a small spectrum is not misread as unpaired
@@ -129,11 +148,11 @@ def _solve(A: Matrix, tol: float) -> tuple[np.ndarray, np.ndarray]:
 def eigvals_hermitian(A: Matrix) -> np.ndarray:
     """Real eigenvalues, sorted descending, of a Hermitian matrix over R, C or H.
 
-    The guards and the one eigensolve are those of :func:`eig_hermitian`; no
-    eigenbasis is built.  Over H each eigenvalue is the mean of its pair in
-    chi(A)'s spectrum.
+    The guards and the one eigensolve are those of :func:`eig_hermitian`, but
+    the kernel computes no eigenvectors and no eigenbasis is built.  Over H
+    each eigenvalue is the mean of its pair in chi(A)'s spectrum.
     """
-    w, _ = _solve(A, _HERMITIAN_TOL)
+    w, _ = _solve(A, _HERMITIAN_TOL, vectors=False)
     if A.algebra is Algebra.H:
         return 0.5 * (w[0::2] + w[1::2])
     return w
@@ -141,7 +160,7 @@ def eigvals_hermitian(A: Matrix) -> np.ndarray:
 
 def eig_hermitian(A: Matrix, tol: float = _HERMITIAN_TOL) -> EigenDecomposition:
     """Orthonormal eigenbasis of a Hermitian matrix over R, C or H."""
-    w, V = _solve(A, tol)
+    w, V = _solve(A, tol, vectors=True)
     if A.algebra is not Algebra.H:
         comps = np.zeros((A.n, A.n, 4))
         comps[..., 0] = V.real

@@ -231,6 +231,23 @@ def test_eigh_solves_hermitian_problems(n):
     assert np.abs(np.sort(vals) - np.sort(ref)).max() < 1e-10
 
 
+@pytest.mark.parametrize("vectors", [True, False], ids=["vectors", "values-only"])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 24, 128])
+def test_eigh_spectrum_matches_eigvalsh_in_both_modes(n, vectors):
+    H = _random_hermitian_complex(SplitMix64(100 + n), n)
+    vals, vecs = kernels.eigh(H, vectors=vectors)
+    assert vals.shape == (n,)
+    scale = max(1.0, np.abs(vals).max())
+    assert np.abs(vals - np.linalg.eigvalsh(H)).max() < 1e-12 * scale
+    # two invariants that need no eigensolver: tr H and |H|_F^2
+    assert abs(vals.sum() - np.trace(H).real) < 1e-12 * n * scale
+    assert abs((vals**2).sum() - (np.abs(H) ** 2).sum()) < 1e-12 * n * scale**2
+    if vectors:
+        assert np.abs(H @ vecs - vecs * vals).max() < 1e-11 * scale
+    else:
+        assert vecs is None
+
+
 def test_eigh_handles_degenerate_spectra():
     Q, _ = np.linalg.qr(_random_hermitian_complex(SplitMix64(55), 4) + 0.3)
     H = Q @ np.diag([2.0, 2.0, 2.0, -1.0]) @ Q.conj().T
@@ -248,17 +265,21 @@ def test_eigh_rejects_non_finite_entries(bad, where):
     # otherwise come back as the spectrum [1, 1, 1]
     H = np.eye(3, dtype=np.complex128)
     H[where] = bad
-    with pytest.raises(ConvergenceFailure):
-        kernels.eigh(H)
+    for vectors in (True, False):
+        with pytest.raises(ConvergenceFailure):
+            kernels.eigh(H, vectors=vectors)
 
 
 def test_eigh_reports_lapack_failure_as_convergence_failure(monkeypatch):
     def no_convergence(H):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
+    # eigh computes eigenvectors, eigvalsh is the eigenvalue-only driver
     monkeypatch.setattr(np.linalg, "eigh", no_convergence)
-    with pytest.raises(ConvergenceFailure, match="did not converge"):
-        kernels.eigh(np.eye(2))
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    for vectors in (True, False):
+        with pytest.raises(ConvergenceFailure, match="did not converge"):
+            kernels.eigh(np.eye(2), vectors=vectors)
 
 
 def test_active_backend_reports_a_known_name():

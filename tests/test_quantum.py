@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -366,3 +367,33 @@ def test_validators_reject_non_finite_entries(make, error, bad, where, algebra):
         else:
             with pytest.raises(error):
                 make(Matrix(algebra, comps))
+
+
+@pytest.mark.parametrize(
+    "make, error",
+    [
+        (Projector, ValueError),
+        (Observable, NotHermitian),
+        (DensityOperator, NotHermitian),
+        (eig_hermitian, NotHermitian),
+        (eigvals_hermitian, NotHermitian),
+    ],
+    ids=["Projector", "Observable", "DensityOperator", "eig_hermitian", "eigvals_hermitian"],
+)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("where", ["every entry", "one off-diagonal entry", "one diagonal entry"])
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+def test_validators_reject_non_finite_entries_without_a_numpy_warning(make, error, bad, where, algebra):
+    # the rejection comes from a finiteness check before any arithmetic, so
+    # the caller gets the typed error and no warning about the internals
+    comps = np.zeros((3, 3, 4))
+    if where == "every entry":
+        comps[..., 0] = bad
+    elif where == "one off-diagonal entry":
+        comps[0, 1, 0] = bad
+    else:
+        comps[1, 1, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            make(Matrix(algebra, comps))

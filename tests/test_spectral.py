@@ -138,8 +138,8 @@ class TestEigHermitian:
     def test_quaternionic_lift_rejects_a_broken_eigensolve(self, monkeypatch, fault):
         real_eigh = kernels.eigh
 
-        def broken_eigh(X):
-            w, V = real_eigh(X)
+        def broken_eigh(X, **kwargs):
+            w, V = real_eigh(X, **kwargs)
             if fault == "unpaired spectrum":
                 return np.arange(len(w), dtype=float), V
             # a doubled spectrum whose eigenvectors all lift to one line
@@ -199,8 +199,8 @@ class TestEigvalsHermitian:
     def test_unpaired_spectrum_is_rejected(self, monkeypatch, solve):
         real_eigh = kernels.eigh
 
-        def broken_eigh(X):
-            w, V = real_eigh(X)
+        def broken_eigh(X, **kwargs):
+            w, V = real_eigh(X, **kwargs)
             return np.arange(len(w), dtype=float), V
 
         monkeypatch.setattr(kernels, "eigh", broken_eigh)
@@ -210,21 +210,26 @@ class TestEigvalsHermitian:
 
 class TestSpectrumReaders:
     """Norms, positivity and the state check read the spectrum alone: they
-    succeed with eig_hermitian unavailable, each with the solves it needs."""
+    succeed with eig_hermitian and LAPACK's eigenvector driver unavailable,
+    each with the solves it needs."""
 
     @pytest.fixture
     def eigh_calls(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("no eigenbasis may be built here")
 
+        def refuse_vectors(*args, **kwargs):
+            raise AssertionError("no eigenvector may be computed here")
+
         for module in (spectral, gleason):
             monkeypatch.setattr(module, "eig_hermitian", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse_vectors)
         real_eigh = kernels.eigh
         calls = []
 
-        def counting_eigh(X):
+        def counting_eigh(X, **kwargs):
             calls.append(X.shape[0])
-            return real_eigh(X)
+            return real_eigh(X, **kwargs)
 
         monkeypatch.setattr(kernels, "eigh", counting_eigh)
         return calls
@@ -257,9 +262,9 @@ class TestSpectrumReaders:
         real_eigh = kernels.eigh
         calls = []
 
-        def counting_eigh(X):
+        def counting_eigh(X, **kwargs):
             calls.append(X.shape[0])
-            return real_eigh(X)
+            return real_eigh(X, **kwargs)
 
         monkeypatch.setattr(kernels, "eigh", counting_eigh)
         dec = T.eigen()
@@ -267,6 +272,40 @@ class TestSpectrumReaders:
         assert T.eigen() is dec
         assert len(calls) == 1
         assert np.abs(dec.values - T.eigenvalues).max() <= 1e-12
+
+    @pytest.mark.parametrize("algebra", ALGEBRAS)
+    def test_eig_hermitian_still_computes_eigenvectors(self, algebra, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the eigenbasis needs the eigenvector driver")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        A = random_hermitian(5, algebra, SplitMix64(1203))
+        dec = eig_hermitian(A)
+        assert dec.residual(A) < 1e-10
+        assert dec.basis.orthonormality_defect() < 1e-10
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_doubled_spectrum_guard_passes_gaussian_product_grams(self, n, monkeypatch):
+        # A*A for a product of Gaussian matrices has a wide spectrum, down to
+        # tiny eigenvalues: the pairing guard, relative to the largest one,
+        # must still pass the eigenvalue-only driver's rounding
+        rng = SplitMix64(1204 + n)
+        A = random_matrix(n, n, Algebra.H, rng) @ random_matrix(n, n, Algebra.H, rng)
+        G = A.adjoint() @ A
+        real_eigvalsh = np.linalg.eigvalsh
+        orders = []
+
+        def counting_eigvalsh(X):
+            orders.append(X.shape[0])
+            return real_eigvalsh(X)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        values = eigvals_hermitian(G)
+        assert orders == [2 * n]
+        reference = np.sort(real_eigvalsh(embed(G)))[::-1]
+        assert np.abs(values - 0.5 * (reference[0::2] + reference[1::2])).max() <= (
+            1e-12 * reference[0]
+        )
 
 
 class TestSqrtAbsPolar:
