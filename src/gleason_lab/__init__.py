@@ -88,6 +88,7 @@ from .gleason import (
 )
 from .quantum import (
     ContinuityReport,
+    GroupPath,
     Observable,
     OutcomeMeasure,
     PVMap,

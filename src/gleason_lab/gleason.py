@@ -50,7 +50,8 @@ from .trace import _real_pairings, real_trace
 
 _STATE_TOL = 1e-8
 # entries of the (k, n, n, 4) stack of line projectors that FrameFunction.from_measure
-# builds at once; a wider probe block is read in column chunks of this many entries
+# builds at once; a wider probe block is read in column chunks of this many entries.
+# quantum.continuity_scan bounds its stacks of U_t by the same count
 _PROBE_CHUNK_ENTRIES = 1 << 21
 
 

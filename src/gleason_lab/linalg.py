@@ -256,6 +256,9 @@ class Matrix:
         return (self - self.adjoint()).max_abs()
 
     def is_hermitian(self, tol: float = 1e-9) -> bool:
+        # a non-finite entry is answered before any arithmetic, which would make numpy warn
+        if not np.isfinite(self.comps).all():
+            return False
         return _hermitian_ratio(self, self.adjoint()) <= tol
 
     def approx_eq(self, other: "Matrix", tol: float = 1e-9) -> bool:

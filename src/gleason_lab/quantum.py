@@ -4,6 +4,11 @@ At finite dimension an observable's spectrum is a finite set, every Borel set
 collapses to a union of spectral atoms, and the functional calculus is the
 finite sum over atoms.  All probability formulas go through the real trace,
 which keeps one code path for R, C and H.
+
+A one-parameter group is a :class:`GroupPath`, block-shaped like the projector
+stacks: it maps k times to the (k, n, n, 4) stack of the U_t.
+:func:`continuity_scan` reads a sampled orbit from such stacks, in chunks of
+at most ``gleason._PROBE_CHUNK_ENTRIES`` entries, two products per chunk.
 """
 
 from __future__ import annotations
@@ -14,12 +19,13 @@ from typing import Callable
 
 import numpy as np
 
+from . import kernels
 from .errors import NotHermitian, NotUnitary
-from .gleason import DensityOperator, measure_from_state
-from .linalg import Matrix, Projector, outer_sum
+from .gleason import _PROBE_CHUNK_ENTRIES, DensityOperator, measure_from_state
+from .linalg import Matrix, Projector, _check_same_algebra, _conj_comps, _mul_comps, outer_sum
 from .scalars import Algebra, Quaternion
 from .spectral import EigenDecomposition, _group_indices, eig_hermitian
-from .trace import real_pairing, real_trace
+from .trace import _real_sums, real_pairing, real_trace
 
 _ATOM_REL_TOL = 1e-7
 
@@ -175,6 +181,9 @@ class SymmetryOp:
             raise ValueError("anti-unitary symmetries exist only over C")
         if not V.is_square:
             raise NotUnitary(f"a {V.n}x{V.m} matrix is not unitary")
+        # rejected before any arithmetic, which would make numpy warn
+        if not np.isfinite(V.comps).all():
+            raise NotUnitary("unitary factor has a non-finite entry")
         defect = V.orthonormality_defect()
         # NaN fails every comparison
         if not (defect <= 1e-8):
@@ -217,51 +226,78 @@ def conjugate_state(U: Matrix | SymmetryOp, T: DensityOperator) -> DensityOperat
 # one-parameter groups and continuity
 # ---------------------------------------------------------------------------
 
-def rotation_group_from_hermitian(H: Matrix, imag_unit: Quaternion) -> Callable[[float], Matrix]:
+class GroupPath:
+    """A one-parameter group t -> U_t, read block-shaped.
+
+    :meth:`stack` maps a 1-D array of k times to the (k, n, n, 4) component
+    stack of the U_t.  Calling the path with one time gives the Matrix U_t,
+    entry 0 of a one-time stack, the way :meth:`Projector.rank_one` wraps
+    :meth:`Projector.rank_ones`.
+    """
+
+    __slots__ = ("algebra", "stack")
+
+    def __init__(self, algebra: Algebra, stack: Callable[[np.ndarray], np.ndarray]):
+        self.algebra = algebra
+        self.stack = stack
+
+    def __call__(self, t: float) -> Matrix:
+        return Matrix(self.algebra, self.stack(np.array([t], dtype=np.float64))[0])
+
+
+def rotation_group_from_hermitian(H: Matrix, imag_unit: Quaternion) -> GroupPath:
     """t -> sum_u u exp(imag_unit t s(u)) <u|.> built on the eigenbasis of H.
 
     Over C with imag_unit = i this is exp(itH); over H it rotates each
     eigenvector by left multiplication with the fixed unit imaginary.  The
     group law U_{t+s} = U_t U_s holds because all phases share one slice.
+    A stack of k times is the eigenbasis U times its phases, broadcast over
+    the times, then one product of that (k n, n) column of blocks with U*.
     """
     if H.algebra is Algebra.R:
         raise ValueError("use rotation_group_from_skew over R")
     dec = eig_hermitian(H)
-    U = dec.basis
+    U = dec.basis.comps
+    U_star = np.transpose(_conj_comps(U), (1, 0, 2))
     unit = imag_unit.to_array()
+    n = H.n
 
-    def path(t: float) -> Matrix:
-        phases = np.sin(t * dec.values)[:, None] * unit
-        phases[:, 0] += np.cos(t * dec.values)
-        return outer_sum(U, phases)
+    def stack(ts: np.ndarray) -> np.ndarray:
+        angles = ts[:, None] * dec.values
+        phases = np.sin(angles)[..., None] * unit
+        phases[..., 0] += np.cos(angles)
+        scaled = _mul_comps(U, phases[:, None]).reshape(ts.size * n, n, 4)
+        return kernels.quat_matmul(scaled, U_star).reshape(ts.size, n, n, 4)
 
-    return path
+    return GroupPath(H.algebra, stack)
 
 
-def rotation_group_from_skew(W: Matrix) -> Callable[[float], Matrix]:
+def rotation_group_from_skew(W: Matrix) -> GroupPath:
     """t -> exp(tW) for a real antisymmetric generator W.
 
     Diagonalizes the complex Hermitian iW; the assembled exponential is real
     because the spectrum pairs up, and the tiny imaginary residue is dropped.
+    A stack of k times is one complex product of the (k n, n) block of the
+    phased eigenvectors with V*.
     """
     if W.algebra is not Algebra.R:
         raise ValueError("skew generator path is the real-algebra route")
     W0 = W.comps[..., 0]
     if np.abs(W0 + W0.T).max() > 1e-9 * max(1.0, np.abs(W0).max()):
         raise ValueError("generator must be antisymmetric")
-    from . import kernels
-
     # the solver reads one triangle, so hand it the exactly Hermitian part
     vals, vecs = kernels.eigh(1j * (W0 - W0.T) / 2)
+    vecs_star = vecs.conj().T
+    n = W.n
 
-    def path(t: float) -> Matrix:
-        phases = np.exp(-1j * t * vals)
-        U = (vecs * phases[None, :]) @ vecs.conj().T
-        comps = np.zeros(U.shape + (4,))
-        comps[..., 0] = U.real
-        return Matrix(Algebra.R, comps)
+    def stack(ts: np.ndarray) -> np.ndarray:
+        phases = np.exp(-1j * ts[:, None] * vals)
+        U = (vecs * phases[:, None, :]).reshape(ts.size * n, n) @ vecs_star
+        comps = np.zeros((ts.size, n, n, 4))
+        comps[..., 0] = U.real.reshape(ts.size, n, n)
+        return comps
 
-    return path
+    return GroupPath(Algebra.R, stack)
 
 
 @dataclass(frozen=True)
@@ -271,20 +307,51 @@ class ContinuityReport:
     value_range: tuple[float, float]
 
 
+def _orbit_values(A: Matrix, T: DensityOperator, group_path: GroupPath, ts: np.ndarray) -> np.ndarray:
+    """Re tr(A U_t T U_t^{-1}) for every time t of ``ts``, read block-shaped.
+
+    The times go in chunks whose stack of U_t has at most
+    ``_PROBE_CHUNK_ENTRIES`` entries.  Per chunk: one product of A with the
+    stack laid side by side, [A U_1 ... A U_k] = A [U_1 ... U_k]; one product
+    of the column [A U_1; ...; A U_k] with T, which gives Y_t = A U_t T; and
+    Re tr(Y_t U_t*) = sum_rc Re(Y_rc conj(U_rc)), read entrywise with the
+    sums of :func:`_real_sums`, with no adjoint and no product formed.
+    """
+    _check_same_algebra(A, T.matrix)
+    _check_same_algebra(A, group_path)
+    if not A.is_square:
+        raise ValueError(f"cannot scan a {A.n}x{A.m} observable")
+    n = A.n
+    # a power of two, so that every full chunk meets the GEMM kernels' tiles the
+    # way one long scan does, and a value does not depend on where a chunk ends
+    width = 1 << (max(1, _PROBE_CHUNK_ENTRIES // (4 * n * n)).bit_length() - 1)
+    values = np.empty(ts.size)
+    for a in range(0, ts.size, width):
+        U = group_path.stack(ts[a:a + width])
+        k = U.shape[0]
+        AU = kernels.quat_matmul(A.comps, U.transpose(1, 0, 2, 3).reshape(n, k * n, 4))
+        column = AU.reshape(n, k, n, 4).transpose(1, 0, 2, 3).reshape(k * n, n, 4)
+        del AU  # free each stack-sized intermediate once the next one is built
+        Y = kernels.quat_matmul(column, T.matrix.comps).reshape(k, n, n, 4)
+        del column
+        Y *= _conj_comps(U)
+        values[a:a + k] = _real_sums(Y)
+    return values
+
+
 def continuity_scan(
     A: Matrix,
     T: DensityOperator,
-    group_path: Callable[[float], Matrix],
+    group_path: GroupPath,
     samples: int,
     t_span: tuple[float, float] = (0.0, 1.0),
 ) -> ContinuityReport:
-    """Sample t -> Re tr(A U_t T U_t^{-1}) and report the largest adjacent jump."""
-    ts = np.linspace(t_span[0], t_span[1], samples + 1)
-    values = []
-    for t in ts:
-        U = group_path(float(t))
-        values.append(real_pairing(A @ U @ T.matrix, U.adjoint()))
-    arr = np.array(values)
+    """Sample t -> Re tr(A U_t T U_t^{-1}) and report the largest adjacent jump.
+
+    Every value is read (:func:`_orbit_values`) before any difference is
+    taken, so the chunking of the samples cannot change a jump.
+    """
+    arr = _orbit_values(A, T, group_path, np.linspace(t_span[0], t_span[1], samples + 1))
     jumps = np.abs(np.diff(arr))
     return ContinuityReport(
         samples=samples,

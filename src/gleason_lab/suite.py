@@ -546,7 +546,8 @@ def _run_continuity_trend(cell: Cell) -> float:
     path = _make_group_path(cell)
     base = 64
     jumps = [qm.continuity_scan(A, T, path, base * (2**k)).max_jump for k in range(3)]
-    group_defect = (path(0.3) @ path(0.4) - path(0.7)).max_abs()
+    U_a, U_b, U_ab = (Matrix(cell.algebra, U) for U in path.stack(np.array([0.3, 0.4, 0.7])))
+    group_defect = (U_a @ U_b - U_ab).max_abs()
     return _worst([nxt - 0.7 * prev for prev, nxt in zip(jumps, jumps[1:])] + [group_defect])
 
 

@@ -11,6 +11,8 @@ Re tr(AB) has one kernel, :func:`_real_pairings`: it pairs a whole stack of
 matrices with one operand in a single broadcast product and forms no matrix
 product.  :func:`real_pairing` is its one-matrix case, and the trace-backed
 lattice measure of :mod:`gleason_lab.gleason` reads a probe stack with it.
+Its sums of real parts, :func:`_real_sums`, also read the sampled orbits of
+:func:`gleason_lab.quantum.continuity_scan`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from .kernels import HAMILTON
 from .linalg import Matrix, _check_same_algebra, _conj_comps, _mul_comps
 from .scalars import Algebra, Quaternion, scalar_to_json
-from .spectral import op_norm, singular_values
+from .spectral import _skew_polar, adapted_basis, op_norm, singular_values
 
 
 def _diagonal(A: Matrix, basis: Matrix) -> np.ndarray:
@@ -62,8 +64,13 @@ def _real_pairings(stack: np.ndarray, B: np.ndarray) -> np.ndarray:
             f"cannot pair {stack.shape[1]}x{stack.shape[2]} with {B.shape[0]}x{B.shape[1]}: "
             "need (n, m) and (m, n)"
         )
+    return _real_sums(stack * np.transpose(B, (1, 0, 2)))
+
+
+def _real_sums(prod: np.ndarray) -> np.ndarray:
+    """sum_rc Re(p_rc q_rc) for every matrix of a (k, n, m, 4) stack of entrywise
+    component products prod = p * q, since Re(pq) = p_0 q_0 - p_1 q_1 - p_2 q_2 - p_3 q_3."""
     # plain sums, not einsum, which would reorder the additions
-    prod = stack * np.transpose(B, (1, 0, 2))
     return prod[..., 0].sum(axis=(1, 2)) - prod[..., 1:].sum(axis=(1, 2, 3))
 
 
@@ -154,8 +161,6 @@ class AdaptedTraceCheck:
 
 def quaternionic_trace_formula_check(A: Matrix, imag_unit: Quaternion) -> AdaptedTraceCheck:
     """Evaluate the adapted-basis trace identity for a quaternionic matrix."""
-    from .spectral import _skew_polar, adapted_basis
-
     J, skew_norm = _skew_polar(A)
     basis = adapted_basis(J, imag_unit)
     lhs = trace_n(A, basis)

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from gleason_lab import quantum
 from gleason_lab.errors import NotHermitian, NotUnitary
 from gleason_lab.gleason import DensityOperator, pure_state, random_density
 from gleason_lab.linalg import (
@@ -258,6 +259,14 @@ class TestSymmetries:
             assert math.isclose(real_trace(moved.matrix), 1.0, abs_tol=1e-9)
 
 
+def _random_group_path(n, algebra, rng):
+    if algebra is Algebra.R:
+        G = random_matrix(n, n, algebra, rng)
+        return rotation_group_from_skew((G - G.adjoint()) * 0.5)
+    unit = I if algebra is Algebra.C else Quaternion(0, 0.6, 0.0, 0.8)
+    return rotation_group_from_hermitian(random_hermitian(n, algebra, rng), unit)
+
+
 class TestGroupPathsAndContinuity:
     def test_group_law_complex(self):
         rng = SplitMix64(126)
@@ -286,12 +295,64 @@ class TestGroupPathsAndContinuity:
         assert (path(0.5).adjoint() @ path(0.5) - ident).max_abs() < 1e-9
 
     def test_constant_path_has_zero_variation(self):
+        # a zero generator has every phase exactly 1, so every U_t has the same bits
         rng = SplitMix64(129)
         A = random_matrix(3, 3, Algebra.C, rng)
         T = random_density(3, Algebra.C, rng)
-        ident = Matrix.identity(3, Algebra.C)
-        report = continuity_scan(A, T, lambda t: ident, 50)
+        path = rotation_group_from_hermitian(Matrix.zeros(3, 3, Algebra.C), I)
+        report = continuity_scan(A, T, path, 50)
         assert report.max_jump == 0.0
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    @pytest.mark.parametrize("algebra", ALGEBRAS)
+    def test_stack_entries_equal_the_one_time_path(self, algebra, n):
+        rng = SplitMix64(133)
+        path = _random_group_path(n, algebra, rng)
+        ts = np.linspace(-0.5, 1.5, 37)
+        stack = path.stack(ts)
+        assert stack.shape == (ts.size, n, n, 4)
+        for p, t in enumerate(ts):
+            assert np.array_equal(stack[p], path(float(t)).comps)
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    @pytest.mark.parametrize("algebra", ALGEBRAS)
+    def test_scan_values_match_a_per_sample_reference(self, algebra, n):
+        # the scan's wide and tall products round like the per-sample ones only
+        # up to the order of BLAS additions, so the bound is relative, at 1e-14
+        rng = SplitMix64(134)
+        A = random_matrix(n, n, algebra, rng)
+        T = random_density(n, algebra, rng)
+        path = _random_group_path(n, algebra, rng)
+        ts = np.linspace(0.0, 1.0, 65)
+        reference = []
+        for t in ts:
+            U = path(float(t))
+            reference.append(real_pairing(A @ U @ T.matrix, U.adjoint()))
+        reference = np.array(reference)
+        values = quantum._orbit_values(A, T, path, ts)
+        assert np.abs(values - reference).max() <= 1e-14 * max(1.0, np.abs(reference).max())
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    @pytest.mark.parametrize("algebra", ALGEBRAS)
+    def test_scan_wider_than_one_chunk_keeps_every_value(self, algebra, n, monkeypatch):
+        rng = SplitMix64(135)
+        A = random_matrix(n, n, algebra, rng)
+        T = random_density(n, algebra, rng)
+        path = _random_group_path(n, algebra, rng)
+        ts = np.linspace(0.0, 1.0, 101)
+        whole = quantum._orbit_values(A, T, path, ts)
+        monkeypatch.setattr(quantum, "_PROBE_CHUNK_ENTRIES", 7 * 4 * n * n)  # 7 samples
+        build, sizes = path.stack, []
+
+        def spy(chunk):
+            stack = build(chunk)
+            sizes.append(stack.size)
+            return stack
+
+        path.stack = spy
+        chunked = quantum._orbit_values(A, T, path, ts)
+        assert np.array_equal(chunked, whole)
+        assert len(sizes) > 1 and max(sizes) <= 7 * 4 * n * n
 
     def test_commuting_generator_freezes_the_orbit(self):
         # a state built from the generator's own eigenprojectors commutes with
@@ -361,12 +422,11 @@ def test_validators_reject_non_finite_entries(make, error, bad, where, algebra):
         comps[..., 0] = bad
     else:
         comps[0, 1, 0] = bad
-    with np.errstate(all="ignore"):
-        if error is None:  # a predicate: it must answer False, not raise
-            assert make(Matrix(algebra, comps)) is False
-        else:
-            with pytest.raises(error):
-                make(Matrix(algebra, comps))
+    if error is None:  # a predicate: it must answer False, not raise
+        assert make(Matrix(algebra, comps)) is False
+    else:
+        with pytest.raises(error):
+            make(Matrix(algebra, comps))
 
 
 @pytest.mark.parametrize(
@@ -374,11 +434,14 @@ def test_validators_reject_non_finite_entries(make, error, bad, where, algebra):
     [
         (Projector, ValueError),
         (Observable, NotHermitian),
+        (SymmetryOp, NotUnitary),
         (DensityOperator, NotHermitian),
         (eig_hermitian, NotHermitian),
         (eigvals_hermitian, NotHermitian),
+        (Matrix.is_hermitian, None),
     ],
-    ids=["Projector", "Observable", "DensityOperator", "eig_hermitian", "eigvals_hermitian"],
+    ids=["Projector", "Observable", "SymmetryOp", "DensityOperator", "eig_hermitian",
+         "eigvals_hermitian", "is_hermitian"],
 )
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
 @pytest.mark.parametrize("where", ["every entry", "one off-diagonal entry", "one diagonal entry"])
@@ -395,5 +458,8 @@ def test_validators_reject_non_finite_entries_without_a_numpy_warning(make, erro
         comps[1, 1, 0] = bad
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(error):
-            make(Matrix(algebra, comps))
+        if error is None:  # a predicate: it must answer False, not raise
+            assert make(Matrix(algebra, comps)) is False
+        else:
+            with pytest.raises(error):
+                make(Matrix(algebra, comps))
