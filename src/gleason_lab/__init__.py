@@ -28,10 +28,8 @@ from .linalg import (
     gram_schmidt,
     inner,
     is_positive,
-    is_positive_selfadjoint,
     outer,
     outer_sum,
-    projector_leq,
     projector_onto,
     random_hermitian,
     random_matrix,
@@ -55,7 +53,6 @@ from .spectral import (
     sqrt_positive,
 )
 from .trace import (
-    TraceReport,
     absolute_diagonal_sum,
     check_norm_inequalities,
     quaternionic_trace_formula_check,
@@ -65,7 +62,6 @@ from .trace import (
     realify,
     trace_n,
     trace_norm,
-    trace_report,
 )
 from .gleason import (
     DensityOperator,
@@ -77,14 +73,11 @@ from .gleason import (
     dim2_counterexample,
     extremal_split,
     is_extremal,
-    lattice_join,
     measure_from_state,
-    measure_transcript,
     pure_state,
     random_density,
     reconstruct_state,
     separation_check,
-    sigma_additivity_gap,
 )
 from .quantum import (
     ContinuityReport,

@@ -21,7 +21,7 @@ stack, so it checks the probe path rather than repeating it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -38,7 +38,6 @@ from .linalg import (
     outer_sum,
     projector_onto,
     random_phases,
-    random_projector,
     random_unit_vector,
     random_unit_vectors,
     random_unitary,
@@ -97,11 +96,6 @@ class DensityOperator:
 
     def rank(self, tol: float = _STATE_TOL) -> int:
         return int((self.eigenvalues > tol).sum())
-
-    def to_json(self) -> dict:
-        payload = self.matrix.to_json()
-        payload["certified"] = True
-        return payload
 
     def __repr__(self) -> str:
         return f"DensityOperator({self.algebra.value}, n={self.n}, rank={self.rank()})"
@@ -209,32 +203,6 @@ class FrameFunction:
             return [float(fn(x)) for x in X.columns()]
 
         return cls(evaluate=ev)
-
-    def basis_weight(self, basis: Matrix) -> float:
-        """sum_u f(u) over the columns u of ``basis``, evaluated as one block."""
-        return float(sum(self.evaluate(basis)))
-
-
-def lattice_join(projectors: list[Projector]) -> Projector:
-    """Projector onto the closed span of the union of ranges.
-
-    For pairwise-orthogonal families this equals the plain sum of the
-    projectors.
-    """
-    if not projectors:
-        raise ValueError("join of an empty family is undefined without a dimension")
-    n = projectors[0].n
-    algebra = projectors[0].algebra
-    spanning: list[Vector] = []
-    for P in projectors:
-        dec = eig_hermitian(P.matrix)
-        for s, u in zip(dec.values, dec.basis.columns()):
-            if s > 0.5:
-                spanning.append(u)
-    if not spanning:
-        return Projector.zero(n, algebra)
-    return projector_onto(spanning, drop=True)
-
 
 # ---------------------------------------------------------------------------
 # reconstruction: measure -> density operator
@@ -423,43 +391,6 @@ def random_orthogonal_decomposition(
     return out
 
 
-def sigma_additivity_gap(mu: LatticeMeasure, decomposition: list[Projector]) -> float:
-    """|sum_k mu(P_k) - mu(sum_k P_k)| for a pairwise-orthogonal family."""
-    total = sum(mu(P) for P in decomposition)
-    joined = lattice_join(decomposition)
-    return abs(total - mu(joined))
-
-
-def measure_transcript(mu: LatticeMeasure, probes: list[Projector]) -> list[dict]:
-    """Probe transcript rows {projector_rank, value} for report generation."""
-    return [{"projector_rank": P.rank, "value": mu(P)} for P in probes]
-
-
-def probe_measure(
-    mu: LatticeMeasure,
-    n: int,
-    algebra: Algebra,
-    rng: SplitMix64,
-    probes: int = 200,
-    ranks: tuple[int, ...] | None = None,
-) -> list[dict]:
-    """Sample a measure oracle on random projectors and return the transcript.
-
-    The lattice is infinite even at n = 3, so sampling is the only finite
-    check; the defaults draw 200 projectors with ranks cycling through
-    1..n-1.  Values escaping [0, 1] beyond 1e-10 raise ValueError.
-    """
-    ranks = ranks or tuple(range(1, n)) or (n,)
-    rows = []
-    for t in range(probes):
-        P = random_projector(n, ranks[t % len(ranks)], algebra, rng)
-        value = mu(P)
-        if value < -1e-10 or value > 1.0 + 1e-10:
-            raise ValueError(f"measure value {value} escapes [0, 1]")
-        rows.append({"projector_rank": P.rank, "value": value})
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # the dimension-2 obstruction
 # ---------------------------------------------------------------------------
@@ -476,7 +407,6 @@ class Dim2Certificate:
     identity_value: float
     best_fit: Matrix
     best_fit_max_error: float
-    transcript: list[dict] = field(default_factory=list)
 
 
 def dim2_counterexample(probes: int = 100, seed: int = 0xB10C) -> tuple[LatticeMeasure, Dim2Certificate]:
@@ -535,6 +465,5 @@ def dim2_counterexample(probes: int = 100, seed: int = 0xB10C) -> tuple[LatticeM
         identity_value=mu(Projector.identity(2, algebra)),
         best_fit=best_fit,
         best_fit_max_error=fit_error,
-        transcript=measure_transcript(mu, [pole_up, pole_down] + [p for p, _ in pairs[:10]]),
     )
     return mu, certificate

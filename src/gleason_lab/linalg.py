@@ -26,8 +26,7 @@ the projectors onto the lines of a block of columns with no matrix product and
 no Hamilton table: read as complex pairs, each entry u = z1 + z2 j, and
 u_r conj(u_c) = (z1_r conj z1_c + z2_r conj z2_c) + (z2_r z1_c - z1_r z2_c) j
 (:func:`_line_projectors`).  It certifies the whole stack at once and returns
-it as one (k, n, n, 4) array, with no object per projector;
-:meth:`Projector.rank_one` wraps entry 0 of a one-column stack.  The
+it as one (k, n, n, 4) array, with no object per projector.  The
 certificate, :func:`_certify_projectors`, reads the stack as built, through its
 four real components and the quaternion conjugate, and shares no step with the
 complex-pair formula, so a build that breaks P* = P fails it.  The
@@ -47,7 +46,7 @@ from . import kernels
 from .errors import AlgebraMismatch, DegenerateInput
 from .kernels import HAMILTON
 from .rng import SplitMix64
-from .scalars import Algebra, Quaternion, as_quaternion, scalar_from_json, scalar_to_json
+from .scalars import Algebra, Quaternion, as_quaternion
 
 _RANK_TOL = 1e-10
 
@@ -89,11 +88,6 @@ class Vector:
         self.algebra = algebra
         self.comps = comps
         self.comps.flags.writeable = False
-
-    @classmethod
-    def from_scalars(cls, entries, algebra: Algebra) -> "Vector":
-        rows = [as_quaternion(e).to_array() for e in entries]
-        return cls(algebra, np.array(rows).reshape(len(rows), 4))
 
     @classmethod
     def basis_vector(cls, index: int, n: int, algebra: Algebra) -> "Vector":
@@ -267,31 +261,6 @@ class Matrix:
     def __repr__(self) -> str:
         return f"Matrix({self.algebra.value}, {self.n}x{self.m})"
 
-    # -- serialization ------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "algebra": self.algebra.value,
-            "rows": self.n,
-            "cols": self.m,
-            "data": [
-                [scalar_to_json(self.entry(r, c), self.algebra) for c in range(self.m)]
-                for r in range(self.n)
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Matrix":
-        algebra = Algebra.from_letter(obj["algebra"])
-        rows = [
-            [scalar_from_json(e, algebra) for e in row]
-            for row in obj["data"]
-        ]
-        mat = cls.from_rows(rows, algebra)
-        if mat.n != obj["rows"] or mat.m != obj["cols"]:
-            raise ValueError("row/col counts disagree with data shape")
-        return mat
-
 
 def _hermitian_ratio(A: Matrix, A_star: Matrix) -> float:
     """|A - A*| / max(1, max|A_rc|), the Hermitian test's statistic, from the
@@ -443,21 +412,11 @@ class Projector:
         return stack
 
     @classmethod
-    def rank_one(cls, x: Vector) -> "Projector":
-        """The projector onto the line of x: entry 0 of the :meth:`rank_ones` stack."""
-        stack = cls.rank_ones(Matrix(x.algebra, x.comps[:, None, :]))
-        return cls._certified(Matrix(x.algebra, stack[0]))
-
-    @classmethod
     def _certified(cls, matrix: Matrix) -> "Projector":
         """Wrap a matrix whose projector certificates already hold, skipping __init__."""
         P = cls.__new__(cls)
         P.matrix = matrix  # must set every slot
         return P
-
-    @classmethod
-    def zero(cls, n: int, algebra: Algebra) -> "Projector":
-        return cls(Matrix.zeros(n, n, algebra))
 
     @classmethod
     def identity(cls, n: int, algebra: Algebra) -> "Projector":
@@ -509,7 +468,14 @@ def _line_projectors(U: np.ndarray) -> np.ndarray:
 def _certify_projectors(stack: np.ndarray, idem: np.ndarray, tol: float) -> None:
     """Raise ValueError unless, for every matrix P of the (k, n, n, 4) ``stack``,
     its idempotency defect ``idem[p]`` and its Hermitian defect are within
-    ``tol`` relative to max(1, max|P_rc|)."""
+    ``tol`` relative to max(1, max|P_rc|).
+
+    Precondition: every entry of ``stack`` is finite.  Both callers reject
+    non-finite input before they call: :class:`Projector` through
+    ``np.isfinite`` on its matrix, and :meth:`Projector.rank_ones` through its
+    finite-norm check.  A non-finite stack still fails, with NaN defects, but
+    numpy warns about the arithmetic on it first.
+    """
 
     def max_abs(c: np.ndarray) -> np.ndarray:
         # sqrt is monotone and correctly rounded, so one per matrix, after the
@@ -535,11 +501,6 @@ def projector_onto(vectors: list[Vector], *, drop: bool = False) -> Projector:
     return Projector(outer_sum(gram_schmidt(vectors, drop=drop)))
 
 
-def projector_leq(P: Projector, Q: Projector, tol: float = 1e-8) -> bool:
-    """Lattice order: P <= Q (range inclusion) iff QP = P."""
-    return (Q.matrix @ P.matrix - P.matrix).max_abs() <= tol
-
-
 def is_positive(A: Matrix, tol: float = 1e-9) -> bool:
     """Whether <x|Ax> >= 0 for all x.
 
@@ -562,11 +523,6 @@ def is_positive(A: Matrix, tol: float = 1e-9) -> bool:
             return False
     herm = (A + A_star) * 0.5
     return bool(eigvals_hermitian(herm).min() >= -tol * scale)
-
-
-def is_positive_selfadjoint(A: Matrix, tol: float = 1e-9) -> bool:
-    """Positive and self-adjoint; the stronger predicate real callers may need."""
-    return A.is_hermitian(tol) and is_positive(A, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -69,16 +69,6 @@ class PVMap:
     def eigenvalues(self) -> tuple[float, ...]:
         return tuple(s for s, _ in self.atoms)
 
-    def projector_for(self, member: Callable[[float], bool]) -> Projector:
-        """P_E for the Borel set E given by a membership predicate on outcomes."""
-        n = self.atoms[0][1].n
-        algebra = self.atoms[0][1].algebra
-        acc = Matrix.zeros(n, n, algebra)
-        for s, P in self.atoms:
-            if member(s):
-                acc = acc + P.matrix
-        return Projector(acc)
-
     def total(self) -> Matrix:
         acc = Matrix.zeros(self.atoms[0][1].n, self.atoms[0][1].n, self.atoms[0][1].algebra)
         for _, P in self.atoms:
@@ -125,9 +115,6 @@ class OutcomeMeasure:
 
     def second_moment(self) -> float:
         return float(sum(s * s * p for s, p in self.support))
-
-    def to_json(self) -> list[dict]:
-        return [{"eigenvalue": s, "probability": p} for s, p in self.support]
 
 
 def outcome_measure(A: Observable, T: DensityOperator) -> OutcomeMeasure:
@@ -231,8 +218,8 @@ class GroupPath:
 
     :meth:`stack` maps a 1-D array of k times to the (k, n, n, 4) component
     stack of the U_t.  Calling the path with one time gives the Matrix U_t,
-    entry 0 of a one-time stack, the way :meth:`Projector.rank_one` wraps
-    :meth:`Projector.rank_ones`.
+    entry 0 of a one-time stack, as a one-column :meth:`Projector.rank_ones`
+    stack holds the projector onto the line of one vector.
     """
 
     __slots__ = ("algebra", "stack")

@@ -157,21 +157,3 @@ def as_quaternion(value) -> Quaternion:
         return Quaternion(float(value))
     raise TypeError(f"cannot interpret {type(value).__name__} as a scalar")
 
-
-def scalar_to_json(value, algebra: Algebra):
-    """Encode a scalar: plain number for R, [a, b] for C, [a, b, c, d] for H."""
-    q = as_quaternion(value)
-    if algebra is Algebra.R:
-        return q.a
-    if algebra is Algebra.C:
-        return [q.a, q.b]
-    return [q.a, q.b, q.c, q.d]
-
-
-def scalar_from_json(obj, algebra: Algebra) -> Quaternion:
-    if algebra is Algebra.R:
-        return Quaternion(float(obj))
-    parts = [float(x) for x in obj]
-    if len(parts) != algebra.component_count:
-        raise ValueError(f"expected {algebra.component_count} components, got {len(parts)}")
-    return Quaternion.from_array(parts + [0.0] * (4 - len(parts)))

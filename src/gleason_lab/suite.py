@@ -164,10 +164,6 @@ class PropertyRecord:
     def to_json(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "PropertyRecord":
-        return cls(**obj)
-
 
 @dataclass(frozen=True)
 class SuiteReport:
@@ -193,14 +189,6 @@ class SuiteReport:
             "summary": self.counts,
             "records": [r.to_json() for r in self.records],
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SuiteReport":
-        return cls(
-            records=tuple(PropertyRecord.from_json(r) for r in obj["records"]),
-            config=obj["config"],
-            version=obj["version"],
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +281,7 @@ def _run_diagonal_basis_cyclicity(cell: Cell, t: int) -> Terms:
     A = random_hermitian(cell.dim, cell.algebra, cell.rng)
     B = random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
     basis = sp.eig_hermitian(A).basis
-    gap = abs(tr.trace_n(A @ B, basis) - tr.trace_n(B @ A, basis))
+    gap = tr.full_trace_cyclic_gap(A, B, basis)
     BH = (B + B.adjoint()) * 0.5
     full = tr.trace_n(A @ BH, basis)
     return gap, abs(full - Quaternion(full.real))
@@ -364,9 +352,7 @@ def _run_witness_basis_dependent_trace(cell: Cell) -> float:
 def _run_witness_cyclicity_failure(cell: Cell) -> float:
     n = max(cell.dim, 2)
     A, B = _cyclicity_witness(n)
-    basis = Matrix.identity(n, Algebra.H)
-    full_gap = abs(tr.trace_n(A @ B, basis) - tr.trace_n(B @ A, basis))
-    return _worst((tr.real_trace_cyclic_gap(A, B), abs(full_gap - 2.0)))
+    return _worst((tr.real_trace_cyclic_gap(A, B), abs(tr.full_trace_cyclic_gap(A, B) - 2.0)))
 
 
 def _antisymmetric_witness(m: int) -> Matrix:
@@ -847,10 +833,6 @@ def emit_report(report: SuiteReport, fmt: str = "json") -> bytes:
         )
         return ("\n".join(lines) + "\n").encode()
     raise ValueError(f"unknown format {fmt!r}")
-
-
-def parse_report(blob: bytes) -> SuiteReport:
-    return SuiteReport.from_json(json.loads(blob.decode()))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import numpy as np
 
 from .kernels import HAMILTON
 from .linalg import Matrix, _check_same_algebra, _conj_comps, _mul_comps
-from .scalars import Algebra, Quaternion, scalar_to_json
+from .scalars import Algebra, Quaternion
 from .spectral import _skew_polar, adapted_basis, op_norm, singular_values
 
 
@@ -107,14 +107,6 @@ class NormInequalityReport:
     slack_ba: float
     adjoint_gap: float
     op_vs_trace_slack: float
-
-    def all_hold(self, tol: float = 1e-9) -> bool:
-        return (
-            self.slack_ab >= -tol
-            and self.slack_ba >= -tol
-            and abs(self.adjoint_gap) <= tol
-            and self.op_vs_trace_slack >= -tol
-        )
 
 
 def check_norm_inequalities(A: Matrix, B: Matrix) -> NormInequalityReport:
@@ -224,29 +216,3 @@ def realification_check(A: Matrix) -> RealificationCheck:
         trace_real=real_trace(AR),
     )
 
-
-@dataclass(frozen=True)
-class TraceReport:
-    basis_id: str
-    value: Quaternion
-    real_value: float
-    trace_norm: float
-    algebra: Algebra
-
-    def to_json(self) -> dict:
-        return {
-            "basis": self.basis_id,
-            "trace": scalar_to_json(self.value, self.algebra),
-            "real_trace": self.real_value,
-            "trace_norm": self.trace_norm,
-        }
-
-
-def trace_report(A: Matrix, basis: Matrix, basis_id: str) -> TraceReport:
-    return TraceReport(
-        basis_id=basis_id,
-        value=trace_n(A, basis),
-        real_value=real_trace(A),
-        trace_norm=trace_norm(A),
-        algebra=A.algebra,
-    )

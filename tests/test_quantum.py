@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gleason_lab import quantum
-from gleason_lab.errors import NotHermitian, NotUnitary
+from gleason_lab.errors import DegenerateInput, NotHermitian, NotUnitary
 from gleason_lab.gleason import DensityOperator, pure_state, random_density
 from gleason_lab.linalg import (
     Matrix,
@@ -13,7 +13,6 @@ from gleason_lab.linalg import (
     Vector,
     inner,
     is_positive,
-    is_positive_selfadjoint,
     outer,
     random_hermitian,
     random_matrix,
@@ -58,6 +57,15 @@ class TestPVM:
         for _, proj in pvm.atoms:
             assert proj.rank == 1
 
+    def test_borel_sets_as_atom_unions(self):
+        # P_E for a Borel set E is the sum of the atoms whose eigenvalue lies in E
+        A = Observable(Matrix.diag([2.0, 2.0, -1.0, 5.0], Algebra.C))
+        pvm = pvm_of(A)
+        positive = Projector(sum((P.matrix for s, P in pvm.atoms if s > 0), Matrix.zeros(4, 4, Algebra.C)))
+        assert positive.rank == 3
+        assert positive.matrix.approx_eq(Matrix.diag([1.0, 1.0, 0.0, 1.0], Algebra.C), tol=1e-10)
+        assert pvm.total().approx_eq(Matrix.identity(4, Algebra.C), tol=1e-10)
+
     @pytest.mark.parametrize("algebra", ALGEBRAS)
     def test_small_spectrum_keeps_its_atoms(self, algebra):
         # atoms are merged relative to the largest eigenvalue, so a spectrum
@@ -77,14 +85,6 @@ class TestPVM:
             for s2, P2 in pvm.atoms:
                 expected = P1.matrix if s1 == s2 else Matrix.zeros(5, 5, algebra)
                 assert (P1.matrix @ P2.matrix - expected).max_abs() < 1e-8
-
-    def test_borel_sets_as_atom_unions(self):
-        A = Observable(Matrix.diag([2.0, 2.0, -1.0, 5.0], Algebra.C))
-        pvm = pvm_of(A)
-        positive = pvm.projector_for(lambda s: s > 0)
-        assert positive.rank == 3
-        everything = pvm.projector_for(lambda s: True)
-        assert everything.matrix.approx_eq(Matrix.identity(4, Algebra.C), tol=1e-10)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
@@ -160,12 +160,11 @@ class TestOutcomeStatistics:
         expect = sorted((s, real_pairing(P.matrix, T.matrix)) for s, P in pvm_of(A).atoms)
         assert outcome_measure(A, T).support == tuple(expect)
 
-    def test_json_is_sorted_by_eigenvalue(self):
+    def test_support_is_sorted_by_eigenvalue(self):
         rng = SplitMix64(117)
         A = Observable(random_hermitian(4, Algebra.C, rng))
         T = random_density(4, Algebra.C, rng)
-        rows = outcome_measure(A, T).to_json()
-        values = [row["eigenvalue"] for row in rows]
+        values = [s for s, _ in outcome_measure(A, T).support]
         assert values == sorted(values)
 
 
@@ -408,10 +407,10 @@ class TestGroupPathsAndContinuity:
         (eigvals_hermitian, NotHermitian),
         (Matrix.is_hermitian, None),
         (is_positive, None),
-        (is_positive_selfadjoint, None),
+        (Projector.rank_ones, DegenerateInput),
     ],
     ids=["Projector", "Observable", "SymmetryOp", "DensityOperator", "eig_hermitian",
-         "eigvals_hermitian", "is_hermitian", "is_positive", "is_positive_selfadjoint"],
+         "eigvals_hermitian", "is_hermitian", "is_positive", "rank_ones"],
 )
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
 @pytest.mark.parametrize("where", ["every entry", "one off-diagonal entry"])
@@ -439,9 +438,10 @@ def test_validators_reject_non_finite_entries(make, error, bad, where, algebra):
         (eig_hermitian, NotHermitian),
         (eigvals_hermitian, NotHermitian),
         (Matrix.is_hermitian, None),
+        (Projector.rank_ones, DegenerateInput),
     ],
     ids=["Projector", "Observable", "SymmetryOp", "DensityOperator", "eig_hermitian",
-         "eigvals_hermitian", "is_hermitian"],
+         "eigvals_hermitian", "is_hermitian", "rank_ones"],
 )
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
 @pytest.mark.parametrize("where", ["every entry", "one off-diagonal entry", "one diagonal entry"])

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from gleason_lab.rng import SplitMix64
-from gleason_lab.scalars import Algebra, Quaternion, as_quaternion, scalar_from_json, scalar_to_json
+from gleason_lab.scalars import Algebra, Quaternion, as_quaternion
 
 ONE, I, J, K = Quaternion.ONE, Quaternion.I, Quaternion.J, Quaternion.K
 
@@ -83,25 +83,6 @@ def test_inverse():
     assert (q * q.inverse()).isclose(ONE, tol=1e-12)
     with pytest.raises(ZeroDivisionError):
         Quaternion.ZERO.inverse()
-
-
-def test_json_encoding_per_algebra():
-    q = Quaternion(1.5, -0.5, 0.25, 2.0)
-    assert scalar_to_json(q, Algebra.H) == [1.5, -0.5, 0.25, 2.0]
-    assert scalar_to_json(Quaternion(1.5, -0.5), Algebra.C) == [1.5, -0.5]
-    assert scalar_to_json(Quaternion(1.5), Algebra.R) == 1.5
-    for algebra, encoded in (
-        (Algebra.H, [1.0, 2.0, 3.0, 4.0]),
-        (Algebra.C, [1.0, 2.0]),
-        (Algebra.R, 1.0),
-    ):
-        round_tripped = scalar_from_json(scalar_to_json(scalar_from_json(encoded, algebra), algebra), algebra)
-        assert round_tripped.isclose(scalar_from_json(encoded, algebra))
-
-
-def test_json_rejects_wrong_arity():
-    with pytest.raises(ValueError):
-        scalar_from_json([1.0, 2.0, 3.0], Algebra.C)
 
 
 def test_imaginary_units_per_algebra():

@@ -340,7 +340,9 @@ class TestSqrtAbsPolar:
         ident = Matrix.identity(3, algebra)
         tiny = ident * 1e-6
         assert math.isclose(trace_norm(tiny), 3e-6, rel_tol=1e-12)
-        assert check_norm_inequalities(tiny, ident).all_hold()
+        rep = check_norm_inequalities(tiny, ident)
+        assert rep.slack_ab >= -1e-9 and rep.slack_ba >= -1e-9
+        assert abs(rep.adjoint_gap) <= 1e-9 and rep.op_vs_trace_slack >= -1e-9
         assert abs_op(tiny).approx_eq(tiny, tol=1e-18)
         assert polar(tiny).partial_isometry.approx_eq(ident, tol=1e-12)
         assert sqrt_positive(tiny * 1e-6).approx_eq(tiny, tol=1e-18)
