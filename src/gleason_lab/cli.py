@@ -2,26 +2,25 @@
 
 ``gleason-lab run`` executes the property suite over an (algebra, dim, seed)
 matrix and writes a JSON or text report; exit code 0 means every non-skipped
-record passed.  ``gleason-lab demo`` prints the counterexample transcript.
+record passed.  ``gleason-lab demo`` writes the counterexample transcript.
+Both write to ``--out`` if it is given, else to stdout, and a bad flag or
+config exits 2 with the usage line.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .suite import RunConfig, demo_counterexamples, emit_report, run_suite
-
-_SEED_ENV = "GLEASON_LAB_SEED"
 
 
 def _parse_tolerances(pairs: list[str]) -> dict:
     out = {}
     for pair in pairs:
         if "=" not in pair:
-            raise argparse.ArgumentTypeError(f"--tol expects name=value, got {pair!r}")
+            raise ValueError(f"--tol expects name=value, got {pair!r}")
         key, value = pair.split("=", 1)
         out[key] = float(value)
     return out
@@ -43,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", default=None, help="JSON config file; flags override it")
     run.add_argument("--list", action="store_true", help="list properties and exit")
 
-    demo = sub.add_parser("demo", help="print the counterexample transcript")
+    demo = sub.add_parser("demo", help="write the counterexample transcript")
     demo.add_argument("--out", default=None)
     return parser
 
@@ -54,15 +53,10 @@ def _config_from_args(args) -> RunConfig:
         with open(args.config) as fh:
             base = json.load(fh)
     cfg = RunConfig.from_json(base)
-    seeds = cfg.seeds
-    if args.seed is not None:
-        seeds = tuple(args.seed)
-    elif not args.config and _SEED_ENV in os.environ:
-        seeds = (int(os.environ[_SEED_ENV]),)
     return RunConfig(
         algebras=tuple(args.algebra) if args.algebra else cfg.algebras,
         dims=tuple(args.dim) if args.dim else cfg.dims,
-        seeds=seeds,
+        seeds=tuple(args.seed) if args.seed is not None else cfg.seeds,
         trials=args.trials if args.trials is not None else cfg.trials,
         tolerances={**cfg.tolerances, **_parse_tolerances(args.tol)},
         only=args.only if args.only is not None else cfg.only,
@@ -73,30 +67,27 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "demo":
-        text = demo_counterexamples(args.out)
-        if args.out is None:
-            sys.stdout.write(text)
-        return 0
-
-    if args.list:
+        blob, code = demo_counterexamples().encode(), 0
+    elif args.list:
         from .suite import REGISTRY
 
         for prop in REGISTRY:
             sys.stdout.write(f"{prop.name:40s} {prop.law}\n")
         return 0
-
-    try:
-        cfg = _config_from_args(args)
-    except ValueError as exc:
-        parser.error(str(exc))
-    report = run_suite(cfg)
-    blob = emit_report(report, args.format)
+    else:
+        try:
+            cfg = _config_from_args(args)
+        except (ValueError, OSError) as exc:
+            parser.error(str(exc))
+        report = run_suite(cfg)
+        blob = emit_report(report, args.format)
+        code = 0 if report.all_passed else 1
     if args.out:
         with open(args.out, "wb") as fh:
             fh.write(blob)
     else:
         sys.stdout.buffer.write(blob)
-    return 0 if report.all_passed else 1
+    return code
 
 
 if __name__ == "__main__":

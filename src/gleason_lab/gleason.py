@@ -11,12 +11,13 @@ Measures are represented by oracles, not tables: even at n = 3 the lattice is
 infinite, so every check samples projectors.  Both oracles are block-shaped.
 A frame function takes the probe vectors as the columns of one matrix, and a
 lattice measure takes the certified (k, n, n, 4) stack of their line
-projectors from :meth:`Projector.rank_ones`.  A trace-backed measure reads
+projectors from :meth:`Projector.rank_ones`.  The measure of a state reads
 Re tr(P T) for the whole stack in one contraction
 (:func:`gleason_lab.trace._real_pairings`), so :func:`reconstruct_state` makes
 four block calls and builds no object per probe.  Its verification step
 predicts each probe value as Re<x|Tx> from the vectors, not from the projector
-stack, so it checks the probe path rather than repeating it.
+stack, so it checks the probe path rather than repeating it.  The dimension-2
+Bloch-cubic measure reads its stack projector by projector.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .linalg import (
     outer_sum,
     projector_onto,
     random_phases,
-    random_unit_vector,
     random_unit_vectors,
     random_unitary,
 )
@@ -57,24 +57,24 @@ _PROBE_CHUNK_ENTRIES = 1 << 21
 class DensityOperator:
     """Hermitian positive operator with unit real trace (a quantum state).
 
-    ``tol`` bounds the negative eigenvalues and the trace error.  The Hermitian
+    1e-8 bounds the negative eigenvalues and the trace error.  The Hermitian
     test is the eigensolver's own (:func:`eigvals_hermitian`: the ratio test of
     :meth:`Matrix.is_hermitian` at 1e-8), which raises NotHermitian.
     """
 
     __slots__ = ("matrix", "eigenvalues", "_eigen")
 
-    def __init__(self, matrix: Matrix, *, tol: float = _STATE_TOL):
+    def __init__(self, matrix: Matrix):
         if not matrix.is_square:
             raise ValueError("state matrix must be square")
         values = eigvals_hermitian(matrix)
         low = float(values.min())
-        if low < -tol:
+        if low < -_STATE_TOL:
             raise NotPositive(f"state has eigenvalue {low:.3e}")
         tr = real_trace(matrix)
         # NaN fails every comparison
-        if not (abs(tr - 1.0) <= tol):
-            raise ValueError(f"state trace {tr} differs from 1 beyond {tol}")
+        if not (abs(tr - 1.0) <= _STATE_TOL):
+            raise ValueError(f"state trace {tr} differs from 1 beyond {_STATE_TOL}")
         self.matrix = matrix
         #: spectrum, sorted descending
         self.eigenvalues = values
@@ -94,8 +94,8 @@ class DensityOperator:
             self._eigen = eig_hermitian(self.matrix)
         return self._eigen
 
-    def rank(self, tol: float = _STATE_TOL) -> int:
-        return int((self.eigenvalues > tol).sum())
+    def rank(self) -> int:
+        return int((self.eigenvalues > _STATE_TOL).sum())
 
     def __repr__(self) -> str:
         return f"DensityOperator({self.algebra.value}, n={self.n}, rank={self.rank()})"
@@ -126,7 +126,7 @@ def random_density(n: int, algebra: Algebra, rng: SplitMix64, rank: int | None =
 
 @dataclass(frozen=True)
 class LatticeMeasure:
-    """Probability assignment on projectors, trace-backed or a raw oracle.
+    """Probability assignment on projectors.
 
     ``evaluate`` is block-shaped: it takes the algebra and a certified (k, n, n, 4)
     stack of projectors, as :meth:`Projector.rank_ones` returns it, and gives
@@ -134,36 +134,23 @@ class LatticeMeasure:
     """
 
     evaluate: Callable[[Algebra, np.ndarray], np.ndarray]
-    state: DensityOperator | None = None
 
     def __call__(self, P: Projector) -> float:
         return float(self.evaluate(P.algebra, P.matrix.comps[None])[0])
 
-    @classmethod
-    def trace_backed(cls, state: DensityOperator) -> "LatticeMeasure":
-        """Re tr(P T) for the whole stack in one contraction, with no product PT."""
-
-        def ev(algebra: Algebra, stack: np.ndarray) -> np.ndarray:
-            if algebra is not state.algebra:
-                raise AlgebraMismatch(f"mixed algebras {algebra.value} and {state.algebra.value}")
-            return _real_pairings(stack, state.matrix.comps)
-
-        return cls(evaluate=ev, state=state)
-
-    @classmethod
-    def oracle_backed(cls, fn: Callable[[Projector], float]) -> "LatticeMeasure":
-        """The measure of a per-projector oracle, called once per projector, in stack order."""
-
-        def ev(algebra: Algebra, stack: np.ndarray) -> np.ndarray:
-            values = [float(fn(Projector._certified(Matrix(algebra, comps)))) for comps in stack]
-            return np.array(values, dtype=np.float64)
-
-        return cls(evaluate=ev)
-
 
 def measure_from_state(state: DensityOperator) -> LatticeMeasure:
-    """mu(P) = Re tr(P T); sigma-additive with values in [0, 1]."""
-    return LatticeMeasure.trace_backed(state)
+    """mu(P) = Re tr(P T); sigma-additive with values in [0, 1].
+
+    Reads the whole stack in one contraction, with no product PT.
+    """
+
+    def ev(algebra: Algebra, stack: np.ndarray) -> np.ndarray:
+        if algebra is not state.algebra:
+            raise AlgebraMismatch(f"mixed algebras {algebra.value} and {state.algebra.value}")
+        return _real_pairings(stack, state.matrix.comps)
+
+    return LatticeMeasure(evaluate=ev)
 
 
 @dataclass(frozen=True)
@@ -215,7 +202,6 @@ def reconstruct_state(
     *,
     rng: SplitMix64 | None = None,
     verification_probes: int = 100,
-    tol: float = _STATE_TOL,
 ) -> DensityOperator:
     """Rebuild the unique density operator whose quadratic form matches f.
 
@@ -228,7 +214,9 @@ def reconstruct_state(
     random unit vectors drawn by :func:`random_unit_vectors`.  Re<x|Tx> comes
     for all verification probes from the one product T X.  An opaque oracle
     wrapped by :meth:`FrameFunction.pointwise` is still called once per probe,
-    in this order.  The verified matrix is certified as a state.
+    in this order.  Phase invariance is checked to 1e-7, the basis weight to
+    1e-7 n and every verification probe to 1e-8.  The verified matrix is
+    certified as a state.
     """
     rng = rng or SplitMix64(0x51EA).derive("reconstruct", algebra.value, n)
     units = np.array([q.to_array() for q in (Quaternion.ONE,) + algebra.imaginary_units])
@@ -248,12 +236,12 @@ def reconstruct_state(
     block = np.concatenate([phase_probes, turns], axis=2).reshape(n, 11 * (m + 2), 4)
     fx = probe(Matrix(algebra, block)).reshape(m + 2, 11)
     # NaN fails every comparison
-    if not (np.abs(fx[:, 1:] - fx[:, :1]) <= 10.0 * tol).all():
-        raise NotAFrameFunction(f"oracle is not phase invariant: |f(xq) - f(x)| > {10.0 * tol}")
+    if not (np.abs(fx[:, 1:] - fx[:, :1]) <= 10.0 * _STATE_TOL).all():
+        raise NotAFrameFunction(f"oracle is not phase invariant: |f(xq) - f(x)| > {10.0 * _STATE_TOL}")
 
     diag = probe(Matrix.identity(n, algebra))
     weight = float(diag.sum())
-    if not abs(weight - 1.0) <= 10.0 * tol * n:
+    if not abs(weight - 1.0) <= 10.0 * _STATE_TOL * n:
         raise NotAFrameFunction(f"basis weight {weight} differs from 1")
 
     # column (pair, q) of the polarization block is (e_k + e_l q)/sqrt2, pairs k < l in row order
@@ -279,7 +267,7 @@ def reconstruct_state(
     # Re<x|Tx> = sum_m Re(conj(x_m) (Tx)_m), the componentwise dot product
     predicted = (X.comps * (T @ X).comps).sum(axis=(0, 2))
     errors = np.abs(predicted - probe(X))
-    failed = np.flatnonzero(~(errors <= tol))
+    failed = np.flatnonzero(~(errors <= _STATE_TOL))
     if failed.size:
         error = errors[failed[0]]
         raise NotAFrameFunction(f"oracle is not a quadratic form: probe error {error:.3e}")
@@ -302,10 +290,11 @@ def convex_mix(states: list[DensityOperator], weights: list[float]) -> DensityOp
     return DensityOperator(acc)
 
 
-def is_extremal(state: DensityOperator, tol: float = _STATE_TOL) -> bool:
-    """True iff the state is a rank-one projector (a pure state)."""
+def is_extremal(state: DensityOperator) -> bool:
+    """True iff the state is a rank-one projector (a pure state), its second
+    eigenvalue at most 1e-8."""
     values = state.eigenvalues
-    return len(values) == 1 or float(values[1]) <= tol
+    return len(values) == 1 or float(values[1]) <= _STATE_TOL
 
 
 def extremal_split(state: DensityOperator) -> tuple[float, DensityOperator, DensityOperator]:
@@ -317,8 +306,7 @@ def extremal_split(state: DensityOperator) -> tuple[float, DensityOperator, Dens
     w1 = float(dec.values[0])
     if 1.0 - w1 <= _STATE_TOL:
         raise ValueError("state is extremal (rank one); no nontrivial split exists")
-    top = dec.basis.col(0)
-    T1 = DensityOperator(outer(top, top))
+    T1 = DensityOperator(outer_sum(Matrix(state.algebra, dec.basis.comps[:, :1])))
     keep = np.flatnonzero(dec.values[1:] > 0.0) + 1
     rest = Matrix(state.algebra, dec.basis.comps[:, keep])
     T2 = DensityOperator(outer_sum(rest, dec.values[keep] / (1.0 - w1)))
@@ -375,19 +363,17 @@ def separation_check(P: Projector, Q: Projector) -> bool:
 # sigma-additivity probes
 # ---------------------------------------------------------------------------
 
-def random_orthogonal_decomposition(
-    n: int, algebra: Algebra, rng: SplitMix64, blocks: int | None = None
-) -> list[Projector]:
-    """Pairwise-orthogonal projectors summing to the identity."""
+def random_orthogonal_decomposition(n: int, algebra: Algebra, rng: SplitMix64) -> list[Projector]:
+    """Pairwise-orthogonal projectors summing to the identity, spanned by
+    consecutive column blocks of a random unitary."""
     U = random_unitary(n, algebra, rng)
-    blocks = blocks or (2 + rng.integer(n - 1) if n > 2 else 2)
-    blocks = min(blocks, n)
+    blocks = min(2 + rng.integer(n - 1) if n > 2 else 2, n)
     cuts = sorted(rng.integer(n - 1) + 1 for _ in range(blocks - 1))
     bounds = [0] + sorted(set(cuts)) + [n]
     out = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         if hi > lo:
-            out.append(projector_onto([U.col(c) for c in range(lo, hi)]))
+            out.append(projector_onto(Matrix(algebra, U.comps[:, lo:hi])))
     return out
 
 
@@ -395,8 +381,9 @@ def random_orthogonal_decomposition(
 # the dimension-2 obstruction
 # ---------------------------------------------------------------------------
 
-def _bloch_z(P: Projector) -> float:
-    return P.matrix.entry(0, 0).a - P.matrix.entry(1, 1).a
+def _bloch_z(comps: np.ndarray) -> float:
+    """n_z = P_00 - P_11 of a 2 x 2 projector P = (I + n.sigma)/2, from its components."""
+    return float(comps[0, 0, 0]) - float(comps[1, 1, 0])
 
 
 @dataclass(frozen=True)
@@ -409,41 +396,45 @@ class Dim2Certificate:
     best_fit_max_error: float
 
 
-def dim2_counterexample(probes: int = 100, seed: int = 0xB10C) -> tuple[LatticeMeasure, Dim2Certificate]:
+def dim2_counterexample(probes: int = 100) -> tuple[LatticeMeasure, Dim2Certificate]:
     """A sigma-additive measure on the C^2 lattice reproduced by no state.
 
     Rank-one projectors on C^2 are P = (I + n.sigma)/2 for a Bloch vector n on
     the unit sphere; orthogonal rank-one pairs have antipodal Bloch vectors.
     The cubic map mu(P) = (1 + n_z^3)/2 therefore satisfies every additivity
     constraint, but it is not linear in P, and the best least-squares
-    trace-form fit misses it by a fixed margin near the poles.
+    trace-form fit misses it by a fixed margin near the poles.  The measure
+    is 0 on the zero projector and 1 on the identity; the ``probes`` random
+    lines come from one fixed stream.
     """
     algebra = Algebra.C
 
-    def ev(P: Projector) -> float:
-        rank = P.rank
-        if rank == 0:
-            return 0.0
-        if rank == 2:
-            return 1.0
-        return (1.0 + _bloch_z(P) ** 3) / 2.0
+    def ev(_algebra: Algebra, stack: np.ndarray) -> np.ndarray:
+        values = []
+        for P in stack:
+            rank = round(np.trace(P[..., 0]))
+            # the cube in Python floats, projector by projector: numpy's
+            # vectorized power does not always round as it does
+            values.append(0.0 if rank == 0 else 1.0 if rank == 2 else (1.0 + _bloch_z(P) ** 3) / 2.0)
+        return np.array(values)
 
-    mu = LatticeMeasure.oracle_backed(ev)
+    mu = LatticeMeasure(evaluate=ev)
 
-    rng = SplitMix64(seed)
+    X = random_unit_vectors(2, probes, algebra, SplitMix64(0xB10C))
     pairs = []
-    for _ in range(probes):
-        P = projector_onto([random_unit_vector(2, algebra, rng)])
+    for p in range(probes):
+        P = projector_onto(Matrix(algebra, X.comps[:, p : p + 1]))
         pairs.append((P, P.complement()))
     additivity_gap = max(abs(mu(P) + mu(Pc) - 1.0) for P, Pc in pairs)
 
     # least-squares fit of a Hermitian T = (w I + v . sigma)/2 to the probes
-    pole_up = projector_onto([Vector.basis_vector(0, 2, algebra)])
-    pole_down = projector_onto([Vector.basis_vector(1, 2, algebra)])
+    poles = Matrix.identity(2, algebra).comps
+    pole_up = projector_onto(Matrix(algebra, poles[:, :1]))
+    pole_down = projector_onto(Matrix(algebra, poles[:, 1:]))
     fit_probes = [pole_up, pole_down] + [P for P, _ in pairs]
     rows, targets = [], []
     for P in fit_probes:
-        nz = _bloch_z(P)
+        nz = _bloch_z(P.matrix.comps)
         nx = 2.0 * P.matrix.entry(0, 1).a
         ny = -2.0 * P.matrix.entry(0, 1).b
         rows.append([0.5, 0.5 * nx, 0.5 * ny, 0.5 * nz])
@@ -462,7 +453,7 @@ def dim2_counterexample(probes: int = 100, seed: int = 0xB10C) -> tuple[LatticeM
     )
     certificate = Dim2Certificate(
         additivity_gap=additivity_gap,
-        identity_value=mu(Projector.identity(2, algebra)),
+        identity_value=mu(Projector(Matrix.identity(2, algebra))),
         best_fit=best_fit,
         best_fit_max_error=fit_error,
     )

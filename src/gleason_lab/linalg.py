@@ -45,7 +45,6 @@ import numpy as np
 from . import kernels
 from .errors import AlgebraMismatch, DegenerateInput
 from .kernels import HAMILTON
-from .rng import SplitMix64
 from .scalars import Algebra, Quaternion, as_quaternion
 
 _RANK_TOL = 1e-10
@@ -327,22 +326,18 @@ def _orthonormalize(W: np.ndarray, tol: float, limit: int | None = None) -> tupl
     return np.ascontiguousarray(Q), np.array(residuals)
 
 
-def gram_schmidt(vectors: list[Vector], *, drop: bool = False) -> Matrix:
-    """Gram-Schmidt with one re-orthogonalization pass, via :func:`_orthonormalize`.
+def gram_schmidt(W: Matrix, *, drop: bool = False) -> Matrix:
+    """Gram-Schmidt over the columns of W, in order, with one
+    re-orthogonalization pass, via :func:`_orthonormalize`.
 
     Normalization divides on the right, so the span is preserved under the
-    right-scalar convention.  Vectors whose residual falls below
-    1e-10 * max input norm are rejected: with ``drop=True`` they are skipped,
+    right-scalar convention.  Columns whose residual falls below
+    1e-10 * max column norm are rejected: with ``drop=True`` they are skipped,
     otherwise DegenerateInput is raised.  The basis comes back as the columns
     of one matrix.
     """
-    if not vectors:
+    if W.m == 0:
         raise ValueError("need at least one vector")
-    return _gram_schmidt_columns(Matrix.from_columns(vectors), drop=drop)
-
-
-def _gram_schmidt_columns(W: Matrix, *, drop: bool = False) -> Matrix:
-    """:func:`gram_schmidt` over the columns of W, which stay one block."""
     norms = np.sqrt((W.comps**2).sum(axis=(0, 2)))
     # NaN would slip through every comparison below, and inf would normalize to 0
     if not np.isfinite(norms).all():
@@ -370,7 +365,7 @@ class Projector:
 
     __slots__ = ("matrix",)
 
-    def __init__(self, matrix: Matrix, tol: float = _PROJECTOR_TOL):
+    def __init__(self, matrix: Matrix):
         if not matrix.is_square:
             raise ValueError("projector matrix must be square")
         # the certificate rejects a non-finite entry too, but only after numpy
@@ -378,7 +373,7 @@ class Projector:
         if not np.isfinite(matrix.comps).all():
             raise ValueError("projector matrix has a non-finite entry")
         idem = (matrix @ matrix - matrix).max_abs()
-        _certify_projectors(matrix.comps[None], np.array([idem]), tol)
+        _certify_projectors(matrix.comps[None], np.array([idem]), _PROJECTOR_TOL)
         self.matrix = matrix
 
     @classmethod
@@ -392,7 +387,7 @@ class Projector:
         components, independently of that formula.  Idempotency is read from
         the rank-one identity P^2 - P = (|u|^2 - 1) P, so its defect is
         ||u|^2 - 1| max|P_rc|; both certificates run over the whole stack at
-        the constructor's tolerance.  A zero or non-finite column raises
+        the constructor's tolerance, 1e-8.  A zero or non-finite column raises
         DegenerateInput.
         """
         # one row of 4n contiguous components per column, so each norm sums
@@ -410,17 +405,6 @@ class Projector:
         idem = np.abs(row_sq.sum(axis=1) - 1.0) * row_sq.max(axis=1)
         _certify_projectors(stack, idem, _PROJECTOR_TOL)
         return stack
-
-    @classmethod
-    def _certified(cls, matrix: Matrix) -> "Projector":
-        """Wrap a matrix whose projector certificates already hold, skipping __init__."""
-        P = cls.__new__(cls)
-        P.matrix = matrix  # must set every slot
-        return P
-
-    @classmethod
-    def identity(cls, n: int, algebra: Algebra) -> "Projector":
-        return cls(Matrix.identity(n, algebra))
 
     @property
     def algebra(self) -> Algebra:
@@ -494,20 +478,19 @@ def _certify_projectors(stack: np.ndarray, idem: np.ndarray, tol: float) -> None
         )
 
 
-def projector_onto(vectors: list[Vector], *, drop: bool = False) -> Projector:
-    """Projector onto the span of the given (not necessarily orthonormal) vectors."""
-    if not vectors:
-        raise ValueError("need at least one spanning vector")
-    return Projector(outer_sum(gram_schmidt(vectors, drop=drop)))
+def projector_onto(W: Matrix, *, drop: bool = False) -> Projector:
+    """Projector onto the span of the (not necessarily orthonormal) columns of W."""
+    return Projector(outer_sum(gram_schmidt(W, drop=drop)))
 
 
-def is_positive(A: Matrix, tol: float = 1e-9) -> bool:
+def is_positive(A: Matrix) -> bool:
     """Whether <x|Ax> >= 0 for all x.
 
     Over C and H this forces A = A*, so the anti-Hermitian part must vanish;
     over R an antisymmetric part contributes nothing to <x|Ax> and is ignored.
-    The Hermitian part is tested through its minimum eigenvalue.  A matrix
-    with a NaN or infinite entry is not positive.
+    The Hermitian part is tested through its minimum eigenvalue, each test
+    to 1e-9 relative to max(1, max|A_rc|).  A matrix with a NaN or infinite
+    entry is not positive.
     """
     from .spectral import eigvals_hermitian, op_norm
 
@@ -515,30 +498,23 @@ def is_positive(A: Matrix, tol: float = 1e-9) -> bool:
         raise ValueError("positivity needs a square matrix")
     if not np.isfinite(A.comps).all():
         return False
-    scale = max(1.0, A.max_abs())
+    bound = 1e-9 * max(1.0, A.max_abs())
     A_star = A.adjoint()
     if not A.algebra.is_real:
         skew = A - A_star
-        if op_norm(skew) / 2.0 > tol * scale:
+        if op_norm(skew) / 2.0 > bound:
             return False
     herm = (A + A_star) * 0.5
-    return bool(eigvals_hermitian(herm).min() >= -tol * scale)
+    return bool(eigvals_hermitian(herm).min() >= -bound)
 
 
 # ---------------------------------------------------------------------------
 # random instances (all driven by the named SplitMix64 stream)
 # ---------------------------------------------------------------------------
 
-def _as_rng(seed_or_rng) -> SplitMix64:
-    if isinstance(seed_or_rng, SplitMix64):
-        return seed_or_rng
-    return SplitMix64(int(seed_or_rng))
-
-
 def _gaussian_comps(shape: tuple[int, ...], algebra: Algebra, rng) -> np.ndarray:
     """Components of the given leading shape filled, in row-major order, with
     standard Gaussians in the algebra's components and zeros elsewhere."""
-    rng = _as_rng(rng)
     k = algebra.component_count
     comps = np.zeros(shape + (4,))
     comps[..., :k] = rng.gaussian_block(int(np.prod(shape)) * k).reshape(shape + (k,))
@@ -580,10 +556,9 @@ def random_hermitian(n: int, algebra: Algebra, rng) -> Matrix:
 
 def random_unitary(n: int, algebra: Algebra, rng) -> Matrix:
     """Orthonormalized Gaussian columns; deterministic for a given stream."""
-    rng = _as_rng(rng)
     for _ in range(4):
         try:
-            return _gram_schmidt_columns(random_matrix(n, n, algebra, rng))
+            return gram_schmidt(random_matrix(n, n, algebra, rng))
         except DegenerateInput:
             continue
     raise DegenerateInput("could not draw an invertible Gaussian matrix")
@@ -593,7 +568,6 @@ def random_unit_imaginary(algebra: Algebra, rng) -> Quaternion:
     """Unit imaginary scalar of the algebra (only +-i for C)."""
     if algebra is Algebra.R:
         raise AlgebraMismatch("R has no imaginary units")
-    rng = _as_rng(rng)
     k = algebra.component_count - 1
     parts = rng.gaussian_block(k)
     nrm = float(np.sqrt((parts**2).sum()))
@@ -611,7 +585,6 @@ def random_phases(count: int, algebra: Algebra, rng) -> np.ndarray:
     the stream: k Gaussians (k the algebra's component count) divided by their
     norm; a draw of norm below 1e-12 becomes 1.
     """
-    rng = _as_rng(rng)
     k = algebra.component_count
     parts = rng.gaussian_block(count * k).reshape(count, k)
     norms = np.sqrt((parts**2).sum(axis=1))
@@ -630,6 +603,5 @@ def random_phase(algebra: Algebra, rng) -> Quaternion:
 def random_projector(n: int, rank: int, algebra: Algebra, rng) -> Projector:
     if not 0 < rank <= n:
         raise ValueError(f"rank must lie in 1..{n}")
-    rng = _as_rng(rng)
     U = random_unitary(n, algebra, rng)
-    return projector_onto([U.col(c) for c in range(rank)])
+    return projector_onto(Matrix(algebra, U.comps[:, :rank]))

@@ -24,22 +24,23 @@ from .errors import NotHermitian, NotUnitary
 from .gleason import _PROBE_CHUNK_ENTRIES, DensityOperator, measure_from_state
 from .linalg import Matrix, Projector, _check_same_algebra, _conj_comps, _mul_comps, outer_sum
 from .scalars import Algebra, Quaternion
-from .spectral import EigenDecomposition, _group_indices, eig_hermitian
+from .spectral import _HERMITIAN_TOL, EigenDecomposition, _group_indices, eig_hermitian
 from .trace import _real_sums, real_pairing, real_trace
 
 _ATOM_REL_TOL = 1e-7
 
 
 class Observable:
-    """Hermitian operator with a lazily computed eigendecomposition."""
+    """Hermitian operator, to the eigensolver's 1e-8 ratio test, with a
+    lazily computed eigendecomposition."""
 
     __slots__ = ("matrix", "_dec")
 
-    def __init__(self, matrix: Matrix, tol: float = 1e-8):
+    def __init__(self, matrix: Matrix):
         # rejected before any arithmetic, which would make numpy warn
         if not np.isfinite(matrix.comps).all():
             raise NotHermitian("observable has a non-finite entry")
-        if not matrix.is_hermitian(tol):
+        if not matrix.is_hermitian(_HERMITIAN_TOL):
             raise NotHermitian(f"observable must be Hermitian, defect {matrix.hermitian_defect():.3e}")
         self.matrix = matrix
         self._dec = None
@@ -289,7 +290,6 @@ def rotation_group_from_skew(W: Matrix) -> GroupPath:
 
 @dataclass(frozen=True)
 class ContinuityReport:
-    samples: int
     max_jump: float
     value_range: tuple[float, float]
 
@@ -331,17 +331,16 @@ def continuity_scan(
     T: DensityOperator,
     group_path: GroupPath,
     samples: int,
-    t_span: tuple[float, float] = (0.0, 1.0),
 ) -> ContinuityReport:
-    """Sample t -> Re tr(A U_t T U_t^{-1}) and report the largest adjacent jump.
+    """Sample t -> Re tr(A U_t T U_t^{-1}) at ``samples + 1`` evenly spaced
+    times over [0, 1] and report the largest adjacent jump.
 
     Every value is read (:func:`_orbit_values`) before any difference is
     taken, so the chunking of the samples cannot change a jump.
     """
-    arr = _orbit_values(A, T, group_path, np.linspace(t_span[0], t_span[1], samples + 1))
+    arr = _orbit_values(A, T, group_path, np.linspace(0.0, 1.0, samples + 1))
     jumps = np.abs(np.diff(arr))
     return ContinuityReport(
-        samples=samples,
         max_jump=float(jumps.max(initial=0.0)),
         value_range=(float(arr.min()), float(arr.max())),
     )

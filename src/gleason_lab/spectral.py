@@ -108,10 +108,10 @@ def _group_indices(values: np.ndarray, tol: float) -> list[tuple[int, int]]:
     return groups
 
 
-def _solve(A: Matrix, tol: float, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
+def _solve(A: Matrix, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """(eigenvalues descending, eigenvector columns or None) of the exactly
     Hermitian part of A over R and C, of its image chi under H, after every
-    guard: square, finite, Hermitian up to ``tol`` (the ratio test of
+    guard: square, finite, Hermitian up to 1e-8 (the ratio test of
     :meth:`Matrix.is_hermitian`) and, over H, a doubled spectrum.  With
     ``vectors=False`` the kernel computes no eigenvectors."""
     if not A.is_square:
@@ -122,8 +122,8 @@ def _solve(A: Matrix, tol: float, vectors: bool) -> tuple[np.ndarray, np.ndarray
         raise NotHermitian("matrix has a non-finite entry")
     A_star = A.adjoint()
     ratio = _hermitian_ratio(A, A_star)
-    if not ratio <= tol:
-        raise NotHermitian(f"|A - A*| / max(1, max|A_rc|) = {ratio:.3e} exceeds {tol:.1e}")
+    if not ratio <= _HERMITIAN_TOL:
+        raise NotHermitian(f"|A - A*| / max(1, max|A_rc|) = {ratio:.3e} exceeds {_HERMITIAN_TOL:.1e}")
     sym = (A + A_star) * 0.5
     if A.algebra is Algebra.H:
         X = embed(sym)
@@ -152,15 +152,15 @@ def eigvals_hermitian(A: Matrix) -> np.ndarray:
     the kernel computes no eigenvectors and no eigenbasis is built.  Over H
     each eigenvalue is the mean of its pair in chi(A)'s spectrum.
     """
-    w, _ = _solve(A, _HERMITIAN_TOL, vectors=False)
+    w, _ = _solve(A, vectors=False)
     if A.algebra is Algebra.H:
         return 0.5 * (w[0::2] + w[1::2])
     return w
 
 
-def eig_hermitian(A: Matrix, tol: float = _HERMITIAN_TOL) -> EigenDecomposition:
+def eig_hermitian(A: Matrix) -> EigenDecomposition:
     """Orthonormal eigenbasis of a Hermitian matrix over R, C or H."""
-    w, V = _solve(A, tol, vectors=True)
+    w, V = _solve(A, vectors=True)
     if A.algebra is not Algebra.H:
         comps = np.zeros((A.n, A.n, 4))
         comps[..., 0] = V.real
@@ -192,28 +192,28 @@ def op_norm(A: Matrix) -> float:
     return float(np.sqrt(max(gram_values.max(initial=0.0), 0.0)))
 
 
-def _root_spectrum(values: np.ndarray, tol: float = _CLAMP_REL) -> np.ndarray:
-    """Square roots of a positive spectrum, with every |s| <= tol * max|s| cut
-    to exactly zero first."""
+def _root_spectrum(values: np.ndarray) -> np.ndarray:
+    """Square roots of a positive spectrum, with every |s| <= 1e-10 * max|s|
+    cut to exactly zero first."""
     scale = float(np.abs(values).max(initial=0.0))
-    vals = np.where(np.abs(values) <= tol * scale, 0.0, values)
+    vals = np.where(np.abs(values) <= _CLAMP_REL * scale, 0.0, values)
     return np.sqrt(np.clip(vals, 0.0, None))
 
 
-def sqrt_positive(B: Matrix, tol: float = _CLAMP_REL) -> Matrix:
+def sqrt_positive(B: Matrix) -> Matrix:
     """Unique positive square root of a positive Hermitian matrix.
 
-    Eigenvalues with |s| <= tol*scale, scale = max|s|, are kernel noise and
-    become exactly zero (the square root would amplify them to sqrt-of-noise
-    otherwise); anything below -tol*scale raises NotPositive.  The cut is
-    relative to the spectrum at every size, so a small positive matrix keeps
-    its square root.
+    Eigenvalues with |s| <= 1e-10 * scale, scale = max|s|, are kernel noise
+    and become exactly zero (the square root would amplify them to
+    sqrt-of-noise otherwise); anything below -1e-10 * scale raises
+    NotPositive.  The cut is relative to the spectrum at every size, so a
+    small positive matrix keeps its square root.
     """
     dec = eig_hermitian(B)
-    floor = tol * float(np.abs(dec.values).max(initial=0.0))
+    floor = _CLAMP_REL * float(np.abs(dec.values).max(initial=0.0))
     if dec.values.min(initial=0.0) < -floor:
         raise NotPositive(f"minimum eigenvalue {dec.values.min():.3e} below -{floor:.1e}")
-    return EigenDecomposition(dec.basis, _root_spectrum(dec.values, tol)).reconstruct()
+    return EigenDecomposition(dec.basis, _root_spectrum(dec.values)).reconstruct()
 
 
 def abs_op(A: Matrix) -> Matrix:

@@ -839,7 +839,7 @@ def emit_report(report: SuiteReport, fmt: str = "json") -> bytes:
 # counterexample transcript
 # ---------------------------------------------------------------------------
 
-def demo_counterexamples(out_path: str | None = None) -> str:
+def demo_counterexamples() -> str:
     lines: list[str] = []
 
     def say(text: str = "") -> None:
@@ -883,8 +883,4 @@ def demo_counterexamples(out_path: str | None = None) -> str:
     say(f"    mu(I) = {cert.identity_value}")
     say(f"    best least-squares trace-form fit misses by {cert.best_fit_max_error:.3f} (> 0.05)")
     say("    additive yet not trace-backed: the bijection genuinely needs dim > 2")
-    text = "\n".join(lines) + "\n"
-    if out_path is not None:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    return text
+    return "\n".join(lines) + "\n"

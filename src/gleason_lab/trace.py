@@ -9,8 +9,8 @@ every operator is trace class and the norm is the nuclear norm.
 
 Re tr(AB) has one kernel, :func:`_real_pairings`: it pairs a whole stack of
 matrices with one operand in a single broadcast product and forms no matrix
-product.  :func:`real_pairing` is its one-matrix case, and the trace-backed
-lattice measure of :mod:`gleason_lab.gleason` reads a probe stack with it.
+product.  :func:`real_pairing` is its one-matrix case, and the lattice
+measure of a state in :mod:`gleason_lab.gleason` reads a probe stack with it.
 Its sums of real parts, :func:`_real_sums`, also read the sampled orbits of
 :func:`gleason_lab.quantum.continuity_scan`.
 """
@@ -142,7 +142,6 @@ class AdaptedTraceCheck:
     basis_trace: Quaternion
     real_part: float
     skew_trace_norm: float
-    imag_unit: Quaternion
     residual: float
     tolerance: float
 
@@ -163,7 +162,6 @@ def quaternionic_trace_formula_check(A: Matrix, imag_unit: Quaternion) -> Adapte
         basis_trace=lhs,
         real_part=real_part,
         skew_trace_norm=skew_norm,
-        imag_unit=imag_unit,
         residual=abs(lhs - rhs),
         tolerance=tol,
     )

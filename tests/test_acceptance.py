@@ -8,7 +8,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from gleason_lab.gleason import (
     FrameFunction,
@@ -68,7 +67,7 @@ def _report(number: int, label: str, ok: bool, detail: str) -> None:
 
 
 def _random_basis(n, algebra, rng):
-    return gram_schmidt(random_matrix(n, n, algebra, rng).columns())
+    return gram_schmidt(random_matrix(n, n, algebra, rng))
 
 
 def test_criterion_01_one_dim_trace_witness():

@@ -8,7 +8,6 @@ from gleason_lab.errors import InvalidWeights, NotAFrameFunction, NotHermitian, 
 from gleason_lab.gleason import (
     DensityOperator,
     FrameFunction,
-    LatticeMeasure,
     convex_mix,
     convex_unit_lemma,
     dim2_counterexample,
@@ -26,7 +25,6 @@ from gleason_lab.linalg import (
     Projector,
     Vector,
     inner,
-    outer,
     projector_onto,
     random_matrix,
     random_phase,
@@ -81,20 +79,21 @@ class TestLatticeJoin:
     def test_join_with_zero_projector(self):
         P = random_projector(3, 1, Algebra.H, SplitMix64(81))
         zero = Matrix.zeros(3, 3, Algebra.H)
-        joined = projector_onto(P.matrix.columns() + zero.columns(), drop=True)
+        joined = projector_onto(Matrix.from_columns(P.matrix.columns() + zero.columns()), drop=True)
         assert joined.matrix.approx_eq(P.matrix, tol=1e-9)
 
     def test_join_with_complement_is_identity(self):
         P = random_projector(4, 2, Algebra.C, SplitMix64(82))
-        joined = projector_onto(P.matrix.columns() + P.complement().matrix.columns(), drop=True)
+        columns = P.matrix.columns() + P.complement().matrix.columns()
+        joined = projector_onto(Matrix.from_columns(columns), drop=True)
         assert joined.matrix.approx_eq(Matrix.identity(4, Algebra.C), tol=1e-9)
 
     def test_join_of_overlapping_lines(self):
         e1 = Vector.basis_vector(0, 3, Algebra.R)
         e2 = Vector.basis_vector(1, 3, Algebra.R)
-        P = projector_onto([e1])
-        Q = projector_onto([e1 + e2])
-        joined = projector_onto(P.matrix.columns() + Q.matrix.columns(), drop=True)
+        P = projector_onto(Matrix.from_columns([e1]))
+        Q = projector_onto(Matrix.from_columns([e1 + e2]))
+        joined = projector_onto(Matrix.from_columns(P.matrix.columns() + Q.matrix.columns()), drop=True)
         assert joined.rank == 2
         assert joined.matrix.approx_eq(Matrix.diag([1.0, 1.0, 0.0], Algebra.R), tol=1e-9)
 
@@ -104,7 +103,7 @@ class TestLatticeJoin:
         total = Matrix.zeros(5, 5, Algebra.H)
         for P in parts:
             total = total + P.matrix
-        joined = projector_onto([u for P in parts for u in P.matrix.columns()], drop=True)
+        joined = projector_onto(Matrix.from_columns([u for P in parts for u in P.matrix.columns()]), drop=True)
         assert joined.matrix.approx_eq(total, tol=1e-9)
 
 
@@ -121,7 +120,7 @@ class TestMeasureFromState:
     def test_pure_state_scores_one_on_its_own_line(self):
         psi = random_unit_vector(3, Algebra.H, SplitMix64(85))
         mu = measure_from_state(pure_state(psi))
-        assert math.isclose(mu(projector_onto([psi])), 1.0, abs_tol=1e-10)
+        assert math.isclose(mu(projector_onto(Matrix.from_columns([psi]))), 1.0, abs_tol=1e-10)
 
     def test_equivalent_trace_forms(self):
         from gleason_lab.linalg import gram_schmidt, random_matrix
@@ -140,7 +139,7 @@ class TestMeasureFromState:
             assert math.isclose(a, c, abs_tol=1e-10)
             assert sandwiched.is_hermitian(1e-9)
             # the sandwiched trace is basis independent and already real
-            basis = gram_schmidt(random_matrix(4, 4, algebra, rng).columns())
+            basis = gram_schmidt(random_matrix(4, 4, algebra, rng))
             assert abs(trace_n(sandwiched, basis) - Quaternion(a)) < 1e-10
 
     def test_sigma_additivity_over_random_decompositions(self):
@@ -175,27 +174,13 @@ class TestBlockMeasure:
         assert np.abs(values - expect).max() < 1e-12
 
     @pytest.mark.parametrize("algebra", ALGEBRAS)
-    def test_oracle_is_called_once_per_projector_in_stack_order(self, algebra):
-        seen = []
-
-        def oracle(P: Projector) -> float:
-            seen.append(P.matrix.comps)
-            return float(len(seen))
-
-        mu = LatticeMeasure.oracle_backed(oracle)
-        stack = Projector.rank_ones(random_matrix(4, 9, algebra, SplitMix64(943)))
-        assert mu.evaluate(algebra, stack).tolist() == [float(p) for p in range(1, 10)]
-        assert len(seen) == 9
-        assert all(np.array_equal(comps, stack[p]) for p, comps in enumerate(seen))
-
-    @pytest.mark.parametrize("algebra", ALGEBRAS)
     def test_a_stack_of_the_wrong_dimension_is_rejected(self, algebra):
         mu = measure_from_state(random_density(3, algebra, SplitMix64(944)))
         stack = Projector.rank_ones(random_matrix(4, 5, algebra, SplitMix64(945)))
         with pytest.raises(ValueError, match="cannot pair 4x4 with 3x3"):
             mu.evaluate(algebra, stack)
         with pytest.raises(ValueError, match="cannot pair"):
-            mu(Projector.identity(4, algebra))
+            mu(Projector(Matrix.identity(4, algebra)))
 
     @pytest.mark.parametrize("algebra", ALGEBRAS)
     def test_every_probe_chunk_is_certified_once(self, algebra, monkeypatch):
@@ -393,7 +378,7 @@ class TestReconstruction:
         from gleason_lab.linalg import gram_schmidt, random_matrix
 
         for _ in range(5):
-            basis = gram_schmidt(random_matrix(4, 4, Algebra.H, rng).columns())
+            basis = gram_schmidt(random_matrix(4, 4, Algebra.H, rng))
             assert math.isclose(sum(f.evaluate(basis)), 1.0, abs_tol=1e-9)
 
     def test_phase_dependent_oracle_is_rejected(self):
@@ -508,8 +493,8 @@ class TestSeparation:
         assert not separation_check(P, P)
 
     def test_standard_lines_are_separated(self):
-        P = projector_onto([Vector.basis_vector(0, 3, Algebra.C)])
-        Q = projector_onto([Vector.basis_vector(1, 3, Algebra.C)])
+        P = projector_onto(Matrix.from_columns([Vector.basis_vector(0, 3, Algebra.C)]))
+        Q = projector_onto(Matrix.from_columns([Vector.basis_vector(1, 3, Algebra.C)]))
         assert separation_check(P, Q)
         # the e1 witness itself distinguishes them maximally
         mu = measure_from_state(pure_state(Vector.basis_vector(0, 3, Algebra.C)))
@@ -552,9 +537,9 @@ class TestConvexUnitLemma:
 class TestDim2Counterexample:
     def test_poles_and_additivity(self):
         mu, cert = dim2_counterexample()
-        north = projector_onto([Vector.basis_vector(0, 2, Algebra.C)])
+        north = projector_onto(Matrix.from_columns([Vector.basis_vector(0, 2, Algebra.C)]))
         assert math.isclose(mu(north), 1.0, abs_tol=1e-12)
-        south = projector_onto([Vector.basis_vector(1, 2, Algebra.C)])
+        south = projector_onto(Matrix.from_columns([Vector.basis_vector(1, 2, Algebra.C)]))
         assert math.isclose(mu(south), 0.0, abs_tol=1e-12)
         assert cert.additivity_gap < 1e-12
         assert math.isclose(cert.identity_value, 1.0, abs_tol=1e-12)
@@ -563,8 +548,17 @@ class TestDim2Counterexample:
         mu, _ = dim2_counterexample()
         rng = SplitMix64(103)
         for _ in range(100):
-            P = projector_onto([random_unit_vector(2, Algebra.C, rng)])
+            P = projector_onto(Matrix.from_columns([random_unit_vector(2, Algebra.C, rng)]))
             assert math.isclose(mu(P) + mu(P.complement()), 1.0, abs_tol=1e-12)
+
+    def test_a_stack_reads_as_its_projectors_one_at_a_time(self):
+        mu, _ = dim2_counterexample()
+        lines = Projector.rank_ones(random_matrix(2, 6, Algebra.C, SplitMix64(104)))
+        ends = np.stack([np.zeros((2, 2, 4)), Matrix.identity(2, Algebra.C).comps])
+        stack = np.concatenate([lines[:3], ends, lines[3:]])
+        values = mu.evaluate(Algebra.C, stack)
+        assert values.tolist() == [mu(Projector(Matrix(Algebra.C, comps))) for comps in stack]
+        assert values[3:5].tolist() == [0.0, 1.0]
 
     def test_no_trace_form_fits(self):
         _, cert = dim2_counterexample()

@@ -113,40 +113,40 @@ class TestMatrixBasics:
 
 class TestGramSchmidt:
     def test_standard_basis_is_fixed(self):
-        basis = gram_schmidt([_e(m, 3) for m in range(3)])
+        basis = gram_schmidt(Matrix.from_columns([_e(m, 3) for m in range(3)]))
         for m, u in enumerate(basis.columns()):
             assert u.approx_eq(_e(m, 3))
 
     def test_two_dimensional_real_example(self):
         v1 = _e(0, 2, Algebra.R)
         v2 = Vector(Algebra.R, [[1.0, 0, 0, 0], [1.0, 0, 0, 0]])
-        basis = gram_schmidt([v1, v2])
+        basis = gram_schmidt(Matrix.from_columns([v1, v2]))
         assert basis.col(0).approx_eq(v1)
         assert basis.col(1).approx_eq(_e(1, 2, Algebra.R))
 
     def test_single_quaternion_normalizes(self):
         q = Vector(Algebra.H, [[1.0, 1.0, 1.0, 1.0]])
-        basis = gram_schmidt([q])
+        basis = gram_schmidt(Matrix.from_columns([q]))
         assert inner(basis.col(0), basis.col(0)).isclose(ONE, tol=1e-12)
         assert abs(basis.col(0).norm() - 1.0) < 1e-12
 
     def test_unitary_columns_pass_through_unchanged(self):
         U = random_unitary(4, Algebra.C, SplitMix64(5))
-        basis = gram_schmidt(U.columns())
+        basis = gram_schmidt(U)
         for m, u in enumerate(basis.columns()):
             assert u.approx_eq(U.col(m), tol=1e-9)
 
     def test_rank_deficiency_raises_or_drops(self):
         v = Vector(Algebra.R, [[1.0, 0, 0, 0], [2.0, 0, 0, 0]])
         with pytest.raises(DegenerateInput):
-            gram_schmidt([v, v.scale_right(3.0)])
-        basis = gram_schmidt([v, v.scale_right(3.0)], drop=True)
+            gram_schmidt(Matrix.from_columns([v, v.scale_right(3.0)]))
+        basis = gram_schmidt(Matrix.from_columns([v, v.scale_right(3.0)]), drop=True)
         assert basis.m == 1
 
     def test_orthonormality_of_random_output(self):
         rng = SplitMix64(6)
         for algebra in ALGEBRAS:
-            basis = gram_schmidt([random_vector(5, algebra, rng) for _ in range(5)])
+            basis = gram_schmidt(Matrix.from_columns([random_vector(5, algebra, rng) for _ in range(5)]))
             assert basis.orthonormality_defect() < 1e-10
 
     @pytest.mark.parametrize("drop", [False, True])
@@ -159,11 +159,12 @@ class TestGramSchmidt:
         poisoned = Vector(algebra, comps)
         all_nan = Vector(algebra, np.full((3, 4), np.nan))
         for vectors in ([poisoned], [good, poisoned], [poisoned, good], [all_nan]):
+            W = Matrix.from_columns(vectors)
             with np.errstate(all="ignore"):
                 with pytest.raises(DegenerateInput):
-                    gram_schmidt(vectors, drop=drop)
+                    gram_schmidt(W, drop=drop)
                 with pytest.raises(DegenerateInput):
-                    projector_onto(vectors, drop=drop)
+                    projector_onto(W, drop=drop)
 
 
 class TestPositivity:
@@ -211,19 +212,19 @@ class TestUnitaries:
 class TestProjectors:
     def test_full_basis_gives_identity(self):
         basis = [_e(m, 3) for m in range(3)]
-        P = projector_onto(basis)
+        P = projector_onto(Matrix.from_columns(basis))
         assert P.matrix.approx_eq(Matrix.identity(3, Algebra.H))
         assert P.rank == 3
 
     def test_rank_one_annihilates_orthogonal_vectors(self):
-        P = projector_onto([_e(0, 2)])
+        P = projector_onto(Matrix.from_columns([_e(0, 2)]))
         assert (P.matrix @ _e(1, 2)).norm() < 1e-12
 
     def test_rank_matches_span_dimension(self):
         rng = SplitMix64(11)
         for algebra in ALGEBRAS:
             vs = [random_vector(5, algebra, rng) for _ in range(3)]
-            P = projector_onto(vs)
+            P = projector_onto(Matrix.from_columns(vs))
             # numerical-rank oracle: count significant singular values of the
             # component matrix stacked over the quaternion components
             stacked = np.concatenate([v.comps.reshape(-1, 1) for v in vs], axis=1)
@@ -236,11 +237,11 @@ class TestProjectors:
         # P <= Q (range inclusion) iff QP = P
         rng = SplitMix64(12)
         U = random_unitary(4, Algebra.C, rng)
-        small = projector_onto([U.col(0)])
-        big = projector_onto([U.col(0), U.col(1)])
+        small = projector_onto(Matrix(Algebra.C, U.comps[:, :1]))
+        big = projector_onto(Matrix(Algebra.C, U.comps[:, :2]))
         assert (big.matrix @ small.matrix - small.matrix).max_abs() < 1e-9
         assert (small.matrix @ big.matrix - big.matrix).max_abs() > 1e-8
-        ident = Projector.identity(4, Algebra.C)
+        ident = Projector(Matrix.identity(4, Algebra.C))
         assert (ident.matrix @ big.matrix - big.matrix).max_abs() < 1e-9
 
     def test_complement(self):
@@ -264,7 +265,7 @@ def test_rank_one_projector_matches_projector_onto(algebra, n, phase):
         # a non-unit scalar: the line, and so the projector, stays the same
         x = x.scale_right(Quaternion.from_array(3.7 * random_phase(algebra, rng).to_array()))
     (comps,) = Projector.rank_ones(Matrix(algebra, x.comps[:, None, :]))
-    expect = projector_onto([x]).matrix
+    expect = projector_onto(Matrix(algebra, x.comps[:, None, :])).matrix
     assert Projector(Matrix(algebra, comps)).rank == 1
     assert np.abs(comps - expect.comps).max() < 1e-12
 
@@ -439,7 +440,7 @@ def test_outer_product_matches_componentwise_definition():
 
 def test_basis_matrix_is_unitary_when_complete():
     rng = SplitMix64(17)
-    U = gram_schmidt([random_vector(4, Algebra.H, rng) for _ in range(4)])
+    U = gram_schmidt(Matrix.from_columns([random_vector(4, Algebra.H, rng) for _ in range(4)]))
     assert (U.adjoint() @ U - Matrix.identity(4, Algebra.H)).max_abs() < 1e-10
 
 
@@ -510,7 +511,7 @@ def test_basis_products_match_per_vector_loops(algebra, n):
     A = random_matrix(n, n, algebra, rng)
     bases = [
         Matrix.identity(n, algebra),
-        gram_schmidt([random_vector(n, algebra, rng) for _ in range(n)]),
+        gram_schmidt(Matrix.from_columns([random_vector(n, algebra, rng) for _ in range(n)])),
         # not orthonormal, so the defect is far from zero
         Matrix.from_columns([random_vector(n, algebra, rng) for _ in range(n)]),
     ]
@@ -547,7 +548,7 @@ def test_gram_schmidt_matches_per_vector_loop(algebra, n, rank):
         dependent = vectors[0].scale_right(q)
         vectors = [vectors[0], dependent, *vectors[1:], dependent - vectors[-1],
                    Vector(algebra, np.zeros((n, 4)))]
-    basis = gram_schmidt(vectors, drop=rank == "deficient")
+    basis = gram_schmidt(Matrix.from_columns(vectors), drop=rank == "deficient")
     expect = _gram_schmidt_reference(vectors)
     assert basis.m == len(expect) == n
     assert basis.approx_eq(Matrix.from_columns(expect), tol=1e-10)

@@ -10,10 +10,8 @@ from gleason_lab.gleason import DensityOperator, pure_state, random_density
 from gleason_lab.linalg import (
     Matrix,
     Projector,
-    Vector,
     inner,
     is_positive,
-    outer,
     random_hermitian,
     random_matrix,
     random_unit_vector,

@@ -8,8 +8,6 @@ from gleason_lab.errors import AlgebraMismatch, ConvergenceFailure, NotHermitian
 from gleason_lab.gleason import DensityOperator, is_extremal, random_density
 from gleason_lab.linalg import (
     Matrix,
-    Vector,
-    inner,
     is_positive,
     outer,
     outer_sum,

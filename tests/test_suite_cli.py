@@ -1,8 +1,5 @@
 import json
 import math
-import os
-import subprocess
-import sys
 
 import pytest
 
@@ -220,10 +217,15 @@ class TestCoverage:
 
 
 class TestDemo:
-    def test_transcript_contains_the_three_issues_and_dim2(self, tmp_path):
+    def test_transcript_contains_the_three_issues_and_dim2(self, tmp_path, capsysbinary):
         out = tmp_path / "demo.txt"
-        text = demo_counterexamples(str(out))
-        assert out.read_text() == text
+        assert cli_main(["demo"]) == 0
+        stdout = capsysbinary.readouterr().out
+        assert cli_main(["demo", "--out", str(out)]) == 0
+        assert capsysbinary.readouterr().out == b""
+        assert out.read_bytes() == stdout
+        text = demo_counterexamples()
+        assert text.encode() == stdout
         assert "basis {1}" in text.lower() or "basis {1}" in text
         assert "j" in text
         assert "real parts" in text
@@ -314,19 +316,22 @@ class TestCli:
         assert payload["config"]["trials"] == 1  # flag wins
         assert payload["config"]["seeds"] == [9]  # file survives
 
-    def test_seed_env_fallback(self, tmp_path):
-        out = tmp_path / "report.json"
-        env = dict(os.environ)
-        env["GLEASON_LAB_SEED"] = "77"
-        proc = subprocess.run(
-            [sys.executable, "-m", "gleason_lab.cli", "run", "--algebra", "C",
-             "--dim", "3", "--trials", "1", "--only", "trace.real_cyclicity",
-             "--format", "json", "--out", str(out)],
-            env=env, capture_output=True,
-        )
-        assert proc.returncode == 0
-        payload = json.loads(out.read_text())
-        assert payload["config"]["seeds"] == [77]
+    def test_tolerance_without_a_value_exits_with_usage(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", "--tol", "foo", "--out", str(tmp_path / "r.json")])
+        assert exc.value.code == 2  # parser.error, not a traceback
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and "--tol expects name=value, got 'foo'" in err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_missing_config_file_exits_with_usage(self, tmp_path, capsys):
+        missing = tmp_path / "no-such-config.json"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", "--config", str(missing), "--out", str(tmp_path / "r.json")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and f"No such file or directory: '{missing}'" in err
+        assert not (tmp_path / "r.json").exists()
 
     def test_demo_subcommand_writes_file(self, tmp_path):
         out = tmp_path / "demo.txt"

@@ -8,7 +8,6 @@ from gleason_lab.linalg import (
     Vector,
     gram_schmidt,
     inner,
-    outer,
     random_hermitian,
     random_matrix,
     random_projector,
@@ -38,7 +37,7 @@ ONE, I, J, K = Quaternion.ONE, Quaternion.I, Quaternion.J, Quaternion.K
 
 
 def _random_basis(n, algebra, rng):
-    return gram_schmidt(random_matrix(n, n, algebra, rng).columns())
+    return gram_schmidt(random_matrix(n, n, algebra, rng))
 
 
 def _antisymmetric_blocks(m):
