@@ -405,11 +405,17 @@ def dim2_counterexample(probes: int = 100) -> tuple[LatticeMeasure, Dim2Certific
     constraint, but it is not linear in P, and the best least-squares
     trace-form fit misses it by a fixed margin near the poles.  The measure
     is 0 on the zero projector and 1 on the identity; the ``probes`` random
-    lines come from one fixed stream.
+    lines come from one fixed stream.  It is defined on C^2 alone: another
+    algebra raises AlgebraMismatch, and a stack not of 2 x 2 matrices
+    ValueError.
     """
     algebra = Algebra.C
 
-    def ev(_algebra: Algebra, stack: np.ndarray) -> np.ndarray:
+    def ev(stack_algebra: Algebra, stack: np.ndarray) -> np.ndarray:
+        if stack_algebra is not algebra:
+            raise AlgebraMismatch(f"the Bloch-cubic measure lives on C^2, not {stack_algebra.value}")
+        if stack.ndim != 4 or stack.shape[1:] != (2, 2, 4):
+            raise ValueError(f"need a (k, 2, 2, 4) stack, got shape {stack.shape}")
         values = []
         for P in stack:
             rank = round(np.trace(P[..., 0]))

@@ -1,13 +1,17 @@
-"""Hot numeric kernels: the Hermitian eigensolver, the quaternion matrix product,
-and the Hamilton table.
+"""Hot numeric kernels: the Hermitian eigensolver, the matrix product, and
+the Hamilton table.
 
 Every Hermitian eigensolve in the package runs through :func:`eigh`, LAPACK's
-complex Hermitian solver as shipped with numpy.  A caller that reads only the
+Hermitian solver as shipped with numpy: its real symmetric driver for float64
+input (a matrix over R), its complex Hermitian driver otherwise (over C, and
+over H through the complex adjoint chi).  A caller that reads only the
 spectrum asks for no eigenvectors (``vectors=False``) and gets LAPACK's
-eigenvalue-only driver; the guards are the same in both modes.  Every matrix
-product runs through :func:`quat_matmul`, one complex GEMM through the block
-form of the complex adjoint chi.  A real regular-representation block (4n x 4k
-of A, or 4k x 4m of B) would also make one GEMM, but it builds sixteen doubles
+eigenvalue-only driver; the guards are the same in every mode.  Every matrix
+product runs through :func:`quat_matmul`, which does the product in the
+arithmetic of the operands' algebra, named by its component count: one real
+GEMM over R, one complex GEMM over C, and over H one complex GEMM through the
+block form of chi.  A real regular-representation block (4n x 4k of A, or
+4k x 4m of B) would also make one GEMM over H, but it builds sixteen doubles
 per quaternion entry and measured about four times slower than the complex
 block at n = 64.  Both kernels need nothing beyond numpy, the one hard
 dependency.  :data:`HAMILTON` is the one written-out multiplication table of
@@ -18,7 +22,8 @@ off it.
 Quaternion matrices are stored as float64 arrays of shape (n, m, 4) holding
 the components of a + bi + cj + dk per entry.  Real and complex matrices use
 the same storage with the trailing components zero, so every algebra shares
-these kernels.
+these kernels; the R and C products read only the algebra's components and
+return the others zero.
 """
 
 from __future__ import annotations
@@ -46,13 +51,19 @@ def active_backend() -> str:
     return "numpy"
 
 
-def quat_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Hamilton-product matrix multiply, (n,k,4) @ (k,m,4) -> (n,m,4).
+def quat_matmul(A: np.ndarray, B: np.ndarray, component_count: int = 4) -> np.ndarray:
+    """Matrix product (n,k,4) @ (k,m,4) -> (n,m,4) over the algebra with
+    ``component_count`` components: 1 for R, 2 for C, 4 for H.  The H product,
+    the default, is right for operands of every algebra, only slower.
 
-    One complex matrix product through the complex adjoint.  Read as complex
-    pairs, an entry a0 + a1 i + a2 j + a3 k is (A1, A2) = (a0 + a1 i, a2 + a3 i)
-    with a = A1 + A2 j, and a complex scalar acts on both halves of a pair.
-    Then AB = A1 B + A2 (jB), that is
+    Over R and C the operands' entries lie in the algebra, so the product is
+    one real GEMM of components 0, or one complex GEMM of components 0-1 read
+    as complex numbers, and the other components of the result are zero.
+
+    Over H it is one complex matrix product through the complex adjoint.
+    Read as complex pairs, an entry a0 + a1 i + a2 j + a3 k is
+    (A1, A2) = (a0 + a1 i, a2 + a3 i) with a = A1 + A2 j, and a complex scalar
+    acts on both halves of a pair.  Then AB = A1 B + A2 (jB), that is
 
         AB = [A1 A2] @ [[B1, B2], [-conj B2, conj B1]],
 
@@ -65,6 +76,14 @@ def quat_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     if B.shape[0] != k:
         raise ValueError(f"cannot multiply {n}x{k} by {B.shape[0]}x{B.shape[1]}")
     m = B.shape[1]
+    if component_count < 4:
+        # float64 over R, complex128 over C: the algebra's components of every
+        # entry, contiguous, as one number, so that BLAS takes the operands
+        dtype = np.float64 if component_count == 1 else np.complex128
+        out = np.zeros((n, m, 4 // component_count), dtype)
+        out[..., 0] = (np.ascontiguousarray(A[..., :component_count]).view(dtype)[..., 0]
+                       @ np.ascontiguousarray(B[..., :component_count]).view(dtype)[..., 0])
+        return out.view(np.float64)
     Ac = np.ascontiguousarray(A, dtype=np.float64).view(np.complex128).reshape(n, 2 * k)
     R = np.empty((k, 2, m, 4))
     R[:, 0] = B
@@ -76,8 +95,11 @@ def quat_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def eigh(H: np.ndarray, *, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-    """(eigenvalues ascending, eigenvector columns) of a complex Hermitian matrix.
+    """(eigenvalues ascending, eigenvector columns) of a Hermitian matrix:
+    real symmetric if it is float64, complex Hermitian otherwise.
 
+    Float64 input stays real, so LAPACK runs its real symmetric driver and
+    the eigenvectors come back real; any other input is solved as complex128.
     With ``vectors=False`` the eigenvectors are not computed: the spectrum
     comes from LAPACK's eigenvalue-only driver (``np.linalg.eigvalsh``) and
     the second item is None.  The caller picks the mode by what it reads.
@@ -86,7 +108,9 @@ def eigh(H: np.ndarray, *, vectors: bool = True) -> tuple[np.ndarray, np.ndarray
     and a solver that does not converge, raise ConvergenceFailure instead of
     returning a spectrum.
     """
-    H = np.asarray(H, dtype=np.complex128)
+    H = np.asarray(H)
+    if H.dtype != np.float64:
+        H = H.astype(np.complex128, copy=False)
     if not np.isfinite(H).all():
         raise ConvergenceFailure("Hermitian eigenproblem has a non-finite entry")
     try:

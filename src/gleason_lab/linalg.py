@@ -7,8 +7,12 @@ entry and linear in the right entry.  With this pairing A(x q) = (A x) q holds
 for every scalar q, and the adjoint satisfies <A* x | y> = <x | A y>.
 
 Storage is a float64 component array of shape (n, m, 4) per matrix (rows,
-columns, quaternion components), shared by all three algebras.  Matrix
-products go through :func:`gleason_lab.kernels.quat_matmul`.
+columns, quaternion components), shared by all three algebras; the
+components beyond the algebra's are zero.  Matrix products go through
+:func:`gleason_lab.kernels.quat_matmul` in the algebra's own arithmetic: one
+real GEMM over R, one complex GEMM over C, the quaternion block product over
+H.  Squared entry moduli go through :func:`_sq_moduli`, which adds the four
+squared components in order.
 
 :func:`outer_sum` is the one place where vectors become operators: every
 spectral sum, projector, state, polar factor and phase group is assembled as
@@ -67,6 +71,33 @@ def _mul_comps(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """
     left = (p @ HAMILTON.reshape(4, 16)).reshape(p.shape[:-1] + (4, 4))
     return np.einsum("...be,...b->...e", left, q)
+
+
+# Entry count from which :func:`_sq_moduli` adds the four squared components
+# as whole arrays: below it numpy's length-4 sum, one call, is faster.
+_SQ_MODULI_MIN_ENTRIES = 256
+
+
+def _sq_moduli(comps: np.ndarray) -> np.ndarray:
+    """|q|^2 = ((q0^2 + q1^2) + q2^2) + q3^2 of every entry of a (..., 4)
+    component array, bit for bit what ``(comps**2).sum(axis=-1)`` gives.
+
+    numpy sums a length-4 axis in this order too, but per entry, in a
+    reduction loop of four doubles; from ``_SQ_MODULI_MIN_ENTRIES`` entries on,
+    three whole-array adds are several times faster.  The choice changes the
+    speed only.
+    """
+    sq = comps * comps
+    if sq.size < 4 * _SQ_MODULI_MIN_ENTRIES:
+        return sq.sum(axis=-1)
+    return sq[..., 0] + sq[..., 1] + sq[..., 2] + sq[..., 3]
+
+
+def _in_algebra(comps: np.ndarray, algebra: Algebra) -> np.ndarray:
+    """``comps``, after checking that every entry lies in ``algebra``."""
+    if comps[..., algebra.component_count:].any():
+        raise AlgebraMismatch(f"an entry has components outside {algebra.value}")
+    return comps
 
 
 def _check_same_algebra(x, y) -> Algebra:
@@ -137,7 +168,15 @@ def inner(x: Vector, y: Vector) -> Quaternion:
 
 
 class Matrix:
-    """Dense operator over a fixed algebra; immutable after construction."""
+    """Dense operator over a fixed algebra; immutable after construction.
+
+    Invariant: no entry has a non-zero component beyond the algebra's
+    ``component_count`` (an R matrix has components 1-3 zero, a C matrix
+    components 2-3), since the R and C products read only the algebra's
+    components.  The constructor does not check it, to stay cheap on the hot
+    paths; :meth:`from_rows` and :meth:`diag`, which take scalars from
+    outside, raise AlgebraMismatch for an entry outside the algebra.
+    """
 
     __slots__ = ("algebra", "comps")
 
@@ -164,7 +203,7 @@ class Matrix:
     @classmethod
     def from_rows(cls, rows, algebra: Algebra) -> "Matrix":
         data = [[as_quaternion(e).to_array() for e in row] for row in rows]
-        return cls(algebra, np.array(data))
+        return cls(algebra, _in_algebra(np.array(data), algebra))
 
     @classmethod
     def diag(cls, entries, algebra: Algebra) -> "Matrix":
@@ -172,7 +211,7 @@ class Matrix:
         comps = np.zeros((n, n, 4))
         for m, e in enumerate(entries):
             comps[m, m] = as_quaternion(e).to_array()
-        return cls(algebra, comps)
+        return cls(algebra, _in_algebra(comps, algebra))
 
     @classmethod
     def from_columns(cls, columns: list[Vector]) -> "Matrix":
@@ -210,10 +249,11 @@ class Matrix:
     def __matmul__(self, other):
         if isinstance(other, Vector):
             _check_same_algebra(self, other)
-            out = kernels.quat_matmul(self.comps, other.comps[:, None, :])
+            count = self.algebra.component_count
+            out = kernels.quat_matmul(self.comps, other.comps[:, None, :], count)
             return Vector(self.algebra, out[:, 0, :])
-        _check_same_algebra(self, other)
-        return Matrix(self.algebra, kernels.quat_matmul(self.comps, other.comps))
+        count = _check_same_algebra(self, other).component_count
+        return Matrix(self.algebra, kernels.quat_matmul(self.comps, other.comps, count))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         _check_same_algebra(self, other)
@@ -238,8 +278,12 @@ class Matrix:
         return Matrix(self.algebra, out)
 
     def max_abs(self) -> float:
-        """Largest entry magnitude |A_rc|."""
-        return float(np.sqrt((self.comps**2).sum(axis=2)).max())
+        """Largest entry magnitude |A_rc|.
+
+        One square root, of the largest squared modulus: sqrt is monotone and
+        correctly rounded, so this is the largest modulus bit for bit.
+        """
+        return float(np.sqrt(_sq_moduli(self.comps).max()))
 
     def orthonormality_defect(self) -> float:
         """Largest entry magnitude of U*U - I over the columns of U."""
@@ -274,9 +318,9 @@ def _hermitian_ratio(A: Matrix, A_star: Matrix) -> float:
 def outer_sum(U: Matrix, coeffs=None, V: Matrix | None = None) -> Matrix:
     """The operator x -> sum_m u_m q_m <v_m|x> over the columns of U and V.
 
-    Computed as (U diag(q)) V* with one quaternion matrix product.  V defaults
-    to U; ``coeffs`` is None (every q_m = 1), one real per column, or one
-    quaternion per column as an (m, 4) component array.
+    Computed as (U diag(q)) V* with one matrix product in the algebra.  V
+    defaults to U; ``coeffs`` is None (every q_m = 1), one real per column, or
+    one quaternion per column as an (m, 4) component array.
     """
     V = U if V is None else V
     algebra = _check_same_algebra(U, V)
@@ -284,7 +328,8 @@ def outer_sum(U: Matrix, coeffs=None, V: Matrix | None = None) -> Matrix:
     if coeffs is not None:
         q = np.asarray(coeffs, dtype=np.float64)
         uc = uc * q[None, :, None] if q.ndim == 1 else _mul_comps(uc, q[None, :, :])
-    return Matrix(algebra, kernels.quat_matmul(uc, np.transpose(_conj_comps(V.comps), (1, 0, 2))))
+    V_star = np.transpose(_conj_comps(V.comps), (1, 0, 2))
+    return Matrix(algebra, kernels.quat_matmul(uc, V_star, algebra.component_count))
 
 
 def outer(u: Vector, v: Vector, coeff=None) -> Matrix:
@@ -401,7 +446,7 @@ class Projector:
             raise DegenerateInput("zero input vector")
         U = Xt / norms[:, None, None]
         stack = _line_projectors(U)
-        row_sq = (U**2).sum(axis=2)  # |u_r|^2; max|P_rc| = max_r |u_r|^2
+        row_sq = _sq_moduli(U)  # |u_r|^2; max|P_rc| = max_r |u_r|^2
         idem = np.abs(row_sq.sum(axis=1) - 1.0) * row_sq.max(axis=1)
         _certify_projectors(stack, idem, _PROJECTOR_TOL)
         return stack
@@ -464,8 +509,7 @@ def _certify_projectors(stack: np.ndarray, idem: np.ndarray, tol: float) -> None
     def max_abs(c: np.ndarray) -> np.ndarray:
         # sqrt is monotone and correctly rounded, so one per matrix, after the
         # max of the squared moduli, gives the max of the moduli bit for bit
-        sq = c * c
-        return np.sqrt((sq[..., 0] + sq[..., 1] + sq[..., 2] + sq[..., 3]).max(axis=(1, 2)))
+        return np.sqrt(_sq_moduli(c).max(axis=(1, 2)))
 
     herm = max_abs(stack - _conj_comps(stack.transpose(0, 2, 1, 3)))
     scale = np.maximum(1.0, max_abs(stack))

@@ -22,7 +22,9 @@ import numpy as np
 from . import kernels
 from .errors import NotHermitian, NotUnitary
 from .gleason import _PROBE_CHUNK_ENTRIES, DensityOperator, measure_from_state
-from .linalg import Matrix, Projector, _check_same_algebra, _conj_comps, _mul_comps, outer_sum
+from .linalg import (
+    Matrix, Projector, _check_same_algebra, _conj_comps, _in_algebra, _mul_comps, outer_sum,
+)
 from .scalars import Algebra, Quaternion
 from .spectral import _HERMITIAN_TOL, EigenDecomposition, _group_indices, eig_hermitian
 from .trace import _real_sums, real_pairing, real_trace
@@ -239,15 +241,17 @@ def rotation_group_from_hermitian(H: Matrix, imag_unit: Quaternion) -> GroupPath
     Over C with imag_unit = i this is exp(itH); over H it rotates each
     eigenvector by left multiplication with the fixed unit imaginary.  The
     group law U_{t+s} = U_t U_s holds because all phases share one slice.
+    A unit outside the algebra raises AlgebraMismatch.
     A stack of k times is the eigenbasis U times its phases, broadcast over
     the times, then one product of that (k n, n) column of blocks with U*.
     """
     if H.algebra is Algebra.R:
         raise ValueError("use rotation_group_from_skew over R")
+    unit = _in_algebra(imag_unit.to_array(), H.algebra)
     dec = eig_hermitian(H)
     U = dec.basis.comps
     U_star = np.transpose(_conj_comps(U), (1, 0, 2))
-    unit = imag_unit.to_array()
+    count = H.algebra.component_count
     n = H.n
 
     def stack(ts: np.ndarray) -> np.ndarray:
@@ -255,7 +259,7 @@ def rotation_group_from_hermitian(H: Matrix, imag_unit: Quaternion) -> GroupPath
         phases = np.sin(angles)[..., None] * unit
         phases[..., 0] += np.cos(angles)
         scaled = _mul_comps(U, phases[:, None]).reshape(ts.size * n, n, 4)
-        return kernels.quat_matmul(scaled, U_star).reshape(ts.size, n, n, 4)
+        return kernels.quat_matmul(scaled, U_star, count).reshape(ts.size, n, n, 4)
 
     return GroupPath(H.algebra, stack)
 
@@ -309,6 +313,7 @@ def _orbit_values(A: Matrix, T: DensityOperator, group_path: GroupPath, ts: np.n
     if not A.is_square:
         raise ValueError(f"cannot scan a {A.n}x{A.m} observable")
     n = A.n
+    count = A.algebra.component_count
     # a power of two, so that every full chunk meets the GEMM kernels' tiles the
     # way one long scan does, and a value does not depend on where a chunk ends
     width = 1 << (max(1, _PROBE_CHUNK_ENTRIES // (4 * n * n)).bit_length() - 1)
@@ -316,10 +321,10 @@ def _orbit_values(A: Matrix, T: DensityOperator, group_path: GroupPath, ts: np.n
     for a in range(0, ts.size, width):
         U = group_path.stack(ts[a:a + width])
         k = U.shape[0]
-        AU = kernels.quat_matmul(A.comps, U.transpose(1, 0, 2, 3).reshape(n, k * n, 4))
+        AU = kernels.quat_matmul(A.comps, U.transpose(1, 0, 2, 3).reshape(n, k * n, 4), count)
         column = AU.reshape(n, k, n, 4).transpose(1, 0, 2, 3).reshape(k * n, n, 4)
         del AU  # free each stack-sized intermediate once the next one is built
-        Y = kernels.quat_matmul(column, T.matrix.comps).reshape(k, n, n, 4)
+        Y = kernels.quat_matmul(column, T.matrix.comps, count).reshape(k, n, n, 4)
         del column
         Y *= _conj_comps(U)
         values[a:a + k] = _real_sums(Y)

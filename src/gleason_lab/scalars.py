@@ -24,13 +24,13 @@ class Algebra(enum.Enum):
     C = "C"
     H = "H"
 
+    def __init__(self, letter: str):
+        # a plain attribute, not a property: every matrix product reads it
+        self.component_count = {"R": 1, "C": 2, "H": 4}[letter]
+
     @property
     def is_real(self) -> bool:
         return self is Algebra.R
-
-    @property
-    def component_count(self) -> int:
-        return {"R": 1, "C": 2, "H": 4}[self.value]
 
     @property
     def imaginary_units(self) -> tuple["Quaternion", ...]:

@@ -1,10 +1,10 @@
 """Spectral machinery shared by the trace and state modules.
 
 Hermitian eigendecomposition runs through one numerical kernel,
-:func:`gleason_lab.kernels.eigh`, LAPACK's solver for complex Hermitian
-matrices.  Real symmetric input is the special case with zero imaginary part.
-Quaternionic Hermitian matrices are handled by a complex embedding: writing
-A = A1 + A2 j with complex blocks,
+:func:`gleason_lab.kernels.eigh`, in the algebra's own arithmetic: a real
+symmetric matrix goes to LAPACK's real driver as its component 0, a complex
+Hermitian matrix to the complex driver.  Quaternionic Hermitian matrices are
+handled by a complex embedding: writing A = A1 + A2 j with complex blocks,
 
     chi(A) = [[ A1,        A2       ],
               [ -conj(A2), conj(A1) ]]
@@ -110,10 +110,10 @@ def _group_indices(values: np.ndarray, tol: float) -> list[tuple[int, int]]:
 
 def _solve(A: Matrix, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """(eigenvalues descending, eigenvector columns or None) of the exactly
-    Hermitian part of A over R and C, of its image chi under H, after every
-    guard: square, finite, Hermitian up to 1e-8 (the ratio test of
-    :meth:`Matrix.is_hermitian`) and, over H, a doubled spectrum.  With
-    ``vectors=False`` the kernel computes no eigenvectors."""
+    Hermitian part of A over R (a real symmetric solve) and C, of its image
+    chi under H, after every guard: square, finite, Hermitian up to 1e-8 (the
+    ratio test of :meth:`Matrix.is_hermitian`) and, over H, a doubled
+    spectrum.  With ``vectors=False`` the kernel computes no eigenvectors."""
     if not A.is_square:
         raise ValueError("eigendecomposition needs a square matrix")
     # a non-finite entry fails the ratio test anyway; rejecting it before any
@@ -127,9 +127,10 @@ def _solve(A: Matrix, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
     sym = (A + A_star) * 0.5
     if A.algebra is Algebra.H:
         X = embed(sym)
+    elif A.algebra is Algebra.C:
+        X = sym.comps[..., 0] + 1j * sym.comps[..., 1]
     else:
-        c = sym.comps
-        X = c[..., 0] + 1j * c[..., 1]
+        X = sym.comps[..., 0]
     w, V = kernels.eigh(X, vectors=vectors)
     order = np.argsort(-w, kind="stable")
     w = w[order]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gleason_lab import gleason, kernels, linalg
-from gleason_lab.errors import InvalidWeights, NotAFrameFunction, NotHermitian, NotPositive
+from gleason_lab.errors import AlgebraMismatch, InvalidWeights, NotAFrameFunction, NotHermitian, NotPositive
 from gleason_lab.gleason import (
     DensityOperator,
     FrameFunction,
@@ -559,6 +559,17 @@ class TestDim2Counterexample:
         values = mu.evaluate(Algebra.C, stack)
         assert values.tolist() == [mu(Projector(Matrix(Algebra.C, comps))) for comps in stack]
         assert values[3:5].tolist() == [0.0, 1.0]
+
+    def test_the_measure_rejects_projectors_off_c2(self):
+        mu, _ = dim2_counterexample()
+        for algebra in (Algebra.R, Algebra.H):
+            with pytest.raises(AlgebraMismatch):
+                mu(Projector(Matrix.identity(2, algebra)))
+        for n in (1, 3):
+            with pytest.raises(ValueError, match=r"\(k, 2, 2, 4\)"):
+                mu(Projector(Matrix.identity(n, Algebra.C)))
+        with pytest.raises(ValueError, match=r"\(k, 2, 2, 4\)"):
+            mu.evaluate(Algebra.C, Matrix.identity(2, Algebra.C).comps)
 
     def test_no_trace_form_fits(self):
         _, cert = dim2_counterexample()

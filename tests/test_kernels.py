@@ -107,6 +107,37 @@ def test_quat_matmul_keeps_real_and_complex_products_in_their_algebra(n, compone
     assert np.abs(got - _triple_loop(A, B)).max() < 1e-11
 
 
+def _in_algebra(rng, n, m, components):
+    X = np.zeros((n, m, 4))
+    X[..., :components] = _random_qmat(rng, n, m)[..., :components]
+    return X
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 33, 64])
+@pytest.mark.parametrize("components", [1, 2], ids=["R", "C"])
+def test_real_and_complex_products_match_the_hamilton_reference(n, components):
+    # the one-GEMM products over R and C against sum_s A_rs B_sc with every
+    # entry product read off the Hamilton table, on contiguous, transposed and
+    # column-sliced operands
+    rng = SplitMix64(20 + n)
+    A = _in_algebra(rng, n, n + 2, components)
+    B = _in_algebra(rng, n + 2, n, components)
+    U = _in_algebra(rng, n + 2, n + 3, components)
+    keep = np.arange(n + 3) % 3 != 1
+    cases = [
+        (A, B),
+        (B.transpose(1, 0, 2), B),
+        (A, U[:, keep]),
+        (U[:, ::2].transpose(1, 0, 2), A.transpose(1, 0, 2)),
+    ]
+    for X, Y in cases:
+        ref = np.einsum("rsa,scb,abe->rce", X, Y, kernels.HAMILTON, optimize=True)
+        got = kernels.quat_matmul(X, Y, components)
+        assert got.shape == ref.shape
+        assert np.array_equal(got[..., components:], np.zeros_like(got[..., components:]))
+        assert np.abs(got - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+
+
 @pytest.mark.parametrize("shapes", [((3, 2), (1, 2)), ((3, 2), (3, 2)), ((2, 1), (3, 1))])
 def test_quat_matmul_rejects_mismatched_inner_dimensions(shapes):
     (n, k), (k2, m) = shapes
@@ -248,6 +279,22 @@ def test_eigh_spectrum_matches_eigvalsh_in_both_modes(n, vectors):
         assert vecs is None
 
 
+@pytest.mark.parametrize("vectors", [True, False], ids=["vectors", "values-only"])
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 64])
+def test_eigh_keeps_real_symmetric_input_real(n, vectors):
+    G = _random_qmat(SplitMix64(200 + n), n, n)[..., 0]
+    S = G + G.T
+    vals, vecs = kernels.eigh(S, vectors=vectors)
+    scale = max(1.0, np.abs(vals).max())
+    assert np.abs(vals - np.linalg.eigvalsh(S)).max() < 1e-12 * scale
+    if vectors:
+        assert vecs.dtype == np.float64
+        assert np.abs(S @ vecs - vecs * vals).max() < 1e-11 * scale
+        assert np.abs(vecs.T @ vecs - np.eye(n)).max() < 1e-12
+    else:
+        assert vecs is None
+
+
 def test_eigh_handles_degenerate_spectra():
     Q, _ = np.linalg.qr(_random_hermitian_complex(SplitMix64(55), 4) + 0.3)
     H = Q @ np.diag([2.0, 2.0, 2.0, -1.0]) @ Q.conj().T
@@ -264,6 +311,17 @@ def test_eigh_rejects_non_finite_entries(bad, where):
     # LAPACK reads one triangle only: NaN at (0, 1) of the identity would
     # otherwise come back as the spectrum [1, 1, 1]
     H = np.eye(3, dtype=np.complex128)
+    H[where] = bad
+    for vectors in (True, False):
+        with pytest.raises(ConvergenceFailure):
+            kernels.eigh(H, vectors=vectors)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", [(0, 1), (1, 0), (2, 2)], ids=["upper", "lower", "diagonal"])
+def test_eigh_rejects_non_finite_entries_of_real_input(bad, where):
+    # real input goes to the real symmetric driver, which reads one triangle too
+    H = np.eye(3)
     H[where] = bad
     for vectors in (True, False):
         with pytest.raises(ConvergenceFailure):

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -104,6 +107,25 @@ class TestMatrixBasics:
     def test_algebra_mixing_is_rejected(self):
         with pytest.raises(AlgebraMismatch):
             Matrix.identity(2, Algebra.R) @ Matrix.identity(2, Algebra.C)
+
+    @pytest.mark.parametrize(
+        "algebra, entry",
+        [(Algebra.R, 1j), (Algebra.R, I), (Algebra.R, K), (Algebra.C, J), (Algebra.C, Quaternion(0, 0, 0, 1e-300))],
+        ids=["R-i", "R-I", "R-k", "C-j", "C-tiny-k"],
+    )
+    def test_scalar_constructors_reject_entries_outside_the_algebra(self, algebra, entry):
+        with pytest.raises(AlgebraMismatch):
+            Matrix.from_rows([[entry, 0], [0, 1]], algebra)
+        with pytest.raises(AlgebraMismatch):
+            Matrix.diag([1, entry], algebra)
+
+    @pytest.mark.parametrize("algebra", ALGEBRAS)
+    def test_scalar_constructors_accept_every_entry_of_the_algebra(self, algebra):
+        entries = [Quaternion(2.0), *algebra.imaginary_units]
+        A = Matrix.from_rows([entries], algebra)
+        assert [A.entry(0, c) for c in range(A.m)] == entries
+        D = Matrix.diag(entries, algebra)
+        assert [D.entry(r, r) for r in range(D.n)] == entries
 
     def test_comps_are_frozen(self):
         A = Matrix.identity(2, Algebra.C)
@@ -552,3 +574,28 @@ def test_gram_schmidt_matches_per_vector_loop(algebra, n, rank):
     expect = _gram_schmidt_reference(vectors)
     assert basis.m == len(expect) == n
     assert basis.approx_eq(Matrix.from_columns(expect), tol=1e-10)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1], ids=["below", "at", "above"])
+def test_squared_moduli_and_max_abs_are_bit_identical_around_the_threshold(offset):
+    # either side of the threshold must give numpy's length-4 sum bit for bit;
+    # one magnitude per entry, so that the order of the adds shows in the bits
+    entries = linalg._SQ_MODULI_MIN_ENTRIES + offset
+    rng = np.random.default_rng(entries)
+    comps = rng.standard_normal((1, entries, 4)) * 10.0 ** rng.uniform(-150, 150, (1, entries, 1))
+    for c in (comps, comps.transpose(1, 0, 2)):
+        assert np.array_equal(linalg._sq_moduli(c), (c**2).sum(axis=-1))
+        assert Matrix(Algebra.H, c).max_abs() == float(np.sqrt((c**2).sum(axis=2)).max())
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1], ids=["below", "at", "above"])
+def test_squared_moduli_and_max_abs_propagate_nan_without_a_warning(offset):
+    entries = linalg._SQ_MODULI_MIN_ENTRIES + offset
+    comps = np.ones((1, entries, 4))
+    comps[0, entries // 2, 2] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sq = linalg._sq_moduli(comps)
+        biggest = Matrix(Algebra.H, comps).max_abs()
+    assert np.isnan(sq[0, entries // 2]) and np.isnan(sq).sum() == 1
+    assert math.isnan(biggest)

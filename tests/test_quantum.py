@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gleason_lab import quantum
-from gleason_lab.errors import DegenerateInput, NotHermitian, NotUnitary
+from gleason_lab.errors import AlgebraMismatch, DegenerateInput, NotHermitian, NotUnitary
 from gleason_lab.gleason import DensityOperator, pure_state, random_density
 from gleason_lab.linalg import (
     Matrix,
@@ -274,6 +274,13 @@ class TestGroupPathsAndContinuity:
         ident = Matrix.identity(3, Algebra.C)
         assert (path(0.0) - ident).max_abs() < 1e-12
         assert (path(0.4).adjoint() @ path(0.4) - ident).max_abs() < 1e-9
+
+    @pytest.mark.parametrize("unit", [Quaternion.J, Quaternion(0, 0.6, 0.0, 0.8)], ids=["j", "i-and-k"])
+    def test_complex_path_rejects_a_unit_outside_c(self, unit):
+        # the C product reads components 0-1 only, so a j or k phase would be lost
+        H = random_hermitian(3, Algebra.C, SplitMix64(126))
+        with pytest.raises(AlgebraMismatch):
+            rotation_group_from_hermitian(H, unit)
 
     def test_group_law_quaternionic(self):
         rng = SplitMix64(127)

@@ -5,6 +5,7 @@ import pytest
 
 from gleason_lab import quantum, suite, trace
 from gleason_lab.cli import main as cli_main
+from gleason_lab.linalg import Matrix
 from gleason_lab.suite import (
     REGISTRY,
     PropertyDef,
@@ -37,6 +38,24 @@ def _small_cfg(**overrides):
 
 
 class TestRunSuite:
+    def test_real_and_complex_runs_build_no_entry_outside_their_algebra(self, monkeypatch):
+        # the R and C products read only the algebra's components, so every
+        # matrix a run builds must keep the others zero
+        init = Matrix.__init__
+        built, outside = [0], []
+
+        def checked_init(self, algebra, comps):
+            init(self, algebra, comps)
+            built[0] += 1
+            if self.comps[..., algebra.component_count:].any():
+                outside.append((algebra.value, self.comps.shape))
+
+        monkeypatch.setattr(Matrix, "__init__", checked_init)
+        report = run_suite(_small_cfg(algebras=("R", "C"), trials=2))
+        assert report.all_passed and report.counts["passed"] > 0
+        assert built[0] > 1000
+        assert outside == []
+
     def test_everything_passes_at_small_scale(self):
         report = run_suite(_small_cfg())
         failed = [r for r in report.records if r.passed is False]
