@@ -133,8 +133,15 @@ class Vector:
         return Quaternion.from_array(self.comps[m])
 
     def scale_right(self, q) -> "Vector":
-        """x -> x q, the only scalar action compatible with left operators."""
-        qa = as_quaternion(q).to_array()
+        """x -> x q, the only scalar action compatible with left operators.
+
+        A scalar outside the vector's algebra raises AlgebraMismatch.
+        """
+        q = as_quaternion(q)
+        qa = q.to_array()
+        # every scalar lies in H, so H pays the one comparison
+        if self.algebra is not Algebra.H and qa[self.algebra.component_count:].any():
+            raise AlgebraMismatch(f"scalar {q} lies outside {self.algebra.value}")
         return Vector(self.algebra, _mul_comps(self.comps, qa[None, :]))
 
     def __add__(self, other: "Vector") -> "Vector":
@@ -273,17 +280,11 @@ class Matrix:
     __rmul__ = __mul__
 
     def adjoint(self) -> "Matrix":
-        # conjugate and transpose in one pass into contiguous storage
-        out = np.multiply(self.comps.transpose(1, 0, 2), _CONJ, out=np.empty((self.m, self.n, 4)))
-        return Matrix(self.algebra, out)
+        return Matrix(self.algebra, _adjoint_comps(self.comps))
 
     def max_abs(self) -> float:
-        """Largest entry magnitude |A_rc|.
-
-        One square root, of the largest squared modulus: sqrt is monotone and
-        correctly rounded, so this is the largest modulus bit for bit.
-        """
-        return float(np.sqrt(_sq_moduli(self.comps).max()))
+        """Largest entry magnitude |A_rc|."""
+        return _max_abs(self.comps)
 
     def orthonormality_defect(self) -> float:
         """Largest entry magnitude of U*U - I over the columns of U."""
@@ -296,7 +297,7 @@ class Matrix:
         # a non-finite entry is answered before any arithmetic, which would make numpy warn
         if not np.isfinite(self.comps).all():
             return False
-        return _hermitian_ratio(self, self.adjoint()) <= tol
+        return _hermitian_ratio(self.comps, _adjoint_comps(self.comps)) <= tol
 
     def approx_eq(self, other: "Matrix", tol: float = 1e-9) -> bool:
         return bool(np.abs(self.comps - other.comps).max() <= tol)
@@ -305,14 +306,30 @@ class Matrix:
         return f"Matrix({self.algebra.value}, {self.n}x{self.m})"
 
 
-def _hermitian_ratio(A: Matrix, A_star: Matrix) -> float:
+def _adjoint_comps(comps: np.ndarray) -> np.ndarray:
+    """Components of A* from those of A: conjugate and transpose in one pass
+    into contiguous storage."""
+    n, m, _ = comps.shape
+    return np.multiply(comps.transpose(1, 0, 2), _CONJ, out=np.empty((m, n, 4)))
+
+
+def _max_abs(comps: np.ndarray) -> float:
+    """Largest entry magnitude of an (n, m, 4) component array.
+
+    One square root, of the largest squared modulus: sqrt is monotone and
+    correctly rounded, so this is the largest modulus bit for bit.
+    """
+    return float(np.sqrt(_sq_moduli(comps).max()))
+
+
+def _hermitian_ratio(comps: np.ndarray, star: np.ndarray) -> float:
     """|A - A*| / max(1, max|A_rc|), the Hermitian test's statistic, from the
-    adjoint A* that the caller has formed.
+    components of A and of the adjoint A* that the caller has formed.
 
     A ratio, not defect <= tol * max|A_rc|: an inf entry makes that bound inf,
     but makes the ratio NaN, and NaN fails every comparison.
     """
-    return (A - A_star).max_abs() / max(1.0, A.max_abs())
+    return _max_abs(comps - star) / max(1.0, _max_abs(comps))
 
 
 def outer_sum(U: Matrix, coeffs=None, V: Matrix | None = None) -> Matrix:

@@ -13,10 +13,14 @@ is a *-homomorphism into 2n x 2n complex matrices (chi(AB) = chi(A) chi(B),
 chi(A*) = chi(A)*, chi(I) = I), every eigenvalue of chi(A) appears with even
 multiplicity, and a complex eigenvector (u; v) lifts to the quaternionic
 eigenvector w = u - conj(v) j.  The lift is guarded twice: chi(A)'s sorted
-spectrum must be n consecutive equal pairs, else ConvergenceFailure, and the
-lifted columns of each group of equal eigenvalues go through the one
-Gram-Schmidt, :func:`gleason_lab.linalg._orthonormalize`, which must keep
-one column per pair.
+spectrum must be n consecutive equal pairs, else ConvergenceFailure, and
+every pair must yield one unit column.  A simple pair (the generic case)
+keeps its first lifted column, normalized, and all simple pairs are lifted as
+one block; that column has norm 1 for an honest solve, and one of norm at
+most 1e-6 raises ConvergenceFailure.  The lifted columns of a group of two or
+more equal pairs go through the one Gram-Schmidt,
+:func:`gleason_lab.linalg._orthonormalize`, which must keep one column per
+pair.  On a simple pair the block gives what that Gram-Schmidt would.
 
 Both public solvers share one guarded solve, ``_solve``, and its guards are
 identical for both.  :func:`eig_hermitian` asks the kernel for eigenvectors
@@ -40,6 +44,7 @@ from .errors import AlgebraMismatch, ConvergenceFailure, NotHermitian, NotPositi
 from .linalg import (
     Matrix,
     Vector,
+    _adjoint_comps,
     _hermitian_ratio,
     _mul_comps,
     _orthonormalize,
@@ -74,19 +79,19 @@ class PolarDecomposition:
     absolute: Matrix
 
 
-def _complex_blocks(A: Matrix) -> tuple[np.ndarray, np.ndarray]:
-    c = A.comps
-    return c[..., 0] + 1j * c[..., 1], c[..., 2] + 1j * c[..., 3]
-
-
 def embed(A: Matrix) -> np.ndarray:
     """Complex 2n x 2n image chi(A) of a square quaternionic matrix."""
     if A.algebra is not Algebra.H:
         raise AlgebraMismatch("embedding is defined for quaternionic matrices")
     if not A.is_square:
         raise ValueError("embedding needs a square matrix")
-    A1, A2 = _complex_blocks(A)
-    n = A.n
+    return _chi(A.comps)
+
+
+def _chi(c: np.ndarray) -> np.ndarray:
+    """chi of the square quaternionic matrix with (n, n, 4) components ``c``."""
+    A1, A2 = c[..., 0] + 1j * c[..., 1], c[..., 2] + 1j * c[..., 3]
+    n = c.shape[0]
     X = np.empty((2 * n, 2 * n), dtype=np.complex128)
     X[:n, :n] = A1
     X[:n, n:] = A2
@@ -113,24 +118,27 @@ def _solve(A: Matrix, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
     Hermitian part of A over R (a real symmetric solve) and C, of its image
     chi under H, after every guard: square, finite, Hermitian up to 1e-8 (the
     ratio test of :meth:`Matrix.is_hermitian`) and, over H, a doubled
-    spectrum.  With ``vectors=False`` the kernel computes no eigenvectors."""
+    spectrum.  A*, the symmetrization and chi are formed from A's components,
+    with no intermediate Matrix.  With ``vectors=False`` the kernel computes
+    no eigenvectors."""
     if not A.is_square:
         raise ValueError("eigendecomposition needs a square matrix")
     # a non-finite entry fails the ratio test anyway; rejecting it before any
     # arithmetic keeps numpy from warning about the validator's internals
-    if not np.isfinite(A.comps).all():
+    c = A.comps
+    if not np.isfinite(c).all():
         raise NotHermitian("matrix has a non-finite entry")
-    A_star = A.adjoint()
-    ratio = _hermitian_ratio(A, A_star)
+    star = _adjoint_comps(c)
+    ratio = _hermitian_ratio(c, star)
     if not ratio <= _HERMITIAN_TOL:
         raise NotHermitian(f"|A - A*| / max(1, max|A_rc|) = {ratio:.3e} exceeds {_HERMITIAN_TOL:.1e}")
-    sym = (A + A_star) * 0.5
+    sym = (c + star) * 0.5
     if A.algebra is Algebra.H:
-        X = embed(sym)
+        X = _chi(sym)
     elif A.algebra is Algebra.C:
-        X = sym.comps[..., 0] + 1j * sym.comps[..., 1]
+        X = sym[..., 0] + 1j * sym[..., 1]
     else:
-        X = sym.comps[..., 0]
+        X = sym[..., 0]
     w, V = kernels.eigh(X, vectors=vectors)
     order = np.argsort(-w, kind="stable")
     w = w[order]
@@ -173,18 +181,30 @@ def eig_hermitian(A: Matrix) -> EigenDecomposition:
     scale = float(np.abs(w).max(initial=0.0))
     # every eigenvector (u; v) of chi(A) lifts to u - conj(v) j, all columns at once
     lifted = np.stack([V[:n].real, V[:n].imag, -V[n:].real, V[n:].imag], axis=-1)
-    vals: list[float] = []
-    cols: list[np.ndarray] = []
-    for a, b in _group_indices(0.5 * (w[0::2] + w[1::2]), _GROUP_TOL * scale):
+    values = 0.5 * (w[0::2] + w[1::2])
+    groups = _group_indices(values, _GROUP_TOL * scale)
+    basis = np.empty((n, n, 4))
+    # a simple pair keeps its first lifted column, normalized, as
+    # _orthonormalize would: all of them at once, each norm the same dot
+    # product of one contiguous 4n-row
+    simple = np.array([a for a, b in groups if b - a == 1], dtype=np.intp)
+    rows = np.ascontiguousarray(lifted[:, 2 * simple].transpose(1, 0, 2)).reshape(simple.size, 4 * n)
+    norms = np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]))[:, 0, 0]
+    if not (norms > 1e-6).all():
+        raise ConvergenceFailure("could not lift an eigenvector from a simple pair")
+    basis[:, simple] = (rows / norms[:, None]).reshape(simple.size, n, 4).transpose(1, 0, 2)
+    for a, b in groups:
         want = b - a
+        if want == 1:
+            continue
         got, _ = _orthonormalize(lifted[:, 2 * a : 2 * b], 1e-6, limit=want)
         if got.shape[1] != want:
             raise ConvergenceFailure(
                 f"could not lift {want} independent eigenvectors from a group of {2 * want}"
             )
-        vals.extend([float(np.mean(w[2 * a : 2 * b]))] * want)
-        cols.append(got)
-    return EigenDecomposition(Matrix(Algebra.H, np.concatenate(cols, axis=1)), np.array(vals))
+        basis[:, a:b] = got
+        values[a:b] = np.mean(w[2 * a : 2 * b])
+    return EigenDecomposition(Matrix(Algebra.H, basis), values)
 
 
 def op_norm(A: Matrix) -> float:
@@ -292,13 +312,14 @@ def adapted_basis(J: Matrix, imag_unit: Quaternion) -> Matrix:
     the columns of one matrix.
 
     Members of that slice are found by pi, the projection onto the +1
-    eigenspace of the involution z -> -J z imag_unit; the candidates pi(e_m)
+    eigenspace of the involution z -> -J z imag_unit.  The candidates pi(e_m)
     and pi(e_m t), for the standard basis vectors e_m and a unit imaginary t
-    perpendicular to imag_unit, are tried in order until n are kept.  They
-    always suffice: pi(e_m t) = (e_m - pi(e_m)) t, so every e_m splits into
-    the two candidates, and a unit x in the slice orthogonal to the vectors
-    kept so far has |<x|e_m>| >= 1/sqrt(n) for some m, hence a component of at
-    least 1/(2 sqrt(n)) along one of them.  Gram-Schmidt coefficients between
+    perpendicular to imag_unit, all come from one product J Z with
+    Z = [e_0, e_0 t, e_1, e_1 t, ...]; Gram-Schmidt tries them in that order
+    until n are kept.  They always suffice: pi(e_m t) = (e_m - pi(e_m)) t, so
+    every e_m splits into the two candidates, and a unit x in the slice
+    orthogonal to the vectors kept so far has |<x|e_m>| >= 1/sqrt(n) for some
+    m, hence a component of at least 1/(2 sqrt(n)) along one of them.  Gram-Schmidt coefficients between
     slice members commute with imag_unit, so orthonormalization does not
     leave the slice.
     """
@@ -311,19 +332,18 @@ def adapted_basis(J: Matrix, imag_unit: Quaternion) -> Matrix:
     if (J + J.adjoint()).max_abs() > 1e-8 or (J @ J + ident).max_abs() > 1e-8:
         raise ValueError("J must be an anti-selfadjoint unitary")
 
-    def project(z: Vector) -> Vector:
-        return (z - (J @ z).scale_right(imag_unit)).scale_right(0.5)
-
-    def candidates():
-        # projected lazily: the loop below stops as soon as n are kept
-        twist = _perpendicular_imaginary(imag_unit)
-        for m in range(n):
-            e = Vector.basis_vector(m, n, Algebra.H)
-            yield project(e)
-            yield project(e.scale_right(twist))
+    # Z = [e_0, e_0 t, e_1, e_1 t, ...]; Pi holds every pi(z) = (z - (J z) imag_unit) / 2,
+    # one contiguous row of components per candidate
+    m = np.arange(n)
+    Z = np.zeros((n, 2 * n, 4))
+    Z[m, 2 * m, 0] = 1.0
+    Z[m, 2 * m + 1] = _perpendicular_imaginary(imag_unit).to_array()
+    Pi = (Z - _mul_comps((J @ Matrix(Algebra.H, Z)).comps, imag_unit.to_array())) * 0.5
+    Pi = np.ascontiguousarray(Pi.transpose(1, 0, 2))
 
     out: list[Vector] = []
-    for w in candidates():
+    for c in range(2 * n):
+        w = Vector(Algebra.H, Pi[c])
         for _ in range(2):
             for u in out:
                 w = w - u.scale_right(inner(u, w))

@@ -59,7 +59,12 @@ class TestInner:
             y = random_vector(4, algebra, rng)
             z = random_vector(4, algebra, rng)
             assert inner(x, y).isclose(inner(y, x).conjugate(), tol=1e-12)
-            q = Quaternion(*rng.gaussian_block(4)) if algebra is Algebra.H else Quaternion(*rng.gaussian_block(2), 0, 0)
+            # q lies in the vectors' algebra: the R draw keeps only its real part
+            parts = np.zeros(4)
+            parts[: algebra.component_count] = rng.gaussian_block(4 if algebra is Algebra.H else 2)[
+                : algebra.component_count
+            ]
+            q = Quaternion.from_array(parts)
             p = Quaternion(rng.gaussian())
             combo = y.scale_right(q) + z.scale_right(p)
             expect = inner(x, y) * q + inner(x, z) * p
@@ -118,6 +123,17 @@ class TestMatrixBasics:
             Matrix.from_rows([[entry, 0], [0, 1]], algebra)
         with pytest.raises(AlgebraMismatch):
             Matrix.diag([1, entry], algebra)
+
+    @pytest.mark.parametrize(
+        "algebra, scalar",
+        [(Algebra.R, 1j), (Algebra.R, I), (Algebra.C, J), (Algebra.C, Quaternion(0, 0, 0, 1e-300))],
+        ids=["R-i", "R-I", "C-j", "C-tiny-k"],
+    )
+    def test_right_scaling_rejects_a_scalar_outside_the_algebra(self, algebra, scalar):
+        # a foreign scalar would leave the algebra, and an R or C product
+        # reads only the algebra's components: I @ (e_0 j) gave the zero vector
+        with pytest.raises(AlgebraMismatch):
+            _e(0, 2, algebra).scale_right(scalar)
 
     @pytest.mark.parametrize("algebra", ALGEBRAS)
     def test_scalar_constructors_accept_every_entry_of_the_algebra(self, algebra):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gleason_lab import gleason, kernels, spectral
+from gleason_lab import gleason, kernels, linalg, spectral
 from gleason_lab.errors import AlgebraMismatch, ConvergenceFailure, NotHermitian, NotPositive
 from gleason_lab.gleason import DensityOperator, is_extremal, random_density
 from gleason_lab.linalg import (
@@ -71,6 +71,20 @@ def _degenerate_quaternionic_spectra() -> list[Matrix]:
     return [A, B]
 
 
+def _unitary_conjugate(spectrum: list[float], seed: int) -> tuple[Matrix, np.ndarray]:
+    U = random_unitary(len(spectrum), Algebra.H, SplitMix64(seed))
+    return outer_sum(U, np.array(spectrum)), np.array(sorted(spectrum, reverse=True))
+
+
+_LIFT_CASES = {
+    "all simple": lambda: _unitary_conjugate([4.0, 2.0, 1.0, -1.0, -3.0], 1310),
+    "all equal": lambda: _unitary_conjugate([2.0] * 4, 1311),
+    "zero matrix": lambda: (Matrix.zeros(3, 3, Algebra.H), np.zeros(3)),
+    "n = 1": lambda: (Matrix.from_rows([[-2.5]], Algebra.H), np.array([-2.5])),
+    "repeated and simple": lambda: _unitary_conjugate([3.0, 3.0, 1.0, 0.0, 0.0], 1312),
+}
+
+
 class TestEigHermitian:
     def test_identity(self):
         dec = eig_hermitian(Matrix.identity(4, Algebra.H))
@@ -132,7 +146,7 @@ class TestEigHermitian:
         assert dec.residual(A) <= 1e-10
         assert dec.basis.orthonormality_defect() <= 1e-10
 
-    @pytest.mark.parametrize("fault", ["unpaired spectrum", "dependent eigenvectors"])
+    @pytest.mark.parametrize("fault", ["unpaired spectrum", "dependent eigenvectors", "zero eigenvectors"])
     def test_quaternionic_lift_rejects_a_broken_eigensolve(self, monkeypatch, fault):
         real_eigh = kernels.eigh
 
@@ -140,12 +154,47 @@ class TestEigHermitian:
             w, V = real_eigh(X, **kwargs)
             if fault == "unpaired spectrum":
                 return np.arange(len(w), dtype=float), V
+            if fault == "zero eigenvectors":
+                # a doubled spectrum of simple pairs, each lifting to zero
+                return np.repeat(np.arange(len(w) // 2, dtype=float), 2), np.zeros_like(V)
             # a doubled spectrum whose eigenvectors all lift to one line
             return np.ones(len(w)), np.repeat(V[:, :1], len(w), axis=1)
 
         monkeypatch.setattr(kernels, "eigh", broken_eigh)
         with pytest.raises(ConvergenceFailure):
             eig_hermitian(Matrix.identity(2, Algebra.H))
+
+    @pytest.mark.parametrize("case", list(_LIFT_CASES))
+    def test_quaternionic_lift_mixes_simple_and_repeated_groups(self, case):
+        A, spectrum = _LIFT_CASES[case]()
+        dec = eig_hermitian(A)
+        assert np.abs(dec.values - spectrum).max(initial=0.0) <= 1e-9
+        assert list(dec.values) == sorted(dec.values, reverse=True)
+        assert dec.residual(A) <= 1e-9
+        assert dec.basis.orthonormality_defect() <= 1e-9
+        # each group of equal pairs carries one exactly equal value
+        for a, b in spectral._group_indices(dec.values, 1e-7 * max(1.0, np.abs(spectrum).max())):
+            assert (dec.values[a:b] == dec.values[a]).all()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
+    def test_simple_pairs_lift_as_the_per_group_gram_schmidt_does(self, n, monkeypatch):
+        A = random_hermitian(n, Algebra.H, SplitMix64(1300 + n))
+        w, V = spectral._solve(A, vectors=True)
+        lifted = np.stack([V[:n].real, V[:n].imag, -V[n:].real, V[n:].imag], axis=-1)
+        reference = np.concatenate(
+            [linalg._orthonormalize(lifted[:, 2 * a : 2 * a + 2], 1e-6, limit=1)[0] for a in range(n)], axis=1
+        )
+        means = np.array([float(np.mean(w[2 * a : 2 * a + 2])) for a in range(n)])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a simple spectrum lifts without _orthonormalize")
+
+        monkeypatch.setattr(spectral, "_orthonormalize", refuse)
+        dec = eig_hermitian(A)
+        # equal values are equal bits, except that a zero may carry either sign:
+        # the reference's Hamilton einsum adds +0 terms to a -0 entry
+        assert np.array_equal(dec.basis.comps, reference)
+        assert dec.values.tobytes() == means.tobytes()
 
     def test_spectrum_against_embedding_oracle(self):
         # quaternionic eigenvalues equal the embedded complex ones, which come
@@ -508,6 +557,23 @@ class TestAdaptedBasis:
             assert basis.orthonormality_defect() < 1e-9
             for u in basis.columns():
                 assert (Jop @ u - u.scale_right(unit)).norm() <= 1e-9
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_candidates_come_from_one_product(self, n, monkeypatch):
+        # pi(e_m) and pi(e_m t) come from J Z for all m at once, with no
+        # matrix-vector product per candidate
+        Jop = make_J(random_matrix(n, n, Algebra.H, SplitMix64(1320 + n)))
+        real_matmul = kernels.quat_matmul
+        widths = []
+
+        def counting_matmul(A, B, *args):
+            widths.append(B.shape[1])
+            return real_matmul(A, B, *args)
+
+        monkeypatch.setattr(kernels, "quat_matmul", counting_matmul)
+        basis = adapted_basis(Jop, J)
+        assert basis.m == n and basis.orthonormality_defect() < 1e-9
+        assert 2 * n in widths and 1 not in widths
 
     def test_rejects_bad_unit(self):
         Jop = Matrix.diag([I, I], Algebra.H)

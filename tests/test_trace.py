@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gleason_lab import kernels
 from gleason_lab.linalg import (
     Matrix,
     Vector,
@@ -203,6 +204,33 @@ class TestTraceNorm:
                 rep = check_norm_inequalities(A, B)
                 assert rep.slack_ab >= -1e-9 and rep.slack_ba >= -1e-9
                 assert abs(rep.adjoint_gap) <= 1e-9 and rep.op_vs_trace_slack >= -1e-9
+
+
+class TestEigensolveCounts:
+    @pytest.fixture
+    def eigh_calls(self, monkeypatch):
+        real_eigh = kernels.eigh
+        calls = []
+
+        def counting_eigh(X, **kwargs):
+            calls.append(X.shape[0])
+            return real_eigh(X, **kwargs)
+
+        monkeypatch.setattr(kernels, "eigh", counting_eigh)
+        return calls
+
+    @pytest.mark.parametrize("algebra", ALGEBRAS)
+    def test_norm_inequalities_make_five_solves(self, eigh_calls, algebra):
+        # ||A*||_1 and ||A|| share the one solve of A A*
+        rng = SplitMix64(58)
+        check_norm_inequalities(random_matrix(4, 4, algebra, rng), random_matrix(4, 4, algebra, rng))
+        assert len(eigh_calls) == 5
+
+    def test_adapted_trace_formula_makes_two_solves(self, eigh_calls):
+        # one with vectors for J and tr|A - A*|, one spectrum for the tolerance
+        A = random_matrix(4, 4, Algebra.H, SplitMix64(59))
+        assert quaternionic_trace_formula_check(A, J).passed
+        assert len(eigh_calls) == 2
 
 
 class TestCyclicity:
