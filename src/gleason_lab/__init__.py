@@ -40,7 +40,6 @@ from .linalg import (
 )
 from .spectral import (
     EigenDecomposition,
-    PolarDecomposition,
     abs_op,
     adapted_basis,
     eig_hermitian,
@@ -48,9 +47,7 @@ from .spectral import (
     embed,
     make_J,
     op_norm,
-    polar,
     singular_values,
-    sqrt_positive,
 )
 from .trace import (
     absolute_diagonal_sum,

@@ -17,21 +17,26 @@ Re tr(P T) for the whole stack in one contraction
 four block calls and builds no object per probe.  Its verification step
 predicts each probe value as Re<x|Tx> from the vectors, not from the projector
 stack, so it checks the probe path rather than repeating it.  The dimension-2
-Bloch-cubic measure reads its stack projector by projector.
+Bloch-cubic measure reads its stack projector by projector, and its
+certificate works on stacks too: the probe lines, their certified complements
+I - P and the fit error Re tr(P T) - mu(P), with no Projector object.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import AlgebraMismatch, InvalidWeights, NotAFrameFunction, NotPositive
+from .errors import AlgebraMismatch, DegenerateInput, InvalidWeights, NotAFrameFunction, NotPositive
 from .linalg import (
+    _PROJECTOR_TOL,
     Matrix,
     Projector,
     Vector,
+    _certify_projectors,
     _conj_comps,
     _mul_comps,
     inner,  # re-exported: perfbench's tracer test checks this binding
@@ -104,6 +109,8 @@ class DensityOperator:
 def pure_state(psi: Vector) -> DensityOperator:
     """The rank-one state psi <psi|.> for a unit vector psi."""
     nrm = psi.norm()
+    if not 0.0 < nrm < math.inf:
+        raise DegenerateInput(f"a pure state needs a nonzero finite vector, got norm {nrm}")
     if abs(nrm - 1.0) > 1e-9:
         psi = psi.scale_right(1.0 / nrm)
     return DensityOperator(outer(psi, psi))
@@ -282,7 +289,8 @@ def convex_mix(states: list[DensityOperator], weights: list[float]) -> DensityOp
     if len(states) != len(weights) or not states:
         raise InvalidWeights("need one weight per state")
     w = np.asarray(weights, dtype=np.float64)
-    if w.min() < -1e-12 or abs(w.sum() - 1.0) > 1e-12:
+    # NaN fails every comparison
+    if not (-1e-12 <= w.min() and abs(w.sum() - 1.0) <= 1e-12):
         raise InvalidWeights(f"weights must be nonnegative and sum to 1, got sum {w.sum()}")
     acc = Matrix.zeros(states[0].n, states[0].n, states[0].algebra)
     for state, wt in zip(states, w):
@@ -320,9 +328,9 @@ def convex_unit_lemma(ps: list[float], qs: list[float]) -> bool:
     q = np.asarray(qs, dtype=np.float64)
     if len(p) != len(q) or len(p) < 2:
         raise ValueError("need matching lists of length >= 2")
-    if p.min() <= 0.0 or p.max() >= 1.0:
+    if not (0.0 < p.min() and p.max() < 1.0):
         raise ValueError("every p must lie strictly inside (0, 1)")
-    if q.min() < -1e-12 or q.max() > 1.0 + 1e-12:
+    if not (-1e-12 <= q.min() and q.max() <= 1.0 + 1e-12):
         raise ValueError("every q must lie in [0, 1]")
     hypothesis = abs(p.sum() - 1.0) <= 1e-12 and abs((p * q).sum() - 1.0) <= 1e-12
     if not hypothesis:
@@ -381,9 +389,10 @@ def random_orthogonal_decomposition(n: int, algebra: Algebra, rng: SplitMix64) -
 # the dimension-2 obstruction
 # ---------------------------------------------------------------------------
 
-def _bloch_z(comps: np.ndarray) -> float:
-    """n_z = P_00 - P_11 of a 2 x 2 projector P = (I + n.sigma)/2, from its components."""
-    return float(comps[0, 0, 0]) - float(comps[1, 1, 0])
+def _bloch_z(comps: np.ndarray) -> np.ndarray:
+    """n_z = P_00 - P_11 of a 2 x 2 projector P = (I + n.sigma)/2, or of every
+    projector of a stack, from the components."""
+    return comps[..., 0, 0, 0] - comps[..., 1, 1, 0]
 
 
 @dataclass(frozen=True)
@@ -421,31 +430,30 @@ def dim2_counterexample(probes: int = 100) -> tuple[LatticeMeasure, Dim2Certific
             rank = round(np.trace(P[..., 0]))
             # the cube in Python floats, projector by projector: numpy's
             # vectorized power does not always round as it does
-            values.append(0.0 if rank == 0 else 1.0 if rank == 2 else (1.0 + _bloch_z(P) ** 3) / 2.0)
+            values.append(0.0 if rank == 0 else 1.0 if rank == 2 else (1.0 + float(_bloch_z(P)) ** 3) / 2.0)
         return np.array(values)
 
     mu = LatticeMeasure(evaluate=ev)
 
+    # one certified stack of the two poles, then the probe lines
     X = random_unit_vectors(2, probes, algebra, SplitMix64(0xB10C))
-    pairs = []
-    for p in range(probes):
-        P = projector_onto(Matrix(algebra, X.comps[:, p : p + 1]))
-        pairs.append((P, P.complement()))
-    additivity_gap = max(abs(mu(P) + mu(Pc) - 1.0) for P, Pc in pairs)
+    ident = Matrix.identity(2, algebra).comps
+    fit_stack = Projector.rank_ones(Matrix(algebra, np.concatenate([ident, X.comps], axis=1)))
+    # the complements I - P, certified as the constructor would: idempotency
+    # from one batched complex product, the Hermitian defect from the stack
+    complements = ident - fit_stack[2:]
+    Z = complements.view(np.complex128)[..., 0]
+    _certify_projectors(complements, np.abs(np.matmul(Z, Z) - Z).max(axis=(1, 2)), _PROJECTOR_TOL)
+    values = mu.evaluate(algebra, fit_stack)
+    additivity_gap = float(np.abs(values[2:] + mu.evaluate(algebra, complements) - 1.0).max())
 
-    # least-squares fit of a Hermitian T = (w I + v . sigma)/2 to the probes
-    poles = Matrix.identity(2, algebra).comps
-    pole_up = projector_onto(Matrix(algebra, poles[:, :1]))
-    pole_down = projector_onto(Matrix(algebra, poles[:, 1:]))
-    fit_probes = [pole_up, pole_down] + [P for P, _ in pairs]
-    rows, targets = [], []
-    for P in fit_probes:
-        nz = _bloch_z(P.matrix.comps)
-        nx = 2.0 * P.matrix.entry(0, 1).a
-        ny = -2.0 * P.matrix.entry(0, 1).b
-        rows.append([0.5, 0.5 * nx, 0.5 * ny, 0.5 * nz])
-        targets.append(mu(P))
-    coeff, *_ = np.linalg.lstsq(np.array(rows), np.array(targets), rcond=None)
+    # least-squares fit of a Hermitian T = (w I + v . sigma)/2 to the probes:
+    # P = (I + n . sigma)/2 has n_x = 2 Re P_01, n_y = -2 Im P_01 and n_z = P_00 - P_11
+    nx = 2.0 * fit_stack[:, 0, 1, 0]
+    ny = -2.0 * fit_stack[:, 0, 1, 1]
+    nz = _bloch_z(fit_stack)
+    rows = np.stack([np.full(len(fit_stack), 0.5), 0.5 * nx, 0.5 * ny, 0.5 * nz], axis=1)
+    coeff, *_ = np.linalg.lstsq(rows, values, rcond=None)
     w0, vx, vy, vz = (float(x) for x in coeff)
     best_fit = Matrix.from_rows(
         [
@@ -454,12 +462,10 @@ def dim2_counterexample(probes: int = 100) -> tuple[LatticeMeasure, Dim2Certific
         ],
         algebra,
     )
-    fit_error = max(
-        abs(real_trace(P.matrix @ best_fit) - mu(P)) for P in fit_probes
-    )
+    fit_error = float(np.abs(_real_pairings(fit_stack, best_fit.comps) - values).max())
     certificate = Dim2Certificate(
         additivity_gap=additivity_gap,
-        identity_value=mu(Projector(Matrix.identity(2, algebra))),
+        identity_value=float(mu.evaluate(algebra, ident[None])[0]),
         best_fit=best_fit,
         best_fit_max_error=fit_error,
     )

@@ -15,9 +15,9 @@ H.  Squared entry moduli go through :func:`_sq_moduli`, which adds the four
 squared components in order.
 
 :func:`outer_sum` is the one place where vectors become operators: every
-spectral sum, projector, state, polar factor and phase group is assembled as
-(U diag(q)) V* from the columns of U and V in a single product, and
-:func:`outer` is its one-column case.
+spectral sum, projector, state, |A|, polar direction J and phase group is
+assembled as (U diag(q)) V* from the columns of U and V in a single product,
+and :func:`outer` is its one-column case.
 
 A basis is the :class:`Matrix` of its columns, and
 :func:`_orthonormalize` is the one Gram-Schmidt, shared by :func:`gram_schmidt`
@@ -480,9 +480,6 @@ class Projector:
     def rank(self) -> int:
         return int(round(self.matrix.comps[np.arange(self.n), np.arange(self.n), 0].sum()))
 
-    def complement(self) -> "Projector":
-        return Projector(Matrix.identity(self.n, self.algebra) - self.matrix)
-
     def __repr__(self) -> str:
         return f"Projector({self.algebra.value}, n={self.n}, rank={self.rank})"
 
@@ -516,10 +513,11 @@ def _certify_projectors(stack: np.ndarray, idem: np.ndarray, tol: float) -> None
     its idempotency defect ``idem[p]`` and its Hermitian defect are within
     ``tol`` relative to max(1, max|P_rc|).
 
-    Precondition: every entry of ``stack`` is finite.  Both callers reject
-    non-finite input before they call: :class:`Projector` through
-    ``np.isfinite`` on its matrix, and :meth:`Projector.rank_ones` through its
-    finite-norm check.  A non-finite stack still fails, with NaN defects, but
+    Precondition: every entry of ``stack`` is finite.  The callers ensure it:
+    :class:`Projector` through ``np.isfinite`` on its matrix,
+    :meth:`Projector.rank_ones` through its finite-norm check, and
+    :func:`gleason_lab.gleason.dim2_counterexample` by certifying I - P only for
+    a stack that ``rank_ones`` certified.  A non-finite stack still fails, with NaN defects, but
     numpy warns about the arithmetic on it first.
     """
 

@@ -107,7 +107,7 @@ class OutcomeMeasure:
 
     def __post_init__(self):
         probs = np.array([p for _, p in self.support])
-        if probs.size and (probs.min() < -1e-8 or probs.max() > 1.0 + 1e-8):
+        if probs.size and not (-1e-8 <= probs.min() and probs.max() <= 1.0 + 1e-8):
             raise ValueError("probabilities escape [0, 1] beyond tolerance")
 
     def total(self) -> float:
@@ -275,7 +275,8 @@ def rotation_group_from_skew(W: Matrix) -> GroupPath:
     if W.algebra is not Algebra.R:
         raise ValueError("skew generator path is the real-algebra route")
     W0 = W.comps[..., 0]
-    if np.abs(W0 + W0.T).max() > 1e-9 * max(1.0, np.abs(W0).max()):
+    # checked first: NaN would pass the antisymmetry test, and inf would make numpy warn
+    if not np.isfinite(W0).all() or np.abs(W0 + W0.T).max() > 1e-9 * max(1.0, np.abs(W0).max()):
         raise ValueError("generator must be antisymmetric")
     # the solver reads one triangle, so hand it the exactly Hermitian part
     vals, vecs = kernels.eigh(1j * (W0 - W0.T) / 2)

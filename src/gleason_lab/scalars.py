@@ -127,7 +127,8 @@ class Quaternion:
     def __str__(self) -> str:
         parts = []
         for value, unit in zip((self.a, self.b, self.c, self.d), ("", "i", "j", "k")):
-            if abs(value) > 1e-14:
+            # NaN fails the test, so a NaN component prints as nan, not as 0
+            if not abs(value) <= 1e-14:
                 text = f"{value:+g}"
                 if unit and abs(abs(value) - 1.0) < 1e-14:
                     text = text[0] + unit

@@ -29,8 +29,8 @@ and lifts the eigenbasis; :func:`eigvals_hermitian` asks for eigenvalues only
 means, and builds no basis.  The norms (:func:`singular_values`,
 :func:`op_norm`, and through them the trace norm), positivity and the state
 check read only the spectrum, so they take :func:`eigvals_hermitian` and
-compute no eigenvectors; the polar factor, square roots and spectral measures
-need the basis.
+compute no eigenvectors.  Spectral measures need the basis, and so do |A| and
+the polar direction J, each from one eigendecomposition of A*A.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import AlgebraMismatch, ConvergenceFailure, NotHermitian, NotPositive
+from .errors import AlgebraMismatch, ConvergenceFailure, NotHermitian
 from .linalg import (
     Matrix,
     Vector,
@@ -71,12 +71,6 @@ class EigenDecomposition:
 
     def residual(self, A: Matrix) -> float:
         return (self.reconstruct() - A).max_abs()
-
-
-@dataclass(frozen=True)
-class PolarDecomposition:
-    partial_isometry: Matrix
-    absolute: Matrix
 
 
 def embed(A: Matrix) -> np.ndarray:
@@ -207,62 +201,43 @@ def eig_hermitian(A: Matrix) -> EigenDecomposition:
     return EigenDecomposition(Matrix(Algebra.H, basis), values)
 
 
+def _gram(A: Matrix) -> Matrix:
+    """A*A, for the norms, |A| and J.  A non-finite entry raises the NotHermitian
+    that the eigensolve gives NaN, before numpy can warn about inf arithmetic."""
+    if not np.isfinite(A.comps).all():
+        raise NotHermitian("matrix has a non-finite entry")
+    return A.adjoint() @ A
+
+
 def op_norm(A: Matrix) -> float:
     """Operator (spectral) norm: largest singular value."""
-    gram_values = eigvals_hermitian(A.adjoint() @ A)
+    gram_values = eigvals_hermitian(_gram(A))
     return float(np.sqrt(max(gram_values.max(initial=0.0), 0.0)))
 
 
 def _root_spectrum(values: np.ndarray) -> np.ndarray:
     """Square roots of a positive spectrum, with every |s| <= 1e-10 * max|s|
-    cut to exactly zero first."""
+    cut to exactly zero first; relative, so a small matrix keeps its singular values."""
     scale = float(np.abs(values).max(initial=0.0))
     vals = np.where(np.abs(values) <= _CLAMP_REL * scale, 0.0, values)
     return np.sqrt(np.clip(vals, 0.0, None))
 
 
-def sqrt_positive(B: Matrix) -> Matrix:
-    """Unique positive square root of a positive Hermitian matrix.
-
-    Eigenvalues with |s| <= 1e-10 * scale, scale = max|s|, are kernel noise
-    and become exactly zero (the square root would amplify them to
-    sqrt-of-noise otherwise); anything below -1e-10 * scale raises
-    NotPositive.  The cut is relative to the spectrum at every size, so a
-    small positive matrix keeps its square root.
-    """
-    dec = eig_hermitian(B)
-    floor = _CLAMP_REL * float(np.abs(dec.values).max(initial=0.0))
-    if dec.values.min(initial=0.0) < -floor:
-        raise NotPositive(f"minimum eigenvalue {dec.values.min():.3e} below -{floor:.1e}")
-    return EigenDecomposition(dec.basis, _root_spectrum(dec.values)).reconstruct()
+def _singular_data(A: Matrix) -> tuple[np.ndarray, Matrix]:
+    """(singular values, right singular vectors as columns) of A, from one
+    eigendecomposition of A*A."""
+    gram = eig_hermitian(_gram(A))
+    return _root_spectrum(gram.values), gram.basis
 
 
 def abs_op(A: Matrix) -> Matrix:
     """|A| = sqrt(A* A); satisfies || |A| x || = ||A x|| for every x."""
-    return sqrt_positive(A.adjoint() @ A)
-
-
-def _singular_data(A: Matrix) -> tuple[np.ndarray, Matrix]:
-    gram = eig_hermitian(A.adjoint() @ A)
-    return _root_spectrum(gram.values), gram.basis
+    sigmas, basis = _singular_data(A)
+    return outer_sum(basis, sigmas)
 
 
 def singular_values(A: Matrix) -> np.ndarray:
-    return _root_spectrum(eigvals_hermitian(A.adjoint() @ A))
-
-
-def polar(A: Matrix) -> PolarDecomposition:
-    """A = U |A| with |A| positive Hermitian and U a partial isometry."""
-    if not A.is_square:
-        raise ValueError("polar decomposition needs a square matrix")
-    sigmas, basis = _singular_data(A)
-    top = float(sigmas.max(initial=0.0))
-    # kernel cut sits at the noise floor of sigma = sqrt(eigenvalue): keeping
-    # smaller directions would normalize pure rounding noise into U
-    keep = sigmas > 1e-8 * top
-    s = sigmas[keep]
-    U_k = Matrix(A.algebra, basis.comps[:, keep])
-    return PolarDecomposition(outer_sum(A @ U_k, 1.0 / s, U_k), outer_sum(U_k, s))
+    return _root_spectrum(eigvals_hermitian(_gram(A)))
 
 
 def make_J(A: Matrix, kernel_unit: Quaternion = Quaternion.I) -> Matrix:
@@ -280,13 +255,18 @@ def make_J(A: Matrix, kernel_unit: Quaternion = Quaternion.I) -> Matrix:
 
 
 def _skew_polar(A: Matrix, kernel_unit: Quaternion = Quaternion.I) -> tuple[Matrix, float]:
-    """(J, tr|A - A*|) from one eigendecomposition of (A - A*)*(A - A*)."""
+    """(J, tr|A - A*|) from one eigendecomposition of (A - A*)*(A - A*).  The
+    kernel holds every singular value that :func:`_root_spectrum` cuts to zero:
+    those at most 1e-5 of the largest."""
     if A.algebra is not Algebra.H:
         raise AlgebraMismatch("J construction is quaternionic")
     if not A.is_square:
         raise ValueError("needs a square matrix")
     if abs(abs(kernel_unit) - 1.0) > 1e-12 or abs(kernel_unit.real) > 1e-12:
         raise ValueError("kernel_unit must be a unit imaginary quaternion")
+    # inf - inf would make numpy warn before _gram rejects the entry
+    if not np.isfinite(A.comps).all():
+        raise NotHermitian("matrix has a non-finite entry")
     C = A - A.adjoint()
     sigmas, basis = _singular_data(C)
     U = basis.comps
@@ -329,7 +309,9 @@ def adapted_basis(J: Matrix, imag_unit: Quaternion) -> Matrix:
         raise ValueError("imag_unit must be a unit imaginary quaternion")
     n = J.n
     ident = Matrix.identity(n, Algebra.H)
-    if (J + J.adjoint()).max_abs() > 1e-8 or (J @ J + ident).max_abs() > 1e-8:
+    # checked first: NaN would pass the defect tests, and inf would make numpy warn
+    finite = np.isfinite(J.comps).all()
+    if not finite or (J + J.adjoint()).max_abs() > 1e-8 or (J @ J + ident).max_abs() > 1e-8:
         raise ValueError("J must be an anti-selfadjoint unitary")
 
     # Z = [e_0, e_0 t, e_1, e_1 t, ...]; Pi holds every pi(z) = (z - (J z) imag_unit) / 2,

