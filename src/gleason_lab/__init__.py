@@ -24,7 +24,6 @@ from .scalars import Algebra, Quaternion
 from .linalg import (
     Matrix,
     Projector,
-    Vector,
     gram_schmidt,
     inner,
     is_positive,
@@ -36,7 +35,6 @@ from .linalg import (
     random_projector,
     random_unit_vector,
     random_unitary,
-    random_vector,
 )
 from .spectral import (
     EigenDecomposition,

@@ -9,7 +9,8 @@ counterexample showing why the bijection needs dim > 2.
 
 Measures are represented by oracles, not tables: even at n = 3 the lattice is
 infinite, so every check samples projectors.  Both oracles are block-shaped.
-A frame function takes the probe vectors as the columns of one matrix, and a
+A frame function takes the probe vectors as the columns of one matrix (a
+single vector, as everywhere in the package, is an n x 1 Matrix), and a
 lattice measure takes the certified (k, n, n, 4) stack of their line
 projectors from :meth:`Projector.rank_ones`.  The measure of a state reads
 Re tr(P T) for the whole stack in one contraction
@@ -35,7 +36,6 @@ from .linalg import (
     _PROJECTOR_TOL,
     Matrix,
     Projector,
-    Vector,
     _certify_projectors,
     _conj_comps,
     _mul_comps,
@@ -106,8 +106,14 @@ class DensityOperator:
         return f"DensityOperator({self.algebra.value}, n={self.n}, rank={self.rank()})"
 
 
-def pure_state(psi: Vector) -> DensityOperator:
-    """The rank-one state psi <psi|.> for a unit vector psi."""
+def pure_state(psi: Matrix) -> DensityOperator:
+    """The rank-one state psi <psi|.> for a unit vector psi, an n x 1 column.
+
+    Any other shape raises ValueError: the same sum over n columns would be a
+    mixed state.
+    """
+    if psi.m != 1:
+        raise ValueError(f"a pure state needs an n x 1 column, got {psi.n}x{psi.m}")
     nrm = psi.norm()
     if not 0.0 < nrm < math.inf:
         raise DegenerateInput(f"a pure state needs a nonzero finite vector, got norm {nrm}")
@@ -174,8 +180,8 @@ class FrameFunction:
 
     evaluate: Callable[[Matrix], Sequence[float]]
 
-    def __call__(self, x: Vector) -> float:
-        return float(self.evaluate(Matrix(x.algebra, x.comps[:, None, :]))[0])
+    def __call__(self, x: Matrix) -> float:
+        return float(self.evaluate(x)[0])
 
     @classmethod
     def from_measure(cls, mu: LatticeMeasure) -> "FrameFunction":
@@ -190,8 +196,9 @@ class FrameFunction:
         return cls(evaluate=ev)
 
     @classmethod
-    def pointwise(cls, fn: Callable[[Vector], float]) -> "FrameFunction":
-        """The frame function of a per-vector oracle, called once per column, in order."""
+    def pointwise(cls, fn: Callable[[Matrix], float]) -> "FrameFunction":
+        """The frame function of a per-vector oracle, called once per column, in
+        order, on that column as an n x 1 matrix."""
 
         def ev(X: Matrix) -> list[float]:
             return [float(fn(x)) for x in X.columns()]

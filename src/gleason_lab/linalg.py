@@ -1,10 +1,11 @@
-"""Dense matrices and vectors over R, C or H.
+"""Dense matrices over R, C or H; a vector is an n x 1 :class:`Matrix`.
 
 Conventions, fixed once for the whole package because quaternions do not
 commute: matrices act on column vectors from the LEFT, scalars multiply
-vectors from the RIGHT, and the inner product is conjugate-linear in the left
-entry and linear in the right entry.  With this pairing A(x q) = (A x) q holds
-for every scalar q, and the adjoint satisfies <A* x | y> = <x | A y>.
+vectors from the RIGHT (:meth:`Matrix.scale_right`), and the inner product
+:func:`inner` of two columns is conjugate-linear in the left entry and linear
+in the right entry.  With this pairing A(x q) = (A x) q holds for every scalar
+q, and the adjoint satisfies <A* x | y> = <x | A y>.
 
 Storage is a float64 component array of shape (n, m, 4) per matrix (rows,
 columns, quaternion components), shared by all three algebras; the
@@ -107,70 +108,27 @@ def _check_same_algebra(x, y) -> Algebra:
 
 
 class Vector:
-    """Column vector with quaternion-component storage (n, 4)."""
+    """Retired: a vector is an n x 1 :class:`Matrix`.
 
-    __slots__ = ("algebra", "comps")
+    ``perfbench/tracer.py`` still binds ``Vector.__init__`` and
+    ``Vector.scale_right`` by name, so the class keeps these two methods, and
+    both raise.  The stub goes with that binding (ROADMAP item 1).
+    """
 
-    def __init__(self, algebra: Algebra, comps: np.ndarray):
-        comps = np.asarray(comps, dtype=np.float64)
-        if comps.ndim != 2 or comps.shape[1] != 4:
-            raise ValueError(f"vector components must have shape (n, 4), got {comps.shape}")
-        self.algebra = algebra
-        self.comps = comps
-        self.comps.flags.writeable = False
+    def __init__(self, *args, **kwargs):
+        raise TypeError("Vector is retired: a vector is an n x 1 Matrix")
 
-    @classmethod
-    def basis_vector(cls, index: int, n: int, algebra: Algebra) -> "Vector":
-        comps = np.zeros((n, 4))
-        comps[index, 0] = 1.0
-        return cls(algebra, comps)
-
-    @property
-    def n(self) -> int:
-        return self.comps.shape[0]
-
-    def entry(self, m: int) -> Quaternion:
-        return Quaternion.from_array(self.comps[m])
-
-    def scale_right(self, q) -> "Vector":
-        """x -> x q, the only scalar action compatible with left operators.
-
-        A scalar outside the vector's algebra raises AlgebraMismatch.
-        """
-        q = as_quaternion(q)
-        qa = q.to_array()
-        # every scalar lies in H, so H pays the one comparison
-        if self.algebra is not Algebra.H and qa[self.algebra.component_count:].any():
-            raise AlgebraMismatch(f"scalar {q} lies outside {self.algebra.value}")
-        return Vector(self.algebra, _mul_comps(self.comps, qa[None, :]))
-
-    def __add__(self, other: "Vector") -> "Vector":
-        _check_same_algebra(self, other)
-        return Vector(self.algebra, self.comps + other.comps)
-
-    def __sub__(self, other: "Vector") -> "Vector":
-        _check_same_algebra(self, other)
-        return Vector(self.algebra, self.comps - other.comps)
-
-    def __neg__(self) -> "Vector":
-        return Vector(self.algebra, -self.comps)
-
-    def norm(self) -> float:
-        return float(np.sqrt((self.comps**2).sum()))
-
-    def approx_eq(self, other: "Vector", tol: float = 1e-9) -> bool:
-        return bool(np.abs(self.comps - other.comps).max() <= tol)
-
-    def __repr__(self) -> str:
-        return f"Vector({self.algebra.value}, n={self.n})"
+    def scale_right(self, q):
+        raise TypeError("Vector is retired: a vector is an n x 1 Matrix")
 
 
-def inner(x: Vector, y: Vector) -> Quaternion:
-    """<x|y> = sum_m conj(x_m) y_m; Hermitian and linear in the right entry."""
+def inner(x: Matrix, y: Matrix) -> Quaternion:
+    """<x|y> = sum_m conj(x_m) y_m of two n x 1 columns; Hermitian and linear
+    in the right entry.  Any other shape raises ValueError."""
     _check_same_algebra(x, y)
-    if x.n != y.n:
-        raise ValueError(f"length mismatch {x.n} != {y.n}")
-    prod = _mul_comps(_conj_comps(x.comps), y.comps)
+    if x.m != 1 or y.m != 1 or x.n != y.n:
+        raise ValueError(f"inner needs two columns of one length, got {x.n}x{x.m} and {y.n}x{y.m}")
+    prod = _mul_comps(_conj_comps(x.comps[:, 0]), y.comps[:, 0])
     return Quaternion.from_array(prod.sum(axis=0))
 
 
@@ -221,12 +179,13 @@ class Matrix:
         return cls(algebra, _in_algebra(comps, algebra))
 
     @classmethod
-    def from_columns(cls, columns: list[Vector]) -> "Matrix":
-        algebra = columns[0].algebra
-        for col in columns:
-            _check_same_algebra(columns[0], col)
-        comps = np.stack([col.comps for col in columns], axis=1)
-        return cls(algebra, comps)
+    def from_columns(cls, blocks: list["Matrix"]) -> "Matrix":
+        """The matrix of the columns of ``blocks``, side by side, in order."""
+        if not blocks:
+            raise ValueError("need at least one column block")
+        for block in blocks:
+            _check_same_algebra(blocks[0], block)
+        return cls(blocks[0].algebra, np.concatenate([block.comps for block in blocks], axis=1))
 
     # -- shape and access ---------------------------------------------------
 
@@ -245,20 +204,16 @@ class Matrix:
     def entry(self, r: int, c: int) -> Quaternion:
         return Quaternion.from_array(self.comps[r, c])
 
-    def col(self, c: int) -> Vector:
-        return Vector(self.algebra, self.comps[:, c, :].copy())
+    def col(self, c: int) -> "Matrix":
+        """Column c as an n x 1 matrix."""
+        return Matrix(self.algebra, self.comps[:, [c]])
 
-    def columns(self) -> list[Vector]:
+    def columns(self) -> list["Matrix"]:
         return [self.col(c) for c in range(self.m)]
 
     # -- algebra ------------------------------------------------------------
 
-    def __matmul__(self, other):
-        if isinstance(other, Vector):
-            _check_same_algebra(self, other)
-            count = self.algebra.component_count
-            out = kernels.quat_matmul(self.comps, other.comps[:, None, :], count)
-            return Vector(self.algebra, out[:, 0, :])
+    def __matmul__(self, other: "Matrix") -> "Matrix":
         count = _check_same_algebra(self, other).component_count
         return Matrix(self.algebra, kernels.quat_matmul(self.comps, other.comps, count))
 
@@ -279,12 +234,28 @@ class Matrix:
 
     __rmul__ = __mul__
 
+    def scale_right(self, q) -> "Matrix":
+        """X -> X q, the only scalar action compatible with left operators.
+
+        A scalar outside the matrix's algebra raises AlgebraMismatch.
+        """
+        q = as_quaternion(q)
+        qa = q.to_array()
+        # every scalar lies in H, so H pays the one comparison
+        if self.algebra is not Algebra.H and qa[self.algebra.component_count:].any():
+            raise AlgebraMismatch(f"scalar {q} lies outside {self.algebra.value}")
+        return Matrix(self.algebra, _mul_comps(self.comps, qa))
+
     def adjoint(self) -> "Matrix":
         return Matrix(self.algebra, _adjoint_comps(self.comps))
 
     def max_abs(self) -> float:
         """Largest entry magnitude |A_rc|."""
         return _max_abs(self.comps)
+
+    def norm(self) -> float:
+        """Frobenius norm; the length of an n x 1 column."""
+        return float(np.sqrt((self.comps**2).sum()))
 
     def orthonormality_defect(self) -> float:
         """Largest entry magnitude of U*U - I over the columns of U."""
@@ -349,10 +320,11 @@ def outer_sum(U: Matrix, coeffs=None, V: Matrix | None = None) -> Matrix:
     return Matrix(algebra, kernels.quat_matmul(uc, V_star, algebra.component_count))
 
 
-def outer(u: Vector, v: Vector, coeff=None) -> Matrix:
-    """The operator x -> u q <v|x>, as a matrix u_r q conj(v_c)."""
+def outer(u: Matrix, v: Matrix, coeff=None) -> Matrix:
+    """The operator x -> u q <v|x> of two n x 1 columns, as a matrix
+    u_r q conj(v_c)."""
     q = None if coeff is None else as_quaternion(coeff).to_array()[None, :]
-    return outer_sum(Matrix(u.algebra, u.comps[:, None, :]), q, Matrix(v.algebra, v.comps[:, None, :]))
+    return outer_sum(u, q, v)
 
 
 def _orthonormalize(W: np.ndarray, tol: float, limit: int | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -580,16 +552,12 @@ def _gaussian_comps(shape: tuple[int, ...], algebra: Algebra, rng) -> np.ndarray
     return comps
 
 
-def random_vector(n: int, algebra: Algebra, rng) -> Vector:
-    return Vector(algebra, _gaussian_comps((n,), algebra, rng))
-
-
 def random_unit_vectors(n: int, count: int, algebra: Algebra, rng) -> Matrix:
     """``count`` random unit vectors as the columns of an n x count matrix.
 
-    Column p is the p-th of ``count`` successive :func:`random_vector` draws
-    from the stream, scaled by its reciprocal norm; a draw of norm below
-    1e-12 becomes e_0.
+    Column p is the p-th of ``count`` successive blocks of n Gaussian entries
+    (as :func:`random_matrix` draws an n x 1 matrix) from the stream, scaled
+    by its reciprocal norm; a draw of norm below 1e-12 becomes e_0.
     """
     X = _gaussian_comps((count, n), algebra, rng)
     norms = np.sqrt((X**2).sum(axis=(1, 2)))
@@ -600,8 +568,8 @@ def random_unit_vectors(n: int, count: int, algebra: Algebra, rng) -> Matrix:
     return Matrix(algebra, np.ascontiguousarray(X.transpose(1, 0, 2)))
 
 
-def random_unit_vector(n: int, algebra: Algebra, rng) -> Vector:
-    return random_unit_vectors(n, 1, algebra, rng).col(0)
+def random_unit_vector(n: int, algebra: Algebra, rng) -> Matrix:
+    return random_unit_vectors(n, 1, algebra, rng)
 
 
 def random_matrix(n: int, m: int, algebra: Algebra, rng) -> Matrix:

@@ -198,17 +198,15 @@ class SymmetryOp:
         return V.adjoint() @ A @ V
 
 
-def symmetry_duality_gap(A: Matrix, B: Matrix, U: Matrix | SymmetryOp) -> float:
+def symmetry_duality_gap(A: Matrix, B: Matrix, sym: SymmetryOp) -> float:
     """|Re tr(A U B U^{-1}) - Re tr(U^{-1} A U B)|; zero for every symmetry."""
-    sym = U if isinstance(U, SymmetryOp) else SymmetryOp(U)
     lhs = real_trace(A @ sym.transform_state(B))
     rhs = real_trace(sym.dual_transform(A) @ B)
     return abs(lhs - rhs)
 
 
-def conjugate_state(U: Matrix | SymmetryOp, T: DensityOperator) -> DensityOperator:
+def conjugate_state(sym: SymmetryOp, T: DensityOperator) -> DensityOperator:
     """U T U^{-1}, certified to still be a state."""
-    sym = U if isinstance(U, SymmetryOp) else SymmetryOp(U)
     return DensityOperator(sym.transform_state(T.matrix))
 
 

@@ -45,7 +45,8 @@ class SplitMix64:
     def __init__(self, seed: int):
         self.seed = seed & _MASK64
         self._pos = 0
-        self._spare_gauss: list[float] = []
+        # the second variate of a Box-Muller pair that the last block left over
+        self._spare_gauss: float | None = None
 
     def uint64_block(self, count: int) -> np.ndarray:
         idx = np.arange(self._pos + 1, self._pos + count + 1, dtype=np.uint64)
@@ -59,21 +60,22 @@ class SplitMix64:
 
     def gaussian_block(self, count: int) -> np.ndarray:
         out = np.empty(count)
-        have = min(len(self._spare_gauss), count)
-        for m in range(have):
-            out[m] = self._spare_gauss.pop()
+        have = 0
+        if count and self._spare_gauss is not None:
+            out[0], self._spare_gauss = self._spare_gauss, None
+            have = 1
         need = count - have
         if need > 0:
             pairs = (need + 1) // 2
             u = self.uniform_block(2 * pairs)
             u1, u2 = u[0::2], u[1::2]
             r = np.sqrt(-2.0 * np.log(u1))
-            g1 = r * np.cos(2.0 * np.pi * u2)
-            g2 = r * np.sin(2.0 * np.pi * u2)
-            both = np.ravel(np.column_stack([g1, g2]))
+            both = np.empty(2 * pairs)
+            both[0::2] = r * np.cos(2.0 * np.pi * u2)
+            both[1::2] = r * np.sin(2.0 * np.pi * u2)
             out[have:] = both[:need]
             if need < both.size:
-                self._spare_gauss.extend(both[need:])
+                self._spare_gauss = float(both[-1])
         return out
 
     def gaussian(self) -> float:
@@ -84,8 +86,9 @@ class SplitMix64:
 
     def integer(self, bound: int) -> int:
         """Uniform integer in [0, bound), by rejection on the top bits."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
+        # past 2**64 no draw lies below the rejection limit, which is then 0
+        if not 0 < bound <= _MASK64 + 1:
+            raise ValueError(f"bound must lie in 1..2**64, got {bound}")
         while True:
             z = int(self.uint64_block(1)[0])
             limit = (_MASK64 + 1) - ((_MASK64 + 1) % bound)

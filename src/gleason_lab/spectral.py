@@ -31,6 +31,9 @@ means, and builds no basis.  The norms (:func:`singular_values`,
 check read only the spectrum, so they take :func:`eigvals_hermitian` and
 compute no eigenvectors.  Spectral measures need the basis, and so do |A| and
 the polar direction J, each from one eigendecomposition of A*A.
+
+Eigenbases and adapted bases come back as the columns of one
+:class:`~gleason_lab.linalg.Matrix`; a single vector is an n x 1 Matrix.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from . import kernels
 from .errors import AlgebraMismatch, ConvergenceFailure, NotHermitian
 from .linalg import (
     Matrix,
-    Vector,
     _adjoint_comps,
     _hermitian_ratio,
     _mul_comps,
@@ -323,9 +325,9 @@ def adapted_basis(J: Matrix, imag_unit: Quaternion) -> Matrix:
     Pi = (Z - _mul_comps((J @ Matrix(Algebra.H, Z)).comps, imag_unit.to_array())) * 0.5
     Pi = np.ascontiguousarray(Pi.transpose(1, 0, 2))
 
-    out: list[Vector] = []
+    out: list[Matrix] = []
     for c in range(2 * n):
-        w = Vector(Algebra.H, Pi[c])
+        w = Matrix(Algebra.H, Pi[c][:, None])
         for _ in range(2):
             for u in out:
                 w = w - u.scale_right(inner(u, w))

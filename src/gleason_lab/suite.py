@@ -513,7 +513,7 @@ def _run_symmetry_duality(cell: Cell, t: int) -> Terms:
 def _run_state_conjugation(cell: Cell, t: int) -> Terms:
     T = gl.random_density(cell.dim, cell.algebra, cell.rng)
     U = random_unitary(cell.dim, cell.algebra, cell.rng)
-    return (abs(tr.real_trace(qm.conjugate_state(U, T).matrix) - 1.0),)
+    return (abs(tr.real_trace(qm.conjugate_state(qm.SymmetryOp(U), T).matrix) - 1.0),)
 
 
 def _make_group_path(cell: Cell):

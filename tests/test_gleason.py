@@ -30,7 +30,6 @@ from gleason_lab.gleason import (
 from gleason_lab.linalg import (
     Matrix,
     Projector,
-    Vector,
     inner,
     projector_onto,
     random_matrix,
@@ -39,7 +38,6 @@ from gleason_lab.linalg import (
     random_unit_vector,
     random_unit_vectors,
     random_unitary,
-    random_vector,
 )
 from gleason_lab.rng import SplitMix64
 from gleason_lab.scalars import Algebra, Quaternion
@@ -87,22 +85,21 @@ class TestLatticeJoin:
     def test_join_with_zero_projector(self):
         P = random_projector(3, 1, Algebra.H, SplitMix64(81))
         zero = Matrix.zeros(3, 3, Algebra.H)
-        joined = projector_onto(Matrix.from_columns(P.matrix.columns() + zero.columns()), drop=True)
+        joined = projector_onto(Matrix.from_columns([P.matrix, zero]), drop=True)
         assert joined.matrix.approx_eq(P.matrix, tol=1e-9)
 
     def test_join_with_complement_is_identity(self):
         P = random_projector(4, 2, Algebra.C, SplitMix64(82))
         complement = Projector(Matrix.identity(4, Algebra.C) - P.matrix)
-        columns = P.matrix.columns() + complement.matrix.columns()
-        joined = projector_onto(Matrix.from_columns(columns), drop=True)
+        joined = projector_onto(Matrix.from_columns([P.matrix, complement.matrix]), drop=True)
         assert joined.matrix.approx_eq(Matrix.identity(4, Algebra.C), tol=1e-9)
 
     def test_join_of_overlapping_lines(self):
-        e1 = Vector.basis_vector(0, 3, Algebra.R)
-        e2 = Vector.basis_vector(1, 3, Algebra.R)
-        P = projector_onto(Matrix.from_columns([e1]))
-        Q = projector_onto(Matrix.from_columns([e1 + e2]))
-        joined = projector_onto(Matrix.from_columns(P.matrix.columns() + Q.matrix.columns()), drop=True)
+        e1 = Matrix.identity(3, Algebra.R).col(0)
+        e2 = Matrix.identity(3, Algebra.R).col(1)
+        P = projector_onto(e1)
+        Q = projector_onto(e1 + e2)
+        joined = projector_onto(Matrix.from_columns([P.matrix, Q.matrix]), drop=True)
         assert joined.rank == 2
         assert joined.matrix.approx_eq(Matrix.diag([1.0, 1.0, 0.0], Algebra.R), tol=1e-9)
 
@@ -112,7 +109,7 @@ class TestLatticeJoin:
         total = Matrix.zeros(5, 5, Algebra.H)
         for P in parts:
             total = total + P.matrix
-        joined = projector_onto(Matrix.from_columns([u for P in parts for u in P.matrix.columns()]), drop=True)
+        joined = projector_onto(Matrix.from_columns([P.matrix for P in parts]), drop=True)
         assert joined.matrix.approx_eq(total, tol=1e-9)
 
 
@@ -129,7 +126,7 @@ class TestMeasureFromState:
     def test_pure_state_scores_one_on_its_own_line(self):
         psi = random_unit_vector(3, Algebra.H, SplitMix64(85))
         mu = measure_from_state(pure_state(psi))
-        assert math.isclose(mu(projector_onto(Matrix.from_columns([psi]))), 1.0, abs_tol=1e-10)
+        assert math.isclose(mu(projector_onto(psi)), 1.0, abs_tol=1e-10)
 
     def test_equivalent_trace_forms(self):
         from gleason_lab.linalg import gram_schmidt, random_matrix
@@ -297,7 +294,7 @@ class TestReconstruction:
     def test_frame_function_probe_builds_no_matrix_product(self, algebra, monkeypatch):
         rng = SplitMix64(61)
         T = random_density(4, algebra, rng)
-        x = random_vector(4, algebra, rng)
+        x = random_matrix(4, 1, algebra, rng)
         expect = inner(x, T.matrix @ x).real / x.norm() ** 2
         X = random_matrix(4, 50, algebra, rng)
         expect_block = [inner(u, T.matrix @ u).real / u.norm() ** 2 for u in X.columns()]
@@ -324,7 +321,7 @@ class TestReconstruction:
         def calls_with(probes: int) -> int:
             calls = 0
 
-            def ev(x: Vector) -> float:
+            def ev(x: Matrix) -> float:
                 nonlocal calls
                 calls += 1
                 return f(x)
@@ -342,7 +339,7 @@ class TestReconstruction:
         f = FrameFunction.from_measure(measure_from_state(T))
         calls = 0
 
-        def ev(x: Vector) -> float:
+        def ev(x: Matrix) -> float:
             nonlocal calls
             calls += 1
             return f(x)
@@ -351,7 +348,7 @@ class TestReconstruction:
         # the 100 verification probes come last: the third of them, then the fifth
         third, fifth, calls = calls - 97, calls - 95, 0
 
-        def failing(x: Vector) -> float:
+        def failing(x: Matrix) -> float:
             nonlocal calls
             calls += 1
             off = {third: error, fifth: 2e-3}.get(calls, 0.0)
@@ -391,17 +388,17 @@ class TestReconstruction:
             assert math.isclose(sum(f.evaluate(basis)), 1.0, abs_tol=1e-9)
 
     def test_phase_dependent_oracle_is_rejected(self):
-        def ev(x: Vector) -> float:
+        def ev(x: Matrix) -> float:
             # depends on the representative, not the line: not a frame function
-            return max(x.comps[0, 0], 0.0)
+            return max(x.comps[0, 0, 0], 0.0)
 
         with pytest.raises(NotAFrameFunction):
             reconstruct_state(FrameFunction.pointwise(ev), 3, Algebra.C)
 
     def test_non_quadratic_oracle_is_rejected(self):
-        def ev(x: Vector) -> float:
+        def ev(x: Matrix) -> float:
             p = inner(x, x).real
-            return abs(x.entry(0) * x.entry(0).conjugate()).real ** 2 / max(p, 1e-12)
+            return abs(x.entry(0, 0) * x.entry(0, 0).conjugate()).real ** 2 / max(p, 1e-12)
 
         with pytest.raises(NotAFrameFunction):
             reconstruct_state(FrameFunction.pointwise(ev), 3, Algebra.C)
@@ -409,7 +406,7 @@ class TestReconstruction:
     def test_indefinite_quadratic_form_is_rejected_as_not_positive(self):
         T0 = Matrix.diag([1.5, -0.5, 0.0], Algebra.C)
 
-        def ev(x: Vector) -> float:
+        def ev(x: Matrix) -> float:
             return inner(x, T0 @ x).real
 
         with pytest.raises(NotPositive):
@@ -504,10 +501,15 @@ class TestPhaseClasses:
 
     @pytest.mark.parametrize("entry", [0.0, math.nan, math.inf, -math.inf], ids=["zero", "nan", "+inf", "-inf"])
     def test_pure_state_of_a_zero_or_non_finite_vector_is_degenerate(self, entry):
-        comps = np.zeros((3, 4))
-        comps[1, 0] = entry
+        comps = np.zeros((3, 1, 4))
+        comps[1, 0, 0] = entry
         with pytest.raises(DegenerateInput):
-            pure_state(Vector(Algebra.C, comps))
+            pure_state(Matrix(Algebra.C, comps))
+
+    def test_pure_state_of_more_than_one_column_is_rejected(self):
+        # the sum over two orthonormal columns would be the mixed state of rank 2
+        with pytest.raises(ValueError):
+            pure_state(Matrix(Algebra.C, random_unitary(3, Algebra.C, SplitMix64(99)).comps[:, :2]))
 
 
 class TestSeparation:
@@ -516,11 +518,11 @@ class TestSeparation:
         assert not separation_check(P, P)
 
     def test_standard_lines_are_separated(self):
-        P = projector_onto(Matrix.from_columns([Vector.basis_vector(0, 3, Algebra.C)]))
-        Q = projector_onto(Matrix.from_columns([Vector.basis_vector(1, 3, Algebra.C)]))
+        P = projector_onto(Matrix.identity(3, Algebra.C).col(0))
+        Q = projector_onto(Matrix.identity(3, Algebra.C).col(1))
         assert separation_check(P, Q)
         # the e1 witness itself distinguishes them maximally
-        mu = measure_from_state(pure_state(Vector.basis_vector(0, 3, Algebra.C)))
+        mu = measure_from_state(pure_state(Matrix.identity(3, Algebra.C).col(0)))
         assert math.isclose(mu(P) - mu(Q), 1.0, abs_tol=1e-12)
 
     def test_random_distinct_projectors_are_separated(self):
@@ -569,9 +571,9 @@ class TestConvexUnitLemma:
 class TestDim2Counterexample:
     def test_poles_and_additivity(self):
         mu, cert = dim2_counterexample()
-        north = projector_onto(Matrix.from_columns([Vector.basis_vector(0, 2, Algebra.C)]))
+        north = projector_onto(Matrix.identity(2, Algebra.C).col(0))
         assert math.isclose(mu(north), 1.0, abs_tol=1e-12)
-        south = projector_onto(Matrix.from_columns([Vector.basis_vector(1, 2, Algebra.C)]))
+        south = projector_onto(Matrix.identity(2, Algebra.C).col(1))
         assert math.isclose(mu(south), 0.0, abs_tol=1e-12)
         assert cert.additivity_gap < 1e-12
         assert math.isclose(cert.identity_value, 1.0, abs_tol=1e-12)
@@ -580,7 +582,7 @@ class TestDim2Counterexample:
         mu, _ = dim2_counterexample()
         rng = SplitMix64(103)
         for _ in range(100):
-            P = projector_onto(Matrix.from_columns([random_unit_vector(2, Algebra.C, rng)]))
+            P = projector_onto(random_unit_vector(2, Algebra.C, rng))
             complement = Projector(Matrix.identity(2, Algebra.C) - P.matrix)
             assert math.isclose(mu(P) + mu(complement), 1.0, abs_tol=1e-12)
 

@@ -9,7 +9,6 @@ from gleason_lab.errors import AlgebraMismatch, DegenerateInput
 from gleason_lab.linalg import (
     Matrix,
     Projector,
-    Vector,
     _certify_projectors,
     gram_schmidt,
     inner,
@@ -24,7 +23,6 @@ from gleason_lab.linalg import (
     random_unit_vector,
     random_unit_vectors,
     random_unitary,
-    random_vector,
 )
 from gleason_lab.rng import SplitMix64
 from gleason_lab.scalars import Algebra, Quaternion
@@ -36,7 +34,7 @@ ONE, I, J, K = Quaternion.ONE, Quaternion.I, Quaternion.J, Quaternion.K
 
 
 def _e(idx, n, algebra=Algebra.H):
-    return Vector.basis_vector(idx, n, algebra)
+    return Matrix.identity(n, algebra).col(idx)
 
 
 class TestInner:
@@ -55,9 +53,9 @@ class TestInner:
     def test_hermitian_symmetry_and_right_linearity(self):
         rng = SplitMix64(1)
         for algebra in ALGEBRAS:
-            x = random_vector(4, algebra, rng)
-            y = random_vector(4, algebra, rng)
-            z = random_vector(4, algebra, rng)
+            x = random_matrix(4, 1, algebra, rng)
+            y = random_matrix(4, 1, algebra, rng)
+            z = random_matrix(4, 1, algebra, rng)
             assert inner(x, y).isclose(inner(y, x).conjugate(), tol=1e-12)
             # q lies in the vectors' algebra: the R draw keeps only its real part
             parts = np.zeros(4)
@@ -74,12 +72,43 @@ class TestInner:
         with pytest.raises(ValueError):
             inner(_e(0, 2), _e(0, 3))
 
+    def test_non_columns_are_rejected(self):
+        A = random_matrix(2, 2, Algebra.H, SplitMix64(1))
+        for x, y in ((A, A), (_e(0, 2), A), (A, _e(0, 2))):
+            with pytest.raises(ValueError):
+                inner(x, y)
+
+
+def test_the_retired_vector_type_cannot_be_built():
+    with pytest.raises(TypeError):
+        linalg.Vector(Algebra.R, np.zeros((2, 4)))
+
+
+class TestColumns:
+    def test_columns_are_n_by_1_matrices_that_rebuild_the_matrix(self):
+        A = random_matrix(3, 4, Algebra.H, SplitMix64(2))
+        cols = A.columns()
+        assert [(x.n, x.m) for x in cols] == [(3, 1)] * 4
+        assert A.col(-1).comps.tobytes() == cols[3].comps.tobytes()
+        assert Matrix.from_columns(cols).comps.tobytes() == A.comps.tobytes()
+        assert Matrix.from_columns([A, cols[0]]).comps.tobytes() == np.concatenate(
+            [A.comps, cols[0].comps], axis=1).tobytes()
+
+    def test_no_column_blocks_are_rejected(self):
+        with pytest.raises(ValueError):
+            Matrix.from_columns([])
+
+    def test_norm_is_the_frobenius_norm(self):
+        assert Matrix.identity(4, Algebra.C).norm() == 2.0
+        x = Matrix.from_rows([[Quaternion(1, 1, 1, 1)], [Quaternion(0, 0, 0, 0)]], Algebra.H)
+        assert x.norm() == 2.0
+
 
 class TestMatrixBasics:
     def test_left_action_commutes_with_right_scalars(self):
         rng = SplitMix64(2)
         A = random_matrix(3, 3, Algebra.H, rng)
-        x = random_vector(3, Algebra.H, rng)
+        x = random_matrix(3, 1, Algebra.H, rng)
         q = Quaternion(0.3, -1, 2, 0.5)
         assert (A @ x.scale_right(q)).approx_eq((A @ x).scale_right(q), tol=1e-12)
 
@@ -105,8 +134,8 @@ class TestMatrixBasics:
             A = random_matrix(3, 3, algebra, rng)
             B = random_matrix(3, 3, algebra, rng)
             assert (A @ B).adjoint().approx_eq(B.adjoint() @ A.adjoint(), tol=1e-12)
-            x = random_vector(3, algebra, rng)
-            y = random_vector(3, algebra, rng)
+            x = random_matrix(3, 1, algebra, rng)
+            y = random_matrix(3, 1, algebra, rng)
             assert inner(A.adjoint() @ x, y).isclose(inner(x, A @ y), tol=1e-11)
 
     def test_algebra_mixing_is_rejected(self):
@@ -157,14 +186,14 @@ class TestGramSchmidt:
 
     def test_two_dimensional_real_example(self):
         v1 = _e(0, 2, Algebra.R)
-        v2 = Vector(Algebra.R, [[1.0, 0, 0, 0], [1.0, 0, 0, 0]])
+        v2 = Matrix(Algebra.R, [[[1.0, 0, 0, 0]], [[1.0, 0, 0, 0]]])
         basis = gram_schmidt(Matrix.from_columns([v1, v2]))
         assert basis.col(0).approx_eq(v1)
         assert basis.col(1).approx_eq(_e(1, 2, Algebra.R))
 
     def test_single_quaternion_normalizes(self):
-        q = Vector(Algebra.H, [[1.0, 1.0, 1.0, 1.0]])
-        basis = gram_schmidt(Matrix.from_columns([q]))
+        q = Matrix(Algebra.H, [[[1.0, 1.0, 1.0, 1.0]]])
+        basis = gram_schmidt(q)
         assert inner(basis.col(0), basis.col(0)).isclose(ONE, tol=1e-12)
         assert abs(basis.col(0).norm() - 1.0) < 1e-12
 
@@ -175,7 +204,7 @@ class TestGramSchmidt:
             assert u.approx_eq(U.col(m), tol=1e-9)
 
     def test_rank_deficiency_raises_or_drops(self):
-        v = Vector(Algebra.R, [[1.0, 0, 0, 0], [2.0, 0, 0, 0]])
+        v = Matrix(Algebra.R, [[[1.0, 0, 0, 0]], [[2.0, 0, 0, 0]]])
         with pytest.raises(DegenerateInput):
             gram_schmidt(Matrix.from_columns([v, v.scale_right(3.0)]))
         basis = gram_schmidt(Matrix.from_columns([v, v.scale_right(3.0)]), drop=True)
@@ -184,18 +213,18 @@ class TestGramSchmidt:
     def test_orthonormality_of_random_output(self):
         rng = SplitMix64(6)
         for algebra in ALGEBRAS:
-            basis = gram_schmidt(Matrix.from_columns([random_vector(5, algebra, rng) for _ in range(5)]))
+            basis = gram_schmidt(Matrix.from_columns([random_matrix(5, 1, algebra, rng) for _ in range(5)]))
             assert basis.orthonormality_defect() < 1e-10
 
     @pytest.mark.parametrize("drop", [False, True])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
     @pytest.mark.parametrize("algebra", ALGEBRAS)
     def test_non_finite_input_is_rejected(self, algebra, bad, drop):
-        good = random_vector(3, algebra, SplitMix64(7))
-        comps = np.zeros((3, 4))
-        comps[1, 0] = bad
-        poisoned = Vector(algebra, comps)
-        all_nan = Vector(algebra, np.full((3, 4), np.nan))
+        good = random_matrix(3, 1, algebra, SplitMix64(7))
+        comps = np.zeros((3, 1, 4))
+        comps[1, 0, 0] = bad
+        poisoned = Matrix(algebra, comps)
+        all_nan = Matrix(algebra, np.full((3, 1, 4), np.nan))
         for vectors in ([poisoned], [good, poisoned], [poisoned, good], [all_nan]):
             W = Matrix.from_columns(vectors)
             with np.errstate(all="ignore"):
@@ -255,13 +284,13 @@ class TestProjectors:
         assert P.rank == 3
 
     def test_rank_one_annihilates_orthogonal_vectors(self):
-        P = projector_onto(Matrix.from_columns([_e(0, 2)]))
+        P = projector_onto(_e(0, 2))
         assert (P.matrix @ _e(1, 2)).norm() < 1e-12
 
     def test_rank_matches_span_dimension(self):
         rng = SplitMix64(11)
         for algebra in ALGEBRAS:
-            vs = [random_vector(5, algebra, rng) for _ in range(3)]
+            vs = [random_matrix(5, 1, algebra, rng) for _ in range(3)]
             P = projector_onto(Matrix.from_columns(vs))
             # numerical-rank oracle: count significant singular values of the
             # component matrix stacked over the quaternion components
@@ -298,12 +327,12 @@ class TestProjectors:
 @pytest.mark.parametrize("phase", [False, True], ids=["x", "xq"])
 def test_rank_one_projector_matches_projector_onto(algebra, n, phase):
     rng = SplitMix64(51 + n)
-    x = random_vector(n, algebra, rng)
+    x = random_matrix(n, 1, algebra, rng)
     if phase:
         # a non-unit scalar: the line, and so the projector, stays the same
         x = x.scale_right(Quaternion.from_array(3.7 * random_phase(algebra, rng).to_array()))
-    (comps,) = Projector.rank_ones(Matrix(algebra, x.comps[:, None, :]))
-    expect = projector_onto(Matrix(algebra, x.comps[:, None, :])).matrix
+    (comps,) = Projector.rank_ones(x)
+    expect = projector_onto(x).matrix
     assert Projector(Matrix(algebra, comps)).rank == 1
     assert np.abs(comps - expect.comps).max() < 1e-12
 
@@ -421,10 +450,10 @@ def test_random_unit_vectors_are_successive_normalized_draws(algebra, n):
     X = random_unit_vectors(n, 7, algebra, rng)
     assert X.algebra is algebra and (X.n, X.m) == (n, 7)
     for p in range(7):
-        v = random_vector(n, algebra, ref)
+        v = random_matrix(n, 1, algebra, ref)
         assert X.comps[:, p].tobytes() == (v.comps * (1.0 / v.norm())).tobytes()
     # the block consumed exactly the variates of its draws, Box-Muller spare included
-    assert random_vector(n, algebra, rng).comps.tobytes() == random_vector(n, algebra, ref).comps.tobytes()
+    assert random_matrix(n, 1, algebra, rng).comps.tobytes() == random_matrix(n, 1, algebra, ref).comps.tobytes()
     first = random_unit_vector(n, algebra, SplitMix64(70 + n))
     assert first.comps.tobytes() == X.comps[:, 0].tobytes()
 
@@ -437,7 +466,7 @@ def test_random_unit_vectors_fall_back_to_e0_on_a_zero_draw():
             return g
 
     X = random_unit_vectors(3, 3, Algebra.H, ZeroSecondDraw(5))
-    assert X.col(1).comps.tobytes() == Vector.basis_vector(0, 3, Algebra.H).comps.tobytes()
+    assert X.col(1).comps.tobytes() == Matrix.identity(3, Algebra.H).col(0).comps.tobytes()
     for p in (0, 2):
         assert abs(X.col(p).norm() - 1.0) < 1e-15
 
@@ -466,19 +495,19 @@ class TestPolarizationNondegeneracy:
 
 def test_outer_product_matches_componentwise_definition():
     rng = SplitMix64(16)
-    u = random_vector(3, Algebra.H, rng)
-    v = random_vector(3, Algebra.H, rng)
+    u = random_matrix(3, 1, Algebra.H, rng)
+    v = random_matrix(3, 1, Algebra.H, rng)
     q = Quaternion(0.5, 1.0, -1.0, 0.25)
     M = outer(u, v, coeff=q)
     for r in range(3):
         for c in range(3):
-            expect = u.entry(r) * q * v.entry(c).conjugate()
+            expect = u.entry(r, 0) * q * v.entry(c, 0).conjugate()
             assert M.entry(r, c).isclose(expect, tol=1e-12)
 
 
 def test_basis_matrix_is_unitary_when_complete():
     rng = SplitMix64(17)
-    U = gram_schmidt(Matrix.from_columns([random_vector(4, Algebra.H, rng) for _ in range(4)]))
+    U = gram_schmidt(Matrix.from_columns([random_matrix(4, 1, Algebra.H, rng) for _ in range(4)]))
     assert (U.adjoint() @ U - Matrix.identity(4, Algebra.H)).max_abs() < 1e-10
 
 
@@ -549,9 +578,9 @@ def test_basis_products_match_per_vector_loops(algebra, n):
     A = random_matrix(n, n, algebra, rng)
     bases = [
         Matrix.identity(n, algebra),
-        gram_schmidt(Matrix.from_columns([random_vector(n, algebra, rng) for _ in range(n)])),
+        gram_schmidt(Matrix.from_columns([random_matrix(n, 1, algebra, rng) for _ in range(n)])),
         # not orthonormal, so the defect is far from zero
-        Matrix.from_columns([random_vector(n, algebra, rng) for _ in range(n)]),
+        Matrix.from_columns([random_matrix(n, 1, algebra, rng) for _ in range(n)]),
     ]
     for basis in bases:
         assert trace_n(A, basis).isclose(_trace_reference(A, basis), tol=1e-12)
@@ -559,10 +588,10 @@ def test_basis_products_match_per_vector_loops(algebra, n):
         assert abs(basis.orthonormality_defect() - _orthonormality_reference(basis)) <= 1e-12
 
 
-def _gram_schmidt_reference(vectors: list[Vector]) -> list[Vector]:
+def _gram_schmidt_reference(vectors: list[Matrix]) -> list[Matrix]:
     """Per-vector modified Gram-Schmidt, two passes, dropping dependent vectors."""
     scale = max(v.norm() for v in vectors)
-    out: list[Vector] = []
+    out: list[Matrix] = []
     for v in vectors:
         w = v
         for _ in range(2):
@@ -579,13 +608,13 @@ def _gram_schmidt_reference(vectors: list[Vector]) -> list[Vector]:
 @pytest.mark.parametrize("rank", ["full", "deficient"])
 def test_gram_schmidt_matches_per_vector_loop(algebra, n, rank):
     rng = SplitMix64(24)
-    vectors = [random_vector(n, algebra, rng) for _ in range(n)]
+    vectors = [random_matrix(n, 1, algebra, rng) for _ in range(n)]
     if rank == "deficient":
         # a right multiple of the first vector, a combination and a zero vector
         q = random_phase(algebra, rng)
         dependent = vectors[0].scale_right(q)
         vectors = [vectors[0], dependent, *vectors[1:], dependent - vectors[-1],
-                   Vector(algebra, np.zeros((n, 4)))]
+                   Matrix.zeros(n, 1, algebra)]
     basis = gram_schmidt(Matrix.from_columns(vectors), drop=rank == "deficient")
     expect = _gram_schmidt_reference(vectors)
     assert basis.m == len(expect) == n

@@ -235,7 +235,7 @@ class TestSymmetries:
         rng = SplitMix64(122)
         A = random_matrix(3, 3, Algebra.H, rng)
         B = random_matrix(3, 3, Algebra.H, rng)
-        assert symmetry_duality_gap(A, B, Matrix.identity(3, Algebra.H)) < 1e-12
+        assert symmetry_duality_gap(A, B, SymmetryOp(Matrix.identity(3, Algebra.H))) < 1e-12
 
     @pytest.mark.parametrize("algebra", ALGEBRAS)
     def test_schroedinger_heisenberg_agreement(self, algebra):
@@ -244,7 +244,7 @@ class TestSymmetries:
             P = random_matrix(4, 4, algebra, rng)
             T = random_density(4, algebra, rng)
             U = random_unitary(4, algebra, rng)
-            assert symmetry_duality_gap(P, T.matrix, U) < 1e-9
+            assert symmetry_duality_gap(P, T.matrix, SymmetryOp(U)) < 1e-9
 
     def test_antiunitary_symmetries_over_c(self):
         rng = SplitMix64(124)
@@ -273,7 +273,7 @@ class TestSymmetries:
         for algebra in ALGEBRAS:
             T = random_density(4, algebra, rng)
             U = random_unitary(4, algebra, rng)
-            moved = conjugate_state(U, T)
+            moved = conjugate_state(SymmetryOp(U), T)
             assert math.isclose(real_trace(moved.matrix), 1.0, abs_tol=1e-9)
 
 

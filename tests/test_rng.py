@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from gleason_lab.rng import SplitMix64
 
@@ -62,7 +63,43 @@ def test_scalar_gaussian_agrees_with_block():
     rng_b = SplitMix64(3)
     singles = [rng_a.gaussian() for _ in range(9)]
     block = rng_b.gaussian_block(9)
-    assert np.allclose(singles, block, atol=0)
+    assert np.array_equal(singles, block)
+
+
+class _ListSpareStream(SplitMix64):
+    """Reference Gaussian blocks: Box-Muller pairs stacked as columns and
+    raveled, with unused variates kept in a list and popped from its end."""
+
+    def __init__(self, seed: int):
+        super().__init__(seed)
+        self._spares: list[float] = []
+
+    def gaussian_block(self, count: int) -> np.ndarray:
+        out = np.empty(count)
+        have = min(len(self._spares), count)
+        for m in range(have):
+            out[m] = self._spares.pop()
+        need = count - have
+        if need > 0:
+            pairs = (need + 1) // 2
+            u = self.uniform_block(2 * pairs)
+            u1, u2 = u[0::2], u[1::2]
+            r = np.sqrt(-2.0 * np.log(u1))
+            both = np.ravel(np.column_stack([r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)]))
+            out[have:] = both[:need]
+            self._spares.extend(both[need:])
+        return out
+
+
+def test_any_split_into_gaussian_and_uniform_blocks_matches_the_reference_bit_for_bit():
+    plan = np.random.default_rng(17)
+    for seed in range(50):
+        ref, got = _ListSpareStream(seed), SplitMix64(seed)
+        for _ in range(60):
+            size = int(plan.integers(0, 9))
+            draw = "uniform_block" if plan.random() < 0.25 else "gaussian_block"
+            expect = getattr(ref, draw)(size)
+            assert getattr(got, draw)(size).tobytes() == expect.tobytes(), (seed, draw, size)
 
 
 def test_derive_gives_stable_independent_streams():
@@ -80,3 +117,22 @@ def test_integer_bounds():
     draws = [rng.integer(7) for _ in range(500)]
     assert min(draws) >= 0 and max(draws) < 7
     assert len(set(draws)) == 7
+
+
+def test_integer_rejects_a_bound_beyond_two_to_the_64(monkeypatch):
+    # past 2**64 the rejection limit is 0 and every draw is rejected; a stream
+    # that stops after a few draws makes such a loop fail fast here
+    rng = SplitMix64(11)
+    honest = rng.uint64_block
+    calls = []
+
+    def bounded(count):
+        calls.append(count)
+        if len(calls) > 10:
+            raise RuntimeError("integer() kept drawing")
+        return honest(count)
+
+    monkeypatch.setattr(rng, "uint64_block", bounded)
+    assert 0 <= rng.integer(2**64) < 2**64
+    with pytest.raises(ValueError):
+        rng.integer(2**64 + 1)

@@ -14,7 +14,6 @@ from gleason_lab.linalg import (
     random_hermitian,
     random_matrix,
     random_unitary,
-    random_vector,
 )
 from gleason_lab.rng import SplitMix64
 from gleason_lab.scalars import Algebra, Quaternion
@@ -403,9 +402,7 @@ class TestAbs:
         A = random_matrix(4, 4, Algebra.H, rng)
         absA = abs_op(A)
         for _ in range(10):
-            from gleason_lab.linalg import random_vector
-
-            x = random_vector(4, Algebra.H, rng)
+            x = random_matrix(4, 1, Algebra.H, rng)
             assert abs((absA @ x).norm() - (A @ x).norm()) < 1e-8 * max(1.0, x.norm())
 
     def test_abs_of_unitary_times_diagonal(self):
@@ -513,7 +510,7 @@ class TestAdaptedBasis:
         if kind == "hermitian":
             A = (A + A.adjoint()) * 0.5
         elif kind == "rank_one_skew":
-            u = random_vector(n, Algebra.H, rng)
+            u = random_matrix(n, 1, Algebra.H, rng)
             A = outer(u, u, I)
         Jop = make_J(A)
         for unit in (I, J, K, Quaternion(0, 0.6, 0.0, 0.8)):

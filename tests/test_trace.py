@@ -6,7 +6,6 @@ import pytest
 from gleason_lab import kernels
 from gleason_lab.linalg import (
     Matrix,
-    Vector,
     gram_schmidt,
     inner,
     random_hermitian,
@@ -119,7 +118,7 @@ class TestTraceN:
     def test_incomplete_basis_is_rejected(self):
         A = Matrix.identity(3, Algebra.C)
         with pytest.raises(ValueError):
-            trace_n(A, Matrix.from_columns([Vector.basis_vector(0, 3, Algebra.C)]))
+            trace_n(A, Matrix.identity(3, Algebra.C).col(0))
 
 
 class TestRealTrace:
