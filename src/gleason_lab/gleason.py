@@ -15,7 +15,8 @@ lattice measure takes the certified (k, n, n, 4) stack of their line
 projectors from :meth:`Projector.rank_ones`.  The measure of a state reads
 Re tr(P T) for the whole stack in one contraction
 (:func:`gleason_lab.trace._real_pairings`), so :func:`reconstruct_state` makes
-four block calls and builds no object per probe.  Its verification step
+one block call, over its four probe blocks side by side, and builds no object
+per probe.  Its verification step
 predicts each probe value as Re<x|Tx> from the vectors, not from the projector
 stack, so it checks the probe path rather than repeating it.  The dimension-2
 Bloch-cubic measure reads its stack projector by projector, and its
@@ -53,10 +54,18 @@ from .spectral import EigenDecomposition, eig_hermitian, eigvals_hermitian
 from .trace import _real_pairings, real_trace
 
 _STATE_TOL = 1e-8
+# f((e_k + e_l q)/sqrt2) = (T_kk + T_ll) * _POLAR_WEIGHT + Re(T_kl q): the squared
+# modulus 1/2 of each of the probe's two nonzero entries
+_POLAR_WEIGHT = 0.5
 # entries of the (k, n, n, 4) stack of line projectors that FrameFunction.from_measure
 # builds at once; a wider probe block is read in column chunks of this many entries.
+# 1 << 15 entries is a 256 KB stack, which stays in a 2 MB L2 cache with the
+# temporaries of its certificate and pairing.  Cost of rank_ones + _real_pairings
+# per column over H, best of 15 runs on one core of a Xeon with 2 MB of L2 per core:
+#   n = 8:  4.9 us at 128 columns (256 KB), 5.1 us at 256, 6.6 us at 1024 (2 MB);
+#   n = 64: 189-215 us at 2-8 columns (256 KB-1 MB), 406 us at 128 columns (16 MB).
 # quantum.continuity_scan bounds its stacks of U_t by the same count
-_PROBE_CHUNK_ENTRIES = 1 << 21
+_PROBE_CHUNK_ENTRIES = 1 << 15
 
 
 class DensityOperator:
@@ -181,6 +190,9 @@ class FrameFunction:
     evaluate: Callable[[Matrix], Sequence[float]]
 
     def __call__(self, x: Matrix) -> float:
+        """f(x) of one n x 1 column; any other shape raises ValueError."""
+        if x.m != 1:
+            raise ValueError(f"f(x) needs an n x 1 column, got {x.n}x{x.m}")
         return float(self.evaluate(x)[0])
 
     @classmethod
@@ -221,25 +233,20 @@ def reconstruct_state(
 
     Diagonal entries are f(e_k); off-diagonal entries come from polarization
     probes f((e_k + e_l q)/sqrt2) = (T_kk + T_ll)/2 + Re(T_kl q) with q running
-    over 1 and the imaginary units of the algebra.  f is evaluated on four
-    blocks, in this order: phase invariance (up to four basis vectors and two
-    random unit vectors, each followed by its turns x q for 10 random phases
-    q), the standard basis, every polarization probe, and ``verification_probes``
-    random unit vectors drawn by :func:`random_unit_vectors`.  Re<x|Tx> comes
-    for all verification probes from the one product T X.  An opaque oracle
-    wrapped by :meth:`FrameFunction.pointwise` is still called once per probe,
-    in this order.  Phase invariance is checked to 1e-7, the basis weight to
-    1e-7 n and every verification probe to 1e-8.  The verified matrix is
-    certified as a state.
+    over 1 and the imaginary units of the algebra.  f is evaluated once, on
+    four probe blocks side by side, in this order: phase invariance (up to four
+    basis vectors and two random unit vectors, each followed by its turns x q
+    for 10 random phases q), the standard basis, every polarization probe, and
+    ``verification_probes`` random unit vectors drawn by
+    :func:`random_unit_vectors`; every draw comes before the call.  An opaque
+    oracle wrapped by :meth:`FrameFunction.pointwise` is called once per probe,
+    in this order.  The checks then read their blocks' values in the same
+    order: phase invariance to 1e-7, the basis weight to 1e-7 n and every
+    verification probe to 1e-8, its Re<x|Tx> for all probes from the one
+    product T X.  The verified matrix is certified as a state.
     """
     rng = rng or SplitMix64(0x51EA).derive("reconstruct", algebra.value, n)
     units = np.array([q.to_array() for q in (Quaternion.ONE,) + algebra.imaginary_units])
-
-    def probe(X: Matrix) -> np.ndarray:
-        values = np.asarray(f.evaluate(X), dtype=np.float64)
-        if values.shape != (X.m,):
-            raise NotAFrameFunction(f"oracle returned {values.shape} values for {X.m} probes")
-        return values
 
     m = min(n, 4)
     phase_probes = np.zeros((n, m + 2, 1, 4))
@@ -247,16 +254,7 @@ def reconstruct_state(
     phase_probes[:, m:, 0] = random_unit_vectors(n, 2, algebra, rng).comps
     phases = random_phases(10 * (m + 2), algebra, rng).reshape(m + 2, 10, 4)
     turns = _mul_comps(phase_probes, phases)  # x q, column by column
-    block = np.concatenate([phase_probes, turns], axis=2).reshape(n, 11 * (m + 2), 4)
-    fx = probe(Matrix(algebra, block)).reshape(m + 2, 11)
-    # NaN fails every comparison
-    if not (np.abs(fx[:, 1:] - fx[:, :1]) <= 10.0 * _STATE_TOL).all():
-        raise NotAFrameFunction(f"oracle is not phase invariant: |f(xq) - f(x)| > {10.0 * _STATE_TOL}")
-
-    diag = probe(Matrix.identity(n, algebra))
-    weight = float(diag.sum())
-    if not abs(weight - 1.0) <= 10.0 * _STATE_TOL * n:
-        raise NotAFrameFunction(f"basis weight {weight} differs from 1")
+    phase_block = np.concatenate([phase_probes, turns], axis=2).reshape(n, 11 * (m + 2), 4)
 
     # column (pair, q) of the polarization block is (e_k + e_l q)/sqrt2, pairs k < l in row order
     k, l = np.triu_indices(n, 1)
@@ -265,8 +263,25 @@ def reconstruct_state(
     polar[k, pairs, :, 0] = 1.0
     polar[l, pairs] = units
     polar /= np.sqrt(2.0)
-    r = probe(Matrix(algebra, polar.reshape(n, -1, 4))).reshape(len(k), len(units))
-    r = r - ((diag[k] + diag[l]) / 2.0)[:, None]
+
+    X = random_unit_vectors(n, verification_probes, algebra, rng)
+    blocks = [phase_block, Matrix.identity(n, algebra).comps, polar.reshape(n, -1, 4), X.comps]
+    probes = Matrix(algebra, np.concatenate(blocks, axis=1))
+    values = np.asarray(f.evaluate(probes), dtype=np.float64)
+    if values.shape != (probes.m,):
+        raise NotAFrameFunction(f"oracle returned {values.shape} values for {probes.m} probes")
+    fx, diag, r, fX = np.split(values, np.cumsum([block.shape[1] for block in blocks[:-1]]))
+
+    fx = fx.reshape(m + 2, 11)
+    # NaN fails every comparison
+    if not (np.abs(fx[:, 1:] - fx[:, :1]) <= 10.0 * _STATE_TOL).all():
+        raise NotAFrameFunction(f"oracle is not phase invariant: |f(xq) - f(x)| > {10.0 * _STATE_TOL}")
+
+    weight = float(diag.sum())
+    if not abs(weight - 1.0) <= 10.0 * _STATE_TOL * n:
+        raise NotAFrameFunction(f"basis weight {weight} differs from 1")
+
+    r = r.reshape(len(k), len(units)) - ((diag[k] + diag[l]) * _POLAR_WEIGHT)[:, None]
     # T_kl = sum_q conj(q) Re(T_kl q), summed from zero in the order of the units
     entries = np.zeros((len(k), 4))
     for u, q in enumerate(units):
@@ -277,10 +292,9 @@ def reconstruct_state(
     comps[l, k] = _conj_comps(entries)
     T = Matrix(algebra, comps)
 
-    X = random_unit_vectors(n, verification_probes, algebra, rng)
     # Re<x|Tx> = sum_m Re(conj(x_m) (Tx)_m), the componentwise dot product
     predicted = (X.comps * (T @ X).comps).sum(axis=(0, 2))
-    errors = np.abs(predicted - probe(X))
+    errors = np.abs(predicted - fX)
     failed = np.flatnonzero(~(errors <= _STATE_TOL))
     if failed.size:
         error = errors[failed[0]]

@@ -33,9 +33,11 @@ u_r conj(u_c) = (z1_r conj z1_c + z2_r conj z2_c) + (z2_r z1_c - z1_r z2_c) j
 (:func:`_line_projectors`).  It certifies the whole stack at once and returns
 it as one (k, n, n, 4) array, with no object per projector.  The
 certificate, :func:`_certify_projectors`, reads the stack as built, through its
-four real components and the quaternion conjugate, and shares no step with the
-complex-pair formula, so a build that breaks P* = P fails it.  The
-frame-function probes of :mod:`gleason_lab.gleason` read the stack whole.
+complex view: the Hermitian defect P - P* has the parts Z1 - conj Z1^T and
+Z2 + Z2^T (:func:`_projector_defects`).  It reads the entries of the stack,
+not the vectors they came from, so a build that breaks P* = P fails it.  The
+frame-function probes of :mod:`gleason_lab.gleason` read the stack in column
+chunks of at most ``gleason._PROBE_CHUNK_ENTRIES`` entries.
 
 Random instances share one Gaussian layout, :func:`_gaussian_comps`;
 :func:`random_unit_vectors` draws a block of unit vectors, and
@@ -322,7 +324,9 @@ def outer_sum(U: Matrix, coeffs=None, V: Matrix | None = None) -> Matrix:
 
 def outer(u: Matrix, v: Matrix, coeff=None) -> Matrix:
     """The operator x -> u q <v|x> of two n x 1 columns, as a matrix
-    u_r q conj(v_c)."""
+    u_r q conj(v_c).  Any other shape raises ValueError."""
+    if u.m != 1 or v.m != 1:
+        raise ValueError(f"outer needs two columns, got {u.n}x{u.m} and {v.n}x{v.m}")
     q = None if coeff is None else as_quaternion(coeff).to_array()[None, :]
     return outer_sum(u, q, v)
 
@@ -417,8 +421,8 @@ class Projector:
 
         The entries u_r conj(u_c) of every projector come from two complex
         broadcast products per complex part (:func:`_line_projectors`).  The
-        Hermitian defect is read from the stack as built, in its real
-        components, independently of that formula.  Idempotency is read from
+        Hermitian defect is read from the entries of the stack as built
+        (:func:`_projector_defects`), not from the vectors.  Idempotency is read from
         the rank-one identity P^2 - P = (|u|^2 - 1) P, so its defect is
         ||u|^2 - 1| max|P_rc|; both certificates run over the whole stack at
         the constructor's tolerance, 1e-8.  A zero or non-finite column raises
@@ -480,10 +484,39 @@ def _line_projectors(U: np.ndarray) -> np.ndarray:
     return pairs.view(np.float64)
 
 
+def _projector_defects(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Hermitian defect max|P - P*| and the scale max(1, max|P_rc|) of every
+    matrix P of the (k, n, n, 4) ``stack``, read from the stack as built.
+
+    Through its complex view, each entry is z1 + z2 j, and its quaternion
+    conjugate is conj z1 - z2 j, so P - P* has the parts Z1 - conj Z1^T and
+    Z2 + Z2^T: the bits that the components of P - conj(P^T) give, since
+    x - (-y) is x + y exactly.  Each squared modulus adds the four squares in
+    the order of :func:`_sq_moduli`, into one accumulator through one scratch
+    array.  sqrt is monotone and correctly rounded, so one per matrix, after
+    the max of the squared moduli, gives the max of the moduli bit for bit.
+    """
+
+    def max_abs(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
+        acc = np.square(z1.real)
+        part = np.square(z1.imag)
+        acc += part
+        acc += np.square(z2.real, out=part)
+        acc += np.square(z2.imag, out=part)
+        return np.sqrt(acc.max(axis=(1, 2)))
+
+    z = np.ascontiguousarray(stack).view(np.complex128)
+    z1, z2 = z[..., 0], z[..., 1]
+    d1 = z1.transpose(0, 2, 1).conj()
+    herm = max_abs(np.subtract(z1, d1, out=d1), z2 + z2.transpose(0, 2, 1))
+    return herm, np.maximum(1.0, max_abs(z1, z2))
+
+
 def _certify_projectors(stack: np.ndarray, idem: np.ndarray, tol: float) -> None:
     """Raise ValueError unless, for every matrix P of the (k, n, n, 4) ``stack``,
-    its idempotency defect ``idem[p]`` and its Hermitian defect are within
-    ``tol`` relative to max(1, max|P_rc|).
+    its idempotency defect ``idem[p]`` and its Hermitian defect
+    (:func:`_projector_defects`) are within ``tol`` relative to
+    max(1, max|P_rc|).
 
     Precondition: every entry of ``stack`` is finite.  The callers ensure it:
     :class:`Projector` through ``np.isfinite`` on its matrix,
@@ -492,14 +525,7 @@ def _certify_projectors(stack: np.ndarray, idem: np.ndarray, tol: float) -> None
     a stack that ``rank_ones`` certified.  A non-finite stack still fails, with NaN defects, but
     numpy warns about the arithmetic on it first.
     """
-
-    def max_abs(c: np.ndarray) -> np.ndarray:
-        # sqrt is monotone and correctly rounded, so one per matrix, after the
-        # max of the squared moduli, gives the max of the moduli bit for bit
-        return np.sqrt(_sq_moduli(c).max(axis=(1, 2)))
-
-    herm = max_abs(stack - _conj_comps(stack.transpose(0, 2, 1, 3)))
-    scale = np.maximum(1.0, max_abs(stack))
+    herm, scale = _projector_defects(stack)
     # a NaN or inf entry makes a defect NaN, and NaN fails every comparison
     failed = np.flatnonzero(~((idem / scale <= tol) & (herm / scale <= tol)))
     if failed.size:
@@ -562,9 +588,12 @@ def random_unit_vectors(n: int, count: int, algebra: Algebra, rng) -> Matrix:
     X = _gaussian_comps((count, n), algebra, rng)
     norms = np.sqrt((X**2).sum(axis=(1, 2)))
     zero = norms < 1e-12
-    X[~zero] *= (1.0 / norms[~zero])[:, None, None]
-    X[zero] = 0.0
-    X[zero, 0, 0] = 1.0
+    if zero.any():
+        X[~zero] *= (1.0 / norms[~zero])[:, None, None]
+        X[zero] = 0.0
+        X[zero, 0, 0] = 1.0
+    else:  # the same products, with no boolean-mask copies
+        X *= (1.0 / norms)[:, None, None]
     return Matrix(algebra, np.ascontiguousarray(X.transpose(1, 0, 2)))
 
 

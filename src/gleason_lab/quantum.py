@@ -7,8 +7,10 @@ which keeps one code path for R, C and H.
 
 A one-parameter group is a :class:`GroupPath`, block-shaped like the projector
 stacks: it maps k times to the (k, n, n, 4) stack of the U_t.
-:func:`continuity_scan` reads a sampled orbit from such stacks, in chunks of
-at most ``gleason._PROBE_CHUNK_ENTRIES`` entries, two products per chunk.
+:func:`continuity_scan` reads a sampled orbit from such stacks, two products
+per chunk.  A chunk is a power of two of samples wide and its stack holds at
+most ``gleason._PROBE_CHUNK_ENTRIES`` entries, the cache-sized budget of the
+probe stacks.
 """
 
 from __future__ import annotations

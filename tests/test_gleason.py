@@ -202,7 +202,7 @@ class TestBlockMeasure:
 
         monkeypatch.setattr(linalg, "_certify_projectors", spy)
         reconstruct_state(f, n, algebra)
-        assert len(certified) == 4  # one per probe block, each one chunk
+        assert len(certified) == 1  # one probe call, whose four blocks make one chunk at n = 5
         certified.clear()
         monkeypatch.setattr(gleason, "_PROBE_CHUNK_ENTRIES", 7 * 4 * n * n)  # 7 columns
         f.evaluate(random_matrix(n, 40, algebra, SplitMix64(947)))
@@ -210,29 +210,141 @@ class TestBlockMeasure:
 
     @pytest.mark.parametrize("algebra", ALGEBRAS)
     def test_no_probe_builds_a_matrix(self, algebra, monkeypatch):
-        """A reconstruction at n = 8 makes more than twice the probes of one at
-        n = 5, but builds the same number of matrices."""
+        """A reconstruction at n = 8 makes 2.8 times the polarization probes of
+        one at n = 5, but builds only one more matrix per probe chunk."""
 
-        def matrices_built(n: int) -> int:
+        def matrices_built(n: int) -> tuple[int, int, int]:
+            """(matrices built, probe chunks, probes) of one reconstruction."""
             T = random_density(n, algebra, SplitMix64(948))
             f = FrameFunction.from_measure(measure_from_state(T))
-            count = 0
-            init = Matrix.__init__
+            count, widths = 0, []
+            init, rank_ones = Matrix.__init__, Projector.rank_ones
 
             def counting(self, *args):
                 nonlocal count
                 count += 1
                 init(self, *args)
 
+            def spy(X):
+                widths.append(X.m)
+                return rank_ones(X)
+
             with monkeypatch.context() as patch:
                 patch.setattr(Matrix, "__init__", counting)
+                patch.setattr(Projector, "rank_ones", staticmethod(spy))
                 reconstruct_state(f, n, algebra)
-            return count
+            return count, len(widths), sum(widths)
 
-        assert matrices_built(5) == matrices_built(8)
+        built5, chunks5, probes5 = matrices_built(5)
+        built8, chunks8, probes8 = matrices_built(8)
+        assert probes8 > probes5 and chunks5 == 1
+        assert built8 - chunks8 == built5 - chunks5
+
+
+def _four_block_reconstruction(f, n, algebra, rng=None, verification_probes=100):
+    """Reference: the reconstruction with one probe call per block (phase
+    invariance, basis, polarization, verification), each check run before the
+    next block is probed.  Returns the comps of the rebuilt T."""
+    rng = rng or SplitMix64(0x51EA).derive("reconstruct", algebra.value, n)
+    units = np.array([q.to_array() for q in (Quaternion.ONE,) + algebra.imaginary_units])
+
+    def probe(X):
+        values = np.asarray(f.evaluate(X), dtype=np.float64)
+        if values.shape != (X.m,):
+            raise NotAFrameFunction(f"oracle returned {values.shape} values for {X.m} probes")
+        return values
+
+    m = min(n, 4)
+    phase_probes = np.zeros((n, m + 2, 1, 4))
+    phase_probes[np.arange(m), np.arange(m), 0, 0] = 1.0
+    phase_probes[:, m:, 0] = random_unit_vectors(n, 2, algebra, rng).comps
+    phases = linalg.random_phases(10 * (m + 2), algebra, rng).reshape(m + 2, 10, 4)
+    turns = linalg._mul_comps(phase_probes, phases)
+    block = np.concatenate([phase_probes, turns], axis=2).reshape(n, 11 * (m + 2), 4)
+    fx = probe(Matrix(algebra, block)).reshape(m + 2, 11)
+    if not (np.abs(fx[:, 1:] - fx[:, :1]) <= 1e-7).all():
+        raise NotAFrameFunction("oracle is not phase invariant: |f(xq) - f(x)| > 1e-07")
+
+    diag = probe(Matrix.identity(n, algebra))
+    weight = float(diag.sum())
+    if not abs(weight - 1.0) <= 1e-7 * n:
+        raise NotAFrameFunction(f"basis weight {weight} differs from 1")
+
+    k, l = np.triu_indices(n, 1)
+    pairs = np.arange(len(k))
+    polar = np.zeros((n, len(k), len(units), 4))
+    polar[k, pairs, :, 0] = 1.0
+    polar[l, pairs] = units
+    polar /= np.sqrt(2.0)
+    r = probe(Matrix(algebra, polar.reshape(n, -1, 4))).reshape(len(k), len(units))
+    r = r - ((diag[k] + diag[l]) / 2.0)[:, None]
+    entries = np.zeros((len(k), 4))
+    for u, q in enumerate(units):
+        entries = entries + linalg._conj_comps(q) * r[:, u, None]
+    comps = np.zeros((n, n, 4))
+    comps[np.arange(n), np.arange(n), 0] = diag
+    comps[k, l] = entries
+    comps[l, k] = linalg._conj_comps(entries)
+    T = Matrix(algebra, comps)
+
+    X = random_unit_vectors(n, verification_probes, algebra, rng)
+    predicted = (X.comps * (T @ X).comps).sum(axis=(0, 2))
+    errors = np.abs(predicted - probe(X))
+    failed = np.flatnonzero(~(errors <= 1e-8))
+    if failed.size:
+        raise NotAFrameFunction(f"oracle is not a quadratic form: probe error {errors[failed[0]]:.3e}")
+    return DensityOperator(T).matrix.comps
+
+
+def _phase_dependent(x: Matrix) -> float:
+    return max(x.comps[0, 0, 0], 0.0)
+
+
+def _weight_two(x: Matrix) -> float:
+    return 2.0 * (x.comps[0, 0] ** 2).sum() / (x.comps**2).sum()
+
+
+def _quartic(x: Matrix) -> float:
+    return float(((x.comps[0, 0] ** 2).sum() / (x.comps**2).sum()) ** 2)
 
 
 class TestReconstruction:
+    @pytest.mark.parametrize("algebra", ALGEBRAS)
+    @pytest.mark.parametrize("n", [3, 5, 8, 16])
+    def test_one_probe_call_matches_the_four_block_reference_bit_for_bit(self, algebra, n):
+        T = random_density(n, algebra, SplitMix64(960 + n))
+        f = FrameFunction.from_measure(measure_from_state(T))
+        rng, ref = SplitMix64(970 + n), SplitMix64(970 + n)
+        rebuilt = reconstruct_state(f, n, algebra, rng=rng).matrix.comps
+        assert rebuilt.tobytes() == _four_block_reconstruction(f, n, algebra, rng=ref).tobytes()
+        default = reconstruct_state(f, n, algebra).matrix.comps
+        assert default.tobytes() == _four_block_reconstruction(f, n, algebra).tobytes()
+        # both streams are left at the same point
+        assert rng.gaussian_block(3).tobytes() == ref.gaussian_block(3).tobytes()
+        # and the oracle sees the same probes, in the same order
+        seen, ref_seen = [], []
+
+        def recording(log):
+            return FrameFunction.pointwise(lambda x: log.append(x.comps.tobytes()) or f(x))
+
+        reconstruct_state(recording(seen), n, algebra)
+        _four_block_reconstruction(recording(ref_seen), n, algebra)
+        assert seen == ref_seen
+
+    @pytest.mark.parametrize("algebra", ALGEBRAS)
+    @pytest.mark.parametrize(
+        "oracle, message",
+        [(_phase_dependent, "phase invariant"), (_weight_two, "basis weight"), (_quartic, "quadratic form")],
+        ids=["phase", "weight", "verification"],
+    )
+    def test_failing_oracles_raise_the_four_block_reference_message(self, algebra, oracle, message):
+        f = FrameFunction.pointwise(oracle)
+        with pytest.raises(NotAFrameFunction, match=message) as expected:
+            _four_block_reconstruction(f, 3, algebra)
+        with pytest.raises(NotAFrameFunction) as raised:
+            reconstruct_state(f, 3, algebra)
+        assert str(raised.value) == str(expected.value)
+
     @pytest.mark.parametrize("algebra", ALGEBRAS)
     @pytest.mark.parametrize("n", [3, 4, 16])
     def test_round_trip(self, algebra, n):
@@ -279,16 +391,28 @@ class TestReconstruction:
         assert widths == [7] * 5 + [5]
         widths.clear()
         block = reconstruct_state(f, n, algebra).matrix.comps
-        assert max(widths) == 7 and len(widths) > 4  # four blocks, cut into chunks
+        assert max(widths) == 7 and len(widths) > 4  # the one probe block, cut into chunks
         pointwise = reconstruct_state(FrameFunction.pointwise(f), n, algebra).matrix.comps
         assert np.array_equal(block, pointwise)
 
     @pytest.mark.parametrize("algebra", ALGEBRAS)
-    def test_probe_blocks_stay_one_chunk_up_to_n_8(self, algebra, monkeypatch):
-        T = random_density(8, algebra, SplitMix64(932))
-        widths = self._spy_rank_ones(monkeypatch)
-        reconstruct_state(FrameFunction.from_measure(measure_from_state(T)), 8, algebra)
-        assert len(widths) == 4
+    @pytest.mark.parametrize("n", [3, 4, 5, 8, 16])
+    def test_probe_chunks_stay_within_the_entry_budget_and_one_chunk_up_to_n_5(
+        self, algebra, n, monkeypatch
+    ):
+        T = random_density(n, algebra, SplitMix64(932))
+        entries = []
+        certify = linalg._certify_projectors
+
+        def spy(stack, idem, tol):
+            entries.append(stack.size)
+            return certify(stack, idem, tol)
+
+        monkeypatch.setattr(linalg, "_certify_projectors", spy)
+        reconstruct_state(FrameFunction.from_measure(measure_from_state(T)), n, algebra)
+        assert max(entries) <= gleason._PROBE_CHUNK_ENTRIES
+        if n <= 5:
+            assert len(entries) == 1
 
     @pytest.mark.parametrize("algebra", ALGEBRAS)
     def test_frame_function_probe_builds_no_matrix_product(self, algebra, monkeypatch):
@@ -312,6 +436,15 @@ class TestReconstruction:
         assert calls == []
         assert abs(value - expect) < 1e-12
         assert len(values) == 50 and np.abs(np.subtract(values, expect_block)).max() < 1e-12
+
+    @pytest.mark.parametrize("algebra", ALGEBRAS)
+    @pytest.mark.parametrize("m", [0, 2, 3])
+    def test_f_of_x_needs_one_column(self, algebra, m):
+        T = random_density(3, algebra, SplitMix64(65))
+        X = random_matrix(3, m, algebra, SplitMix64(66))
+        for f in (FrameFunction.from_measure(measure_from_state(T)), FrameFunction.pointwise(lambda x: 0.5)):
+            with pytest.raises(ValueError, match=f"n x 1 column, got 3x{m}"):
+                f(X)
 
     @pytest.mark.parametrize("algebra", ALGEBRAS)
     def test_every_verification_probe_calls_the_oracle_once(self, algebra):
@@ -359,7 +492,8 @@ class TestReconstruction:
 
     def test_block_oracle_with_the_wrong_number_of_values_is_rejected(self):
         f = FrameFunction(evaluate=lambda X: [1.0 / 3.0])
-        with pytest.raises(NotAFrameFunction, match="values for 55 probes"):
+        # 55 phase probes, 3 basis vectors, 3 pairs x 2 units and 100 verification probes
+        with pytest.raises(NotAFrameFunction, match="values for 164 probes"):
             reconstruct_state(f, 3, Algebra.C)
 
     def test_constant_frame_function_gives_uniform_state(self):

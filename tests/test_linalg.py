@@ -10,6 +10,8 @@ from gleason_lab.linalg import (
     Matrix,
     Projector,
     _certify_projectors,
+    _projector_defects,
+    _sq_moduli,
     gram_schmidt,
     inner,
     is_positive,
@@ -414,6 +416,50 @@ def test_projector_certificates_check_every_matrix_of_a_stack():
                 _certify_projectors(broken, np.zeros(2), 1e-8)
 
 
+@pytest.mark.parametrize("component", [0, 1, 2, 3])
+@pytest.mark.parametrize("entry", [(0, 2), (2, 0), (1, 1)], ids=["above", "below", "diagonal"])
+def test_projector_certificate_rejects_one_perturbed_entry(component, entry):
+    stack = Projector.rank_ones(random_matrix(3, 4, Algebra.H, SplitMix64(59)))
+    broken = stack.copy()
+    broken[2, entry[0], entry[1], component] += 1e-6
+    # idempotency defect of every matrix, from a matrix product
+    idem = np.array([(M @ M - M).max_abs() for M in (Matrix(Algebra.H, P) for P in broken)])
+    with pytest.raises(ValueError, match="not a projector"):
+        _certify_projectors(broken, idem, 1e-8)
+    herm, _ = _projector_defects(broken)
+    if entry[0] == entry[1] and component == 0:
+        # a real diagonal entry keeps P Hermitian: only idempotency can see it
+        assert herm[2] <= 1e-15 and idem[2] > 1e-7
+    else:
+        # P - P* moves by 1e-6 at (r, c), or by 2e-6 on the diagonal: the defect alone rejects it
+        assert herm[2] > 9e-7
+        with pytest.raises(ValueError, match="not a projector"):
+            _certify_projectors(broken, np.zeros(4), 1e-8)
+    assert np.array_equal(herm[:2], _projector_defects(stack)[0][:2])
+
+
+def _defects_from_components(stack):
+    """Reference: max|P - P*| and max(1, max|P_rc|) from the four real components."""
+    star = stack.transpose(0, 2, 1, 3) * np.array([1.0, -1.0, -1.0, -1.0])
+    herm = np.sqrt(_sq_moduli(stack - star).max(axis=(1, 2)))
+    return herm, np.maximum(1.0, np.sqrt(_sq_moduli(stack).max(axis=(1, 2))))
+
+
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_projector_defects_match_the_component_formula_bit_for_bit(algebra, n, scale):
+    rng = np.random.default_rng(100 * n + algebra.component_count)
+    drawn = scale * rng.standard_normal((5, n, n, 4))
+    drawn[..., algebra.component_count:] = 0.0
+    # the stack as drawn, and the same entries in storage that is not C-contiguous
+    for stack in (drawn, np.ascontiguousarray(drawn.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3)):
+        herm, bound = _projector_defects(stack)
+        ref_herm, ref_bound = _defects_from_components(stack)
+        assert herm.tobytes() == ref_herm.tobytes()
+        assert bound.tobytes() == ref_bound.tobytes()
+
+
 class ZeroThirdDraw(SplitMix64):
     """A stream whose Gaussians 8..11 are zero."""
 
@@ -503,6 +549,15 @@ def test_outer_product_matches_componentwise_definition():
         for c in range(3):
             expect = u.entry(r, 0) * q * v.entry(c, 0).conjugate()
             assert M.entry(r, c).isclose(expect, tol=1e-12)
+
+
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+def test_outer_needs_two_columns(algebra):
+    U = random_unitary(3, algebra, SplitMix64(18))
+    x = U.col(0)
+    for u, v in ((U, U), (x, U), (U, x), (Matrix.zeros(3, 0, algebra), x)):
+        with pytest.raises(ValueError, match="outer needs two columns"):
+            outer(u, v)
 
 
 def test_basis_matrix_is_unitary_when_complete():

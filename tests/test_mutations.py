@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from gleason_lab import kernels, linalg
+from gleason_lab import gleason, kernels, linalg
 from gleason_lab.linalg import Matrix, _mul_comps
 from gleason_lab.scalars import as_quaternion
 from gleason_lab.suite import RunConfig, run_suite
@@ -59,11 +59,28 @@ def _conjugate_keeping_i(monkeypatch):
     monkeypatch.setattr(linalg, "_conj_comps", lambda comps: comps * signs)
 
 
+def _line_projectors_with_the_j_part_negated(monkeypatch):
+    build = linalg._line_projectors
+
+    def negated(U):  # (z1_r z2_c - z2_r z1_c) j: still Hermitian, so the certificate passes it
+        stack = build(U)
+        stack[..., 2:] *= -1.0
+        return stack
+
+    _patch_every_binding(monkeypatch, build, negated)
+
+
+def _polarization_weight_doubled(monkeypatch):
+    monkeypatch.setattr(gleason, "_POLAR_WEIGHT", 2.0 * gleason._POLAR_WEIGHT)
+
+
 MUTANTS = {
     "scale_right_on_the_left": _scale_right_on_the_left,
     "hamilton_sign_flipped": _hamilton_sign_flipped,
     "adjoint_without_transpose": _adjoint_without_transpose,
     "conjugate_keeping_i_in_linalg": _conjugate_keeping_i,
+    "line_projectors_j_part_negated": _line_projectors_with_the_j_part_negated,
+    "polarization_weight_doubled": _polarization_weight_doubled,
 }
 
 

@@ -379,6 +379,20 @@ class TestGroupPathsAndContinuity:
         assert np.array_equal(chunked, whole)
         assert len(sizes) > 1 and max(sizes) <= 7 * 4 * n * n
 
+    @pytest.mark.parametrize("n", [2, 3, 8, 32, 64])
+    @pytest.mark.parametrize("algebra", ALGEBRAS)
+    def test_cache_sized_chunks_keep_the_bits_of_16_mb_chunks(self, algebra, n, monkeypatch):
+        rng = SplitMix64(136 + n)
+        A = random_matrix(n, n, algebra, rng)
+        T = random_density(n, algebra, rng)
+        path = _random_group_path(n, algebra, rng)
+        # three chunks and a part, at the largest power-of-two width in budget
+        width = 1 << ((quantum._PROBE_CHUNK_ENTRIES // (4 * n * n)).bit_length() - 1)
+        ts = np.linspace(0.0, 1.0, 3 * width + 3)
+        chunked = quantum._orbit_values(A, T, path, ts)
+        monkeypatch.setattr(quantum, "_PROBE_CHUNK_ENTRIES", 1 << 21)
+        assert chunked.tobytes() == quantum._orbit_values(A, T, path, ts).tobytes()
+
     def test_commuting_generator_freezes_the_orbit(self):
         # a state built from the generator's own eigenprojectors commutes with
         # every U_t, so the sampled orbit map is constant
