@@ -58,13 +58,13 @@ _STATE_TOL = 1e-8
 # modulus 1/2 of each of the probe's two nonzero entries
 _POLAR_WEIGHT = 0.5
 # entries of the (k, n, n, 4) stack of line projectors that FrameFunction.from_measure
-# builds at once; a wider probe block is read in column chunks of this many entries.
-# 1 << 15 entries is a 256 KB stack, which stays in a 2 MB L2 cache with the
-# temporaries of its certificate and pairing.  Cost of rank_ones + _real_pairings
+# builds at once; a wider probe block is read in column chunks of this many entries,
+# or of one column where one column alone holds more (n > 90).  1 << 15 entries is
+# a 256 KB stack, which stays in a 2 MB L2 cache with the temporaries of its
+# certificate and pairing.  Cost of rank_ones + _real_pairings
 # per column over H, best of 15 runs on one core of a Xeon with 2 MB of L2 per core:
 #   n = 8:  4.9 us at 128 columns (256 KB), 5.1 us at 256, 6.6 us at 1024 (2 MB);
 #   n = 64: 189-215 us at 2-8 columns (256 KB-1 MB), 406 us at 128 columns (16 MB).
-# quantum.continuity_scan bounds its stacks of U_t by the same count
 _PROBE_CHUNK_ENTRIES = 1 << 15
 
 
@@ -183,8 +183,9 @@ class FrameFunction:
     columns and returns their k values, in column order, and ``f(x)`` is its
     one-column case.  :meth:`from_measure` hands the measure the stack of line
     projectors of :meth:`Projector.rank_ones`, one column chunk of at most
-    ``_PROBE_CHUNK_ENTRIES`` stack entries at a time, whatever kind of measure
-    it is; :meth:`pointwise` wraps an opaque per-vector oracle.
+    ``_PROBE_CHUNK_ENTRIES`` stack entries at a time (one column at n > 90,
+    where a column alone holds more), whatever kind of measure it is;
+    :meth:`pointwise` wraps an opaque per-vector oracle.
     """
 
     evaluate: Callable[[Matrix], Sequence[float]]

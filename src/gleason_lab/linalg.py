@@ -37,7 +37,8 @@ complex view: the Hermitian defect P - P* has the parts Z1 - conj Z1^T and
 Z2 + Z2^T (:func:`_projector_defects`).  It reads the entries of the stack,
 not the vectors they came from, so a build that breaks P* = P fails it.  The
 frame-function probes of :mod:`gleason_lab.gleason` read the stack in column
-chunks of at most ``gleason._PROBE_CHUNK_ENTRIES`` entries.
+chunks of at most ``gleason._PROBE_CHUNK_ENTRIES`` entries (one column at
+n > 90).
 
 Random instances share one Gaussian layout, :func:`_gaussian_comps`;
 :func:`random_unit_vectors` draws a block of unit vectors, and
@@ -87,13 +88,17 @@ def _sq_moduli(comps: np.ndarray) -> np.ndarray:
 
     numpy sums a length-4 axis in this order too, but per entry, in a
     reduction loop of four doubles; from ``_SQ_MODULI_MIN_ENTRIES`` entries on,
-    three whole-array adds are several times faster.  The choice changes the
-    speed only.
+    three whole-array adds into one accumulator, through one scratch array,
+    are several times faster.  The choice changes the speed only.
     """
-    sq = comps * comps
-    if sq.size < 4 * _SQ_MODULI_MIN_ENTRIES:
-        return sq.sum(axis=-1)
-    return sq[..., 0] + sq[..., 1] + sq[..., 2] + sq[..., 3]
+    if comps.size < 4 * _SQ_MODULI_MIN_ENTRIES:
+        return (comps * comps).sum(axis=-1)
+    acc = np.square(comps[..., 0])
+    part = np.square(comps[..., 1])
+    acc += part
+    acc += np.square(comps[..., 2], out=part)
+    acc += np.square(comps[..., 3], out=part)
+    return acc
 
 
 def _in_algebra(comps: np.ndarray, algebra: Algebra) -> np.ndarray:
@@ -491,25 +496,20 @@ def _projector_defects(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Through its complex view, each entry is z1 + z2 j, and its quaternion
     conjugate is conj z1 - z2 j, so P - P* has the parts Z1 - conj Z1^T and
     Z2 + Z2^T: the bits that the components of P - conj(P^T) give, since
-    x - (-y) is x + y exactly.  Each squared modulus adds the four squares in
-    the order of :func:`_sq_moduli`, into one accumulator through one scratch
-    array.  sqrt is monotone and correctly rounded, so one per matrix, after
-    the max of the squared moduli, gives the max of the moduli bit for bit.
+    x - (-y) is x + y exactly.
     """
 
-    def max_abs(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
-        acc = np.square(z1.real)
-        part = np.square(z1.imag)
-        acc += part
-        acc += np.square(z2.real, out=part)
-        acc += np.square(z2.imag, out=part)
-        return np.sqrt(acc.max(axis=(1, 2)))
+    def max_abs(c: np.ndarray) -> np.ndarray:
+        # sqrt is monotone and correctly rounded, so one per matrix, after the
+        # max of the squared moduli, gives the max of the moduli bit for bit
+        return np.sqrt(_sq_moduli(c).max(axis=(1, 2)))
 
     z = np.ascontiguousarray(stack).view(np.complex128)
-    z1, z2 = z[..., 0], z[..., 1]
-    d1 = z1.transpose(0, 2, 1).conj()
-    herm = max_abs(np.subtract(z1, d1, out=d1), z2 + z2.transpose(0, 2, 1))
-    return herm, np.maximum(1.0, max_abs(z1, z2))
+    defect = np.empty_like(z)
+    d1 = defect[..., 0]
+    np.subtract(z[..., 0], np.conjugate(z[..., 0].transpose(0, 2, 1), out=d1), out=d1)
+    np.add(z[..., 1], z[..., 1].transpose(0, 2, 1), out=defect[..., 1])
+    return max_abs(defect.view(np.float64)), np.maximum(1.0, max_abs(stack))
 
 
 def _certify_projectors(stack: np.ndarray, idem: np.ndarray, tol: float) -> None:
@@ -588,12 +588,9 @@ def random_unit_vectors(n: int, count: int, algebra: Algebra, rng) -> Matrix:
     X = _gaussian_comps((count, n), algebra, rng)
     norms = np.sqrt((X**2).sum(axis=(1, 2)))
     zero = norms < 1e-12
-    if zero.any():
-        X[~zero] *= (1.0 / norms[~zero])[:, None, None]
-        X[zero] = 0.0
-        X[zero, 0, 0] = 1.0
-    else:  # the same products, with no boolean-mask copies
-        X *= (1.0 / norms)[:, None, None]
+    X *= (1.0 / np.where(zero, 1.0, norms))[:, None, None]
+    X[zero] = 0.0
+    X[zero, 0, 0] = 1.0
     return Matrix(algebra, np.ascontiguousarray(X.transpose(1, 0, 2)))
 
 

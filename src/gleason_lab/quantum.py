@@ -9,8 +9,9 @@ A one-parameter group is a :class:`GroupPath`, block-shaped like the projector
 stacks: it maps k times to the (k, n, n, 4) stack of the U_t.
 :func:`continuity_scan` reads a sampled orbit from such stacks, two products
 per chunk.  A chunk is a power of two of samples wide and its stack holds at
-most ``gleason._PROBE_CHUNK_ENTRIES`` entries, the cache-sized budget of the
-probe stacks.
+most ``_ORBIT_CHUNK_ENTRIES`` entries (16 MB).  The chunks do not shrink to the
+cache-sized budget of the probe stacks, since that would move the last bits of
+the orbit values (:func:`_orbit_values`).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import kernels
 from .errors import NotHermitian, NotUnitary
-from .gleason import _PROBE_CHUNK_ENTRIES, DensityOperator, measure_from_state
+from .gleason import DensityOperator, measure_from_state
 from .linalg import (
     Matrix, Projector, _check_same_algebra, _conj_comps, _in_algebra, _mul_comps, outer_sum,
 )
@@ -32,6 +33,13 @@ from .spectral import _HERMITIAN_TOL, EigenDecomposition, _group_indices, eig_he
 from .trace import _real_sums, real_pairing, real_trace
 
 _ATOM_REL_TOL = 1e-7
+# entries of the (k, n, n, 4) stack of U_t that _orbit_values builds at once (16 MB).
+# The two GEMMs of a chunk can round differently at another width: OpenBLAS takes
+# its AVX-512 small-matrix kernel up to M*N*K = 100^3, which over R can differ from
+# the blocked kernel in the last bit, and at odd n a narrow chunk ends a GEMM in an
+# edge tile.  The cache-sized probe budget, 64 times smaller, moved orbit values
+# this way at n = 17, 33 and 65, among others.
+_ORBIT_CHUNK_ENTRIES = 1 << 21
 
 
 class Observable:
@@ -303,7 +311,7 @@ def _orbit_values(A: Matrix, T: DensityOperator, group_path: GroupPath, ts: np.n
     """Re tr(A U_t T U_t^{-1}) for every time t of ``ts``, read block-shaped.
 
     The times go in chunks whose stack of U_t has at most
-    ``_PROBE_CHUNK_ENTRIES`` entries.  Per chunk: one product of A with the
+    ``_ORBIT_CHUNK_ENTRIES`` entries.  Per chunk: one product of A with the
     stack laid side by side, [A U_1 ... A U_k] = A [U_1 ... U_k]; one product
     of the column [A U_1; ...; A U_k] with T, which gives Y_t = A U_t T; and
     Re tr(Y_t U_t*) = sum_rc Re(Y_rc conj(U_rc)), read entrywise with the
@@ -316,8 +324,9 @@ def _orbit_values(A: Matrix, T: DensityOperator, group_path: GroupPath, ts: np.n
     n = A.n
     count = A.algebra.component_count
     # a power of two, so that every full chunk meets the GEMM kernels' tiles the
-    # way one long scan does, and a value does not depend on where a chunk ends
-    width = 1 << (max(1, _PROBE_CHUNK_ENTRIES // (4 * n * n)).bit_length() - 1)
+    # way one long scan does; where every chunk takes the same kernel, a value
+    # then does not depend on where a chunk ends (see _ORBIT_CHUNK_ENTRIES)
+    width = 1 << (max(1, _ORBIT_CHUNK_ENTRIES // (4 * n * n)).bit_length() - 1)
     values = np.empty(ts.size)
     for a in range(0, ts.size, width):
         U = group_path.stack(ts[a:a + width])

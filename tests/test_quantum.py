@@ -366,7 +366,7 @@ class TestGroupPathsAndContinuity:
         path = _random_group_path(n, algebra, rng)
         ts = np.linspace(0.0, 1.0, 101)
         whole = quantum._orbit_values(A, T, path, ts)
-        monkeypatch.setattr(quantum, "_PROBE_CHUNK_ENTRIES", 7 * 4 * n * n)  # 7 samples
+        monkeypatch.setattr(quantum, "_ORBIT_CHUNK_ENTRIES", 7 * 4 * n * n)  # 7 samples
         build, sizes = path.stack, []
 
         def spy(chunk):
@@ -379,19 +379,26 @@ class TestGroupPathsAndContinuity:
         assert np.array_equal(chunked, whole)
         assert len(sizes) > 1 and max(sizes) <= 7 * 4 * n * n
 
-    @pytest.mark.parametrize("n", [2, 3, 8, 32, 64])
+    @pytest.mark.parametrize("n, width", [(3, 32768), (17, 1024), (64, 128), (65, 64), (96, 32)])
     @pytest.mark.parametrize("algebra", ALGEBRAS)
-    def test_cache_sized_chunks_keep_the_bits_of_16_mb_chunks(self, algebra, n, monkeypatch):
+    def test_orbit_chunks_keep_their_16_mb_width(self, algebra, n, width):
+        # the widths the orbit values were fixed at: the largest power of two of
+        # samples whose stack holds at most 1 << 21 entries.  The cache-sized
+        # probe budget gave 16, 1 and 1 samples at n = 17, 65 and 96, which moved
+        # the last bits of values over R at n = 17 and over R, C and H at n = 65
         rng = SplitMix64(136 + n)
         A = random_matrix(n, n, algebra, rng)
         T = random_density(n, algebra, rng)
         path = _random_group_path(n, algebra, rng)
-        # three chunks and a part, at the largest power-of-two width in budget
-        width = 1 << ((quantum._PROBE_CHUNK_ENTRIES // (4 * n * n)).bit_length() - 1)
-        ts = np.linspace(0.0, 1.0, 3 * width + 3)
-        chunked = quantum._orbit_values(A, T, path, ts)
-        monkeypatch.setattr(quantum, "_PROBE_CHUNK_ENTRIES", 1 << 21)
-        assert chunked.tobytes() == quantum._orbit_values(A, T, path, ts).tobytes()
+        build, widths = path.stack, []
+
+        def spy(chunk):
+            widths.append(chunk.size)
+            return build(chunk)
+
+        path.stack = spy
+        quantum._orbit_values(A, T, path, np.linspace(0.0, 1.0, width + 3))
+        assert widths == [width, 3]
 
     def test_commuting_generator_freezes_the_orbit(self):
         # a state built from the generator's own eigenprojectors commutes with
