@@ -34,6 +34,7 @@ from .linalg import (
     random_matrix,
     random_projector,
     random_unit_vector,
+    random_unitaries,
     random_unitary,
 )
 from .spectral import (

@@ -20,7 +20,8 @@ the units 1, i, j, k; the pointwise product, the Gram-Schmidt block in
 off it.
 
 Quaternion matrices are stored as float64 arrays of shape (n, m, 4) holding
-the components of a + bi + cj + dk per entry.  Real and complex matrices use
+the components of a + bi + cj + dk per entry, and a stack of them as one
+array with leading axes, which both kernels take.  Real and complex matrices use
 the same storage with the trailing components zero, so every algebra shares
 these kernels; the R and C products read only the algebra's components and
 return the others zero.
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConvergenceFailure
+from .errors import ConvergenceFailure, require
 
 # HAMILTON[a, b] holds the components of e_a e_b for the units e = 1, i, j, k
 HAMILTON = np.array(
@@ -52,9 +53,13 @@ def active_backend() -> str:
 
 
 def quat_matmul(A: np.ndarray, B: np.ndarray, component_count: int = 4) -> np.ndarray:
-    """Matrix product (n,k,4) @ (k,m,4) -> (n,m,4) over the algebra with
-    ``component_count`` components: 1 for R, 2 for C, 4 for H.  The H product,
-    the default, is right for operands of every algebra, only slower.
+    """Matrix product (..., n, k, 4) @ (..., k, m, 4) -> (..., n, m, 4) over the
+    algebra with ``component_count`` components: 1 for R, 2 for C, 4 for H.
+    The H product, the default, is right for operands of every algebra, only
+    slower.  Leading axes broadcast as numpy's matmul broadcasts them, and
+    each matrix of a stack is the product of its own operands, bit for bit:
+    numpy hands BLAS one matrix of the stack at a time, in the layout that a
+    lone matrix has.
 
     Over R and C the operands' entries lie in the algebra, so the product is
     one real GEMM of components 0, or one complex GEMM of components 0-1 read
@@ -70,33 +75,36 @@ def quat_matmul(A: np.ndarray, B: np.ndarray, component_count: int = 4) -> np.nd
     since jB = -conj B2 + conj(B1) j.  The left factor is the storage of A
     viewed as complex, with the columns of A1 and A2 interleaved; the right
     factor interleaves its rows B and jB the same way and is the one block
-    built per call.  The product comes out in (n, m, 4) storage order.
+    built per call.  The product comes out in (..., n, m, 4) storage order.
     """
-    n, k = A.shape[0], A.shape[1]
-    if B.shape[0] != k:
-        raise ValueError(f"cannot multiply {n}x{k} by {B.shape[0]}x{B.shape[1]}")
-    m = B.shape[1]
+    n, k = A.shape[-3], A.shape[-2]
+    if B.shape[-3] != k:
+        raise ValueError(f"cannot multiply {n}x{k} by {B.shape[-3]}x{B.shape[-2]}")
+    m = B.shape[-2]
     if component_count < 4:
         # float64 over R, complex128 over C: the algebra's components of every
         # entry, contiguous, as one number, so that BLAS takes the operands
         dtype = np.float64 if component_count == 1 else np.complex128
-        out = np.zeros((n, m, 4 // component_count), dtype)
-        out[..., 0] = (np.ascontiguousarray(A[..., :component_count]).view(dtype)[..., 0]
-                       @ np.ascontiguousarray(B[..., :component_count]).view(dtype)[..., 0])
+        prod = (np.ascontiguousarray(A[..., :component_count]).view(dtype)[..., 0]
+                @ np.ascontiguousarray(B[..., :component_count]).view(dtype)[..., 0])
+        out = np.zeros(prod.shape + (4 // component_count,), dtype)
+        out[..., 0] = prod
         return out.view(np.float64)
-    Ac = np.ascontiguousarray(A, dtype=np.float64).view(np.complex128).reshape(n, 2 * k)
-    R = np.empty((k, 2, m, 4))
-    R[:, 0] = B
+    Ac = np.ascontiguousarray(A, dtype=np.float64).view(np.complex128).reshape(A.shape[:-3] + (n, 2 * k))
+    R = np.empty(B.shape[:-3] + (k, 2, m, 4))
+    R[..., 0, :, :] = B
     # jB entry by entry: the components of j b are b @ HAMILTON[2].  A signed
     # permutation as a matmul keeps BLAS-sized inner loops, where a strided
     # np.multiply over the pairs runs an inner loop of two doubles per entry.
-    np.matmul(B, HAMILTON[2], out=R[:, 1])
-    return (Ac @ R.reshape(2 * k, 4 * m).view(np.complex128)).view(np.float64).reshape(n, m, 4)
+    np.matmul(B, HAMILTON[2], out=R[..., 1, :, :])
+    prod = Ac @ R.reshape(B.shape[:-3] + (2 * k, 4 * m)).view(np.complex128)
+    return prod.view(np.float64).reshape(prod.shape[:-2] + (n, m, 4))
 
 
 def eigh(H: np.ndarray, *, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-    """(eigenvalues ascending, eigenvector columns) of a Hermitian matrix:
-    real symmetric if it is float64, complex Hermitian otherwise.
+    """(eigenvalues ascending, eigenvector columns) of a Hermitian matrix, or
+    of every matrix of a (..., n, n) stack: real symmetric if it is float64,
+    complex Hermitian otherwise.
 
     Float64 input stays real, so LAPACK runs its real symmetric driver and
     the eigenvectors come back real; any other input is solved as complex128.
@@ -104,15 +112,16 @@ def eigh(H: np.ndarray, *, vectors: bool = True) -> tuple[np.ndarray, np.ndarray
     comes from LAPACK's eigenvalue-only driver (``np.linalg.eigvalsh``) and
     the second item is None.  The caller picks the mode by what it reads.
     LAPACK reads only the lower triangle, so the caller must pass an exactly
-    Hermitian matrix.  In both modes, non-finite entries in either triangle,
-    and a solver that does not converge, raise ConvergenceFailure instead of
-    returning a spectrum.
+    Hermitian matrix.  A stack is solved in one call, matrix by matrix, each
+    bit for bit as alone.  In both modes, non-finite entries in either
+    triangle, and a solver that does not converge, raise ConvergenceFailure
+    instead of returning a spectrum; over a stack the message names the
+    lowest matrix with a non-finite entry.
     """
     H = np.asarray(H)
     if H.dtype != np.float64:
         H = H.astype(np.complex128, copy=False)
-    if not np.isfinite(H).all():
-        raise ConvergenceFailure("Hermitian eigenproblem has a non-finite entry")
+    require(np.isfinite(H).all(axis=(-2, -1)), ConvergenceFailure, "Hermitian eigenproblem has a non-finite entry")
     try:
         if vectors:
             return np.linalg.eigh(H)

@@ -22,7 +22,10 @@ and :func:`outer` is its one-column case.
 
 A basis is the :class:`Matrix` of its columns, and
 :func:`_orthonormalize` is the one Gram-Schmidt, shared by :func:`gram_schmidt`
-and the quaternionic eigenvector lift in :mod:`gleason_lab.spectral`.
+and the quaternionic eigenvector lift in :mod:`gleason_lab.spectral`.  It
+runs over a stack of matrices as over one, as do the adjoint, the entry
+moduli and the guards of :func:`_gram_schmidt`; a guard over a stack rejects
+the lowest matrix that fails it (:func:`gleason_lab.errors.require`).
 
 The pointwise Hamilton product :func:`_mul_comps` is table-driven: it reads
 the left-regular form of its left factor off :data:`gleason_lab.kernels.HAMILTON`,
@@ -51,7 +54,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels
-from .errors import AlgebraMismatch, DegenerateInput
+from .errors import AlgebraMismatch, DegenerateInput, require
 from .kernels import HAMILTON
 from .scalars import Algebra, Quaternion, as_quaternion
 
@@ -258,7 +261,7 @@ class Matrix:
 
     def max_abs(self) -> float:
         """Largest entry magnitude |A_rc|."""
-        return _max_abs(self.comps)
+        return float(_max_abs(self.comps))
 
     def norm(self) -> float:
         """Frobenius norm; the length of an n x 1 column."""
@@ -266,7 +269,7 @@ class Matrix:
 
     def orthonormality_defect(self) -> float:
         """Largest entry magnitude of U*U - I over the columns of U."""
-        return (self.adjoint() @ self - Matrix.identity(self.m, self.algebra)).max_abs()
+        return float(_orthonormality_defects(self.comps, self.algebra))
 
     def hermitian_defect(self) -> float:
         return (self - self.adjoint()).max_abs()
@@ -275,7 +278,7 @@ class Matrix:
         # a non-finite entry is answered before any arithmetic, which would make numpy warn
         if not np.isfinite(self.comps).all():
             return False
-        return _hermitian_ratio(self.comps, _adjoint_comps(self.comps)) <= tol
+        return bool(_hermitian_ratio(self.comps, _adjoint_comps(self.comps)) <= tol)
 
     def approx_eq(self, other: "Matrix", tol: float = 1e-9) -> bool:
         return bool(np.abs(self.comps - other.comps).max() <= tol)
@@ -285,29 +288,45 @@ class Matrix:
 
 
 def _adjoint_comps(comps: np.ndarray) -> np.ndarray:
-    """Components of A* from those of A: conjugate and transpose in one pass
-    into contiguous storage."""
-    n, m, _ = comps.shape
-    return np.multiply(comps.transpose(1, 0, 2), _CONJ, out=np.empty((m, n, 4)))
+    """Components of A* from those of A, for every matrix of a (..., n, m, 4)
+    stack: conjugate and transpose in one pass into contiguous storage."""
+    n, m = comps.shape[-3], comps.shape[-2]
+    return np.multiply(comps.swapaxes(-3, -2), _CONJ, out=np.empty(comps.shape[:-3] + (m, n, 4)))
 
 
-def _max_abs(comps: np.ndarray) -> float:
-    """Largest entry magnitude of an (n, m, 4) component array.
+def _hermitian_part(comps: np.ndarray) -> np.ndarray:
+    """(A + A*) / 2 of every matrix of a (..., n, n, 4) stack."""
+    return (comps + _adjoint_comps(comps)) * 0.5
+
+
+def _max_abs(comps: np.ndarray) -> np.ndarray:
+    """Largest entry magnitude of every matrix of a (..., n, m, 4) stack.
 
     One square root, of the largest squared modulus: sqrt is monotone and
     correctly rounded, so this is the largest modulus bit for bit.
     """
-    return float(np.sqrt(_sq_moduli(comps).max()))
+    return np.sqrt(_sq_moduli(comps).max(axis=(-2, -1)))
 
 
-def _hermitian_ratio(comps: np.ndarray, star: np.ndarray) -> float:
-    """|A - A*| / max(1, max|A_rc|), the Hermitian test's statistic, from the
-    components of A and of the adjoint A* that the caller has formed.
+def _hermitian_ratio(comps: np.ndarray, star: np.ndarray) -> np.ndarray:
+    """|A - A*| / max(1, max|A_rc|), the Hermitian test's statistic, of every
+    matrix of a stack, from the components of A and of the adjoint A* that the
+    caller has formed.
 
     A ratio, not defect <= tol * max|A_rc|: an inf entry makes that bound inf,
-    but makes the ratio NaN, and NaN fails every comparison.
+    but makes the ratio NaN, and NaN fails every comparison.  One matrix's
+    scale is a numpy scalar, for which Python's max is the cheaper call.
     """
-    return _max_abs(comps - star) / max(1.0, _max_abs(comps))
+    scale = _max_abs(comps)
+    return _max_abs(comps - star) / (np.maximum(1.0, scale) if isinstance(scale, np.ndarray) else max(1.0, scale))
+
+
+def _orthonormality_defects(comps: np.ndarray, algebra: Algebra) -> np.ndarray:
+    """Largest entry magnitude of U*U - I, for every matrix U of a (..., n, m, 4) stack."""
+    m = comps.shape[-2]
+    gram = kernels.quat_matmul(_adjoint_comps(comps), comps, algebra.component_count)
+    gram[..., np.arange(m), np.arange(m), 0] -= 1.0
+    return _max_abs(gram)
 
 
 def outer_sum(U: Matrix, coeffs=None, V: Matrix | None = None) -> Matrix:
@@ -336,37 +355,86 @@ def outer(u: Matrix, v: Matrix, coeff=None) -> Matrix:
     return outer_sum(u, q, v)
 
 
-def _orthonormalize(W: np.ndarray, tol: float, limit: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Gram-Schmidt over the columns of an (n, m, 4) component array, in order.
+# _RIGHT_UNITS[a, 4c + e] = HAMILTON[a, e, c], component c of e_a e_e: a row of
+# components u times it gives u e_e for every unit e_e, each entry one signed
+# component of u, so the product is exact
+_RIGHT_UNITS = np.ascontiguousarray(HAMILTON.transpose(0, 2, 1).reshape(4, 16))
+_RIGHT_UNITS.flags.writeable = False
+
+
+def _orthonormalize(W: np.ndarray, tol, limit: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Gram-Schmidt over the columns of every matrix of a (..., n, m, 4)
+    component stack, in order.
 
     Each column w becomes w - sum_u u <u|w> over the columns u kept so far,
     twice ("twice is enough"), and is kept, normalized, if its residual norm
-    exceeds ``tol``; the sweep stops once ``limit`` columns are kept.  Over R
-    the u e (e = 1, i, j, k) are orthonormal 4n-vectors whose inner products
-    with w are the components of <u|w>, so each pass is two real products.
-    Returns the kept columns (n, k, 4) and the residual of every column tried.
+    exceeds ``tol`` (one bound, or one per matrix); the sweep stops once
+    ``limit`` columns are kept.  Over R the u e (e = 1, i, j, k) are
+    orthonormal 4n-vectors whose inner products with w are the components of
+    <u|w>, so each pass is two real products, a matrix-vector product per
+    matrix of the stack.  Over a stack, a column is dropped only where every
+    matrix drops it, and kept everywhere else: a matrix whose residual is at
+    most ``tol`` on a kept column has no meaningful later columns, and its
+    caller rejects it by that residual.  Returns the kept columns
+    (..., n, k, 4) and the residual of every column tried (..., tried).
     """
-    n, m, _ = W.shape
+    lead = W.shape[:-3]
+    n, m = W.shape[-3], W.shape[-2]
     limit = m if limit is None else min(limit, m)
-    B = np.empty((4 * n, 4 * limit))  # column 4k + e holds u_k e
-    residuals = []
-    k = 0
+    B = np.empty(lead + (4 * n, 4 * limit))  # column 4k + e holds u_k e
+    Bt = B.swapaxes(-1, -2)
+    cols = W.swapaxes(-3, -2).reshape(lead + (m, 4 * n, 1))  # each column a 4n x 1 matrix
+    residuals = np.empty(lead + (m,))
+    tol = np.asarray(tol)[..., None, None]
+    k = tried = 0
     for c in range(m):
         if k == limit:
             break
-        w = W[:, c, :].reshape(4 * n)
+        w = cols[..., c, :, :]
         if k:
-            Bk = B[:, : 4 * k]
+            Bk, Bkt = B[..., : 4 * k], Bt[..., : 4 * k, :]
             for _ in range(2):
-                w = w - Bk @ (Bk.T @ w)
-        nrm = float(np.sqrt(w @ w))
-        residuals.append(nrm)
-        if nrm > tol:
-            u = (w / nrm).reshape(n, 4)
-            B[:, 4 * k : 4 * k + 4] = np.einsum("ra,aec->rce", u, HAMILTON).reshape(4 * n, 4)
-            k += 1
-    Q = B[:, 0 : 4 * k : 4].reshape(n, 4, k).transpose(0, 2, 1)
-    return np.ascontiguousarray(Q), np.array(residuals)
+                w = w - Bk @ (Bkt @ w)
+        nrm = np.sqrt(w.swapaxes(-1, -2) @ w)
+        residuals[..., c] = nrm[..., 0, 0]
+        tried += 1
+        kept = nrm > tol
+        # bool() reads one matrix's flag with no reduction to run
+        if bool(kept) if kept.size == 1 else kept.all():
+            u = w / nrm
+        elif kept.any():
+            u = np.divide(w, nrm, out=np.zeros_like(w), where=kept)
+        else:
+            continue
+        # + 0.0 turns a -0 entry into the +0 that a sum from zero gives
+        B[..., 4 * k : 4 * k + 4] = (u.reshape(lead + (n, 4)) @ _RIGHT_UNITS + 0.0).reshape(lead + (4 * n, 4))
+        k += 1
+    Q = B[..., 0 : 4 * k : 4].reshape(lead + (n, 4, k)).swapaxes(-1, -2)
+    return np.ascontiguousarray(Q), residuals[..., :tried]
+
+
+def _gram_schmidt(W: np.ndarray, drop: bool = False) -> np.ndarray:
+    """The orthonormal columns that :func:`gram_schmidt` keeps, for every
+    matrix of a (..., n, m, 4) stack; its guards, over a stack, reject the
+    lowest matrix that fails them (``drop=True`` takes one matrix only)."""
+    if W.shape[-2] == 0:
+        raise ValueError("need at least one vector")
+    # the largest norm is NaN or inf exactly where some norm is
+    scale = np.sqrt((W**2).sum(axis=(-3, -1))).max(axis=-1)
+    # NaN would slip through every comparison below, and inf would normalize to 0
+    require(np.isfinite(scale), DegenerateInput, "input vector has a non-finite norm")
+    require(scale != 0.0, DegenerateInput, "all inputs are zero" if drop else "zero input vector")
+    tol = _RANK_TOL * scale
+    Q, residuals = _orthonormalize(W, tol)
+    # a column kept in every matrix passed in every matrix, except over a
+    # stack, where a column is kept if any matrix keeps it
+    if not drop and (Q.shape[-2] < W.shape[-2] or W.ndim > 3):
+        kept = residuals > tol[..., None]
+        require(kept.all(axis=-1), DegenerateInput,
+                lambda i: f"vector numerically dependent (residual {residuals[i][~kept[i]][0]:.3e})")
+    if Q.shape[-2] == 0:
+        raise DegenerateInput("no independent vectors")
+    return Q
 
 
 def gram_schmidt(W: Matrix, *, drop: bool = False) -> Matrix:
@@ -377,27 +445,9 @@ def gram_schmidt(W: Matrix, *, drop: bool = False) -> Matrix:
     right-scalar convention.  Columns whose residual falls below
     1e-10 * max column norm are rejected: with ``drop=True`` they are skipped,
     otherwise DegenerateInput is raised.  The basis comes back as the columns
-    of one matrix.
+    of one matrix.  The one-matrix case of :func:`_gram_schmidt`.
     """
-    if W.m == 0:
-        raise ValueError("need at least one vector")
-    norms = np.sqrt((W.comps**2).sum(axis=(0, 2)))
-    # NaN would slip through every comparison below, and inf would normalize to 0
-    if not np.isfinite(norms).all():
-        raise DegenerateInput("input vector has a non-finite norm")
-    scale = float(norms.max())
-    if scale == 0.0:
-        if drop:
-            raise DegenerateInput("all inputs are zero")
-        raise DegenerateInput("zero input vector")
-    tol = _RANK_TOL * scale
-    Q, residuals = _orthonormalize(W.comps, tol)
-    if Q.shape[1] < W.m and not drop:
-        nrm = residuals[residuals <= tol][0]
-        raise DegenerateInput(f"vector numerically dependent (residual {nrm:.3e})")
-    if Q.shape[1] == 0:
-        raise DegenerateInput("no independent vectors")
-    return Matrix(W.algebra, Q)
+    return Matrix(W.algebra, _gram_schmidt(W.comps, drop))
 
 
 _PROJECTOR_TOL = 1e-8
@@ -603,18 +653,43 @@ def random_matrix(n: int, m: int, algebra: Algebra, rng) -> Matrix:
 
 
 def random_hermitian(n: int, algebra: Algebra, rng) -> Matrix:
-    G = random_matrix(n, n, algebra, rng)
-    return (G + G.adjoint()) * 0.5
+    return Matrix(algebra, _hermitian_part(_gaussian_comps((n, n), algebra, rng)))
+
+
+def _unitaries(G: np.ndarray, algebra: Algebra, rng) -> np.ndarray:
+    """Orthonormalized columns of a Gaussian draw, or of every draw of a
+    (..., n, n, 4) stack.  A draw that Gram-Schmidt rejects is redrawn from
+    the stream after the block, in order, up to four attempts in all."""
+    try:
+        return _gram_schmidt(G)
+    except DegenerateInput:
+        pass
+    Q = np.empty_like(G)
+    for t in np.ndindex(G.shape[:-3]):
+        g = G[t]
+        for attempt in range(4):
+            if attempt:
+                g = _gaussian_comps(G.shape[-3:-1], algebra, rng)
+            try:
+                Q[t] = _gram_schmidt(g)
+                break
+            except DegenerateInput:
+                continue
+        else:
+            raise DegenerateInput("could not draw an invertible Gaussian matrix")
+    return Q
+
+
+def random_unitaries(n: int, count: int, algebra: Algebra, rng) -> np.ndarray:
+    """The (count, n, n, 4) stack of ``count`` unitaries: orthonormalized
+    Gaussian columns, drawn as one block (:func:`_unitaries`)."""
+    return _unitaries(_gaussian_comps((count, n, n), algebra, rng), algebra, rng)
 
 
 def random_unitary(n: int, algebra: Algebra, rng) -> Matrix:
-    """Orthonormalized Gaussian columns; deterministic for a given stream."""
-    for _ in range(4):
-        try:
-            return gram_schmidt(random_matrix(n, n, algebra, rng))
-        except DegenerateInput:
-            continue
-    raise DegenerateInput("could not draw an invertible Gaussian matrix")
+    """Orthonormalized Gaussian columns; deterministic for a given stream.
+    The one-draw case of :func:`random_unitaries`, with the same stream use."""
+    return Matrix(algebra, _unitaries(_gaussian_comps((n, n), algebra, rng), algebra, rng))
 
 
 def random_unit_imaginary(algebra: Algebra, rng) -> Quaternion:

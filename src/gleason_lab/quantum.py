@@ -5,6 +5,10 @@ collapses to a union of spectral atoms, and the functional calculus is the
 finite sum over atoms.  All probability formulas go through the real trace,
 which keeps one code path for R, C and H.
 
+A symmetry acts through ``_transform_states`` and ``_dual_transforms``, which
+take a stack of unitary factors with a per-matrix anti-unitary mask;
+:class:`SymmetryOp` is the one-symmetry case.
+
 A one-parameter group is a :class:`GroupPath`, block-shaped like the projector
 stacks: it maps k times to the (k, n, n, 4) stack of the U_t.
 :func:`continuity_scan` reads a sampled orbit from such stacks, two products
@@ -23,14 +27,22 @@ from typing import Callable
 import numpy as np
 
 from . import kernels
-from .errors import NotHermitian, NotUnitary
+from .errors import NotHermitian, NotUnitary, require
 from .gleason import DensityOperator, measure_from_state
 from .linalg import (
-    Matrix, Projector, _check_same_algebra, _conj_comps, _in_algebra, _mul_comps, outer_sum,
+    Matrix,
+    Projector,
+    _adjoint_comps,
+    _check_same_algebra,
+    _conj_comps,
+    _in_algebra,
+    _mul_comps,
+    _orthonormality_defects,
+    outer_sum,
 )
 from .scalars import Algebra, Quaternion
 from .spectral import _HERMITIAN_TOL, EigenDecomposition, _group_indices, eig_hermitian
-from .trace import _real_sums, real_pairing, real_trace
+from .trace import _real_sums, _real_traces, real_pairing
 
 _ATOM_REL_TOL = 1e-7
 # entries of the (k, n, n, 4) stack of U_t that _orbit_values builds at once (16 MB).
@@ -157,11 +169,55 @@ def std_deviation(A: Observable, T: DensityOperator) -> float:
 # symmetries
 # ---------------------------------------------------------------------------
 
-def _complex_conj_matrix(M: Matrix) -> Matrix:
-    """Entrywise complex conjugation (C matrices only)."""
-    comps = M.comps.copy()
-    comps[..., 1] *= -1.0
-    return Matrix(M.algebra, comps)
+# components of the complex conjugate of a C entry: a - bi
+_COMPLEX_CONJ = np.array([1.0, -1.0, 1.0, 1.0])
+_COMPLEX_CONJ.flags.writeable = False
+
+
+def _conjugated(comps: np.ndarray, mask) -> np.ndarray:
+    """Entrywise complex conjugation of the matrices of a (..., n, m, 4) stack
+    that ``mask`` (one flag per matrix) flags; the others are multiplied by 1,
+    which leaves every bit in place, or, with no flag set, not touched."""
+    mask = np.asarray(mask)
+    if not mask.any():
+        return comps
+    return comps * np.where(mask[..., None, None, None], _COMPLEX_CONJ, 1.0)
+
+
+def _check_unitaries(comps: np.ndarray, algebra: Algebra) -> None:
+    """Raise NotUnitary unless every matrix of a (..., n, n, 4) stack has
+    U*U = I to 1e-8; over a stack the lowest failing matrix is named."""
+    if comps.shape[-3] != comps.shape[-2]:
+        raise NotUnitary(f"a {comps.shape[-3]}x{comps.shape[-2]} matrix is not unitary")
+    # rejected before any arithmetic, which would make numpy warn
+    require(np.isfinite(comps).all(axis=(-3, -2, -1)), NotUnitary, "unitary factor has a non-finite entry")
+    defect = _orthonormality_defects(comps, algebra)
+    # NaN fails every comparison
+    require(defect <= 1e-8, NotUnitary, lambda i: f"U*U - I has magnitude {defect[i]:.3e}")
+
+
+def _transform_states(v: np.ndarray, b: np.ndarray, anti, algebra: Algebra) -> np.ndarray:
+    """U B U^{-1} = V conj?(B) V* for every triple of a stack; ``anti`` flags
+    the anti-unitary ones (:meth:`SymmetryOp.transform_state`)."""
+    count = algebra.component_count
+    vb = kernels.quat_matmul(v, _conjugated(b, anti), count)
+    return kernels.quat_matmul(vb, _adjoint_comps(v), count)
+
+
+def _dual_transforms(v: np.ndarray, a: np.ndarray, anti, algebra: Algebra) -> np.ndarray:
+    """U^{-1} A U = conj?(V* A V) for every triple of a stack (:meth:`SymmetryOp.dual_transform`)."""
+    count = algebra.component_count
+    va = kernels.quat_matmul(_adjoint_comps(v), a, count)
+    return _conjugated(kernels.quat_matmul(va, v, count), anti)
+
+
+def _duality_gaps(a: np.ndarray, b: np.ndarray, v: np.ndarray, anti, algebra: Algebra) -> np.ndarray:
+    """:func:`symmetry_duality_gap` of every quadruple (A, B, V, anti) of a
+    stack whose factors V have passed :func:`_check_unitaries`."""
+    count = algebra.component_count
+    lhs = _real_traces(kernels.quat_matmul(a, _transform_states(v, b, anti, algebra), count))
+    rhs = _real_traces(kernels.quat_matmul(_dual_transforms(v, a, anti, algebra), b, count))
+    return np.abs(lhs - rhs)
 
 
 @dataclass(frozen=True)
@@ -169,7 +225,9 @@ class SymmetryOp:
     """Unitary, or (over C) anti-unitary, symmetry transformation.
 
     An anti-unitary operator is stored as a unitary factor composed with
-    componentwise conjugation: U x = V conj(x).
+    componentwise conjugation: U x = V conj(x).  Its actions are the
+    one-symmetry cases of the stacked :func:`_transform_states` and
+    :func:`_dual_transforms`.
     """
 
     unitary: Matrix
@@ -179,15 +237,7 @@ class SymmetryOp:
         V = self.unitary
         if self.antiunitary and V.algebra is not Algebra.C:
             raise ValueError("anti-unitary symmetries exist only over C")
-        if not V.is_square:
-            raise NotUnitary(f"a {V.n}x{V.m} matrix is not unitary")
-        # rejected before any arithmetic, which would make numpy warn
-        if not np.isfinite(V.comps).all():
-            raise NotUnitary("unitary factor has a non-finite entry")
-        defect = V.orthonormality_defect()
-        # NaN fails every comparison
-        if not (defect <= 1e-8):
-            raise NotUnitary(f"U*U - I has magnitude {defect:.3e}")
+        _check_unitaries(V.comps, V.algebra)
 
     @property
     def algebra(self) -> Algebra:
@@ -195,24 +245,20 @@ class SymmetryOp:
 
     def transform_state(self, B: Matrix) -> Matrix:
         """B -> U B U^{-1}."""
-        V = self.unitary
-        if self.antiunitary:
-            return V @ _complex_conj_matrix(B) @ V.adjoint()
-        return V @ B @ V.adjoint()
+        algebra = _check_same_algebra(self.unitary, B)
+        return Matrix(algebra, _transform_states(self.unitary.comps, B.comps, self.antiunitary, algebra))
 
     def dual_transform(self, A: Matrix) -> Matrix:
         """A -> U^{-1} A U, the dual action on observables."""
-        V = self.unitary
-        if self.antiunitary:
-            return _complex_conj_matrix(V.adjoint() @ A @ V)
-        return V.adjoint() @ A @ V
+        algebra = _check_same_algebra(self.unitary, A)
+        return Matrix(algebra, _dual_transforms(self.unitary.comps, A.comps, self.antiunitary, algebra))
 
 
 def symmetry_duality_gap(A: Matrix, B: Matrix, sym: SymmetryOp) -> float:
     """|Re tr(A U B U^{-1}) - Re tr(U^{-1} A U B)|; zero for every symmetry."""
-    lhs = real_trace(A @ sym.transform_state(B))
-    rhs = real_trace(sym.dual_transform(A) @ B)
-    return abs(lhs - rhs)
+    _check_same_algebra(A, B)
+    algebra = _check_same_algebra(A, sym.unitary)
+    return float(_duality_gaps(A.comps, B.comps, sym.unitary.comps, sym.antiunitary, algebra))
 
 
 def conjugate_state(sym: SymmetryOp, T: DensityOperator) -> DensityOperator:

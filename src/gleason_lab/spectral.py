@@ -23,7 +23,9 @@ more equal pairs go through the one Gram-Schmidt,
 pair.  On a simple pair the block gives what that Gram-Schmidt would.
 
 Both public solvers share one guarded solve, ``_solve``, and its guards are
-identical for both.  :func:`eig_hermitian` asks the kernel for eigenvectors
+identical for both.  ``_solve``, the Gram matrix and the norms take a stack
+of matrices with leading axes; the public functions are their one-matrix
+cases.  :func:`eig_hermitian` asks the kernel for eigenvectors
 and lifts the eigenbasis; :func:`eigvals_hermitian` asks for eigenvalues only
 (LAPACK's eigenvalue-only driver), reads the spectrum, over H as the pair
 means, and builds no basis.  The norms (:func:`singular_values`,
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import AlgebraMismatch, ConvergenceFailure, NotHermitian
+from .errors import AlgebraMismatch, ConvergenceFailure, NotHermitian, require
 from .linalg import (
     Matrix,
     _adjoint_comps,
@@ -85,14 +87,14 @@ def embed(A: Matrix) -> np.ndarray:
 
 
 def _chi(c: np.ndarray) -> np.ndarray:
-    """chi of the square quaternionic matrix with (n, n, 4) components ``c``."""
+    """chi of every square quaternionic matrix of a (..., n, n, 4) component stack ``c``."""
     A1, A2 = c[..., 0] + 1j * c[..., 1], c[..., 2] + 1j * c[..., 3]
-    n = c.shape[0]
-    X = np.empty((2 * n, 2 * n), dtype=np.complex128)
-    X[:n, :n] = A1
-    X[:n, n:] = A2
-    X[n:, :n] = -A2.conj()
-    X[n:, n:] = A1.conj()
+    n = c.shape[-3]
+    X = np.empty(c.shape[:-3] + (2 * n, 2 * n), dtype=np.complex128)
+    X[..., :n, :n] = A1
+    X[..., :n, n:] = A2
+    X[..., n:, :n] = -A2.conj()
+    X[..., n:, n:] = A1.conj()
     return X
 
 
@@ -109,45 +111,62 @@ def _group_indices(values: np.ndarray, tol: float) -> list[tuple[int, int]]:
     return groups
 
 
-def _solve(A: Matrix, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
+def _along_last(x: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """The spectra (..., k), or eigenvector matrices (..., m, k), of ``x``
+    gathered along their last axis by the (..., k) ``order`` of each: plain
+    indexing for one matrix, where ``np.take_along_axis`` costs twice as much."""
+    if order.ndim == 1:
+        return x[..., order]
+    return np.take_along_axis(x, order if x.ndim == order.ndim else order[..., None, :], axis=-1)
+
+
+def _solve(c: np.ndarray, algebra: Algebra, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """(eigenvalues descending, eigenvector columns or None) of the exactly
-    Hermitian part of A over R (a real symmetric solve) and C, of its image
-    chi under H, after every guard: square, finite, Hermitian up to 1e-8 (the
-    ratio test of :meth:`Matrix.is_hermitian`) and, over H, a doubled
-    spectrum.  A*, the symmetrization and chi are formed from A's components,
-    with no intermediate Matrix.  With ``vectors=False`` the kernel computes
-    no eigenvectors."""
-    if not A.is_square:
+    Hermitian part of every matrix of a (..., n, n, 4) component stack ``c``
+    over R (a real symmetric solve) and C, of its image chi under H, after
+    every guard: square, finite, Hermitian up to 1e-8 (the ratio test of
+    :meth:`Matrix.is_hermitian`) and, over H, a doubled spectrum.  A*, the
+    symmetrization and chi are formed from the components, with no Matrix.
+    With ``vectors=False`` the kernel computes no eigenvectors.  Over a stack,
+    a guard rejects the lowest matrix that fails it, by the one-matrix message
+    (:func:`gleason_lab.errors.require`)."""
+    if c.shape[-3] != c.shape[-2]:
         raise ValueError("eigendecomposition needs a square matrix")
     # a non-finite entry fails the ratio test anyway; rejecting it before any
     # arithmetic keeps numpy from warning about the validator's internals
-    c = A.comps
-    if not np.isfinite(c).all():
-        raise NotHermitian("matrix has a non-finite entry")
+    require(np.isfinite(c).all(axis=(-3, -2, -1)), NotHermitian, "matrix has a non-finite entry")
     star = _adjoint_comps(c)
     ratio = _hermitian_ratio(c, star)
-    if not ratio <= _HERMITIAN_TOL:
-        raise NotHermitian(f"|A - A*| / max(1, max|A_rc|) = {ratio:.3e} exceeds {_HERMITIAN_TOL:.1e}")
+    require(ratio <= _HERMITIAN_TOL, NotHermitian,
+            lambda i: f"|A - A*| / max(1, max|A_rc|) = {ratio[i]:.3e} exceeds {_HERMITIAN_TOL:.1e}")
     sym = (c + star) * 0.5
-    if A.algebra is Algebra.H:
+    if algebra is Algebra.H:
         X = _chi(sym)
-    elif A.algebra is Algebra.C:
+    elif algebra is Algebra.C:
         X = sym[..., 0] + 1j * sym[..., 1]
     else:
         X = sym[..., 0]
     w, V = kernels.eigh(X, vectors=vectors)
-    order = np.argsort(-w, kind="stable")
-    w = w[order]
+    order = np.argsort(-w, axis=-1, kind="stable")
+    w = _along_last(w, order)
     if vectors:
-        V = V[:, order]
+        V = _along_last(V, order)
     # symplectic symmetry doubles every eigenvalue of chi(A), so the sorted
     # spectrum is n consecutive pairs; the tolerance is relative to the
     # spectrum, so a small spectrum is not misread as unpaired
-    if A.algebra is Algebra.H:
-        scale = float(np.abs(w).max(initial=0.0))
-        if np.abs(w[0::2] - w[1::2]).max(initial=0.0) > _GROUP_TOL * scale:
-            raise ConvergenceFailure("eigenvalue pairing failed: chi(A) spectrum is not doubled")
+    if algebra is Algebra.H:
+        scale = np.abs(w).max(axis=-1, initial=0.0)
+        unpaired = np.abs(w[..., 0::2] - w[..., 1::2]).max(axis=-1, initial=0.0) > _GROUP_TOL * scale
+        require(~unpaired, ConvergenceFailure, "eigenvalue pairing failed: chi(A) spectrum is not doubled")
     return w, V
+
+
+def _eigvals(c: np.ndarray, algebra: Algebra) -> np.ndarray:
+    """The spectra of :func:`eigvals_hermitian`, for every matrix of a stack."""
+    w, _ = _solve(c, algebra, vectors=False)
+    if algebra is Algebra.H:
+        return 0.5 * (w[..., 0::2] + w[..., 1::2])
+    return w
 
 
 def eigvals_hermitian(A: Matrix) -> np.ndarray:
@@ -157,15 +176,12 @@ def eigvals_hermitian(A: Matrix) -> np.ndarray:
     the kernel computes no eigenvectors and no eigenbasis is built.  Over H
     each eigenvalue is the mean of its pair in chi(A)'s spectrum.
     """
-    w, _ = _solve(A, vectors=False)
-    if A.algebra is Algebra.H:
-        return 0.5 * (w[0::2] + w[1::2])
-    return w
+    return _eigvals(A.comps, A.algebra)
 
 
 def eig_hermitian(A: Matrix) -> EigenDecomposition:
     """Orthonormal eigenbasis of a Hermitian matrix over R, C or H."""
-    w, V = _solve(A, vectors=True)
+    w, V = _solve(A.comps, A.algebra, vectors=True)
     if A.algebra is not Algebra.H:
         comps = np.zeros((A.n, A.n, 4))
         comps[..., 0] = V.real
@@ -203,24 +219,30 @@ def eig_hermitian(A: Matrix) -> EigenDecomposition:
     return EigenDecomposition(Matrix(Algebra.H, basis), values)
 
 
-def _gram(A: Matrix) -> Matrix:
-    """A*A, for the norms, |A| and J.  A non-finite entry raises the NotHermitian
-    that the eigensolve gives NaN, before numpy can warn about inf arithmetic."""
-    if not np.isfinite(A.comps).all():
-        raise NotHermitian("matrix has a non-finite entry")
-    return A.adjoint() @ A
+def _gram(c: np.ndarray, algebra: Algebra) -> np.ndarray:
+    """A*A of every matrix of a (..., n, m, 4) stack, for the norms, |A| and J.
+    A non-finite entry raises the NotHermitian that the eigensolve gives NaN,
+    before numpy can warn about inf arithmetic."""
+    require(np.isfinite(c).all(axis=(-3, -2, -1)), NotHermitian, "matrix has a non-finite entry")
+    return kernels.quat_matmul(_adjoint_comps(c), c, algebra.component_count)
+
+
+def _op_norms(c: np.ndarray, algebra: Algebra) -> np.ndarray:
+    """Operator norm of every matrix of a stack; see :func:`op_norm`."""
+    gram_values = _eigvals(_gram(c, algebra), algebra)
+    return np.sqrt(np.maximum(gram_values.max(axis=-1, initial=0.0), 0.0))
 
 
 def op_norm(A: Matrix) -> float:
     """Operator (spectral) norm: largest singular value."""
-    gram_values = eigvals_hermitian(_gram(A))
-    return float(np.sqrt(max(gram_values.max(initial=0.0), 0.0)))
+    return float(_op_norms(A.comps, A.algebra))
 
 
 def _root_spectrum(values: np.ndarray) -> np.ndarray:
-    """Square roots of a positive spectrum, with every |s| <= 1e-10 * max|s|
-    cut to exactly zero first; relative, so a small matrix keeps its singular values."""
-    scale = float(np.abs(values).max(initial=0.0))
+    """Square roots of a positive spectrum, or of each of a stack of them, with
+    every |s| <= 1e-10 * max|s| cut to exactly zero first; relative, so a small
+    matrix keeps its singular values."""
+    scale = np.abs(values).max(axis=-1, initial=0.0, keepdims=True)
     vals = np.where(np.abs(values) <= _CLAMP_REL * scale, 0.0, values)
     return np.sqrt(np.clip(vals, 0.0, None))
 
@@ -228,7 +250,7 @@ def _root_spectrum(values: np.ndarray) -> np.ndarray:
 def _singular_data(A: Matrix) -> tuple[np.ndarray, Matrix]:
     """(singular values, right singular vectors as columns) of A, from one
     eigendecomposition of A*A."""
-    gram = eig_hermitian(_gram(A))
+    gram = eig_hermitian(Matrix(A.algebra, _gram(A.comps, A.algebra)))
     return _root_spectrum(gram.values), gram.basis
 
 
@@ -238,8 +260,13 @@ def abs_op(A: Matrix) -> Matrix:
     return outer_sum(basis, sigmas)
 
 
+def _singular_values(c: np.ndarray, algebra: Algebra) -> np.ndarray:
+    """Singular values of every matrix of a stack, from the spectrum of A*A."""
+    return _root_spectrum(_eigvals(_gram(c, algebra), algebra))
+
+
 def singular_values(A: Matrix) -> np.ndarray:
-    return _root_spectrum(eigvals_hermitian(_gram(A)))
+    return _singular_values(A.comps, A.algebra)
 
 
 def make_J(A: Matrix, kernel_unit: Quaternion = Quaternion.I) -> Matrix:

@@ -7,13 +7,27 @@ and a tolerance.  ``run_suite`` executes the whole matrix deterministically;
 ``emit_report`` serializes the outcome.  The registry doubles as the coverage
 manifest shipped in ``claims.json``.
 
-Most runners are written per trial: ``trial(cell, t)`` draws trial ``t`` from
-``cell.rng`` and returns its residual terms (possibly none), and
-``_per_trial`` turns it into the cell runner, which runs the trials in order
-on the one stream.  The residual of a cell is the worst of its terms,
-``max(0.0, *terms)`` taken in order by ``_worst``, so a term <= 0 counts for
-nothing.  A NaN term makes the residual NaN, and ``run_suite`` records any
-non-finite residual as a failure with no residual.
+Ten runners, those of the real-trace calculus and ``symmetry_duality``, run a
+cell's trials as one stack: ``block(cell, ts)`` draws the trials ``ts`` ahead,
+as one Gaussian block from ``cell.rng`` (``_draw``), runs every kernel once
+over the (trials, n, n, 4) stacks, and returns a (trials, terms) array.
+``_stacked`` turns it into the cell runner, which runs the trial axis in
+chunks when a stack would pass ``quantum._ORBIT_CHUNK_ENTRIES`` entries.  Each
+matrix of a stack is computed as a lone matrix is, and the block holds the
+Gaussians that one draw after another would give, so a stacked runner
+reports the bits that its per-trial form would.
+
+The other runners are written per trial, each with a one-line docstring
+saying why: ``trial(cell, t)`` draws trial ``t`` from ``cell.rng`` and
+returns its residual terms (possibly none), and ``_per_trial`` turns it into
+the cell runner, which runs the trials in order on the one stream.  Ragged
+shapes, conditional draws, uniform or integer draws between the Gaussians,
+and per-matrix eigenvector grouping keep a runner per trial.
+
+The residual of a cell is the worst of its terms, trial-major, ``max(0.0,
+*terms)`` taken in order by ``_worst``, so a term <= 0 counts for nothing.  A
+NaN term makes the residual NaN, and ``run_suite`` records any non-finite
+residual as a failure with no residual.
 """
 
 from __future__ import annotations
@@ -29,11 +43,15 @@ import numpy as np
 
 from . import __version__ as _version
 from . import gleason as gl
+from . import kernels
 from . import quantum as qm
 from . import spectral as sp
 from . import trace as tr
 from .linalg import (
     Matrix,
+    _adjoint_comps,
+    _hermitian_part,
+    _unitaries,
     inner,
     random_hermitian,
     random_matrix,
@@ -41,6 +59,7 @@ from .linalg import (
     random_projector,
     random_unit_imaginary,
     random_unit_vector,
+    random_unitaries,
     random_unitary,
 )
 from .rng import SplitMix64
@@ -211,65 +230,113 @@ def _worst(terms: Terms) -> float:
 
 def _per_trial(trial: Callable[[Cell, int], Terms]) -> Callable[[Cell], float]:
     """The cell runner of ``trial(cell, t)``: trials t = 0 .. cell.trials - 1 run
-    in order on ``cell.rng``, and the residual is the worst of all their terms."""
+    in order on ``cell.rng``, and the residual is the worst of all their terms.
+    The runner keeps ``trial`` as its ``trial`` attribute."""
 
     def runner(cell: Cell) -> float:
         return _worst(term for t in range(cell.trials) for term in trial(cell, t))
 
+    runner.trial = trial
     return runner
 
 
-def _basis_gap(A: Matrix, cell: Cell) -> float:
-    """|tr_N(A) in one random orthonormal basis - tr_N(A) in the next one drawn|."""
-    t0 = tr.trace_n(A, random_unitary(cell.dim, cell.algebra, cell.rng))
-    t1 = tr.trace_n(A, random_unitary(cell.dim, cell.algebra, cell.rng))
-    return abs(t0 - t1)
+def _stacked(block: Callable[[Cell, np.ndarray], np.ndarray], scale: int = 1) -> Callable[[Cell], float]:
+    """The cell runner of ``block(cell, ts)``, which draws the trials ``ts``
+    from ``cell.rng`` and returns their terms as a (len(ts), terms) array.
+
+    The trials run in order, in chunks whose stacks of (scale n) x (scale n)
+    matrices hold at most ``quantum._ORBIT_CHUNK_ENTRIES`` entries, one trial
+    at least.  The residual is the worst of all the terms, trial-major.  The
+    runner keeps ``block`` as its ``block`` attribute.
+    """
+
+    def runner(cell: Cell) -> float:
+        width = max(1, qm._ORBIT_CHUNK_ENTRIES // (4 * (scale * cell.dim) ** 2))
+        chunks = (np.arange(a, min(a + width, cell.trials)) for a in range(0, cell.trials, width))
+        return _worst(term for ts in chunks for term in block(cell, ts).ravel())
+
+    runner.block = block
+    return runner
 
 
-def _basis_invariance(draw: Callable[[Cell], Matrix]) -> Callable[[Cell], float]:
-    """Per trial, the basis-trace gap of one operator from ``draw``."""
-    return _per_trial(lambda cell, t: (_basis_gap(draw(cell), cell),))
+def _draw(cell: Cell, count: int, matrices: int, scalars: int = 0) -> list[np.ndarray]:
+    """``count`` trials of Gaussian draws from ``cell.rng``, in one block: per
+    trial, ``matrices`` n x n matrices, as :func:`random_matrix` draws them,
+    then ``scalars`` numbers, as ``rng.gaussian()`` draws them.  Returns a
+    (count, n, n, 4) component stack per matrix and a (count,) array per
+    scalar, bit for bit what the draws one after another give."""
+    n, k = cell.dim, cell.algebra.component_count
+    size = n * n * k
+    block = cell.rng.gaussian_block(count * (matrices * size + scalars)).reshape(count, -1)
+    out = []
+    for p in range(matrices):
+        comps = np.zeros((count, n, n, 4))
+        comps[..., :k] = block[:, p * size:(p + 1) * size].reshape(count, n, n, k)
+        out.append(comps)
+    return out + [block[:, matrices * size + q] for q in range(scalars)]
 
 
-_run_basis_invariance_rc = _basis_invariance(lambda c: random_matrix(c.dim, c.dim, c.algebra, c.rng))
-_run_hermitian_invariance_h = _basis_invariance(lambda c: random_hermitian(c.dim, c.algebra, c.rng))
+def _moduli(q: np.ndarray) -> np.ndarray:
+    """|q| of every row of a (..., 4) component array, bit for bit as
+    ``abs(Quaternion)``, whose squares are Python powers, gives it."""
+    return np.array([abs(Quaternion.from_array(row)) for row in q.reshape(-1, 4)]).reshape(q.shape[:-1])
+
+
+def _basis_invariance(hermitian: bool) -> Callable[[Cell], float]:
+    """Per trial, the basis-trace gap of one operator, Gaussian or its
+    Hermitian part, between two random bases drawn after it."""
+
+    def block(cell: Cell, ts: np.ndarray) -> np.ndarray:
+        A, G0, G1 = _draw(cell, ts.size, 3)
+        if hermitian:
+            A = _hermitian_part(A)
+        U0, U1 = (_unitaries(G, cell.algebra, cell.rng) for G in (G0, G1))
+        return _moduli(tr._traces(A, U0, cell.algebra) - tr._traces(A, U1, cell.algebra))[:, None]
+
+    return _stacked(block)
+
+
+_run_basis_invariance_rc = _basis_invariance(hermitian=False)
+_run_hermitian_invariance_h = _basis_invariance(hermitian=True)
 
 
 @_per_trial
 def _run_nonhermitian_dependence_h(cell: Cell, t: int) -> Terms:
+    """Keeps its loop: a nearly Hermitian draw ends its trial before any basis is drawn."""
     # A failing-to-be-invariant witness must exist: the term is the shortfall
-    # of the best basis-trace gap found below the 1e-3 detection threshold.
+    # of the best of six basis-trace gaps, each between two random bases,
+    # below the 1e-3 detection threshold.
     A = random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
     if (A - A.adjoint()).max_abs() < 0.1:
         return ()
-    return (1e-3 - _worst(_basis_gap(A, cell) for _ in range(6)),)
+    traces = tr._traces(A.comps, random_unitaries(cell.dim, 12, cell.algebra, cell.rng), cell.algebra)
+    return (1e-3 - _worst(_moduli(traces[0::2] - traces[1::2])),)
 
 
-@_per_trial
-def _run_real_trace_invariance(cell: Cell, t: int) -> Terms:
-    A = random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
-    base = tr.real_trace(A)
-    bases = (random_unitary(cell.dim, cell.algebra, cell.rng) for _ in range(3))
-    return [abs(tr.trace_n(A, U).real - base) for U in bases]
+@_stacked
+def _run_real_trace_invariance(cell: Cell, ts: np.ndarray) -> np.ndarray:
+    A, *G = _draw(cell, ts.size, 4)
+    base = tr._real_traces(A)
+    bases = (_unitaries(g, cell.algebra, cell.rng) for g in G)
+    return np.stack([np.abs(tr._traces(A, U, cell.algebra)[:, 0] - base) for U in bases], axis=-1)
 
 
-@_per_trial
-def _run_real_cyclicity(cell: Cell, t: int) -> Terms:
-    A = random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
-    B = random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
-    return (tr.real_trace_cyclic_gap(A, B) / (1.0 + tr.trace_norm(A) * sp.op_norm(B)),)
+@_stacked
+def _run_real_cyclicity(cell: Cell, ts: np.ndarray) -> np.ndarray:
+    A, B = _draw(cell, ts.size, 2)
+    gap = tr._cyclic_gaps(A, B, cell.algebra)
+    return (gap / (1.0 + tr._trace_norms(A, cell.algebra) * sp._op_norms(B, cell.algebra)))[:, None]
 
 
-@_per_trial
-def _run_norm_inequalities(cell: Cell, t: int) -> Terms:
-    A = random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
-    B = random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
-    rep = tr.check_norm_inequalities(A, B)
-    return -rep.slack_ab, -rep.slack_ba, abs(rep.adjoint_gap), -rep.op_vs_trace_slack
+@_stacked
+def _run_norm_inequalities(cell: Cell, ts: np.ndarray) -> np.ndarray:
+    rep = tr._norm_inequalities(*_draw(cell, ts.size, 2), cell.algebra)
+    return np.stack([-rep.slack_ab, -rep.slack_ba, np.abs(rep.adjoint_gap), -rep.op_vs_trace_slack], axis=-1)
 
 
 @_per_trial
 def _run_adapted_trace_formula(cell: Cell, t: int) -> Terms:
+    """Keeps its loop: J and the adapted basis come from per-matrix eigenvector grouping."""
     A = random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
     scale = 1.0 + tr.trace_norm(A)
     units = (Quaternion.I, random_unit_imaginary(cell.algebra, cell.rng))
@@ -278,6 +345,7 @@ def _run_adapted_trace_formula(cell: Cell, t: int) -> Terms:
 
 @_per_trial
 def _run_diagonal_basis_cyclicity(cell: Cell, t: int) -> Terms:
+    """Keeps its loop: the eigenbasis comes from per-matrix eigenvector grouping."""
     A = random_hermitian(cell.dim, cell.algebra, cell.rng)
     B = random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
     basis = sp.eig_hermitian(A).basis
@@ -289,6 +357,7 @@ def _run_diagonal_basis_cyclicity(cell: Cell, t: int) -> Terms:
 
 @_per_trial
 def _run_projector_sandwich(cell: Cell, t: int) -> Terms:
+    """Keeps its loop: an integer rank is drawn between the Gaussians, and ranks differ by trial."""
     A = random_hermitian(cell.dim, cell.algebra, cell.rng)
     rank = 1 + cell.rng.integer(cell.dim)
     P = random_projector(cell.dim, rank, cell.algebra, cell.rng)
@@ -298,39 +367,43 @@ def _run_projector_sandwich(cell: Cell, t: int) -> Terms:
     return abs(lhs - tr.real_trace(sandwiched)), abs(full - Quaternion(full.real))
 
 
-@_per_trial
-def _run_linearity_star(cell: Cell, t: int) -> Terms:
-    A = random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
-    B = random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
-    a = cell.rng.gaussian()
-    b = cell.rng.gaussian()
-    lin = tr.real_trace(A * a + B * b) - a * tr.real_trace(A) - b * tr.real_trace(B)
-    star = tr.real_trace(A.adjoint()) - tr.real_trace(A)
-    return abs(lin), abs(star)
+@_stacked
+def _run_linearity_star(cell: Cell, ts: np.ndarray) -> np.ndarray:
+    A, B, a, b = _draw(cell, ts.size, 2, scalars=2)
+    rt = tr._real_traces
+    lin = rt(A * a[:, None, None, None] + B * b[:, None, None, None]) - a * rt(A) - b * rt(B)
+    star = rt(_adjoint_comps(A)) - rt(A)
+    return np.stack([np.abs(lin), np.abs(star)], axis=-1)
 
 
-@_per_trial
-def _run_positivity_monotonicity(cell: Cell, t: int) -> Terms:
-    C = random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
-    D = random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
-    B = random_hermitian(cell.dim, cell.algebra, cell.rng)
-    A = B + D.adjoint() @ D  # A >= B by construction
-    return -tr.real_trace(C.adjoint() @ C), tr.real_trace(B) - tr.real_trace(A)
+@_stacked
+def _run_positivity_monotonicity(cell: Cell, ts: np.ndarray) -> np.ndarray:
+    C, D, G = _draw(cell, ts.size, 3)
+    count = cell.algebra.component_count
+    B = _hermitian_part(G)
+    A = B + kernels.quat_matmul(_adjoint_comps(D), D, count)  # A >= B by construction
+    rt = tr._real_traces
+    return np.stack([-rt(kernels.quat_matmul(_adjoint_comps(C), C, count)), rt(B) - rt(A)], axis=-1)
 
 
-@_per_trial
-def _run_absolute_sum_bound(cell: Cell, t: int) -> Terms:
-    A = random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
-    bound = tr.trace_norm(A)
-    bases = (random_unitary(cell.dim, cell.algebra, cell.rng) for _ in range(3))
-    return [(tr.absolute_diagonal_sum(A, U) - bound) / max(1.0, bound) for U in bases]
+@_stacked
+def _run_absolute_sum_bound(cell: Cell, ts: np.ndarray) -> np.ndarray:
+    A, *G = _draw(cell, ts.size, 4)
+    bound = tr._trace_norms(A, cell.algebra)
+    bases = (_unitaries(g, cell.algebra, cell.rng) for g in G)
+    sums = [tr._absolute_diagonal_sums(A, U, cell.algebra) for U in bases]
+    return np.stack([(s - bound) / np.maximum(1.0, bound) for s in sums], axis=-1)
 
 
-@_per_trial
-def _run_realification_quarter(cell: Cell, t: int) -> Terms:
-    check = tr.realification_check(random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng))
+def _realification_quarter(cell: Cell, ts: np.ndarray) -> np.ndarray:
+    (A,) = _draw(cell, ts.size, 1)
+    check = tr._realification_checks(A)
     scale = 1.0 + check.trace_norm_h
-    return check.trace_norm_gap / scale, check.trace_gap / scale
+    return np.stack([check.trace_norm_gap / scale, check.trace_gap / scale], axis=-1)
+
+
+# the realified matrices are 4n x 4n
+_run_realification_quarter = _stacked(_realification_quarter, scale=4)
 
 
 def _j_on_h1() -> list[Matrix]:
@@ -368,12 +441,13 @@ def _run_witness_antisymmetric(cell: Cell) -> float:
     A = _antisymmetric_witness(m)
     n = 2 * m
     terms = [(sp.abs_op(A) - Matrix.identity(n, Algebra.R)).max_abs(), abs(tr.trace_norm(A) - n)]
-    bases = (random_unitary(n, Algebra.R, cell.rng) for _ in range(min(cell.trials, 20)))
-    return _worst(terms + [tr.absolute_diagonal_sum(A, U) for U in bases])
+    bases = random_unitaries(n, min(cell.trials, 20), Algebra.R, cell.rng)
+    return _worst(terms + list(tr._absolute_diagonal_sums(A.comps, bases, Algebra.R)))
 
 
 @_per_trial
 def _run_gleason_round_trip(cell: Cell, t: int) -> Terms:
+    """Keeps its loop: random_density draws uniform weights between the Gaussians."""
     T = gl.random_density(cell.dim, cell.algebra, cell.rng)
     f = gl.FrameFunction.from_measure(gl.measure_from_state(T))
     rebuilt = gl.reconstruct_state(f, cell.dim, cell.algebra, rng=cell.rng)
@@ -382,6 +456,7 @@ def _run_gleason_round_trip(cell: Cell, t: int) -> Terms:
 
 @_per_trial
 def _run_sigma_additivity(cell: Cell, t: int) -> Terms:
+    """Keeps its loop: uniform and integer draws between the Gaussians, and ragged decompositions."""
     mu = gl.measure_from_state(gl.random_density(cell.dim, cell.algebra, cell.rng))
     parts = gl.random_orthogonal_decomposition(cell.dim, cell.algebra, cell.rng)
     return (abs(sum(mu(P) for P in parts) - 1.0),)
@@ -389,6 +464,7 @@ def _run_sigma_additivity(cell: Cell, t: int) -> Terms:
 
 @_per_trial
 def _run_measure_range(cell: Cell, t: int) -> Terms:
+    """Keeps its loop: uniform and integer draws between the Gaussians, and ranks differ by trial."""
     mu = gl.measure_from_state(gl.random_density(cell.dim, cell.algebra, cell.rng))
     rank = 1 + cell.rng.integer(cell.dim)
     value = mu(random_projector(cell.dim, rank, cell.algebra, cell.rng))
@@ -397,6 +473,7 @@ def _run_measure_range(cell: Cell, t: int) -> Terms:
 
 @_per_trial
 def _run_extremality(cell: Cell, t: int) -> Terms:
+    """Keeps its loop: integer and uniform draws between the Gaussians, and a split only where a state is mixed."""
     psi = random_unit_vector(cell.dim, cell.algebra, cell.rng)
     pure_failed = float(not gl.is_extremal(gl.pure_state(psi)))
     rank = 2 + cell.rng.integer(cell.dim - 1) if cell.dim > 2 else 2
@@ -410,6 +487,7 @@ def _run_extremality(cell: Cell, t: int) -> Terms:
 
 @_per_trial
 def _run_separation(cell: Cell, t: int) -> Terms:
+    """Keeps its loop: integer ranks are drawn between the Gaussians, and ranks differ by trial."""
     rank_p = 1 + cell.rng.integer(cell.dim)
     rank_q = 1 + cell.rng.integer(cell.dim)
     P = random_projector(cell.dim, rank_p, cell.algebra, cell.rng)
@@ -437,6 +515,7 @@ def _run_unit_lemma(cell: Cell) -> float:
 
 @_per_trial
 def _run_mix_linearity(cell: Cell, t: int) -> Terms:
+    """Keeps its loop: uniform and integer draws between the Gaussians."""
     t1 = gl.random_density(cell.dim, cell.algebra, cell.rng)
     t2 = gl.random_density(cell.dim, cell.algebra, cell.rng)
     w = cell.rng.uniform()
@@ -449,6 +528,7 @@ def _run_mix_linearity(cell: Cell, t: int) -> Terms:
 
 @_per_trial
 def _run_pure_phase_classes(cell: Cell, t: int) -> Terms:
+    """Keeps its loop: each state is certified by the one-matrix DensityOperator constructor."""
     psi = random_unit_vector(cell.dim, cell.algebra, cell.rng)
     q = random_phase(cell.algebra, cell.rng)
     T0 = gl.pure_state(psi)
@@ -465,6 +545,7 @@ def _run_dim2_obstruction(cell: Cell) -> float:
 
 @_per_trial
 def _run_pvm_partition(cell: Cell, t: int) -> Terms:
+    """Keeps its loop: the atoms come from per-matrix eigenvector grouping, and their number differs by trial."""
     pvm = qm.pvm_of(qm.Observable(random_hermitian(cell.dim, cell.algebra, cell.rng)))
     return [(pvm.total() - Matrix.identity(cell.dim, cell.algebra)).max_abs()] + [
         (P1.matrix @ P2.matrix).max_abs() for s1, P1 in pvm.atoms for s2, P2 in pvm.atoms if s1 != s2
@@ -473,6 +554,7 @@ def _run_pvm_partition(cell: Cell, t: int) -> Terms:
 
 @_per_trial
 def _run_functional_calculus(cell: Cell, t: int) -> Terms:
+    """Keeps its loop: the atoms come from per-matrix eigenvector grouping."""
     A = qm.Observable(random_hermitian(cell.dim, cell.algebra, cell.rng))
     scale = max(1.0, A.matrix.max_abs() ** 2)
     identity_gap = (qm.apply_function(A, lambda x: x).matrix - A.matrix).max_abs()
@@ -482,6 +564,7 @@ def _run_functional_calculus(cell: Cell, t: int) -> Terms:
 
 @_per_trial
 def _run_expectation_duality(cell: Cell, t: int) -> Terms:
+    """Keeps its loop: random_density draws uniform weights, and the atoms come from eigenvector grouping."""
     A = qm.Observable(random_hermitian(cell.dim, cell.algebra, cell.rng))
     T = gl.random_density(cell.dim, cell.algebra, cell.rng)
     dist = qm.outcome_measure(A, T)
@@ -492,6 +575,7 @@ def _run_expectation_duality(cell: Cell, t: int) -> Terms:
 
 @_per_trial
 def _run_pure_state_reduction(cell: Cell, t: int) -> Terms:
+    """Keeps its loop: the atoms come from per-matrix eigenvector grouping, and their number differs by trial."""
     A = qm.Observable(random_hermitian(cell.dim, cell.algebra, cell.rng))
     psi = random_unit_vector(cell.dim, cell.algebra, cell.rng)
     T = gl.pure_state(psi)
@@ -500,17 +584,20 @@ def _run_pure_state_reduction(cell: Cell, t: int) -> Terms:
     return terms + [abs(qm.expectation(A, T) - inner(psi, A.matrix @ psi).real)]
 
 
-@_per_trial
-def _run_symmetry_duality(cell: Cell, t: int) -> Terms:
-    A = random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
-    B = random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
-    U = random_unitary(cell.dim, cell.algebra, cell.rng)
-    sym = qm.SymmetryOp(U, antiunitary=cell.algebra is Algebra.C and t % 2 == 1)
-    return (qm.symmetry_duality_gap(A, B, sym) / (1.0 + tr.trace_norm(A) * sp.op_norm(B)),)
+@_stacked
+def _run_symmetry_duality(cell: Cell, ts: np.ndarray) -> np.ndarray:
+    # over C the odd trials are anti-unitary
+    A, B, G = _draw(cell, ts.size, 3)
+    U = _unitaries(G, cell.algebra, cell.rng)
+    qm._check_unitaries(U, cell.algebra)
+    anti = (cell.algebra is Algebra.C) & (ts % 2 == 1)
+    gap = qm._duality_gaps(A, B, U, anti, cell.algebra)
+    return (gap / (1.0 + tr._trace_norms(A, cell.algebra) * sp._op_norms(B, cell.algebra)))[:, None]
 
 
 @_per_trial
 def _run_state_conjugation(cell: Cell, t: int) -> Terms:
+    """Keeps its loop: random_density draws uniform weights between the Gaussians."""
     T = gl.random_density(cell.dim, cell.algebra, cell.rng)
     U = random_unitary(cell.dim, cell.algebra, cell.rng)
     return (abs(tr.real_trace(qm.conjugate_state(qm.SymmetryOp(U), T).matrix) - 1.0),)

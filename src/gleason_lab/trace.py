@@ -13,6 +13,13 @@ product.  :func:`real_pairing` is its one-matrix case, and the lattice
 measure of a state in :mod:`gleason_lab.gleason` reads a probe stack with it.
 Its sums of real parts, :func:`_real_sums`, also read the sampled orbits of
 :func:`gleason_lab.quantum.continuity_scan`.
+
+The real trace, the basis trace, the trace norm, the absolute diagonal sum,
+the norm inequalities, the cyclicity gap and the realification check each
+run over a stack of matrices with leading axes (``_real_traces``,
+``_traces``, ``_trace_norms`` and so on), and each public function is the
+one-matrix case of its stack form, bit for bit: the suite runs a cell's
+trials through the stack forms.
 """
 
 from __future__ import annotations
@@ -21,15 +28,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .kernels import HAMILTON
-from .linalg import Matrix, _check_same_algebra, _conj_comps, _mul_comps
+from .linalg import Matrix, _adjoint_comps, _check_same_algebra, _conj_comps, _mul_comps
 from .scalars import Algebra, Quaternion
-from .spectral import _skew_polar, adapted_basis, op_norm, singular_values
+from .spectral import _op_norms, _singular_values, _skew_polar, adapted_basis, op_norm, singular_values
 
 
-def _diagonal(A: Matrix, basis: Matrix) -> np.ndarray:
-    """Components (basis.m, 4) of <u|Au> for every column u of the basis, in order."""
-    return _mul_comps(_conj_comps(basis.comps), (A @ basis).comps).sum(axis=0)
+def _diagonal(a: np.ndarray, basis: np.ndarray, algebra: Algebra) -> np.ndarray:
+    """Components (..., m, 4) of <u|Au> for every column u of the basis, in
+    order, for every pair of a stack of operators and bases (..., n, m, 4)."""
+    prod = kernels.quat_matmul(a, basis, algebra.component_count)
+    return _mul_comps(_conj_comps(basis), prod).sum(axis=-3)
+
+
+def _traces(a: np.ndarray, basis: np.ndarray, algebra: Algebra) -> np.ndarray:
+    """Components (..., 4) of the basis trace of every pair of a stack; see :func:`trace_n`."""
+    return _diagonal(a, basis, algebra).sum(axis=-2)
 
 
 def trace_n(A: Matrix, basis: Matrix) -> Quaternion:
@@ -38,15 +53,25 @@ def trace_n(A: Matrix, basis: Matrix) -> Quaternion:
         raise ValueError("trace needs a square matrix")
     if basis.m != A.n:
         raise ValueError(f"basis has {basis.m} vectors, space dimension is {A.n}")
-    return Quaternion.from_array(_diagonal(A, basis).sum(axis=0))
+    return Quaternion.from_array(_traces(A.comps, basis.comps, _check_same_algebra(A, basis)))
+
+
+def _real_traces(c: np.ndarray) -> np.ndarray:
+    """The diagonal sum of components 0 of every matrix of a (..., n, n, 4) stack.
+
+    Each sum runs over a strided view of one diagonal, in the order numpy sums
+    a lone diagonal.  Fancy indexing would hand a stack's diagonals over
+    transposed, and numpy would then add them column by column: from n = 8
+    on, where a lone sum is pairwise, the last bits would differ.
+    """
+    return np.diagonal(c[..., 0], axis1=-2, axis2=-1).sum(axis=-1)
 
 
 def real_trace(A: Matrix) -> float:
     """Re tr_N(A) for any basis N; the standard basis gives the diagonal sum."""
     if not A.is_square:
         raise ValueError("trace needs a square matrix")
-    n = A.n
-    return float(A.comps[np.arange(n), np.arange(n), 0].sum())
+    return float(_real_traces(A.comps))
 
 
 def _real_pairings(stack: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -83,16 +108,26 @@ def real_pairing(A: Matrix, B: Matrix) -> float:
     return float(_real_pairings(A.comps[None], B.comps)[0])
 
 
+def _trace_norms(c: np.ndarray, algebra: Algebra) -> np.ndarray:
+    """Trace norm of every matrix of a stack; see :func:`trace_norm`."""
+    return _singular_values(c, algebra).sum(axis=-1)
+
+
 def trace_norm(A: Matrix) -> float:
     """Sum of singular values; equals sum_{u in M} <u| |A| u> for every basis M."""
     if not A.is_square:
         raise ValueError("trace norm needs a square matrix")
-    return float(singular_values(A).sum())
+    return float(_trace_norms(A.comps, A.algebra))
+
+
+def _absolute_diagonal_sums(a: np.ndarray, basis: np.ndarray, algebra: Algebra) -> np.ndarray:
+    """:func:`absolute_diagonal_sum` of every pair of a stack of operators and bases."""
+    return np.sqrt((_diagonal(a, basis, algebra) ** 2).sum(axis=-1)).sum(axis=-1)
 
 
 def absolute_diagonal_sum(A: Matrix, basis: Matrix) -> float:
     """sum_{u in N} |<u|Au>|, the quantity bounded by the trace norm over C and H."""
-    return float(np.sqrt((_diagonal(A, basis) ** 2).sum(axis=1)).sum())
+    return float(_absolute_diagonal_sums(A.comps, basis.comps, _check_same_algebra(A, basis)))
 
 
 @dataclass(frozen=True)
@@ -109,28 +144,53 @@ class NormInequalityReport:
     op_vs_trace_slack: float
 
 
+def _norm_report(a1, b_op, adjoint_sigmas, ab1, ba1) -> NormInequalityReport:
+    """The slacks from ||A||_1, ||B||, the singular values of A*, ||AB||_1 and
+    ||BA||_1: floats for one pair, arrays over a stack of pairs."""
+    scale = np.maximum(1.0, a1 * np.maximum(1.0, b_op))
+    return NormInequalityReport(
+        slack_ab=(a1 * b_op - ab1) / scale,
+        slack_ba=(a1 * b_op - ba1) / scale,
+        adjoint_gap=(adjoint_sigmas.sum(axis=-1) - a1) / np.maximum(1.0, a1),
+        op_vs_trace_slack=(a1 - adjoint_sigmas.max(axis=-1, initial=0.0)) / np.maximum(1.0, a1),
+    )
+
+
+def _norm_inequalities(a: np.ndarray, b: np.ndarray, algebra: Algebra) -> NormInequalityReport:
+    """The report of :func:`check_norm_inequalities` for every pair of a stack
+    of square operators, each slack an array over the stack."""
+    count = algebra.component_count
+    a1 = _trace_norms(a, algebra)
+    b_op = _op_norms(b, algebra)
+    adjoint_sigmas = _singular_values(_adjoint_comps(a), algebra)
+    ab1 = _trace_norms(kernels.quat_matmul(a, b, count), algebra)
+    return _norm_report(a1, b_op, adjoint_sigmas, ab1, _trace_norms(kernels.quat_matmul(b, a, count), algebra))
+
+
 def check_norm_inequalities(A: Matrix, B: Matrix) -> NormInequalityReport:
     """||AB||_1 <= ||A||_1 ||B||, ||BA||_1 <= ||A||_1 ||B||, ||A||_1 = ||A*||_1,
     ||A|| <= ||A||_1.
 
     ||A*||_1 and ||A|| = ||A*|| both come from the singular values of A*, one
-    solve of A A*, so the check makes five eigensolves.
+    solve of A A*, so the check makes five eigensolves.  The one-pair case of
+    :func:`_norm_inequalities`, read through the one-matrix norms.
     """
     a1 = trace_norm(A)
     b_op = op_norm(B)
-    scale = max(1.0, a1 * max(1.0, b_op))
     adjoint_sigmas = singular_values(A.adjoint())
-    return NormInequalityReport(
-        slack_ab=(a1 * b_op - trace_norm(A @ B)) / scale,
-        slack_ba=(a1 * b_op - trace_norm(B @ A)) / scale,
-        adjoint_gap=(float(adjoint_sigmas.sum()) - a1) / max(1.0, a1),
-        op_vs_trace_slack=(a1 - float(adjoint_sigmas.max(initial=0.0))) / max(1.0, a1),
-    )
+    report = _norm_report(a1, b_op, adjoint_sigmas, trace_norm(A @ B), trace_norm(B @ A))
+    return NormInequalityReport(**{k: float(v) for k, v in vars(report).items()})
+
+
+def _cyclic_gaps(a: np.ndarray, b: np.ndarray, algebra: Algebra) -> np.ndarray:
+    """:func:`real_trace_cyclic_gap` of every pair of a stack."""
+    count = algebra.component_count
+    return np.abs(_real_traces(kernels.quat_matmul(a, b, count)) - _real_traces(kernels.quat_matmul(b, a, count)))
 
 
 def real_trace_cyclic_gap(A: Matrix, B: Matrix) -> float:
     """|Re tr(AB) - Re tr(BA)|; vanishes in all three algebras."""
-    return abs(real_trace(A @ B) - real_trace(B @ A))
+    return float(_cyclic_gaps(A.comps, B.comps, _check_same_algebra(A, B)))
 
 
 def full_trace_cyclic_gap(A: Matrix, B: Matrix, basis: Matrix | None = None) -> float:
@@ -176,6 +236,16 @@ def quaternionic_trace_formula_check(A: Matrix, imag_unit: Quaternion) -> Adapte
 # realification: the same space viewed as a real Hilbert space of dimension 4n
 # ---------------------------------------------------------------------------
 
+def _realify(c: np.ndarray) -> np.ndarray:
+    """Components of the real 4n x 4m matrix of every quaternionic matrix of a
+    (..., n, m, 4) stack; see :func:`realify`."""
+    lead = c.shape[:-3]
+    n, m = c.shape[-3], c.shape[-2]
+    out = np.zeros(lead + (4 * n, 4 * m, 4))
+    out[..., 0] = np.einsum("...rca,afe->...recf", c, HAMILTON).reshape(lead + (4 * n, 4 * m))
+    return out
+
+
 def realify(A: Matrix) -> Matrix:
     """Real 4n x 4n matrix of a quaternionic operator on the realified space.
 
@@ -186,14 +256,14 @@ def realify(A: Matrix) -> Matrix:
     """
     if A.algebra is not Algebra.H:
         raise ValueError("realification applies to quaternionic matrices")
-    n, m = A.n, A.m
-    out = np.zeros((4 * n, 4 * m, 4))
-    out[..., 0] = np.einsum("rca,afe->recf", A.comps, HAMILTON).reshape(4 * n, 4 * m)
-    return Matrix(Algebra.R, out)
+    return Matrix(Algebra.R, _realify(A.comps))
 
 
 @dataclass(frozen=True)
 class RealificationCheck:
+    """Both sides of the quarter identities: floats for one matrix, arrays
+    over a stack."""
+
     trace_norm_h: float
     trace_norm_real: float
     real_trace_h: float
@@ -208,14 +278,25 @@ class RealificationCheck:
         return abs(self.real_trace_h - self.trace_real / 4.0)
 
 
+def _realification_checks(c: np.ndarray) -> RealificationCheck:
+    """The check of :func:`realification_check` for every matrix of a stack of
+    square quaternionic matrices, each field an array over the stack."""
+    AR = _realify(c)
+    return RealificationCheck(
+        trace_norm_h=_trace_norms(c, Algebra.H),
+        trace_norm_real=_trace_norms(AR, Algebra.R),
+        real_trace_h=_real_traces(c),
+        trace_real=_real_traces(AR),
+    )
+
+
 def realification_check(A: Matrix) -> RealificationCheck:
     """Both quarter identities: ||A||_1 over H is a quarter of the realified
     trace norm, and Re tr(A) is a quarter of the realified trace."""
-    AR = realify(A)
-    return RealificationCheck(
-        trace_norm_h=trace_norm(A),
-        trace_norm_real=trace_norm(AR),
-        real_trace_h=real_trace(A),
-        trace_real=real_trace(AR),
-    )
+    if A.algebra is not Algebra.H:
+        raise ValueError("realification applies to quaternionic matrices")
+    if not A.is_square:
+        raise ValueError("trace norm needs a square matrix")
+    check = _realification_checks(A.comps)
+    return RealificationCheck(**{k: float(v) for k, v in vars(check).items()})
 

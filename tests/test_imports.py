@@ -1,5 +1,5 @@
-"""No module imports a name that it never uses, and the package has one
-vector type.
+"""No module imports a name that it never uses, the package has one
+vector type, and it calls no numpy function newer than its numpy floor.
 
 Every module of the package except ``__init__`` (whose imports are the public
 API) and every test module is parsed with ``ast``.  Each name an import binds
@@ -10,6 +10,10 @@ A vector is an n x 1 ``Matrix``.  No module of the package, ``__init__``
 included, may import, read or bind the name ``Vector``; the retired class's
 own definition in ``linalg`` is a class statement, not a name, and stays until
 the benchmark stops binding its methods (ROADMAP item 1).
+
+``pyproject.toml`` declares ``numpy>=1.24``, so no module of the package may
+read ``matvec``, ``vecmat`` or ``vecdot`` (numpy 2.0 and 2.2) as an attribute
+or import them; a stack's matrix-vector product is ``A @ x[..., None]``.
 """
 
 import ast
@@ -76,3 +80,25 @@ def test_no_module_uses_a_second_vector_type(path):
     module = str(path.relative_to(ROOT))
     lines = _vector_uses(path)
     assert lines == [], f"{module} uses Vector on lines {lines}; a vector is an n x 1 Matrix"
+
+
+# numpy functions newer than the declared floor, numpy>=1.24
+_TOO_NEW = {"matvec", "vecmat", "vecdot"}
+
+
+def _too_new_uses(path: Path) -> list[tuple[str, int]]:
+    """(name, line) of every read or import of a numpy function newer than the floor."""
+    uses = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Attribute) and node.attr in _TOO_NEW:
+            uses.append((node.attr, node.lineno))
+        elif isinstance(node, ast.ImportFrom):
+            uses += [(alias.name, node.lineno) for alias in node.names if alias.name in _TOO_NEW]
+    return sorted(uses)
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_module_calls_numpy_beyond_its_floor(path):
+    module = str(path.relative_to(ROOT))
+    uses = _too_new_uses(path)
+    assert uses == [], f"{module} uses numpy functions newer than numpy 1.24: {uses}"

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from gleason_lab import gleason, kernels, linalg
+from gleason_lab import gleason, kernels, linalg, trace
 from gleason_lab.linalg import Matrix, _mul_comps
 from gleason_lab.scalars import as_quaternion
 from gleason_lab.suite import RunConfig, run_suite
@@ -74,6 +74,25 @@ def _polarization_weight_doubled(monkeypatch):
     monkeypatch.setattr(gleason, "_POLAR_WEIGHT", 2.0 * gleason._POLAR_WEIGHT)
 
 
+def _real_trace_reading_component_1(monkeypatch):
+    def imaginary_trace(c):  # the i-part of the diagonal in place of the real part
+        return np.diagonal(c[..., 1], axis1=-2, axis2=-1).sum(axis=-1)
+
+    _patch_every_binding(monkeypatch, trace._real_traces, imaginary_trace)
+
+
+def _orthonormalize_skipping_renormalization(monkeypatch):
+    build = linalg._orthonormalize
+
+    def unnormalized(W, tol, limit=None):  # each kept column comes back at its residual norm
+        Q, residuals = build(W, tol, limit)
+        kept = residuals > np.asarray(tol)[..., None]
+        columns = kept.reshape(-1, kept.shape[-1]).any(axis=0)
+        return Q * np.where(kept, residuals, 1.0)[..., columns][..., None, :, None], residuals
+
+    _patch_every_binding(monkeypatch, build, unnormalized)
+
+
 MUTANTS = {
     "scale_right_on_the_left": _scale_right_on_the_left,
     "hamilton_sign_flipped": _hamilton_sign_flipped,
@@ -81,6 +100,8 @@ MUTANTS = {
     "conjugate_keeping_i_in_linalg": _conjugate_keeping_i,
     "line_projectors_j_part_negated": _line_projectors_with_the_j_part_negated,
     "polarization_weight_doubled": _polarization_weight_doubled,
+    "real_trace_reading_component_1": _real_trace_reading_component_1,
+    "orthonormalize_skipping_renormalization": _orthonormalize_skipping_renormalization,
 }
 
 

@@ -176,7 +176,7 @@ class TestEigHermitian:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
     def test_simple_pairs_lift_as_the_per_group_gram_schmidt_does(self, n, monkeypatch):
         A = random_hermitian(n, Algebra.H, SplitMix64(1300 + n))
-        w, V = spectral._solve(A, vectors=True)
+        w, V = spectral._solve(A.comps, A.algebra, vectors=True)
         lifted = np.stack([V[:n].real, V[:n].imag, -V[n:].real, V[n:].imag], axis=-1)
         reference = np.concatenate(
             [linalg._orthonormalize(lifted[:, 2 * a : 2 * a + 2], 1e-6, limit=1)[0] for a in range(n)], axis=1

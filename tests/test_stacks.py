@@ -1,0 +1,398 @@
+"""The stack is the one implementation: a stack of matrices gives, matrix by
+matrix, the bits that each matrix gives alone.
+
+Every stacked suite runner is checked against a per-trial reference, its form
+before it ran the trials as one stack, written with the one-matrix public
+functions: the terms agree bit for bit, and so do the stream positions that
+both leave behind.  The stacked kernels are checked against per-matrix calls,
+the guards over a stack against the one-matrix messages, and the chunking of
+the trial axis against the orbit chunk budget.
+"""
+
+import numpy as np
+import pytest
+
+from gleason_lab import kernels, quantum, spectral, suite, trace
+from gleason_lab.errors import DegenerateInput, NotHermitian, NotUnitary
+from gleason_lab.linalg import (
+    Matrix,
+    _gram_schmidt,
+    _orthonormalize,
+    _unitaries,
+    gram_schmidt,
+    random_hermitian,
+    random_matrix,
+    random_unitaries,
+    random_unitary,
+)
+from gleason_lab.quantum import SymmetryOp, symmetry_duality_gap
+from gleason_lab.rng import SplitMix64
+from gleason_lab.scalars import Algebra
+from gleason_lab.spectral import eigvals_hermitian, op_norm
+from gleason_lab.suite import REGISTRY, Cell
+from gleason_lab.trace import (
+    absolute_diagonal_sum,
+    check_norm_inequalities,
+    real_trace,
+    real_trace_cyclic_gap,
+    realification_check,
+    trace_n,
+    trace_norm,
+)
+
+from conftest import ALGEBRAS
+
+RUNNERS = {prop.name: prop for prop in REGISTRY}
+
+
+# ---------------------------------------------------------------------------
+# per-trial references: trial t of cell, drawn from cell.rng one draw at a time
+# ---------------------------------------------------------------------------
+
+def _draw_matrix(cell):
+    return random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
+
+
+def _draw_unitary(cell):
+    return random_unitary(cell.dim, cell.algebra, cell.rng)
+
+
+def _basis_invariance(draw):
+    def trial(cell, t):
+        A = draw(cell)
+        t0 = trace_n(A, _draw_unitary(cell))
+        t1 = trace_n(A, _draw_unitary(cell))
+        return [abs(t0 - t1)]
+
+    return trial
+
+
+def _real_basis_invariance(cell, t):
+    A = _draw_matrix(cell)
+    base = real_trace(A)
+    return [abs(trace_n(A, _draw_unitary(cell)).real - base) for _ in range(3)]
+
+
+def _real_cyclicity(cell, t):
+    A, B = _draw_matrix(cell), _draw_matrix(cell)
+    return [real_trace_cyclic_gap(A, B) / (1.0 + trace_norm(A) * op_norm(B))]
+
+
+def _norm_inequalities(cell, t):
+    rep = check_norm_inequalities(_draw_matrix(cell), _draw_matrix(cell))
+    return [-rep.slack_ab, -rep.slack_ba, abs(rep.adjoint_gap), -rep.op_vs_trace_slack]
+
+
+def _linearity_star(cell, t):
+    A, B = _draw_matrix(cell), _draw_matrix(cell)
+    a, b = cell.rng.gaussian(), cell.rng.gaussian()
+    lin = real_trace(A * a + B * b) - a * real_trace(A) - b * real_trace(B)
+    return [abs(lin), abs(real_trace(A.adjoint()) - real_trace(A))]
+
+
+def _positivity_monotonicity(cell, t):
+    C, D = _draw_matrix(cell), _draw_matrix(cell)
+    B = random_hermitian(cell.dim, cell.algebra, cell.rng)
+    A = B + D.adjoint() @ D
+    return [-real_trace(C.adjoint() @ C), real_trace(B) - real_trace(A)]
+
+
+def _absolute_sum_bound(cell, t):
+    A = _draw_matrix(cell)
+    bound = trace_norm(A)
+    return [(absolute_diagonal_sum(A, _draw_unitary(cell)) - bound) / max(1.0, bound) for _ in range(3)]
+
+
+def _realification_quarter(cell, t):
+    check = realification_check(_draw_matrix(cell))
+    scale = 1.0 + check.trace_norm_h
+    return [check.trace_norm_gap / scale, check.trace_gap / scale]
+
+
+def _symmetry_duality(cell, t):
+    A, B = _draw_matrix(cell), _draw_matrix(cell)
+    sym = SymmetryOp(_draw_unitary(cell), antiunitary=cell.algebra is Algebra.C and t % 2 == 1)
+    return [symmetry_duality_gap(A, B, sym) / (1.0 + trace_norm(A) * op_norm(B))]
+
+
+REFERENCES = {
+    "trace.basis_invariance_rc": _basis_invariance(_draw_matrix),
+    "trace.hermitian_basis_invariance_h": _basis_invariance(
+        lambda cell: random_hermitian(cell.dim, cell.algebra, cell.rng)),
+    "trace.real_basis_invariance": _real_basis_invariance,
+    "trace.real_cyclicity": _real_cyclicity,
+    "trace.norm_inequalities": _norm_inequalities,
+    "trace.linearity_star": _linearity_star,
+    "trace.positivity_monotonicity": _positivity_monotonicity,
+    "trace.absolute_sum_bound": _absolute_sum_bound,
+    "trace.realification_quarter": _realification_quarter,
+    "quantum.symmetry_duality": _symmetry_duality,
+}
+
+
+def test_the_references_name_exactly_the_stacked_runners():
+    stacked = {prop.name for prop in REGISTRY if hasattr(prop.runner, "block")}
+    assert stacked == set(REFERENCES)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 17, 33])
+@pytest.mark.parametrize("name", sorted(REFERENCES))
+def test_stacked_runner_matches_its_per_trial_reference_bit_for_bit(name, n):
+    prop = RUNNERS[name]
+    trials = 3  # odd trials are anti-unitary over C
+    for letter in prop.algebras:
+        algebra = Algebra.from_letter(letter)
+        for seed in (0, 1, 2):
+            rng = SplitMix64(seed).derive(name, letter, n)
+            ref = SplitMix64(seed).derive(name, letter, n)
+            got = prop.runner.block(Cell(algebra, n, rng, trials), np.arange(trials))
+            cell = Cell(algebra, n, ref, trials)
+            want = np.array([term for t in range(trials) for term in REFERENCES[name](cell, t)])
+            assert got.shape[0] == trials
+            assert got.ravel().tobytes() == want.tobytes(), (letter, seed)
+            assert (rng._pos, rng._spare_gauss) == (ref._pos, ref._spare_gauss)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCES))
+def test_stacked_residual_is_the_worst_reference_term(name):
+    prop = RUNNERS[name]
+    letter = prop.algebras[-1]
+    algebra = Algebra.from_letter(letter)
+    rng = SplitMix64(7).derive(name, letter, 3)
+    ref = Cell(algebra, 3, SplitMix64(7).derive(name, letter, 3), 5)
+    want = suite._worst(term for t in range(5) for term in REFERENCES[name](ref, t))
+    assert prop.runner(Cell(algebra, 3, rng, 5)) == want
+
+
+def test_every_runner_that_keeps_its_loop_says_why():
+    for prop in REGISTRY:
+        trial = getattr(prop.runner, "trial", None)
+        if trial is None:
+            continue
+        doc = (trial.__doc__ or "").strip()
+        assert doc.startswith("Keeps its loop: ") and "\n" not in doc, prop.name
+
+
+# ---------------------------------------------------------------------------
+# stacked kernels against per-matrix calls
+# ---------------------------------------------------------------------------
+
+def _stack(T, shape, algebra, seed):
+    rng = SplitMix64(seed)
+    return np.stack([random_matrix(*shape, algebra, rng).comps for _ in range(T)])
+
+
+def _hermitian_stack(T, n, algebra, seed):
+    rng = SplitMix64(seed)
+    return np.stack([random_hermitian(n, algebra, rng).comps for _ in range(T)])
+
+
+def _same(stacked, per_matrix) -> bool:
+    return stacked.tobytes() == np.stack(per_matrix).tobytes()
+
+
+@pytest.mark.parametrize("T", [1, 3, 10])
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+@pytest.mark.parametrize("n, k, m", [(2, 2, 2), (3, 3, 3), (5, 4, 2), (17, 17, 17)])
+def test_stacked_quat_matmul_is_the_per_matrix_product(T, algebra, n, k, m):
+    A, B = _stack(T, (n, k), algebra, 1), _stack(T, (k, m), algebra, 2)
+    count = algebra.component_count
+    assert _same(kernels.quat_matmul(A, B, count), [kernels.quat_matmul(a, b, count) for a, b in zip(A, B)])
+    # a shared factor, on either side, broadcasts over the stack
+    assert _same(kernels.quat_matmul(A, B[0], count), [kernels.quat_matmul(a, B[0], count) for a in A])
+    assert _same(kernels.quat_matmul(A[0], B, count), [kernels.quat_matmul(A[0], b, count) for b in B])
+
+
+@pytest.mark.parametrize("T", [1, 3, 10])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 17])
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("vectors", [False, True], ids=["values", "vectors"])
+def test_stacked_kernel_eigh_is_the_per_matrix_solve(T, n, complex_, vectors):
+    c = _hermitian_stack(T, n, Algebra.C if complex_ else Algebra.R, 3)
+    X = c[..., 0] + 1j * c[..., 1] if complex_ else np.ascontiguousarray(c[..., 0])
+    w, V = kernels.eigh(X, vectors=vectors)
+    per = [kernels.eigh(x, vectors=vectors) for x in X]
+    assert _same(w, [p[0] for p in per])
+    assert V is None if not vectors else _same(V, [p[1] for p in per])
+
+
+@pytest.mark.parametrize("T", [1, 3, 10])
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+@pytest.mark.parametrize("n", [1, 3, 8, 17])
+@pytest.mark.parametrize("vectors", [False, True], ids=["values", "vectors"])
+def test_stacked_solve_is_the_per_matrix_solve(T, algebra, n, vectors):
+    c = _hermitian_stack(T, n, algebra, 4)
+    w, V = spectral._solve(c, algebra, vectors)
+    per = [spectral._solve(one, algebra, vectors) for one in c]
+    assert _same(w, [p[0] for p in per])
+    assert V is None if not vectors else _same(V, [p[1] for p in per])
+
+
+@pytest.mark.parametrize("T", [1, 3, 10])
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+@pytest.mark.parametrize("n, m", [(1, 1), (3, 3), (5, 3), (8, 8), (17, 17)])
+def test_stacked_orthonormalize_is_the_per_matrix_gram_schmidt(T, algebra, n, m):
+    W = _stack(T, (n, m), algebra, 5)
+    Q, residuals = _orthonormalize(W, 1e-10)
+    per = [_orthonormalize(w, 1e-10) for w in W]
+    assert _same(Q, [p[0] for p in per]) and _same(residuals, [p[1] for p in per])
+    assert _same(_gram_schmidt(W), [gram_schmidt(Matrix(algebra, w)).comps for w in W])
+
+
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 17, 33])
+def test_stacked_real_trace_sums_each_diagonal_as_alone(algebra, n):
+    # a diagonal taken by fancy indexing comes back transposed, and numpy then
+    # sums a stack column by column: from n = 8 on, the bits move
+    c = _stack(10, (n, n), algebra, 6)
+    assert trace._real_traces(c).tobytes() == np.array([real_trace(Matrix(algebra, one)) for one in c]).tobytes()
+
+
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+def test_stacked_norms_and_traces_are_the_per_matrix_values(algebra):
+    A, U = _stack(10, (5, 5), algebra, 7), random_unitaries(5, 10, algebra, SplitMix64(8))
+    matrices = [Matrix(algebra, a) for a in A]
+    assert _same(trace._trace_norms(A, algebra), [trace_norm(M) for M in matrices])
+    assert _same(spectral._op_norms(A, algebra), [op_norm(M) for M in matrices])
+    assert _same(trace._traces(A, U, algebra), [trace_n(M, Matrix(algebra, u)).to_array() for M, u in zip(matrices, U)])
+    assert _same(trace._absolute_diagonal_sums(A, U, algebra),
+                 [absolute_diagonal_sum(M, Matrix(algebra, u)) for M, u in zip(matrices, U)])
+
+
+def test_random_unitary_is_the_one_draw_case_of_random_unitaries():
+    for algebra in ALGEBRAS:
+        rng, ref = SplitMix64(9), SplitMix64(9)
+        stack = random_unitaries(3, 4, algebra, rng)
+        assert _same(stack, [random_unitary(3, algebra, ref).comps for _ in range(4)])
+        assert (rng._pos, rng._spare_gauss) == (ref._pos, ref._spare_gauss)
+
+
+# ---------------------------------------------------------------------------
+# guards over a stack: the one-matrix error and message, for the lowest failing matrix
+# ---------------------------------------------------------------------------
+
+def _message(call, error) -> str:
+    with pytest.raises(error) as raised:
+        call()
+    return str(raised.value)
+
+
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+def test_a_non_finite_entry_names_the_lowest_failing_matrix(algebra):
+    c = _hermitian_stack(5, 3, algebra, 10)
+    c[3, 1, 2, 0] = np.nan
+    c[4, 0, 0, 0] = np.inf
+    alone = _message(lambda: eigvals_hermitian(Matrix(algebra, c[3])), NotHermitian)
+    assert _message(lambda: spectral._eigvals(c, algebra), NotHermitian) == f"{alone} (stack entry 3)"
+    assert _message(lambda: spectral._gram(c, algebra), NotHermitian) == f"{alone} (stack entry 3)"
+
+
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+def test_a_non_hermitian_gram_names_the_lowest_failing_matrix(algebra):
+    A = _stack(4, (3, 3), algebra, 11)
+    gram = spectral._gram(A, algebra)
+    gram[2, 0, 1, 0] += 1.0
+    alone = _message(lambda: eigvals_hermitian(Matrix(algebra, gram[2])), NotHermitian)
+    assert alone.startswith("|A - A*| / max(1, max|A_rc|) = ")
+    assert _message(lambda: spectral._eigvals(gram, algebra), NotHermitian) == f"{alone} (stack entry 2)"
+
+
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+def test_dependent_gram_schmidt_columns_name_the_lowest_failing_matrix(algebra):
+    W = _stack(4, (3, 3), algebra, 12)
+    W[1, :, 2] = 2.0 * W[1, :, 0]
+    W[3, :, 1] = W[3, :, 0]
+    alone = _message(lambda: gram_schmidt(Matrix(algebra, W[1])), DegenerateInput)
+    assert alone.startswith("vector numerically dependent")
+    assert _message(lambda: _gram_schmidt(W), DegenerateInput) == f"{alone} (stack entry 1)"
+
+
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+def test_a_non_unitary_factor_names_the_lowest_failing_matrix(algebra):
+    U = random_unitaries(3, 4, algebra, SplitMix64(13))
+    U[2] *= 1.5
+    alone = _message(lambda: SymmetryOp(Matrix(algebra, U[2])), NotUnitary)
+    assert alone.startswith("U*U - I has magnitude")
+    assert _message(lambda: quantum._check_unitaries(U, algebra), NotUnitary) == f"{alone} (stack entry 2)"
+
+
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+def test_a_degenerate_draw_is_redrawn_after_the_block(algebra):
+    rng = SplitMix64(14)
+    G = np.stack([random_matrix(3, 3, algebra, rng).comps for _ in range(3)])
+    G[1] = 0.0  # Gram-Schmidt rejects a zero draw
+    ref = SplitMix64(14)
+    for _ in range(3):
+        random_matrix(3, 3, algebra, ref)
+    redraw = gram_schmidt(random_matrix(3, 3, algebra, ref)).comps
+    Q = _unitaries(G, algebra, rng)
+    assert Q[1].tobytes() == redraw.tobytes()
+    assert _same(Q[[0, 2]], [gram_schmidt(Matrix(algebra, G[t])).comps for t in (0, 2)])
+    assert (rng._pos, rng._spare_gauss) == (ref._pos, ref._spare_gauss)
+
+
+class _ZeroStream:
+    """A stream whose Gaussians are all zero, so that every draw is degenerate."""
+
+    def __init__(self):
+        self.blocks = 0
+
+    def gaussian_block(self, count):
+        self.blocks += 1
+        return np.zeros(count)
+
+
+@pytest.mark.parametrize("count", [None, 1, 3])
+def test_a_draw_degenerate_four_times_raises(count):
+    stream = _ZeroStream()
+    with pytest.raises(DegenerateInput, match="could not draw an invertible Gaussian matrix"):
+        if count is None:
+            random_unitary(3, Algebra.C, stream)
+        else:
+            random_unitaries(3, count, Algebra.C, stream)
+    # the block, then three redraws of the first degenerate draw
+    assert stream.blocks == 4
+
+
+# ---------------------------------------------------------------------------
+# the trial axis runs in chunks within the orbit chunk budget
+# ---------------------------------------------------------------------------
+
+def _spy_on_products(monkeypatch) -> list[int]:
+    """Entry counts of the stacked operands of every quat_matmul call."""
+    sizes = []
+    product = kernels.quat_matmul
+
+    def spy(A, B, component_count=4):
+        sizes.extend(X.size for X in (A, B) if X.ndim > 3 and X.shape[0] > 1)
+        return product(A, B, component_count)
+
+    monkeypatch.setattr(kernels, "quat_matmul", spy)
+    return sizes
+
+
+def test_no_stack_passes_the_chunk_budget_at_a_large_trial_count(monkeypatch):
+    # 120 trials of 68 x 68 realified matrices: two chunks, of 113 and 7 trials
+    sizes = _spy_on_products(monkeypatch)
+    prop = RUNNERS["trace.realification_quarter"]
+    rng, ref = SplitMix64(15), SplitMix64(15)
+    chunked = prop.runner(Cell(Algebra.H, 17, rng, 120))
+    assert sizes and max(sizes) <= quantum._ORBIT_CHUNK_ENTRIES
+    assert max(sizes) > quantum._ORBIT_CHUNK_ENTRIES // 2
+    whole = suite._worst(prop.runner.block(Cell(Algebra.H, 17, ref, 120), np.arange(120)).ravel())
+    assert chunked == whole and rng._pos == ref._pos
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCES))
+def test_chunked_trials_give_the_bits_of_one_stack(name, monkeypatch):
+    prop = RUNNERS[name]
+    letter = prop.algebras[-1]
+    algebra = Algebra.from_letter(letter)
+    rng, ref = SplitMix64(16).derive(name), SplitMix64(16).derive(name)
+    whole = prop.runner.block(Cell(algebra, 3, ref, 7), np.arange(7))
+    # a budget of 100 entries: chunks of two 3 x 3 trials, or one realified trial
+    monkeypatch.setattr(quantum, "_ORBIT_CHUNK_ENTRIES", 100)
+    sizes = _spy_on_products(monkeypatch)
+    chunked = prop.runner(Cell(algebra, 3, rng, 7))
+    assert all(size <= 100 for size in sizes)
+    assert chunked == suite._worst(whole.ravel()) and rng._pos == ref._pos

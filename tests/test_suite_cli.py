@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from gleason_lab import quantum, suite, trace
@@ -27,8 +28,9 @@ def _strict_loads(text):
     return json.loads(text, parse_constant=refuse)
 
 
-def _nan(*args, **kwargs):
-    return math.nan
+def _nan_stack(c, *args):
+    """NaN for every matrix of a (..., n, n, 4) stack."""
+    return np.full(c.shape[:-3], math.nan)
 
 
 def _small_cfg(**overrides):
@@ -186,9 +188,11 @@ class TestRunSuite:
             assert r.error == "non-finite residual: nan"
         _strict_loads(emit_report(report, "json"))
 
+    # the stacked runners read the stack kernels, of which real_trace and
+    # trace_norm are the one-matrix cases
     @pytest.mark.parametrize("name", ["trace.linearity_star", "trace.positivity_monotonicity"])
     def test_nan_real_trace_fails_its_claims(self, monkeypatch, name):
-        monkeypatch.setattr(trace, "real_trace", _nan)
+        monkeypatch.setattr(trace, "_real_traces", _nan_stack)
         self._assert_non_finite_failures(name, ("R", "C", "H"))
 
     @pytest.mark.parametrize("name, algebras", [
@@ -196,7 +200,7 @@ class TestRunSuite:
         ("trace.absolute_sum_bound", ("C", "H")),
     ])
     def test_nan_trace_norm_fails_its_claims(self, monkeypatch, name, algebras):
-        monkeypatch.setattr(trace, "trace_norm", _nan)
+        monkeypatch.setattr(trace, "_trace_norms", _nan_stack)
         self._assert_non_finite_failures(name, algebras)
 
     def test_worst_of_terms_starts_from_zero_and_keeps_nan(self):
