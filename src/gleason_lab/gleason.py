@@ -22,6 +22,14 @@ stack, so it checks the probe path rather than repeating it.  The dimension-2
 Bloch-cubic measure reads its stack projector by projector, and its
 certificate works on stacks too: the probe lines, their certified complements
 I - P and the fit error Re tr(P T) - mu(P), with no Projector object.
+
+States have stack forms with leading axes, and each public function is the
+one-matrix or one-draw case of its stack form: the state certificate
+:func:`_state_spectra` (:class:`DensityOperator`), the random mixtures
+:func:`_mixtures` (:func:`random_density`), the pure states
+:func:`_pure_states` (:func:`pure_state`) and the convex mixtures
+:func:`_convex_mixes` (:func:`convex_mix`).  The suite builds and certifies a
+cell's states with them at once.
 """
 
 from __future__ import annotations
@@ -32,16 +40,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import AlgebraMismatch, DegenerateInput, InvalidWeights, NotAFrameFunction, NotPositive
+from .errors import AlgebraMismatch, DegenerateInput, InvalidWeights, NotAFrameFunction, NotPositive, require
 from .linalg import (
     _PROJECTOR_TOL,
     Matrix,
     Projector,
     _certify_projectors,
+    _check_same_algebra,
     _conj_comps,
     _mul_comps,
+    _outer_sums,
     inner,  # re-exported: perfbench's tracer test checks this binding
-    outer,
     outer_sum,
     projector_onto,
     random_phases,
@@ -50,8 +59,8 @@ from .linalg import (
 )
 from .rng import SplitMix64
 from .scalars import Algebra, Quaternion
-from .spectral import EigenDecomposition, eig_hermitian, eigvals_hermitian
-from .trace import _real_pairings, real_trace
+from .spectral import EigenDecomposition, _eigvals, eig_hermitian
+from .trace import _real_pairings, _real_traces
 
 _STATE_TOL = 1e-8
 # f((e_k + e_l q)/sqrt2) = (T_kk + T_ll) * _POLAR_WEIGHT + Re(T_kl q): the squared
@@ -68,30 +77,40 @@ _POLAR_WEIGHT = 0.5
 _PROBE_CHUNK_ENTRIES = 1 << 15
 
 
+def _state_spectra(comps: np.ndarray, algebra: Algebra) -> np.ndarray:
+    """The spectra, sorted descending, of every matrix of a (..., n, n, 4) stack
+    after the state certificate: square, Hermitian (the eigensolver's own test,
+    :func:`~gleason_lab.spectral._eigvals`, which raises NotHermitian), no
+    eigenvalue below -1e-8 (NotPositive) and the real trace within 1e-8 of 1
+    (ValueError).  Over a stack each guard rejects the lowest matrix that fails
+    it, by the one-matrix message (:func:`gleason_lab.errors.require`)."""
+    if comps.shape[-3] != comps.shape[-2]:
+        raise ValueError("state matrix must be square")
+    values = _eigvals(comps, algebra)
+    low = values.min(axis=-1)
+    require(~(low < -_STATE_TOL), NotPositive, lambda i: f"state has eigenvalue {low[i]:.3e}")
+    tr = _real_traces(comps)
+    # NaN fails every comparison
+    require(np.abs(tr - 1.0) <= _STATE_TOL, ValueError,
+            lambda i: f"state trace {float(tr[i])} differs from 1 beyond {_STATE_TOL}")
+    return values
+
+
 class DensityOperator:
     """Hermitian positive operator with unit real trace (a quantum state).
 
     1e-8 bounds the negative eigenvalues and the trace error.  The Hermitian
     test is the eigensolver's own (:func:`eigvals_hermitian`: the ratio test of
-    :meth:`Matrix.is_hermitian` at 1e-8), which raises NotHermitian.
+    :meth:`Matrix.is_hermitian` at 1e-8), which raises NotHermitian.  The
+    one-matrix case of the stacked certificate :func:`_state_spectra`.
     """
 
     __slots__ = ("matrix", "eigenvalues", "_eigen")
 
     def __init__(self, matrix: Matrix):
-        if not matrix.is_square:
-            raise ValueError("state matrix must be square")
-        values = eigvals_hermitian(matrix)
-        low = float(values.min())
-        if low < -_STATE_TOL:
-            raise NotPositive(f"state has eigenvalue {low:.3e}")
-        tr = real_trace(matrix)
-        # NaN fails every comparison
-        if not (abs(tr - 1.0) <= _STATE_TOL):
-            raise ValueError(f"state trace {tr} differs from 1 beyond {_STATE_TOL}")
-        self.matrix = matrix
         #: spectrum, sorted descending
-        self.eigenvalues = values
+        self.eigenvalues = _state_spectra(matrix.comps, matrix.algebra)
+        self.matrix = matrix
         self._eigen = None
 
     @property
@@ -115,31 +134,48 @@ class DensityOperator:
         return f"DensityOperator({self.algebra.value}, n={self.n}, rank={self.rank()})"
 
 
+def _pure_states(psi: np.ndarray, count: int) -> np.ndarray:
+    """The matrices psi <psi|.> of every n x 1 column of a (..., n, 1, 4) stack,
+    each rescaled by its reciprocal norm when that is more than 1e-9 from 1; a
+    zero or non-finite column raises DegenerateInput, over a stack for the
+    lowest failing column.  The caller certifies the states."""
+    nrm = np.sqrt((psi**2).sum(axis=(-3, -2, -1)))
+    require((0.0 < nrm) & (nrm < math.inf), DegenerateInput,
+            lambda i: f"a pure state needs a nonzero finite vector, got norm {float(nrm[i])}")
+    off = np.abs(nrm - 1.0) > 1e-9
+    if off.any():
+        psi = np.where(off[..., None, None, None], psi * (1.0 / nrm)[..., None, None, None], psi)
+    return _outer_sums(psi, count)
+
+
 def pure_state(psi: Matrix) -> DensityOperator:
     """The rank-one state psi <psi|.> for a unit vector psi, an n x 1 column.
 
     Any other shape raises ValueError: the same sum over n columns would be a
-    mixed state.
+    mixed state.  The one-column case of :func:`_pure_states`.
     """
     if psi.m != 1:
         raise ValueError(f"a pure state needs an n x 1 column, got {psi.n}x{psi.m}")
-    nrm = psi.norm()
-    if not 0.0 < nrm < math.inf:
-        raise DegenerateInput(f"a pure state needs a nonzero finite vector, got norm {nrm}")
-    if abs(nrm - 1.0) > 1e-9:
-        psi = psi.scale_right(1.0 / nrm)
-    return DensityOperator(outer(psi, psi))
+    return DensityOperator(Matrix(psi.algebra, _pure_states(psi.comps, psi.algebra.component_count)))
+
+
+def _mixtures(U: np.ndarray, raw: np.ndarray, count: int) -> np.ndarray:
+    """sum_m w_m u_m u_m* over the first ``rank`` columns u_m of every unitary of a
+    (..., n, n, 4) stack, with the weights w = raw / sum(raw) of its row of
+    ``rank`` uniforms in ``raw`` (..., rank).  The caller certifies the states."""
+    rank = raw.shape[-1]
+    return _outer_sums(U[..., :rank, :], count, raw / raw.sum(axis=-1, keepdims=True))
 
 
 def random_density(n: int, algebra: Algebra, rng: SplitMix64, rank: int | None = None) -> DensityOperator:
-    """Random mixture of `rank` orthonormal pure states with uniform-simplex weights."""
+    """Random mixture of `rank` orthonormal pure states with uniform-simplex
+    weights: a :func:`random_unitary`, then ``rank`` uniforms.  The one-draw
+    case of :func:`_mixtures`."""
     rank = n if rank is None else rank
     if not 1 <= rank <= n:
         raise ValueError(f"rank must lie in 1..{n}")
     U = random_unitary(n, algebra, rng)
-    raw = rng.uniform_block(rank)
-    weights = raw / raw.sum()
-    return DensityOperator(outer_sum(Matrix(algebra, U.comps[:, :rank]), weights))
+    return DensityOperator(Matrix(algebra, _mixtures(U.comps, rng.uniform_block(rank), algebra.component_count)))
 
 
 # ---------------------------------------------------------------------------
@@ -307,17 +343,32 @@ def reconstruct_state(
 # convexity and extremality
 # ---------------------------------------------------------------------------
 
+def _convex_mixes(states: list[np.ndarray], weights) -> np.ndarray:
+    """sum_s w_s T_s, summed from zero in the order of s, for the S component
+    stacks T_s of shape (..., n, n, 4) and the (S, ...) weights.  The weights
+    of each mixture must be nonnegative (to -1e-12) and sum to 1 (to 1e-12),
+    else InvalidWeights, over a stack for the lowest failing mixture.  The
+    caller certifies the mixtures."""
+    w = np.asarray(weights, dtype=np.float64)
+    total = w.sum(axis=0)
+    # NaN fails every comparison
+    require((-1e-12 <= w.min(axis=0)) & (np.abs(total - 1.0) <= 1e-12), InvalidWeights,
+            lambda i: f"weights must be nonnegative and sum to 1, got sum {total[i]}")
+    acc = np.zeros(states[0].shape)
+    for state, wt in zip(states, w):
+        acc = acc + state * wt[..., None, None, None]
+    return acc
+
+
 def convex_mix(states: list[DensityOperator], weights: list[float]) -> DensityOperator:
+    """The certified mixture sum_s w_s T_s; the one-mixture case of :func:`_convex_mixes`."""
     if len(states) != len(weights) or not states:
         raise InvalidWeights("need one weight per state")
-    w = np.asarray(weights, dtype=np.float64)
-    # NaN fails every comparison
-    if not (-1e-12 <= w.min() and abs(w.sum() - 1.0) <= 1e-12):
-        raise InvalidWeights(f"weights must be nonnegative and sum to 1, got sum {w.sum()}")
-    acc = Matrix.zeros(states[0].n, states[0].n, states[0].algebra)
-    for state, wt in zip(states, w):
-        acc = acc + state.matrix * float(wt)
-    return DensityOperator(acc)
+    algebra = states[0].algebra
+    for state in states:
+        _check_same_algebra(states[0].matrix, state.matrix)
+    mixed = _convex_mixes([state.matrix.comps for state in states], weights)
+    return DensityOperator(Matrix(algebra, mixed))
 
 
 def is_extremal(state: DensityOperator) -> bool:

@@ -46,7 +46,10 @@ n > 90).
 Random instances share one Gaussian layout, :func:`_gaussian_comps`;
 :func:`random_unit_vectors` draws a block of unit vectors, and
 :func:`random_unit_vector` is its one-column case; :func:`random_phases` and
-:func:`random_phase` stand in the same relation.
+:func:`random_phase` stand in the same relation.  :func:`random_projector` is
+the one-draw case of :func:`_random_projectors`, which builds the projectors
+of one rank as one stack, and :class:`Projector` is the one-matrix case of the
+stacked certificate :func:`_check_projectors`.
 """
 
 from __future__ import annotations
@@ -329,21 +332,29 @@ def _orthonormality_defects(comps: np.ndarray, algebra: Algebra) -> np.ndarray:
     return _max_abs(gram)
 
 
+def _outer_sums(u: np.ndarray, count: int, coeffs=None, v: np.ndarray | None = None) -> np.ndarray:
+    """(U diag(q)) V* for every matrix of a (..., n, m, 4) stack of columns U
+    and V, V defaulting to U, with one product in the algebra of
+    ``count`` components.  ``coeffs`` is None (every q_m = 1), one real per
+    column (..., m), or one quaternion per column (..., m, 4)."""
+    v = u if v is None else v
+    if coeffs is not None:
+        q = np.asarray(coeffs, dtype=np.float64)
+        u = u * q[..., None, :, None] if q.ndim == u.ndim - 2 else _mul_comps(u, q[..., None, :, :])
+    return kernels.quat_matmul(u, _conj_comps(v).swapaxes(-3, -2), count)
+
+
 def outer_sum(U: Matrix, coeffs=None, V: Matrix | None = None) -> Matrix:
     """The operator x -> sum_m u_m q_m <v_m|x> over the columns of U and V.
 
     Computed as (U diag(q)) V* with one matrix product in the algebra.  V
     defaults to U; ``coeffs`` is None (every q_m = 1), one real per column, or
-    one quaternion per column as an (m, 4) component array.
+    one quaternion per column as an (m, 4) component array.  The one-matrix
+    case of :func:`_outer_sums`.
     """
     V = U if V is None else V
     algebra = _check_same_algebra(U, V)
-    uc = U.comps
-    if coeffs is not None:
-        q = np.asarray(coeffs, dtype=np.float64)
-        uc = uc * q[None, :, None] if q.ndim == 1 else _mul_comps(uc, q[None, :, :])
-    V_star = np.transpose(_conj_comps(V.comps), (1, 0, 2))
-    return Matrix(algebra, kernels.quat_matmul(uc, V_star, algebra.component_count))
+    return Matrix(algebra, _outer_sums(U.comps, algebra.component_count, coeffs, V.comps))
 
 
 def outer(u: Matrix, v: Matrix, coeff=None) -> Matrix:
@@ -453,21 +464,44 @@ def gram_schmidt(W: Matrix, *, drop: bool = False) -> Matrix:
 _PROJECTOR_TOL = 1e-8
 
 
+def _check_projectors(comps: np.ndarray, algebra: Algebra) -> None:
+    """The certificate of :class:`Projector` for every matrix of a (..., n, n, 4)
+    stack: square, finite, and P^2 - P and P - P* within 1e-8 relative to
+    max(1, max|P_rc|) (:func:`_certify_projectors`).  Over a stack each guard
+    rejects the lowest matrix that fails it, by the one-matrix message."""
+    if comps.shape[-3] != comps.shape[-2]:
+        raise ValueError("projector matrix must be square")
+    # the certificate rejects a non-finite entry too, but only after numpy
+    # has warned about the arithmetic on it
+    require(np.isfinite(comps).all(axis=(-3, -2, -1)), ValueError, "projector matrix has a non-finite entry")
+    idem = _max_abs(kernels.quat_matmul(comps, comps, algebra.component_count) - comps)
+    _certify_projectors(comps, idem, _PROJECTOR_TOL)
+
+
 class Projector:
-    """Orthogonal projector: PP = P and P* = P, checked on construction."""
+    """Orthogonal projector: PP = P and P* = P, checked on construction.
+
+    The one-matrix case of :func:`_check_projectors`; :meth:`of_stack` certifies
+    a whole stack of projectors at once.
+    """
 
     __slots__ = ("matrix",)
 
     def __init__(self, matrix: Matrix):
-        if not matrix.is_square:
-            raise ValueError("projector matrix must be square")
-        # the certificate rejects a non-finite entry too, but only after numpy
-        # has warned about the arithmetic on it
-        if not np.isfinite(matrix.comps).all():
-            raise ValueError("projector matrix has a non-finite entry")
-        idem = (matrix @ matrix - matrix).max_abs()
-        _certify_projectors(matrix.comps[None], np.array([idem]), _PROJECTOR_TOL)
+        _check_projectors(matrix.comps, matrix.algebra)
         self.matrix = matrix
+
+    @classmethod
+    def of_stack(cls, algebra: Algebra, comps: np.ndarray) -> list["Projector"]:
+        """The projectors of a (k, n, n, 4) stack, in order, certified as one
+        stack (:func:`_check_projectors`)."""
+        _check_projectors(comps, algebra)
+        out = []
+        for c in comps:
+            P = object.__new__(cls)
+            P.matrix = Matrix(algebra, c)
+            out.append(P)
+        return out
 
     @classmethod
     def rank_ones(cls, X: Matrix) -> np.ndarray:
@@ -541,7 +575,7 @@ def _line_projectors(U: np.ndarray) -> np.ndarray:
 
 def _projector_defects(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The Hermitian defect max|P - P*| and the scale max(1, max|P_rc|) of every
-    matrix P of the (k, n, n, 4) ``stack``, read from the stack as built.
+    matrix P of the (..., n, n, 4) ``stack``, read from the stack as built.
 
     Through its complex view, each entry is z1 + z2 j, and its quaternion
     conjugate is conj z1 - z2 j, so P - P* has the parts Z1 - conj Z1^T and
@@ -549,27 +583,23 @@ def _projector_defects(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x - (-y) is x + y exactly.
     """
 
-    def max_abs(c: np.ndarray) -> np.ndarray:
-        # sqrt is monotone and correctly rounded, so one per matrix, after the
-        # max of the squared moduli, gives the max of the moduli bit for bit
-        return np.sqrt(_sq_moduli(c).max(axis=(1, 2)))
-
     z = np.ascontiguousarray(stack).view(np.complex128)
     defect = np.empty_like(z)
     d1 = defect[..., 0]
-    np.subtract(z[..., 0], np.conjugate(z[..., 0].transpose(0, 2, 1), out=d1), out=d1)
-    np.add(z[..., 1], z[..., 1].transpose(0, 2, 1), out=defect[..., 1])
-    return max_abs(defect.view(np.float64)), np.maximum(1.0, max_abs(stack))
+    np.subtract(z[..., 0], np.conjugate(z[..., 0].swapaxes(-1, -2), out=d1), out=d1)
+    np.add(z[..., 1], z[..., 1].swapaxes(-1, -2), out=defect[..., 1])
+    return _max_abs(defect.view(np.float64)), np.maximum(1.0, _max_abs(stack))
 
 
 def _certify_projectors(stack: np.ndarray, idem: np.ndarray, tol: float) -> None:
-    """Raise ValueError unless, for every matrix P of the (k, n, n, 4) ``stack``,
+    """Raise ValueError unless, for every matrix P of the (..., n, n, 4) ``stack``,
     its idempotency defect ``idem[p]`` and its Hermitian defect
     (:func:`_projector_defects`) are within ``tol`` relative to
-    max(1, max|P_rc|).
+    max(1, max|P_rc|); over a stack the lowest failing matrix is named
+    (:func:`gleason_lab.errors.require`).
 
     Precondition: every entry of ``stack`` is finite.  The callers ensure it:
-    :class:`Projector` through ``np.isfinite`` on its matrix,
+    :func:`_check_projectors` through ``np.isfinite`` on its matrices,
     :meth:`Projector.rank_ones` through its finite-norm check, and
     :func:`gleason_lab.gleason.dim2_counterexample` by certifying I - P only for
     a stack that ``rank_ones`` certified.  A non-finite stack still fails, with NaN defects, but
@@ -577,12 +607,8 @@ def _certify_projectors(stack: np.ndarray, idem: np.ndarray, tol: float) -> None
     """
     herm, scale = _projector_defects(stack)
     # a NaN or inf entry makes a defect NaN, and NaN fails every comparison
-    failed = np.flatnonzero(~((idem / scale <= tol) & (herm / scale <= tol)))
-    if failed.size:
-        p = failed[0]
-        raise ValueError(
-            f"not a projector: idempotency defect {idem[p]:.3e}, hermitian defect {herm[p]:.3e}"
-        )
+    require((idem / scale <= tol) & (herm / scale <= tol), ValueError,
+            lambda p: f"not a projector: idempotency defect {idem[p]:.3e}, hermitian defect {herm[p]:.3e}")
 
 
 def projector_onto(W: Matrix, *, drop: bool = False) -> Projector:
@@ -619,13 +645,29 @@ def is_positive(A: Matrix) -> bool:
 # random instances (all driven by the named SplitMix64 stream)
 # ---------------------------------------------------------------------------
 
-def _gaussian_comps(shape: tuple[int, ...], algebra: Algebra, rng) -> np.ndarray:
+def _layout(values: np.ndarray, shape: tuple[int, ...], algebra: Algebra) -> np.ndarray:
     """Components of the given leading shape filled, in row-major order, with
-    standard Gaussians in the algebra's components and zeros elsewhere."""
+    ``values`` in the algebra's components and zeros elsewhere."""
     k = algebra.component_count
     comps = np.zeros(shape + (4,))
-    comps[..., :k] = rng.gaussian_block(int(np.prod(shape)) * k).reshape(shape + (k,))
+    comps[..., :k] = values.reshape(shape + (k,))
     return comps
+
+
+def _gaussian_comps(shape: tuple[int, ...], algebra: Algebra, rng) -> np.ndarray:
+    """Standard Gaussians from the stream in the layout of :func:`_layout`."""
+    return _layout(rng.gaussian_block(int(np.prod(shape)) * algebra.component_count), shape, algebra)
+
+
+def _unit_rows(X: np.ndarray) -> np.ndarray:
+    """Each (n, 4) row of Gaussian components of a (..., n, 4) array ``X``,
+    scaled in place by its reciprocal norm; a row of norm below 1e-12 becomes e_0."""
+    norms = np.sqrt((X**2).sum(axis=(-2, -1)))
+    zero = norms < 1e-12
+    X *= (1.0 / np.where(zero, 1.0, norms))[..., None, None]
+    X[zero] = 0.0
+    X[zero, 0, 0] = 1.0
+    return X
 
 
 def random_unit_vectors(n: int, count: int, algebra: Algebra, rng) -> Matrix:
@@ -633,14 +675,10 @@ def random_unit_vectors(n: int, count: int, algebra: Algebra, rng) -> Matrix:
 
     Column p is the p-th of ``count`` successive blocks of n Gaussian entries
     (as :func:`random_matrix` draws an n x 1 matrix) from the stream, scaled
-    by its reciprocal norm; a draw of norm below 1e-12 becomes e_0.
+    by its reciprocal norm; a draw of norm below 1e-12 becomes e_0
+    (:func:`_unit_rows`).
     """
-    X = _gaussian_comps((count, n), algebra, rng)
-    norms = np.sqrt((X**2).sum(axis=(1, 2)))
-    zero = norms < 1e-12
-    X *= (1.0 / np.where(zero, 1.0, norms))[:, None, None]
-    X[zero] = 0.0
-    X[zero, 0, 0] = 1.0
+    X = _unit_rows(_gaussian_comps((count, n), algebra, rng))
     return Matrix(algebra, np.ascontiguousarray(X.transpose(1, 0, 2)))
 
 
@@ -706,21 +744,27 @@ def random_unit_imaginary(algebra: Algebra, rng) -> Quaternion:
     return Quaternion.from_array(comps)
 
 
+def _unit_scalars(parts: np.ndarray) -> np.ndarray:
+    """The (..., 4) components of each row of k Gaussians of ``parts`` divided
+    by its norm; a row of norm below 1e-12 becomes 1."""
+    k = parts.shape[-1]
+    norms = np.sqrt((parts**2).sum(axis=-1))
+    small = norms < 1e-12
+    comps = np.zeros(parts.shape[:-1] + (4,))
+    comps[~small, :k] = parts[~small] / norms[~small, None]
+    comps[small, 0] = 1.0
+    return comps
+
+
 def random_phases(count: int, algebra: Algebra, rng) -> np.ndarray:
     """``count`` unit-modulus scalars of the algebra as a (count, 4) component array.
 
     Row p is the p-th of ``count`` successive :func:`random_phase` draws from
     the stream: k Gaussians (k the algebra's component count) divided by their
-    norm; a draw of norm below 1e-12 becomes 1.
+    norm; a draw of norm below 1e-12 becomes 1 (:func:`_unit_scalars`).
     """
     k = algebra.component_count
-    parts = rng.gaussian_block(count * k).reshape(count, k)
-    norms = np.sqrt((parts**2).sum(axis=1))
-    small = norms < 1e-12
-    comps = np.zeros((count, 4))
-    comps[~small, :k] = parts[~small] / norms[~small, None]
-    comps[small, 0] = 1.0
-    return comps
+    return _unit_scalars(rng.gaussian_block(count * k).reshape(count, k))
 
 
 def random_phase(algebra: Algebra, rng) -> Quaternion:
@@ -728,8 +772,23 @@ def random_phase(algebra: Algebra, rng) -> Quaternion:
     return Quaternion.from_array(random_phases(1, algebra, rng)[0])
 
 
+def _random_projectors(U: np.ndarray, ranks: list[int], algebra: Algebra) -> np.ndarray:
+    """The (T, n, n, 4) stack of the projectors onto the first ``ranks[t]``
+    columns of each unitary of a (T, n, n, 4) stack, as :func:`projector_onto`
+    builds each one: Gram-Schmidt once more, then the outer sum.  The trials
+    of one rank form one stack, so that every product has the shape that it
+    has alone.  The caller certifies the stack (:func:`_check_projectors`)."""
+    out = np.empty_like(U)
+    for rank in sorted(set(ranks)):
+        at = [t for t, r in enumerate(ranks) if r == rank]
+        out[at] = _outer_sums(_gram_schmidt(U[at][..., :rank, :]), algebra.component_count)
+    return out
+
+
 def random_projector(n: int, rank: int, algebra: Algebra, rng) -> Projector:
+    """The projector onto the first ``rank`` columns of :func:`random_unitary`;
+    the one-draw case of :func:`_random_projectors`."""
     if not 0 < rank <= n:
         raise ValueError(f"rank must lie in 1..{n}")
     U = random_unitary(n, algebra, rng)
-    return projector_onto(Matrix(algebra, U.comps[:, :rank]))
+    return Projector(Matrix(algebra, _random_projectors(U.comps[None], [rank], algebra)[0]))

@@ -102,14 +102,17 @@ class PVMap:
 
 
 def pvm_of(A: Observable) -> PVMap:
-    """Group the eigendecomposition into distinct-eigenvalue atoms."""
+    """Group the eigendecomposition into distinct-eigenvalue atoms.
+
+    Each atom is the outer sum of its eigenvectors, built alone, and the atoms
+    are certified as one stack (:meth:`Projector.of_stack`).
+    """
     dec = A.decomposition
     scale = float(np.abs(dec.values).max(initial=0.0))
     U = dec.basis.comps
-    return PVMap(tuple(
-        (float(np.mean(dec.values[a:b])), Projector(outer_sum(Matrix(A.algebra, U[:, a:b]))))
-        for a, b in _group_indices(dec.values, _ATOM_REL_TOL * scale)
-    ))
+    groups = _group_indices(dec.values, _ATOM_REL_TOL * scale)
+    atoms = Projector.of_stack(A.algebra, np.stack([outer_sum(Matrix(A.algebra, U[:, a:b])).comps for a, b in groups]))
+    return PVMap(tuple((float(np.mean(dec.values[a:b])), P) for (a, b), P in zip(groups, atoms)))
 
 
 def apply_function(A: Observable, f: Callable[[float], float]) -> Observable:

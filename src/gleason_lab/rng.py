@@ -9,6 +9,11 @@ same two-line algorithm reproduces identical test vectors from a seed.
 
 Gaussian variates come from the Box-Muller transform applied to consecutive
 output pairs, so they are equally reproducible.
+
+A fixed per-trial list of draws fixes every stream position, so
+:meth:`SplitMix64.recipe_block` serves many trials of Gaussian, uniform and
+integer draws from one output block, bit for bit as the draws one after
+another would give them.
 """
 
 from __future__ import annotations
@@ -39,6 +44,32 @@ def _mix(block: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
+def _uniforms(z: np.ndarray) -> np.ndarray:
+    """Uniform doubles in (0, 1], from the top 53 bits of each output."""
+    return ((z >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+
+
+def _box_muller(u: np.ndarray) -> np.ndarray:
+    """The two Gaussians of each consecutive pair (u1, u2) of uniforms, in order."""
+    u1, u2 = u[0::2], u[1::2]
+    r = np.sqrt(-2.0 * np.log(u1))
+    both = np.empty(u.size)
+    both[0::2] = r * np.cos(2.0 * np.pi * u2)
+    both[1::2] = r * np.sin(2.0 * np.pi * u2)
+    return both
+
+
+def _check_bound(bound: int) -> None:
+    # past 2**64 no draw lies below the rejection limit, which is then 0
+    if not 0 < bound <= _MASK64 + 1:
+        raise ValueError(f"bound must lie in 1..2**64, got {bound}")
+
+
+def _rejection_limit(bound: int) -> int:
+    """The integer draw keeps an output z below this limit, as z % bound."""
+    return (_MASK64 + 1) - ((_MASK64 + 1) % bound)
+
+
 class SplitMix64:
     """Seeded SplitMix64 stream with uniform and Gaussian block output."""
 
@@ -55,8 +86,7 @@ class SplitMix64:
 
     def uniform_block(self, count: int) -> np.ndarray:
         """Uniform doubles in (0, 1], from the top 53 bits of each output."""
-        z = self.uint64_block(count)
-        return ((z >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+        return _uniforms(self.uint64_block(count))
 
     def gaussian_block(self, count: int) -> np.ndarray:
         out = np.empty(count)
@@ -66,16 +96,93 @@ class SplitMix64:
             have = 1
         need = count - have
         if need > 0:
-            pairs = (need + 1) // 2
-            u = self.uniform_block(2 * pairs)
-            u1, u2 = u[0::2], u[1::2]
-            r = np.sqrt(-2.0 * np.log(u1))
-            both = np.empty(2 * pairs)
-            both[0::2] = r * np.cos(2.0 * np.pi * u2)
-            both[1::2] = r * np.sin(2.0 * np.pi * u2)
+            both = _box_muller(self.uniform_block(2 * ((need + 1) // 2)))
             out[have:] = both[:need]
             if need < both.size:
                 self._spare_gauss = float(both[-1])
+        return out
+
+    def recipe_block(self, trials: int, recipe) -> list[np.ndarray]:
+        """``trials`` runs of the per-trial ``recipe`` of draws, served from one
+        output block, bit for bit as the draws one after another give them.
+
+        A recipe is a sequence of items ``("gaussian", count)``, ``("uniform",
+        count)`` and ``("integer", bound)``, which a trial draws in order as
+        ``gaussian_block(count)``, ``uniform_block(count)`` and
+        ``integer(bound)`` would.  Returns one array per item: (trials, count)
+        for Gaussians and uniforms, (trials,) uint64 for integers.
+
+        The plan walks the recipe over all trials in integer arithmetic: the
+        spare Gaussian is held exactly where an odd number of Gaussians has
+        been consumed, counting the spare held at the start, so every item's
+        stream position is known before any output is drawn.  One
+        ``uint64_block`` then serves the whole run.  Uniforms are formed as
+        ``uniform_block`` forms them; the Gaussians come from Box-Muller on the
+        output pairs that ``gaussian_block`` would use, with the spare carried
+        across uniform and integer items; an integer is ``z % bound``.  The
+        stream is left at the position and spare that the draws one after
+        another would leave.  An integer output at or above the rejection
+        limit (probability at most bound 2**-64 per draw) is redrawn with
+        :meth:`integer` after the block, in trial order.  An unknown kind, a
+        negative count or a bound outside 1..2**64 raises ValueError before any
+        output is drawn.
+        """
+        if trials < 0:
+            raise ValueError(f"trials must be >= 0, got {trials}")
+        for kind, size in recipe:
+            if kind == "integer":
+                _check_bound(size)
+            elif kind not in ("gaussian", "uniform"):
+                raise ValueError(f"unknown draw kind {kind!r}, expected gaussian, uniform or integer")
+            elif size < 0:
+                raise ValueError(f"a {kind} count must be >= 0, got {size}")
+        # the walk: every item's first output, and the outputs that each
+        # Gaussian item draws, in Python integers.  A spare is held exactly
+        # where an odd number of Gaussians has been consumed, counting the
+        # spare held at the start.
+        spare = self._spare_gauss
+        held = spare is not None
+        starts = [[] for _ in recipe]
+        runs = []
+        pos = 0
+        for _ in range(trials):
+            for i, (kind, size) in enumerate(recipe):
+                starts[i].append(pos)
+                if kind == "gaussian":
+                    # a held spare is taken first, then whole pairs are drawn
+                    need = max(size - held, 0)
+                    runs.append((pos, pos + need + need % 2))
+                    pos += need + need % 2
+                    held = (held + size) % 2
+                else:
+                    pos += size if kind == "uniform" else 1
+        z = self.uint64_block(pos)
+        u = _uniforms(z)
+
+        # the outputs of the Gaussian items, in stream order, are the pairs that
+        # the gaussian_block calls one after another would draw
+        fresh = _box_muller(np.concatenate([u[a:b] for a, b in runs])) if runs else np.empty(0)
+        stream = fresh if spare is None else np.concatenate([[spare], fresh])
+        per_trial = sum(size for kind, size in recipe if kind == "gaussian")
+        used = trials * per_trial
+        self._spare_gauss = float(stream[-1]) if stream.size > used else None
+        gaussians = stream[:used].reshape(trials, per_trial)
+
+        out, rejected = [], []
+        offset = 0
+        for i, (kind, size) in enumerate(recipe):
+            if kind == "gaussian":
+                out.append(gaussians[:, offset:offset + size])
+                offset += size
+            elif kind == "uniform":
+                out.append(u[np.array(starts[i], dtype=np.intp)[:, None] + np.arange(size)])
+            else:
+                drawn = z[starts[i]].tolist()
+                limit = _rejection_limit(size)
+                rejected += [(t, i) for t, value in enumerate(drawn) if value >= limit]
+                out.append(np.array([value % size for value in drawn], dtype=np.uint64))
+        for t, i in sorted(rejected):
+            out[i][t] = self.integer(recipe[i][1])
         return out
 
     def gaussian(self) -> float:
@@ -86,12 +193,10 @@ class SplitMix64:
 
     def integer(self, bound: int) -> int:
         """Uniform integer in [0, bound), by rejection on the top bits."""
-        # past 2**64 no draw lies below the rejection limit, which is then 0
-        if not 0 < bound <= _MASK64 + 1:
-            raise ValueError(f"bound must lie in 1..2**64, got {bound}")
+        _check_bound(bound)
+        limit = _rejection_limit(bound)
         while True:
             z = int(self.uint64_block(1)[0])
-            limit = (_MASK64 + 1) - ((_MASK64 + 1) % bound)
             if z < limit:
                 return z % bound
 

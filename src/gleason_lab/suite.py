@@ -7,22 +7,33 @@ and a tolerance.  ``run_suite`` executes the whole matrix deterministically;
 ``emit_report`` serializes the outcome.  The registry doubles as the coverage
 manifest shipped in ``claims.json``.
 
-Ten runners, those of the real-trace calculus and ``symmetry_duality``, run a
-cell's trials as one stack: ``block(cell, ts)`` draws the trials ``ts`` ahead,
-as one Gaussian block from ``cell.rng`` (``_draw``), runs every kernel once
-over the (trials, n, n, 4) stacks, and returns a (trials, terms) array.
-``_stacked`` turns it into the cell runner, which runs the trial axis in
-chunks when a stack would pass ``quantum._ORBIT_CHUNK_ENTRIES`` entries.  Each
-matrix of a stack is computed as a lone matrix is, and the block holds the
-Gaussians that one draw after another would give, so a stacked runner
-reports the bits that its per-trial form would.
+Fifteen runners run a cell's trials as one stack: those of the real-trace
+calculus, the state and projector runners (``projector_sandwich``,
+``measure_range``, ``mix_linearity``, ``pure_phase_classes`` and
+``state_conjugation``) and ``symmetry_duality``.  ``block(cell, ts)`` draws
+the trials ``ts`` ahead from ``cell.rng`` (``_draw``).  A trial's draws are a
+fixed list of Gaussian, uniform and integer draws, which fixes every stream
+position, so one planned block (:meth:`SplitMix64.recipe_block`) holds the
+draws that one trial after another would make.  The block then runs every
+kernel once over the (trials, n, n, 4) stacks, the state and projector
+certificates included, and returns a (trials, terms) array.  Projectors are
+built in one stack per drawn rank, so every product keeps the shape it has
+alone.  ``_stacked`` turns the block into the cell runner, which runs the
+trial axis in chunks when a stack would pass ``quantum._ORBIT_CHUNK_ENTRIES``
+entries.  Each matrix of a stack is computed as a lone matrix is, so a
+stacked runner reports the bits that its per-trial form would.  The one
+exception is a draw that must be redrawn: a Gaussian matrix that
+Gram-Schmidt rejects, or an integer output past the rejection limit.  The
+stack redraws it after the block, where the per-trial form would redraw at
+once; either happens with probability near zero.
 
 The other runners are written per trial, each with a one-line docstring
 saying why: ``trial(cell, t)`` draws trial ``t`` from ``cell.rng`` and
 returns its residual terms (possibly none), and ``_per_trial`` turns it into
-the cell runner, which runs the trials in order on the one stream.  Ragged
-shapes, conditional draws, uniform or integer draws between the Gaussians,
-and per-matrix eigenvector grouping keep a runner per trial.
+the cell runner, which runs the trials in order on the one stream.  A draw
+count that depends on an earlier draw, a trial that can end before its later
+draws, per-matrix eigenvector grouping, and one state per
+``reconstruct_state`` call keep a runner per trial.
 
 The residual of a cell is the worst of its terms, trial-major, ``max(0.0,
 *terms)`` taken in order by ``_worst``, so a term <= 0 counts for nothing.  A
@@ -50,12 +61,18 @@ from . import trace as tr
 from .linalg import (
     Matrix,
     _adjoint_comps,
+    _check_projectors,
     _hermitian_part,
+    _layout,
+    _max_abs,
+    _mul_comps,
+    _random_projectors,
+    _unit_rows,
+    _unit_scalars,
     _unitaries,
     inner,
     random_hermitian,
     random_matrix,
-    random_phase,
     random_projector,
     random_unit_imaginary,
     random_unit_vector,
@@ -259,21 +276,28 @@ def _stacked(block: Callable[[Cell, np.ndarray], np.ndarray], scale: int = 1) ->
     return runner
 
 
-def _draw(cell: Cell, count: int, matrices: int, scalars: int = 0) -> list[np.ndarray]:
-    """``count`` trials of Gaussian draws from ``cell.rng``, in one block: per
-    trial, ``matrices`` n x n matrices, as :func:`random_matrix` draws them,
-    then ``scalars`` numbers, as ``rng.gaussian()`` draws them.  Returns a
-    (count, n, n, 4) component stack per matrix and a (count,) array per
-    scalar, bit for bit what the draws one after another give."""
-    n, k = cell.dim, cell.algebra.component_count
-    size = n * n * k
-    block = cell.rng.gaussian_block(count * (matrices * size + scalars)).reshape(count, -1)
-    out = []
-    for p in range(matrices):
-        comps = np.zeros((count, n, n, 4))
-        comps[..., :k] = block[:, p * size:(p + 1) * size].reshape(count, n, n, k)
-        out.append(comps)
-    return out + [block[:, matrices * size + q] for q in range(scalars)]
+_MATRIX = "matrix"
+
+
+def _draw(cell: Cell, count: int, *items) -> list[np.ndarray]:
+    """``count`` trials of draws from ``cell.rng``, served from one planned
+    block (:meth:`SplitMix64.recipe_block`): per trial, the ``items`` in order.
+    An item is ``_MATRIX``, an n x n Gaussian matrix as :func:`random_matrix`
+    draws it, returned as a (count, n, n, 4) component stack, or an item of the
+    recipe, ``("gaussian", k)``, ``("uniform", k)`` or ``("integer", bound)``,
+    returned as the plan returns it.  Bit for bit what the draws one after
+    another give."""
+    n = cell.dim
+    recipe = [("gaussian", n * n * cell.algebra.component_count) if item == _MATRIX else item for item in items]
+    out = cell.rng.recipe_block(count, recipe)
+    return [_layout(x, (count, n, n), cell.algebra) if item == _MATRIX else x for x, item in zip(out, items)]
+
+
+def _identities(count: int, n: int) -> np.ndarray:
+    """A (count, n, n, 4) stack of identity matrices, one per trial."""
+    comps = np.zeros((count, n, n, 4))
+    comps[:, np.arange(n), np.arange(n), 0] = 1.0
+    return comps
 
 
 def _moduli(q: np.ndarray) -> np.ndarray:
@@ -287,7 +311,7 @@ def _basis_invariance(hermitian: bool) -> Callable[[Cell], float]:
     Hermitian part, between two random bases drawn after it."""
 
     def block(cell: Cell, ts: np.ndarray) -> np.ndarray:
-        A, G0, G1 = _draw(cell, ts.size, 3)
+        A, G0, G1 = _draw(cell, ts.size, _MATRIX, _MATRIX, _MATRIX)
         if hermitian:
             A = _hermitian_part(A)
         U0, U1 = (_unitaries(G, cell.algebra, cell.rng) for G in (G0, G1))
@@ -315,7 +339,7 @@ def _run_nonhermitian_dependence_h(cell: Cell, t: int) -> Terms:
 
 @_stacked
 def _run_real_trace_invariance(cell: Cell, ts: np.ndarray) -> np.ndarray:
-    A, *G = _draw(cell, ts.size, 4)
+    A, *G = _draw(cell, ts.size, *4 * [_MATRIX])
     base = tr._real_traces(A)
     bases = (_unitaries(g, cell.algebra, cell.rng) for g in G)
     return np.stack([np.abs(tr._traces(A, U, cell.algebra)[:, 0] - base) for U in bases], axis=-1)
@@ -323,14 +347,14 @@ def _run_real_trace_invariance(cell: Cell, ts: np.ndarray) -> np.ndarray:
 
 @_stacked
 def _run_real_cyclicity(cell: Cell, ts: np.ndarray) -> np.ndarray:
-    A, B = _draw(cell, ts.size, 2)
+    A, B = _draw(cell, ts.size, _MATRIX, _MATRIX)
     gap = tr._cyclic_gaps(A, B, cell.algebra)
     return (gap / (1.0 + tr._trace_norms(A, cell.algebra) * sp._op_norms(B, cell.algebra)))[:, None]
 
 
 @_stacked
 def _run_norm_inequalities(cell: Cell, ts: np.ndarray) -> np.ndarray:
-    rep = tr._norm_inequalities(*_draw(cell, ts.size, 2), cell.algebra)
+    rep = tr._norm_inequalities(*_draw(cell, ts.size, _MATRIX, _MATRIX), cell.algebra)
     return np.stack([-rep.slack_ab, -rep.slack_ba, np.abs(rep.adjoint_gap), -rep.op_vs_trace_slack], axis=-1)
 
 
@@ -355,30 +379,49 @@ def _run_diagonal_basis_cyclicity(cell: Cell, t: int) -> Terms:
     return gap, abs(full - Quaternion(full.real))
 
 
-@_per_trial
-def _run_projector_sandwich(cell: Cell, t: int) -> Terms:
-    """Keeps its loop: an integer rank is drawn between the Gaussians, and ranks differ by trial."""
-    A = random_hermitian(cell.dim, cell.algebra, cell.rng)
-    rank = 1 + cell.rng.integer(cell.dim)
-    P = random_projector(cell.dim, rank, cell.algebra, cell.rng)
-    lhs = tr.real_trace(P.matrix @ A)
-    sandwiched = P.matrix @ A @ P.matrix
-    full = tr.trace_n(sandwiched, Matrix.identity(cell.dim, cell.algebra))
-    return abs(lhs - tr.real_trace(sandwiched)), abs(full - Quaternion(full.real))
+def _projectors(cell: Cell, G: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """The certified projectors that :func:`random_projector` builds from the
+    Gaussian draws ``G`` at the drawn ranks 1 + ``ranks``, one per trial."""
+    P = _random_projectors(_unitaries(G, cell.algebra, cell.rng), (1 + ranks).tolist(), cell.algebra)
+    _check_projectors(P, cell.algebra)
+    return P
+
+
+def _states(cell: Cell, G: np.ndarray, raw: np.ndarray) -> np.ndarray:
+    """The certified states that :func:`~gleason_lab.gleason.random_density` builds from the
+    Gaussian draws ``G`` and the uniforms ``raw``, one per trial."""
+    T = gl._mixtures(_unitaries(G, cell.algebra, cell.rng), raw, cell.algebra.component_count)
+    gl._state_spectra(T, cell.algebra)
+    return T
+
+
+@_stacked
+def _run_projector_sandwich(cell: Cell, ts: np.ndarray) -> np.ndarray:
+    A, ranks, G = _draw(cell, ts.size, _MATRIX, ("integer", cell.dim), _MATRIX)
+    A = _hermitian_part(A)
+    P = _projectors(cell, G, ranks)
+    count = cell.algebra.component_count
+    PA = kernels.quat_matmul(P, A, count)
+    sandwiched = kernels.quat_matmul(PA, P, count)
+    full = tr._traces(sandwiched, _identities(ts.size, cell.dim), cell.algebra)
+    # tr_N(PAP) less its real part, as Quaternion subtraction forms it
+    skew = full.copy()
+    skew[:, 0] -= full[:, 0]
+    return np.stack([np.abs(tr._real_traces(PA) - tr._real_traces(sandwiched)), _moduli(skew)], axis=-1)
 
 
 @_stacked
 def _run_linearity_star(cell: Cell, ts: np.ndarray) -> np.ndarray:
-    A, B, a, b = _draw(cell, ts.size, 2, scalars=2)
+    A, B, a, b = _draw(cell, ts.size, _MATRIX, _MATRIX, ("gaussian", 1), ("gaussian", 1))
     rt = tr._real_traces
-    lin = rt(A * a[:, None, None, None] + B * b[:, None, None, None]) - a * rt(A) - b * rt(B)
+    lin = rt(A * a[..., None, None] + B * b[..., None, None]) - a[:, 0] * rt(A) - b[:, 0] * rt(B)
     star = rt(_adjoint_comps(A)) - rt(A)
     return np.stack([np.abs(lin), np.abs(star)], axis=-1)
 
 
 @_stacked
 def _run_positivity_monotonicity(cell: Cell, ts: np.ndarray) -> np.ndarray:
-    C, D, G = _draw(cell, ts.size, 3)
+    C, D, G = _draw(cell, ts.size, _MATRIX, _MATRIX, _MATRIX)
     count = cell.algebra.component_count
     B = _hermitian_part(G)
     A = B + kernels.quat_matmul(_adjoint_comps(D), D, count)  # A >= B by construction
@@ -388,7 +431,7 @@ def _run_positivity_monotonicity(cell: Cell, ts: np.ndarray) -> np.ndarray:
 
 @_stacked
 def _run_absolute_sum_bound(cell: Cell, ts: np.ndarray) -> np.ndarray:
-    A, *G = _draw(cell, ts.size, 4)
+    A, *G = _draw(cell, ts.size, *4 * [_MATRIX])
     bound = tr._trace_norms(A, cell.algebra)
     bases = (_unitaries(g, cell.algebra, cell.rng) for g in G)
     sums = [tr._absolute_diagonal_sums(A, U, cell.algebra) for U in bases]
@@ -396,7 +439,7 @@ def _run_absolute_sum_bound(cell: Cell, ts: np.ndarray) -> np.ndarray:
 
 
 def _realification_quarter(cell: Cell, ts: np.ndarray) -> np.ndarray:
-    (A,) = _draw(cell, ts.size, 1)
+    (A,) = _draw(cell, ts.size, _MATRIX)
     check = tr._realification_checks(A)
     scale = 1.0 + check.trace_norm_h
     return np.stack([check.trace_norm_gap / scale, check.trace_gap / scale], axis=-1)
@@ -447,7 +490,7 @@ def _run_witness_antisymmetric(cell: Cell) -> float:
 
 @_per_trial
 def _run_gleason_round_trip(cell: Cell, t: int) -> Terms:
-    """Keeps its loop: random_density draws uniform weights between the Gaussians."""
+    """Keeps its loop: reconstruct_state takes one state per call."""
     T = gl.random_density(cell.dim, cell.algebra, cell.rng)
     f = gl.FrameFunction.from_measure(gl.measure_from_state(T))
     rebuilt = gl.reconstruct_state(f, cell.dim, cell.algebra, rng=cell.rng)
@@ -456,24 +499,24 @@ def _run_gleason_round_trip(cell: Cell, t: int) -> Terms:
 
 @_per_trial
 def _run_sigma_additivity(cell: Cell, t: int) -> Terms:
-    """Keeps its loop: uniform and integer draws between the Gaussians, and ragged decompositions."""
+    """Keeps its loop: how many integers it draws depends on an earlier integer."""
     mu = gl.measure_from_state(gl.random_density(cell.dim, cell.algebra, cell.rng))
     parts = gl.random_orthogonal_decomposition(cell.dim, cell.algebra, cell.rng)
     return (abs(sum(mu(P) for P in parts) - 1.0),)
 
 
-@_per_trial
-def _run_measure_range(cell: Cell, t: int) -> Terms:
-    """Keeps its loop: uniform and integer draws between the Gaussians, and ranks differ by trial."""
-    mu = gl.measure_from_state(gl.random_density(cell.dim, cell.algebra, cell.rng))
-    rank = 1 + cell.rng.integer(cell.dim)
-    value = mu(random_projector(cell.dim, rank, cell.algebra, cell.rng))
-    return -value, value - 1.0
+@_stacked
+def _run_measure_range(cell: Cell, ts: np.ndarray) -> np.ndarray:
+    n = cell.dim
+    G, raw, ranks, H = _draw(cell, ts.size, _MATRIX, ("uniform", n), ("integer", n), _MATRIX)
+    T = _states(cell, G, raw)
+    value = tr._real_pairings(_projectors(cell, H, ranks), T)
+    return np.stack([-value, value - 1.0], axis=-1)
 
 
 @_per_trial
 def _run_extremality(cell: Cell, t: int) -> Terms:
-    """Keeps its loop: integer and uniform draws between the Gaussians, and a split only where a state is mixed."""
+    """Keeps its loop: its uniform count is a rank drawn in the trial."""
     psi = random_unit_vector(cell.dim, cell.algebra, cell.rng)
     pure_failed = float(not gl.is_extremal(gl.pure_state(psi)))
     rank = 2 + cell.rng.integer(cell.dim - 1) if cell.dim > 2 else 2
@@ -487,7 +530,7 @@ def _run_extremality(cell: Cell, t: int) -> Terms:
 
 @_per_trial
 def _run_separation(cell: Cell, t: int) -> Terms:
-    """Keeps its loop: integer ranks are drawn between the Gaussians, and ranks differ by trial."""
+    """Keeps its loop: its separating states come from per-matrix eigenvector grouping."""
     rank_p = 1 + cell.rng.integer(cell.dim)
     rank_q = 1 + cell.rng.integer(cell.dim)
     P = random_projector(cell.dim, rank_p, cell.algebra, cell.rng)
@@ -513,27 +556,31 @@ def _run_unit_lemma(cell: Cell) -> float:
     return float(violations)
 
 
-@_per_trial
-def _run_mix_linearity(cell: Cell, t: int) -> Terms:
-    """Keeps its loop: uniform and integer draws between the Gaussians."""
-    t1 = gl.random_density(cell.dim, cell.algebra, cell.rng)
-    t2 = gl.random_density(cell.dim, cell.algebra, cell.rng)
-    w = cell.rng.uniform()
-    mixed = gl.convex_mix([t1, t2], [w, 1.0 - w])
-    P = random_projector(cell.dim, 1 + cell.rng.integer(cell.dim), cell.algebra, cell.rng)
-    lhs = gl.measure_from_state(mixed)(P)
-    rhs = w * gl.measure_from_state(t1)(P) + (1.0 - w) * gl.measure_from_state(t2)(P)
-    return (abs(lhs - rhs),)
+@_stacked
+def _run_mix_linearity(cell: Cell, ts: np.ndarray) -> np.ndarray:
+    n = cell.dim
+    G1, raw1, G2, raw2, w, ranks, H = _draw(
+        cell, ts.size, _MATRIX, ("uniform", n), _MATRIX, ("uniform", n), ("uniform", 1), ("integer", n), _MATRIX)
+    t1, t2 = _states(cell, G1, raw1), _states(cell, G2, raw2)
+    w = w[:, 0]
+    mixed = gl._convex_mixes([t1, t2], np.stack([w, 1.0 - w]))
+    gl._state_spectra(mixed, cell.algebra)
+    P = _projectors(cell, H, ranks)
+    mu = tr._real_pairings
+    return np.abs(mu(P, mixed) - (w * mu(P, t1) + (1.0 - w) * mu(P, t2)))[:, None]
 
 
-@_per_trial
-def _run_pure_phase_classes(cell: Cell, t: int) -> Terms:
-    """Keeps its loop: each state is certified by the one-matrix DensityOperator constructor."""
-    psi = random_unit_vector(cell.dim, cell.algebra, cell.rng)
-    q = random_phase(cell.algebra, cell.rng)
-    T0 = gl.pure_state(psi)
-    T1 = gl.pure_state(psi.scale_right(q))
-    return ((T0.matrix - T1.matrix).max_abs(),)
+@_stacked
+def _run_pure_phase_classes(cell: Cell, ts: np.ndarray) -> np.ndarray:
+    n, k = cell.dim, cell.algebra.component_count
+    X, parts = _draw(cell, ts.size, ("gaussian", n * k), ("gaussian", k))
+    psi = _unit_rows(_layout(X, (ts.size, n), cell.algebra))[:, :, None, :]
+    q = _unit_scalars(parts)
+    T0 = gl._pure_states(psi, k)
+    T1 = gl._pure_states(_mul_comps(psi, q[:, None, None, :]), k)
+    gl._state_spectra(T0, cell.algebra)
+    gl._state_spectra(T1, cell.algebra)
+    return _max_abs(T0 - T1)[:, None]
 
 
 def _run_dim2_obstruction(cell: Cell) -> float:
@@ -564,7 +611,7 @@ def _run_functional_calculus(cell: Cell, t: int) -> Terms:
 
 @_per_trial
 def _run_expectation_duality(cell: Cell, t: int) -> Terms:
-    """Keeps its loop: random_density draws uniform weights, and the atoms come from eigenvector grouping."""
+    """Keeps its loop: its atoms come from eigenvector grouping."""
     A = qm.Observable(random_hermitian(cell.dim, cell.algebra, cell.rng))
     T = gl.random_density(cell.dim, cell.algebra, cell.rng)
     dist = qm.outcome_measure(A, T)
@@ -587,7 +634,7 @@ def _run_pure_state_reduction(cell: Cell, t: int) -> Terms:
 @_stacked
 def _run_symmetry_duality(cell: Cell, ts: np.ndarray) -> np.ndarray:
     # over C the odd trials are anti-unitary
-    A, B, G = _draw(cell, ts.size, 3)
+    A, B, G = _draw(cell, ts.size, _MATRIX, _MATRIX, _MATRIX)
     U = _unitaries(G, cell.algebra, cell.rng)
     qm._check_unitaries(U, cell.algebra)
     anti = (cell.algebra is Algebra.C) & (ts % 2 == 1)
@@ -595,12 +642,15 @@ def _run_symmetry_duality(cell: Cell, ts: np.ndarray) -> np.ndarray:
     return (gap / (1.0 + tr._trace_norms(A, cell.algebra) * sp._op_norms(B, cell.algebra)))[:, None]
 
 
-@_per_trial
-def _run_state_conjugation(cell: Cell, t: int) -> Terms:
-    """Keeps its loop: random_density draws uniform weights between the Gaussians."""
-    T = gl.random_density(cell.dim, cell.algebra, cell.rng)
-    U = random_unitary(cell.dim, cell.algebra, cell.rng)
-    return (abs(tr.real_trace(qm.conjugate_state(qm.SymmetryOp(U), T).matrix) - 1.0),)
+@_stacked
+def _run_state_conjugation(cell: Cell, ts: np.ndarray) -> np.ndarray:
+    G, raw, H = _draw(cell, ts.size, _MATRIX, ("uniform", cell.dim), _MATRIX)
+    T = _states(cell, G, raw)
+    U = _unitaries(H, cell.algebra, cell.rng)
+    qm._check_unitaries(U, cell.algebra)
+    conjugated = qm._transform_states(U, T, False, cell.algebra)
+    gl._state_spectra(conjugated, cell.algebra)
+    return np.abs(tr._real_traces(conjugated) - 1.0)[:, None]
 
 
 def _make_group_path(cell: Cell):

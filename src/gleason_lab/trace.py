@@ -76,20 +76,21 @@ def real_trace(A: Matrix) -> float:
 
 def _real_pairings(stack: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Re tr(A_p B) for every A_p of the (k, n, m, 4) ``stack`` and the (m, n, 4)
-    operand ``B``: the one pairing kernel, shared by :func:`real_pairing`.
+    operand ``B``, or, for a (k, m, n, 4) stack ``B``, Re tr(A_p B_p) of every
+    pair: the one pairing kernel, shared by :func:`real_pairing`.
 
     Re(pq) = p_0 q_0 - p_1 q_1 - p_2 q_2 - p_3 q_3, so this is O(knm) work and
-    forms no product.  Value p sums only the entries of A_p, so a stack of k
-    gives the k one-matrix values, bit for bit.
+    forms no product.  Value p sums only the entries of A_p and B_p, so a stack
+    of k gives the k one-matrix values, bit for bit.
     """
-    if stack.ndim != 4:
-        raise ValueError(f"need a (k, n, m, 4) stack, got shape {stack.shape}")
-    if stack.shape[1:3] != B.shape[1::-1]:
+    if stack.ndim != 4 or B.ndim not in (3, 4):
+        raise ValueError(f"need a (k, n, m, 4) stack and one or k operands, got shapes {stack.shape} and {B.shape}")
+    if stack.shape[1:3] != B.shape[-2:-4:-1]:
         raise ValueError(
-            f"cannot pair {stack.shape[1]}x{stack.shape[2]} with {B.shape[0]}x{B.shape[1]}: "
+            f"cannot pair {stack.shape[1]}x{stack.shape[2]} with {B.shape[-3]}x{B.shape[-2]}: "
             "need (n, m) and (m, n)"
         )
-    return _real_sums(stack * np.transpose(B, (1, 0, 2)))
+    return _real_sums(stack * B.swapaxes(-3, -2))
 
 
 def _real_sums(prod: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from gleason_lab import gleason, kernels, linalg, trace
+from gleason_lab import gleason, kernels, linalg, spectral, trace
 from gleason_lab.linalg import Matrix, _mul_comps
 from gleason_lab.scalars import as_quaternion
 from gleason_lab.suite import RunConfig, run_suite
@@ -93,6 +93,20 @@ def _orthonormalize_skipping_renormalization(monkeypatch):
     _patch_every_binding(monkeypatch, build, unnormalized)
 
 
+def _complex_product_reading_component_0(monkeypatch):
+    product = kernels.quat_matmul
+
+    def real_parts_only(A, B, component_count=4):  # the C branch multiplies the real parts alone
+        return product(A, B, 1 if component_count == 2 else component_count)
+
+    _patch_every_binding(monkeypatch, product, real_parts_only)
+
+
+def _grouping_tolerance_scaled_by_1e6(monkeypatch):
+    group = spectral._group_indices
+    _patch_every_binding(monkeypatch, group, lambda values, tol: group(values, tol * 1e6))
+
+
 MUTANTS = {
     "scale_right_on_the_left": _scale_right_on_the_left,
     "hamilton_sign_flipped": _hamilton_sign_flipped,
@@ -102,6 +116,8 @@ MUTANTS = {
     "polarization_weight_doubled": _polarization_weight_doubled,
     "real_trace_reading_component_1": _real_trace_reading_component_1,
     "orthonormalize_skipping_renormalization": _orthonormalize_skipping_renormalization,
+    "complex_product_reading_component_0": _complex_product_reading_component_0,
+    "grouping_tolerance_scaled_by_1e6": _grouping_tolerance_scaled_by_1e6,
 }
 
 

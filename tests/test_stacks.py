@@ -4,30 +4,46 @@ matrix, the bits that each matrix gives alone.
 Every stacked suite runner is checked against a per-trial reference, its form
 before it ran the trials as one stack, written with the one-matrix public
 functions: the terms agree bit for bit, and so do the stream positions that
-both leave behind.  The stacked kernels are checked against per-matrix calls,
-the guards over a stack against the one-matrix messages, and the chunking of
-the trial axis against the orbit chunk budget.
+both leave behind.  The planned draws are checked against the draws one after
+another, the stacked kernels against per-matrix calls, the guards over a
+stack against the one-matrix messages, and the chunking of the trial axis
+against the orbit chunk budget.
 """
+
+import random
 
 import numpy as np
 import pytest
 
-from gleason_lab import kernels, quantum, spectral, suite, trace
-from gleason_lab.errors import DegenerateInput, NotHermitian, NotUnitary
+from gleason_lab import gleason, kernels, linalg, quantum, spectral, suite, trace
+from gleason_lab.errors import DegenerateInput, InvalidWeights, NotHermitian, NotPositive, NotUnitary
+from gleason_lab.gleason import (
+    DensityOperator,
+    convex_mix,
+    measure_from_state,
+    pure_state,
+    random_density,
+)
 from gleason_lab.linalg import (
     Matrix,
+    Projector,
+    _check_projectors,
     _gram_schmidt,
     _orthonormalize,
     _unitaries,
     gram_schmidt,
+    outer_sum,
     random_hermitian,
     random_matrix,
+    random_phase,
+    random_projector,
+    random_unit_vector,
     random_unitaries,
     random_unitary,
 )
-from gleason_lab.quantum import SymmetryOp, symmetry_duality_gap
+from gleason_lab.quantum import Observable, SymmetryOp, conjugate_state, pvm_of, symmetry_duality_gap
 from gleason_lab.rng import SplitMix64
-from gleason_lab.scalars import Algebra
+from gleason_lab.scalars import Algebra, Quaternion
 from gleason_lab.spectral import eigvals_hermitian, op_norm
 from gleason_lab.suite import REGISTRY, Cell
 from gleason_lab.trace import (
@@ -115,6 +131,48 @@ def _symmetry_duality(cell, t):
     return [symmetry_duality_gap(A, B, sym) / (1.0 + trace_norm(A) * op_norm(B))]
 
 
+def _draw_density(cell):
+    return random_density(cell.dim, cell.algebra, cell.rng)
+
+
+def _draw_projector(cell):
+    return random_projector(cell.dim, 1 + cell.rng.integer(cell.dim), cell.algebra, cell.rng)
+
+
+def _projector_sandwich(cell, t):
+    A = random_hermitian(cell.dim, cell.algebra, cell.rng)
+    P = _draw_projector(cell).matrix
+    sandwiched = P @ A @ P
+    full = trace_n(sandwiched, Matrix.identity(cell.dim, cell.algebra))
+    return [abs(real_trace(P @ A) - real_trace(sandwiched)), abs(full - Quaternion(full.real))]
+
+
+def _measure_range(cell, t):
+    value = measure_from_state(_draw_density(cell))(_draw_projector(cell))
+    return [-value, value - 1.0]
+
+
+def _mix_linearity(cell, t):
+    t1, t2 = _draw_density(cell), _draw_density(cell)
+    w = cell.rng.uniform()
+    mixed = convex_mix([t1, t2], [w, 1.0 - w])
+    P = _draw_projector(cell)
+    rhs = w * measure_from_state(t1)(P) + (1.0 - w) * measure_from_state(t2)(P)
+    return [abs(measure_from_state(mixed)(P) - rhs)]
+
+
+def _pure_phase_classes(cell, t):
+    psi = random_unit_vector(cell.dim, cell.algebra, cell.rng)
+    q = random_phase(cell.algebra, cell.rng)
+    return [(pure_state(psi).matrix - pure_state(psi.scale_right(q)).matrix).max_abs()]
+
+
+def _state_conjugation(cell, t):
+    T = _draw_density(cell)
+    sym = SymmetryOp(_draw_unitary(cell))
+    return [abs(real_trace(conjugate_state(sym, T).matrix) - 1.0)]
+
+
 REFERENCES = {
     "trace.basis_invariance_rc": _basis_invariance(_draw_matrix),
     "trace.hermitian_basis_invariance_h": _basis_invariance(
@@ -127,6 +185,11 @@ REFERENCES = {
     "trace.absolute_sum_bound": _absolute_sum_bound,
     "trace.realification_quarter": _realification_quarter,
     "quantum.symmetry_duality": _symmetry_duality,
+    "trace.projector_sandwich": _projector_sandwich,
+    "gleason.measure_range": _measure_range,
+    "gleason.mix_linearity": _mix_linearity,
+    "gleason.pure_phase_classes": _pure_phase_classes,
+    "quantum.state_conjugation": _state_conjugation,
 }
 
 
@@ -171,6 +234,110 @@ def test_every_runner_that_keeps_its_loop_says_why():
             continue
         doc = (trial.__doc__ or "").strip()
         assert doc.startswith("Keeps its loop: ") and "\n" not in doc, prop.name
+
+
+# ---------------------------------------------------------------------------
+# the draw plan against the draws one after another
+# ---------------------------------------------------------------------------
+
+def _one_after_another(rng, trials, recipe):
+    """The draws of ``recipe_block(trials, recipe)`` made one call at a time."""
+    out = [[] for _ in recipe]
+    for _ in range(trials):
+        for drawn, (kind, size) in zip(out, recipe):
+            if kind == "gaussian":
+                drawn.append(rng.gaussian_block(size))
+            elif kind == "uniform":
+                drawn.append(rng.uniform_block(size))
+            else:
+                drawn.append(rng.integer(size))
+    return out
+
+
+def _assert_the_plan_is_sequential(seed, trials, recipe, before):
+    rng, ref = SplitMix64(seed), SplitMix64(seed)
+    # an odd count leaves a spare Gaussian held when the plan starts
+    rng.gaussian_block(before)
+    ref.gaussian_block(before)
+    got = rng.recipe_block(trials, recipe)
+    want = _one_after_another(ref, trials, recipe)
+    for drawn, expected, (kind, size) in zip(got, want, recipe, strict=True):
+        shape = (trials,) if kind == "integer" else (trials, size)
+        assert drawn.shape == shape
+        assert drawn.tobytes() == np.array(expected, dtype=drawn.dtype).reshape(shape).tobytes(), (recipe, trials)
+    assert (rng._pos, rng._spare_gauss) == (ref._pos, ref._spare_gauss), (recipe, trials, before)
+
+
+@pytest.mark.parametrize("before", [0, 1, 2], ids=["no-spare", "spare", "even"])
+@pytest.mark.parametrize("trials", [0, 1, 4])
+@pytest.mark.parametrize("recipe", [
+    [("gaussian", 1), ("uniform", 2), ("gaussian", 3), ("integer", 1), ("gaussian", 0)],
+    [("gaussian", 0), ("integer", 7), ("gaussian", 1), ("gaussian", 1), ("uniform", 0)],
+    [("uniform", 3), ("integer", 2**64), ("gaussian", 5)],
+    [("integer", 1)],
+    [],
+], ids=["odd", "zero-counts", "wide-bound", "bound-1", "empty"])
+def test_the_plan_serves_these_recipes_as_the_draws_one_after_another(recipe, trials, before):
+    _assert_the_plan_is_sequential(20, trials, recipe, before)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_plan_serves_random_recipes_as_the_draws_one_after_another(seed):
+    pick = random.Random(seed)
+    for _ in range(200):
+        recipe = []
+        for _ in range(pick.randint(0, 6)):
+            kind = pick.choice(("gaussian", "uniform", "integer"))
+            size = pick.choice((1, 2, 3, 7, 2**32 + 1, 2**64) if kind == "integer" else (0, 1, 2, 3, 5, 8))
+            recipe.append((kind, size))
+        _assert_the_plan_is_sequential(pick.randrange(2**64), pick.randint(0, 5), recipe, pick.randint(0, 3))
+
+
+def test_a_rejected_integer_is_redrawn_after_the_block_in_trial_order():
+    # the rejection limit of 2**63 + 1 is 2**63 + 1 itself: about half of all outputs lie above it
+    bound, trials = 2**63 + 1, 12
+    recipe = [("gaussian", 3), ("integer", bound), ("uniform", 2), ("integer", bound)]
+    rng, ref = SplitMix64(21), SplitMix64(21)
+    got = rng.recipe_block(trials, recipe)
+    # every item is served where it would be without rejections
+    gaussians, raw, uniforms = [], [], []
+    for _ in range(trials):
+        gaussians.append(ref.gaussian_block(3))
+        raw.append(int(ref.uint64_block(1)[0]))
+        uniforms.append(ref.uniform_block(2))
+        raw.append(int(ref.uint64_block(1)[0]))
+    rejected = [z >= bound for z in raw]
+    assert 4 <= sum(rejected) <= 2 * trials - 4
+    # then the rejected integers are redrawn in trial order: trial-major, item by item
+    want = [ref.integer(bound) if bad else z % bound for z, bad in zip(raw, rejected)]
+    assert got[0].tobytes() == np.array(gaussians).tobytes()
+    assert got[2].tobytes() == np.array(uniforms).tobytes()
+    assert np.stack([got[1], got[3]], axis=-1).ravel().tolist() == want
+    assert (rng._pos, rng._spare_gauss) == (ref._pos, ref._spare_gauss)
+
+
+def _integer_message(bound) -> str:
+    with pytest.raises(ValueError) as raised:
+        SplitMix64(0).integer(bound)
+    return str(raised.value)
+
+
+@pytest.mark.parametrize("item, message", [
+    (("poisson", 3), "unknown draw kind 'poisson', expected gaussian, uniform or integer"),
+    (("gaussian", -1), "a gaussian count must be >= 0, got -1"),
+    (("uniform", -2), "a uniform count must be >= 0, got -2"),
+    (("integer", 0), _integer_message(0)),
+    (("integer", -3), _integer_message(-3)),
+    (("integer", 2**64 + 1), _integer_message(2**64 + 1)),
+])
+def test_a_bad_recipe_raises_before_any_output_is_drawn(item, message):
+    rng = SplitMix64(22)
+    rng.gaussian_block(1)
+    state = (rng._pos, rng._spare_gauss)
+    with pytest.raises(ValueError) as raised:
+        rng.recipe_block(3, [("uniform", 1), ("gaussian", 2), item])
+    assert str(raised.value) == message
+    assert (rng._pos, rng._spare_gauss) == state
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +426,29 @@ def test_stacked_norms_and_traces_are_the_per_matrix_values(algebra):
                  [absolute_diagonal_sum(M, Matrix(algebra, u)) for M, u in zip(matrices, U)])
 
 
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+def test_paired_real_pairings_are_the_per_pair_values(algebra):
+    P, T = _stack(6, (4, 3), algebra, 23), _stack(6, (3, 4), algebra, 24)
+    assert _same(trace._real_pairings(P, T),
+                 [trace.real_pairing(Matrix(algebra, p), Matrix(algebra, t)) for p, t in zip(P, T)])
+
+
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+def test_pvm_atoms_are_built_alone_and_certified_as_one_stack(algebra, monkeypatch):
+    U = random_unitary(4, algebra, SplitMix64(25))
+    A = Observable(outer_sum(U, [2.0, 1.0, 1.0, -0.5]))  # a doubled eigenvalue: atoms of ranks 1, 2, 1
+    certified = []
+    check = linalg._check_projectors
+    monkeypatch.setattr(linalg, "_check_projectors", lambda comps, alg: certified.append(comps.shape) or check(comps, alg))
+    atoms = pvm_of(A).atoms
+    assert certified == [(3, 4, 4, 4)]
+    dec = A.decomposition
+    groups = spectral._group_indices(dec.values, quantum._ATOM_REL_TOL * np.abs(dec.values).max())
+    assert [b - a for a, b in groups] == [1, 2, 1]
+    for (_, P), (a, b) in zip(atoms, groups, strict=True):
+        assert P.matrix.comps.tobytes() == outer_sum(Matrix(algebra, dec.basis.comps[:, a:b])).comps.tobytes()
+
+
 def test_random_unitary_is_the_one_draw_case_of_random_unitaries():
     for algebra in ALGEBRAS:
         rng, ref = SplitMix64(9), SplitMix64(9)
@@ -314,6 +504,79 @@ def test_a_non_unitary_factor_names_the_lowest_failing_matrix(algebra):
     alone = _message(lambda: SymmetryOp(Matrix(algebra, U[2])), NotUnitary)
     assert alone.startswith("U*U - I has magnitude")
     assert _message(lambda: quantum._check_unitaries(U, algebra), NotUnitary) == f"{alone} (stack entry 2)"
+
+
+def _state_stack(algebra, count=5, n=3):
+    rng = SplitMix64(26)
+    return np.stack([random_density(n, algebra, rng).matrix.comps for _ in range(count)])
+
+
+def _broken_state(kind, comps):
+    broken = comps.copy()
+    if kind == "non-positive":
+        broken[:] = 0.0
+        broken[[0, 1], [0, 1], 0] = (1.5, -0.5)
+    elif kind == "wrong-trace":
+        broken *= 0.9
+    elif kind == "non-hermitian":
+        broken[0, 1, 0] += 0.1
+    else:
+        broken[1, 1, 0] = np.nan
+    return broken
+
+
+@pytest.mark.parametrize("kind", ["non-positive", "wrong-trace", "non-hermitian", "non-finite"])
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+def test_the_stacked_state_certificate_names_the_lowest_failing_trial(algebra, kind):
+    stack = _state_stack(algebra)
+    for t in (1, 3):
+        stack[t] = _broken_state(kind, stack[t])
+    error = {"non-positive": NotPositive, "wrong-trace": ValueError}.get(kind, NotHermitian)
+    alone = _message(lambda: DensityOperator(Matrix(algebra, stack[1])), error)
+    assert _message(lambda: gleason._state_spectra(stack, algebra), error) == f"{alone} (stack entry 1)"
+    assert _same(gleason._state_spectra(stack[[0, 2, 4]], algebra),
+                 [DensityOperator(Matrix(algebra, c)).eigenvalues for c in stack[[0, 2, 4]]])
+
+
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+def test_the_stacked_state_builders_name_the_lowest_failing_trial(algebra):
+    states = _state_stack(algebra, count=4)
+    weights = np.array([[0.3, 0.5, 0.2, 0.9], [0.7, 0.6, 0.8, -0.1]])  # trials 1 and 3 fail
+    alone = _message(lambda: convex_mix([DensityOperator(Matrix(algebra, c)) for c in states[:2]],
+                                        list(weights[:, 1])), InvalidWeights)
+    assert _message(lambda: gleason._convex_mixes([states, states[::-1]], weights), InvalidWeights) == (
+        f"{alone} (stack entry 1)")
+    psi = np.stack([random_unit_vector(3, algebra, SplitMix64(t)).comps for t in range(4)])
+    psi[2] = 0.0
+    alone = _message(lambda: pure_state(Matrix(algebra, psi[2])), DegenerateInput)
+    assert _message(lambda: gleason._pure_states(psi, algebra.component_count), DegenerateInput) == (
+        f"{alone} (stack entry 2)")
+
+
+def _broken_projector(kind, comps):
+    broken = comps.copy()
+    if kind == "non-idempotent":
+        broken *= 0.9
+    elif kind == "non-hermitian":
+        broken[0, 1, 0] += 1e-3
+    else:
+        broken[2, 0, 0] = np.inf
+    return broken
+
+
+@pytest.mark.parametrize("kind", ["non-idempotent", "non-hermitian", "non-finite"])
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+def test_the_stacked_projector_certificate_names_the_lowest_failing_trial(algebra, kind):
+    rng = SplitMix64(27)
+    stack = np.stack([random_projector(3, 1 + t % 3, algebra, rng).matrix.comps for t in range(5)])
+    for t in (2, 4):
+        stack[t] = _broken_projector(kind, stack[t])
+    alone = _message(lambda: Projector(Matrix(algebra, stack[2])), ValueError)
+    assert alone.startswith("projector matrix has" if kind == "non-finite" else "not a projector")
+    assert _message(lambda: _check_projectors(stack, algebra), ValueError) == f"{alone} (stack entry 2)"
+    assert _message(lambda: Projector.of_stack(algebra, stack), ValueError) == f"{alone} (stack entry 2)"
+    kept = Projector.of_stack(algebra, stack[[0, 1, 3]])
+    assert [P.matrix.comps.tobytes() for P in kept] == [c.tobytes() for c in stack[[0, 1, 3]]]
 
 
 @pytest.mark.parametrize("algebra", ALGEBRAS)

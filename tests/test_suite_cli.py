@@ -213,10 +213,11 @@ class TestRunSuite:
         assert _worst([1.0, math.inf]) == math.inf
 
     def test_runner_errors_are_recorded_with_their_message(self, monkeypatch):
-        def broken(U, T):
+        def broken(v, b, anti, algebra):
             raise RuntimeError("conjugation exploded")
 
-        monkeypatch.setattr(quantum, "conjugate_state", broken)
+        # the runner conjugates a cell's states as one stack
+        monkeypatch.setattr(quantum, "_transform_states", broken)
         report = run_suite(_small_cfg(dims=(3,), trials=1, only="quantum.state_conjugation"))
         assert report.records
         for r in report.records:
