@@ -45,6 +45,7 @@ from .linalg import (
     _PROJECTOR_TOL,
     Matrix,
     Projector,
+    _block_projectors,
     _certify_projectors,
     _check_same_algebra,
     _conj_comps,
@@ -52,7 +53,6 @@ from .linalg import (
     _outer_sums,
     inner,  # re-exported: perfbench's tracer test checks this binding
     outer_sum,
-    projector_onto,
     random_phases,
     random_unit_vectors,
     random_unitary,
@@ -445,17 +445,13 @@ def separation_check(P: Projector, Q: Projector) -> bool:
 # ---------------------------------------------------------------------------
 
 def random_orthogonal_decomposition(n: int, algebra: Algebra, rng: SplitMix64) -> list[Projector]:
-    """Pairwise-orthogonal projectors summing to the identity, spanned by
-    consecutive column blocks of a random unitary."""
+    """Pairwise-orthogonal projectors summing to the identity, onto consecutive
+    column blocks of a random unitary (:func:`_block_projectors`)."""
     U = random_unitary(n, algebra, rng)
     blocks = min(2 + rng.integer(n - 1) if n > 2 else 2, n)
     cuts = sorted(rng.integer(n - 1) + 1 for _ in range(blocks - 1))
     bounds = [0] + sorted(set(cuts)) + [n]
-    out = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if hi > lo:
-            out.append(projector_onto(Matrix(algebra, U.comps[:, lo:hi])))
-    return out
+    return _block_projectors(U.comps, zip(bounds[:-1], bounds[1:]), algebra)
 
 
 # ---------------------------------------------------------------------------

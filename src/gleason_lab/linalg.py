@@ -9,47 +9,35 @@ q, and the adjoint satisfies <A* x | y> = <x | A y>.
 
 Storage is a float64 component array of shape (n, m, 4) per matrix (rows,
 columns, quaternion components), shared by all three algebras; the
-components beyond the algebra's are zero.  Matrix products go through
-:func:`gleason_lab.kernels.quat_matmul` in the algebra's own arithmetic: one
-real GEMM over R, one complex GEMM over C, the quaternion block product over
-H.  Squared entry moduli go through :func:`_sq_moduli`, which adds the four
-squared components in order.
+components beyond the algebra's are zero.  Products go through
+:func:`gleason_lab.kernels.quat_matmul` in the algebra's own arithmetic, the
+pointwise product :func:`_mul_comps` through the Hamilton table, and squared
+moduli through :func:`_sq_moduli`, which adds the squared components in
+order, as ``abs(Quaternion)`` does.
 
 :func:`outer_sum` is the one place where vectors become operators: every
 spectral sum, projector, state, |A|, polar direction J and phase group is
-assembled as (U diag(q)) V* from the columns of U and V in a single product,
-and :func:`outer` is its one-column case.
+(U diag(q)) V* in a single product.  The projector onto a block of
+orthonormal columns is the outer sum of that block, with no Gram-Schmidt run
+again: :func:`_block_projectors` builds the blocks of one basis (the atoms of
+:func:`gleason_lab.quantum.pvm_of`, the parts of
+:func:`gleason_lab.gleason.random_orthogonal_decomposition`), and
+:func:`_random_projectors` the leading columns of a stack of unitaries.  Only
+:func:`projector_onto`, whose columns need not be orthonormal, runs
+Gram-Schmidt first.  :func:`_orthonormalize` is the one Gram-Schmidt, shared
+by :func:`gram_schmidt` and the eigenvector lift of :mod:`gleason_lab.spectral`.
 
-A basis is the :class:`Matrix` of its columns, and
-:func:`_orthonormalize` is the one Gram-Schmidt, shared by :func:`gram_schmidt`
-and the quaternionic eigenvector lift in :mod:`gleason_lab.spectral`.  It
-runs over a stack of matrices as over one, as do the adjoint, the entry
-moduli and the guards of :func:`_gram_schmidt`; a guard over a stack rejects
-the lowest matrix that fails it (:func:`gleason_lab.errors.require`).
-
-The pointwise Hamilton product :func:`_mul_comps` is table-driven: it reads
-the left-regular form of its left factor off :data:`gleason_lab.kernels.HAMILTON`,
-the table the Gram-Schmidt block uses too.  :meth:`Projector.rank_ones` builds
-the projectors onto the lines of a block of columns with no matrix product and
-no Hamilton table: read as complex pairs, each entry u = z1 + z2 j, and
-u_r conj(u_c) = (z1_r conj z1_c + z2_r conj z2_c) + (z2_r z1_c - z1_r z2_c) j
-(:func:`_line_projectors`).  It certifies the whole stack at once and returns
-it as one (k, n, n, 4) array, with no object per projector.  The
-certificate, :func:`_certify_projectors`, reads the stack as built, through its
-complex view: the Hermitian defect P - P* has the parts Z1 - conj Z1^T and
-Z2 + Z2^T (:func:`_projector_defects`).  It reads the entries of the stack,
-not the vectors they came from, so a build that breaks P* = P fails it.  The
-frame-function probes of :mod:`gleason_lab.gleason` read the stack in column
-chunks of at most ``gleason._PROBE_CHUNK_ENTRIES`` entries (one column at
-n > 90).
-
-Random instances share one Gaussian layout, :func:`_gaussian_comps`;
-:func:`random_unit_vectors` draws a block of unit vectors, and
-:func:`random_unit_vector` is its one-column case; :func:`random_phases` and
-:func:`random_phase` stand in the same relation.  :func:`random_projector` is
-the one-draw case of :func:`_random_projectors`, which builds the projectors
-of one rank as one stack, and :class:`Projector` is the one-matrix case of the
-stacked certificate :func:`_check_projectors`.
+Every kernel and guard runs over a stack of matrices as over one; a guard
+over a stack rejects the lowest matrix that fails it
+(:func:`gleason_lab.errors.require`).  :class:`Projector` is the one-matrix
+case of the stacked certificate :func:`_check_projectors`, and each one-draw
+random function (:func:`random_unit_vector`, :func:`random_phase`,
+:func:`random_unitary`, :func:`random_projector`) the one-draw case of a
+stacked draw from the one Gaussian layout :func:`_gaussian_comps`.
+:meth:`Projector.rank_ones` builds the projectors onto the lines of a block of
+columns with no matrix product, entry by entry through the complex view
+u = z1 + z2 j (:func:`_line_projectors`), and certifies the stack as built,
+through the same view (:func:`_projector_defects`).
 """
 
 from __future__ import annotations
@@ -611,6 +599,14 @@ def _certify_projectors(stack: np.ndarray, idem: np.ndarray, tol: float) -> None
             lambda p: f"not a projector: idempotency defect {idem[p]:.3e}, hermitian defect {herm[p]:.3e}")
 
 
+def _block_projectors(U: np.ndarray, blocks, algebra: Algebra) -> list[Projector]:
+    """The projectors onto the column blocks ``U[:, lo:hi]`` of the orthonormal
+    (n, m, 4) columns ``U``, one per (lo, hi) of ``blocks``: each the outer sum
+    of its block, built alone, and all certified as one stack."""
+    count = algebra.component_count
+    return Projector.of_stack(algebra, np.stack([_outer_sums(U[:, lo:hi], count) for lo, hi in blocks]))
+
+
 def projector_onto(W: Matrix, *, drop: bool = False) -> Projector:
     """Projector onto the span of the (not necessarily orthonormal) columns of W."""
     return Projector(outer_sum(gram_schmidt(W, drop=drop)))
@@ -774,14 +770,14 @@ def random_phase(algebra: Algebra, rng) -> Quaternion:
 
 def _random_projectors(U: np.ndarray, ranks: list[int], algebra: Algebra) -> np.ndarray:
     """The (T, n, n, 4) stack of the projectors onto the first ``ranks[t]``
-    columns of each unitary of a (T, n, n, 4) stack, as :func:`projector_onto`
-    builds each one: Gram-Schmidt once more, then the outer sum.  The trials
-    of one rank form one stack, so that every product has the shape that it
-    has alone.  The caller certifies the stack (:func:`_check_projectors`)."""
+    columns of each unitary of a (T, n, n, 4) stack: the outer sums of those
+    orthonormal columns.  The trials of one rank form one stack, so that every
+    product has the shape that it has alone.  The caller certifies the stack
+    (:func:`_check_projectors`)."""
     out = np.empty_like(U)
     for rank in sorted(set(ranks)):
         at = [t for t, r in enumerate(ranks) if r == rank]
-        out[at] = _outer_sums(_gram_schmidt(U[at][..., :rank, :]), algebra.component_count)
+        out[at] = _outer_sums(U[at][..., :rank, :], algebra.component_count)
     return out
 
 

@@ -33,6 +33,7 @@ from .linalg import (
     Matrix,
     Projector,
     _adjoint_comps,
+    _block_projectors,
     _check_same_algebra,
     _conj_comps,
     _in_algebra,
@@ -101,27 +102,33 @@ class PVMap:
         return acc
 
 
-def pvm_of(A: Observable) -> PVMap:
-    """Group the eigendecomposition into distinct-eigenvalue atoms.
+def _atoms(values: np.ndarray) -> list[tuple[int, int, float]]:
+    """(lo, hi, mean) of each atom of a sorted spectrum: :func:`_group_indices`
+    at ``_ATOM_REL_TOL`` relative to the largest |eigenvalue|."""
+    groups = _group_indices(values, _ATOM_REL_TOL * float(np.abs(values).max(initial=0.0)))
+    return [(a, b, float(np.mean(values[a:b]))) for a, b in groups]
 
-    Each atom is the outer sum of its eigenvectors, built alone, and the atoms
-    are certified as one stack (:meth:`Projector.of_stack`).
+
+def pvm_of(A: Observable) -> PVMap:
+    """Group the eigendecomposition into distinct-eigenvalue atoms (:func:`_atoms`).
+
+    Each atom is the outer sum of its block of eigenvectors, built alone, and
+    the atoms are certified as one stack (:func:`_block_projectors`).
     """
     dec = A.decomposition
-    scale = float(np.abs(dec.values).max(initial=0.0))
-    U = dec.basis.comps
-    groups = _group_indices(dec.values, _ATOM_REL_TOL * scale)
-    atoms = Projector.of_stack(A.algebra, np.stack([outer_sum(Matrix(A.algebra, U[:, a:b])).comps for a, b in groups]))
-    return PVMap(tuple((float(np.mean(dec.values[a:b])), P) for (a, b), P in zip(groups, atoms)))
+    atoms = _atoms(dec.values)
+    stack = _block_projectors(dec.basis.comps, [(a, b) for a, b, _ in atoms], A.algebra)
+    return PVMap(tuple((s, P) for (_, _, s), P in zip(atoms, stack)))
 
 
 def apply_function(A: Observable, f: Callable[[float], float]) -> Observable:
-    """f(A) = sum_s f(s) P_s over the spectral atoms."""
-    pvm = pvm_of(A)
-    acc = Matrix.zeros(A.n, A.n, A.algebra)
-    for s, P in pvm.atoms:
-        acc = acc + P.matrix * float(f(s))
-    return Observable(acc)
+    """f(A) = sum_s f(s) P_s = U diag(f(s)) U*, one :func:`outer_sum` over the
+    eigenbasis U, each atom's columns (:func:`_atoms`) weighted by f(mean)."""
+    dec = A.decomposition
+    coeffs = np.empty(A.n)
+    for a, b, s in _atoms(dec.values):
+        coeffs[a:b] = float(f(s))
+    return Observable(outer_sum(dec.basis, coeffs))
 
 
 @dataclass(frozen=True)

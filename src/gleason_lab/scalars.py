@@ -95,7 +95,7 @@ class Quaternion:
         return Quaternion(-self.a, -self.b, -self.c, -self.d)
 
     def __abs__(self) -> float:
-        return float(np.sqrt(self.a**2 + self.b**2 + self.c**2 + self.d**2))
+        return float(np.sqrt(self.a * self.a + self.b * self.b + self.c * self.c + self.d * self.d))
 
     def conjugate(self) -> "Quaternion":
         return Quaternion(self.a, -self.b, -self.c, -self.d)
@@ -105,7 +105,7 @@ class Quaternion:
         return self.a
 
     def inverse(self) -> "Quaternion":
-        n2 = self.a**2 + self.b**2 + self.c**2 + self.d**2
+        n2 = self.a * self.a + self.b * self.b + self.c * self.c + self.d * self.d
         if n2 == 0.0:
             raise ZeroDivisionError("zero quaternion has no inverse")
         return Quaternion(self.a / n2, -self.b / n2, -self.c / n2, -self.d / n2)

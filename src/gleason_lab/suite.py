@@ -67,6 +67,7 @@ from .linalg import (
     _max_abs,
     _mul_comps,
     _random_projectors,
+    _sq_moduli,
     _unit_rows,
     _unit_scalars,
     _unitaries,
@@ -302,8 +303,8 @@ def _identities(count: int, n: int) -> np.ndarray:
 
 def _moduli(q: np.ndarray) -> np.ndarray:
     """|q| of every row of a (..., 4) component array, bit for bit as
-    ``abs(Quaternion)``, whose squares are Python powers, gives it."""
-    return np.array([abs(Quaternion.from_array(row)) for row in q.reshape(-1, 4)]).reshape(q.shape[:-1])
+    ``abs(Quaternion)`` gives it."""
+    return np.sqrt(_sq_moduli(q))
 
 
 def _basis_invariance(hermitian: bool) -> Callable[[Cell], float]:

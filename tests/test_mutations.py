@@ -102,6 +102,15 @@ def _complex_product_reading_component_0(monkeypatch):
     _patch_every_binding(monkeypatch, product, real_parts_only)
 
 
+def _blocks_one_column_short(monkeypatch):
+    build = linalg._block_projectors
+
+    def short(U, blocks, algebra):  # a one-column block becomes the zero projector, which certifies
+        return build(U, [(lo, hi - 1) for lo, hi in blocks], algebra)
+
+    _patch_every_binding(monkeypatch, build, short)
+
+
 def _grouping_tolerance_scaled_by_1e6(monkeypatch):
     group = spectral._group_indices
     _patch_every_binding(monkeypatch, group, lambda values, tol: group(values, tol * 1e6))
@@ -118,6 +127,7 @@ MUTANTS = {
     "orthonormalize_skipping_renormalization": _orthonormalize_skipping_renormalization,
     "complex_product_reading_component_0": _complex_product_reading_component_0,
     "grouping_tolerance_scaled_by_1e6": _grouping_tolerance_scaled_by_1e6,
+    "blocks_one_column_short": _blocks_one_column_short,
 }
 
 

@@ -449,6 +449,53 @@ def test_pvm_atoms_are_built_alone_and_certified_as_one_stack(algebra, monkeypat
         assert P.matrix.comps.tobytes() == outer_sum(Matrix(algebra, dec.basis.comps[:, a:b])).comps.tobytes()
 
 
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_a_random_projector_is_the_outer_sum_of_unitary_columns(algebra, n):
+    for rank in range(1, n + 1):
+        rng, ref = SplitMix64(26 + rank), SplitMix64(26 + rank)
+        P = random_projector(n, rank, algebra, rng)
+        U = random_unitary(n, algebra, ref)
+        assert P.matrix.comps.tobytes() == outer_sum(Matrix(algebra, U.comps[:, :rank])).comps.tobytes()
+        assert (rng._pos, rng._spare_gauss) == (ref._pos, ref._spare_gauss)
+
+
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+@pytest.mark.parametrize("seed", range(4))
+def test_decomposition_parts_are_block_outer_sums_certified_as_one_stack(algebra, seed, monkeypatch):
+    certified = []
+    check = linalg._check_projectors
+    monkeypatch.setattr(linalg, "_check_projectors", lambda comps, alg: certified.append(comps.shape) or check(comps, alg))
+    parts = gleason.random_orthogonal_decomposition(5, algebra, SplitMix64(27 + seed))
+    assert certified == [(len(parts), 5, 5, 4)]
+    U = random_unitary(5, algebra, SplitMix64(27 + seed)).comps
+    lo = 0
+    for P in parts:
+        hi = lo + P.rank
+        assert P.matrix.comps.tobytes() == outer_sum(Matrix(algebra, U[:, lo:hi])).comps.tobytes()
+        lo = hi
+    assert lo == 5
+
+
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_apply_function_certifies_no_projector_and_is_the_spectral_sum(algebra, n, monkeypatch):
+    spectrum = [1.5, -0.25, 1.5, 3.0, 0.5, -2.0, 0.75, 2.25][:n]  # 1.5 doubled from n = 3 on
+    A = Observable(outer_sum(random_unitary(n, algebra, SplitMix64(28)), spectrum))
+    def f(s):
+        return s * s * s - 2.0 * s
+
+    certified = []
+    check = linalg._check_projectors
+    monkeypatch.setattr(linalg, "_check_projectors", lambda comps, alg: certified.append(comps.shape) or check(comps, alg))
+    fA = quantum.apply_function(A, f).matrix
+    assert certified == []
+    atoms = pvm_of(A).atoms
+    assert len(atoms) == len(set(spectrum))
+    expect = sum((P.matrix * f(s) for s, P in atoms[1:]), atoms[0][1].matrix * f(atoms[0][0]))
+    assert (fA - expect).max_abs() <= 1e-12
+
+
 def test_random_unitary_is_the_one_draw_case_of_random_unitaries():
     for algebra in ALGEBRAS:
         rng, ref = SplitMix64(9), SplitMix64(9)

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from gleason_lab import quantum, suite, trace
+from gleason_lab import kernels, quantum, suite, trace
 from gleason_lab.cli import main as cli_main
-from gleason_lab.linalg import Matrix
+from gleason_lab.rng import SplitMix64
+from gleason_lab.scalars import Quaternion
 from gleason_lab.suite import (
     REGISTRY,
     PropertyDef,
@@ -42,21 +43,28 @@ def _small_cfg(**overrides):
 class TestRunSuite:
     def test_real_and_complex_runs_build_no_entry_outside_their_algebra(self, monkeypatch):
         # the R and C products read only the algebra's components, so every
-        # matrix a run builds must keep the others zero
-        init = Matrix.__init__
-        built, outside = [0], []
+        # operand of such a product must keep the others zero; most runners
+        # build component stacks with no Matrix, so the spy sits on the
+        # product, which every module calls through the kernels module
+        product = kernels.quat_matmul
+        products, outside = [0], []
 
-        def checked_init(self, algebra, comps):
-            init(self, algebra, comps)
-            built[0] += 1
-            if self.comps[..., algebra.component_count:].any():
-                outside.append((algebra.value, self.comps.shape))
+        def checked_product(A, B, component_count=4):
+            if component_count < 4:
+                products[0] += 1
+                outside.extend(op.shape for op in (A, B) if op[..., component_count:].any())
+            return product(A, B, component_count)
 
-        monkeypatch.setattr(Matrix, "__init__", checked_init)
-        report = run_suite(_small_cfg(algebras=("R", "C"), trials=2))
+        monkeypatch.setattr(kernels, "quat_matmul", checked_product)
+        report = run_suite(_small_cfg(algebras=("R", "C"), dims=(1, 2, 3), trials=2))
         assert report.all_passed and report.counts["passed"] > 0
-        assert built[0] > 1000
+        assert products[0] > 800
         assert outside == []
+
+    @pytest.mark.parametrize("rows", [10, 3000])  # both sides of linalg._SQ_MODULI_MIN_ENTRIES
+    def test_moduli_are_abs_of_each_quaternion_bit_for_bit(self, rows):
+        q = SplitMix64(29).gaussian_block(rows * 4).reshape(rows, 4)
+        assert suite._moduli(q).tolist() == [abs(Quaternion.from_array(row)) for row in q]
 
     def test_everything_passes_at_small_scale(self):
         report = run_suite(_small_cfg())
