@@ -451,7 +451,7 @@ def random_orthogonal_decomposition(n: int, algebra: Algebra, rng: SplitMix64) -
     blocks = min(2 + rng.integer(n - 1) if n > 2 else 2, n)
     cuts = sorted(rng.integer(n - 1) + 1 for _ in range(blocks - 1))
     bounds = [0] + sorted(set(cuts)) + [n]
-    return _block_projectors(U.comps, zip(bounds[:-1], bounds[1:]), algebra)
+    return Projector.of_stack(algebra, _block_projectors(U.comps, zip(bounds[:-1], bounds[1:]), algebra))
 
 
 # ---------------------------------------------------------------------------

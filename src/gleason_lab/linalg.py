@@ -19,8 +19,9 @@ order, as ``abs(Quaternion)`` does.
 spectral sum, projector, state, |A|, polar direction J and phase group is
 (U diag(q)) V* in a single product.  The projector onto a block of
 orthonormal columns is the outer sum of that block, with no Gram-Schmidt run
-again: :func:`_block_projectors` builds the blocks of one basis (the atoms of
-:func:`gleason_lab.quantum.pvm_of`, the parts of
+again: :func:`_block_projectors` builds the blocks of one basis, or of every
+basis of a stack (the atoms of :func:`gleason_lab.quantum.pvm_of` and of the
+suite's stacked spectra, the parts of
 :func:`gleason_lab.gleason.random_orthogonal_decomposition`), and
 :func:`_random_projectors` the leading columns of a stack of unitaries.  Only
 :func:`projector_onto`, whose columns need not be orthonormal, runs
@@ -42,6 +43,8 @@ through the same view (:func:`_projector_defects`).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import kernels
@@ -50,6 +53,8 @@ from .kernels import HAMILTON
 from .scalars import Algebra, Quaternion, as_quaternion
 
 _RANK_TOL = 1e-10
+# the smallest normal double: a sum of squares below it has lost bits to underflow
+_NORMAL_MIN = float(np.finfo(np.float64).tiny)
 
 
 # components of the quaternion conjugate: a - bi - cj - dk
@@ -255,8 +260,14 @@ class Matrix:
         return float(_max_abs(self.comps))
 
     def norm(self) -> float:
-        """Frobenius norm; the length of an n x 1 column."""
-        return float(np.sqrt((self.comps**2).sum()))
+        """Frobenius norm; the length of an n x 1 column.  The one-matrix case
+        of :func:`_norms`, whose plain sum of squares it takes as it stands
+        when that sum is a finite normal number."""
+        with np.errstate(over="ignore"):
+            sq = float((self.comps**2).sum())
+        if _NORMAL_MIN <= sq < math.inf:
+            return math.sqrt(sq)
+        return float(_norms(self.comps))
 
     def orthonormality_defect(self) -> float:
         """Largest entry magnitude of U*U - I over the columns of U."""
@@ -297,6 +308,31 @@ def _max_abs(comps: np.ndarray) -> np.ndarray:
     correctly rounded, so this is the largest modulus bit for bit.
     """
     return np.sqrt(_sq_moduli(comps).max(axis=(-2, -1)))
+
+
+def _norms(comps: np.ndarray) -> np.ndarray:
+    """Frobenius norm of every matrix of a (..., n, m, 4) stack.
+
+    The square root of the plain sum of the squared components, unless that
+    sum overflows or falls below the normal range.  Such a matrix is scaled
+    by 2^-e, e the exponent of its largest |component| (``np.frexp``), and its
+    norm is the scaled matrix's norm times 2^e.  Scaling by a power of two is
+    exact, so norm(A 2^k) = norm(A) 2^k bit for bit wherever the result is a
+    normal number.  A matrix with a non-finite entry keeps the plain sum's
+    inf or NaN.
+    """
+    with np.errstate(over="ignore"):
+        sq = (comps**2).sum(axis=(-3, -2, -1))
+    plain = np.sqrt(sq)
+    ordinary = (sq >= _NORMAL_MIN) & (sq < np.inf)
+    if ordinary.all():
+        return plain
+    peak = np.abs(comps).max(axis=(-3, -2, -1), initial=0.0)
+    e = np.asarray(np.frexp(peak)[1])
+    scaled = np.ldexp(comps, -e[..., None, None, None])
+    with np.errstate(over="ignore"):
+        rescaled = np.ldexp(np.sqrt((scaled**2).sum(axis=(-3, -2, -1))), e)
+    return np.where(ordinary | ~np.isfinite(peak), plain, rescaled)
 
 
 def _hermitian_ratio(comps: np.ndarray, star: np.ndarray) -> np.ndarray:
@@ -599,12 +635,14 @@ def _certify_projectors(stack: np.ndarray, idem: np.ndarray, tol: float) -> None
             lambda p: f"not a projector: idempotency defect {idem[p]:.3e}, hermitian defect {herm[p]:.3e}")
 
 
-def _block_projectors(U: np.ndarray, blocks, algebra: Algebra) -> list[Projector]:
-    """The projectors onto the column blocks ``U[:, lo:hi]`` of the orthonormal
-    (n, m, 4) columns ``U``, one per (lo, hi) of ``blocks``: each the outer sum
-    of its block, built alone, and all certified as one stack."""
+def _block_projectors(U: np.ndarray, blocks, algebra: Algebra) -> np.ndarray:
+    """The (..., k, n, n, 4) stack of the projectors onto the column blocks
+    ``U[..., lo:hi]`` of the orthonormal (..., n, m, 4) columns ``U``, one per
+    (lo, hi) of ``blocks``, for one basis or every basis of a stack: each the
+    outer sum of its block, built as alone (over a stack, one product per
+    block).  The caller certifies the stack in one call."""
     count = algebra.component_count
-    return Projector.of_stack(algebra, np.stack([_outer_sums(U[:, lo:hi], count) for lo, hi in blocks]))
+    return np.stack([_outer_sums(U[..., lo:hi, :], count) for lo, hi in blocks], axis=-4)
 
 
 def projector_onto(W: Matrix, *, drop: bool = False) -> Projector:

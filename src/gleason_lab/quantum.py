@@ -20,7 +20,6 @@ the orbit values (:func:`_orbit_values`).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,16 +35,17 @@ from .linalg import (
     _block_projectors,
     _check_same_algebra,
     _conj_comps,
+    _hermitian_ratio,
     _in_algebra,
+    _max_abs,
     _mul_comps,
     _orthonormality_defects,
     outer_sum,
 )
 from .scalars import Algebra, Quaternion
-from .spectral import _HERMITIAN_TOL, EigenDecomposition, _group_indices, eig_hermitian
-from .trace import _real_sums, _real_traces, real_pairing
+from .spectral import _ATOM_REL_TOL, _HERMITIAN_TOL, EigenDecomposition, _group_indices, eig_hermitian
+from .trace import _real_pairings, _real_sums, _real_traces, real_pairing
 
-_ATOM_REL_TOL = 1e-7
 # entries of the (k, n, n, 4) stack of U_t that _orbit_values builds at once (16 MB).
 # The two GEMMs of a chunk can round differently at another width: OpenBLAS takes
 # its AVX-512 small-matrix kernel up to M*N*K = 100^3, which over R can differ from
@@ -62,11 +62,7 @@ class Observable:
     __slots__ = ("matrix", "_dec")
 
     def __init__(self, matrix: Matrix):
-        # rejected before any arithmetic, which would make numpy warn
-        if not np.isfinite(matrix.comps).all():
-            raise NotHermitian("observable has a non-finite entry")
-        if not matrix.is_hermitian(_HERMITIAN_TOL):
-            raise NotHermitian(f"observable must be Hermitian, defect {matrix.hermitian_defect():.3e}")
+        _check_observables(matrix.comps)
         self.matrix = matrix
         self._dec = None
 
@@ -83,6 +79,18 @@ class Observable:
         if self._dec is None:
             self._dec = eig_hermitian(self.matrix)
         return self._dec
+
+
+def _check_observables(comps: np.ndarray) -> None:
+    """The guards of :class:`Observable` for every matrix of a (..., n, n, 4)
+    stack: finite, and Hermitian to the eigensolver's 1e-8 ratio test, else
+    NotHermitian; over a stack the lowest failing matrix is named."""
+    # rejected before any arithmetic, which would make numpy warn
+    require(np.isfinite(comps).all(axis=(-3, -2, -1)), NotHermitian, "observable has a non-finite entry")
+    star = _adjoint_comps(comps)
+    ratio = _hermitian_ratio(comps, star)
+    require(ratio <= _HERMITIAN_TOL, NotHermitian,
+            lambda i: f"observable must be Hermitian, defect {float(_max_abs(comps[i] - star[i])):.3e}")
 
 
 @dataclass(frozen=True)
@@ -113,12 +121,13 @@ def pvm_of(A: Observable) -> PVMap:
     """Group the eigendecomposition into distinct-eigenvalue atoms (:func:`_atoms`).
 
     Each atom is the outer sum of its block of eigenvectors, built alone, and
-    the atoms are certified as one stack (:func:`_block_projectors`).
+    the atoms are certified as one stack (:func:`_block_projectors`,
+    :meth:`Projector.of_stack`).
     """
     dec = A.decomposition
     atoms = _atoms(dec.values)
     stack = _block_projectors(dec.basis.comps, [(a, b) for a, b, _ in atoms], A.algebra)
-    return PVMap(tuple((s, P) for (_, _, s), P in zip(atoms, stack)))
+    return PVMap(tuple((s, P) for (_, _, s), P in zip(atoms, Projector.of_stack(A.algebra, stack))))
 
 
 def apply_function(A: Observable, f: Callable[[float], float]) -> Observable:
@@ -139,8 +148,8 @@ class OutcomeMeasure:
 
     def __post_init__(self):
         probs = np.array([p for _, p in self.support])
-        if probs.size and not (-1e-8 <= probs.min() and probs.max() <= 1.0 + 1e-8):
-            raise ValueError("probabilities escape [0, 1] beyond tolerance")
+        if probs.size:
+            _check_probabilities(probs)
 
     def total(self) -> float:
         return float(sum(p for _, p in self.support))
@@ -150,6 +159,15 @@ class OutcomeMeasure:
 
     def second_moment(self) -> float:
         return float(sum(s * s * p for s, p in self.support))
+
+
+def _check_probabilities(probs: np.ndarray) -> None:
+    """The range check of :class:`OutcomeMeasure` for each row of outcome
+    probabilities of a (..., k) array: every one in [-1e-8, 1 + 1e-8], else
+    ValueError; over a stack the lowest failing row is named."""
+    # NaN fails every comparison
+    require((-1e-8 <= probs.min(axis=-1)) & (probs.max(axis=-1) <= 1.0 + 1e-8), ValueError,
+            "probabilities escape [0, 1] beyond tolerance")
 
 
 def outcome_measure(A: Observable, T: DensityOperator) -> OutcomeMeasure:
@@ -166,13 +184,26 @@ def expectation(A: Observable, T: DensityOperator) -> float:
     return real_pairing(A.matrix, T.matrix)
 
 
+def _std_deviations(a: np.ndarray, t: np.ndarray, algebra: Algebra) -> np.ndarray:
+    """:func:`std_deviation` of every pair of observables and states of two
+    (..., n, n, 4) stacks; a radicand below the clamp window raises ValueError,
+    over a stack for the lowest failing pair."""
+    lead = a.shape[:-3]
+
+    def pairing(x: np.ndarray) -> np.ndarray:  # Re tr(X T) of every pair
+        return _real_pairings(x.reshape((-1,) + x.shape[-3:]), t.reshape((-1,) + t.shape[-3:])).reshape(lead)
+
+    mean = pairing(a)
+    radicand = pairing(kernels.quat_matmul(a, a, algebra.component_count)) - mean * mean
+    require(~(radicand < -1e-10), ValueError, lambda i: f"variance radicand {radicand[i]:.3e} below clamp window")
+    return np.sqrt(np.maximum(radicand, 0.0))
+
+
 def std_deviation(A: Observable, T: DensityOperator) -> float:
-    """sqrt(Re tr(A^2 T) - Re tr(A T)^2), clamping radicands in [-1e-10, 0)."""
-    mean = expectation(A, T)
-    radicand = real_pairing(A.matrix @ A.matrix, T.matrix) - mean * mean
-    if radicand < -1e-10:
-        raise ValueError(f"variance radicand {radicand:.3e} below clamp window")
-    return math.sqrt(max(radicand, 0.0))
+    """sqrt(Re tr(A^2 T) - Re tr(A T)^2), clamping radicands in [-1e-10, 0).
+    The one-pair case of :func:`_std_deviations`."""
+    _check_same_algebra(A.matrix, T.matrix)
+    return float(_std_deviations(A.matrix.comps, T.matrix.comps, A.algebra))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ eigenvector w = u - conj(v) j.  The lift is guarded twice: chi(A)'s sorted
 spectrum must be n consecutive equal pairs, else ConvergenceFailure, and
 every pair must yield one unit column.  A simple pair (the generic case)
 keeps its first lifted column, normalized, and all simple pairs are lifted as
-one block; that column has norm 1 for an honest solve, and one of norm at
+one block (``_lift``); that column has norm 1 for an honest solve, and one of norm at
 most 1e-6 raises ConvergenceFailure.  The lifted columns of a group of two or
 more equal pairs go through the one Gram-Schmidt,
 :func:`gleason_lab.linalg._orthonormalize`, which must keep one column per
@@ -33,6 +33,14 @@ means, and builds no basis.  The norms (:func:`singular_values`,
 check read only the spectrum, so they take :func:`eigvals_hermitian` and
 compute no eigenvectors.  Spectral measures need the basis, and so do |A| and
 the polar direction J, each from one eigendecomposition of A*A.
+
+``_eig_stack`` decomposes a (T, n, n, 4) stack with one guarded solve and
+serves each matrix whose spectrum is simple (``_simple_spectra``: every
+eigenvalue its own atom and, over H, its own pair) bit for bit as
+:func:`eig_hermitian` would, over H through the one simple-pair lift,
+``_lift``, that :func:`eig_hermitian` uses too.  A Gaussian Hermitian draw has
+a simple spectrum with probability 1; a matrix with a grouped one is left to
+its caller, which decomposes it alone.
 
 Eigenbases and adapted bases come back as the columns of one
 :class:`~gleason_lab.linalg.Matrix`; a single vector is an n x 1 Matrix.
@@ -59,6 +67,9 @@ from .scalars import Algebra, Quaternion
 
 _HERMITIAN_TOL = 1e-8
 _GROUP_TOL = 1e-7
+# the atoms of an observable are its eigenvalues grouped at this tolerance,
+# relative to the largest |eigenvalue| (gleason_lab.quantum._atoms)
+_ATOM_REL_TOL = 1e-7
 _CLAMP_REL = 1e-10
 
 
@@ -179,37 +190,57 @@ def eigvals_hermitian(A: Matrix) -> np.ndarray:
     return _eigvals(A.comps, A.algebra)
 
 
+def _basis_comps(V: np.ndarray) -> np.ndarray:
+    """The components of the real or complex eigenvector columns of every
+    matrix of a (..., n, n) stack."""
+    comps = np.zeros(V.shape + (4,))
+    comps[..., 0] = V.real
+    comps[..., 1] = V.imag
+    return comps
+
+
+def _lifted(V: np.ndarray) -> np.ndarray:
+    """The quaternionic lifts u - conj(v) j, as (..., n, k, 4) columns, of the
+    k eigenvectors (u; v) of chi(A) held as the columns of a (..., 2n, k) V."""
+    n = V.shape[-2] // 2
+    return np.stack([V[..., :n, :].real, V[..., :n, :].imag, -V[..., n:, :].real, V[..., n:, :].imag], axis=-1)
+
+
+def _lift(V: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """The lifted first eigenvector of each pair of ``pairs`` in chi(A)'s sorted
+    (..., 2n, 2n) eigenvector columns V, normalized, as the (..., n,
+    len(pairs), 4) columns of every matrix of a stack: what
+    :func:`_orthonormalize` keeps of a simple pair.  Each norm is the same dot
+    product of one contiguous 4n-row, whatever the stack.  A norm of at most
+    1e-6 raises ConvergenceFailure, over a stack for the lowest failing matrix."""
+    lifted = _lifted(V[..., 2 * pairs])
+    lead, n = lifted.shape[:-3], lifted.shape[-3]
+    rows = np.ascontiguousarray(lifted.swapaxes(-3, -2)).reshape(-1, 4 * n)
+    norms = np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]))[:, 0, 0]
+    require((norms > 1e-6).reshape(lead + (pairs.size,)).all(axis=-1), ConvergenceFailure,
+            "could not lift an eigenvector from a simple pair")
+    return (rows / norms[:, None]).reshape(lead + (pairs.size, n, 4)).swapaxes(-3, -2)
+
+
 def eig_hermitian(A: Matrix) -> EigenDecomposition:
     """Orthonormal eigenbasis of a Hermitian matrix over R, C or H."""
     w, V = _solve(A.comps, A.algebra, vectors=True)
     if A.algebra is not Algebra.H:
-        comps = np.zeros((A.n, A.n, 4))
-        comps[..., 0] = V.real
-        comps[..., 1] = V.imag
-        return EigenDecomposition(Matrix(A.algebra, comps), w)
+        return EigenDecomposition(Matrix(A.algebra, _basis_comps(V)), w)
     n = A.n
     # grouping is relative to the spectrum, so a small spectrum is not merged
     # into its mean
     scale = float(np.abs(w).max(initial=0.0))
-    # every eigenvector (u; v) of chi(A) lifts to u - conj(v) j, all columns at once
-    lifted = np.stack([V[:n].real, V[:n].imag, -V[n:].real, V[n:].imag], axis=-1)
     values = 0.5 * (w[0::2] + w[1::2])
     groups = _group_indices(values, _GROUP_TOL * scale)
     basis = np.empty((n, n, 4))
-    # a simple pair keeps its first lifted column, normalized, as
-    # _orthonormalize would: all of them at once, each norm the same dot
-    # product of one contiguous 4n-row
     simple = np.array([a for a, b in groups if b - a == 1], dtype=np.intp)
-    rows = np.ascontiguousarray(lifted[:, 2 * simple].transpose(1, 0, 2)).reshape(simple.size, 4 * n)
-    norms = np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]))[:, 0, 0]
-    if not (norms > 1e-6).all():
-        raise ConvergenceFailure("could not lift an eigenvector from a simple pair")
-    basis[:, simple] = (rows / norms[:, None]).reshape(simple.size, n, 4).transpose(1, 0, 2)
+    basis[:, simple] = _lift(V, simple)
     for a, b in groups:
         want = b - a
         if want == 1:
             continue
-        got, _ = _orthonormalize(lifted[:, 2 * a : 2 * b], 1e-6, limit=want)
+        got, _ = _orthonormalize(_lifted(V[:, 2 * a : 2 * b]), 1e-6, limit=want)
         if got.shape[1] != want:
             raise ConvergenceFailure(
                 f"could not lift {want} independent eigenvectors from a group of {2 * want}"
@@ -217,6 +248,40 @@ def eig_hermitian(A: Matrix) -> EigenDecomposition:
         basis[:, a:b] = got
         values[a:b] = np.mean(w[2 * a : 2 * b])
     return EigenDecomposition(Matrix(Algebra.H, basis), values)
+
+
+def _simple_spectra(values: np.ndarray, w: np.ndarray, algebra: Algebra) -> np.ndarray:
+    """Whether each matrix of a stack has a simple spectrum: every adjacent gap
+    of its sorted ``values`` above ``_ATOM_REL_TOL`` max|values|, and over H
+    every adjacent gap of the pair means above ``_GROUP_TOL`` max|w| of chi's
+    spectrum ``w``.  :func:`_group_indices` compares each value with the first
+    of its group, so this holds exactly when every group of the atoms
+    (:func:`gleason_lab.quantum.pvm_of`) and of the pairs
+    (:func:`eig_hermitian`) is a singleton."""
+
+    def apart(tol: np.ndarray) -> np.ndarray:
+        return (np.abs(values[..., 1:] - values[..., :-1]) > tol[..., None]).all(axis=-1)
+
+    simple = apart(_ATOM_REL_TOL * np.abs(values).max(axis=-1, initial=0.0))
+    if algebra is Algebra.H:
+        simple &= apart(_GROUP_TOL * np.abs(w).max(axis=-1, initial=0.0))
+    return simple
+
+
+def _eig_stack(c: np.ndarray, algebra: Algebra) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(simple, values, basis) of a (T, n, n, 4) stack of Hermitian matrices,
+    from one guarded solve of the whole stack (:func:`_solve`).  ``simple``
+    flags the matrices with a simple spectrum (:func:`_simple_spectra`);
+    ``values`` (S, n) and ``basis`` (S, n, n, 4) are what :func:`eig_hermitian`
+    gives each of these S matrices, in order, bit for bit: over H every pair
+    lifts by :func:`_lift`.  A matrix with a grouped spectrum gets nothing
+    here; its caller decomposes it alone."""
+    w, V = _solve(c, algebra, vectors=True)
+    values = 0.5 * (w[..., 0::2] + w[..., 1::2]) if algebra is Algebra.H else w
+    simple = _simple_spectra(values, w, algebra)
+    if algebra is not Algebra.H:
+        return simple, values[simple], _basis_comps(V[simple])
+    return simple, values[simple], np.ascontiguousarray(_lift(V[simple], np.arange(c.shape[-3])))
 
 
 def _gram(c: np.ndarray, algebra: Algebra) -> np.ndarray:

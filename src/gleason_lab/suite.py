@@ -7,33 +7,44 @@ and a tolerance.  ``run_suite`` executes the whole matrix deterministically;
 ``emit_report`` serializes the outcome.  The registry doubles as the coverage
 manifest shipped in ``claims.json``.
 
-Fifteen runners run a cell's trials as one stack: those of the real-trace
+Twenty runners run a cell's trials as one stack: those of the real-trace
 calculus, the state and projector runners (``projector_sandwich``,
 ``measure_range``, ``mix_linearity``, ``pure_phase_classes`` and
-``state_conjugation``) and ``symmetry_duality``.  ``block(cell, ts)`` draws
-the trials ``ts`` ahead from ``cell.rng`` (``_draw``).  A trial's draws are a
-fixed list of Gaussian, uniform and integer draws, which fixes every stream
-position, so one planned block (:meth:`SplitMix64.recipe_block`) holds the
-draws that one trial after another would make.  The block then runs every
-kernel once over the (trials, n, n, 4) stacks, the state and projector
-certificates included, and returns a (trials, terms) array.  Projectors are
-built in one stack per drawn rank, so every product keeps the shape it has
-alone.  ``_stacked`` turns the block into the cell runner, which runs the
-trial axis in chunks when a stack would pass ``quantum._ORBIT_CHUNK_ENTRIES``
-entries.  Each matrix of a stack is computed as a lone matrix is, so a
-stacked runner reports the bits that its per-trial form would.  The one
-exception is a draw that must be redrawn: a Gaussian matrix that
-Gram-Schmidt rejects, or an integer output past the rejection limit.  The
-stack redraws it after the block, where the per-trial form would redraw at
-once; either happens with probability near zero.
+``state_conjugation``), ``symmetry_duality``, and the five that decompose
+observables (``pvm_partition``, ``functional_calculus``,
+``expectation_duality``, ``pure_state_reduction`` and
+``diagonal_basis_cyclicity``).  ``block(cell, ts)`` draws the trials ``ts``
+ahead from ``cell.rng`` (``_draw``).  A trial's draws are a fixed list of
+Gaussian, uniform and integer draws, which fixes every stream position, so
+one planned block (:meth:`SplitMix64.recipe_block`) holds the draws that one
+trial after another would make.  The block then runs every kernel once over
+the (trials, n, n, 4) stacks, the state and projector certificates included,
+and returns the trials' terms (``_rows``).  Projectors are built in one stack
+per drawn rank, so every product keeps the shape it has alone.
+``_stacked`` turns the block into the cell runner, which runs the trial axis
+in chunks when a stack would pass ``quantum._ORBIT_CHUNK_ENTRIES`` entries.
+Each matrix of a stack is computed as a lone matrix is, so a stacked runner
+reports the bits that its per-trial form would.  The one exception is a draw
+that must be redrawn: a Gaussian matrix that Gram-Schmidt rejects, or an
+integer output past the rejection limit.  The stack redraws it after the
+block, where the per-trial form would redraw at once; either happens with
+probability near zero.
+
+The five that decompose observables take one stacked eigendecomposition
+(:func:`~gleason_lab.spectral._eig_stack`).  A trial whose spectrum is simple,
+as a Gaussian draw's is with probability 1, is served from the stacks: its
+atoms are the projectors onto its n eigenvectors, n matrices per trial in the
+chunk budget, built and certified as one stack.  A trial with a repeated
+eigenvalue runs the one-matrix code on its drawn matrices, in its turn
+(``_serve``); either way its terms have the same bits.
 
 The other runners are written per trial, each with a one-line docstring
 saying why: ``trial(cell, t)`` draws trial ``t`` from ``cell.rng`` and
 returns its residual terms (possibly none), and ``_per_trial`` turns it into
 the cell runner, which runs the trials in order on the one stream.  A draw
 count that depends on an earlier draw, a trial that can end before its later
-draws, per-matrix eigenvector grouping, and one state per
-``reconstruct_state`` call keep a runner per trial.
+draws, a spectrum that is degenerate by construction, a Gram-Schmidt per
+matrix, and one state per ``reconstruct_state`` call keep a runner per trial.
 
 The residual of a cell is the worst of its terms, trial-major, ``max(0.0,
 *terms)`` taken in order by ``_worst``, so a term <= 0 counts for nothing.  A
@@ -61,17 +72,20 @@ from . import trace as tr
 from .linalg import (
     Matrix,
     _adjoint_comps,
+    _block_projectors,
     _check_projectors,
+    _conj_comps,
     _hermitian_part,
     _layout,
     _max_abs,
     _mul_comps,
+    _norms,
+    _outer_sums,
     _random_projectors,
     _sq_moduli,
     _unit_rows,
     _unit_scalars,
     _unitaries,
-    inner,
     random_hermitian,
     random_matrix,
     random_projector,
@@ -258,23 +272,40 @@ def _per_trial(trial: Callable[[Cell, int], Terms]) -> Callable[[Cell], float]:
     return runner
 
 
-def _stacked(block: Callable[[Cell, np.ndarray], np.ndarray], scale: int = 1) -> Callable[[Cell], float]:
+def _stacked(block: Callable[[Cell, np.ndarray], np.ndarray],
+             matrices: Callable[[int], int] = lambda n: 1) -> Callable[[Cell], float]:
     """The cell runner of ``block(cell, ts)``, which draws the trials ``ts``
-    from ``cell.rng`` and returns their terms as a (len(ts), terms) array.
+    from ``cell.rng`` and returns their terms (:func:`_rows`).
 
-    The trials run in order, in chunks whose stacks of (scale n) x (scale n)
-    matrices hold at most ``quantum._ORBIT_CHUNK_ENTRIES`` entries, one trial
-    at least.  The residual is the worst of all the terms, trial-major.  The
-    runner keeps ``block`` as its ``block`` attribute.
+    The trials run in order, in chunks whose largest stack, ``matrices(n)``
+    n x n matrices per trial, holds at most ``quantum._ORBIT_CHUNK_ENTRIES``
+    entries, one trial at least.  The residual is the worst of all the terms,
+    trial-major.  The runner keeps ``block`` as its ``block`` attribute.
     """
 
     def runner(cell: Cell) -> float:
-        width = max(1, qm._ORBIT_CHUNK_ENTRIES // (4 * (scale * cell.dim) ** 2))
+        width = max(1, qm._ORBIT_CHUNK_ENTRIES // (4 * cell.dim**2 * matrices(cell.dim)))
         chunks = (np.arange(a, min(a + width, cell.trials)) for a in range(0, cell.trials, width))
         return _worst(term for ts in chunks for term in block(cell, ts).ravel())
 
     runner.block = block
     return runner
+
+
+def _serve(simple: np.ndarray, served: Iterable, fallback: Callable[[int], object]) -> list:
+    """One item per trial of a chunk, in trial order: the next item of
+    ``served`` for each trial that ``simple`` flags (its spectrum is simple,
+    :func:`~gleason_lab.spectral._eig_stack`), else ``fallback(t)``, the
+    one-matrix code on the trial's drawn matrices, run in its turn."""
+    items = iter(served)
+    return [next(items) if flag else fallback(t) for t, flag in enumerate(simple)]
+
+
+def _rows(terms: list) -> np.ndarray:
+    """The terms of a chunk's trials, one sequence per trial: a (trials, terms)
+    array where every trial has as many terms, else one flat array, trial-major."""
+    rows = [np.asarray(row, dtype=np.float64) for row in terms]
+    return np.stack(rows) if len({row.size for row in rows}) == 1 else np.concatenate(rows)
 
 
 _MATRIX = "matrix"
@@ -361,23 +392,26 @@ def _run_norm_inequalities(cell: Cell, ts: np.ndarray) -> np.ndarray:
 
 @_per_trial
 def _run_adapted_trace_formula(cell: Cell, t: int) -> Terms:
-    """Keeps its loop: J and the adapted basis come from per-matrix eigenvector grouping."""
+    """Keeps its loop: the adapted basis is a per-matrix Gram-Schmidt that keeps candidates until n are kept."""
     A = random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
     scale = 1.0 + tr.trace_norm(A)
     units = (Quaternion.I, random_unit_imaginary(cell.algebra, cell.rng))
     return [tr.quaternionic_trace_formula_check(A, unit).residual / scale for unit in units]
 
 
-@_per_trial
-def _run_diagonal_basis_cyclicity(cell: Cell, t: int) -> Terms:
-    """Keeps its loop: the eigenbasis comes from per-matrix eigenvector grouping."""
-    A = random_hermitian(cell.dim, cell.algebra, cell.rng)
-    B = random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
-    basis = sp.eig_hermitian(A).basis
-    gap = tr.full_trace_cyclic_gap(A, B, basis)
-    BH = (B + B.adjoint()) * 0.5
-    full = tr.trace_n(A @ BH, basis)
-    return gap, abs(full - Quaternion(full.real))
+@_stacked
+def _run_diagonal_basis_cyclicity(cell: Cell, ts: np.ndarray) -> np.ndarray:
+    G, B = _draw(cell, ts.size, _MATRIX, _MATRIX)
+    A = _hermitian_part(G)
+    simple, _, U = sp._eig_stack(A, cell.algebra)
+    bases = np.array(_serve(simple, U, lambda t: sp.eig_hermitian(Matrix(cell.algebra, A[t])).basis.comps))
+    count = cell.algebra.component_count
+    ab, ba, full = (tr._traces(kernels.quat_matmul(x, y, count), bases, cell.algebra)
+                    for x, y in ((A, B), (B, A), (A, _hermitian_part(B))))
+    # tr_N(A B_H) less its real part, as Quaternion subtraction forms it
+    skew = full.copy()
+    skew[:, 0] -= full[:, 0]
+    return np.stack([_moduli(ab - ba), _moduli(skew)], axis=-1)
 
 
 def _projectors(cell: Cell, G: np.ndarray, ranks: np.ndarray) -> np.ndarray:
@@ -446,8 +480,8 @@ def _realification_quarter(cell: Cell, ts: np.ndarray) -> np.ndarray:
     return np.stack([check.trace_norm_gap / scale, check.trace_gap / scale], axis=-1)
 
 
-# the realified matrices are 4n x 4n
-_run_realification_quarter = _stacked(_realification_quarter, scale=4)
+# the realified matrices are 4n x 4n, sixteen n x n matrices' worth
+_run_realification_quarter = _stacked(_realification_quarter, matrices=lambda n: 16)
 
 
 def _j_on_h1() -> list[Matrix]:
@@ -531,7 +565,7 @@ def _run_extremality(cell: Cell, t: int) -> Terms:
 
 @_per_trial
 def _run_separation(cell: Cell, t: int) -> Terms:
-    """Keeps its loop: its separating states come from per-matrix eigenvector grouping."""
+    """Keeps its loop: its separating states are eigenvectors of P - Q, degenerate by construction (P - P = 0)."""
     rank_p = 1 + cell.rng.integer(cell.dim)
     rank_q = 1 + cell.rng.integer(cell.dim)
     P = random_projector(cell.dim, rank_p, cell.algebra, cell.rng)
@@ -591,45 +625,146 @@ def _run_dim2_obstruction(cell: Cell) -> float:
     return _worst((cert.additivity_gap + abs(cert.identity_value - 1.0), fit_shortfall))
 
 
-@_per_trial
-def _run_pvm_partition(cell: Cell, t: int) -> Terms:
-    """Keeps its loop: the atoms come from per-matrix eigenvector grouping, and their number differs by trial."""
-    pvm = qm.pvm_of(qm.Observable(random_hermitian(cell.dim, cell.algebra, cell.rng)))
-    return [(pvm.total() - Matrix.identity(cell.dim, cell.algebra)).max_abs()] + [
+def _rank_one_atoms(U: np.ndarray, algebra: Algebra) -> np.ndarray:
+    """The certified (S, n, n, n, 4) stack of the atoms of S observables with
+    simple spectra and eigenbases U, built and certified as
+    :func:`~gleason_lab.quantum.pvm_of` builds and certifies them: the
+    projectors onto the single columns (:func:`_block_projectors`)."""
+    atoms = _block_projectors(U, [(c, c + 1) for c in range(U.shape[-2])], algebra)
+    _check_projectors(atoms, algebra)
+    return atoms
+
+
+def _pair_products(atoms: np.ndarray, algebra: Algebra) -> np.ndarray:
+    """max|P_a P_b| for every ordered pair a != b of the atoms of each trial of
+    an (S, k, n, n, 4) stack, row-major in (a, b), as an (S, k (k - 1)) array.
+
+    The products run in boxes of trials x rows a x partners b, each operand a
+    view of the stack, with at most ``gleason._PROBE_CHUNK_ENTRIES`` entries of
+    products per box (and never more than the trial budget): cache-sized, and
+    each product as it runs alone.  The k products P_a P_a come along and are
+    dropped."""
+    S, k, n = atoms.shape[:3]
+    width = max(1, min(gl._PROBE_CHUNK_ENTRIES, qm._ORBIT_CHUNK_ENTRIES) // (4 * n * n))
+    trials, rows, partners = max(1, width // (k * k)), min(k, max(1, width // k)), min(k, width)
+    out = np.empty((S, k, k))
+    for t in range(0, S, trials):
+        for a in range(0, k, rows):
+            for b in range(0, k, partners):
+                box = np.s_[t:t + trials, a:a + rows, b:b + partners]
+                out[box] = _max_abs(kernels.quat_matmul(atoms[t:t + trials, a:a + rows, None],
+                                                        atoms[t:t + trials, None, b:b + partners],
+                                                        algebra.component_count))
+    return out[:, ~np.eye(k, dtype=bool)]
+
+
+def _observables(G: np.ndarray) -> np.ndarray:
+    """The Hermitian parts of the Gaussian draws ``G``, certified as
+    :class:`~gleason_lab.quantum.Observable` certifies one."""
+    A = _hermitian_part(G)
+    qm._check_observables(A)
+    return A
+
+
+def _pvm_partition_terms(A: qm.Observable) -> Terms:
+    pvm = qm.pvm_of(A)
+    return [(pvm.total() - Matrix.identity(A.n, A.algebra)).max_abs()] + [
         (P1.matrix @ P2.matrix).max_abs() for s1, P1 in pvm.atoms for s2, P2 in pvm.atoms if s1 != s2
     ]
 
 
-@_per_trial
-def _run_functional_calculus(cell: Cell, t: int) -> Terms:
-    """Keeps its loop: the atoms come from per-matrix eigenvector grouping."""
-    A = qm.Observable(random_hermitian(cell.dim, cell.algebra, cell.rng))
-    scale = max(1.0, A.matrix.max_abs() ** 2)
-    identity_gap = (qm.apply_function(A, lambda x: x).matrix - A.matrix).max_abs()
-    square = qm.apply_function(A, lambda x: x * x).matrix
-    return identity_gap, (square - A.matrix @ A.matrix).max_abs() / scale
+def _pvm_partition(cell: Cell, ts: np.ndarray) -> np.ndarray:
+    A = _observables(*_draw(cell, ts.size, _MATRIX))
+    simple, _, U = sp._eig_stack(A, cell.algebra)
+    atoms = _rank_one_atoms(U, cell.algebra)
+    # PVMap.total(): the atoms added in order from zero, less the identity
+    total = np.zeros(U.shape)
+    for c in range(cell.dim):
+        total = total + atoms[:, c]
+    total[..., np.arange(cell.dim), np.arange(cell.dim), 0] -= 1.0
+    served = np.concatenate([_max_abs(total)[:, None], _pair_products(atoms, cell.algebra)], axis=1)
+    return _rows(_serve(simple, served, lambda t: _pvm_partition_terms(qm.Observable(Matrix(cell.algebra, A[t])))))
 
 
-@_per_trial
-def _run_expectation_duality(cell: Cell, t: int) -> Terms:
-    """Keeps its loop: its atoms come from eigenvector grouping."""
-    A = qm.Observable(random_hermitian(cell.dim, cell.algebra, cell.rng))
-    T = gl.random_density(cell.dim, cell.algebra, cell.rng)
-    dist = qm.outcome_measure(A, T)
+_run_pvm_partition = _stacked(_pvm_partition, matrices=lambda n: n)  # n atoms per trial
+
+
+@_stacked
+def _run_functional_calculus(cell: Cell, ts: np.ndarray) -> np.ndarray:
+    A = _observables(*_draw(cell, ts.size, _MATRIX))
+    count = cell.algebra.component_count
+    # max|A|^2 by Python's power, as the one-matrix form takes it
+    scale = np.array([max(1.0, peak**2) for peak in _max_abs(A).tolist()])
+    simple, values, U = sp._eig_stack(A, cell.algebra)
+    # f(A) = U diag(f(s)) U* for f(x) = x and x * x, built and certified as apply_function does
+    fA = [_outer_sums(U, count, f) for f in (values, values * values)]
+    for F in fA:
+        qm._check_observables(F)
+
+    def alone(t: int) -> list[np.ndarray]:
+        obs = qm.Observable(Matrix(cell.algebra, A[t]))
+        return [qm.apply_function(obs, f).matrix.comps for f in (lambda x: x, lambda x: x * x)]
+
+    identity, square = (np.array(stack) for stack in zip(*_serve(simple, zip(*fA), alone)))
+    return np.stack([_max_abs(identity - A), _max_abs(square - kernels.quat_matmul(A, A, count)) / scale], axis=-1)
+
+
+def _duality_terms(dist: qm.OutcomeMeasure, expectation: float, std: float) -> Terms:
     via_moments = np.sqrt(max(dist.second_moment() - dist.mean() ** 2, 0.0))
-    return (abs(dist.total() - 1.0), abs(qm.expectation(A, T) - dist.mean()),
-            abs(qm.std_deviation(A, T) - via_moments))
+    return abs(dist.total() - 1.0), abs(expectation - dist.mean()), abs(std - via_moments)
 
 
-@_per_trial
-def _run_pure_state_reduction(cell: Cell, t: int) -> Terms:
-    """Keeps its loop: the atoms come from per-matrix eigenvector grouping, and their number differs by trial."""
-    A = qm.Observable(random_hermitian(cell.dim, cell.algebra, cell.rng))
-    psi = random_unit_vector(cell.dim, cell.algebra, cell.rng)
-    T = gl.pure_state(psi)
-    atoms = qm.pvm_of(A).atoms
-    terms = [abs(tr.real_trace(P.matrix @ T.matrix) - (P.matrix @ psi).norm() ** 2) for _, P in atoms]
-    return terms + [abs(qm.expectation(A, T) - inner(psi, A.matrix @ psi).real)]
+def _expectation_duality(cell: Cell, ts: np.ndarray) -> np.ndarray:
+    n, algebra = cell.dim, cell.algebra
+    G, H, raw = _draw(cell, ts.size, _MATRIX, _MATRIX, ("uniform", n))
+    A = _observables(G)
+    T = _states(cell, H, raw)
+    expectation, std = tr._real_pairings(A, T), qm._std_deviations(A, T, algebra)
+    simple, values, U = sp._eig_stack(A, algebra)
+    # Re tr(P_s T) of each atom, as the state's lattice measure reads a stack
+    probs = tr._real_pairings(_rank_one_atoms(U, algebra).reshape(-1, n, n, 4),
+                              np.repeat(T[simple], n, axis=0)).reshape(-1, n)
+    qm._check_probabilities(probs)
+    dists = (qm.OutcomeMeasure(tuple(sorted(zip(v, p)))) for v, p in zip(values.tolist(), probs.tolist()))
+
+    def alone(t: int) -> qm.OutcomeMeasure:
+        return qm.outcome_measure(qm.Observable(Matrix(algebra, A[t])), gl.DensityOperator(Matrix(algebra, T[t])))
+
+    return np.array([_duality_terms(*row) for row in zip(_serve(simple, dists, alone), expectation, std)])
+
+
+_run_expectation_duality = _stacked(_expectation_duality, matrices=lambda n: n)
+
+
+def _reduction_terms(A: qm.Observable, psi: Matrix, T: Matrix) -> Terms:
+    return [abs(tr.real_trace(P.matrix @ T) - (P.matrix @ psi).norm() ** 2) for _, P in qm.pvm_of(A).atoms]
+
+
+def _pure_state_reduction(cell: Cell, ts: np.ndarray) -> np.ndarray:
+    n, k, algebra = cell.dim, cell.algebra.component_count, cell.algebra
+    G, X = _draw(cell, ts.size, _MATRIX, ("gaussian", n * k))
+    A = _observables(G)
+    psi = _unit_rows(_layout(X, (ts.size, n), algebra))[:, :, None, :]
+    T = gl._pure_states(psi, k)
+    gl._state_spectra(T, algebra)
+    # |Re tr(A T) - Re <psi|A psi>|, with <psi|A psi> summed as inner sums it
+    A_psi = kernels.quat_matmul(A, psi, k)
+    bracket = _mul_comps(_conj_comps(psi[..., 0, :]), A_psi[..., 0, :]).sum(axis=-2)[:, 0]
+    last = np.abs(tr._real_pairings(A, T) - bracket)
+    simple, _, U = sp._eig_stack(A, algebra)
+    atoms = _rank_one_atoms(U, algebra)
+    traces = tr._real_traces(kernels.quat_matmul(atoms, T[simple][:, None], k))
+    # |P psi|^2 by Python's power, as the one-matrix form takes it
+    lengths = [x**2 for x in _norms(kernels.quat_matmul(atoms, psi[simple][:, None], k)).ravel().tolist()]
+    served = np.abs(traces - np.reshape(lengths, traces.shape))
+
+    def alone(t: int) -> Terms:
+        return _reduction_terms(qm.Observable(Matrix(algebra, A[t])), Matrix(algebra, psi[t]), Matrix(algebra, T[t]))
+
+    return _rows([[*row, x] for row, x in zip(_serve(simple, served, alone), last)])
+
+
+_run_pure_state_reduction = _stacked(_pure_state_reduction, matrices=lambda n: n)
 
 
 @_stacked

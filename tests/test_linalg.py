@@ -105,6 +105,37 @@ class TestColumns:
         x = Matrix.from_rows([[Quaternion(1, 1, 1, 1)], [Quaternion(0, 0, 0, 0)]], Algebra.H)
         assert x.norm() == 2.0
 
+    @pytest.mark.parametrize("e", [-600, 300, 500])
+    @pytest.mark.parametrize("algebra", ALGEBRAS)
+    def test_norm_scales_by_an_exact_power_of_two_bit_for_bit(self, algebra, e):
+        # at e = -600 the squares underflow; at e = 500 those of the entries near 2^12 overflow
+        rng = SplitMix64(50)
+        for A in (random_matrix(3, 3, algebra, rng), random_matrix(4, 1, algebra, rng) * 4096.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                scaled = (A * 2.0**e).norm()
+            assert scaled == math.ldexp(A.norm(), e)
+
+    @pytest.mark.parametrize("algebra", ALGEBRAS)
+    def test_norm_neither_overflows_nor_underflows(self, algebra):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for size in (1e200, 1e-200, 1e-310, 0.0):
+                assert (Matrix.identity(3, algebra) * size).norm() == pytest.approx(math.sqrt(3.0) * size, rel=1e-15, abs=0.0)
+            # a non-finite entry keeps the plain sum's value
+            for bad, want in ((math.inf, math.inf), (-math.inf, math.inf), (math.nan, math.nan)):
+                comps = np.zeros((2, 1, 4))
+                comps[1, 0, 0] = bad
+                assert np.array_equal(Matrix(algebra, comps).norm(), want, equal_nan=True)
+
+    def test_stacked_norms_are_the_per_matrix_norms(self):
+        stack = np.stack([random_matrix(3, 2, Algebra.H, SplitMix64(51)).comps * size
+                          for size in (1.0, 1e200, 1e-200, 0.0, math.inf)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norms = linalg._norms(stack)
+            assert norms.tobytes() == np.array([Matrix(Algebra.H, c).norm() for c in stack]).tobytes()
+
 
 class TestMatrixBasics:
     def test_left_action_commutes_with_right_scalars(self):

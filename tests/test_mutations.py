@@ -139,3 +139,10 @@ def test_the_unmutated_suite_fails_no_record():
 def test_the_mutant_fails_a_record(mutate, monkeypatch):
     mutate(monkeypatch)
     assert _failed(run_suite(CONFIG)) != []
+
+
+def test_the_stacked_pvm_atoms_reach_the_block_mutant(monkeypatch):
+    # pvm_partition builds the atoms of its simple spectra as one stack of blocks
+    _blocks_one_column_short(monkeypatch)
+    report = run_suite(RunConfig(algebras=("R", "C", "H"), dims=(3,), trials=2, only="quantum.pvm_partition"))
+    assert sorted(_failed(report)) == ["quantum.pvm_partition[C]", "quantum.pvm_partition[H]", "quantum.pvm_partition[R]"]

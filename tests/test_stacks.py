@@ -4,10 +4,13 @@ matrix, the bits that each matrix gives alone.
 Every stacked suite runner is checked against a per-trial reference, its form
 before it ran the trials as one stack, written with the one-matrix public
 functions: the terms agree bit for bit, and so do the stream positions that
-both leave behind.  The planned draws are checked against the draws one after
-another, the stacked kernels against per-matrix calls, the guards over a
-stack against the one-matrix messages, and the chunking of the trial axis
-against the orbit chunk budget.
+both leave behind.  The runners that decompose observables serve the trials
+with a simple spectrum from one stacked eigendecomposition and decompose the
+others alone; planted repeated eigenvalues send trials down that path.  The
+planned draws are checked against the draws one after another, the stacked
+kernels against per-matrix calls, the guards over a stack against the
+one-matrix messages, and the chunking of the trial axis against the orbit
+chunk budget.
 """
 
 import random
@@ -28,10 +31,12 @@ from gleason_lab.linalg import (
     Matrix,
     Projector,
     _check_projectors,
+    _hermitian_part,
     _gram_schmidt,
     _orthonormalize,
     _unitaries,
     gram_schmidt,
+    inner,
     outer_sum,
     random_hermitian,
     random_matrix,
@@ -41,14 +46,25 @@ from gleason_lab.linalg import (
     random_unitaries,
     random_unitary,
 )
-from gleason_lab.quantum import Observable, SymmetryOp, conjugate_state, pvm_of, symmetry_duality_gap
+from gleason_lab.quantum import (
+    Observable,
+    SymmetryOp,
+    apply_function,
+    conjugate_state,
+    expectation,
+    outcome_measure,
+    pvm_of,
+    std_deviation,
+    symmetry_duality_gap,
+)
 from gleason_lab.rng import SplitMix64
 from gleason_lab.scalars import Algebra, Quaternion
-from gleason_lab.spectral import eigvals_hermitian, op_norm
+from gleason_lab.spectral import eig_hermitian, eigvals_hermitian, op_norm
 from gleason_lab.suite import REGISTRY, Cell
 from gleason_lab.trace import (
     absolute_diagonal_sum,
     check_norm_inequalities,
+    full_trace_cyclic_gap,
     real_trace,
     real_trace_cyclic_gap,
     realification_check,
@@ -173,6 +189,66 @@ def _state_conjugation(cell, t):
     return [abs(real_trace(conjugate_state(sym, T).matrix) - 1.0)]
 
 
+# trial -> the exactly Hermitian matrix that a test plants in place of the trial's
+# random_hermitian draw, after the draw; the stacked runners get it through
+# suite._draw (_plant)
+_PLANTED: dict[int, np.ndarray] = {}
+
+
+def _draw_hermitian(cell, t):
+    A = random_hermitian(cell.dim, cell.algebra, cell.rng)
+    return Matrix(cell.algebra, _PLANTED[t]) if t in _PLANTED else A
+
+
+def _pvm_partition(cell, t):
+    pvm = pvm_of(Observable(_draw_hermitian(cell, t)))
+    return [(pvm.total() - Matrix.identity(cell.dim, cell.algebra)).max_abs()] + [
+        (P1.matrix @ P2.matrix).max_abs() for s1, P1 in pvm.atoms for s2, P2 in pvm.atoms if s1 != s2
+    ]
+
+
+def _functional_calculus(cell, t):
+    A = Observable(_draw_hermitian(cell, t))
+    scale = max(1.0, A.matrix.max_abs() ** 2)
+    identity_gap = (apply_function(A, lambda x: x).matrix - A.matrix).max_abs()
+    square = apply_function(A, lambda x: x * x).matrix
+    return [identity_gap, (square - A.matrix @ A.matrix).max_abs() / scale]
+
+
+def _expectation_duality(cell, t):
+    A = Observable(_draw_hermitian(cell, t))
+    T = _draw_density(cell)
+    dist = outcome_measure(A, T)
+    via_moments = np.sqrt(max(dist.second_moment() - dist.mean() ** 2, 0.0))
+    return [abs(dist.total() - 1.0), abs(expectation(A, T) - dist.mean()), abs(std_deviation(A, T) - via_moments)]
+
+
+def _pure_state_reduction(cell, t):
+    A = Observable(_draw_hermitian(cell, t))
+    psi = random_unit_vector(cell.dim, cell.algebra, cell.rng)
+    T = pure_state(psi)
+    terms = [abs(real_trace(P.matrix @ T.matrix) - (P.matrix @ psi).norm() ** 2) for _, P in pvm_of(A).atoms]
+    return terms + [abs(expectation(A, T) - inner(psi, A.matrix @ psi).real)]
+
+
+def _diagonal_basis_cyclicity(cell, t):
+    A = _draw_hermitian(cell, t)
+    B = _draw_matrix(cell)
+    basis = eig_hermitian(A).basis
+    gap = full_trace_cyclic_gap(A, B, basis)
+    full = trace_n(A @ ((B + B.adjoint()) * 0.5), basis)
+    return [gap, abs(full - Quaternion(full.real))]
+
+
+SPECTRAL = {
+    "quantum.pvm_partition": _pvm_partition,
+    "quantum.functional_calculus": _functional_calculus,
+    "quantum.expectation_duality": _expectation_duality,
+    "quantum.pure_state_reduction": _pure_state_reduction,
+    "trace.diagonal_basis_cyclicity": _diagonal_basis_cyclicity,
+}
+
+
 REFERENCES = {
     "trace.basis_invariance_rc": _basis_invariance(_draw_matrix),
     "trace.hermitian_basis_invariance_h": _basis_invariance(
@@ -190,6 +266,7 @@ REFERENCES = {
     "gleason.mix_linearity": _mix_linearity,
     "gleason.pure_phase_classes": _pure_phase_classes,
     "quantum.state_conjugation": _state_conjugation,
+    **SPECTRAL,
 }
 
 
@@ -208,12 +285,60 @@ def test_stacked_runner_matches_its_per_trial_reference_bit_for_bit(name, n):
         for seed in (0, 1, 2):
             rng = SplitMix64(seed).derive(name, letter, n)
             ref = SplitMix64(seed).derive(name, letter, n)
-            got = prop.runner.block(Cell(algebra, n, rng, trials), np.arange(trials))
-            cell = Cell(algebra, n, ref, trials)
-            want = np.array([term for t in range(trials) for term in REFERENCES[name](cell, t)])
-            assert got.shape[0] == trials
-            assert got.ravel().tobytes() == want.tobytes(), (letter, seed)
-            assert (rng._pos, rng._spare_gauss) == (ref._pos, ref._spare_gauss)
+            _assert_the_block_is_the_reference(name, Cell(algebra, n, rng, trials), Cell(algebra, n, ref, trials))
+
+
+def _assert_the_block_is_the_reference(name, cell, ref):
+    got = RUNNERS[name].runner.block(cell, np.arange(cell.trials))
+    want = [REFERENCES[name](ref, t) for t in range(ref.trials)]
+    # a (trials, terms) array, or one flat array where the trials' term counts differ
+    assert got.shape == ((len(want), len(want[0])) if len({len(w) for w in want}) == 1 else (sum(map(len, want)),))
+    assert got.ravel().tobytes() == np.array([term for w in want for term in w]).tobytes(), cell.algebra
+    assert (cell.rng._pos, cell.rng._spare_gauss) == (ref.rng._pos, ref.rng._spare_gauss)
+
+
+def _degenerate(n, algebra, seed):
+    """An exactly Hermitian U diag(s) U* whose largest eigenvalue is doubled."""
+    spectrum = [1.5, 1.5] + [0.25 - 0.75 * k for k in range(n - 2)]
+    return _hermitian_part(outer_sum(random_unitary(n, algebra, SplitMix64(seed)), spectrum).comps)
+
+
+def _plant(monkeypatch, planted):
+    """Put each planted matrix in place of its trial's first draw, a Gaussian
+    matrix whose Hermitian part the runner takes; the planted matrix is its
+    own Hermitian part, bit for bit."""
+    for t, comps in planted.items():
+        assert _hermitian_part(comps).tobytes() == comps.tobytes()
+        monkeypatch.setitem(_PLANTED, t, comps)
+    draw = suite._draw
+
+    def planted_draw(cell, count, *items):
+        out = draw(cell, count, *items)
+        for t, comps in planted.items():
+            out[0][t] = comps
+        return out
+
+    monkeypatch.setattr(suite, "_draw", planted_draw)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 17, 33])
+@pytest.mark.parametrize("name", sorted(SPECTRAL))
+def test_a_planted_grouped_spectrum_takes_the_one_matrix_path_bit_for_bit(name, n, monkeypatch):
+    masks = []
+    stack = spectral._eig_stack
+
+    def spy(c, algebra):
+        out = stack(c, algebra)
+        masks.append(out[0])
+        return out
+
+    monkeypatch.setattr(spectral, "_eig_stack", spy)
+    for algebra in ALGEBRAS:
+        _plant(monkeypatch, {1: _degenerate(n, algebra, 30 + n), 3: _degenerate(n, algebra, 31 + n)})
+        rng = SplitMix64(3).derive(name, algebra.value, n)
+        ref = SplitMix64(3).derive(name, algebra.value, n)
+        _assert_the_block_is_the_reference(name, Cell(algebra, n, rng, 4), Cell(algebra, n, ref, 4))
+        assert masks.pop().tolist() == [True, False, True, False]
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCES))
@@ -225,6 +350,21 @@ def test_stacked_residual_is_the_worst_reference_term(name):
     ref = Cell(algebra, 3, SplitMix64(7).derive(name, letter, 3), 5)
     want = suite._worst(term for t in range(5) for term in REFERENCES[name](ref, t))
     assert prop.runner(Cell(algebra, 3, rng, 5)) == want
+
+
+def test_the_one_matrix_path_gives_the_report_of_the_stacked_path(monkeypatch):
+    # every trial's spectrum read as grouped: the stacked runners decompose each observable alone
+    cfg = suite.RunConfig(algebras=("R", "C", "H"), dims=(1, 2, 3, 5), trials=3)
+    stacked = suite.emit_report(suite.run_suite(cfg))
+    forced = []
+
+    def grouped(values, w, algebra):
+        forced.append(values.shape[0])
+        return np.zeros(values.shape[:-1], dtype=bool)
+
+    monkeypatch.setattr(spectral, "_simple_spectra", grouped)
+    assert suite.emit_report(suite.run_suite(cfg)) == stacked
+    assert sum(forced) == 5 * 3 * 4 * 3  # five runners, three algebras, four dims, three trials
 
 
 def test_every_runner_that_keeps_its_loop_says_why():
@@ -395,6 +535,48 @@ def test_stacked_solve_is_the_per_matrix_solve(T, algebra, n, vectors):
     assert V is None if not vectors else _same(V, [p[1] for p in per])
 
 
+def _spaced_spectra(T, n, algebra, seed):
+    """T exactly Hermitian U diag(s) U*, each s descending from n with one gap
+    ten times the grouping tolerance, 1e-7 max|s|, and, in the odd trials, one
+    gap a tenth of it (a single gap, at n = 2, is the one or the other)."""
+    rng = SplitMix64(seed)
+    tol = 1e-7 * n
+    out = []
+    for t in range(T):
+        gaps = np.ones(max(n - 1, 0))
+        if n > 1:
+            gaps[-1] = 10.0 * tol
+            if t % 2:
+                gaps[0] = 0.1 * tol
+        spectrum = n - np.concatenate([[0.0], np.cumsum(gaps)])
+        out.append(_hermitian_part(outer_sum(random_unitary(n, algebra, rng), spectrum).comps))
+    return np.stack(out)
+
+
+def _grouped(c, algebra) -> bool:
+    """Whether some group of the atoms or, over H, of chi's pairs has more
+    than one member (spectral._group_indices)."""
+    values = eig_hermitian(Matrix(algebra, c)).values
+    groups = spectral._group_indices(values, spectral._ATOM_REL_TOL * np.abs(values).max())
+    if algebra is Algebra.H:
+        w, _ = spectral._solve(c, algebra, vectors=False)
+        groups += spectral._group_indices(0.5 * (w[0::2] + w[1::2]), spectral._GROUP_TOL * np.abs(w).max())
+    return any(b - a > 1 for a, b in groups)
+
+
+@pytest.mark.parametrize("T", [1, 4])
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 17])
+def test_the_stacked_eigendecomposition_is_eig_hermitian_on_every_simple_spectrum(T, algebra, n):
+    c = _spaced_spectra(T, n, algebra, 40 + n)
+    simple, values, basis = spectral._eig_stack(c, algebra)
+    assert simple.tolist() == [not _grouped(one, algebra) for one in c]
+    assert simple.tolist() == [n == 1 or t % 2 == 0 for t in range(T)]
+    decs = [eig_hermitian(Matrix(algebra, one)) for one, flag in zip(c, simple) if flag]
+    assert _same(values, [dec.values for dec in decs])
+    assert _same(basis, [dec.basis.comps for dec in decs])
+
+
 @pytest.mark.parametrize("T", [1, 3, 10])
 @pytest.mark.parametrize("algebra", ALGEBRAS)
 @pytest.mark.parametrize("n, m", [(1, 1), (3, 3), (5, 3), (8, 8), (17, 17)])
@@ -553,6 +735,26 @@ def test_a_non_unitary_factor_names_the_lowest_failing_matrix(algebra):
     assert _message(lambda: quantum._check_unitaries(U, algebra), NotUnitary) == f"{alone} (stack entry 2)"
 
 
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+def test_the_observable_guards_name_the_lowest_failing_trial(algebra):
+    A = _hermitian_stack(4, 3, algebra, 17)
+    A[2, 0, 1, 0] += 1e-3
+    A[3, 1, 0, 0] += 1e-2
+    alone = _message(lambda: Observable(Matrix(algebra, A[2])), NotHermitian)
+    assert alone.startswith("observable must be Hermitian, defect")
+    assert _message(lambda: quantum._check_observables(A), NotHermitian) == f"{alone} (stack entry 2)"
+    # an outcome distribution that escapes [0, 1] in trials 1 and 3
+    probs = np.array([[0.5, 0.5], [1.2, -0.2], [0.25, 0.75], [-0.1, 1.1]])
+    alone = _message(lambda: quantum.OutcomeMeasure(((0.0, 1.2), (1.0, -0.2))), ValueError)
+    assert _message(lambda: quantum._check_probabilities(probs), ValueError) == f"{alone} (stack entry 1)"
+    # Re tr(A^2 T) - Re tr(A T)^2 < 0 needs a T that is no state: -I / 3 in trials 1 and 2
+    T = _state_stack(algebra, count=4)
+    T[1:3] = -Matrix.identity(3, algebra).comps / 3.0
+    alone = _message(lambda: quantum._std_deviations(A[1], T[1], algebra), ValueError)
+    assert alone.startswith("variance radicand")
+    assert _message(lambda: quantum._std_deviations(A, T, algebra), ValueError) == f"{alone} (stack entry 1)"
+
+
 def _state_stack(algebra, count=5, n=3):
     rng = SplitMix64(26)
     return np.stack([random_density(n, algebra, rng).matrix.comps for _ in range(count)])
@@ -669,12 +871,14 @@ def test_a_draw_degenerate_four_times_raises(count):
 # ---------------------------------------------------------------------------
 
 def _spy_on_products(monkeypatch) -> list[int]:
-    """Entry counts of the stacked operands of every quat_matmul call."""
+    """Entry counts of the operands of every quat_matmul call that are stacks
+    of more than one matrix: the stacks of a chunk of trials, a trial's atoms
+    and a chunk of their pair products."""
     sizes = []
     product = kernels.quat_matmul
 
     def spy(A, B, component_count=4):
-        sizes.extend(X.size for X in (A, B) if X.ndim > 3 and X.shape[0] > 1)
+        sizes.extend(X.size for X in (A, B) if X.size > 4 * X.shape[-3] * X.shape[-2])
         return product(A, B, component_count)
 
     monkeypatch.setattr(kernels, "quat_matmul", spy)
@@ -700,9 +904,12 @@ def test_chunked_trials_give_the_bits_of_one_stack(name, monkeypatch):
     algebra = Algebra.from_letter(letter)
     rng, ref = SplitMix64(16).derive(name), SplitMix64(16).derive(name)
     whole = prop.runner.block(Cell(algebra, 3, ref, 7), np.arange(7))
-    # a budget of 100 entries: chunks of two 3 x 3 trials, or one realified trial
-    monkeypatch.setattr(quantum, "_ORBIT_CHUNK_ENTRIES", 100)
+    # chunks of two 3 x 3 trials, or one realified trial: a budget of 100
+    # entries, or of 250 where a trial holds its three atoms (108 entries)
+    budget = 250 if name in ("quantum.pvm_partition", "quantum.expectation_duality",
+                             "quantum.pure_state_reduction") else 100
+    monkeypatch.setattr(quantum, "_ORBIT_CHUNK_ENTRIES", budget)
     sizes = _spy_on_products(monkeypatch)
     chunked = prop.runner(Cell(algebra, 3, rng, 7))
-    assert all(size <= 100 for size in sizes)
+    assert all(size <= budget for size in sizes)
     assert chunked == suite._worst(whole.ravel()) and rng._pos == ref._pos

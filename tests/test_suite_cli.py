@@ -51,7 +51,8 @@ class TestRunSuite:
 
         def checked_product(A, B, component_count=4):
             if component_count < 4:
-                products[0] += 1
+                # matrix products, not calls: a stacked runner makes one call per stack
+                products[0] += int(np.prod(np.broadcast_shapes(A.shape[:-3], B.shape[:-3])))
                 outside.extend(op.shape for op in (A, B) if op[..., component_count:].any())
             return product(A, B, component_count)
 
