@@ -43,7 +43,6 @@ from .spectral import (
     adapted_basis,
     eig_hermitian,
     eigvals_hermitian,
-    embed,
     make_J,
     op_norm,
     singular_values,

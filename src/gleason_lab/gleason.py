@@ -28,8 +28,13 @@ one-matrix or one-draw case of its stack form: the state certificate
 :func:`_state_spectra` (:class:`DensityOperator`), the random mixtures
 :func:`_mixtures` (:func:`random_density`), the pure states
 :func:`_pure_states` (:func:`pure_state`) and the convex mixtures
-:func:`_convex_mixes` (:func:`convex_mix`).  The suite builds and certifies a
-cell's states with them at once.
+:func:`_convex_mixes` (:func:`convex_mix`).  So do the extremality test
+:func:`_extremal` (:func:`is_extremal`), the convex splits
+:func:`_extremal_splits` (:func:`extremal_split`), the unit lemma
+:func:`_convex_unit_lemmas` (:func:`convex_unit_lemma`) and the orthogonal
+decompositions :func:`_decompositions` (:func:`random_orthogonal_decomposition`,
+whose cut draws are the recipe :func:`_cut_recipe`).  The suite builds and
+certifies a cell's states with them at once.
 """
 
 from __future__ import annotations
@@ -49,15 +54,15 @@ from .linalg import (
     _certify_projectors,
     _check_same_algebra,
     _conj_comps,
+    _groups,
     _mul_comps,
     _outer_sums,
     inner,  # re-exported: perfbench's tracer test checks this binding
-    outer_sum,
     random_phases,
     random_unit_vectors,
     random_unitary,
 )
-from .rng import SplitMix64
+from .rng import Ragged, SplitMix64
 from .scalars import Algebra, Quaternion
 from .spectral import EigenDecomposition, _eigvals, eig_hermitian
 from .trace import _real_pairings, _real_traces
@@ -371,44 +376,76 @@ def convex_mix(states: list[DensityOperator], weights: list[float]) -> DensityOp
     return DensityOperator(Matrix(algebra, mixed))
 
 
+def _extremal(values: np.ndarray) -> np.ndarray:
+    """Whether each state of a stack, by its spectrum (..., n) sorted
+    descending, is extremal: its second eigenvalue at most 1e-8."""
+    if values.shape[-1] == 1:
+        return np.ones(values.shape[:-1], dtype=bool)
+    return values[..., 1] <= _STATE_TOL
+
+
 def is_extremal(state: DensityOperator) -> bool:
     """True iff the state is a rank-one projector (a pure state), its second
-    eigenvalue at most 1e-8."""
-    values = state.eigenvalues
-    return len(values) == 1 or float(values[1]) <= _STATE_TOL
+    eigenvalue at most 1e-8.  The one-state case of :func:`_extremal`."""
+    return bool(_extremal(state.eigenvalues))
+
+
+def _extremal_splits(values: np.ndarray, basis: np.ndarray,
+                     algebra: Algebra) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(w1, T1, T2) of :func:`extremal_split` for the eigendecomposition of a
+    state, values (n,) descending and basis (n, n, 4), or of every state of a
+    stack (S, n) and (S, n, n, 4).  T2 sums the columns of positive
+    eigenvalue after the first, and the states that keep the same columns
+    form one stack, so that every product has the shape it has alone.  A
+    state whose top eigenvalue lies within 1e-8 of 1 raises ValueError, over
+    a stack the lowest.  The caller certifies T1 and T2."""
+    w1 = values[..., 0]
+    require(~(1.0 - w1 <= _STATE_TOL), ValueError, "state is extremal (rank one); no nontrivial split exists")
+    count = algebra.component_count
+    T1 = _outer_sums(basis[..., :1, :], count)
+    n = values.shape[-1]
+    values, stack = values.reshape(-1, n), basis.reshape((-1,) + basis.shape[-3:])
+    weights = values / (1.0 - values[:, :1])
+    T2 = np.empty(stack.shape)
+    for keep, at in _groups([tuple(np.flatnonzero(row[1:] > 0.0) + 1) for row in values]):
+        keep = list(keep)
+        T2[at] = _outer_sums(stack[at][..., keep, :], count, weights[at][:, keep])
+    return w1, T1, T2.reshape(basis.shape)
 
 
 def extremal_split(state: DensityOperator) -> tuple[float, DensityOperator, DensityOperator]:
     """Nontrivial convex split T = w T1 + (1-w) T2 of a non-extremal state.
 
     T1 is the pure state at the top eigenvector, T2 the renormalized rest.
+    The one-state case of :func:`_extremal_splits`.
     """
     dec = state.eigen()
-    w1 = float(dec.values[0])
-    if 1.0 - w1 <= _STATE_TOL:
-        raise ValueError("state is extremal (rank one); no nontrivial split exists")
-    T1 = DensityOperator(outer_sum(Matrix(state.algebra, dec.basis.comps[:, :1])))
-    keep = np.flatnonzero(dec.values[1:] > 0.0) + 1
-    rest = Matrix(state.algebra, dec.basis.comps[:, keep])
-    T2 = DensityOperator(outer_sum(rest, dec.values[keep] / (1.0 - w1)))
-    return w1, T1, T2
+    w1, T1, T2 = _extremal_splits(dec.values, dec.basis.comps, state.algebra)
+    return float(w1), DensityOperator(Matrix(state.algebra, T1)), DensityOperator(Matrix(state.algebra, T2))
+
+
+def _convex_unit_lemmas(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """:func:`convex_unit_lemma` of the rows p and q of two (..., m) arrays:
+    whether sum(p) = sum(p q) = 1 (to 1e-12) forces every q within 1e-9 of 1.
+    A p outside (0, 1) or a q outside [0, 1] (to 1e-12) raises ValueError,
+    over a stack for the lowest failing row.  Each row sum runs as a lone
+    row's does."""
+    require((0.0 < p.min(axis=-1)) & (p.max(axis=-1) < 1.0), ValueError, "every p must lie strictly inside (0, 1)")
+    require((-1e-12 <= q.min(axis=-1)) & (q.max(axis=-1) <= 1.0 + 1e-12), ValueError,
+            "every q must lie in [0, 1]")
+    hypothesis = (np.abs(p.sum(axis=-1) - 1.0) <= 1e-12) & (np.abs((p * q).sum(axis=-1) - 1.0) <= 1e-12)
+    return ~hypothesis | (np.abs(q - 1.0).max(axis=-1) <= 1e-9)
 
 
 def convex_unit_lemma(ps: list[float], qs: list[float]) -> bool:
     """Whether sum(p) = sum(p q) = 1 (to 1e-12) forces every q to lie within
-    1e-9 of 1.  Inputs must satisfy p in (0,1), q in [0,1]."""
+    1e-9 of 1.  Inputs must satisfy p in (0,1), q in [0,1].  The one-row case
+    of :func:`_convex_unit_lemmas`."""
     p = np.asarray(ps, dtype=np.float64)
     q = np.asarray(qs, dtype=np.float64)
     if len(p) != len(q) or len(p) < 2:
         raise ValueError("need matching lists of length >= 2")
-    if not (0.0 < p.min() and p.max() < 1.0):
-        raise ValueError("every p must lie strictly inside (0, 1)")
-    if not (-1e-12 <= q.min() and q.max() <= 1.0 + 1e-12):
-        raise ValueError("every q must lie in [0, 1]")
-    hypothesis = abs(p.sum() - 1.0) <= 1e-12 and abs((p * q).sum() - 1.0) <= 1e-12
-    if not hypothesis:
-        return True
-    return bool(np.abs(q - 1.0).max() <= 1e-9)
+    return bool(_convex_unit_lemmas(p, q))
 
 
 # ---------------------------------------------------------------------------
@@ -444,14 +481,40 @@ def separation_check(P: Projector, Q: Projector) -> bool:
 # sigma-additivity probes
 # ---------------------------------------------------------------------------
 
+def _cut_recipe(n: int) -> list:
+    """The draws that an orthogonal decomposition of n-space makes after its
+    unitary, as recipe items (:meth:`SplitMix64.recipe_block`): for n > 2 the
+    block count 2 + integer(n - 1), then one cut integer(n - 1) per block but
+    one, the last item; n = 2 makes one cut of two blocks, and n = 1 none
+    (its bound of 1 is never drawn)."""
+    if n > 2:
+        return [("integer", n - 1), ("integer", n - 1, lambda prior: min(2 + prior[-1], n) - 1)]
+    return [("integer", 1, lambda prior: min(2, n) - 1)]
+
+
+def _decomposition_bounds(cuts: Ragged, n: int) -> list[tuple[int, ...]]:
+    """Each trial's block bounds from its drawn cuts, the last item of
+    :func:`_cut_recipe`: 0, every distinct cut + 1 in order, and n."""
+    return [(0, *sorted(set((row[:size] + 1).tolist())), n) for row, size in zip(cuts.values, cuts.counts)]
+
+
+def _decompositions(U: np.ndarray, bounds: list[tuple[int, ...]], algebra: Algebra) -> list:
+    """(trials, parts) for the decompositions of a (T, n, n, 4) stack of
+    unitaries at each trial's block ``bounds``: the (t, k, n, n, 4) stack of
+    the projectors onto the column blocks (:func:`_block_projectors`) of the
+    t trials with the same bounds, so every product has the shape it has
+    alone.  The caller certifies each stack."""
+    return [(at, _block_projectors(U[at], list(zip(b[:-1], b[1:])), algebra)) for b, at in _groups(bounds)]
+
+
 def random_orthogonal_decomposition(n: int, algebra: Algebra, rng: SplitMix64) -> list[Projector]:
     """Pairwise-orthogonal projectors summing to the identity, onto consecutive
-    column blocks of a random unitary (:func:`_block_projectors`)."""
+    column blocks of a random unitary, split at drawn cuts (:func:`_cut_recipe`).
+    The one-draw case of :func:`_decompositions`."""
     U = random_unitary(n, algebra, rng)
-    blocks = min(2 + rng.integer(n - 1) if n > 2 else 2, n)
-    cuts = sorted(rng.integer(n - 1) + 1 for _ in range(blocks - 1))
-    bounds = [0] + sorted(set(cuts)) + [n]
-    return Projector.of_stack(algebra, _block_projectors(U.comps, zip(bounds[:-1], bounds[1:]), algebra))
+    bounds = _decomposition_bounds(rng.recipe_block(1, _cut_recipe(n))[-1], n)
+    [(_, parts)] = _decompositions(U.comps[None], bounds, algebra)
+    return Projector.of_stack(algebra, parts[0])
 
 
 # ---------------------------------------------------------------------------

@@ -269,10 +269,6 @@ class Matrix:
             return math.sqrt(sq)
         return float(_norms(self.comps))
 
-    def orthonormality_defect(self) -> float:
-        """Largest entry magnitude of U*U - I over the columns of U."""
-        return float(_orthonormality_defects(self.comps, self.algebra))
-
     def hermitian_defect(self) -> float:
         return (self - self.adjoint()).max_abs()
 
@@ -806,15 +802,23 @@ def random_phase(algebra: Algebra, rng) -> Quaternion:
     return Quaternion.from_array(random_phases(1, algebra, rng)[0])
 
 
+def _groups(keys) -> list[tuple]:
+    """(key, trials) for every distinct key of a sequence of per-trial keys, in
+    sorted key order, each with the index array of its trials in order."""
+    at: dict = {}
+    for t, key in enumerate(keys):
+        at.setdefault(key, []).append(t)
+    return [(key, np.array(at[key], dtype=np.intp)) for key in sorted(at)]
+
+
 def _random_projectors(U: np.ndarray, ranks: list[int], algebra: Algebra) -> np.ndarray:
     """The (T, n, n, 4) stack of the projectors onto the first ``ranks[t]``
     columns of each unitary of a (T, n, n, 4) stack: the outer sums of those
-    orthonormal columns.  The trials of one rank form one stack, so that every
-    product has the shape that it has alone.  The caller certifies the stack
-    (:func:`_check_projectors`)."""
+    orthonormal columns.  The trials of one rank form one stack
+    (:func:`_groups`), so that every product has the shape that it has alone.
+    The caller certifies the stack (:func:`_check_projectors`)."""
     out = np.empty_like(U)
-    for rank in sorted(set(ranks)):
-        at = [t for t, r in enumerate(ranks) if r == rank]
+    for rank, at in _groups(ranks):
         out[at] = _outer_sums(U[at][..., :rank, :], algebra.component_count)
     return out
 

@@ -10,13 +10,21 @@ same two-line algorithm reproduces identical test vectors from a seed.
 Gaussian variates come from the Box-Muller transform applied to consecutive
 output pairs, so they are equally reproducible.
 
-A fixed per-trial list of draws fixes every stream position, so
-:meth:`SplitMix64.recipe_block` serves many trials of Gaussian, uniform and
-integer draws from one output block, bit for bit as the draws one after
-another would give them.
+Because every output is addressed by its position, a per-trial list of draws
+can be planned before any of it is served: :meth:`SplitMix64.recipe_block`
+walks many trials of Gaussian, uniform and integer draws, reading only the
+outputs that an integer's rejection loop or a drawn count needs, and then
+serves the whole run from one output block, bit for bit as the draws one
+after another would give them.  A count may depend on the trial's earlier
+values (a rank drawn as an integer, a branch taken on a uniform or on a
+Gaussian matrix), since the walk knows those values where the draws would.
 """
 
 from __future__ import annotations
+
+import operator
+from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,6 +78,97 @@ def _rejection_limit(bound: int) -> int:
     return (_MASK64 + 1) - ((_MASK64 + 1) % bound)
 
 
+class Ragged(NamedTuple):
+    """The draws of a recipe item whose count is drawn: each trial's values,
+    zero-padded to the largest count, and each trial's count."""
+
+    values: np.ndarray
+    counts: np.ndarray
+
+
+def _checked_count(kind: str, count) -> int:
+    count = operator.index(count)
+    if count < 0:
+        raise ValueError(f"{'an' if kind == 'integer' else 'a'} {kind} count must be >= 0, got {count}")
+    return count
+
+
+def _parse_item(item) -> tuple:
+    """(kind, bound, count, scalar) of a recipe item; ``scalar`` marks the one
+    integer of ``("integer", bound)``.  A bad item raises ValueError."""
+    kind = item[0]
+    if kind == "integer":
+        _check_bound(item[1])
+        scalar = len(item) == 2
+        bound, count = item[1], 1 if scalar else item[2]
+    elif kind in ("gaussian", "uniform"):
+        scalar, bound, count = False, None, item[1]
+    else:
+        raise ValueError(f"unknown draw kind {kind!r}, expected gaussian, uniform or integer")
+    if not callable(count):
+        count = _checked_count(kind, count)
+    return kind, bound, count, scalar
+
+
+class _Outputs:
+    """The stream's outputs from its position on, read by position and drawn
+    as far as a read needs, at least ``ahead`` of them at the first draw; the
+    stream itself stays where it is."""
+
+    def __init__(self, rng: "SplitMix64", ahead: int):
+        self._rng = rng
+        self._ahead = ahead
+        self._z = np.empty(0, dtype=np.uint64)
+        self._u = self._z.astype(np.float64)
+
+    def _reach(self, end: int) -> None:
+        have = self._z.size
+        if end > have:
+            more = self._rng._outputs(self._rng._pos + have, max(end, self._ahead, 2 * have) - have)
+            self._z = np.concatenate([self._z, more])
+
+    def integer(self, pos: int) -> int:
+        """The output at ``pos``, as a Python integer."""
+        self._reach(pos + 1)
+        return int(self._z[pos])
+
+    def uniforms(self, pos: int, count: int) -> np.ndarray:
+        """The uniforms of the ``count`` outputs from ``pos`` on."""
+        self._reach(pos + count)
+        have = self._u.size
+        if have < self._z.size:
+            fresh = _uniforms(self._z[have:])
+            self._u = np.concatenate([self._u, fresh]) if have else fresh
+        return self._u[pos:pos + count]
+
+
+class _Prior(Sequence):
+    """The values of one trial's items so far, as a count function reads them.
+    A Gaussian item is held as the tuple (takes the spare, where the spare
+    was drawn, first output, Gaussians drawn) and formed when first read."""
+
+    def __init__(self, outputs: _Outputs, spare: float | None):
+        self._outputs = outputs
+        self._spare = spare
+        self.values: list = []
+
+    def _gaussians(self, takes_spare: bool, spare_at: int, pos: int, need: int) -> np.ndarray:
+        fresh = _box_muller(self._outputs.uniforms(pos, need + need % 2))[:need]
+        if not takes_spare:
+            return fresh
+        held = self._spare if spare_at < 0 else _box_muller(self._outputs.uniforms(spare_at, 2))[1]
+        return np.concatenate([[held], fresh])
+
+    def __getitem__(self, i):
+        value = self.values[i]
+        if type(value) is tuple:
+            value = self.values[i] = self._gaussians(*value)
+        return value
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+
 class SplitMix64:
     """Seeded SplitMix64 stream with uniform and Gaussian block output."""
 
@@ -79,10 +178,16 @@ class SplitMix64:
         # the second variate of a Box-Muller pair that the last block left over
         self._spare_gauss: float | None = None
 
-    def uint64_block(self, count: int) -> np.ndarray:
-        idx = np.arange(self._pos + 1, self._pos + count + 1, dtype=np.uint64)
-        self._pos += count
+    def _outputs(self, start: int, count: int) -> np.ndarray:
+        """The ``count`` outputs from stream position ``start`` on, each a pure
+        function of its position; the stream does not move."""
+        idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
         return _mix(np.uint64(self.seed) + idx * _GAMMA)
+
+    def uint64_block(self, count: int) -> np.ndarray:
+        z = self._outputs(self._pos, count)
+        self._pos += count
+        return z
 
     def uniform_block(self, count: int) -> np.ndarray:
         """Uniform doubles in (0, 1], from the top 53 bits of each output."""
@@ -102,87 +207,122 @@ class SplitMix64:
                 self._spare_gauss = float(both[-1])
         return out
 
-    def recipe_block(self, trials: int, recipe) -> list[np.ndarray]:
+    def recipe_block(self, trials: int, recipe) -> list:
         """``trials`` runs of the per-trial ``recipe`` of draws, served from one
         output block, bit for bit as the draws one after another give them.
 
         A recipe is a sequence of items ``("gaussian", count)``, ``("uniform",
-        count)`` and ``("integer", bound)``, which a trial draws in order as
-        ``gaussian_block(count)``, ``uniform_block(count)`` and
-        ``integer(bound)`` would.  Returns one array per item: (trials, count)
-        for Gaussians and uniforms, (trials,) uint64 for integers.
+        count)``, ``("integer", bound)`` and ``("integer", bound, count)``,
+        which a trial draws in order as ``gaussian_block(count)``,
+        ``uniform_block(count)`` and ``count`` calls of ``integer(bound)``
+        would.  A count is an integer, or a function of the trial's earlier
+        values, ``count(prior) -> int``: ``prior[i]`` is the value of the
+        trial's item i, an int for ``("integer", bound)`` and a 1-d array
+        otherwise.  A count of 0 makes an item absent.  Returns one array per
+        item: (trials, count) for a fixed count, (trials,) uint64 for one
+        integer, and a :class:`Ragged` for a drawn count.
 
-        The plan walks the recipe over all trials in integer arithmetic: the
-        spare Gaussian is held exactly where an odd number of Gaussians has
-        been consumed, counting the spare held at the start, so every item's
-        stream position is known before any output is drawn.  One
-        ``uint64_block`` then serves the whole run.  Uniforms are formed as
-        ``uniform_block`` forms them; the Gaussians come from Box-Muller on the
-        output pairs that ``gaussian_block`` would use, with the spare carried
-        across uniform and integer items; an integer is ``z % bound``.  The
-        stream is left at the position and spare that the draws one after
-        another would leave.  An integer output at or above the rejection
-        limit (probability at most bound 2**-64 per draw) is redrawn with
-        :meth:`integer` after the block, in trial order.  An unknown kind, a
-        negative count or a bound outside 1..2**64 raises ValueError before any
-        output is drawn.
+        The plan walks the recipe over all trials before any output is served:
+        it reads the outputs that an integer or a count function needs at
+        their stream positions (:meth:`_outputs`, which leaves the stream
+        where it is), runs each integer's rejection loop where the draw would,
+        and holds the spare Gaussian exactly where an odd number of Gaussians
+        has been consumed, counting the spare held at the start.  So every
+        item's stream position is known, and one block of outputs serves the
+        whole run.  Uniforms are formed as ``uniform_block`` forms them; the
+        Gaussians come from Box-Muller on the output pairs that
+        ``gaussian_block`` would use, with the spare carried across uniform
+        and integer items; an integer is ``z % bound`` of the first output
+        below its rejection limit.  A Gaussian item's values are formed in the
+        walk only when a count function reads them.  The stream is then moved
+        to the position and spare that the draws one after another would
+        leave.  An unknown kind, a negative count or a bound outside 1..2**64
+        raises ValueError and leaves the stream as it was.
         """
         if trials < 0:
             raise ValueError(f"trials must be >= 0, got {trials}")
-        for kind, size in recipe:
-            if kind == "integer":
-                _check_bound(size)
-            elif kind not in ("gaussian", "uniform"):
-                raise ValueError(f"unknown draw kind {kind!r}, expected gaussian, uniform or integer")
-            elif size < 0:
-                raise ValueError(f"a {kind} count must be >= 0, got {size}")
-        # the walk: every item's first output, and the outputs that each
-        # Gaussian item draws, in Python integers.  A spare is held exactly
-        # where an odd number of Gaussians has been consumed, counting the
-        # spare held at the start.
+        items = [_parse_item(item) for item in recipe]
+        dependent = any(callable(count) for _, _, count, _ in items)
+        # per item, per trial: the count, and where its values start (an
+        # integer item keeps its values); a Gaussian item's start is its offset
+        # in the Gaussians consumed, in order
+        counts = [[] for _ in items]
+        starts = [[] for _ in items]
+        walk = [(kind, bound, count, callable(count), scalar, _rejection_limit(bound) if bound else 0, sizes, first)
+                for (kind, bound, count, scalar), sizes, first in zip(items, counts, starts)]
+        # the outputs that the fixed counts draw, without rejections, a Gaussian
+        # item one more at most
+        fixed = sum(count + (kind == "gaussian") for kind, _, count, _ in items if not callable(count))
+        outputs = _Outputs(self, trials * fixed)
         spare = self._spare_gauss
-        held = spare is not None
-        starts = [[] for _ in recipe]
         runs = []
-        pos = 0
+        pos = used = 0
+        held = int(spare is not None)
+        spare_at = -1  # the output pair whose second Gaussian is held; -1 for the spare held at the start
         for _ in range(trials):
-            for i, (kind, size) in enumerate(recipe):
-                starts[i].append(pos)
+            prior = _Prior(outputs, spare) if dependent else None
+            for kind, bound, count, drawn_count, scalar, limit, sizes, first in walk:
+                if drawn_count:
+                    count = _checked_count(kind, count(prior))
+                    sizes.append(count)
                 if kind == "gaussian":
                     # a held spare is taken first, then whole pairs are drawn
-                    need = max(size - held, 0)
-                    runs.append((pos, pos + need + need % 2))
-                    pos += need + need % 2
-                    held = (held + size) % 2
+                    need = count - held if count > held else 0
+                    end = pos + need + need % 2
+                    if prior is not None:
+                        prior.values.append((bool(held and count), spare_at, pos, need))
+                    first.append(used)
+                    if need:
+                        runs.append((pos, end))
+                        if need % 2:
+                            spare_at = end - 2
+                    used += count
+                    held = (held + count) % 2
+                    pos = end
+                elif kind == "uniform":
+                    if prior is not None:
+                        prior.values.append(outputs.uniforms(pos, count))
+                    first.append(pos)
+                    pos += count
                 else:
-                    pos += size if kind == "uniform" else 1
-        z = self.uint64_block(pos)
-        u = _uniforms(z)
+                    drawn = []
+                    while len(drawn) < count:
+                        z = outputs.integer(pos)
+                        pos += 1
+                        if z < limit:
+                            drawn.append(z % bound)
+                    first.append(drawn)
+                    if prior is not None:
+                        prior.values.append(drawn[0] if scalar else np.array(drawn, dtype=np.uint64))
+        u = outputs.uniforms(0, pos)
+        self._pos += pos
 
         # the outputs of the Gaussian items, in stream order, are the pairs that
         # the gaussian_block calls one after another would draw
         fresh = _box_muller(np.concatenate([u[a:b] for a, b in runs])) if runs else np.empty(0)
         stream = fresh if spare is None else np.concatenate([[spare], fresh])
-        per_trial = sum(size for kind, size in recipe if kind == "gaussian")
-        used = trials * per_trial
         self._spare_gauss = float(stream[-1]) if stream.size > used else None
-        gaussians = stream[:used].reshape(trials, per_trial)
 
-        out, rejected = [], []
-        offset = 0
-        for i, (kind, size) in enumerate(recipe):
-            if kind == "gaussian":
-                out.append(gaussians[:, offset:offset + size])
-                offset += size
-            elif kind == "uniform":
-                out.append(u[np.array(starts[i], dtype=np.intp)[:, None] + np.arange(size)])
+        out = []
+        for (kind, bound, count, scalar), sizes, first in zip(items, counts, starts):
+            drawn_count = callable(count)
+            width = max(sizes, default=0) if drawn_count else count
+            if scalar:
+                values = np.array([row[0] for row in first], dtype=np.uint64)
+            elif kind == "integer":
+                values = np.zeros((trials, width), dtype=np.uint64)
+                for t, row in enumerate(first):
+                    values[t, :len(row)] = row
             else:
-                drawn = z[starts[i]].tolist()
-                limit = _rejection_limit(size)
-                rejected += [(t, i) for t, value in enumerate(drawn) if value >= limit]
-                out.append(np.array([value % size for value in drawn], dtype=np.uint64))
-        for t, i in sorted(rejected):
-            out[i][t] = self.integer(recipe[i][1])
+                source = stream if kind == "gaussian" else u
+                index = np.array(first, dtype=np.intp).reshape(-1, 1) + np.arange(width)
+                if drawn_count:
+                    kept = np.arange(width) < np.array(sizes, dtype=np.intp).reshape(-1, 1)
+                    values = np.zeros(index.shape)
+                    values[kept] = source[index[kept]]
+                else:
+                    values = source[index]
+            out.append(Ragged(values, np.array(sizes, dtype=np.intp)) if drawn_count else values)
         return out
 
     def gaussian(self) -> float:

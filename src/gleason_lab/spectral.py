@@ -88,15 +88,6 @@ class EigenDecomposition:
         return (self.reconstruct() - A).max_abs()
 
 
-def embed(A: Matrix) -> np.ndarray:
-    """Complex 2n x 2n image chi(A) of a square quaternionic matrix."""
-    if A.algebra is not Algebra.H:
-        raise AlgebraMismatch("embedding is defined for quaternionic matrices")
-    if not A.is_square:
-        raise ValueError("embedding needs a square matrix")
-    return _chi(A.comps)
-
-
 def _chi(c: np.ndarray) -> np.ndarray:
     """chi of every square quaternionic matrix of a (..., n, n, 4) component stack ``c``."""
     A1, A2 = c[..., 0] + 1j * c[..., 1], c[..., 2] + 1j * c[..., 3]
@@ -109,7 +100,10 @@ def _chi(c: np.ndarray) -> np.ndarray:
     return X
 
 
-def _group_indices(values: np.ndarray, tol: float) -> list[tuple[int, int]]:
+def _group_indices(values, tol: float) -> list[tuple[int, int]]:
+    """The (start, stop) index ranges of the groups of a sorted sequence of
+    values: each value joins the group of the value that opened it when it
+    lies within ``tol`` of it."""
     groups = []
     m = 0
     n = len(values)
@@ -251,21 +245,19 @@ def eig_hermitian(A: Matrix) -> EigenDecomposition:
 
 
 def _simple_spectra(values: np.ndarray, w: np.ndarray, algebra: Algebra) -> np.ndarray:
-    """Whether each matrix of a stack has a simple spectrum: every adjacent gap
-    of its sorted ``values`` above ``_ATOM_REL_TOL`` max|values|, and over H
-    every adjacent gap of the pair means above ``_GROUP_TOL`` max|w| of chi's
-    spectrum ``w``.  :func:`_group_indices` compares each value with the first
-    of its group, so this holds exactly when every group of the atoms
-    (:func:`gleason_lab.quantum.pvm_of`) and of the pairs
-    (:func:`eig_hermitian`) is a singleton."""
-
-    def apart(tol: np.ndarray) -> np.ndarray:
-        return (np.abs(values[..., 1:] - values[..., :-1]) > tol[..., None]).all(axis=-1)
-
-    simple = apart(_ATOM_REL_TOL * np.abs(values).max(axis=-1, initial=0.0))
+    """Whether each matrix of a stack has a simple spectrum: every group that
+    :func:`_group_indices` forms is a singleton, both of its sorted ``values``
+    at ``_ATOM_REL_TOL`` max|values|, the atoms of
+    :func:`gleason_lab.quantum.pvm_of`, and over H of the pair means at
+    ``_GROUP_TOL`` max|w| of chi's spectrum ``w``, the pairs of
+    :func:`eig_hermitian`."""
+    tols = [_ATOM_REL_TOL * np.abs(values).max(axis=-1, initial=0.0)]
     if algebra is Algebra.H:
-        simple &= apart(_GROUP_TOL * np.abs(w).max(axis=-1, initial=0.0))
-    return simple
+        tols.append(_GROUP_TOL * np.abs(w).max(axis=-1, initial=0.0))
+    rows = values.reshape(-1, values.shape[-1]).tolist()
+    bounds = [tol.ravel().tolist() for tol in tols]
+    simple = [all(len(_group_indices(row, tol[t])) == len(row) for tol in bounds) for t, row in enumerate(rows)]
+    return np.array(simple, dtype=bool).reshape(values.shape[:-1])
 
 
 def _eig_stack(c: np.ndarray, algebra: Algebra) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

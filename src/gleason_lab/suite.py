@@ -7,44 +7,52 @@ and a tolerance.  ``run_suite`` executes the whole matrix deterministically;
 ``emit_report`` serializes the outcome.  The registry doubles as the coverage
 manifest shipped in ``claims.json``.
 
-Twenty runners run a cell's trials as one stack: those of the real-trace
-calculus, the state and projector runners (``projector_sandwich``,
+Twenty-four runners run a cell's trials as one stack: those of the
+real-trace calculus, the state and projector runners (``projector_sandwich``,
 ``measure_range``, ``mix_linearity``, ``pure_phase_classes`` and
-``state_conjugation``), ``symmetry_duality``, and the five that decompose
+``state_conjugation``), ``symmetry_duality``, the five that decompose
 observables (``pvm_partition``, ``functional_calculus``,
 ``expectation_duality``, ``pure_state_reduction`` and
-``diagonal_basis_cyclicity``).  ``block(cell, ts)`` draws the trials ``ts``
-ahead from ``cell.rng`` (``_draw``).  A trial's draws are a fixed list of
-Gaussian, uniform and integer draws, which fixes every stream position, so
-one planned block (:meth:`SplitMix64.recipe_block`) holds the draws that one
-trial after another would make.  The block then runs every kernel once over
-the (trials, n, n, 4) stacks, the state and projector certificates included,
-and returns the trials' terms (``_rows``).  Projectors are built in one stack
-per drawn rank, so every product keeps the shape it has alone.
-``_stacked`` turns the block into the cell runner, which runs the trial axis
-in chunks when a stack would pass ``quantum._ORBIT_CHUNK_ENTRIES`` entries.
-Each matrix of a stack is computed as a lone matrix is, so a stacked runner
-reports the bits that its per-trial form would.  The one exception is a draw
-that must be redrawn: a Gaussian matrix that Gram-Schmidt rejects, or an
-integer output past the rejection limit.  The stack redraws it after the
-block, where the per-trial form would redraw at once; either happens with
-probability near zero.
+``diagonal_basis_cyclicity``), and the four whose draws depend on earlier
+draws (``extremality``, ``sigma_additivity``, ``unit_lemma`` and
+``nonhermitian_basis_dependence_h``).  ``block(cell, ts)`` draws the trials
+``ts`` ahead from ``cell.rng`` (``_draw``).  A trial's draws are a list of
+Gaussian, uniform and integer draws whose counts are fixed or follow from the
+trial's earlier draws: a drawn rank, a drawn block count, or a branch taken
+on a uniform or on a nearly Hermitian matrix.  Every stream position is a
+function of the draws before it, so one planned block
+(:meth:`SplitMix64.recipe_block`) holds the draws that one trial after
+another would make.  The block then runs every kernel once over the
+(trials, n, n, 4) stacks, the state and projector certificates included, and
+returns the trials' terms (``_rows``).  Matrices whose shape follows a draw
+(projectors of a drawn rank, mixtures of a drawn rank, the parts of a drawn
+decomposition, the kept columns of a split, the weights of a drawn count) are
+built in one stack per shape (``_groups``), so every product and sum keeps
+the shape it has alone.  ``_stacked`` turns the block into the cell runner,
+which runs the trial axis in chunks when a stack would pass
+``quantum._ORBIT_CHUNK_ENTRIES`` entries.  Each matrix of a stack is computed
+as a lone matrix is, so a stacked runner reports the bits that its per-trial
+form would.  The one exception is a Gaussian matrix that Gram-Schmidt
+rejects: the stack redraws it after the block, where the per-trial form would
+redraw at once, which happens with probability near zero.
 
-The five that decompose observables take one stacked eigendecomposition
+The runners that decompose observables, and ``extremality`` for its mixed
+states, take one stacked eigendecomposition
 (:func:`~gleason_lab.spectral._eig_stack`).  A trial whose spectrum is simple,
 as a Gaussian draw's is with probability 1, is served from the stacks: its
 atoms are the projectors onto its n eigenvectors, n matrices per trial in the
 chunk budget, built and certified as one stack.  A trial with a repeated
-eigenvalue runs the one-matrix code on its drawn matrices, in its turn
-(``_serve``); either way its terms have the same bits.
+eigenvalue, such as a mixed state of rank below n - 1, runs the one-matrix
+code on its drawn matrices, in its turn (``_serve``); either way its terms
+have the same bits.
 
-The other runners are written per trial, each with a one-line docstring
-saying why: ``trial(cell, t)`` draws trial ``t`` from ``cell.rng`` and
-returns its residual terms (possibly none), and ``_per_trial`` turns it into
-the cell runner, which runs the trials in order on the one stream.  A draw
-count that depends on an earlier draw, a trial that can end before its later
-draws, a spectrum that is degenerate by construction, a Gram-Schmidt per
-matrix, and one state per ``reconstruct_state`` call keep a runner per trial.
+Three runners are written per trial, each with a one-line docstring saying
+why: ``trial(cell, t)`` draws trial ``t`` from ``cell.rng`` and returns its
+residual terms, and ``_per_trial`` turns it into the cell runner, which runs
+the trials in order on the one stream.  A spectrum that is degenerate by
+construction (``separation``), a Gram-Schmidt per matrix
+(``adapted_basis_formula``), and one state per ``reconstruct_state`` call
+(``round_trip``) keep a runner per trial.
 
 The residual of a cell is the worst of its terms, trial-major, ``max(0.0,
 *terms)`` taken in order by ``_worst``, so a term <= 0 counts for nothing.  A
@@ -75,6 +83,7 @@ from .linalg import (
     _block_projectors,
     _check_projectors,
     _conj_comps,
+    _groups,
     _hermitian_part,
     _layout,
     _max_abs,
@@ -90,7 +99,6 @@ from .linalg import (
     random_matrix,
     random_projector,
     random_unit_imaginary,
-    random_unit_vector,
     random_unitaries,
     random_unitary,
 )
@@ -311,14 +319,15 @@ def _rows(terms: list) -> np.ndarray:
 _MATRIX = "matrix"
 
 
-def _draw(cell: Cell, count: int, *items) -> list[np.ndarray]:
+def _draw(cell: Cell, count: int, *items) -> list:
     """``count`` trials of draws from ``cell.rng``, served from one planned
     block (:meth:`SplitMix64.recipe_block`): per trial, the ``items`` in order.
     An item is ``_MATRIX``, an n x n Gaussian matrix as :func:`random_matrix`
     draws it, returned as a (count, n, n, 4) component stack, or an item of the
-    recipe, ``("gaussian", k)``, ``("uniform", k)`` or ``("integer", bound)``,
-    returned as the plan returns it.  Bit for bit what the draws one after
-    another give."""
+    recipe, ``("gaussian", k)``, ``("uniform", k)``, ``("integer", bound)`` or
+    ``("integer", bound, k)``, where k may be a function of the trial's
+    earlier draws, returned as the plan returns it.  Bit for bit what the
+    draws one after another give."""
     n = cell.dim
     recipe = [("gaussian", n * n * cell.algebra.component_count) if item == _MATRIX else item for item in items]
     out = cell.rng.recipe_block(count, recipe)
@@ -356,17 +365,29 @@ _run_basis_invariance_rc = _basis_invariance(hermitian=False)
 _run_hermitian_invariance_h = _basis_invariance(hermitian=True)
 
 
-@_per_trial
-def _run_nonhermitian_dependence_h(cell: Cell, t: int) -> Terms:
-    """Keeps its loop: a nearly Hermitian draw ends its trial before any basis is drawn."""
+def _nonhermitian_dependence(cell: Cell, ts: np.ndarray) -> np.ndarray:
     # A failing-to-be-invariant witness must exist: the term is the shortfall
     # of the best of six basis-trace gaps, each between two random bases,
-    # below the 1e-3 detection threshold.
-    A = random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
-    if (A - A.adjoint()).max_abs() < 0.1:
-        return ()
-    traces = tr._traces(A.comps, random_unitaries(cell.dim, 12, cell.algebra, cell.rng), cell.algebra)
-    return (1e-3 - _worst(_moduli(traces[0::2] - traces[1::2])),)
+    # below the 1e-3 detection threshold.  A nearly Hermitian draw ends its
+    # trial, with no term, before any basis is drawn.
+    n, algebra = cell.dim, cell.algebra
+    bases = 12 * n * n * algebra.component_count
+
+    def count(prior) -> int:
+        A = _layout(prior[0], (n, n), algebra)
+        return 0 if _max_abs(A - _adjoint_comps(A)) < 0.1 else bases
+
+    A, G = _draw(cell, ts.size, _MATRIX, ("gaussian", count))
+    far = G.counts > 0
+    U = _unitaries(_layout(G.values[far], (int(far.sum()), 12, n, n), algebra), algebra, cell.rng)
+    traces = tr._traces(A[far][:, None], U, algebra)
+    # the worst gap, max(0.0, *gaps), NaN if a gap is
+    worst = np.maximum(0.0, _moduli(traces[:, 0::2] - traces[:, 1::2]).max(axis=-1))
+    terms = iter(1e-3 - worst)
+    return _rows([[next(terms)] if flag else [] for flag in far])
+
+
+_run_nonhermitian_dependence_h = _stacked(_nonhermitian_dependence, matrices=lambda n: 12)  # 12 bases per trial
 
 
 @_stacked
@@ -532,12 +553,25 @@ def _run_gleason_round_trip(cell: Cell, t: int) -> Terms:
     return ((rebuilt.matrix - T.matrix).max_abs(),)
 
 
-@_per_trial
-def _run_sigma_additivity(cell: Cell, t: int) -> Terms:
-    """Keeps its loop: how many integers it draws depends on an earlier integer."""
-    mu = gl.measure_from_state(gl.random_density(cell.dim, cell.algebra, cell.rng))
-    parts = gl.random_orthogonal_decomposition(cell.dim, cell.algebra, cell.rng)
-    return (abs(sum(mu(P) for P in parts) - 1.0),)
+def _sigma_additivity(cell: Cell, ts: np.ndarray) -> np.ndarray:
+    n = cell.dim
+    G, raw, H, *_, cuts = _draw(cell, ts.size, _MATRIX, ("uniform", n), _MATRIX, *gl._cut_recipe(n))
+    T = _states(cell, G, raw)
+    U = _unitaries(H, cell.algebra, cell.rng)
+    terms = np.empty(ts.size)
+    for at, parts in gl._decompositions(U, gl._decomposition_bounds(cuts, n), cell.algebra):
+        _check_projectors(parts, cell.algebra)
+        k = parts.shape[1]
+        mu = tr._real_pairings(parts.reshape(-1, n, n, 4), np.repeat(T[at], k, axis=0)).reshape(-1, k)
+        # sum(mu(P) for P in parts): the parts' measures added in part order
+        total = mu[:, 0]
+        for c in range(1, k):
+            total = total + mu[:, c]
+        terms[at] = np.abs(total - 1.0)
+    return terms[:, None]
+
+
+_run_sigma_additivity = _stacked(_sigma_additivity, matrices=lambda n: n)  # up to n parts per trial
 
 
 @_stacked
@@ -549,18 +583,42 @@ def _run_measure_range(cell: Cell, ts: np.ndarray) -> np.ndarray:
     return np.stack([-value, value - 1.0], axis=-1)
 
 
-@_per_trial
-def _run_extremality(cell: Cell, t: int) -> Terms:
-    """Keeps its loop: its uniform count is a rank drawn in the trial."""
-    psi = random_unit_vector(cell.dim, cell.algebra, cell.rng)
-    pure_failed = float(not gl.is_extremal(gl.pure_state(psi)))
-    rank = 2 + cell.rng.integer(cell.dim - 1) if cell.dim > 2 else 2
-    mixed = gl.random_density(cell.dim, cell.algebra, cell.rng, rank=min(rank, cell.dim))
-    if gl.is_extremal(mixed):
-        return pure_failed, 1.0
-    w1, T1, T2 = gl.extremal_split(mixed)
-    recombined = gl.convex_mix([T1, T2], [w1, 1.0 - w1])
-    return pure_failed, (recombined.matrix - mixed.matrix).max_abs()
+def _extremality(cell: Cell, ts: np.ndarray) -> np.ndarray:
+    n, k, algebra = cell.dim, cell.algebra.component_count, cell.algebra
+    ranks = [("integer", n - 1)] if n > 2 else []
+
+    def rank(prior) -> int:
+        return min(2 + prior[1] if n > 2 else 2, n)
+
+    X, *_, G, raw = _draw(cell, ts.size, ("gaussian", n * k), *ranks, _MATRIX, ("uniform", rank))
+    psi = _unit_rows(_layout(X, (ts.size, n), algebra))[:, :, None, :]
+    pure_failed = ~gl._extremal(gl._state_spectra(gl._pure_states(psi, k), algebra))
+    U = _unitaries(G, algebra, cell.rng)
+    # the mixed states of one drawn rank as one stack
+    mixed = np.empty(U.shape)
+    for r, at in _groups(raw.counts.tolist()):
+        mixed[at] = gl._mixtures(U[at], raw.values[at, :r], k)
+    split = np.flatnonzero(~gl._extremal(gl._state_spectra(mixed, algebra)))
+    terms = np.ones(ts.size)  # 1.0 for a mixed state that is extremal
+    if split.size:
+        S = mixed[split]
+        simple, values, basis = sp._eig_stack(S, algebra)
+
+        def alone(t: int) -> tuple[np.ndarray, np.ndarray]:
+            dec = sp.eig_hermitian(Matrix(algebra, S[t]))
+            return dec.values, dec.basis.comps
+
+        values, basis = (np.array(x) for x in zip(*_serve(simple, zip(values, basis), alone)))
+        w1, T1, T2 = gl._extremal_splits(values, basis, algebra)
+        gl._state_spectra(T1, algebra)
+        gl._state_spectra(T2, algebra)
+        recombined = gl._convex_mixes([T1, T2], np.stack([w1, 1.0 - w1]))
+        gl._state_spectra(recombined, algebra)
+        terms[split] = _max_abs(recombined - S)
+    return np.stack([pure_failed.astype(np.float64), terms], axis=-1)
+
+
+_run_extremality = _stacked(_extremality)
 
 
 @_per_trial
@@ -574,21 +632,42 @@ def _run_separation(cell: Cell, t: int) -> Terms:
     return float(distinct != gl.separation_check(P, Q)), float(gl.separation_check(P, P))
 
 
-def _run_unit_lemma(cell: Cell) -> float:
-    violations = 0
-    for _ in range(cell.trials * 10):
-        count = 2 + cell.rng.integer(6)
-        raw = cell.rng.uniform_block(count)
-        ps = raw / raw.sum()
-        if ps.min() <= 0.0 or ps.max() >= 1.0:
-            continue
-        if cell.rng.uniform() < 0.5:
-            qs = np.ones(count)
-        else:
-            qs = 1.0 - cell.rng.uniform_block(count) * 0.5
-        if not gl.convex_unit_lemma(list(ps), list(qs)):
-            violations += 1
-    return float(violations)
+def _lemma_checkable(raw: np.ndarray) -> int:
+    """1 if every weight raw / sum(raw) of one draw's uniforms lies strictly
+    inside (0, 1), else 0."""
+    ps = raw / raw.sum()
+    return int(ps.min() > 0.0 and ps.max() < 1.0)
+
+
+# one draw of the lemma's inputs: m = 2 + integer(6) uniforms for the weights,
+# then, if every weight lies inside (0, 1), one branch uniform, and below 0.5
+# q = 1 throughout, else m more uniforms for q
+_LEMMA_DRAW = (
+    ("integer", 6),
+    ("uniform", lambda prior: 2 + prior[0]),
+    ("uniform", lambda prior: _lemma_checkable(prior[1])),
+    ("uniform", lambda prior: prior[1].size if prior[2].size and prior[2][0] >= 0.5 else 0),
+)
+_LEMMA_DRAWS_PER_TRIAL = 10
+
+
+@_stacked
+def _run_unit_lemma(cell: Cell, ts: np.ndarray) -> np.ndarray:
+    # per draw, 1.0 if the lemma fails on it; a draw whose weights leave
+    # (0, 1) checks nothing
+    draws = _LEMMA_DRAWS_PER_TRIAL * ts.size
+    _, raw, branch, fresh = _draw(cell, draws, *_LEMMA_DRAW)
+    failed = np.zeros(draws)
+    checked = branch.counts > 0
+    for m, at in _groups(raw.counts[checked].tolist()):
+        at = np.flatnonzero(checked)[at]
+        q = np.ones((at.size, m))
+        drawn = fresh.counts[at] > 0  # the branch uniform was at least 0.5
+        if drawn.any():
+            q[drawn] = 1.0 - fresh.values[at[drawn], :m] * 0.5
+        ps = raw.values[at, :m]
+        failed[at] = ~gl._convex_unit_lemmas(ps / ps.sum(axis=-1, keepdims=True), q)
+    return failed.reshape(ts.size, _LEMMA_DRAWS_PER_TRIAL)
 
 
 @_stacked

@@ -116,6 +116,17 @@ def _grouping_tolerance_scaled_by_1e6(monkeypatch):
     _patch_every_binding(monkeypatch, group, lambda values, tol: group(values, tol * 1e6))
 
 
+def _lemma_hypothesis_without_q(monkeypatch):
+    lemma = gleason._convex_unit_lemmas
+
+    def sum_p_only(p, q):  # the hypothesis reads sum(p) = 1 in place of sum(p q) = 1
+        lemma(p, q)  # the input checks
+        hypothesis = (np.abs(p.sum(axis=-1) - 1.0) <= 1e-12) & (np.abs(p.sum(axis=-1) - 1.0) <= 1e-12)
+        return ~hypothesis | (np.abs(q - 1.0).max(axis=-1) <= 1e-9)
+
+    _patch_every_binding(monkeypatch, lemma, sum_p_only)
+
+
 MUTANTS = {
     "scale_right_on_the_left": _scale_right_on_the_left,
     "hamilton_sign_flipped": _hamilton_sign_flipped,
@@ -128,6 +139,7 @@ MUTANTS = {
     "complex_product_reading_component_0": _complex_product_reading_component_0,
     "grouping_tolerance_scaled_by_1e6": _grouping_tolerance_scaled_by_1e6,
     "blocks_one_column_short": _blocks_one_column_short,
+    "lemma_hypothesis_without_q": _lemma_hypothesis_without_q,
 }
 
 
@@ -146,3 +158,13 @@ def test_the_stacked_pvm_atoms_reach_the_block_mutant(monkeypatch):
     _blocks_one_column_short(monkeypatch)
     report = run_suite(RunConfig(algebras=("R", "C", "H"), dims=(3,), trials=2, only="quantum.pvm_partition"))
     assert sorted(_failed(report)) == ["quantum.pvm_partition[C]", "quantum.pvm_partition[H]", "quantum.pvm_partition[R]"]
+
+
+@pytest.mark.parametrize("mutant, claim", [
+    ("blocks_one_column_short", "gleason.sigma_additivity"),
+    ("lemma_hypothesis_without_q", "gleason.unit_lemma"),
+])
+def test_the_stacked_runner_reaches_the_mutant_in_every_algebra(mutant, claim, monkeypatch):
+    MUTANTS[mutant](monkeypatch)
+    report = run_suite(RunConfig(algebras=("R", "C", "H"), dims=(3,), trials=2, only=claim))
+    assert sorted(_failed(report)) == [f"{claim}[{letter}]" for letter in "CHR"]

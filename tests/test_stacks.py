@@ -7,9 +7,12 @@ functions: the terms agree bit for bit, and so do the stream positions that
 both leave behind.  The runners that decompose observables serve the trials
 with a simple spectrum from one stacked eigendecomposition and decompose the
 others alone; planted repeated eigenvalues send trials down that path.  The
-planned draws are checked against the draws one after another, the stacked
-kernels against per-matrix calls, the guards over a stack against the
-one-matrix messages, and the chunking of the trial axis against the orbit
+runners whose draws depend on earlier draws meet planted rare branches: a
+mixed state with a repeated eigenvalue, a lemma weight that reaches 1, a
+nearly Hermitian matrix and rejected count-setting integers.  The planned
+draws, fixed and dependent, are checked against the draws one after another,
+the stacked kernels against per-matrix calls, the guards over a stack against
+the one-matrix messages, and the chunking of the trial axis against the orbit
 chunk budget.
 """
 
@@ -19,6 +22,7 @@ import numpy as np
 import pytest
 
 from gleason_lab import gleason, kernels, linalg, quantum, spectral, suite, trace
+from gleason_lab import rng as rng_module
 from gleason_lab.errors import DegenerateInput, InvalidWeights, NotHermitian, NotPositive, NotUnitary
 from gleason_lab.gleason import (
     DensityOperator,
@@ -240,6 +244,104 @@ def _diagonal_basis_cyclicity(cell, t):
     return [gap, abs(full - Quaternion(full.real))]
 
 
+# the four runners whose draws depend on earlier draws, as they ran one trial
+# at a time; the one-state helpers are written out as they were, so that the
+# stacked forms that now serve is_extremal, extremal_split, convex_unit_lemma
+# and random_orthogonal_decomposition meet an independent reference
+
+def _is_extremal(state):
+    values = state.eigenvalues
+    return len(values) == 1 or float(values[1]) <= 1e-8
+
+
+def _extremal_split(state):
+    dec = state.eigen()
+    w1 = float(dec.values[0])
+    if 1.0 - w1 <= 1e-8:
+        raise ValueError("state is extremal (rank one); no nontrivial split exists")
+    T1 = DensityOperator(outer_sum(Matrix(state.algebra, dec.basis.comps[:, :1])))
+    keep = np.flatnonzero(dec.values[1:] > 0.0) + 1
+    rest = Matrix(state.algebra, dec.basis.comps[:, keep])
+    T2 = DensityOperator(outer_sum(rest, dec.values[keep] / (1.0 - w1)))
+    return w1, T1, T2
+
+
+def _extremality(cell, t):
+    psi = random_unit_vector(cell.dim, cell.algebra, cell.rng)
+    pure_failed = float(not _is_extremal(pure_state(psi)))
+    rank = 2 + cell.rng.integer(cell.dim - 1) if cell.dim > 2 else 2
+    mixed = random_density(cell.dim, cell.algebra, cell.rng, rank=min(rank, cell.dim))
+    if _is_extremal(mixed):
+        return [pure_failed, 1.0]
+    w1, T1, T2 = _extremal_split(mixed)
+    recombined = convex_mix([T1, T2], [w1, 1.0 - w1])
+    return [pure_failed, (recombined.matrix - mixed.matrix).max_abs()]
+
+
+def _orthogonal_decomposition(n, algebra, rng):
+    U = random_unitary(n, algebra, rng)
+    blocks = min(2 + rng.integer(n - 1) if n > 2 else 2, n)
+    cuts = sorted(rng.integer(n - 1) + 1 for _ in range(blocks - 1))
+    bounds = [0] + sorted(set(cuts)) + [n]
+    return Projector.of_stack(algebra, linalg._block_projectors(U.comps, zip(bounds[:-1], bounds[1:]), algebra))
+
+
+def _sigma_additivity(cell, t):
+    mu = measure_from_state(random_density(cell.dim, cell.algebra, cell.rng))
+    parts = _orthogonal_decomposition(cell.dim, cell.algebra, cell.rng)
+    return [abs(sum(mu(P) for P in parts) - 1.0)]
+
+
+def _convex_unit_lemma(ps, qs):
+    p = np.asarray(ps, dtype=np.float64)
+    q = np.asarray(qs, dtype=np.float64)
+    if len(p) != len(q) or len(p) < 2:
+        raise ValueError("need matching lists of length >= 2")
+    if not (0.0 < p.min() and p.max() < 1.0):
+        raise ValueError("every p must lie strictly inside (0, 1)")
+    if not (-1e-12 <= q.min() and q.max() <= 1.0 + 1e-12):
+        raise ValueError("every q must lie in [0, 1]")
+    hypothesis = abs(p.sum() - 1.0) <= 1e-12 and abs((p * q).sum() - 1.0) <= 1e-12
+    if not hypothesis:
+        return True
+    return bool(np.abs(q - 1.0).max() <= 1e-9)
+
+
+def _unit_lemma(cell, t):
+    # ten draws per trial; 1.0 for each draw on which the lemma fails
+    terms = []
+    for _ in range(10):
+        count = 2 + cell.rng.integer(6)
+        raw = cell.rng.uniform_block(count)
+        ps = raw / raw.sum()
+        if ps.min() <= 0.0 or ps.max() >= 1.0:
+            terms.append(0.0)
+            continue
+        if cell.rng.uniform() < 0.5:
+            qs = np.ones(count)
+        else:
+            qs = 1.0 - cell.rng.uniform_block(count) * 0.5
+        terms.append(float(not _convex_unit_lemma(list(ps), list(qs))))
+    return terms
+
+
+def _nonhermitian_dependence(cell, t):
+    A = random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
+    if (A - A.adjoint()).max_abs() < 0.1:
+        return []
+    bases = random_unitaries(cell.dim, 12, cell.algebra, cell.rng)
+    traces = [trace_n(A, Matrix(cell.algebra, U)) for U in bases]
+    return [1e-3 - suite._worst(abs(t0 - t1) for t0, t1 in zip(traces[0::2], traces[1::2]))]
+
+
+DEPENDENT = {
+    "gleason.extremality": _extremality,
+    "gleason.sigma_additivity": _sigma_additivity,
+    "gleason.unit_lemma": _unit_lemma,
+    "trace.nonhermitian_basis_dependence_h": _nonhermitian_dependence,
+}
+
+
 SPECTRAL = {
     "quantum.pvm_partition": _pvm_partition,
     "quantum.functional_calculus": _functional_calculus,
@@ -267,7 +369,29 @@ REFERENCES = {
     "gleason.pure_phase_classes": _pure_phase_classes,
     "quantum.state_conjugation": _state_conjugation,
     **SPECTRAL,
+    **DEPENDENT,
 }
+
+
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_the_one_draw_forms_give_the_bits_of_their_references(algebra, n):
+    for seed in range(3):
+        rng, ref = SplitMix64(seed), SplitMix64(seed)
+        parts = gleason.random_orthogonal_decomposition(n, algebra, rng)
+        want = _orthogonal_decomposition(n, algebra, ref)
+        assert [P.matrix.comps.tobytes() for P in parts] == [P.matrix.comps.tobytes() for P in want]
+        assert (rng._pos, rng._spare_gauss) == (ref._pos, ref._spare_gauss)
+        state = random_density(n, algebra, rng, rank=min(2, n))
+        assert gleason.is_extremal(state) == _is_extremal(state) == (n == 1)
+        if n > 1:
+            got, want = gleason.extremal_split(state), _extremal_split(state)
+            assert got[0] == want[0]
+            assert [T.matrix.comps.tobytes() for T in got[1:]] == [T.matrix.comps.tobytes() for T in want[1:]]
+        raw = rng.uniform_block(n + 1)
+        ps, qs = list(raw / raw.sum()), list(1.0 - rng.uniform_block(n + 1) * 0.5)
+        for q in (qs, [1.0] * (n + 1)):
+            assert gleason.convex_unit_lemma(ps, q) is _convex_unit_lemma(ps, q)
 
 
 def test_the_references_name_exactly_the_stacked_runners():
@@ -341,6 +465,100 @@ def test_a_planted_grouped_spectrum_takes_the_one_matrix_path_bit_for_bit(name, 
         assert masks.pop().tolist() == [True, False, True, False]
 
 
+@pytest.mark.parametrize("n", [5, 8])
+def test_a_grouped_mixed_state_spectrum_takes_the_one_matrix_path_bit_for_bit(n, monkeypatch):
+    # a mixed state of rank r < n - 1 has the eigenvalue 0 r - n times
+    masks = []
+    stack = spectral._eig_stack
+
+    def spy(c, algebra):
+        out = stack(c, algebra)
+        masks.append(out[0])
+        return out
+
+    monkeypatch.setattr(spectral, "_eig_stack", spy)
+    name = "gleason.extremality"
+    for algebra in ALGEBRAS:
+        rng = SplitMix64(5).derive(name, algebra.value, n)
+        ref = SplitMix64(5).derive(name, algebra.value, n)
+        _assert_the_block_is_the_reference(name, Cell(algebra, n, rng, 6), Cell(algebra, n, ref, 6))
+    flags = np.concatenate(masks)
+    assert flags.any() and not flags.all()
+
+
+def _plant_uniforms(monkeypatch, rng, planted):
+    """Form the uniform ``planted[p]`` from the output at each stream position
+    p of ``rng``'s stream, wherever a draw forms uniforms (and so Gaussians)."""
+    at = {int(rng._outputs(p, 1)[0]): u for p, u in planted.items()}
+    honest = rng_module._uniforms
+
+    def planted_uniforms(z):
+        u = honest(z)
+        for value, planted_u in at.items():
+            u[z == np.uint64(value)] = planted_u
+        return u
+
+    monkeypatch.setattr(rng_module, "_uniforms", planted_uniforms)
+
+
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+def test_a_lemma_draw_whose_weight_reaches_one_skips_its_branch_draw(algebra, monkeypatch):
+    # weights (1, 2**-53, ...) sum to 1, so the first weight is 1.0 and the
+    # draw checks nothing and draws no branch uniform; planted in the first
+    # draws of trials 0 and 2
+    name = "gleason.unit_lemma"
+    probe = Cell(algebra, 3, SplitMix64(4).derive(name, algebra.value, 3), 4)
+    planted = {}
+
+    def plant_at(pos):
+        count = 2 + int(probe.rng._outputs(pos, 1)[0]) % 6  # not rejected, with probability 1 - 2**-61
+        planted.update({pos + 1 + c: 2.0**-53 if c else 1.0 for c in range(count)})
+        _plant_uniforms(monkeypatch, probe.rng, planted)
+
+    plant_at(0)
+    assert REFERENCES[name](probe, 0)[0] == 0.0
+    REFERENCES[name](probe, 1)
+    plant_at(probe.rng._pos)
+    checks = []
+    checkable = suite._lemma_checkable
+    monkeypatch.setattr(suite, "_lemma_checkable", lambda raw: checks.append(checkable(raw)) or checks[-1])
+    rng = SplitMix64(4).derive(name, algebra.value, 3)
+    ref = SplitMix64(4).derive(name, algebra.value, 3)
+    _assert_the_block_is_the_reference(name, Cell(algebra, 3, rng, 4), Cell(algebra, 3, ref, 4))
+    assert len(checks) == 40 and checks.count(0) == 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_nearly_hermitian_draw_ends_its_trial_before_any_basis_is_drawn(n, monkeypatch):
+    # u1 = 1 gives both Gaussians of a Box-Muller pair the radius 0: trial 1's
+    # matrix, after trial 0's matrix and twelve bases, is planted zero
+    name = "trace.nonhermitian_basis_dependence_h"
+    size = 4 * n * n
+    rng = SplitMix64(6).derive(name, "H", n)
+    _plant_uniforms(monkeypatch, rng, {13 * size + p: 1.0 for p in range(0, size, 2)})
+    ref = Cell(Algebra.H, n, SplitMix64(6).derive(name, "H", n), 4)
+    assert [len(REFERENCES[name](ref, t)) for t in range(4)] == [1, 0, 1, 1]
+    ref = Cell(Algebra.H, n, SplitMix64(6).derive(name, "H", n), 4)
+    _assert_the_block_is_the_reference(name, Cell(Algebra.H, n, rng, 4), ref)
+
+
+@pytest.mark.parametrize("name", sorted(DEPENDENT))
+def test_a_rejected_count_setting_integer_is_redrawn_where_the_draw_would(name, monkeypatch):
+    # a rejection limit of about 2**63 rejects about half of all integer
+    # outputs, among them those that set the ranks, block counts and cut
+    # counts; every later position moves with them
+    prop = RUNNERS[name]
+    algebra = Algebra.from_letter(prop.algebras[-1])
+    unpatched = SplitMix64(8).derive(name, algebra.value, 5)
+    prop.runner.block(Cell(algebra, 5, unpatched, 4), np.arange(4))
+    monkeypatch.setattr(rng_module, "_rejection_limit", lambda bound: (2**63 // bound) * bound)
+    rng = SplitMix64(8).derive(name, algebra.value, 5)
+    ref = SplitMix64(8).derive(name, algebra.value, 5)
+    _assert_the_block_is_the_reference(name, Cell(algebra, 5, rng, 4), Cell(algebra, 5, ref, 4))
+    # the nonhermitian runner draws no integer
+    assert (rng._pos != unpatched._pos) == (name != "trace.nonhermitian_basis_dependence_h")
+
+
 @pytest.mark.parametrize("name", sorted(REFERENCES))
 def test_stacked_residual_is_the_worst_reference_term(name):
     prop = RUNNERS[name]
@@ -353,7 +571,7 @@ def test_stacked_residual_is_the_worst_reference_term(name):
 
 
 def test_the_one_matrix_path_gives_the_report_of_the_stacked_path(monkeypatch):
-    # every trial's spectrum read as grouped: the stacked runners decompose each observable alone
+    # every trial's spectrum read as grouped: the stacked runners decompose each matrix alone
     cfg = suite.RunConfig(algebras=("R", "C", "H"), dims=(1, 2, 3, 5), trials=3)
     stacked = suite.emit_report(suite.run_suite(cfg))
     forced = []
@@ -364,7 +582,9 @@ def test_the_one_matrix_path_gives_the_report_of_the_stacked_path(monkeypatch):
 
     monkeypatch.setattr(spectral, "_simple_spectra", grouped)
     assert suite.emit_report(suite.run_suite(cfg)) == stacked
-    assert sum(forced) == 5 * 3 * 4 * 3  # five runners, three algebras, four dims, three trials
+    # five runners, three algebras, four dims, three trials; and the mixed
+    # states of extremality, which runs from dim 2 on
+    assert sum(forced) == 5 * 3 * 4 * 3 + 3 * 3 * 3
 
 
 def test_every_runner_that_keeps_its_loop_says_why():
@@ -380,17 +600,33 @@ def test_every_runner_that_keeps_its_loop_says_why():
 # the draw plan against the draws one after another
 # ---------------------------------------------------------------------------
 
+def _count_of(item):
+    """The count of a recipe item, a number or a function; None for the one
+    integer of ("integer", bound)."""
+    kind, size, *count = item
+    return (count[0] if count else None) if kind == "integer" else size
+
+
 def _one_after_another(rng, trials, recipe):
-    """The draws of ``recipe_block(trials, recipe)`` made one call at a time."""
+    """The draws of ``recipe_block(trials, recipe)`` made one call at a time:
+    per item and trial its values, a count function reading the trial's
+    earlier values."""
     out = [[] for _ in recipe]
     for _ in range(trials):
-        for drawn, (kind, size) in zip(out, recipe):
-            if kind == "gaussian":
-                drawn.append(rng.gaussian_block(size))
-            elif kind == "uniform":
-                drawn.append(rng.uniform_block(size))
+        prior = []
+        for drawn, (kind, size, *_), count in zip(out, recipe, map(_count_of, recipe)):
+            if count is None:
+                value = rng.integer(size)
             else:
-                drawn.append(rng.integer(size))
+                count = count(prior) if callable(count) else count
+                if kind == "gaussian":
+                    value = rng.gaussian_block(count)
+                elif kind == "uniform":
+                    value = rng.uniform_block(count)
+                else:
+                    value = np.array([rng.integer(size) for _ in range(count)], dtype=np.uint64)
+            drawn.append(value)
+            prior.append(value)
     return out
 
 
@@ -401,8 +637,17 @@ def _assert_the_plan_is_sequential(seed, trials, recipe, before):
     ref.gaussian_block(before)
     got = rng.recipe_block(trials, recipe)
     want = _one_after_another(ref, trials, recipe)
-    for drawn, expected, (kind, size) in zip(got, want, recipe, strict=True):
-        shape = (trials,) if kind == "integer" else (trials, size)
+    for drawn, expected, count in zip(got, want, map(_count_of, recipe), strict=True):
+        if callable(count):
+            # a drawn count: each trial's values, zero-padded, and its count
+            values, counts = drawn
+            assert counts.tolist() == [len(x) for x in expected], (recipe, trials)
+            assert values.shape == (trials, max(counts, default=0))
+            for row, size, x in zip(values, counts, expected):
+                assert row[:size].tobytes() == np.asarray(x, dtype=row.dtype).tobytes(), (recipe, trials)
+                assert not row[size:].any()
+            continue
+        shape = (trials,) if count is None else (trials, count)
         assert drawn.shape == shape
         assert drawn.tobytes() == np.array(expected, dtype=drawn.dtype).reshape(shape).tobytes(), (recipe, trials)
     assert (rng._pos, rng._spare_gauss) == (ref._pos, ref._spare_gauss), (recipe, trials, before)
@@ -415,8 +660,9 @@ def _assert_the_plan_is_sequential(seed, trials, recipe, before):
     [("gaussian", 0), ("integer", 7), ("gaussian", 1), ("gaussian", 1), ("uniform", 0)],
     [("uniform", 3), ("integer", 2**64), ("gaussian", 5)],
     [("integer", 1)],
+    [("integer", 5, 3), ("integer", 2**63 + 1), ("gaussian", 3)],
     [],
-], ids=["odd", "zero-counts", "wide-bound", "bound-1", "empty"])
+], ids=["odd", "zero-counts", "wide-bound", "bound-1", "integer-rows", "empty"])
 def test_the_plan_serves_these_recipes_as_the_draws_one_after_another(recipe, trials, before):
     _assert_the_plan_is_sequential(20, trials, recipe, before)
 
@@ -433,26 +679,61 @@ def test_the_plan_serves_random_recipes_as_the_draws_one_after_another(seed):
         _assert_the_plan_is_sequential(pick.randrange(2**64), pick.randint(0, 5), recipe, pick.randint(0, 3))
 
 
-def test_a_rejected_integer_is_redrawn_after_the_block_in_trial_order():
-    # the rejection limit of 2**63 + 1 is 2**63 + 1 itself: about half of all outputs lie above it
+def _drawn_count(pick, items):
+    """A count function of a trial's earlier values: a count read off an
+    earlier integer, or a presence read off an earlier uniform or Gaussian."""
+    earlier = [i for i, (kind, *_) in enumerate(items)]
+    if not earlier or pick.random() < 0.2:
+        return pick.choice((0, 1, 2, 3, 5))
+    i, top = pick.choice(earlier), pick.choice((1, 2, 3, 5, 8))
+    if items[i][0] == "integer" and len(items[i]) == 2:
+        return lambda prior: int(prior[i]) % (top + 1)
+    threshold = pick.choice((-0.5, 0.3, 0.5, 0.9))
+
+    def present(prior):
+        values = prior[i]
+        return top if values.size and float(values[0]) % 1.0 > threshold else 0
+
+    return present
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_plan_serves_random_dependent_recipes_as_the_draws_one_after_another(seed):
+    # counts taken from integers, presences from uniforms and Gaussians; a
+    # bound of 2**63 + 1 rejects about half of its outputs, each in the walk,
+    # where the draw one after another rejects it
+    pick = random.Random(100 + seed)
+    for _ in range(200):
+        recipe = []
+        for _ in range(pick.randint(1, 6)):
+            kind = pick.choice(("gaussian", "uniform", "integer", "integers"))
+            if kind == "integer":
+                recipe.append(("integer", pick.choice((1, 3, 7, 2**63 + 1, 2**64))))
+            elif kind == "integers":
+                recipe.append(("integer", pick.choice((1, 3, 2**63 + 1)), _drawn_count(pick, recipe)))
+            else:
+                recipe.append((kind, _drawn_count(pick, recipe)))
+        _assert_the_plan_is_sequential(pick.randrange(2**64), pick.randint(0, 5), recipe, pick.randint(0, 2))
+
+
+def test_a_rejected_integer_is_redrawn_in_its_place():
+    # the rejection limit of 2**63 + 1 is 2**63 + 1 itself: about half of all
+    # outputs lie above it, and each is followed by the next output, as the
+    # draws one after another take it, so every later item moves with it
     bound, trials = 2**63 + 1, 12
     recipe = [("gaussian", 3), ("integer", bound), ("uniform", 2), ("integer", bound)]
     rng, ref = SplitMix64(21), SplitMix64(21)
     got = rng.recipe_block(trials, recipe)
-    # every item is served where it would be without rejections
-    gaussians, raw, uniforms = [], [], []
-    for _ in range(trials):
-        gaussians.append(ref.gaussian_block(3))
-        raw.append(int(ref.uint64_block(1)[0]))
-        uniforms.append(ref.uniform_block(2))
-        raw.append(int(ref.uint64_block(1)[0]))
-    rejected = [z >= bound for z in raw]
-    assert 4 <= sum(rejected) <= 2 * trials - 4
-    # then the rejected integers are redrawn in trial order: trial-major, item by item
-    want = [ref.integer(bound) if bad else z % bound for z, bad in zip(raw, rejected)]
-    assert got[0].tobytes() == np.array(gaussians).tobytes()
-    assert got[2].tobytes() == np.array(uniforms).tobytes()
-    assert np.stack([got[1], got[3]], axis=-1).ravel().tolist() == want
+    rejected = 0
+    for t in range(trials):
+        assert got[0][t].tobytes() == ref.gaussian_block(3).tobytes()
+        for item in (1, 3):
+            start = ref._pos
+            assert int(got[item][t]) == ref.integer(bound)
+            rejected += ref._pos - start - 1
+            if item == 1:
+                assert got[2][t].tobytes() == ref.uniform_block(2).tobytes()
+    assert 4 <= rejected
     assert (rng._pos, rng._spare_gauss) == (ref._pos, ref._spare_gauss)
 
 
@@ -469,6 +750,8 @@ def _integer_message(bound) -> str:
     (("integer", 0), _integer_message(0)),
     (("integer", -3), _integer_message(-3)),
     (("integer", 2**64 + 1), _integer_message(2**64 + 1)),
+    (("uniform", lambda prior: -2), "a uniform count must be >= 0, got -2"),
+    (("integer", 3, lambda prior: len(prior) - 3), "an integer count must be >= 0, got -1"),
 ])
 def test_a_bad_recipe_raises_before_any_output_is_drawn(item, message):
     rng = SplitMix64(22)
@@ -905,9 +1188,11 @@ def test_chunked_trials_give_the_bits_of_one_stack(name, monkeypatch):
     rng, ref = SplitMix64(16).derive(name), SplitMix64(16).derive(name)
     whole = prop.runner.block(Cell(algebra, 3, ref, 7), np.arange(7))
     # chunks of two 3 x 3 trials, or one realified trial: a budget of 100
-    # entries, or of 250 where a trial holds its three atoms (108 entries)
+    # entries, of 250 where a trial holds up to three atoms or parts (108
+    # entries), and of 450 where it holds its twelve bases (432 entries)
     budget = 250 if name in ("quantum.pvm_partition", "quantum.expectation_duality",
-                             "quantum.pure_state_reduction") else 100
+                             "quantum.pure_state_reduction", "gleason.sigma_additivity") else 100
+    budget = 450 if name == "trace.nonhermitian_basis_dependence_h" else budget
     monkeypatch.setattr(quantum, "_ORBIT_CHUNK_ENTRIES", budget)
     sizes = _spy_on_products(monkeypatch)
     chunked = prop.runner(Cell(algebra, 3, rng, 7))
