@@ -82,7 +82,6 @@ from .quantum import (
     PVMap,
     SymmetryOp,
     apply_function,
-    conjugate_state,
     continuity_scan,
     expectation,
     outcome_measure,

@@ -33,8 +33,13 @@ one-matrix or one-draw case of its stack form: the state certificate
 :func:`_extremal_splits` (:func:`extremal_split`), the unit lemma
 :func:`_convex_unit_lemmas` (:func:`convex_unit_lemma`) and the orthogonal
 decompositions :func:`_decompositions` (:func:`random_orthogonal_decomposition`,
-whose cut draws are the recipe :func:`_cut_recipe`).  The suite builds and
-certifies a cell's states with them at once.
+whose cut draws are the recipe :func:`_cut_recipe`).  So do the separation
+check :func:`_separations` (:func:`separation_check`), whose witnesses are
+the top eigenvectors of P - Q, and the reconstruction :func:`_reconstructions`
+(:func:`reconstruct_state`), whose stacked frame functions read the probe
+columns of every state in chunks of ``_PROBE_CHUNK_ENTRIES`` entries
+(:func:`_probe_measures`).  The suite builds and certifies a cell's states
+with them at once.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import kernels
 from .errors import AlgebraMismatch, DegenerateInput, InvalidWeights, NotAFrameFunction, NotPositive, require
 from .linalg import (
     _PROJECTOR_TOL,
@@ -64,7 +70,7 @@ from .linalg import (
 )
 from .rng import Ragged, SplitMix64
 from .scalars import Algebra, Quaternion
-from .spectral import EigenDecomposition, _eigvals, eig_hermitian
+from .spectral import EigenDecomposition, _eig_stack, _eigvals, _serve, eig_hermitian
 from .trace import _real_pairings, _real_traces
 
 _STATE_TOL = 1e-8
@@ -285,63 +291,123 @@ def reconstruct_state(
     in this order.  The checks then read their blocks' values in the same
     order: phase invariance to 1e-7, the basis weight to 1e-7 n and every
     verification probe to 1e-8, its Re<x|Tx> for all probes from the one
-    product T X.  The verified matrix is certified as a state.
+    product T X.  The verified matrix is certified as a state.  The one-state
+    case of :func:`_reconstructions`.
     """
     rng = rng or SplitMix64(0x51EA).derive("reconstruct", algebra.value, n)
+    pair = random_unit_vectors(n, 2, algebra, rng).comps
+    phases = random_phases(10 * (min(n, 4) + 2), algebra, rng)
+    X = random_unit_vectors(n, verification_probes, algebra, rng).comps
+
+    def evaluate(probes: np.ndarray) -> np.ndarray:
+        values = np.asarray(f.evaluate(Matrix(algebra, probes)), dtype=np.float64)
+        if values.shape != probes.shape[1:2]:
+            raise NotAFrameFunction(f"oracle returned {values.shape} values for {probes.shape[1]} probes")
+        return values
+
+    return DensityOperator(Matrix(algebra, _reconstructions(evaluate, algebra, pair, phases, X)))
+
+
+def _probe_count(n: int, algebra: Algebra, verification_probes: int) -> int:
+    """The probe columns of one reconstruction (:func:`reconstruct_state`)."""
+    return 11 * (min(n, 4) + 2) + n + n * (n - 1) // 2 * algebra.component_count + verification_probes
+
+
+def _reconstructions(evaluate: Callable[[np.ndarray], np.ndarray], algebra: Algebra, pairs: np.ndarray,
+                     phases: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The (..., n, n, 4) matrices that :func:`reconstruct_state` rebuilds, for
+    one frame function or a stack of them, from their draws: the two unit
+    vectors ``pairs`` (..., n, 2, 4) of the phase block, the 10 (min(n, 4) + 2)
+    ``phases`` (..., ., 4) and the verification probes ``X`` (..., n, v, 4).
+    ``evaluate`` takes the (..., n, P, 4) probe columns, in
+    :func:`reconstruct_state`'s order, and returns their (..., P) values.
+    Over a stack each check rejects the lowest failing state by the one-state
+    message (:func:`gleason_lab.errors.require`).  The caller certifies the
+    states."""
+    lead, n = X.shape[:-3], X.shape[-3]
     units = np.array([q.to_array() for q in (Quaternion.ONE,) + algebra.imaginary_units])
 
     m = min(n, 4)
-    phase_probes = np.zeros((n, m + 2, 1, 4))
-    phase_probes[np.arange(m), np.arange(m), 0, 0] = 1.0
-    phase_probes[:, m:, 0] = random_unit_vectors(n, 2, algebra, rng).comps
-    phases = random_phases(10 * (m + 2), algebra, rng).reshape(m + 2, 10, 4)
-    turns = _mul_comps(phase_probes, phases)  # x q, column by column
-    phase_block = np.concatenate([phase_probes, turns], axis=2).reshape(n, 11 * (m + 2), 4)
+    phase_probes = np.zeros(lead + (n, m + 2, 1, 4))
+    phase_probes[..., np.arange(m), np.arange(m), 0, 0] = 1.0
+    phase_probes[..., m:, 0, :] = pairs
+    turns = _mul_comps(phase_probes, phases.reshape(lead + (1, m + 2, 10, 4)))  # x q, column by column
+    phase_block = np.concatenate([phase_probes, turns], axis=-2).reshape(lead + (n, 11 * (m + 2), 4))
 
     # column (pair, q) of the polarization block is (e_k + e_l q)/sqrt2, pairs k < l in row order
     k, l = np.triu_indices(n, 1)
-    pairs = np.arange(len(k))
+    pair_index = np.arange(len(k))
     polar = np.zeros((n, len(k), len(units), 4))
-    polar[k, pairs, :, 0] = 1.0
-    polar[l, pairs] = units
+    polar[k, pair_index, :, 0] = 1.0
+    polar[l, pair_index] = units
     polar /= np.sqrt(2.0)
 
-    X = random_unit_vectors(n, verification_probes, algebra, rng)
-    blocks = [phase_block, Matrix.identity(n, algebra).comps, polar.reshape(n, -1, 4), X.comps]
-    probes = Matrix(algebra, np.concatenate(blocks, axis=1))
-    values = np.asarray(f.evaluate(probes), dtype=np.float64)
-    if values.shape != (probes.m,):
-        raise NotAFrameFunction(f"oracle returned {values.shape} values for {probes.m} probes")
-    fx, diag, r, fX = np.split(values, np.cumsum([block.shape[1] for block in blocks[:-1]]))
+    shared = [Matrix.identity(n, algebra).comps, polar.reshape(n, -1, 4)]
+    if lead:  # the basis and polarization blocks are the same for every state
+        shared = [np.broadcast_to(b, lead + b.shape) for b in shared]
+    blocks = [phase_block, *shared, X]
+    probes = np.concatenate(blocks, axis=-2)
+    values = evaluate(probes)
+    fx, diag, r, fX = np.split(values, np.cumsum([block.shape[-2] for block in blocks[:-1]]), axis=-1)
 
-    fx = fx.reshape(m + 2, 11)
+    fx = fx.reshape(lead + (m + 2, 11))
     # NaN fails every comparison
-    if not (np.abs(fx[:, 1:] - fx[:, :1]) <= 10.0 * _STATE_TOL).all():
-        raise NotAFrameFunction(f"oracle is not phase invariant: |f(xq) - f(x)| > {10.0 * _STATE_TOL}")
+    require((np.abs(fx[..., 1:] - fx[..., :1]) <= 10.0 * _STATE_TOL).all(axis=(-2, -1)), NotAFrameFunction,
+            f"oracle is not phase invariant: |f(xq) - f(x)| > {10.0 * _STATE_TOL}")
 
-    weight = float(diag.sum())
-    if not abs(weight - 1.0) <= 10.0 * _STATE_TOL * n:
-        raise NotAFrameFunction(f"basis weight {weight} differs from 1")
+    weight = diag.sum(axis=-1)
+    require(np.abs(weight - 1.0) <= 10.0 * _STATE_TOL * n, NotAFrameFunction,
+            lambda t: f"basis weight {float(weight[t])} differs from 1")
 
-    r = r.reshape(len(k), len(units)) - ((diag[k] + diag[l]) * _POLAR_WEIGHT)[:, None]
+    r = r.reshape(lead + (len(k), len(units))) - ((diag[..., k] + diag[..., l]) * _POLAR_WEIGHT)[..., None]
     # T_kl = sum_q conj(q) Re(T_kl q), summed from zero in the order of the units
-    entries = np.zeros((len(k), 4))
+    entries = np.zeros(lead + (len(k), 4))
     for u, q in enumerate(units):
-        entries = entries + _conj_comps(q) * r[:, u, None]
-    comps = np.zeros((n, n, 4))
-    comps[np.arange(n), np.arange(n), 0] = diag
-    comps[k, l] = entries
-    comps[l, k] = _conj_comps(entries)
-    T = Matrix(algebra, comps)
+        entries = entries + _conj_comps(q) * r[..., u, None]
+    comps = _hermitian_fill(diag, entries, k, l)
 
     # Re<x|Tx> = sum_m Re(conj(x_m) (Tx)_m), the componentwise dot product
-    predicted = (X.comps * (T @ X).comps).sum(axis=(0, 2))
+    predicted = (X * kernels.quat_matmul(comps, X, algebra.component_count)).sum(axis=(-3, -1))
     errors = np.abs(predicted - fX)
-    failed = np.flatnonzero(~(errors <= _STATE_TOL))
-    if failed.size:
-        error = errors[failed[0]]
-        raise NotAFrameFunction(f"oracle is not a quadratic form: probe error {error:.3e}")
-    return DensityOperator(T)
+    passed = errors <= _STATE_TOL
+    require(passed.all(axis=-1), NotAFrameFunction,
+            lambda t: f"oracle is not a quadratic form: probe error {errors[t][~passed[t]][0]:.3e}")
+    return comps
+
+
+def _hermitian_fill(diag: np.ndarray, entries: np.ndarray, k: np.ndarray, l: np.ndarray) -> np.ndarray:
+    """The (..., n, n, 4) matrices with the real diagonals ``diag`` (..., n),
+    the ``entries`` (..., pairs, 4) at the pairs (k, l) above the diagonal,
+    and their conjugates at (l, k)."""
+    n = diag.shape[-1]
+    comps = np.zeros(diag.shape + (n, 4))
+    comps[..., np.arange(n), np.arange(n), 0] = diag
+    comps[..., k, l, :] = entries
+    comps[..., l, k, :] = _conj_comps(entries)
+    return comps
+
+
+def _probe_measures(states: np.ndarray, algebra: Algebra) -> Callable[[np.ndarray], np.ndarray]:
+    """The ``evaluate`` of :func:`_reconstructions` for the frame functions
+    ``FrameFunction.from_measure(measure_from_state(T))`` of a (S, n, n, 4)
+    stack of states: the probe columns of all states, state after state, in
+    chunks of at most ``_PROBE_CHUNK_ENTRIES`` line-projector entries, as
+    :meth:`FrameFunction.from_measure` reads one state's, each column paired
+    with its own state.  Every value has the bits that the state's own frame
+    function gives it."""
+
+    def evaluate(probes: np.ndarray) -> np.ndarray:
+        S, n, P = probes.shape[:3]
+        width = max(1, _PROBE_CHUNK_ENTRIES // (4 * n * n))
+        values = np.empty(S * P)
+        for start in range(0, S * P, width):
+            at = np.arange(start, min(start + width, S * P))
+            state, column = np.divmod(at, P)
+            stack = Projector.rank_ones(Matrix(algebra, probes[state, :, column].swapaxes(0, 1)))
+            values[at] = _real_pairings(stack, states[state])
+        return values.reshape(S, P)
+
+    return evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -452,29 +518,50 @@ def convex_unit_lemma(ps: list[float], qs: list[float]) -> bool:
 # separation
 # ---------------------------------------------------------------------------
 
-def separating_state(P: Projector, Q: Projector) -> DensityOperator | None:
-    """A pure state distinguishing P from Q, or None if none is found.
+def _witnesses(diff: np.ndarray, algebra: Algebra) -> tuple[np.ndarray, np.ndarray]:
+    """(found, psi) for every Hermitian difference P - Q of a (T, n, n, 4)
+    stack: whether its largest |eigenvalue| exceeds 1e-8, and the (F, n, 1, 4)
+    eigenvectors of the F found ones at the first such eigenvalue, in the
+    order of :func:`eig_hermitian`.  One stacked eigendecomposition
+    (:func:`~gleason_lab.spectral._eig_stack`) gives every spectrum and serves
+    every basis that :func:`eig_hermitian` takes as solved, which over R and C
+    is all of them.  A difference whose largest |eigenvalue| is at most 1e-8,
+    such as P - P = 0, needs no eigenvector; over H any other with a grouped
+    pair is decomposed alone, in its turn."""
+    served, values, basis = _eig_stack(diff, algebra, atoms=False)
+    magnitudes = np.abs(values)
+    top, found = magnitudes.argmax(axis=-1), magnitudes.max(axis=-1) > 1e-8
 
-    The top eigenvector psi of the Hermitian difference P - Q maximizes
-    |mu_psi(P) - mu_psi(Q)|, which equals the corresponding eigenvalue.
-    """
-    diff = P.matrix - Q.matrix
-    dec = eig_hermitian(diff)
-    idx = int(np.argmax(np.abs(dec.values)))
-    if abs(float(dec.values[idx])) <= 1e-8:
-        return None
-    return pure_state(dec.basis.col(idx))
+    def alone(t: int) -> np.ndarray | None:
+        return eig_hermitian(Matrix(algebra, diff[t])).basis.comps if found[t] else None
+
+    bases = _serve(served, basis, alone)
+    psi = np.array([bases[t][:, [top[t]]] for t in np.flatnonzero(found)])
+    return found, psi.reshape(-1, diff.shape[-3], 1, 4)
+
+
+def _separations(P: np.ndarray, Q: np.ndarray, algebra: Algebra) -> np.ndarray:
+    """:func:`separation_check` of every pair of two (T, n, n, 4) stacks of
+    projectors.  The pure state at the top eigenvector psi of P - Q
+    (:func:`_witnesses`) maximizes |mu_psi(P) - mu_psi(Q)|, which equals its
+    eigenvalue; certified, it must give P and Q measures more than 1e-8
+    apart."""
+    found, psi = _witnesses(P - Q, algebra)
+    witness = _pure_states(psi, algebra.component_count)
+    _state_spectra(witness, algebra)
+    gaps = np.abs(_real_pairings(P[found], witness) - _real_pairings(Q[found], witness))
+    separated = np.zeros(found.shape, dtype=bool)
+    separated[found] = gaps > 1e-8
+    return separated
 
 
 def separation_check(P: Projector, Q: Projector) -> bool:
-    """True iff some pure state assigns the two projectors different probabilities."""
+    """True iff some pure state assigns the two projectors different
+    probabilities; the one-pair case of :func:`_separations`."""
     if P.n != Q.n:
         raise ValueError("projectors act on different spaces")
-    witness = separating_state(P, Q)
-    if witness is None:
-        return False
-    mu = measure_from_state(witness)
-    return abs(mu(P) - mu(Q)) > 1e-8
+    algebra = _check_same_algebra(P.matrix, Q.matrix)
+    return bool(_separations(P.matrix.comps[None], Q.matrix.comps[None], algebra)[0])
 
 
 # ---------------------------------------------------------------------------

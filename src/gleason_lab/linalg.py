@@ -760,18 +760,25 @@ def random_unitary(n: int, algebra: Algebra, rng) -> Matrix:
     return Matrix(algebra, _unitaries(_gaussian_comps((n, n), algebra, rng), algebra, rng))
 
 
+def _unit_imaginaries(parts: np.ndarray) -> np.ndarray:
+    """The (..., 4) components of the unit imaginary scalar of each row of k
+    Gaussians of ``parts``: the row divided by its norm, in components 1 to
+    k; a row of norm below 1e-12 becomes i."""
+    k = parts.shape[-1]
+    norms = np.sqrt((parts**2).sum(axis=-1))
+    small = norms < 1e-12
+    comps = np.zeros(parts.shape[:-1] + (4,))
+    comps[~small, 1:1 + k] = parts[~small] / norms[~small, None]
+    comps[small, 1] = 1.0
+    return comps
+
+
 def random_unit_imaginary(algebra: Algebra, rng) -> Quaternion:
-    """Unit imaginary scalar of the algebra (only +-i for C)."""
+    """Unit imaginary scalar of the algebra (only +-i for C); the one-draw
+    case of :func:`_unit_imaginaries`."""
     if algebra is Algebra.R:
         raise AlgebraMismatch("R has no imaginary units")
-    k = algebra.component_count - 1
-    parts = rng.gaussian_block(k)
-    nrm = float(np.sqrt((parts**2).sum()))
-    if nrm < 1e-12:
-        return Quaternion.I
-    comps = np.zeros(4)
-    comps[1 : 1 + k] = parts / nrm
-    return Quaternion.from_array(comps)
+    return Quaternion.from_array(_unit_imaginaries(rng.gaussian_block(algebra.component_count - 1)))
 
 
 def _unit_scalars(parts: np.ndarray) -> np.ndarray:

@@ -302,11 +302,6 @@ def symmetry_duality_gap(A: Matrix, B: Matrix, sym: SymmetryOp) -> float:
     return float(_duality_gaps(A.comps, B.comps, sym.unitary.comps, sym.antiunitary, algebra))
 
 
-def conjugate_state(sym: SymmetryOp, T: DensityOperator) -> DensityOperator:
-    """U T U^{-1}, certified to still be a state."""
-    return DensityOperator(sym.transform_state(T.matrix))
-
-
 # ---------------------------------------------------------------------------
 # one-parameter groups and continuity
 # ---------------------------------------------------------------------------

@@ -34,13 +34,19 @@ check read only the spectrum, so they take :func:`eigvals_hermitian` and
 compute no eigenvectors.  Spectral measures need the basis, and so do |A| and
 the polar direction J, each from one eigendecomposition of A*A.
 
-``_eig_stack`` decomposes a (T, n, n, 4) stack with one guarded solve and
-serves each matrix whose spectrum is simple (``_simple_spectra``: every
-eigenvalue its own atom and, over H, its own pair) bit for bit as
-:func:`eig_hermitian` would, over H through the one simple-pair lift,
-``_lift``, that :func:`eig_hermitian` uses too.  A Gaussian Hermitian draw has
-a simple spectrum with probability 1; a matrix with a grouped one is left to
-its caller, which decomposes it alone.
+``_eig_stack`` decomposes a (T, n, n, 4) stack with one guarded solve. It
+gives every matrix's spectrum as :func:`eig_hermitian` does (over H through
+the one pair grouping, ``_pair_spectra``) and serves, bit for bit, every
+eigenbasis that :func:`eig_hermitian` takes as the solve gives it: over R and
+C all of them, over H those whose pairs form no group, through the one
+simple-pair lift, ``_lift``.  Its callers that build spectral measures ask for
+a simple spectrum as atoms too (``_simple_spectra``), as a Gaussian
+Hermitian draw's is with probability 1.  A matrix that is not served is left
+to its caller, which decomposes it alone (``_serve``).  The skew polar
+(J, tr|A - A*|) of :func:`make_J` is the one-matrix case of ``_skew_polars``,
+which builds it from the decomposition of (A - A*)*(A - A*) for a whole
+stack, and ``_adapted_bases`` runs the sweep of :func:`adapted_basis` over a
+stack of J.
 
 Eigenbases and adapted bases come back as the columns of one
 :class:`~gleason_lab.linalg.Matrix`; a single vector is an n x 1 Matrix.
@@ -48,6 +54,7 @@ Eigenbases and adapted bases come back as the columns of one
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,9 +64,14 @@ from .errors import AlgebraMismatch, ConvergenceFailure, NotHermitian, require
 from .linalg import (
     Matrix,
     _adjoint_comps,
+    _conj_comps,
+    _groups,
     _hermitian_ratio,
+    _max_abs,
     _mul_comps,
+    _norms,
     _orthonormalize,
+    _outer_sums,
     inner,
     outer_sum,
 )
@@ -216,17 +228,32 @@ def _lift(V: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     return (rows / norms[:, None]).reshape(lead + (pairs.size, n, 4)).swapaxes(-3, -2)
 
 
+def _pair_spectra(w: np.ndarray) -> tuple[np.ndarray, list]:
+    """(values, groups) of :func:`eig_hermitian` over H from chi's sorted
+    spectrum w (..., 2n) of every matrix of a stack: the pair means, grouped
+    by :func:`_group_indices` at ``_GROUP_TOL`` max|w| (relative to the
+    spectrum, so a small spectrum is not merged into its mean), and every
+    group of two or more pairs set to the mean of its chi eigenvalues; with
+    each matrix's groups, in row-major order."""
+    n = w.shape[-1] // 2
+    values = 0.5 * (w[..., 0::2] + w[..., 1::2])
+    tols = (_GROUP_TOL * np.abs(w).max(axis=-1, initial=0.0)).ravel().tolist()
+    rows, chi = values.reshape(-1, n), w.reshape(-1, 2 * n)
+    groups = [_group_indices(row, tol) for row, tol in zip(rows.tolist(), tols)]
+    for row, row_groups in enumerate(groups):
+        for a, b in row_groups:
+            if b - a > 1:
+                rows[row, a:b] = np.mean(chi[row, 2 * a : 2 * b])
+    return values, groups
+
+
 def eig_hermitian(A: Matrix) -> EigenDecomposition:
     """Orthonormal eigenbasis of a Hermitian matrix over R, C or H."""
     w, V = _solve(A.comps, A.algebra, vectors=True)
     if A.algebra is not Algebra.H:
         return EigenDecomposition(Matrix(A.algebra, _basis_comps(V)), w)
     n = A.n
-    # grouping is relative to the spectrum, so a small spectrum is not merged
-    # into its mean
-    scale = float(np.abs(w).max(initial=0.0))
-    values = 0.5 * (w[0::2] + w[1::2])
-    groups = _group_indices(values, _GROUP_TOL * scale)
+    values, [groups] = _pair_spectra(w)
     basis = np.empty((n, n, 4))
     simple = np.array([a for a, b in groups if b - a == 1], dtype=np.intp)
     basis[:, simple] = _lift(V, simple)
@@ -240,40 +267,51 @@ def eig_hermitian(A: Matrix) -> EigenDecomposition:
                 f"could not lift {want} independent eigenvectors from a group of {2 * want}"
             )
         basis[:, a:b] = got
-        values[a:b] = np.mean(w[2 * a : 2 * b])
     return EigenDecomposition(Matrix(Algebra.H, basis), values)
 
 
-def _simple_spectra(values: np.ndarray, w: np.ndarray, algebra: Algebra) -> np.ndarray:
-    """Whether each matrix of a stack has a simple spectrum: every group that
-    :func:`_group_indices` forms is a singleton, both of its sorted ``values``
-    at ``_ATOM_REL_TOL`` max|values|, the atoms of
-    :func:`gleason_lab.quantum.pvm_of`, and over H of the pair means at
-    ``_GROUP_TOL`` max|w| of chi's spectrum ``w``, the pairs of
-    :func:`eig_hermitian`."""
-    tols = [_ATOM_REL_TOL * np.abs(values).max(axis=-1, initial=0.0)]
-    if algebra is Algebra.H:
-        tols.append(_GROUP_TOL * np.abs(w).max(axis=-1, initial=0.0))
+def _simple_spectra(values: np.ndarray) -> np.ndarray:
+    """Whether each matrix of a stack has a simple spectrum as atoms: every
+    group that :func:`_group_indices` forms of its sorted ``values`` at
+    ``_ATOM_REL_TOL`` max|values| is a singleton, as the atoms of
+    :func:`gleason_lab.quantum.pvm_of` are."""
+    tols = (_ATOM_REL_TOL * np.abs(values).max(axis=-1, initial=0.0)).ravel().tolist()
     rows = values.reshape(-1, values.shape[-1]).tolist()
-    bounds = [tol.ravel().tolist() for tol in tols]
-    simple = [all(len(_group_indices(row, tol[t])) == len(row) for tol in bounds) for t, row in enumerate(rows)]
+    simple = [len(_group_indices(row, tol)) == len(row) for row, tol in zip(rows, tols)]
     return np.array(simple, dtype=bool).reshape(values.shape[:-1])
 
 
-def _eig_stack(c: np.ndarray, algebra: Algebra) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(simple, values, basis) of a (T, n, n, 4) stack of Hermitian matrices,
-    from one guarded solve of the whole stack (:func:`_solve`).  ``simple``
-    flags the matrices with a simple spectrum (:func:`_simple_spectra`);
-    ``values`` (S, n) and ``basis`` (S, n, n, 4) are what :func:`eig_hermitian`
-    gives each of these S matrices, in order, bit for bit: over H every pair
-    lifts by :func:`_lift`.  A matrix with a grouped spectrum gets nothing
-    here; its caller decomposes it alone."""
+def _eig_stack(c: np.ndarray, algebra: Algebra, atoms: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(served, values, basis) of a (T, n, n, 4) stack of Hermitian matrices,
+    from one guarded solve of the whole stack (:func:`_solve`).  ``values``
+    (T, n) are the spectra that :func:`eig_hermitian` gives, bit for bit.
+    ``served`` flags the matrices whose eigenbasis :func:`eig_hermitian`
+    takes as the solve gives it: every matrix over R and C, over H one whose
+    pairs form no group, each pair lifted by :func:`_lift`.  With ``atoms``
+    (the runners that build a spectral measure) a served matrix must also
+    have a simple spectrum as atoms (:func:`_simple_spectra`).  ``basis``
+    (S, n, n, 4) holds the eigenbases of the S served matrices, in order, bit
+    for bit as :func:`eig_hermitian` gives them; the caller decomposes any
+    other matrix alone (:func:`_serve`)."""
     w, V = _solve(c, algebra, vectors=True)
-    values = 0.5 * (w[..., 0::2] + w[..., 1::2]) if algebra is Algebra.H else w
-    simple = _simple_spectra(values, w, algebra)
+    if algebra is Algebra.H:
+        values, groups = _pair_spectra(w)
+        served = np.array([len(g) == values.shape[-1] for g in groups], dtype=bool)
+    else:
+        values, served = w, np.ones(w.shape[:-1], dtype=bool)
+    if atoms:
+        served &= _simple_spectra(values)
     if algebra is not Algebra.H:
-        return simple, values[simple], _basis_comps(V[simple])
-    return simple, values[simple], np.ascontiguousarray(_lift(V[simple], np.arange(c.shape[-3])))
+        return served, values, _basis_comps(V[served])
+    return served, values, np.ascontiguousarray(_lift(V[served], np.arange(c.shape[-3])))
+
+
+def _serve(served: np.ndarray, items: Iterable, fallback: Callable[[int], object]) -> list:
+    """One item per matrix of a stack, in order: the next of ``items`` for
+    each matrix that ``served`` flags (:func:`_eig_stack`), else
+    ``fallback(t)``, the one-matrix code on matrix t, run in its turn."""
+    items = iter(items)
+    return [next(items) if flag else fallback(t) for t, flag in enumerate(served)]
 
 
 def _gram(c: np.ndarray, algebra: Algebra) -> np.ndarray:
@@ -304,17 +342,12 @@ def _root_spectrum(values: np.ndarray) -> np.ndarray:
     return np.sqrt(np.clip(vals, 0.0, None))
 
 
-def _singular_data(A: Matrix) -> tuple[np.ndarray, Matrix]:
-    """(singular values, right singular vectors as columns) of A, from one
+def abs_op(A: Matrix) -> Matrix:
+    """|A| = sqrt(A* A); satisfies || |A| x || = ||A x|| for every x: the
+    singular values on the right singular vectors, from one
     eigendecomposition of A*A."""
     gram = eig_hermitian(Matrix(A.algebra, _gram(A.comps, A.algebra)))
-    return _root_spectrum(gram.values), gram.basis
-
-
-def abs_op(A: Matrix) -> Matrix:
-    """|A| = sqrt(A* A); satisfies || |A| x || = ||A x|| for every x."""
-    sigmas, basis = _singular_data(A)
-    return outer_sum(basis, sigmas)
+    return outer_sum(gram.basis, _root_spectrum(gram.values))
 
 
 def _singular_values(c: np.ndarray, algebra: Algebra) -> np.ndarray:
@@ -341,9 +374,8 @@ def make_J(A: Matrix, kernel_unit: Quaternion = Quaternion.I) -> Matrix:
 
 
 def _skew_polar(A: Matrix, kernel_unit: Quaternion = Quaternion.I) -> tuple[Matrix, float]:
-    """(J, tr|A - A*|) from one eigendecomposition of (A - A*)*(A - A*).  The
-    kernel holds every singular value that :func:`_root_spectrum` cuts to zero:
-    those at most 1e-5 of the largest."""
+    """(J, tr|A - A*|) from one eigendecomposition of (A - A*)*(A - A*); the
+    one-matrix case of :func:`_skew_polars`."""
     if A.algebra is not Algebra.H:
         raise AlgebraMismatch("J construction is quaternionic")
     if not A.is_square:
@@ -353,15 +385,31 @@ def _skew_polar(A: Matrix, kernel_unit: Quaternion = Quaternion.I) -> tuple[Matr
     # inf - inf would make numpy warn before _gram rejects the entry
     if not np.isfinite(A.comps).all():
         raise NotHermitian("matrix has a non-finite entry")
-    C = A - A.adjoint()
-    sigmas, basis = _singular_data(C)
-    U = basis.comps
-    live = sigmas > 0.0
-    U_plus = Matrix(Algebra.H, U[:, live])
-    U_zero = Matrix(Algebra.H, U[:, ~live])
-    units = np.tile(kernel_unit.to_array(), (U_zero.m, 1))
-    J = outer_sum(C @ U_plus, 1.0 / sigmas[live], U_plus) + outer_sum(U_zero, units)
-    return J, float(sigmas.sum())
+    C = A.comps - _adjoint_comps(A.comps)
+    dec = eig_hermitian(Matrix(Algebra.H, _gram(C, Algebra.H)))
+    J, norms = _skew_polars(C[None], dec.values[None], dec.basis.comps[None], kernel_unit)
+    return Matrix(Algebra.H, J[0]), float(norms[0])
+
+
+def _skew_polars(C: np.ndarray, values: np.ndarray, basis: np.ndarray,
+                 kernel_unit: Quaternion = Quaternion.I) -> tuple[np.ndarray, np.ndarray]:
+    """(J, tr|C|) of every C = A - A* of a (T, n, n, 4) stack, from the
+    eigendecomposition of C*C that :func:`eig_hermitian` gives, values (T, n)
+    and basis (T, n, n, 4).  The singular values s of C are those that
+    :func:`_root_spectrum` leaves, and J = C U+ diag(1/s) U+* + U0 diag(q) U0*
+    over the live columns U+ (s > 0) and the kernel columns U0, q the
+    ``kernel_unit``: the kernel holds every singular value cut to zero, those
+    at most 1e-5 of the largest.  The matrices with as many live columns form
+    one stack (:func:`_groups`), so every product has the shape it has alone."""
+    sigmas = _root_spectrum(values)
+    J = np.empty(C.shape)
+    for live, at in _groups((sigmas > 0.0).sum(axis=-1).tolist()):
+        U = basis[at]
+        plus, zero = U[..., :live, :], U[..., live:, :]
+        units = np.broadcast_to(kernel_unit.to_array(), zero.shape[:-3] + zero.shape[-2:])
+        J[at] = (_outer_sums(kernels.quat_matmul(C[at], plus), 4, 1.0 / sigmas[at, :live], plus)
+                 + _outer_sums(zero, 4, units))
+    return J, sigmas.sum(axis=-1)
 
 
 def _perpendicular_imaginary(imag_unit: Quaternion) -> Quaternion:
@@ -429,3 +477,56 @@ def adapted_basis(J: Matrix, imag_unit: Quaternion) -> Matrix:
     if worst > 1e-9:
         raise ConvergenceFailure(f"adapted-basis residual {worst:.3e} exceeds 1e-9")
     return basis
+
+
+def _reject(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """w - u <u|w> for every pair of columns of two (T, n, 1, 4) stacks, with
+    the arithmetic of :func:`inner` and :meth:`Matrix.scale_right`."""
+    return w - _mul_comps(u, _mul_comps(_conj_comps(u[:, :, 0]), w[:, :, 0]).sum(axis=1)[:, None, None, :])
+
+
+def _adapted_bases(J: np.ndarray, units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(kept, basis) of :func:`adapted_basis` for every J of a (T, n, n, 4)
+    stack, each with its unit imaginary scalar, the (T, 4) ``units``: the
+    same candidates and the same two-pass sweep w - u<u|w>, by the pointwise
+    product, over the whole stack, for the first n candidates.  ``kept``
+    flags the trials that keep all n of them, and ``basis`` holds their
+    bases, bit for bit; a trial that drops one goes on to later candidates,
+    which its caller runs alone (:func:`adapted_basis`).  The twin of
+    :func:`adapted_basis`, which the benchmark times and counts as it is.
+    Over a stack the guards reject the lowest failing trial: ValueError
+    unless J is an anti-selfadjoint unitary, ConvergenceFailure for a kept
+    basis whose residual |J u - u unit| passes 1e-9."""
+    T, n = J.shape[:2]
+    message = "J must be an anti-selfadjoint unitary"
+    # checked first: NaN would pass the defect tests, and inf would make numpy warn
+    require(np.isfinite(J).all(axis=(-3, -2, -1)), ValueError, message)
+    square = kernels.quat_matmul(J, J)
+    square[:, np.arange(n), np.arange(n), 0] += 1.0
+    require((_max_abs(J + _adjoint_comps(J)) <= 1e-8) & (_max_abs(square) <= 1e-8), ValueError, message)
+
+    m = np.arange(n)
+    Z = np.zeros((T, n, 2 * n, 4))
+    Z[:, m, 2 * m, 0] = 1.0
+    Z[:, m, 2 * m + 1] = np.array([_perpendicular_imaginary(Quaternion.from_array(u)).to_array()
+                                   for u in units])[:, None, :]
+    Pi = (Z - _mul_comps(kernels.quat_matmul(J, Z), units[:, None, None, :])) * 0.5
+    Pi = np.ascontiguousarray(Pi.swapaxes(1, 2))
+
+    kept = np.ones(T, dtype=bool)
+    out: list[np.ndarray] = []
+    for c in range(n):
+        w = Pi[:, c, :, None, :]
+        for _ in range(2):
+            for u in out:
+                w = _reject(u, w)
+        nrm = _norms(w)
+        kept &= nrm > 1e-8
+        scale = np.zeros((T, 4))
+        scale[:, 0] = 1.0 / np.where(kept, nrm, 1.0)
+        out.append(_mul_comps(w, scale[:, None, None, :]))
+    basis = np.concatenate(out, axis=2)
+    defect = kernels.quat_matmul(J, basis) - _mul_comps(basis, units[:, None, None, :])
+    worst = np.sqrt((defect**2).sum(axis=(1, 3))).max(axis=-1)
+    require(~kept | ~(worst > 1e-9), ConvergenceFailure, lambda t: f"adapted-basis residual {worst[t]:.3e} exceeds 1e-9")
+    return kept, basis

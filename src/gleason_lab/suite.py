@@ -7,11 +7,13 @@ and a tolerance.  ``run_suite`` executes the whole matrix deterministically;
 ``emit_report`` serializes the outcome.  The registry doubles as the coverage
 manifest shipped in ``claims.json``.
 
-Twenty-four runners run a cell's trials as one stack: those of the
-real-trace calculus, the state and projector runners (``projector_sandwich``,
-``measure_range``, ``mix_linearity``, ``pure_phase_classes`` and
-``state_conjugation``), ``symmetry_duality``, the five that decompose
-observables (``pvm_partition``, ``functional_calculus``,
+Every runner but the five cell-level ones (the three fixed witnesses, the
+dimension-2 obstruction and the continuity trend) runs a cell's trials as
+one stack: those of the real-trace calculus and the adapted-basis formula,
+the state and projector runners (``projector_sandwich``, ``measure_range``,
+``mix_linearity``, ``pure_phase_classes``, ``state_conjugation``,
+``separation`` and ``round_trip``), ``symmetry_duality``, the five that
+decompose observables (``pvm_partition``, ``functional_calculus``,
 ``expectation_duality``, ``pure_state_reduction`` and
 ``diagonal_basis_cyclicity``), and the four whose draws depend on earlier
 draws (``extremality``, ``sigma_additivity``, ``unit_lemma`` and
@@ -36,23 +38,20 @@ form would.  The one exception is a Gaussian matrix that Gram-Schmidt
 rejects: the stack redraws it after the block, where the per-trial form would
 redraw at once, which happens with probability near zero.
 
-The runners that decompose observables, and ``extremality`` for its mixed
-states, take one stacked eigendecomposition
-(:func:`~gleason_lab.spectral._eig_stack`).  A trial whose spectrum is simple,
-as a Gaussian draw's is with probability 1, is served from the stacks: its
-atoms are the projectors onto its n eigenvectors, n matrices per trial in the
-chunk budget, built and certified as one stack.  A trial with a repeated
-eigenvalue, such as a mixed state of rank below n - 1, runs the one-matrix
-code on its drawn matrices, in its turn (``_serve``); either way its terms
-have the same bits.
-
-Three runners are written per trial, each with a one-line docstring saying
-why: ``trial(cell, t)`` draws trial ``t`` from ``cell.rng`` and returns its
-residual terms, and ``_per_trial`` turns it into the cell runner, which runs
-the trials in order on the one stream.  A spectrum that is degenerate by
-construction (``separation``), a Gram-Schmidt per matrix
-(``adapted_basis_formula``), and one state per ``reconstruct_state`` call
-(``round_trip``) keep a runner per trial.
+The runners that decompose observables, ``extremality`` for its mixed
+states, ``separation`` for P - Q and the adapted-basis formula for the skew
+polar take one stacked eigendecomposition
+(:func:`~gleason_lab.spectral._eig_stack`).  It serves a trial's eigenbasis
+from the stacks where :func:`~gleason_lab.spectral.eig_hermitian` would give
+the same one: over R and C always, over H when no two eigenvalue pairs
+group.  The runners that build atoms need a simple spectrum too, as a
+Gaussian draw's is with probability 1: its atoms are the projectors onto its
+n eigenvectors, n matrices per trial in the chunk budget, built and certified
+as one stack.  Any other trial, such as a mixed state of rank below n - 1
+over H, runs the one-matrix code on its drawn matrices, in its turn
+(:func:`~gleason_lab.spectral._serve`); either way its terms have the same
+bits.  So does an adapted basis that drops one of its first n candidates,
+which no Gaussian draw was seen to do.
 
 The residual of a cell is the worst of its terms, trial-major, ``max(0.0,
 *terms)`` taken in order by ``_worst``, so a term <= 0 counts for nothing.  A
@@ -92,12 +91,12 @@ from .linalg import (
     _outer_sums,
     _random_projectors,
     _sq_moduli,
+    _unit_imaginaries,
     _unit_rows,
     _unit_scalars,
     _unitaries,
     random_hermitian,
     random_matrix,
-    random_projector,
     random_unit_imaginary,
     random_unitaries,
     random_unitary,
@@ -268,18 +267,6 @@ def _worst(terms: Terms) -> float:
     return peak
 
 
-def _per_trial(trial: Callable[[Cell, int], Terms]) -> Callable[[Cell], float]:
-    """The cell runner of ``trial(cell, t)``: trials t = 0 .. cell.trials - 1 run
-    in order on ``cell.rng``, and the residual is the worst of all their terms.
-    The runner keeps ``trial`` as its ``trial`` attribute."""
-
-    def runner(cell: Cell) -> float:
-        return _worst(term for t in range(cell.trials) for term in trial(cell, t))
-
-    runner.trial = trial
-    return runner
-
-
 def _stacked(block: Callable[[Cell, np.ndarray], np.ndarray],
              matrices: Callable[[int], int] = lambda n: 1) -> Callable[[Cell], float]:
     """The cell runner of ``block(cell, ts)``, which draws the trials ``ts``
@@ -298,15 +285,6 @@ def _stacked(block: Callable[[Cell, np.ndarray], np.ndarray],
 
     runner.block = block
     return runner
-
-
-def _serve(simple: np.ndarray, served: Iterable, fallback: Callable[[int], object]) -> list:
-    """One item per trial of a chunk, in trial order: the next item of
-    ``served`` for each trial that ``simple`` flags (its spectrum is simple,
-    :func:`~gleason_lab.spectral._eig_stack`), else ``fallback(t)``, the
-    one-matrix code on the trial's drawn matrices, run in its turn."""
-    items = iter(served)
-    return [next(items) if flag else fallback(t) for t, flag in enumerate(simple)]
 
 
 def _rows(terms: list) -> np.ndarray:
@@ -411,13 +389,32 @@ def _run_norm_inequalities(cell: Cell, ts: np.ndarray) -> np.ndarray:
     return np.stack([-rep.slack_ab, -rep.slack_ba, np.abs(rep.adjoint_gap), -rep.op_vs_trace_slack], axis=-1)
 
 
-@_per_trial
-def _run_adapted_trace_formula(cell: Cell, t: int) -> Terms:
-    """Keeps its loop: the adapted basis is a per-matrix Gram-Schmidt that keeps candidates until n are kept."""
-    A = random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
-    scale = 1.0 + tr.trace_norm(A)
-    units = (Quaternion.I, random_unit_imaginary(cell.algebra, cell.rng))
-    return [tr.quaternionic_trace_formula_check(A, unit).residual / scale for unit in units]
+def _adapted_trace_formula(cell: Cell, ts: np.ndarray) -> np.ndarray:
+    # per trial, the residual of quaternionic_trace_formula_check for the
+    # units i and a drawn one, over 1 + ||A||_1, from one trace norm and one
+    # skew polar (J, tr|A - A*|)
+    A, parts = _draw(cell, ts.size, _MATRIX, ("gaussian", 3))
+    H = Algebra.H
+    scale = 1.0 + tr._trace_norms(A, H)
+    C = A - _adjoint_comps(A)
+    gram = sp._gram(C, H)
+    served, values, U = sp._eig_stack(gram, H, atoms=False)
+    basis = np.array(sp._serve(served, U, lambda t: sp.eig_hermitian(Matrix(H, gram[t])).basis.comps))
+    J, skew = sp._skew_polars(C, values, basis)
+    real = tr._real_traces(A)
+    terms = []
+    for units in (np.tile(Quaternion.I.to_array(), (ts.size, 1)), _unit_imaginaries(parts)):
+        kept, bases = sp._adapted_bases(J, units)
+        for t in np.flatnonzero(~kept):
+            bases[t] = sp.adapted_basis(Matrix(H, J[t]), Quaternion.from_array(units[t])).comps
+        # tr_N(A) less Re tr(A) + unit (tr|A - A*| / 2), as Quaternion arithmetic forms it
+        rhs = units * (skew / 2.0)[:, None]
+        rhs[:, 0] = real
+        terms.append(_moduli(tr._traces(A, bases, H) - rhs) / scale)
+    return np.stack(terms, axis=-1)
+
+
+_run_adapted_trace_formula = _stacked(_adapted_trace_formula, matrices=lambda n: 2)  # 2n candidates per trial
 
 
 @_stacked
@@ -425,7 +422,7 @@ def _run_diagonal_basis_cyclicity(cell: Cell, ts: np.ndarray) -> np.ndarray:
     G, B = _draw(cell, ts.size, _MATRIX, _MATRIX)
     A = _hermitian_part(G)
     simple, _, U = sp._eig_stack(A, cell.algebra)
-    bases = np.array(_serve(simple, U, lambda t: sp.eig_hermitian(Matrix(cell.algebra, A[t])).basis.comps))
+    bases = np.array(sp._serve(simple, U, lambda t: sp.eig_hermitian(Matrix(cell.algebra, A[t])).basis.comps))
     count = cell.algebra.component_count
     ab, ba, full = (tr._traces(kernels.quat_matmul(x, y, count), bases, cell.algebra)
                     for x, y in ((A, B), (B, A), (A, _hermitian_part(B))))
@@ -544,13 +541,31 @@ def _run_witness_antisymmetric(cell: Cell) -> float:
     return _worst(terms + list(tr._absolute_diagonal_sums(A.comps, bases, Algebra.R)))
 
 
-@_per_trial
-def _run_gleason_round_trip(cell: Cell, t: int) -> Terms:
-    """Keeps its loop: reconstruct_state takes one state per call."""
-    T = gl.random_density(cell.dim, cell.algebra, cell.rng)
-    f = gl.FrameFunction.from_measure(gl.measure_from_state(T))
-    rebuilt = gl.reconstruct_state(f, cell.dim, cell.algebra, rng=cell.rng)
-    return ((rebuilt.matrix - T.matrix).max_abs(),)
+_VERIFICATION_PROBES = 100  # reconstruct_state's default
+
+
+def _round_trip(cell: Cell, ts: np.ndarray) -> np.ndarray:
+    # state -> lattice measure -> frame function -> reconstruct_state, one
+    # state per trial with reconstruct_state's draws after it
+    n, algebra, k = cell.dim, cell.algebra, cell.algebra.component_count
+    phases = 10 * (min(n, 4) + 2)
+    G, raw, pairs, turns, X = _draw(cell, ts.size, _MATRIX, ("uniform", n), ("gaussian", 2 * n * k),
+                                    ("gaussian", phases * k), ("gaussian", _VERIFICATION_PROBES * n * k))
+    T = _states(cell, G, raw)
+
+    def unit_columns(x: np.ndarray, count: int) -> np.ndarray:
+        return _unit_rows(_layout(x, (ts.size, count, n), algebra)).swapaxes(1, 2)
+
+    rebuilt = gl._reconstructions(gl._probe_measures(T, algebra), algebra, unit_columns(pairs, 2),
+                                  _unit_scalars(turns.reshape(ts.size, phases, k)),
+                                  unit_columns(X, _VERIFICATION_PROBES))
+    gl._state_spectra(rebuilt, algebra)
+    return _max_abs(rebuilt - T)[:, None]
+
+
+# a trial's n x P probe columns, as n x n matrices
+_run_gleason_round_trip = _stacked(
+    _round_trip, matrices=lambda n: -(-gl._probe_count(n, Algebra.H, _VERIFICATION_PROBES) // n))
 
 
 def _sigma_additivity(cell: Cell, ts: np.ndarray) -> np.ndarray:
@@ -602,13 +617,8 @@ def _extremality(cell: Cell, ts: np.ndarray) -> np.ndarray:
     terms = np.ones(ts.size)  # 1.0 for a mixed state that is extremal
     if split.size:
         S = mixed[split]
-        simple, values, basis = sp._eig_stack(S, algebra)
-
-        def alone(t: int) -> tuple[np.ndarray, np.ndarray]:
-            dec = sp.eig_hermitian(Matrix(algebra, S[t]))
-            return dec.values, dec.basis.comps
-
-        values, basis = (np.array(x) for x in zip(*_serve(simple, zip(values, basis), alone)))
+        served, values, basis = sp._eig_stack(S, algebra, atoms=False)
+        basis = np.array(sp._serve(served, basis, lambda t: sp.eig_hermitian(Matrix(algebra, S[t])).basis.comps))
         w1, T1, T2 = gl._extremal_splits(values, basis, algebra)
         gl._state_spectra(T1, algebra)
         gl._state_spectra(T2, algebra)
@@ -621,22 +631,27 @@ def _extremality(cell: Cell, ts: np.ndarray) -> np.ndarray:
 _run_extremality = _stacked(_extremality)
 
 
-@_per_trial
-def _run_separation(cell: Cell, t: int) -> Terms:
-    """Keeps its loop: its separating states are eigenvectors of P - Q, degenerate by construction (P - P = 0)."""
-    rank_p = 1 + cell.rng.integer(cell.dim)
-    rank_q = 1 + cell.rng.integer(cell.dim)
-    P = random_projector(cell.dim, rank_p, cell.algebra, cell.rng)
-    Q = random_projector(cell.dim, rank_q, cell.algebra, cell.rng)
-    distinct = (P.matrix - Q.matrix).max_abs() > 1e-6
-    return float(distinct != gl.separation_check(P, Q)), float(gl.separation_check(P, P))
+def _separation(cell: Cell, ts: np.ndarray) -> np.ndarray:
+    # 1.0 where the check disagrees with max|P - Q| > 1e-6, and where it
+    # separates P from itself; both pairs of every trial in one stack
+    n = cell.dim
+    rank_p, rank_q, G, H = _draw(cell, ts.size, ("integer", n), ("integer", n), _MATRIX, _MATRIX)
+    P, Q = _projectors(cell, G, rank_p), _projectors(cell, H, rank_q)
+    distinct = _max_abs(P - Q) > 1e-6
+    separated = gl._separations(np.concatenate([P, P]), np.concatenate([Q, P]), cell.algebra)
+    return np.stack([distinct != separated[:ts.size], separated[ts.size:]], axis=-1).astype(np.float64)
+
+
+_run_separation = _stacked(_separation, matrices=lambda n: 2)  # the pairs (P, Q) and (P, P) per trial
 
 
 def _lemma_checkable(raw: np.ndarray) -> int:
     """1 if every weight raw / sum(raw) of one draw's uniforms lies strictly
-    inside (0, 1), else 0."""
-    ps = raw / raw.sum()
-    return int(ps.min() > 0.0 and ps.max() < 1.0)
+    inside (0, 1), else 0: division by the sum is monotone, so the smallest
+    and largest weights are those of the smallest and largest uniform."""
+    total = float(raw.sum())
+    values = raw.tolist()
+    return int(min(values) / total > 0.0 and max(values) / total < 1.0)
 
 
 # one draw of the lemma's inputs: m = 2 + integer(6) uniforms for the weights,
@@ -762,7 +777,7 @@ def _pvm_partition(cell: Cell, ts: np.ndarray) -> np.ndarray:
         total = total + atoms[:, c]
     total[..., np.arange(cell.dim), np.arange(cell.dim), 0] -= 1.0
     served = np.concatenate([_max_abs(total)[:, None], _pair_products(atoms, cell.algebra)], axis=1)
-    return _rows(_serve(simple, served, lambda t: _pvm_partition_terms(qm.Observable(Matrix(cell.algebra, A[t])))))
+    return _rows(sp._serve(simple, served, lambda t: _pvm_partition_terms(qm.Observable(Matrix(cell.algebra, A[t])))))
 
 
 _run_pvm_partition = _stacked(_pvm_partition, matrices=lambda n: n)  # n atoms per trial
@@ -776,6 +791,7 @@ def _run_functional_calculus(cell: Cell, ts: np.ndarray) -> np.ndarray:
     scale = np.array([max(1.0, peak**2) for peak in _max_abs(A).tolist()])
     simple, values, U = sp._eig_stack(A, cell.algebra)
     # f(A) = U diag(f(s)) U* for f(x) = x and x * x, built and certified as apply_function does
+    values = values[simple]
     fA = [_outer_sums(U, count, f) for f in (values, values * values)]
     for F in fA:
         qm._check_observables(F)
@@ -784,7 +800,7 @@ def _run_functional_calculus(cell: Cell, ts: np.ndarray) -> np.ndarray:
         obs = qm.Observable(Matrix(cell.algebra, A[t]))
         return [qm.apply_function(obs, f).matrix.comps for f in (lambda x: x, lambda x: x * x)]
 
-    identity, square = (np.array(stack) for stack in zip(*_serve(simple, zip(*fA), alone)))
+    identity, square = (np.array(stack) for stack in zip(*sp._serve(simple, zip(*fA), alone)))
     return np.stack([_max_abs(identity - A), _max_abs(square - kernels.quat_matmul(A, A, count)) / scale], axis=-1)
 
 
@@ -804,12 +820,12 @@ def _expectation_duality(cell: Cell, ts: np.ndarray) -> np.ndarray:
     probs = tr._real_pairings(_rank_one_atoms(U, algebra).reshape(-1, n, n, 4),
                               np.repeat(T[simple], n, axis=0)).reshape(-1, n)
     qm._check_probabilities(probs)
-    dists = (qm.OutcomeMeasure(tuple(sorted(zip(v, p)))) for v, p in zip(values.tolist(), probs.tolist()))
+    dists = (qm.OutcomeMeasure(tuple(sorted(zip(v, p)))) for v, p in zip(values[simple].tolist(), probs.tolist()))
 
     def alone(t: int) -> qm.OutcomeMeasure:
         return qm.outcome_measure(qm.Observable(Matrix(algebra, A[t])), gl.DensityOperator(Matrix(algebra, T[t])))
 
-    return np.array([_duality_terms(*row) for row in zip(_serve(simple, dists, alone), expectation, std)])
+    return np.array([_duality_terms(*row) for row in zip(sp._serve(simple, dists, alone), expectation, std)])
 
 
 _run_expectation_duality = _stacked(_expectation_duality, matrices=lambda n: n)
@@ -840,7 +856,7 @@ def _pure_state_reduction(cell: Cell, ts: np.ndarray) -> np.ndarray:
     def alone(t: int) -> Terms:
         return _reduction_terms(qm.Observable(Matrix(algebra, A[t])), Matrix(algebra, psi[t]), Matrix(algebra, T[t]))
 
-    return _rows([[*row, x] for row, x in zip(_serve(simple, served, alone), last)])
+    return _rows([[*row, x] for row, x in zip(sp._serve(simple, served, alone), last)])
 
 
 _run_pure_state_reduction = _stacked(_pure_state_reduction, matrices=lambda n: n)

@@ -15,7 +15,7 @@ import pytest
 from gleason_lab import gleason, kernels, linalg, spectral, trace
 from gleason_lab.linalg import Matrix, _mul_comps
 from gleason_lab.scalars import as_quaternion
-from gleason_lab.suite import RunConfig, run_suite
+from gleason_lab.suite import REGISTRY, RunConfig, run_suite
 
 CONFIG = RunConfig(algebras=("R", "C", "H"), dims=(3,), trials=2)
 
@@ -41,7 +41,11 @@ def _scale_right_on_the_left(monkeypatch):
     def scale_left(self, q):  # q x in place of x q
         return Matrix(self.algebra, _mul_comps(as_quaternion(q).to_array(), self.comps))
 
+    def reject_left(u, w):  # w - <u|w> u, the stacked sweep's twin of scale_left
+        return w - _mul_comps(_mul_comps(linalg._conj_comps(u[:, :, 0]), w[:, :, 0]).sum(axis=1)[:, None, None, :], u)
+
     monkeypatch.setattr(Matrix, "scale_right", scale_left)
+    _patch_every_binding(monkeypatch, spectral._reject, reject_left)
 
 
 def _hamilton_sign_flipped(monkeypatch):
@@ -127,6 +131,33 @@ def _lemma_hypothesis_without_q(monkeypatch):
     _patch_every_binding(monkeypatch, lemma, sum_p_only)
 
 
+def _witness_at_the_smallest_eigenvalue(monkeypatch):
+    def smallest(diff, algebra):  # the eigenvector of the smallest |eigenvalue| of P - Q
+        decs = [spectral.eig_hermitian(Matrix(algebra, d)) for d in diff]
+        at = [int(np.argmin(np.abs(dec.values))) for dec in decs]
+        found = np.array([abs(dec.values[a]) > 1e-8 for dec, a in zip(decs, at)])
+        psi = [dec.basis.comps[:, [a]] for dec, a, f in zip(decs, at, found) if f]
+        return found, np.array(psi).reshape(-1, diff.shape[-3], 1, 4)
+
+    _patch_every_binding(monkeypatch, gleason._witnesses, smallest)
+
+
+def _adapted_bases_for_the_negated_unit(monkeypatch):
+    build = spectral._adapted_bases
+    _patch_every_binding(monkeypatch, build, lambda J, units: build(J, -units))
+
+
+def _reconstruction_with_an_empty_lower_triangle(monkeypatch):
+    def upper_only(diag, entries, k, l):  # the entries are never mirrored below the diagonal
+        n = diag.shape[-1]
+        comps = np.zeros(diag.shape + (n, 4))
+        comps[..., np.arange(n), np.arange(n), 0] = diag
+        comps[..., k, l, :] = entries
+        return comps
+
+    _patch_every_binding(monkeypatch, gleason._hermitian_fill, upper_only)
+
+
 MUTANTS = {
     "scale_right_on_the_left": _scale_right_on_the_left,
     "hamilton_sign_flipped": _hamilton_sign_flipped,
@@ -140,6 +171,9 @@ MUTANTS = {
     "grouping_tolerance_scaled_by_1e6": _grouping_tolerance_scaled_by_1e6,
     "blocks_one_column_short": _blocks_one_column_short,
     "lemma_hypothesis_without_q": _lemma_hypothesis_without_q,
+    "witness_at_the_smallest_eigenvalue": _witness_at_the_smallest_eigenvalue,
+    "adapted_bases_for_the_negated_unit": _adapted_bases_for_the_negated_unit,
+    "reconstruction_with_an_empty_lower_triangle": _reconstruction_with_an_empty_lower_triangle,
 }
 
 
@@ -163,8 +197,12 @@ def test_the_stacked_pvm_atoms_reach_the_block_mutant(monkeypatch):
 @pytest.mark.parametrize("mutant, claim", [
     ("blocks_one_column_short", "gleason.sigma_additivity"),
     ("lemma_hypothesis_without_q", "gleason.unit_lemma"),
+    ("witness_at_the_smallest_eigenvalue", "gleason.separation"),
+    ("adapted_bases_for_the_negated_unit", "trace.adapted_basis_formula"),
+    ("reconstruction_with_an_empty_lower_triangle", "gleason.round_trip"),
 ])
 def test_the_stacked_runner_reaches_the_mutant_in_every_algebra(mutant, claim, monkeypatch):
     MUTANTS[mutant](monkeypatch)
     report = run_suite(RunConfig(algebras=("R", "C", "H"), dims=(3,), trials=2, only=claim))
-    assert sorted(_failed(report)) == [f"{claim}[{letter}]" for letter in "CHR"]
+    (prop,) = [p for p in REGISTRY if p.name == claim]
+    assert sorted(_failed(report)) == [f"{claim}[{letter}]" for letter in sorted(prop.algebras)]

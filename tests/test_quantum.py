@@ -22,7 +22,6 @@ from gleason_lab.quantum import (
     OutcomeMeasure,
     SymmetryOp,
     apply_function,
-    conjugate_state,
     continuity_scan,
     expectation,
     outcome_measure,
@@ -52,7 +51,7 @@ from gleason_lab.trace import (
     trace_norm,
 )
 
-from conftest import ALGEBRAS
+from conftest import ALGEBRAS, conjugate_state
 
 I, J = Quaternion.I, Quaternion.J
 

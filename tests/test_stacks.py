@@ -9,7 +9,10 @@ with a simple spectrum from one stacked eigendecomposition and decompose the
 others alone; planted repeated eigenvalues send trials down that path.  The
 runners whose draws depend on earlier draws meet planted rare branches: a
 mixed state with a repeated eigenvalue, a lemma weight that reaches 1, a
-nearly Hermitian matrix and rejected count-setting integers.  The planned
+nearly Hermitian matrix and rejected count-setting integers.  The last three
+runners to stack meet theirs: equal projectors and the identity for the
+separation check, an adapted basis that drops a candidate, and a frame
+function that fails one of the round trip's checks.  The planned
 draws, fixed and dependent, are checked against the draws one after another,
 the stacked kernels against per-matrix calls, the guards over a stack against
 the one-matrix messages, and the chunking of the trial axis against the orbit
@@ -23,13 +26,15 @@ import pytest
 
 from gleason_lab import gleason, kernels, linalg, quantum, spectral, suite, trace
 from gleason_lab import rng as rng_module
-from gleason_lab.errors import DegenerateInput, InvalidWeights, NotHermitian, NotPositive, NotUnitary
+from gleason_lab.errors import DegenerateInput, InvalidWeights, NotAFrameFunction, NotHermitian, NotPositive, NotUnitary
 from gleason_lab.gleason import (
     DensityOperator,
+    FrameFunction,
     convex_mix,
     measure_from_state,
     pure_state,
     random_density,
+    reconstruct_state,
 )
 from gleason_lab.linalg import (
     Matrix,
@@ -46,6 +51,7 @@ from gleason_lab.linalg import (
     random_matrix,
     random_phase,
     random_projector,
+    random_unit_imaginary,
     random_unit_vector,
     random_unitaries,
     random_unitary,
@@ -54,7 +60,6 @@ from gleason_lab.quantum import (
     Observable,
     SymmetryOp,
     apply_function,
-    conjugate_state,
     expectation,
     outcome_measure,
     pvm_of,
@@ -63,7 +68,7 @@ from gleason_lab.quantum import (
 )
 from gleason_lab.rng import SplitMix64
 from gleason_lab.scalars import Algebra, Quaternion
-from gleason_lab.spectral import eig_hermitian, eigvals_hermitian, op_norm
+from gleason_lab.spectral import adapted_basis, eig_hermitian, eigvals_hermitian, op_norm
 from gleason_lab.suite import REGISTRY, Cell
 from gleason_lab.trace import (
     absolute_diagonal_sum,
@@ -76,7 +81,7 @@ from gleason_lab.trace import (
     trace_norm,
 )
 
-from conftest import ALGEBRAS
+from conftest import ALGEBRAS, conjugate_state
 
 RUNNERS = {prop.name: prop for prop in REGISTRY}
 
@@ -193,9 +198,10 @@ def _state_conjugation(cell, t):
     return [abs(real_trace(conjugate_state(sym, T).matrix) - 1.0)]
 
 
-# trial -> the exactly Hermitian matrix that a test plants in place of the trial's
-# random_hermitian draw, after the draw; the stacked runners get it through
-# suite._draw (_plant)
+# trial -> the matrix that a test plants in place of the trial's first draw (a
+# random_hermitian draw, which it must then equal as its own Hermitian part,
+# or the adapted-basis formula's Gaussian matrix), after the draw; the stacked
+# runners get it through suite._draw (_plant)
 _PLANTED: dict[int, np.ndarray] = {}
 
 
@@ -334,6 +340,61 @@ def _nonhermitian_dependence(cell, t):
     return [1e-3 - suite._worst(abs(t0 - t1) for t0, t1 in zip(traces[0::2], traces[1::2]))]
 
 
+# the three runners that ran one trial at a time last, with the one-pair and
+# one-matrix helpers that they called written out as they were: the separation
+# check from eig_hermitian, and the skew polar J of the adapted-basis formula
+
+def _separation_check(P, Q):
+    dec = eig_hermitian(P.matrix - Q.matrix)
+    idx = int(np.argmax(np.abs(dec.values)))
+    if abs(float(dec.values[idx])) <= 1e-8:
+        return False
+    mu = measure_from_state(pure_state(dec.basis.col(idx)))
+    return abs(mu(P) - mu(Q)) > 1e-8
+
+
+def _separation(cell, t):
+    rank_p = 1 + cell.rng.integer(cell.dim)
+    rank_q = 1 + cell.rng.integer(cell.dim)
+    P = random_projector(cell.dim, rank_p, cell.algebra, cell.rng)
+    Q = random_projector(cell.dim, rank_q, cell.algebra, cell.rng)
+    distinct = (P.matrix - Q.matrix).max_abs() > 1e-6
+    return [float(distinct != _separation_check(P, Q)), float(_separation_check(P, P))]
+
+
+def _trace_formula_residual(A, unit):
+    C = A - A.adjoint()
+    gram = eig_hermitian(C.adjoint() @ C)
+    sigmas = spectral._root_spectrum(gram.values)
+    live = sigmas > 0.0
+    plus, zero = (Matrix(Algebra.H, gram.basis.comps[:, cols]) for cols in (live, ~live))
+    J = outer_sum(C @ plus, 1.0 / sigmas[live], plus) + outer_sum(zero, np.tile(Quaternion.I.to_array(), (zero.m, 1)))
+    rhs = Quaternion(real_trace(A)) + unit * (float(sigmas.sum()) / 2.0)
+    return abs(trace_n(A, adapted_basis(J, unit)) - rhs)
+
+
+def _adapted_trace_formula(cell, t):
+    A = _draw_matrix(cell)
+    A = Matrix(cell.algebra, _PLANTED[t]) if t in _PLANTED else A
+    scale = 1.0 + trace_norm(A)
+    units = (Quaternion.I, random_unit_imaginary(cell.algebra, cell.rng))
+    return [_trace_formula_residual(A, unit) / scale for unit in units]
+
+
+def _round_trip(cell, t):
+    T = _draw_density(cell)
+    f = FrameFunction.from_measure(measure_from_state(T))
+    rebuilt = reconstruct_state(f, cell.dim, cell.algebra, rng=cell.rng)
+    return [(rebuilt.matrix - T.matrix).max_abs()]
+
+
+LAST = {
+    "gleason.separation": _separation,
+    "trace.adapted_basis_formula": _adapted_trace_formula,
+    "gleason.round_trip": _round_trip,
+}
+
+
 DEPENDENT = {
     "gleason.extremality": _extremality,
     "gleason.sigma_additivity": _sigma_additivity,
@@ -370,6 +431,7 @@ REFERENCES = {
     "quantum.state_conjugation": _state_conjugation,
     **SPECTRAL,
     **DEPENDENT,
+    **LAST,
 }
 
 
@@ -427,12 +489,12 @@ def _degenerate(n, algebra, seed):
     return _hermitian_part(outer_sum(random_unitary(n, algebra, SplitMix64(seed)), spectrum).comps)
 
 
-def _plant(monkeypatch, planted):
+def _plant(monkeypatch, planted, hermitian=True):
     """Put each planted matrix in place of its trial's first draw, a Gaussian
-    matrix whose Hermitian part the runner takes; the planted matrix is its
-    own Hermitian part, bit for bit."""
+    matrix; where the runner takes its Hermitian part, the planted matrix is
+    its own Hermitian part, bit for bit."""
     for t, comps in planted.items():
-        assert _hermitian_part(comps).tobytes() == comps.tobytes()
+        assert not hermitian or _hermitian_part(comps).tobytes() == comps.tobytes()
         monkeypatch.setitem(_PLANTED, t, comps)
     draw = suite._draw
 
@@ -467,13 +529,15 @@ def test_a_planted_grouped_spectrum_takes_the_one_matrix_path_bit_for_bit(name, 
 
 @pytest.mark.parametrize("n", [5, 8])
 def test_a_grouped_mixed_state_spectrum_takes_the_one_matrix_path_bit_for_bit(n, monkeypatch):
-    # a mixed state of rank r < n - 1 has the eigenvalue 0 r - n times
+    # a mixed state of rank r < n - 1 has the eigenvalue 0 n - r times: over R
+    # and C the stack still serves its basis, over H the grouped pair is
+    # decomposed alone
     masks = []
     stack = spectral._eig_stack
 
-    def spy(c, algebra):
-        out = stack(c, algebra)
-        masks.append(out[0])
+    def spy(c, algebra, atoms=True):
+        out = stack(c, algebra, atoms)
+        masks.append((algebra, out[0]))
         return out
 
     monkeypatch.setattr(spectral, "_eig_stack", spy)
@@ -482,8 +546,92 @@ def test_a_grouped_mixed_state_spectrum_takes_the_one_matrix_path_bit_for_bit(n,
         rng = SplitMix64(5).derive(name, algebra.value, n)
         ref = SplitMix64(5).derive(name, algebra.value, n)
         _assert_the_block_is_the_reference(name, Cell(algebra, n, rng, 6), Cell(algebra, n, ref, 6))
-    flags = np.concatenate(masks)
-    assert flags.any() and not flags.all()
+    assert [algebra for algebra, _ in masks] == list(ALGEBRAS)
+    assert all(flags.all() for algebra, flags in masks if algebra is not Algebra.H)
+    quaternionic = masks[-1][1]
+    assert quaternionic.any() and not quaternionic.all()
+
+
+def _spy(monkeypatch, module, name) -> list:
+    """The arguments of every call of ``module.name``, which still runs."""
+    calls = []
+    honest = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return honest(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_equal_pairs_need_no_eigenvector_and_a_grouped_pair_is_decomposed_alone_over_h(algebra, n, monkeypatch):
+    # pairs P = Q, I against a projector of rank 1 (I - P repeats the
+    # eigenvalue 1 from n = 3 on, and holds 0 and 1 at n = 2) and two random
+    # projectors of rank 1
+    rng = SplitMix64(70 + n)
+    P = [random_projector(n, 1, algebra, rng) for _ in range(4)]
+    pairs = [(P[0], P[0]), (Projector(Matrix.identity(n, algebra)), P[1]), (P[2], P[3])]
+    alone = _spy(monkeypatch, gleason, "eig_hermitian")
+    got = gleason._separations(*(np.stack([pair[i].matrix.comps for pair in pairs]) for i in (0, 1)), algebra)
+    assert got.tolist() == [_separation_check(A, B) for A, B in pairs] == [False, True, True]
+    # P = Q is decided by its spectrum; over H the grouped pairs are
+    # decomposed alone: the eigenvalue 1 of I - P from n = 3 on, and the
+    # eigenvalue 0 of the last difference from n = 4 on
+    assert len(alone) == (algebra is Algebra.H) * ((n > 2) + (n > 3))
+    assert [gleason.separation_check(A, B) for A, B in pairs] == got.tolist()
+
+
+def _j_polar_draw(n, algebra, seed):
+    """A Hermitian matrix plus diag(-i, i, ..., i): its J is that diagonal, so
+    pi(e_0) = 0, and the adapted basis for the unit i drops its first
+    candidate; |A - A*| = 2 I groups every pair."""
+    comps = _hermitian_part(random_matrix(n, n, algebra, SplitMix64(seed)).comps)
+    comps[np.arange(n), np.arange(n), 1] = [-1.0] + [1.0] * (n - 1)
+    return comps
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_an_adapted_trial_that_drops_a_candidate_takes_the_one_matrix_path_bit_for_bit(n, monkeypatch):
+    name = "trace.adapted_basis_formula"
+    _plant(monkeypatch, {1: _j_polar_draw(n, Algebra.H, 80 + n)}, hermitian=False)
+    alone = _spy(monkeypatch, spectral, "adapted_basis")
+    rng = SplitMix64(10).derive(name, "H", n)
+    ref = SplitMix64(10).derive(name, "H", n)
+    _assert_the_block_is_the_reference(name, Cell(Algebra.H, n, rng, 3), Cell(Algebra.H, n, ref, 3))
+    # J is diagonal, so pi(e_m) and pi(e_m t) span one complex line, and the
+    # second is dropped for either unit, as pi(e_0) is for the unit i: the
+    # block runs adapted_basis alone on the planted trial, for both units
+    # from n = 2 on
+    assert [J.comps.tobytes() for J, _ in alone] == (1 if n == 1 else 2) * [alone[0][0].comps.tobytes()]
+
+
+@pytest.mark.parametrize("kind", ["phase", "weight", "verification"])
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+def test_a_planted_frame_function_failure_names_the_lowest_failing_trial(algebra, kind, monkeypatch):
+    # one probe value of trials 1 and 3 shifted: a turn of the first phase
+    # probe, the first basis vector or the first verification probe
+    name, n = "gleason.round_trip", 3
+    count = gleason._probe_count(n, algebra, 100)
+    column = {"phase": 1, "weight": 55, "verification": count - 100}[kind]
+    shift = np.zeros(count)
+    shift[column] = 0.5 if kind == "weight" else 1e-3
+    ref = Cell(algebra, n, SplitMix64(11).derive(name), 4)
+    REFERENCES[name](ref, 0)
+    honest = FrameFunction.from_measure(measure_from_state(random_density(n, algebra, ref.rng)))
+    shifted = FrameFunction(lambda X: np.asarray(honest.evaluate(X)) + shift)
+    alone = _message(lambda: reconstruct_state(shifted, n, algebra, rng=ref.rng), NotAFrameFunction)
+    measures = gleason._probe_measures
+
+    def shifted_measures(states, alg):
+        evaluate = measures(states, alg)
+        return lambda probes: evaluate(probes) + np.outer(np.arange(4) % 2, shift)
+
+    monkeypatch.setattr(gleason, "_probe_measures", shifted_measures)
+    cell = Cell(algebra, n, SplitMix64(11).derive(name), 4)
+    assert _message(lambda: RUNNERS[name].runner.block(cell, np.arange(4)), NotAFrameFunction) == f"{alone} (stack entry 1)"
 
 
 def _plant_uniforms(monkeypatch, rng, planted):
@@ -571,29 +719,40 @@ def test_stacked_residual_is_the_worst_reference_term(name):
 
 
 def test_the_one_matrix_path_gives_the_report_of_the_stacked_path(monkeypatch):
-    # every trial's spectrum read as grouped: the stacked runners decompose each matrix alone
+    # no matrix served from the stacked eigendecomposition: the stacked runners
+    # decompose every matrix alone that needs its eigenbasis
     cfg = suite.RunConfig(algebras=("R", "C", "H"), dims=(1, 2, 3, 5), trials=3)
     stacked = suite.emit_report(suite.run_suite(cfg))
     forced = []
+    stack = spectral._eig_stack
 
-    def grouped(values, w, algebra):
-        forced.append(values.shape[0])
-        return np.zeros(values.shape[:-1], dtype=bool)
+    def alone(c, algebra, atoms=True):
+        served, values, basis = stack(c, algebra, atoms)
+        forced.append(served.size)
+        return np.zeros_like(served), values, basis[:0]
 
-    monkeypatch.setattr(spectral, "_simple_spectra", grouped)
+    monkeypatch.setattr(spectral, "_eig_stack", alone)
+    monkeypatch.setattr(gleason, "_eig_stack", alone)
     assert suite.emit_report(suite.run_suite(cfg)) == stacked
-    # five runners, three algebras, four dims, three trials; and the mixed
-    # states of extremality, which runs from dim 2 on
-    assert sum(forced) == 5 * 3 * 4 * 3 + 3 * 3 * 3
+    # three trials in every cell: five runners over three algebras and four
+    # dims; the mixed states of extremality, from dim 2 on; separation's two
+    # pairs per trial; and the adapted-basis formula over H
+    assert sum(forced) == 5 * 3 * 4 * 3 + 3 * 3 * 3 + 3 * 4 * 6 + 4 * 3
 
 
-def test_every_runner_that_keeps_its_loop_says_why():
+# every runner not named here runs its cell's trials as one stack
+CELL_LEVEL = {
+    "witness.basis_dependent_trace",
+    "witness.cyclicity_failure",
+    "witness.antisymmetric_absolute_sum",
+    "gleason.dim2_obstruction",
+    "quantum.continuity_trend",
+}
+
+
+def test_every_runner_is_stacked_or_cell_level():
     for prop in REGISTRY:
-        trial = getattr(prop.runner, "trial", None)
-        if trial is None:
-            continue
-        doc = (trial.__doc__ or "").strip()
-        assert doc.startswith("Keeps its loop: ") and "\n" not in doc, prop.name
+        assert hasattr(prop.runner, "block") != (prop.name in CELL_LEVEL), prop.name
 
 
 # ---------------------------------------------------------------------------
@@ -855,9 +1014,26 @@ def test_the_stacked_eigendecomposition_is_eig_hermitian_on_every_simple_spectru
     simple, values, basis = spectral._eig_stack(c, algebra)
     assert simple.tolist() == [not _grouped(one, algebra) for one in c]
     assert simple.tolist() == [n == 1 or t % 2 == 0 for t in range(T)]
-    decs = [eig_hermitian(Matrix(algebra, one)) for one, flag in zip(c, simple) if flag]
+    decs = [eig_hermitian(Matrix(algebra, one)) for one in c]
     assert _same(values, [dec.values for dec in decs])
-    assert _same(basis, [dec.basis.comps for dec in decs])
+    assert _same(basis, [dec.basis.comps for dec, flag in zip(decs, simple) if flag])
+
+
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_the_stack_serves_every_basis_that_eig_hermitian_takes_as_solved(algebra, n):
+    # the spaced spectra, a doubled eigenvalue and the zero matrix: over R and
+    # C eig_hermitian never groups, so the stack serves every basis; over H a
+    # grouped pair (a gap below the tolerance, the doubled eigenvalue, the
+    # zero matrix) is left alone
+    c = np.concatenate([_spaced_spectra(4, n, algebra, 50 + n), _degenerate(n, algebra, 60 + n)[None],
+                        np.zeros((1, n, n, 4))])
+    served, values, basis = spectral._eig_stack(c, algebra, atoms=False)
+    quaternionic = algebra is Algebra.H
+    assert served.tolist() == [not quaternionic or t % 2 == 0 for t in range(4)] + [not quaternionic] * 2
+    decs = [eig_hermitian(Matrix(algebra, one)) for one in c]
+    assert _same(values, [dec.values for dec in decs])
+    assert _same(basis, [dec.basis.comps for dec, flag in zip(decs, served) if flag])
 
 
 @pytest.mark.parametrize("T", [1, 3, 10])
