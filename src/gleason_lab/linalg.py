@@ -76,27 +76,32 @@ def _mul_comps(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.einsum("...be,...b->...e", left, q)
 
 
-# Entry count from which :func:`_sq_moduli` adds the four squared components
-# as whole arrays: below it numpy's length-4 sum, one call, is faster.
+# Entry count from which :func:`_sq_moduli` adds the squared components as
+# whole arrays: below it numpy's length-4 sum, one call, is faster.
 _SQ_MODULI_MIN_ENTRIES = 256
 
 
 def _sq_moduli(comps: np.ndarray) -> np.ndarray:
-    """|q|^2 = ((q0^2 + q1^2) + q2^2) + q3^2 of every entry of a (..., 4)
-    component array, bit for bit what ``(comps**2).sum(axis=-1)`` gives.
+    """|q|^2 = ((q0^2 + q1^2) + q2^2) + q3^2 of every entry of a (..., k)
+    component array, bit for bit what ``(comps**2).sum(axis=-1)`` gives: k = 4
+    in the shared storage, k = 1 or 2 for the algebra's own components of a
+    real or complex matrix, whose squares are those of the four with the zero
+    ones left out.
 
     numpy sums a length-4 axis in this order too, but per entry, in a
     reduction loop of four doubles; from ``_SQ_MODULI_MIN_ENTRIES`` entries on,
-    three whole-array adds into one accumulator, through one scratch array,
-    are several times faster.  The choice changes the speed only.
+    whole-array adds into one accumulator, through one scratch array, are
+    several times faster.  The choice changes the speed only.
     """
-    if comps.size < 4 * _SQ_MODULI_MIN_ENTRIES:
+    k = comps.shape[-1]
+    if comps.size < k * _SQ_MODULI_MIN_ENTRIES:
         return (comps * comps).sum(axis=-1)
     acc = np.square(comps[..., 0])
-    part = np.square(comps[..., 1])
-    acc += part
-    acc += np.square(comps[..., 2], out=part)
-    acc += np.square(comps[..., 3], out=part)
+    if k > 1:
+        part = np.square(comps[..., 1])
+        acc += part
+        for q in range(2, k):
+            acc += np.square(comps[..., q], out=part)
     return acc
 
 
@@ -278,18 +283,27 @@ class Matrix:
             return False
         return bool(_hermitian_ratio(self.comps, _adjoint_comps(self.comps)) <= tol)
 
-    def approx_eq(self, other: "Matrix", tol: float = 1e-9) -> bool:
-        return bool(np.abs(self.comps - other.comps).max() <= tol)
-
     def __repr__(self) -> str:
         return f"Matrix({self.algebra.value}, {self.n}x{self.m})"
 
 
 def _adjoint_comps(comps: np.ndarray) -> np.ndarray:
-    """Components of A* from those of A, for every matrix of a (..., n, m, 4)
-    stack: conjugate and transpose in one pass into contiguous storage."""
-    n, m = comps.shape[-3], comps.shape[-2]
-    return np.multiply(comps.swapaxes(-3, -2), _CONJ, out=np.empty(comps.shape[:-3] + (m, n, 4)))
+    """Components of A* from those of A, for every matrix of a (..., n, m, k)
+    stack, into contiguous storage: k = 4, or only the algebra's own
+    components of a real (k = 1) or complex (k = 2) matrix.
+
+    The components are multiplied by the signs of the conjugate and
+    transposed in one pass, except that a complex matrix is conjugated and
+    transposed as complex128 entries: multiplying its two components by
+    (1, -1) would run numpy's inner loop over one entry, several times slower
+    from 8 x 8 on.  Negation is exact, so the bits are those of that product.
+    """
+    n, m, k = comps.shape[-3:]
+    out = np.empty(comps.shape[:-3] + (m, n, k))
+    if k == 2:
+        np.conjugate(comps.view(np.complex128)[..., 0].swapaxes(-2, -1), out=out.view(np.complex128)[..., 0])
+        return out
+    return np.multiply(comps.swapaxes(-3, -2), _CONJ[:k], out=out)
 
 
 def _hermitian_part(comps: np.ndarray) -> np.ndarray:

@@ -14,8 +14,6 @@ from typing import ClassVar
 
 import numpy as np
 
-DEFAULT_TOL = 1e-10
-
 
 class Algebra(enum.Enum):
     """Scalar field tag: real, complex or quaternionic."""
@@ -117,9 +115,6 @@ class Quaternion:
     def from_array(cls, comps) -> "Quaternion":
         a, b, c, d = (float(x) for x in comps)
         return cls(a, b, c, d)
-
-    def isclose(self, other, tol: float = DEFAULT_TOL) -> bool:
-        return abs(self - as_quaternion(other)) <= tol
 
     def __repr__(self) -> str:
         return f"Quaternion({self.a:g}, {self.b:g}, {self.c:g}, {self.d:g})"

@@ -23,12 +23,16 @@ more equal pairs go through the one Gram-Schmidt,
 pair.  On a simple pair the block gives what that Gram-Schmidt would.
 
 Both public solvers share one guarded solve, ``_solve``, and its guards are
-identical for both.  ``_solve``, the Gram matrix and the norms take a stack
+identical for both.  Over R and C the guards and the symmetrization run on
+the algebra's own components, the storage of a float64 or complex128 matrix,
+and a component outside the algebra is rejected (AlgebraMismatch); over H
+they run on all four.  The Gram matrix A*A forms A* from the algebra's own
+components too.  ``_solve``, the Gram matrix and the norms take a stack
 of matrices with leading axes; the public functions are their one-matrix
 cases.  :func:`eig_hermitian` asks the kernel for eigenvectors
 and lifts the eigenbasis; :func:`eigvals_hermitian` asks for eigenvalues only
-(LAPACK's eigenvalue-only driver), reads the spectrum, over H as the pair
-means, and builds no basis.  The norms (:func:`singular_values`,
+(LAPACK's eigenvalue-only driver), reads the spectrum backwards, over H as the
+pair means, and builds no basis.  The norms (:func:`singular_values`,
 :func:`op_norm`, and through them the trace norm), positivity and the state
 check read only the spectrum, so they take :func:`eigvals_hermitian` and
 compute no eigenvectors.  Spectral measures need the basis, and so do |A| and
@@ -137,21 +141,46 @@ def _along_last(x: np.ndarray, order: np.ndarray) -> np.ndarray:
     return np.take_along_axis(x, order if x.ndim == order.ndim else order[..., None, :], axis=-1)
 
 
+def _own_comps(comps: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` components of every entry of a (..., n, m, 4)
+    stack, as contiguous (..., n, m, count) storage: over R (count 1) that of
+    a float64 matrix, over C (count 2) that of a complex128 one, whose entries
+    are copied as complex numbers rather than two strided doubles each."""
+    if count == 2:
+        own = np.ascontiguousarray(comps.view(np.complex128)[..., 0])
+        return own.view(np.float64).reshape(own.shape + (2,))
+    return np.ascontiguousarray(comps[..., :count])
+
+
 def _solve(c: np.ndarray, algebra: Algebra, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """(eigenvalues descending, eigenvector columns or None) of the exactly
     Hermitian part of every matrix of a (..., n, n, 4) component stack ``c``
     over R (a real symmetric solve) and C, of its image chi under H, after
-    every guard: square, finite, Hermitian up to 1e-8 (the ratio test of
-    :meth:`Matrix.is_hermitian`) and, over H, a doubled spectrum.  A*, the
-    symmetrization and chi are formed from the components, with no Matrix.
-    With ``vectors=False`` the kernel computes no eigenvectors.  Over a stack,
-    a guard rejects the lowest matrix that fails it, by the one-matrix message
-    (:func:`gleason_lab.errors.require`)."""
+    every guard: square, finite, in the algebra, Hermitian up to 1e-8 (the
+    ratio test of :meth:`Matrix.is_hermitian`) and, over H, a doubled
+    spectrum.  Over R and C the ratio test and the symmetrization run on the
+    algebra's own components, (..., n, n, 1) or (..., n, n, 2), the storage of
+    a float64 or complex128 matrix; an entry with a nonzero component beyond
+    them raises AlgebraMismatch, since no later guard reads those components.
+    Over H they run on all four, and chi is formed from them, with no Matrix.
+    With ``vectors=False`` the kernel computes no eigenvectors, and LAPACK's
+    ascending spectrum is read backwards, which gives the bits of a stable
+    sort except that a +0 and a -0, equal values, trade places; with
+    eigenvectors, a stable sort keeps the columns of equal eigenvalues in
+    LAPACK's order.  Over a stack, a guard rejects the lowest matrix that
+    fails it, by the one-matrix message (:func:`gleason_lab.errors.require`)."""
     if c.shape[-3] != c.shape[-2]:
         raise ValueError("eigendecomposition needs a square matrix")
     # a non-finite entry fails the ratio test anyway; rejecting it before any
     # arithmetic keeps numpy from warning about the validator's internals
     require(np.isfinite(c).all(axis=(-3, -2, -1)), NotHermitian, "matrix has a non-finite entry")
+    k = algebra.component_count
+    if k < 4:
+        # one reduction over the whole stack first: per-matrix flags cost more
+        if c[..., k:].any():
+            require(~c[..., k:].any(axis=(-3, -2, -1)), AlgebraMismatch,
+                    f"an entry has components outside {algebra.value}")
+        c = _own_comps(c, k)
     star = _adjoint_comps(c)
     ratio = _hermitian_ratio(c, star)
     require(ratio <= _HERMITIAN_TOL, NotHermitian,
@@ -160,14 +189,19 @@ def _solve(c: np.ndarray, algebra: Algebra, vectors: bool) -> tuple[np.ndarray, 
     if algebra is Algebra.H:
         X = _chi(sym)
     elif algebra is Algebra.C:
+        # assembled as re + 1j im, not viewed as complex: the sum clears the
+        # sign of some zero parts, LAPACK's reflectors read the sign of a
+        # zero, and the reports' bits rest on this assembly
         X = sym[..., 0] + 1j * sym[..., 1]
     else:
         X = sym[..., 0]
     w, V = kernels.eigh(X, vectors=vectors)
-    order = np.argsort(-w, axis=-1, kind="stable")
-    w = _along_last(w, order)
     if vectors:
+        order = np.argsort(-w, axis=-1, kind="stable")
+        w = _along_last(w, order)
         V = _along_last(V, order)
+    else:
+        w = w[..., ::-1]
     # symplectic symmetry doubles every eigenvalue of chi(A), so the sorted
     # spectrum is n consecutive pairs; the tolerance is relative to the
     # spectrum, so a small spectrum is not misread as unpaired
@@ -315,11 +349,14 @@ def _serve(served: np.ndarray, items: Iterable, fallback: Callable[[int], object
 
 
 def _gram(c: np.ndarray, algebra: Algebra) -> np.ndarray:
-    """A*A of every matrix of a (..., n, m, 4) stack, for the norms, |A| and J.
-    A non-finite entry raises the NotHermitian that the eigensolve gives NaN,
-    before numpy can warn about inf arithmetic."""
+    """A*A of every matrix of a (..., n, m, 4) stack, for the norms, |A| and J,
+    as (..., m, m, 4) storage.  A* is formed from the algebra's own components
+    only, (..., m, n, k), the ones that :func:`gleason_lab.kernels.quat_matmul`
+    reads.  A non-finite entry raises the NotHermitian that the eigensolve
+    gives NaN, before numpy can warn about inf arithmetic."""
     require(np.isfinite(c).all(axis=(-3, -2, -1)), NotHermitian, "matrix has a non-finite entry")
-    return kernels.quat_matmul(_adjoint_comps(c), c, algebra.component_count)
+    k = algebra.component_count
+    return kernels.quat_matmul(_adjoint_comps(c[..., :k]), c, k)
 
 
 def _op_norms(c: np.ndarray, algebra: Algebra) -> np.ndarray:

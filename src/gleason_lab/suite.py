@@ -65,7 +65,7 @@ import fnmatch
 import json
 import math
 from collections.abc import Callable, Iterable
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from importlib import resources
 
 import numpy as np
@@ -220,7 +220,8 @@ class PropertyRecord:
     error: str | None = None
 
     def to_json(self) -> dict:
-        return asdict(self)
+        # every field is a scalar, so the copy that asdict makes is not needed
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ from gleason_lab.rng import SplitMix64
 from gleason_lab.scalars import Algebra, Quaternion
 from gleason_lab.trace import real_trace
 
-from conftest import ALGEBRAS
+from conftest import ALGEBRAS, matrices_close
 
 
 class TestDensityOperator:
@@ -86,13 +86,13 @@ class TestLatticeJoin:
         P = random_projector(3, 1, Algebra.H, SplitMix64(81))
         zero = Matrix.zeros(3, 3, Algebra.H)
         joined = projector_onto(Matrix.from_columns([P.matrix, zero]), drop=True)
-        assert joined.matrix.approx_eq(P.matrix, tol=1e-9)
+        assert matrices_close(joined.matrix, P.matrix, tol=1e-9)
 
     def test_join_with_complement_is_identity(self):
         P = random_projector(4, 2, Algebra.C, SplitMix64(82))
         complement = Projector(Matrix.identity(4, Algebra.C) - P.matrix)
         joined = projector_onto(Matrix.from_columns([P.matrix, complement.matrix]), drop=True)
-        assert joined.matrix.approx_eq(Matrix.identity(4, Algebra.C), tol=1e-9)
+        assert matrices_close(joined.matrix, Matrix.identity(4, Algebra.C), tol=1e-9)
 
     def test_join_of_overlapping_lines(self):
         e1 = Matrix.identity(3, Algebra.R).col(0)
@@ -101,7 +101,7 @@ class TestLatticeJoin:
         Q = projector_onto(e1 + e2)
         joined = projector_onto(Matrix.from_columns([P.matrix, Q.matrix]), drop=True)
         assert joined.rank == 2
-        assert joined.matrix.approx_eq(Matrix.diag([1.0, 1.0, 0.0], Algebra.R), tol=1e-9)
+        assert matrices_close(joined.matrix, Matrix.diag([1.0, 1.0, 0.0], Algebra.R), tol=1e-9)
 
     def test_orthogonal_join_equals_sum(self):
         rng = SplitMix64(83)
@@ -110,7 +110,7 @@ class TestLatticeJoin:
         for P in parts:
             total = total + P.matrix
         joined = projector_onto(Matrix.from_columns([P.matrix for P in parts]), drop=True)
-        assert joined.matrix.approx_eq(total, tol=1e-9)
+        assert matrices_close(joined.matrix, total, tol=1e-9)
 
 
 class TestMeasureFromState:
@@ -499,7 +499,7 @@ class TestReconstruction:
     def test_constant_frame_function_gives_uniform_state(self):
         f = FrameFunction.pointwise(lambda x: x.norm() ** 2 / 3.0)
         T = reconstruct_state(f, 3, Algebra.C)
-        assert T.matrix.approx_eq(Matrix.identity(3, Algebra.C) * (1.0 / 3.0), tol=1e-10)
+        assert matrices_close(T.matrix, Matrix.identity(3, Algebra.C) * (1.0 / 3.0), tol=1e-10)
 
     def test_quaternionic_three_dim_many_seeds(self):
         worst = 0.0
@@ -579,7 +579,7 @@ class TestExtremality:
 class TestConvexMix:
     def test_single_state_identity_mix(self):
         T = random_density(3, Algebra.H, SplitMix64(93))
-        assert convex_mix([T], [1.0]).matrix.approx_eq(T.matrix, tol=0.0)
+        assert matrices_close(convex_mix([T], [1.0]).matrix, T.matrix, tol=0.0)
 
     def test_equal_mix_of_orthogonal_pure_states(self):
         U = random_unitary(3, Algebra.C, SplitMix64(94))
@@ -627,11 +627,11 @@ class TestPhaseClasses:
         psi = random_unit_vector(3, Algebra.H, rng)
         for _ in range(10):
             q = random_phase(Algebra.H, rng)
-            assert pure_state(psi.scale_right(q)).matrix.approx_eq(pure_state(psi).matrix, tol=1e-10)
+            assert matrices_close(pure_state(psi.scale_right(q)).matrix, pure_state(psi).matrix, tol=1e-10)
 
     def test_real_case_is_up_to_sign(self):
         psi = random_unit_vector(3, Algebra.R, SplitMix64(99))
-        assert pure_state(psi.scale_right(-1.0)).matrix.approx_eq(pure_state(psi).matrix, tol=1e-12)
+        assert matrices_close(pure_state(psi.scale_right(-1.0)).matrix, pure_state(psi).matrix, tol=1e-12)
 
     @pytest.mark.parametrize("entry", [0.0, math.nan, math.inf, -math.inf], ids=["zero", "nan", "+inf", "-inf"])
     def test_pure_state_of_a_zero_or_non_finite_vector_is_degenerate(self, entry):

@@ -30,7 +30,7 @@ from gleason_lab.rng import SplitMix64
 from gleason_lab.scalars import Algebra, Quaternion
 from gleason_lab.trace import absolute_diagonal_sum, trace_n
 
-from conftest import ALGEBRAS, orthonormality_defect
+from conftest import ALGEBRAS, matrices_close, orthonormality_defect, quaternions_close
 
 ONE, I, J, K = Quaternion.ONE, Quaternion.I, Quaternion.J, Quaternion.K
 
@@ -41,16 +41,16 @@ def _e(idx, n, algebra=Algebra.H):
 
 class TestInner:
     def test_orthonormality_of_standard_basis(self):
-        assert inner(_e(0, 2), _e(0, 2)).isclose(ONE)
-        assert inner(_e(0, 2), _e(1, 2)).isclose(Quaternion.ZERO)
+        assert quaternions_close(inner(_e(0, 2), _e(0, 2)), ONE)
+        assert quaternions_close(inner(_e(0, 2), _e(1, 2)), Quaternion.ZERO)
 
     def test_orthogonality_survives_right_scaling(self):
-        assert inner(_e(0, 2), _e(1, 2).scale_right(J)).isclose(Quaternion.ZERO)
+        assert quaternions_close(inner(_e(0, 2), _e(1, 2).scale_right(J)), Quaternion.ZERO)
 
     def test_quaternion_phases_combine_as_conj_i_times_j(self):
         # <e i | e j> = conj(i) j = -ij = -k
         lhs = inner(_e(0, 2).scale_right(I), _e(0, 2).scale_right(J))
-        assert lhs.isclose(-K)
+        assert quaternions_close(lhs, -K)
 
     def test_hermitian_symmetry_and_right_linearity(self):
         rng = SplitMix64(1)
@@ -58,7 +58,7 @@ class TestInner:
             x = random_matrix(4, 1, algebra, rng)
             y = random_matrix(4, 1, algebra, rng)
             z = random_matrix(4, 1, algebra, rng)
-            assert inner(x, y).isclose(inner(y, x).conjugate(), tol=1e-12)
+            assert quaternions_close(inner(x, y), inner(y, x).conjugate(), tol=1e-12)
             # q lies in the vectors' algebra: the R draw keeps only its real part
             parts = np.zeros(4)
             parts[: algebra.component_count] = rng.gaussian_block(4 if algebra is Algebra.H else 2)[
@@ -68,7 +68,7 @@ class TestInner:
             p = Quaternion(rng.gaussian())
             combo = y.scale_right(q) + z.scale_right(p)
             expect = inner(x, y) * q + inner(x, z) * p
-            assert inner(x, combo).isclose(expect, tol=1e-12)
+            assert quaternions_close(inner(x, combo), expect, tol=1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -143,13 +143,13 @@ class TestMatrixBasics:
         A = random_matrix(3, 3, Algebra.H, rng)
         x = random_matrix(3, 1, Algebra.H, rng)
         q = Quaternion(0.3, -1, 2, 0.5)
-        assert (A @ x.scale_right(q)).approx_eq((A @ x).scale_right(q), tol=1e-12)
+        assert matrices_close(A @ x.scale_right(q), (A @ x).scale_right(q), tol=1e-12)
 
     def test_adjoint_of_identity_and_single_entry(self):
         ident = Matrix.identity(3, Algebra.H)
-        assert ident.adjoint().approx_eq(ident)
+        assert matrices_close(ident.adjoint(), ident)
         one_by_one = Matrix.from_rows([[J]], Algebra.H)
-        assert one_by_one.adjoint().entry(0, 0).isclose(-J)
+        assert quaternions_close(one_by_one.adjoint().entry(0, 0), -J)
 
     @pytest.mark.parametrize("shape", [(2, 5), (5, 2), (4, 4)])
     def test_adjoint_is_the_entrywise_conjugate_transpose(self, shape):
@@ -166,10 +166,10 @@ class TestMatrixBasics:
         for algebra in ALGEBRAS:
             A = random_matrix(3, 3, algebra, rng)
             B = random_matrix(3, 3, algebra, rng)
-            assert (A @ B).adjoint().approx_eq(B.adjoint() @ A.adjoint(), tol=1e-12)
+            assert matrices_close((A @ B).adjoint(), B.adjoint() @ A.adjoint(), tol=1e-12)
             x = random_matrix(3, 1, algebra, rng)
             y = random_matrix(3, 1, algebra, rng)
-            assert inner(A.adjoint() @ x, y).isclose(inner(x, A @ y), tol=1e-11)
+            assert quaternions_close(inner(A.adjoint() @ x, y), inner(x, A @ y), tol=1e-11)
 
     def test_algebra_mixing_is_rejected(self):
         with pytest.raises(AlgebraMismatch):
@@ -215,26 +215,26 @@ class TestGramSchmidt:
     def test_standard_basis_is_fixed(self):
         basis = gram_schmidt(Matrix.from_columns([_e(m, 3) for m in range(3)]))
         for m, u in enumerate(basis.columns()):
-            assert u.approx_eq(_e(m, 3))
+            assert matrices_close(u, _e(m, 3))
 
     def test_two_dimensional_real_example(self):
         v1 = _e(0, 2, Algebra.R)
         v2 = Matrix(Algebra.R, [[[1.0, 0, 0, 0]], [[1.0, 0, 0, 0]]])
         basis = gram_schmidt(Matrix.from_columns([v1, v2]))
-        assert basis.col(0).approx_eq(v1)
-        assert basis.col(1).approx_eq(_e(1, 2, Algebra.R))
+        assert matrices_close(basis.col(0), v1)
+        assert matrices_close(basis.col(1), _e(1, 2, Algebra.R))
 
     def test_single_quaternion_normalizes(self):
         q = Matrix(Algebra.H, [[[1.0, 1.0, 1.0, 1.0]]])
         basis = gram_schmidt(q)
-        assert inner(basis.col(0), basis.col(0)).isclose(ONE, tol=1e-12)
+        assert quaternions_close(inner(basis.col(0), basis.col(0)), ONE, tol=1e-12)
         assert abs(basis.col(0).norm() - 1.0) < 1e-12
 
     def test_unitary_columns_pass_through_unchanged(self):
         U = random_unitary(4, Algebra.C, SplitMix64(5))
         basis = gram_schmidt(U)
         for m, u in enumerate(basis.columns()):
-            assert u.approx_eq(U.col(m), tol=1e-9)
+            assert matrices_close(u, U.col(m), tol=1e-9)
 
     def test_rank_deficiency_raises_or_drops(self):
         v = Matrix(Algebra.R, [[[1.0, 0, 0, 0]], [[2.0, 0, 0, 0]]])
@@ -302,7 +302,7 @@ class TestUnitaries:
     def test_determinism_per_seed(self):
         U1 = random_unitary(3, Algebra.H, SplitMix64(9))
         U2 = random_unitary(3, Algebra.H, SplitMix64(9))
-        assert U1.approx_eq(U2, tol=0.0)
+        assert matrices_close(U1, U2, tol=0.0)
 
     def test_one_dimensional_quaternionic_unitary_is_a_unit_quaternion(self):
         U = random_unitary(1, Algebra.H, SplitMix64(10))
@@ -313,7 +313,7 @@ class TestProjectors:
     def test_full_basis_gives_identity(self):
         basis = [_e(m, 3) for m in range(3)]
         P = projector_onto(Matrix.from_columns(basis))
-        assert P.matrix.approx_eq(Matrix.identity(3, Algebra.H))
+        assert matrices_close(P.matrix, Matrix.identity(3, Algebra.H))
         assert P.rank == 3
 
     def test_rank_one_annihilates_orthogonal_vectors(self):
@@ -348,7 +348,7 @@ class TestProjectors:
         P = random_projector(4, 2, Algebra.H, SplitMix64(13))
         Q = Projector(Matrix.identity(4, Algebra.H) - P.matrix)
         assert (P.matrix @ Q.matrix).max_abs() < 1e-9
-        assert (P.matrix + Q.matrix).approx_eq(Matrix.identity(4, Algebra.H))
+        assert matrices_close(P.matrix + Q.matrix, Matrix.identity(4, Algebra.H))
 
     def test_invalid_projector_matrix_is_rejected(self):
         with pytest.raises(ValueError):
@@ -579,7 +579,7 @@ def test_outer_product_matches_componentwise_definition():
     for r in range(3):
         for c in range(3):
             expect = u.entry(r, 0) * q * v.entry(c, 0).conjugate()
-            assert M.entry(r, c).isclose(expect, tol=1e-12)
+            assert quaternions_close(M.entry(r, c), expect, tol=1e-12)
 
 
 @pytest.mark.parametrize("algebra", ALGEBRAS)
@@ -618,14 +618,14 @@ def test_outer_sum_is_the_sum_of_column_outer_products(algebra, kind, same):
         expect = expect + outer(u, v, coeff)
     got = outer_sum(U, coeffs) if same else outer_sum(U, coeffs, V)
     assert got.algebra is algebra
-    assert got.approx_eq(expect, tol=1e-12)
+    assert matrices_close(got, expect, tol=1e-12)
 
 
 @pytest.mark.parametrize("algebra", ALGEBRAS)
 def test_outer_sum_of_no_columns_is_zero(algebra):
     U = Matrix.zeros(3, 0, algebra)
-    assert outer_sum(U).approx_eq(Matrix.zeros(3, 3, algebra), tol=0.0)
-    assert outer_sum(U, np.zeros(0)).approx_eq(Matrix.zeros(3, 3, algebra), tol=0.0)
+    assert matrices_close(outer_sum(U), Matrix.zeros(3, 3, algebra), tol=0.0)
+    assert matrices_close(outer_sum(U, np.zeros(0)), Matrix.zeros(3, 3, algebra), tol=0.0)
 
 
 def test_outer_sum_rejects_mismatched_factors():
@@ -669,7 +669,7 @@ def test_basis_products_match_per_vector_loops(algebra, n):
         Matrix.from_columns([random_matrix(n, 1, algebra, rng) for _ in range(n)]),
     ]
     for basis in bases:
-        assert trace_n(A, basis).isclose(_trace_reference(A, basis), tol=1e-12)
+        assert quaternions_close(trace_n(A, basis), _trace_reference(A, basis), tol=1e-12)
         assert abs(absolute_diagonal_sum(A, basis) - _absolute_sum_reference(A, basis)) <= 1e-12
         assert abs(orthonormality_defect(basis) - _orthonormality_reference(basis)) <= 1e-12
 
@@ -704,18 +704,23 @@ def test_gram_schmidt_matches_per_vector_loop(algebra, n, rank):
     basis = gram_schmidt(Matrix.from_columns(vectors), drop=rank == "deficient")
     expect = _gram_schmidt_reference(vectors)
     assert basis.m == len(expect) == n
-    assert basis.approx_eq(Matrix.from_columns(expect), tol=1e-10)
+    assert matrices_close(basis, Matrix.from_columns(expect), tol=1e-10)
 
 
+@pytest.mark.parametrize("count", [1, 2, 4])
 @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["below", "at", "above"])
-def test_squared_moduli_and_max_abs_are_bit_identical_around_the_threshold(offset):
-    # either side of the threshold must give numpy's length-4 sum bit for bit;
-    # one magnitude per entry, so that the order of the adds shows in the bits
+def test_squared_moduli_and_max_abs_are_bit_identical_around_the_threshold(offset, count):
+    # either side of the threshold must give numpy's length-4 sum bit for bit,
+    # from all four components and from the algebra's own first ``count``
+    # when the others are zero; one magnitude per entry, so that the order of
+    # the adds shows in the bits
     entries = linalg._SQ_MODULI_MIN_ENTRIES + offset
     rng = np.random.default_rng(entries)
     comps = rng.standard_normal((1, entries, 4)) * 10.0 ** rng.uniform(-150, 150, (1, entries, 1))
+    comps[..., count:] = 0.0
     for c in (comps, comps.transpose(1, 0, 2)):
         assert np.array_equal(linalg._sq_moduli(c), (c**2).sum(axis=-1))
+        assert np.array_equal(linalg._sq_moduli(np.ascontiguousarray(c[..., :count])), (c**2).sum(axis=-1))
         assert Matrix(Algebra.H, c).max_abs() == float(np.sqrt((c**2).sum(axis=2)).max())
 
 

@@ -51,7 +51,7 @@ from gleason_lab.trace import (
     trace_norm,
 )
 
-from conftest import ALGEBRAS, conjugate_state
+from conftest import ALGEBRAS, conjugate_state, matrices_close
 
 I, J = Quaternion.I, Quaternion.J
 
@@ -76,8 +76,8 @@ class TestPVM:
         pvm = pvm_of(A)
         positive = Projector(sum((P.matrix for s, P in pvm.atoms if s > 0), Matrix.zeros(4, 4, Algebra.C)))
         assert positive.rank == 3
-        assert positive.matrix.approx_eq(Matrix.diag([1.0, 1.0, 0.0, 1.0], Algebra.C), tol=1e-10)
-        assert pvm.total().approx_eq(Matrix.identity(4, Algebra.C), tol=1e-10)
+        assert matrices_close(positive.matrix, Matrix.diag([1.0, 1.0, 0.0, 1.0], Algebra.C), tol=1e-10)
+        assert matrices_close(pvm.total(), Matrix.identity(4, Algebra.C), tol=1e-10)
 
     @pytest.mark.parametrize("algebra", ALGEBRAS)
     def test_small_spectrum_keeps_its_atoms(self, algebra):
@@ -113,9 +113,7 @@ class TestFunctionalCalculus:
     def test_constant_one_gives_identity(self):
         rng = SplitMix64(112)
         A = Observable(random_hermitian(3, Algebra.C, rng))
-        assert apply_function(A, lambda t: 1.0).matrix.approx_eq(
-            Matrix.identity(3, Algebra.C), tol=1e-9
-        )
+        assert matrices_close(apply_function(A, lambda t: 1.0).matrix, Matrix.identity(3, Algebra.C), tol=1e-9)
 
     @pytest.mark.parametrize("algebra", ALGEBRAS)
     def test_square_matches_matrix_product(self, algebra):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gleason_lab import gleason, kernels, linalg, spectral
-from gleason_lab.errors import AlgebraMismatch, ConvergenceFailure, NotHermitian
+from gleason_lab.errors import AlgebraMismatch, ConvergenceFailure, NotHermitian, require
 from gleason_lab.gleason import DensityOperator, is_extremal, random_density
 from gleason_lab.linalg import (
     Matrix,
@@ -28,7 +28,7 @@ from gleason_lab.spectral import (
 )
 from gleason_lab.trace import check_norm_inequalities, trace_norm
 
-from conftest import ALGEBRAS, orthonormality_defect
+from conftest import ALGEBRAS, matrices_close, orthonormality_defect, quaternions_close
 
 I, J, K = Quaternion.I, Quaternion.J, Quaternion.K
 
@@ -360,18 +360,231 @@ class TestSpectrumReaders:
         )
 
 
+# ---------------------------------------------------------------------------
+# the guarded solve in the algebra's own arithmetic, against the component form
+# ---------------------------------------------------------------------------
+
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
+
+
+def _reference_solve(c: np.ndarray, algebra: Algebra, vectors: bool):
+    """``spectral._solve`` in the component form: A*, the ratio test and the
+    symmetrization on all four components of every entry, and the spectrum
+    ordered by a stable argsort in both modes."""
+    if c.shape[-3] != c.shape[-2]:
+        raise ValueError("eigendecomposition needs a square matrix")
+    require(np.isfinite(c).all(axis=(-3, -2, -1)), NotHermitian, "matrix has a non-finite entry")
+    star = c.swapaxes(-3, -2) * _CONJ
+    defect = c - star
+    ratio = (np.sqrt((defect * defect).sum(axis=-1).max(axis=(-2, -1)))
+             / np.maximum(1.0, np.sqrt((c * c).sum(axis=-1).max(axis=(-2, -1)))))
+    require(ratio <= 1e-8, NotHermitian,
+            lambda i: f"|A - A*| / max(1, max|A_rc|) = {ratio[i]:.3e} exceeds {1e-8:.1e}")
+    sym = (c + star) * 0.5
+    if algebra is Algebra.H:
+        X = spectral._chi(sym)
+    elif algebra is Algebra.C:
+        X = sym[..., 0] + 1j * sym[..., 1]
+    else:
+        X = sym[..., 0]
+    w, V = kernels.eigh(X, vectors=vectors)
+    order = np.argsort(-w, axis=-1, kind="stable")
+    w = np.take_along_axis(w, order, axis=-1)
+    if vectors:
+        V = np.take_along_axis(V, order[..., None, :], axis=-1)
+    if algebra is Algebra.H:
+        scale = np.abs(w).max(axis=-1, initial=0.0)
+        unpaired = np.abs(w[..., 0::2] - w[..., 1::2]).max(axis=-1, initial=0.0) > 1e-7 * scale
+        require(~unpaired, ConvergenceFailure, "eigenvalue pairing failed: chi(A) spectrum is not doubled")
+    return w, V
+
+
+def _reference_gram(c: np.ndarray, algebra: Algebra) -> np.ndarray:
+    """``spectral._gram`` in the component form: A* of all four components."""
+    require(np.isfinite(c).all(axis=(-3, -2, -1)), NotHermitian, "matrix has a non-finite entry")
+    return kernels.quat_matmul(c.swapaxes(-3, -2) * _CONJ, c, algebra.component_count)
+
+
+def _bits(x: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+def _assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+def _gaussian(shape: tuple, algebra: Algebra, seed: int) -> np.ndarray:
+    c = np.zeros(shape + (4,))
+    c[..., : algebra.component_count] = np.random.default_rng(seed).standard_normal(shape + (algebra.component_count,))
+    return c
+
+
+def _hermitian_input(lead: tuple, n: int, algebra: Algebra, seed: int) -> np.ndarray:
+    g = _gaussian(lead + (n, n), algebra, seed)
+    return (g + g.swapaxes(-3, -2) * _CONJ) * 0.5
+
+
+def _product_input(lead: tuple, n: int, algebra: Algebra, seed: int) -> np.ndarray:
+    k = algebra.component_count
+    return kernels.quat_matmul(_gaussian(lead + (n, n), algebra, seed), _gaussian(lead + (n, n), algebra, seed + 1), k)
+
+
+def _signed_zeros_input(T: int, n: int, algebra: Algebra, seed: int) -> np.ndarray:
+    """T Hermitian n x n matrices with entries in {+-0, +-1/2, +-1}, every
+    zero of either sign, each pair (A_rc, A_cr) a conjugate pair up to the sign
+    of a zero."""
+    rng = np.random.default_rng(seed)
+    k = algebra.component_count
+    c = np.zeros((T, n, n, 4))
+    c[..., :k] = rng.choice([-1.0, -0.5, 0.0, 0.0, 0.5, 1.0], (T, n, n, k))
+    lower = np.tril_indices(n, -1)
+    c[:, lower[0], lower[1]] = c.swapaxes(1, 2)[:, lower[0], lower[1]] * _CONJ
+    c[:, np.arange(n), np.arange(n), 1:] = 0.0
+    return np.where((c == 0.0) & (rng.random(c.shape) < 0.5), -0.0, c)
+
+
+def _diagonal(values: list[float]) -> np.ndarray:
+    c = np.zeros((len(values), len(values), 4))
+    c[np.arange(len(values)), np.arange(len(values)), 0] = values
+    return c
+
+
+def _outcome(solve, c, algebra, vectors):
+    """(error type, message) of a solve that raises, else None."""
+    with np.errstate(over="ignore"):
+        try:
+            solve(c, algebra, vectors)
+        except Exception as exc:  # the guard under test, whichever it is
+            return type(exc), str(exc)
+    return None
+
+
+def _assert_solve_keeps_its_bits(c: np.ndarray, algebra: Algebra) -> None:
+    for vectors in (False, True):
+        (w, V), (want_w, want_V) = spectral._solve(c, algebra, vectors), _reference_solve(c, algebra, vectors)
+        _assert_same_bits(w, want_w)
+        if vectors:
+            _assert_same_bits(V, want_V)
+        else:
+            assert V is None
+
+
+def _broken(algebra: Algebra, lead: tuple, at: tuple, value, base=None) -> np.ndarray:
+    """A Gaussian Hermitian 3 x 3 input, or ``base``, alone or as a stack of
+    four, with ``value`` at the index ``at`` of the matrix, or of stack
+    entries 1 and 2."""
+    c = _hermitian_input(lead, 3, algebra, 1700) if base is None else np.broadcast_to(base, lead + base.shape).copy()
+    for t in ([()] if not lead else [(1,), (2,)]):
+        c[t + at] = value
+    return c
+
+
+# (algebra, input builder over the leading axes, expected error, or None for
+# the reference's error): every guard of the solve, in its order
+_GUARD_CASES = {
+    **{f"{kind} in component {q} over {a.value}": (a, lambda lead, a=a, q=q, v=v: _broken(a, lead, (1, 2, q), v), None)
+       for a in (Algebra.R, Algebra.C) for q in range(4) for kind, v in (("NaN", np.nan), ("inf", np.inf))},
+    "component 1 of an R matrix": (
+        Algebra.R, lambda lead: _broken(Algebra.R, lead, (0, 1, 1), 0.5),
+        (AlgebraMismatch, "an entry has components outside R")),
+    "component 2 of a C matrix": (
+        Algebra.C, lambda lead: _broken(Algebra.C, lead, (2, 2, 2), 1e-300),
+        (AlgebraMismatch, "an entry has components outside C")),
+    # a Hermitian C matrix stored as R: its ratio over four components passes,
+    # and the component form solved it with its i-parts dropped
+    "a Hermitian C matrix stored as R": (
+        Algebra.R, lambda lead: _broken(Algebra.R, lead, (..., 1), _hermitian_input((), 3, Algebra.C, 1701)[..., 1]),
+        (AlgebraMismatch, "an entry has components outside R")),
+    **{f"a ratio just above 1e-8 over {a.value}": (
+        a, lambda lead, a=a: _broken(a, lead, (0, 1, a.component_count - 1), 1.01e-8, _diagonal([1.0, 0.5, -1.0])), None)
+       for a in (Algebra.R, Algebra.C)},
+    **{f"a symmetrization that overflows over {a.value}": (
+        a, lambda lead, a=a: _broken(a, lead, (0, 0, 0), 1.5e308, _diagonal([1.0, 0.5, -1.0])),
+        (ConvergenceFailure, "Hermitian eigenproblem has a non-finite entry")) for a in (Algebra.R, Algebra.C)},
+}
+
+
+class TestNativeSolve:
+    """Over R and C, ``_solve`` runs its ratio test and symmetrization on the
+    algebra's own components, ``_gram`` forms A* from them, and every
+    eigenvalue-only solve reverses LAPACK's ascending spectrum.  Values,
+    eigenvectors and Grams keep the bits of the component form.  H shares the
+    reversal and the adjoint, and is held to the same bits."""
+
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["one", "stack"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
+    @pytest.mark.parametrize("algebra", ALGEBRAS)
+    def test_gaussian_hermitian_parts_keep_their_bits(self, algebra, n, lead):
+        _assert_solve_keeps_its_bits(_hermitian_input(lead, n, algebra, 1500 + n), algebra)
+
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["one", "stack"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
+    @pytest.mark.parametrize("algebra", ALGEBRAS)
+    def test_grams_of_gaussian_products_keep_their_bits(self, algebra, n, lead):
+        a = _product_input(lead, n, algebra, 1600 + n)
+        gram = spectral._gram(a, algebra)
+        _assert_same_bits(gram, _reference_gram(a, algebra))
+        _assert_solve_keeps_its_bits(gram, algebra)
+
+    @pytest.mark.parametrize("spectrum", [[1.0, 1.0, 1.0], [2.0, 1.0, 1.0]], ids=["I", "diag(2, 1, 1)"])
+    @pytest.mark.parametrize("algebra", ALGEBRAS)
+    def test_exact_ties_keep_their_bits(self, algebra, spectrum):
+        # equal eigenvalues: the reversed spectrum is the stably sorted one
+        _assert_solve_keeps_its_bits(_diagonal(spectrum), algebra)
+        _assert_solve_keeps_its_bits(np.stack([_diagonal(spectrum), _diagonal(spectrum[::-1])]), algebra)
+
+    @pytest.mark.parametrize("algebra", [Algebra.C, Algebra.H])
+    def test_signed_zero_entries_keep_their_bits(self, algebra):
+        # LAPACK's reflectors read the sign of a zero entry, so a complex
+        # matrix assembled with other zero signs would move the output bits;
+        # over R a matrix is its component 0 as it stands, and the one way its
+        # bits can move is the swap of the next test
+        c = _signed_zeros_input(40, 4, algebra, 1801)
+        _assert_solve_keeps_its_bits(c, algebra)
+        for one in c[:5]:
+            _assert_solve_keeps_its_bits(one, algebra)
+
+    def test_a_spectrum_with_both_zeros_may_swap_them(self):
+        # +0 and -0 compare equal, so LAPACK's order of the two is a tie that
+        # the reversal lists backwards; the values are equal, and nothing that
+        # reads a spectrum tells them apart
+        c = _diagonal([1.0, 0.0, -0.0])
+        got, want = spectral._solve(c, Algebra.R, False)[0], _reference_solve(c, Algebra.R, False)[0]
+        assert np.array_equal(got, want)
+        assert sorted(_bits(got).tolist()) == sorted(_bits(want).tolist())
+
+    @pytest.mark.parametrize("lead", [(), (4,)], ids=["one", "stack"])
+    @pytest.mark.parametrize("case", sorted(_GUARD_CASES))
+    def test_each_guard_rejects_with_its_type_and_message(self, case, lead):
+        algebra, build, expected = _GUARD_CASES[case]
+        c = build(lead)
+        if expected is None:
+            expected = _outcome(_reference_solve, c, algebra, False)
+            assert expected is not None
+        else:
+            expected = (expected[0], expected[1] + (" (stack entry 1)" if lead else ""))
+        for vectors in (False, True):
+            assert _outcome(spectral._solve, c, algebra, vectors) == expected
+
+    @pytest.mark.parametrize("algebra", [Algebra.R, Algebra.C])
+    def test_a_ratio_just_below_1e_8_passes_with_its_bits(self, algebra):
+        c = _broken(algebra, (), (0, 1, algebra.component_count - 1), 0.99e-8, _diagonal([1.0, 0.5, -1.0]))
+        _assert_solve_keeps_its_bits(c, algebra)
+
+
 class TestAbs:
     @pytest.mark.parametrize("algebra", ALGEBRAS)
     def test_abs_of_identity(self, algebra):
         ident = Matrix.identity(3, algebra)
-        assert abs_op(ident).approx_eq(ident, tol=1e-12)
+        assert matrices_close(abs_op(ident), ident, tol=1e-12)
 
     @pytest.mark.parametrize("algebra", ALGEBRAS)
     def test_abs_of_a_scaled_projector(self, algebra):
         rng = SplitMix64(24)
         U = random_unitary(3, algebra, rng)
         P = outer(U.col(0), U.col(0))
-        assert abs_op(P * 2.0).approx_eq(P * 2.0, tol=1e-10)
+        assert matrices_close(abs_op(P * 2.0), P * 2.0, tol=1e-10)
 
     @pytest.mark.parametrize("algebra", ALGEBRAS)
     def test_abs_squares_to_the_gram_matrix(self, algebra):
@@ -392,21 +605,21 @@ class TestAbs:
         rep = check_norm_inequalities(tiny, ident)
         assert rep.slack_ab >= -1e-9 and rep.slack_ba >= -1e-9
         assert abs(rep.adjoint_gap) <= 1e-9 and rep.op_vs_trace_slack >= -1e-9
-        assert abs_op(tiny).approx_eq(tiny, tol=1e-18)
+        assert matrices_close(abs_op(tiny), tiny, tol=1e-18)
         # a small spectrum that is not a multiple of the identity
         D = Matrix.diag([1e-6, 2e-6, 3e-6], algebra)
         assert math.isclose(trace_norm(D), 6e-6, rel_tol=1e-9)
-        assert abs_op(D).approx_eq(D, tol=1e-18)
+        assert matrices_close(abs_op(D), D, tol=1e-18)
 
     def test_abs_of_rotation_block_is_identity(self):
         A = Matrix.from_rows([[0.0, -1.0], [1.0, 0.0]], Algebra.R)
-        assert abs_op(A).approx_eq(Matrix.identity(2, Algebra.R), tol=1e-12)
+        assert matrices_close(abs_op(A), Matrix.identity(2, Algebra.R), tol=1e-12)
 
     def test_abs_fixes_projectors_and_preserves_vector_norms(self):
         rng = SplitMix64(26)
         U = random_unitary(4, Algebra.H, rng)
         P = outer(U.col(0), U.col(0)) + outer(U.col(1), U.col(1))
-        assert abs_op(P).approx_eq(P, tol=1e-9)
+        assert matrices_close(abs_op(P), P, tol=1e-9)
         A = random_matrix(4, 4, Algebra.H, rng)
         absA = abs_op(A)
         for _ in range(10):
@@ -417,12 +630,12 @@ class TestAbs:
         rng = SplitMix64(27)
         U = random_unitary(3, Algebra.C, rng)
         D = Matrix.diag([3.0, 1.0, 0.5], Algebra.C)
-        assert abs_op(U @ D).approx_eq(D, tol=1e-9)
+        assert matrices_close(abs_op(U @ D), D, tol=1e-9)
 
     def test_abs_idempotence_on_positives(self):
         rng = SplitMix64(28)
         A = random_matrix(3, 3, Algebra.H, rng)
-        assert abs_op(abs_op(A)).approx_eq(abs_op(A), tol=1e-9)
+        assert matrices_close(abs_op(abs_op(A)), abs_op(A), tol=1e-9)
 
 
 class TestMakeJ:
@@ -449,7 +662,7 @@ class TestMakeJ:
     def test_one_dimensional_pure_j(self):
         A = Matrix.from_rows([[J]], Algebra.H)
         Jop = make_J(A)
-        assert Jop.entry(0, 0).isclose(J, tol=1e-12)
+        assert quaternions_close(Jop.entry(0, 0), J, tol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 4, 7])
     def test_laws_on_random_matrices(self, n):
@@ -466,7 +679,7 @@ class TestMakeJ:
         A = Matrix.diag([I * 1e-6, 0.0, 0.0], Algebra.H)
         Jop = make_J(A)
         assert self._laws(A, Jop) < 1e-10
-        assert Jop.approx_eq(Matrix.diag([I, I, I], Algebra.H), tol=1e-10)
+        assert matrices_close(Jop, Matrix.diag([I, I, I], Algebra.H), tol=1e-10)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_numerically_hermitian_input_gets_a_unitary_J(self, n):

@@ -1,5 +1,9 @@
+import hashlib
+import importlib.util
 import json
 import math
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,9 @@ from gleason_lab.suite import (
     load_shipped_manifest,
     run_suite,
 )
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _strict_loads(text):
@@ -272,6 +279,18 @@ class TestCli:
         out = capsys.readouterr().out
         for prop in REGISTRY:
             assert prop.name in out
+
+    def test_record_json_holds_the_fields_in_order(self):
+        for record in run_suite(_small_cfg(dims=(2,), trials=2)).records:
+            assert list(record.to_json().items()) == list(asdict(record).items())
+
+    def test_report_digests_hash_the_bytes_the_cli_writes(self, capsysbinary):
+        spec = importlib.util.spec_from_file_location("report_digests", ROOT / "tools" / "report_digests.py")
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        assert tool.CONFIGS[0] == ()
+        cli_main(["run", "--format", "json"])
+        assert tool.digest(()) == hashlib.sha256(capsysbinary.readouterr().out).hexdigest()
 
     def test_run_writes_json_report(self, tmp_path):
         out = tmp_path / "report.json"
