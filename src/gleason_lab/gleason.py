@@ -81,10 +81,13 @@ _POLAR_WEIGHT = 0.5
 # builds at once; a wider probe block is read in column chunks of this many entries,
 # or of one column where one column alone holds more (n > 90).  1 << 15 entries is
 # a 256 KB stack, which stays in a 2 MB L2 cache with the temporaries of its
-# certificate and pairing.  Cost of rank_ones + _real_pairings
-# per column over H, best of 15 runs on one core of a Xeon with 2 MB of L2 per core:
-#   n = 8:  4.9 us at 128 columns (256 KB), 5.1 us at 256, 6.6 us at 1024 (2 MB);
-#   n = 64: 189-215 us at 2-8 columns (256 KB-1 MB), 406 us at 128 columns (16 MB).
+# certificate and pairing.  Cost of rank_ones + _real_pairings per column, best of
+# 15 runs on one core of a Xeon with 2 MB of L2 per core, at 128, 256 and 1024
+# columns (256 KB, 512 KB, 2 MB) for n = 8 and at 2, 8 and 128 columns (256 KB,
+# 1 MB, 16 MB) for n = 64:
+#   R: n = 8: 1.0, 0.9, 1.1 us;              n = 64: 41-42, 36-37, 45-50 us;
+#   C: n = 8: 2.0-2.1, 1.9-2.0, 2.3-2.4 us;  n = 64: 101-104, 97-107, 143-163 us;
+#   H: n = 8: 2.9-3.1, 2.8-3.0, 3.7-4.1 us;  n = 64: 152-164, 158-167, 251-273 us.
 _PROBE_CHUNK_ENTRIES = 1 << 15
 
 
@@ -217,7 +220,7 @@ def measure_from_state(state: DensityOperator) -> LatticeMeasure:
     def ev(algebra: Algebra, stack: np.ndarray) -> np.ndarray:
         if algebra is not state.algebra:
             raise AlgebraMismatch(f"mixed algebras {algebra.value} and {state.algebra.value}")
-        return _real_pairings(stack, state.matrix.comps)
+        return _real_pairings(stack, state.matrix.comps, algebra.component_count)
 
     return LatticeMeasure(evaluate=ev)
 
@@ -404,7 +407,7 @@ def _probe_measures(states: np.ndarray, algebra: Algebra) -> Callable[[np.ndarra
             at = np.arange(start, min(start + width, S * P))
             state, column = np.divmod(at, P)
             stack = Projector.rank_ones(Matrix(algebra, probes[state, :, column].swapaxes(0, 1)))
-            values[at] = _real_pairings(stack, states[state])
+            values[at] = _real_pairings(stack, states[state], algebra.component_count)
         return values.reshape(S, P)
 
     return evaluate
@@ -549,7 +552,8 @@ def _separations(P: np.ndarray, Q: np.ndarray, algebra: Algebra) -> np.ndarray:
     found, psi = _witnesses(P - Q, algebra)
     witness = _pure_states(psi, algebra.component_count)
     _state_spectra(witness, algebra)
-    gaps = np.abs(_real_pairings(P[found], witness) - _real_pairings(Q[found], witness))
+    count = algebra.component_count
+    gaps = np.abs(_real_pairings(P[found], witness, count) - _real_pairings(Q[found], witness, count))
     separated = np.zeros(found.shape, dtype=bool)
     separated[found] = gaps > 1e-8
     return separated

@@ -63,7 +63,8 @@ def quat_matmul(A: np.ndarray, B: np.ndarray, component_count: int = 4) -> np.nd
 
     Over R and C the operands' entries lie in the algebra, so the product is
     one real GEMM of components 0, or one complex GEMM of components 0-1 read
-    as complex numbers, and the other components of the result are zero.
+    as complex numbers (:func:`_own_numbers` copies the operands), and the
+    other components of the result are zero.
 
     Over H it is one complex matrix product through the complex adjoint.
     Read as complex pairs, an entry a0 + a1 i + a2 j + a3 k is
@@ -82,12 +83,8 @@ def quat_matmul(A: np.ndarray, B: np.ndarray, component_count: int = 4) -> np.nd
         raise ValueError(f"cannot multiply {n}x{k} by {B.shape[-3]}x{B.shape[-2]}")
     m = B.shape[-2]
     if component_count < 4:
-        # float64 over R, complex128 over C: the algebra's components of every
-        # entry, contiguous, as one number, so that BLAS takes the operands
-        dtype = np.float64 if component_count == 1 else np.complex128
-        prod = (np.ascontiguousarray(A[..., :component_count]).view(dtype)[..., 0]
-                @ np.ascontiguousarray(B[..., :component_count]).view(dtype)[..., 0])
-        out = np.zeros(prod.shape + (4 // component_count,), dtype)
+        prod = _own_numbers(A, component_count) @ _own_numbers(B, component_count)
+        out = np.zeros(prod.shape + (4 // component_count,), prod.dtype)
         out[..., 0] = prod
         return out.view(np.float64)
     Ac = np.ascontiguousarray(A, dtype=np.float64).view(np.complex128).reshape(A.shape[:-3] + (n, 2 * k))
@@ -99,6 +96,21 @@ def quat_matmul(A: np.ndarray, B: np.ndarray, component_count: int = 4) -> np.nd
     np.matmul(B, HAMILTON[2], out=R[..., 1, :, :])
     prod = Ac @ R.reshape(B.shape[:-3] + (2 * k, 4 * m)).view(np.complex128)
     return prod.view(np.float64).reshape(prod.shape[:-2] + (n, m, 4))
+
+
+def _own_numbers(comps: np.ndarray, component_count: int) -> np.ndarray:
+    """The entries of every matrix of a (..., n, m, 4) stack as contiguous
+    numbers of the algebra with ``component_count`` components: float64 from
+    component 0 over R (1), complex128 from components 0-1 over C (2).
+
+    The C entries are copied as complex numbers, through the complex view of
+    the storage, not as two strided doubles each: several times faster from
+    32 x 32 on, with the same bits.  The last axis must be contiguous, as in
+    every storage the package builds.
+    """
+    if component_count == 2:
+        return np.ascontiguousarray(comps.view(np.complex128)[..., 0])
+    return np.ascontiguousarray(comps[..., 0])
 
 
 def eigh(H: np.ndarray, *, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:

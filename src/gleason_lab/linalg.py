@@ -36,9 +36,11 @@ random function (:func:`random_unit_vector`, :func:`random_phase`,
 :func:`random_unitary`, :func:`random_projector`) the one-draw case of a
 stacked draw from the one Gaussian layout :func:`_gaussian_comps`.
 :meth:`Projector.rank_ones` builds the projectors onto the lines of a block of
-columns with no matrix product, entry by entry through the complex view
-u = z1 + z2 j (:func:`_line_projectors`), and certifies the stack as built,
-through the same view (:func:`_projector_defects`).
+columns with no matrix product, in the algebra's own components
+(:func:`_line_projectors`: one real outer product over R, one complex outer
+product over C, over H two complex products per part of u = z1 + z2 j), and
+certifies the stack as built on the same components
+(:func:`_projector_defects`).
 """
 
 from __future__ import annotations
@@ -110,6 +112,18 @@ def _in_algebra(comps: np.ndarray, algebra: Algebra) -> np.ndarray:
     if comps[..., algebra.component_count:].any():
         raise AlgebraMismatch(f"an entry has components outside {algebra.value}")
     return comps
+
+
+def _require_in_algebra(comps: np.ndarray, algebra: Algebra, axis=(-3, -2, -1)) -> None:
+    """Raise AlgebraMismatch if an entry of ``comps`` has a nonzero component
+    beyond ``algebra``'s, naming the lowest failing matrix of a (..., n, m, 4)
+    stack, or, with ``axis``, the lowest failing index over the other axes
+    (:func:`gleason_lab.errors.require`).  The kernels that read only the
+    algebra's components would drop such a component silently."""
+    k = algebra.component_count
+    # one reduction over the whole array first: per-matrix flags cost more
+    if k < 4 and comps[..., k:].any():
+        require(~comps[..., k:].any(axis=axis), AlgebraMismatch, f"an entry has components outside {algebra.value}")
 
 
 def _check_same_algebra(x, y) -> Algebra:
@@ -542,14 +556,18 @@ class Projector:
         """The certified (k, n, n, 4) stack of the projectors u u* onto the lines of
         the k columns x of X, u = x / |x|, in column order, with no matrix product.
 
-        The entries u_r conj(u_c) of every projector come from two complex
-        broadcast products per complex part (:func:`_line_projectors`).  The
-        Hermitian defect is read from the entries of the stack as built
-        (:func:`_projector_defects`), not from the vectors.  Idempotency is read from
-        the rank-one identity P^2 - P = (|u|^2 - 1) P, so its defect is
-        ||u|^2 - 1| max|P_rc|; both certificates run over the whole stack at
-        the constructor's tolerance, 1e-8.  A zero or non-finite column raises
-        DegenerateInput.
+        The work runs on the algebra's own components of u
+        (:func:`_line_projectors`): over R each projector is one real outer
+        product u u^T, over C one complex outer product u u^*, over H two
+        complex broadcast products per complex part; the components beyond
+        the algebra's are zero.  The Hermitian defect is read from the
+        algebra's components of the stack as built (:func:`_projector_defects`),
+        not from the vectors.  Idempotency is read from the rank-one identity
+        P^2 - P = (|u|^2 - 1) P, so its defect is ||u|^2 - 1| max|P_rc|; both
+        certificates run over the whole stack at the constructor's tolerance,
+        1e-8.  A zero or non-finite column raises DegenerateInput, and a column
+        with a nonzero component outside the algebra AlgebraMismatch, naming
+        the column as its stack entry.
         """
         # one row of 4n contiguous components per column, so each norm sums
         # in the order that a lone column's does
@@ -560,11 +578,13 @@ class Projector:
             raise DegenerateInput("input vector has a non-finite norm")
         if (norms == 0.0).any():
             raise DegenerateInput("zero input vector")
-        U = Xt / norms[:, None, None]
+        _require_in_algebra(Xt, X.algebra, axis=(-2, -1))
+        count = X.algebra.component_count
+        U = Xt[..., :count] / norms[:, None, None]
         stack = _line_projectors(U)
         row_sq = _sq_moduli(U)  # |u_r|^2; max|P_rc| = max_r |u_r|^2
         idem = np.abs(row_sq.sum(axis=1) - 1.0) * row_sq.max(axis=1)
-        _certify_projectors(stack, idem, _PROJECTOR_TOL)
+        _certify_projectors(stack[..., :count], idem, _PROJECTOR_TOL)
         return stack
 
     @property
@@ -585,17 +605,32 @@ class Projector:
 
 def _line_projectors(U: np.ndarray) -> np.ndarray:
     """The (k, n, n, 4) stack of the entries u_r conj(u_c) of u u* over the k
-    unit vectors u stored as the rows of a C-contiguous (k, n, 4) array.
+    unit vectors u stored as the rows of a C-contiguous (k, n, c) array of
+    their algebra's c components: 1 over R, 2 over C, 4 over H.
 
-    Read as complex pairs, as :func:`gleason_lab.kernels.quat_matmul` reads
-    its left factor, each entry is u = z1 + z2 j, and
+    Over R each projector is the real outer product u_r u_c, over C the
+    complex outer product u_r conj(u_c) of the complex view, each written into
+    components 0 to c - 1 of a zero stack.  Over H, read as complex pairs, as
+    :func:`gleason_lab.kernels.quat_matmul` reads its left factor, each entry
+    is u = z1 + z2 j, and
 
         u_r conj(u_c) = (z1_r conj z1_c + z2_r conj z2_c) + (z2_r z1_c - z1_r z2_c) j,
 
     two complex broadcast products per part, written into the complex view of
-    the stack.
+    the stack.  Where the H formula is fed the zero parts of an R or C vector,
+    it adds only zeros, so the R and C stacks have its bits in components 0
+    to c - 1, up to the sign of a zero entry.
     """
-    k, n, _ = U.shape
+    k, n, c = U.shape
+    if c < 4:
+        stack = np.zeros((k, n, n, 4))
+        if c == 1:
+            u = U[..., 0]
+            np.multiply(u[:, :, None], u[:, None, :], out=stack[..., 0])
+        else:
+            z = U.view(np.complex128)[..., 0]
+            np.multiply(z[:, :, None], np.conjugate(z)[:, None, :], out=stack.view(np.complex128)[..., 0])
+        return stack
     z = U.view(np.complex128)
     z1, z2 = z[:, :, 0], z[:, :, 1]
     pairs = np.empty((k, n, n, 2), dtype=np.complex128)
@@ -609,27 +644,34 @@ def _line_projectors(U: np.ndarray) -> np.ndarray:
 
 def _projector_defects(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The Hermitian defect max|P - P*| and the scale max(1, max|P_rc|) of every
-    matrix P of the (..., n, n, 4) ``stack``, read from the stack as built.
+    matrix P of the (..., n, n, c) ``stack``, read from the stack as built: c = 4,
+    or only the algebra's own components of a real (c = 1) or complex (c = 2)
+    stack, whose last axis is then contiguous.
 
-    Through its complex view, each entry is z1 + z2 j, and its quaternion
-    conjugate is conj z1 - z2 j, so P - P* has the parts Z1 - conj Z1^T and
+    Over R, P - P* is P - P^T.  Through the complex view, each entry over C is
+    z1, with conjugate conj z1, and over H it is z1 + z2 j, with quaternion
+    conjugate conj z1 - z2 j, so P - P* has the parts Z1 - conj Z1^T and
     Z2 + Z2^T: the bits that the components of P - conj(P^T) give, since
-    x - (-y) is x + y exactly.
+    x - (-y) is x + y exactly.  A stack whose other components are zero has
+    the same defects read on c components as on four.
     """
-
-    z = np.ascontiguousarray(stack).view(np.complex128)
+    c = stack.shape[-1]
+    if c == 1:
+        return _max_abs(stack - stack.swapaxes(-3, -2)), np.maximum(1.0, _max_abs(stack))
+    z = (stack if c == 2 else np.ascontiguousarray(stack)).view(np.complex128)
     defect = np.empty_like(z)
     d1 = defect[..., 0]
     np.subtract(z[..., 0], np.conjugate(z[..., 0].swapaxes(-1, -2), out=d1), out=d1)
-    np.add(z[..., 1], z[..., 1].swapaxes(-1, -2), out=defect[..., 1])
+    if c == 4:
+        np.add(z[..., 1], z[..., 1].swapaxes(-1, -2), out=defect[..., 1])
     return _max_abs(defect.view(np.float64)), np.maximum(1.0, _max_abs(stack))
 
 
 def _certify_projectors(stack: np.ndarray, idem: np.ndarray, tol: float) -> None:
-    """Raise ValueError unless, for every matrix P of the (..., n, n, 4) ``stack``,
-    its idempotency defect ``idem[p]`` and its Hermitian defect
-    (:func:`_projector_defects`) are within ``tol`` relative to
-    max(1, max|P_rc|); over a stack the lowest failing matrix is named
+    """Raise ValueError unless, for every matrix P of the (..., n, n, c) ``stack``
+    of its first c components, its idempotency defect ``idem[p]`` and its
+    Hermitian defect (:func:`_projector_defects`) are within ``tol`` relative
+    to max(1, max|P_rc|); over a stack the lowest failing matrix is named
     (:func:`gleason_lab.errors.require`).
 
     Precondition: every entry of ``stack`` is finite.  The callers ensure it:

@@ -40,6 +40,7 @@ from .linalg import (
     _max_abs,
     _mul_comps,
     _orthonormality_defects,
+    _require_in_algebra,
     outer_sum,
 )
 from .scalars import Algebra, Quaternion
@@ -62,7 +63,7 @@ class Observable:
     __slots__ = ("matrix", "_dec")
 
     def __init__(self, matrix: Matrix):
-        _check_observables(matrix.comps)
+        _check_observables(matrix.comps, matrix.algebra)
         self.matrix = matrix
         self._dec = None
 
@@ -81,12 +82,15 @@ class Observable:
         return self._dec
 
 
-def _check_observables(comps: np.ndarray) -> None:
+def _check_observables(comps: np.ndarray, algebra: Algebra) -> None:
     """The guards of :class:`Observable` for every matrix of a (..., n, n, 4)
-    stack: finite, and Hermitian to the eigensolver's 1e-8 ratio test, else
-    NotHermitian; over a stack the lowest failing matrix is named."""
+    stack: finite (else NotHermitian), in the algebra (else AlgebraMismatch,
+    as the eigensolver would raise at the decomposition), and Hermitian to
+    the eigensolver's 1e-8 ratio test, else NotHermitian; over a stack the
+    lowest failing matrix is named."""
     # rejected before any arithmetic, which would make numpy warn
     require(np.isfinite(comps).all(axis=(-3, -2, -1)), NotHermitian, "observable has a non-finite entry")
+    _require_in_algebra(comps, algebra)
     star = _adjoint_comps(comps)
     ratio = _hermitian_ratio(comps, star)
     require(ratio <= _HERMITIAN_TOL, NotHermitian,
@@ -191,7 +195,8 @@ def _std_deviations(a: np.ndarray, t: np.ndarray, algebra: Algebra) -> np.ndarra
     lead = a.shape[:-3]
 
     def pairing(x: np.ndarray) -> np.ndarray:  # Re tr(X T) of every pair
-        return _real_pairings(x.reshape((-1,) + x.shape[-3:]), t.reshape((-1,) + t.shape[-3:])).reshape(lead)
+        return _real_pairings(x.reshape((-1,) + x.shape[-3:]), t.reshape((-1,) + t.shape[-3:]),
+                              algebra.component_count).reshape(lead)
 
     mean = pairing(a)
     radicand = pairing(kernels.quat_matmul(a, a, algebra.component_count)) - mean * mean

@@ -76,6 +76,7 @@ from .linalg import (
     _norms,
     _orthonormalize,
     _outer_sums,
+    _require_in_algebra,
     inner,
     outer_sum,
 )
@@ -141,17 +142,6 @@ def _along_last(x: np.ndarray, order: np.ndarray) -> np.ndarray:
     return np.take_along_axis(x, order if x.ndim == order.ndim else order[..., None, :], axis=-1)
 
 
-def _own_comps(comps: np.ndarray, count: int) -> np.ndarray:
-    """The first ``count`` components of every entry of a (..., n, m, 4)
-    stack, as contiguous (..., n, m, count) storage: over R (count 1) that of
-    a float64 matrix, over C (count 2) that of a complex128 one, whose entries
-    are copied as complex numbers rather than two strided doubles each."""
-    if count == 2:
-        own = np.ascontiguousarray(comps.view(np.complex128)[..., 0])
-        return own.view(np.float64).reshape(own.shape + (2,))
-    return np.ascontiguousarray(comps[..., :count])
-
-
 def _solve(c: np.ndarray, algebra: Algebra, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """(eigenvalues descending, eigenvector columns or None) of the exactly
     Hermitian part of every matrix of a (..., n, n, 4) component stack ``c``
@@ -176,11 +166,9 @@ def _solve(c: np.ndarray, algebra: Algebra, vectors: bool) -> tuple[np.ndarray, 
     require(np.isfinite(c).all(axis=(-3, -2, -1)), NotHermitian, "matrix has a non-finite entry")
     k = algebra.component_count
     if k < 4:
-        # one reduction over the whole stack first: per-matrix flags cost more
-        if c[..., k:].any():
-            require(~c[..., k:].any(axis=(-3, -2, -1)), AlgebraMismatch,
-                    f"an entry has components outside {algebra.value}")
-        c = _own_comps(c, k)
+        _require_in_algebra(c, algebra)
+        # the contiguous (..., n, n, k) storage of a float64 or complex128 stack
+        c = kernels._own_numbers(c, k).view(np.float64).reshape(c.shape[:-1] + (k,))
     star = _adjoint_comps(c)
     ratio = _hermitian_ratio(c, star)
     require(ratio <= _HERMITIAN_TOL, NotHermitian,

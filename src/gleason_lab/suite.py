@@ -578,7 +578,8 @@ def _sigma_additivity(cell: Cell, ts: np.ndarray) -> np.ndarray:
     for at, parts in gl._decompositions(U, gl._decomposition_bounds(cuts, n), cell.algebra):
         _check_projectors(parts, cell.algebra)
         k = parts.shape[1]
-        mu = tr._real_pairings(parts.reshape(-1, n, n, 4), np.repeat(T[at], k, axis=0)).reshape(-1, k)
+        mu = tr._real_pairings(parts.reshape(-1, n, n, 4), np.repeat(T[at], k, axis=0),
+                               cell.algebra.component_count).reshape(-1, k)
         # sum(mu(P) for P in parts): the parts' measures added in part order
         total = mu[:, 0]
         for c in range(1, k):
@@ -595,7 +596,7 @@ def _run_measure_range(cell: Cell, ts: np.ndarray) -> np.ndarray:
     n = cell.dim
     G, raw, ranks, H = _draw(cell, ts.size, _MATRIX, ("uniform", n), ("integer", n), _MATRIX)
     T = _states(cell, G, raw)
-    value = tr._real_pairings(_projectors(cell, H, ranks), T)
+    value = tr._real_pairings(_projectors(cell, H, ranks), T, cell.algebra.component_count)
     return np.stack([-value, value - 1.0], axis=-1)
 
 
@@ -696,8 +697,8 @@ def _run_mix_linearity(cell: Cell, ts: np.ndarray) -> np.ndarray:
     mixed = gl._convex_mixes([t1, t2], np.stack([w, 1.0 - w]))
     gl._state_spectra(mixed, cell.algebra)
     P = _projectors(cell, H, ranks)
-    mu = tr._real_pairings
-    return np.abs(mu(P, mixed) - (w * mu(P, t1) + (1.0 - w) * mu(P, t2)))[:, None]
+    mu_mixed, mu1, mu2 = (tr._real_pairings(P, T, cell.algebra.component_count) for T in (mixed, t1, t2))
+    return np.abs(mu_mixed - (w * mu1 + (1.0 - w) * mu2))[:, None]
 
 
 @_stacked
@@ -753,11 +754,11 @@ def _pair_products(atoms: np.ndarray, algebra: Algebra) -> np.ndarray:
     return out[:, ~np.eye(k, dtype=bool)]
 
 
-def _observables(G: np.ndarray) -> np.ndarray:
+def _observables(G: np.ndarray, algebra: Algebra) -> np.ndarray:
     """The Hermitian parts of the Gaussian draws ``G``, certified as
     :class:`~gleason_lab.quantum.Observable` certifies one."""
     A = _hermitian_part(G)
-    qm._check_observables(A)
+    qm._check_observables(A, algebra)
     return A
 
 
@@ -769,7 +770,7 @@ def _pvm_partition_terms(A: qm.Observable) -> Terms:
 
 
 def _pvm_partition(cell: Cell, ts: np.ndarray) -> np.ndarray:
-    A = _observables(*_draw(cell, ts.size, _MATRIX))
+    A = _observables(*_draw(cell, ts.size, _MATRIX), cell.algebra)
     simple, _, U = sp._eig_stack(A, cell.algebra)
     atoms = _rank_one_atoms(U, cell.algebra)
     # PVMap.total(): the atoms added in order from zero, less the identity
@@ -786,7 +787,7 @@ _run_pvm_partition = _stacked(_pvm_partition, matrices=lambda n: n)  # n atoms p
 
 @_stacked
 def _run_functional_calculus(cell: Cell, ts: np.ndarray) -> np.ndarray:
-    A = _observables(*_draw(cell, ts.size, _MATRIX))
+    A = _observables(*_draw(cell, ts.size, _MATRIX), cell.algebra)
     count = cell.algebra.component_count
     # max|A|^2 by Python's power, as the one-matrix form takes it
     scale = np.array([max(1.0, peak**2) for peak in _max_abs(A).tolist()])
@@ -795,7 +796,7 @@ def _run_functional_calculus(cell: Cell, ts: np.ndarray) -> np.ndarray:
     values = values[simple]
     fA = [_outer_sums(U, count, f) for f in (values, values * values)]
     for F in fA:
-        qm._check_observables(F)
+        qm._check_observables(F, cell.algebra)
 
     def alone(t: int) -> list[np.ndarray]:
         obs = qm.Observable(Matrix(cell.algebra, A[t]))
@@ -813,13 +814,14 @@ def _duality_terms(dist: qm.OutcomeMeasure, expectation: float, std: float) -> T
 def _expectation_duality(cell: Cell, ts: np.ndarray) -> np.ndarray:
     n, algebra = cell.dim, cell.algebra
     G, H, raw = _draw(cell, ts.size, _MATRIX, _MATRIX, ("uniform", n))
-    A = _observables(G)
+    A = _observables(G, algebra)
     T = _states(cell, H, raw)
-    expectation, std = tr._real_pairings(A, T), qm._std_deviations(A, T, algebra)
+    count = algebra.component_count
+    expectation, std = tr._real_pairings(A, T, count), qm._std_deviations(A, T, algebra)
     simple, values, U = sp._eig_stack(A, algebra)
     # Re tr(P_s T) of each atom, as the state's lattice measure reads a stack
     probs = tr._real_pairings(_rank_one_atoms(U, algebra).reshape(-1, n, n, 4),
-                              np.repeat(T[simple], n, axis=0)).reshape(-1, n)
+                              np.repeat(T[simple], n, axis=0), count).reshape(-1, n)
     qm._check_probabilities(probs)
     dists = (qm.OutcomeMeasure(tuple(sorted(zip(v, p)))) for v, p in zip(values[simple].tolist(), probs.tolist()))
 
@@ -839,14 +841,14 @@ def _reduction_terms(A: qm.Observable, psi: Matrix, T: Matrix) -> Terms:
 def _pure_state_reduction(cell: Cell, ts: np.ndarray) -> np.ndarray:
     n, k, algebra = cell.dim, cell.algebra.component_count, cell.algebra
     G, X = _draw(cell, ts.size, _MATRIX, ("gaussian", n * k))
-    A = _observables(G)
+    A = _observables(G, algebra)
     psi = _unit_rows(_layout(X, (ts.size, n), algebra))[:, :, None, :]
     T = gl._pure_states(psi, k)
     gl._state_spectra(T, algebra)
     # |Re tr(A T) - Re <psi|A psi>|, with <psi|A psi> summed as inner sums it
     A_psi = kernels.quat_matmul(A, psi, k)
     bracket = _mul_comps(_conj_comps(psi[..., 0, :]), A_psi[..., 0, :]).sum(axis=-2)[:, 0]
-    last = np.abs(tr._real_pairings(A, T) - bracket)
+    last = np.abs(tr._real_pairings(A, T, k) - bracket)
     simple, _, U = sp._eig_stack(A, algebra)
     atoms = _rank_one_atoms(U, algebra)
     traces = tr._real_traces(kernels.quat_matmul(atoms, T[simple][:, None], k))

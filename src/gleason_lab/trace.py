@@ -9,7 +9,7 @@ every operator is trace class and the norm is the nuclear norm.
 
 Re tr(AB) has one kernel, :func:`_real_pairings`: it pairs a whole stack of
 matrices with one operand in a single broadcast product and forms no matrix
-product.  :func:`real_pairing` is its one-matrix case, and the lattice
+product, over R on the real components alone.  :func:`real_pairing` is its one-matrix case, and the lattice
 measure of a state in :mod:`gleason_lab.gleason` reads a probe stack with it.
 Its sums of real parts, :func:`_real_sums`, also read the sampled orbits of
 :func:`gleason_lab.quantum.continuity_scan`.
@@ -74,14 +74,21 @@ def real_trace(A: Matrix) -> float:
     return float(_real_traces(A.comps))
 
 
-def _real_pairings(stack: np.ndarray, B: np.ndarray) -> np.ndarray:
+def _real_pairings(stack: np.ndarray, B: np.ndarray, component_count: int = 4) -> np.ndarray:
     """Re tr(A_p B) for every A_p of the (k, n, m, 4) ``stack`` and the (m, n, 4)
     operand ``B``, or, for a (k, m, n, 4) stack ``B``, Re tr(A_p B_p) of every
-    pair: the one pairing kernel, shared by :func:`real_pairing`.
+    pair, over the algebra with ``component_count`` components: the one
+    pairing kernel, shared by :func:`real_pairing`.
 
     Re(pq) = p_0 q_0 - p_1 q_1 - p_2 q_2 - p_3 q_3, so this is O(knm) work and
-    forms no product.  Value p sums only the entries of A_p and B_p, so a stack
-    of k gives the k one-matrix values, bit for bit.
+    forms no product.  Over R (1) the entries are real, and only components 0
+    are multiplied and summed.  Over C (2) and H (4), the default, all four
+    components are: a C pairing of components 0-1 alone would move the last
+    bit of some values, since numpy sums the three imaginary products of each
+    entry in one buffered reduction whose order follows the four-component
+    layout.  Zero components change no nonzero sum, so an R pairing has the
+    four-component bits.  Value p sums only the entries of A_p and B_p, so a
+    stack of k gives the k one-matrix values, bit for bit.
     """
     if stack.ndim != 4 or B.ndim not in (3, 4):
         raise ValueError(f"need a (k, n, m, 4) stack and one or k operands, got shapes {stack.shape} and {B.shape}")
@@ -90,6 +97,8 @@ def _real_pairings(stack: np.ndarray, B: np.ndarray) -> np.ndarray:
             f"cannot pair {stack.shape[1]}x{stack.shape[2]} with {B.shape[-3]}x{B.shape[-2]}: "
             "need (n, m) and (m, n)"
         )
+    if component_count == 1:
+        return (stack[..., 0] * B[..., 0].swapaxes(-2, -1)).sum(axis=(1, 2))
     return _real_sums(stack * B.swapaxes(-3, -2))
 
 
@@ -105,8 +114,8 @@ def real_pairing(A: Matrix, B: Matrix) -> float:
 
     The one-matrix case of :func:`_real_pairings`: O(nm) work, no product AB.
     """
-    _check_same_algebra(A, B)
-    return float(_real_pairings(A.comps[None], B.comps)[0])
+    algebra = _check_same_algebra(A, B)
+    return float(_real_pairings(A.comps[None], B.comps, algebra.component_count)[0])
 
 
 def _trace_norms(c: np.ndarray, algebra: Algebra) -> np.ndarray:

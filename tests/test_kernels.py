@@ -138,6 +138,32 @@ def test_real_and_complex_products_match_the_hamilton_reference(n, components):
         assert np.abs(got - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
 
 
+def _strided_copy_product(A, B, components):
+    """Reference: the R or C product with each operand copied as ``components``
+    strided doubles per entry before it is read as float64 or complex128."""
+    dtype = np.float64 if components == 1 else np.complex128
+    prod = (np.ascontiguousarray(A[..., :components]).view(dtype)[..., 0]
+            @ np.ascontiguousarray(B[..., :components]).view(dtype)[..., 0])
+    out = np.zeros(prod.shape + (4 // components,), dtype)
+    out[..., 0] = prod
+    return out.view(np.float64)
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 64])
+@pytest.mark.parametrize("components", [1, 2], ids=["R", "C"])
+def test_real_and_complex_operands_copied_as_numbers_keep_the_bits(n, components):
+    # stacks, a transposed stack, a column-sliced one and a lone matrix against
+    # a stack: the operands copied as numbers give the strided copy's product
+    rng = SplitMix64(30 + n)
+    A = np.stack([_in_algebra(rng, n, n + 1, components) for _ in range(3)])
+    B = np.stack([_in_algebra(rng, n + 1, n, components) for _ in range(3)])
+    W = np.stack([_in_algebra(rng, n + 1, 2 * n + 1, components) for _ in range(3)])
+    cases = [(A, B), (B.swapaxes(-3, -2), A.swapaxes(-3, -2)), (A, W[:, :, ::2]), (A[1], B), (A, B[2])]
+    for X, Y in cases:
+        got = kernels.quat_matmul(X, Y, components)
+        assert got.tobytes() == _strided_copy_product(X, Y, components).tobytes()
+
+
 @pytest.mark.parametrize("shapes", [((3, 2), (1, 2)), ((3, 2), (3, 2)), ((2, 1), (3, 1))])
 def test_quat_matmul_rejects_mismatched_inner_dimensions(shapes):
     (n, k), (k2, m) = shapes

@@ -26,9 +26,10 @@ from gleason_lab.linalg import (
     random_unit_vectors,
     random_unitary,
 )
+from gleason_lab.gleason import random_density
 from gleason_lab.rng import SplitMix64
 from gleason_lab.scalars import Algebra, Quaternion
-from gleason_lab.trace import absolute_diagonal_sum, trace_n
+from gleason_lab.trace import _real_pairings, absolute_diagonal_sum, trace_n
 
 from conftest import ALGEBRAS, matrices_close, orthonormality_defect, quaternions_close
 
@@ -395,17 +396,58 @@ def test_rank_ones_match_a_matrix_product_of_each_unit_column_with_its_adjoint(a
     assert (stack[..., algebra.component_count :] == 0).all()
 
 
-def test_rank_ones_certify_the_stack_as_built(monkeypatch):
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+def test_rank_ones_certify_the_stack_as_built(algebra, monkeypatch):
     build = linalg._line_projectors
+    # a component that the algebra's certificate reads: the real part over R
+    component = 0 if algebra is Algebra.R else 1
 
     def skewed(U):
         stack = build(U)
-        stack[1, 0, 1, 1] += 1e-6  # the second projector is no longer Hermitian
+        stack[1, 0, 1, component] += 1e-6  # the second projector is no longer Hermitian
         return stack
 
     monkeypatch.setattr(linalg, "_line_projectors", skewed)
-    with pytest.raises(ValueError, match="hermitian defect"):
-        Projector.rank_ones(random_matrix(3, 2, Algebra.H, SplitMix64(58)))
+    with pytest.raises(ValueError, match=r"hermitian defect 1\.000e-06 \(stack entry 1\)"):
+        Projector.rank_ones(random_matrix(3, 2, algebra, SplitMix64(58)))
+
+
+def _four_component_rank_ones(X: Matrix) -> np.ndarray:
+    """Reference: the line projectors of X's columns built from all four
+    components by the quaternionic formula, as for H."""
+    Xt = np.ascontiguousarray(X.comps.transpose(1, 0, 2))
+    return linalg._line_projectors(Xt / np.sqrt((Xt**2).sum(axis=(1, 2)))[:, None, None])
+
+
+@pytest.mark.parametrize("algebra", [Algebra.R, Algebra.C], ids=["R", "C"])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 33, 64])
+def test_rank_ones_in_the_algebra_match_the_four_component_construction(algebra, n):
+    k = algebra.component_count
+    rng = SplitMix64(60 + n)
+    X = random_matrix(n, 9, algebra, rng)
+    stack, ref = Projector.rank_ones(X), _four_component_rank_ones(X)
+    assert stack.shape == ref.shape
+    # the algebra's components bit for bit, the others zero as numbers
+    assert stack[..., :k].tobytes() == np.ascontiguousarray(ref[..., :k]).tobytes()
+    assert np.array_equal(stack[..., k:], ref[..., k:]) and not stack[..., k:].any()
+    # the certificate on the algebra's components reads the four-component defects
+    for own, four in zip(_projector_defects(stack[..., :k]), _projector_defects(ref)):
+        assert own.tobytes() == four.tobytes()
+    # the lattice measure of a state: Re tr(P T) in the algebra, against four components
+    T = random_density(n, algebra, rng).matrix.comps
+    values = _real_pairings(stack, T, k)
+    assert values.tobytes() == _real_pairings(ref, T).tobytes()
+
+
+@pytest.mark.parametrize("algebra, component", [(Algebra.R, 1), (Algebra.R, 3), (Algebra.C, 2), (Algebra.C, 3)])
+def test_rank_ones_reject_a_column_outside_the_algebra(algebra, component):
+    # the R and C paths read only the algebra's components, so the column is refused, not cut
+    X = random_matrix(3, 4, algebra, SplitMix64(61)).comps.copy()
+    X[1, 2, component] = 0.25
+    with pytest.raises(AlgebraMismatch, match=rf"outside {algebra.value} \(stack entry 2\)"):
+        Projector.rank_ones(Matrix(algebra, X.copy()))
+    X[1, 2, component] = -0.0  # a signed zero lies in the algebra
+    assert Projector.rank_ones(Matrix(algebra, X)).shape == (4, 3, 3, 4)
 
 
 @pytest.mark.parametrize("algebra", ALGEBRAS)
@@ -485,10 +527,12 @@ def test_projector_defects_match_the_component_formula_bit_for_bit(algebra, n, s
     drawn[..., algebra.component_count:] = 0.0
     # the stack as drawn, and the same entries in storage that is not C-contiguous
     for stack in (drawn, np.ascontiguousarray(drawn.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3)):
-        herm, bound = _projector_defects(stack)
         ref_herm, ref_bound = _defects_from_components(stack)
-        assert herm.tobytes() == ref_herm.tobytes()
-        assert bound.tobytes() == ref_bound.tobytes()
+        # all four components, and the algebra's own, as rank_ones hands them over
+        for view in (stack, stack[..., :algebra.component_count]):
+            herm, bound = _projector_defects(view)
+            assert herm.tobytes() == ref_herm.tobytes()
+            assert bound.tobytes() == ref_bound.tobytes()
 
 
 class ZeroThirdDraw(SplitMix64):

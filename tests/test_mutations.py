@@ -4,7 +4,9 @@ A mutant is a ``monkeypatch`` of one named kernel, applied in-process to every
 module of the package that binds the name (or, where stated, to one module).
 The kill rule: ``run_suite`` over R, C and H at dimension 3 with 2 trials must
 report at least one failed record, and a raised error counts as a kill.  The
-unmutated run fails none, so each kill is the mutant's doing.
+unmutated run fails none, so each kill is the mutant's doing.  A mutant that
+no record can see is listed in ``EQUIVALENT`` with the reason, and the run
+must then fail no record.
 """
 
 import sys
@@ -68,10 +70,96 @@ def _line_projectors_with_the_j_part_negated(monkeypatch):
 
     def negated(U):  # (z1_r z2_c - z2_r z1_c) j: still Hermitian, so the certificate passes it
         stack = build(U)
-        stack[..., 2:] *= -1.0
+        if U.shape[-1] == 4:  # the H branch; R and C stacks have no j part
+            stack[..., 2:] *= -1.0
         return stack
 
     _patch_every_binding(monkeypatch, build, negated)
+
+
+def _real_line_projectors_as_the_row_squared(monkeypatch):
+    build = linalg._line_projectors
+
+    def row_squared(U):  # u_r u_r in place of u_r u_c in the R branch
+        stack = build(U)
+        if U.shape[-1] == 1:
+            u = U[..., 0]
+            stack[..., 0] = (u * u)[:, :, None]
+        return stack
+
+    _patch_every_binding(monkeypatch, build, row_squared)
+
+
+def _complex_line_projectors_without_the_conjugate(monkeypatch):
+    build = linalg._line_projectors
+
+    def unconjugated(U):  # u_r u_c in place of u_r conj(u_c) in the C branch
+        stack = build(U)
+        if U.shape[-1] == 2:
+            z = U.view(np.complex128)[..., 0]
+            stack.view(np.complex128)[..., 0] = z[:, :, None] * z[:, None, :]
+        return stack
+
+    _patch_every_binding(monkeypatch, build, unconjugated)
+
+
+def _complex_projector_defects_without_the_conjugate(monkeypatch):
+    defects = linalg._projector_defects
+
+    def unconjugated(stack):  # P - P^T in place of P - P* in the C branch
+        if stack.shape[-1] != 2:
+            return defects(stack)
+        z = stack.view(np.complex128)
+        return linalg._max_abs((z - z.swapaxes(-3, -2)).view(np.float64)), defects(stack)[1]
+
+    _patch_every_binding(monkeypatch, defects, unconjugated)
+
+
+def _real_projector_defects_without_the_transpose(monkeypatch):
+    defects = linalg._projector_defects
+
+    def untransposed(stack):  # P - P in place of P - P^T in the R branch
+        if stack.shape[-1] != 1:
+            return defects(stack)
+        return linalg._max_abs(stack - stack), defects(stack)[1]
+
+    _patch_every_binding(monkeypatch, defects, untransposed)
+
+
+def _real_pairings_reading_component_1(monkeypatch):
+    pair = trace._real_pairings
+
+    def imaginary(stack, B, component_count=4):  # the R branch pairs components 1, all zero
+        if component_count != 1:
+            return pair(stack, B, component_count)
+        return (stack[..., 1] * B[..., 1].swapaxes(-2, -1)).sum(axis=(1, 2))
+
+    _patch_every_binding(monkeypatch, pair, imaginary)
+
+
+def _real_pairings_without_the_transpose(monkeypatch):
+    pair = trace._real_pairings
+
+    def untransposed(stack, B, component_count=4):  # sum_rc A_rc B_rc in the R branch
+        if component_count != 1:
+            return pair(stack, B, component_count)
+        return (stack[..., 0] * B[..., 0]).sum(axis=(1, 2))
+
+    _patch_every_binding(monkeypatch, pair, untransposed)
+
+
+def _complex_operands_copied_conjugated(monkeypatch):
+    own = kernels._own_numbers
+
+    def conjugated(comps, component_count):  # every C operand enters its GEMM or eigensolve conjugated
+        numbers = own(comps, component_count)
+        return np.conjugate(numbers) if component_count == 2 else numbers
+
+    monkeypatch.setattr(kernels, "_own_numbers", conjugated)
+
+
+def _algebra_checks_removed(monkeypatch):
+    _patch_every_binding(monkeypatch, linalg._require_in_algebra, lambda comps, algebra, axis=None: None)
 
 
 def _polarization_weight_doubled(monkeypatch):
@@ -174,6 +262,31 @@ MUTANTS = {
     "witness_at_the_smallest_eigenvalue": _witness_at_the_smallest_eigenvalue,
     "adapted_bases_for_the_negated_unit": _adapted_bases_for_the_negated_unit,
     "reconstruction_with_an_empty_lower_triangle": _reconstruction_with_an_empty_lower_triangle,
+    "real_line_projectors_as_the_row_squared": _real_line_projectors_as_the_row_squared,
+    "complex_line_projectors_without_the_conjugate": _complex_line_projectors_without_the_conjugate,
+    "complex_projector_defects_without_the_conjugate": _complex_projector_defects_without_the_conjugate,
+    "real_pairings_reading_component_1": _real_pairings_reading_component_1,
+    "complex_operands_copied_conjugated": _complex_operands_copied_conjugated,
+}
+
+# Mutants of the R and C branches that no record of the suite can see, each
+# with the reason; the tier-1 test named in it kills the mutant.
+EQUIVALENT = {
+    "real_projector_defects_without_the_transpose": (
+        _real_projector_defects_without_the_transpose,
+        "every R stack the suite certifies is symmetric as built, so a defect read as zero passes what the true "
+        "one passes (tests/test_linalg.py::test_rank_ones_certify_the_stack_as_built[R] kills it)",
+    ),
+    "real_pairings_without_the_transpose": (
+        _real_pairings_without_the_transpose,
+        "every R pair the suite reads is of symmetric matrices (projectors, states, observables), where "
+        "sum A_rc B_rc is Re tr(AB) (tests/test_trace.py::test_real_pairing_is_the_real_trace_of_the_product kills it)",
+    ),
+    "algebra_checks_removed": (
+        _algebra_checks_removed,
+        "the suite draws every matrix in its algebra, so no check fires "
+        "(tests/test_linalg.py::test_rank_ones_reject_a_column_outside_the_algebra kills it)",
+    ),
 }
 
 
@@ -185,6 +298,26 @@ def test_the_unmutated_suite_fails_no_record():
 def test_the_mutant_fails_a_record(mutate, monkeypatch):
     mutate(monkeypatch)
     assert _failed(run_suite(CONFIG)) != []
+
+
+@pytest.mark.parametrize("mutate", [mutate for mutate, _ in EQUIVALENT.values()], ids=EQUIVALENT.keys())
+def test_the_equivalent_mutant_fails_no_record(mutate, monkeypatch):
+    mutate(monkeypatch)
+    assert _failed(run_suite(CONFIG)) == []
+
+
+@pytest.mark.parametrize("mutant, letter", [
+    ("line_projectors_j_part_negated", "H"),
+    ("real_line_projectors_as_the_row_squared", "R"),
+    ("complex_line_projectors_without_the_conjugate", "C"),
+    ("complex_projector_defects_without_the_conjugate", "C"),
+    ("real_pairings_reading_component_1", "R"),
+    ("complex_operands_copied_conjugated", "C"),
+])
+def test_the_branch_mutant_fails_records_of_its_algebra_alone(mutant, letter, monkeypatch):
+    MUTANTS[mutant](monkeypatch)
+    failed = _failed(run_suite(CONFIG))
+    assert failed and all(record.endswith(f"[{letter}]") for record in failed)
 
 
 def test_the_stacked_pvm_atoms_reach_the_block_mutant(monkeypatch):

@@ -103,6 +103,20 @@ class TestPVM:
         with pytest.raises(NotHermitian):
             Observable(Matrix.from_rows([[0.0, 1.0], [0.0, 0.0]], Algebra.R))
 
+    @pytest.mark.parametrize("algebra, component", [(Algebra.R, 1), (Algebra.C, 2)])
+    def test_rejects_a_hermitian_matrix_stored_outside_its_algebra_at_construction(self, algebra, component):
+        # Hermitian over the next algebra up (i or j in the off-diagonal entries),
+        # so the ratio test passes it; the eigensolver would refuse it later
+        comps = np.zeros((2, 2, 4))
+        comps[0, 0, 0], comps[1, 1, 0] = 1.0, -1.0
+        comps[0, 1, component], comps[1, 0, component] = 0.5, -0.5
+        assert Matrix(algebra, comps).is_hermitian()
+        with pytest.raises(AlgebraMismatch, match=f"outside {algebra.value}"):
+            Observable(Matrix(algebra, comps))
+        stack = np.stack([np.eye(2)[..., None] * [1.0, 0.0, 0.0, 0.0]] * 2 + [comps])
+        with pytest.raises(AlgebraMismatch, match=r"\(stack entry 2\)"):
+            quantum._check_observables(stack, algebra)
+
 
 class TestFunctionalCalculus:
     def test_identity_function(self):

@@ -1201,7 +1201,7 @@ def test_the_observable_guards_name_the_lowest_failing_trial(algebra):
     A[3, 1, 0, 0] += 1e-2
     alone = _message(lambda: Observable(Matrix(algebra, A[2])), NotHermitian)
     assert alone.startswith("observable must be Hermitian, defect")
-    assert _message(lambda: quantum._check_observables(A), NotHermitian) == f"{alone} (stack entry 2)"
+    assert _message(lambda: quantum._check_observables(A, algebra), NotHermitian) == f"{alone} (stack entry 2)"
     # an outcome distribution that escapes [0, 1] in trials 1 and 3
     probs = np.array([[0.5, 0.5], [1.2, -0.2], [0.25, 0.75], [-0.1, 1.1]])
     alone = _message(lambda: quantum.OutcomeMeasure(((0.0, 1.2), (1.0, -0.2))), ValueError)

@@ -292,6 +292,33 @@ class TestCli:
         cli_main(["run", "--format", "json"])
         assert tool.digest(()) == hashlib.sha256(capsysbinary.readouterr().out).hexdigest()
 
+    def test_bench_pairs_summary_counts_wins_and_the_parent_iqr(self):
+        spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        old = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+        new = [x - 0.1 for x in old]
+        new[3] = old[3] + 0.01  # the one pair the change loses
+        pairs = [({"wall_s": p, "score": p, "rss": 5.0}, {"wall_s": c, "score": c, "rss": 5.0})
+                 for p, c in zip(old, new)]
+        wall, score, rss = tool.summarize(pairs, {"wall_s": "lower", "score": "higher", "rss": "lower"})
+        # inclusive quartiles of the parent: 0.9825, 1.0, 1.0175
+        assert wall["parent"] == pytest.approx((0.9825, 1.0, 1.0175))
+        assert wall["change"][1] == pytest.approx(0.9)
+        assert wall["delta"] == pytest.approx(-0.1)
+        assert (wall["won"], wall["pairs"], wall["beyond_iqr"], wall["gain"]) == (9, 10, True, True)
+        # the same numbers where higher is better: one win, and the shift is a loss
+        assert (score["won"], score["beyond_iqr"], score["gain"]) == (1, True, False)
+        # ties win nothing, and no shift is beyond an IQR of zero
+        assert (rss["won"], rss["beyond_iqr"], rss["gain"], rss["delta"]) == (0, False, False, 0.0)
+        # eight wins of ten is no gain, however large the shift
+        pairs[5] = ({"wall_s": 1.03, "score": 0, "rss": 5.0}, {"wall_s": 1.2, "score": 0, "rss": 5.0})
+        assert tool.summarize(pairs, {"wall_s": "lower"})[0]["won"] == 8
+        assert not tool.summarize(pairs, {"wall_s": "lower"})[0]["gain"]
+        assert tool.quartiles([2.5]) == (2.5, 2.5, 2.5)
+        lines = tool.format_rows([wall, rss])
+        assert len(lines) == 3 and lines[1].startswith("wall_s") and " 9/10 " in lines[1]
+
     def test_run_writes_json_report(self, tmp_path):
         out = tmp_path / "report.json"
         code = cli_main([

@@ -76,9 +76,11 @@ def test_stacked_pairing_is_a_loop_of_real_pairing_bit_for_bit(algebra, n, k):
         random_matrix(n, k * n, algebra, rng).comps.reshape(n, k, n, 4).transpose(1, 0, 2, 3)
     )
     B = random_matrix(n, n, algebra, rng)
-    values = _real_pairings(stack, B.comps)
+    values = _real_pairings(stack, B.comps, algebra.component_count)
     assert values.shape == (k,)
     assert values.tolist() == [real_pairing(Matrix(algebra, A), B) for A in stack]
+    # in the algebra's arithmetic (over R, components 0 alone), the four-component bits
+    assert values.tobytes() == _real_pairings(stack, B.comps).tobytes()
 
 
 class TestTraceN:
