@@ -70,7 +70,7 @@ from .linalg import (
 )
 from .rng import Ragged, SplitMix64
 from .scalars import Algebra, Quaternion
-from .spectral import EigenDecomposition, _eig_stack, _eigvals, _serve, eig_hermitian
+from .spectral import EigenDecomposition, _eig_stack, _eigvals, eig_hermitian
 from .trace import _real_pairings, _real_traces
 
 _STATE_TOL = 1e-8
@@ -525,22 +525,13 @@ def _witnesses(diff: np.ndarray, algebra: Algebra) -> tuple[np.ndarray, np.ndarr
     """(found, psi) for every Hermitian difference P - Q of a (T, n, n, 4)
     stack: whether its largest |eigenvalue| exceeds 1e-8, and the (F, n, 1, 4)
     eigenvectors of the F found ones at the first such eigenvalue, in the
-    order of :func:`eig_hermitian`.  One stacked eigendecomposition
-    (:func:`~gleason_lab.spectral._eig_stack`) gives every spectrum and serves
-    every basis that :func:`eig_hermitian` takes as solved, which over R and C
-    is all of them.  A difference whose largest |eigenvalue| is at most 1e-8,
-    such as P - P = 0, needs no eigenvector; over H any other with a grouped
-    pair is decomposed alone, in its turn."""
-    served, values, basis = _eig_stack(diff, algebra, atoms=False)
+    order of :func:`eig_hermitian`, read from one stacked eigendecomposition
+    (:func:`~gleason_lab.spectral._eig_stack`).  A difference whose largest
+    |eigenvalue| is at most 1e-8, such as P - P = 0, has no witness."""
+    values, basis = _eig_stack(diff, algebra)
     magnitudes = np.abs(values)
     top, found = magnitudes.argmax(axis=-1), magnitudes.max(axis=-1) > 1e-8
-
-    def alone(t: int) -> np.ndarray | None:
-        return eig_hermitian(Matrix(algebra, diff[t])).basis.comps if found[t] else None
-
-    bases = _serve(served, basis, alone)
-    psi = np.array([bases[t][:, [top[t]]] for t in np.flatnonzero(found)])
-    return found, psi.reshape(-1, diff.shape[-3], 1, 4)
+    return found, basis[found, :, top[found]][:, :, None, :]
 
 
 def _separations(P: np.ndarray, Q: np.ndarray, algebra: Algebra) -> np.ndarray:

@@ -36,7 +36,6 @@ from .linalg import (
     _check_same_algebra,
     _conj_comps,
     _hermitian_ratio,
-    _in_algebra,
     _max_abs,
     _mul_comps,
     _orthonormality_defects,
@@ -44,7 +43,7 @@ from .linalg import (
     outer_sum,
 )
 from .scalars import Algebra, Quaternion
-from .spectral import _ATOM_REL_TOL, _HERMITIAN_TOL, EigenDecomposition, _group_indices, eig_hermitian
+from .spectral import _HERMITIAN_TOL, EigenDecomposition, _group_indices, eig_hermitian
 from .trace import _real_pairings, _real_sums, _real_traces, real_pairing
 
 # entries of the (k, n, n, 4) stack of U_t that _orbit_values builds at once (16 MB).
@@ -54,6 +53,9 @@ from .trace import _real_pairings, _real_sums, _real_traces, real_pairing
 # edge tile.  The cache-sized probe budget, 64 times smaller, moved orbit values
 # this way at n = 17, 33 and 65, among others.
 _ORBIT_CHUNK_ENTRIES = 1 << 21
+# the atoms of an observable are its eigenvalues grouped at this tolerance,
+# relative to the largest |eigenvalue| (_atoms)
+_ATOM_REL_TOL = 1e-7
 
 
 class Observable:
@@ -116,9 +118,12 @@ class PVMap:
 
 def _atoms(values: np.ndarray) -> list[tuple[int, int, float]]:
     """(lo, hi, mean) of each atom of a sorted spectrum: :func:`_group_indices`
-    at ``_ATOM_REL_TOL`` relative to the largest |eigenvalue|."""
-    groups = _group_indices(values, _ATOM_REL_TOL * float(np.abs(values).max(initial=0.0)))
-    return [(a, b, float(np.mean(values[a:b]))) for a, b in groups]
+    at ``_ATOM_REL_TOL`` relative to the largest |eigenvalue|.  The suite
+    groups one spectrum per trial, so the walk reads Python floats, and a lone
+    eigenvalue, the mean of itself, is taken as it stands."""
+    row = values.tolist()
+    groups = _group_indices(row, _ATOM_REL_TOL * max(map(abs, row), default=0.0))
+    return [(a, b, row[a] if b - a == 1 else float(np.mean(values[a:b]))) for a, b in groups]
 
 
 def pvm_of(A: Observable) -> PVMap:
@@ -342,7 +347,8 @@ def rotation_group_from_hermitian(H: Matrix, imag_unit: Quaternion) -> GroupPath
     """
     if H.algebra is Algebra.R:
         raise ValueError("use rotation_group_from_skew over R")
-    unit = _in_algebra(imag_unit.to_array(), H.algebra)
+    unit = imag_unit.to_array()
+    _require_in_algebra(unit, H.algebra, axis=-1)
     dec = eig_hermitian(H)
     U = dec.basis.comps
     U_star = np.transpose(_conj_comps(U), (1, 0, 2))

@@ -14,43 +14,37 @@ chi(A*) = chi(A)*, chi(I) = I), every eigenvalue of chi(A) appears with even
 multiplicity, and a complex eigenvector (u; v) lifts to the quaternionic
 eigenvector w = u - conj(v) j.  The lift is guarded twice: chi(A)'s sorted
 spectrum must be n consecutive equal pairs, else ConvergenceFailure, and
-every pair must yield one unit column.  A simple pair (the generic case)
-keeps its first lifted column, normalized, and all simple pairs are lifted as
-one block (``_lift``); that column has norm 1 for an honest solve, and one of norm at
-most 1e-6 raises ConvergenceFailure.  The lifted columns of a group of two or
-more equal pairs go through the one Gram-Schmidt,
-:func:`gleason_lab.linalg._orthonormalize`, which must keep one column per
-pair.  On a simple pair the block gives what that Gram-Schmidt would.
+every pair must yield one unit column.  Every pair's first lifted column,
+normalized, is taken at once (``_lift``); it has norm 1 for an honest solve,
+and one of norm at most 1e-6 raises ConvergenceFailure.  On a simple pair
+that is what the one Gram-Schmidt, :func:`gleason_lab.linalg._orthonormalize`,
+would give.  The lifted columns of a group of two or more equal pairs then go
+through that Gram-Schmidt (``_lift_groups``), which must keep one column per
+pair.
 
-Both public solvers share one guarded solve, ``_solve``, and its guards are
-identical for both.  Over R and C the guards and the symmetrization run on
-the algebra's own components, the storage of a float64 or complex128 matrix,
-and a component outside the algebra is rejected (AlgebraMismatch); over H
-they run on all four.  The Gram matrix A*A forms A* from the algebra's own
-components too.  ``_solve``, the Gram matrix and the norms take a stack
-of matrices with leading axes; the public functions are their one-matrix
-cases.  :func:`eig_hermitian` asks the kernel for eigenvectors
-and lifts the eigenbasis; :func:`eigvals_hermitian` asks for eigenvalues only
-(LAPACK's eigenvalue-only driver), reads the spectrum backwards, over H as the
-pair means, and builds no basis.  The norms (:func:`singular_values`,
+``_eig_stack`` is the one eigendecomposition: one guarded solve of a stack
+with any leading axes, or of one matrix, and a basis for every matrix.  The
+matrices that share a group's place form one Gram-Schmidt stack, and each
+gets the bits it gets alone.  :func:`eig_hermitian` is its one-matrix case.
+It and the eigenvalue-only ``_eigvals`` share the one guarded solve,
+``_solve``, and its guards.  Over
+R and C the guards and the symmetrization run on the algebra's own
+components, the storage of a float64 or complex128 matrix, and a component
+outside the algebra is rejected (AlgebraMismatch); over H they run on all
+four.  The Gram matrix A*A forms A* from the algebra's own components too.
+``_solve``, the Gram matrix and the norms take a stack of matrices with
+leading axes; the public functions are their one-matrix cases.
+:func:`eigvals_hermitian` asks for eigenvalues only (LAPACK's
+eigenvalue-only driver), reads the spectrum backwards, over H as the pair
+means, and builds no basis.  The norms (:func:`singular_values`,
 :func:`op_norm`, and through them the trace norm), positivity and the state
 check read only the spectrum, so they take :func:`eigvals_hermitian` and
 compute no eigenvectors.  Spectral measures need the basis, and so do |A| and
-the polar direction J, each from one eigendecomposition of A*A.
-
-``_eig_stack`` decomposes a (T, n, n, 4) stack with one guarded solve. It
-gives every matrix's spectrum as :func:`eig_hermitian` does (over H through
-the one pair grouping, ``_pair_spectra``) and serves, bit for bit, every
-eigenbasis that :func:`eig_hermitian` takes as the solve gives it: over R and
-C all of them, over H those whose pairs form no group, through the one
-simple-pair lift, ``_lift``.  Its callers that build spectral measures ask for
-a simple spectrum as atoms too (``_simple_spectra``), as a Gaussian
-Hermitian draw's is with probability 1.  A matrix that is not served is left
-to its caller, which decomposes it alone (``_serve``).  The skew polar
-(J, tr|A - A*|) of :func:`make_J` is the one-matrix case of ``_skew_polars``,
-which builds it from the decomposition of (A - A*)*(A - A*) for a whole
-stack, and ``_adapted_bases`` runs the sweep of :func:`adapted_basis` over a
-stack of J.
+the polar direction J, each from one eigendecomposition of A*A.  The skew
+polar (J, tr|A - A*|) of :func:`make_J` is the one-matrix case of
+``_skew_polars``, which builds it from the decomposition of (A - A*)*(A - A*)
+for a whole stack, and ``_adapted_bases`` runs the sweep of
+:func:`adapted_basis` over a stack of J.
 
 Eigenbases and adapted bases come back as the columns of one
 :class:`~gleason_lab.linalg.Matrix`; a single vector is an n x 1 Matrix.
@@ -58,7 +52,6 @@ Eigenbases and adapted bases come back as the columns of one
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,9 +77,6 @@ from .scalars import Algebra, Quaternion
 
 _HERMITIAN_TOL = 1e-8
 _GROUP_TOL = 1e-7
-# the atoms of an observable are its eigenvalues grouped at this tolerance,
-# relative to the largest |eigenvalue| (gleason_lab.quantum._atoms)
-_ATOM_REL_TOL = 1e-7
 _CLAMP_REL = 1e-10
 
 
@@ -269,71 +259,62 @@ def _pair_spectra(w: np.ndarray) -> tuple[np.ndarray, list]:
     return values, groups
 
 
-def eig_hermitian(A: Matrix) -> EigenDecomposition:
-    """Orthonormal eigenbasis of a Hermitian matrix over R, C or H."""
-    w, V = _solve(A.comps, A.algebra, vectors=True)
-    if A.algebra is not Algebra.H:
-        return EigenDecomposition(Matrix(A.algebra, _basis_comps(V)), w)
-    n = A.n
-    values, [groups] = _pair_spectra(w)
-    basis = np.empty((n, n, 4))
-    simple = np.array([a for a, b in groups if b - a == 1], dtype=np.intp)
-    basis[:, simple] = _lift(V, simple)
-    for a, b in groups:
-        want = b - a
-        if want == 1:
-            continue
-        got, _ = _orthonormalize(_lifted(V[:, 2 * a : 2 * b]), 1e-6, limit=want)
-        if got.shape[1] != want:
-            raise ConvergenceFailure(
-                f"could not lift {want} independent eigenvectors from a group of {2 * want}"
-            )
-        basis[:, a:b] = got
-    return EigenDecomposition(Matrix(Algebra.H, basis), values)
+def _lift_groups(V: np.ndarray, basis: np.ndarray, groups: list) -> None:
+    """Write into the (..., n, n, 4) ``basis`` the lifted columns of every
+    group of two or more equal pairs, from chi's sorted (..., 2n, 2n)
+    eigenvector columns V and each matrix's ``groups``, in row-major order:
+    the columns that :func:`_orthonormalize` keeps of the group's lifts, which
+    must be one per pair, else ConvergenceFailure, over a stack for the lowest
+    failing matrix.  The matrices that share a group's (a, b) form one stack
+    (:func:`_groups`); a matrix whose own sweep keeps other columns than the
+    stack's runs alone, so each gets the bits it gets alone."""
+    grouped = [(t, a, b) for t, row in enumerate(groups) for a, b in row if b - a > 1]
+    if not grouped:
+        return
+    n = basis.shape[-3]
+    flat, Vf = basis.reshape(-1, n, n, 4), V.reshape(-1, 2 * n, 2 * n)
+    rows = np.array([t for t, _, _ in grouped], dtype=np.intp)
+    failed = np.zeros(flat.shape[0], dtype=np.intp)  # per matrix, the size of its first group that failed
+    for (a, b), at in _groups([(a, b) for _, a, b in grouped]):
+        want, ts = b - a, rows[at]
+        lifted = _lifted(Vf[ts, :, 2 * a : 2 * b])
+        got, residuals = _orthonormalize(lifted, 1e-6, limit=want)
+        alone = (residuals > 1e-6).sum(axis=-1) != want
+        if not alone.all():
+            flat[ts[~alone], :, a:b] = got[~alone]
+        for i in np.flatnonzero(alone):
+            one, _ = _orthonormalize(lifted[i], 1e-6, limit=want)
+            if one.shape[-2] == want:
+                flat[ts[i], :, a:b] = one
+            elif not failed[ts[i]]:
+                failed[ts[i]] = want
+    failed = failed.reshape(basis.shape[:-3])
+    require(failed == 0, ConvergenceFailure,
+            lambda i: f"could not lift {failed[i]} independent eigenvectors from a group of {2 * failed[i]}")
 
 
-def _simple_spectra(values: np.ndarray) -> np.ndarray:
-    """Whether each matrix of a stack has a simple spectrum as atoms: every
-    group that :func:`_group_indices` forms of its sorted ``values`` at
-    ``_ATOM_REL_TOL`` max|values| is a singleton, as the atoms of
-    :func:`gleason_lab.quantum.pvm_of` are."""
-    tols = (_ATOM_REL_TOL * np.abs(values).max(axis=-1, initial=0.0)).ravel().tolist()
-    rows = values.reshape(-1, values.shape[-1]).tolist()
-    simple = [len(_group_indices(row, tol)) == len(row) for row, tol in zip(rows, tols)]
-    return np.array(simple, dtype=bool).reshape(values.shape[:-1])
-
-
-def _eig_stack(c: np.ndarray, algebra: Algebra, atoms: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(served, values, basis) of a (T, n, n, 4) stack of Hermitian matrices,
-    from one guarded solve of the whole stack (:func:`_solve`).  ``values``
-    (T, n) are the spectra that :func:`eig_hermitian` gives, bit for bit.
-    ``served`` flags the matrices whose eigenbasis :func:`eig_hermitian`
-    takes as the solve gives it: every matrix over R and C, over H one whose
-    pairs form no group, each pair lifted by :func:`_lift`.  With ``atoms``
-    (the runners that build a spectral measure) a served matrix must also
-    have a simple spectrum as atoms (:func:`_simple_spectra`).  ``basis``
-    (S, n, n, 4) holds the eigenbases of the S served matrices, in order, bit
-    for bit as :func:`eig_hermitian` gives them; the caller decomposes any
-    other matrix alone (:func:`_serve`)."""
+def _eig_stack(c: np.ndarray, algebra: Algebra) -> tuple[np.ndarray, np.ndarray]:
+    """(values, basis) of every Hermitian matrix of a (..., n, n, 4) stack, or
+    of one (n, n, 4) matrix, from one guarded solve (:func:`_solve`): the real
+    eigenvalues (..., n), sorted descending, and an orthonormal eigenbasis as
+    the (..., n, n, 4) columns.  Over R and C the basis is the solve's.  Over
+    H the values are the pair means of :func:`_pair_spectra`; every pair is
+    lifted by :func:`_lift`, and then each group of two or more pairs is
+    lifted again by :func:`_lift_groups`."""
     w, V = _solve(c, algebra, vectors=True)
-    if algebra is Algebra.H:
-        values, groups = _pair_spectra(w)
-        served = np.array([len(g) == values.shape[-1] for g in groups], dtype=bool)
-    else:
-        values, served = w, np.ones(w.shape[:-1], dtype=bool)
-    if atoms:
-        served &= _simple_spectra(values)
     if algebra is not Algebra.H:
-        return served, values, _basis_comps(V[served])
-    return served, values, np.ascontiguousarray(_lift(V[served], np.arange(c.shape[-3])))
+        return w, _basis_comps(V)
+    values, groups = _pair_spectra(w)
+    basis = np.ascontiguousarray(_lift(V, np.arange(c.shape[-3])))
+    _lift_groups(V, basis, groups)
+    return values, basis
 
 
-def _serve(served: np.ndarray, items: Iterable, fallback: Callable[[int], object]) -> list:
-    """One item per matrix of a stack, in order: the next of ``items`` for
-    each matrix that ``served`` flags (:func:`_eig_stack`), else
-    ``fallback(t)``, the one-matrix code on matrix t, run in its turn."""
-    items = iter(items)
-    return [next(items) if flag else fallback(t) for t, flag in enumerate(served)]
+def eig_hermitian(A: Matrix) -> EigenDecomposition:
+    """Orthonormal eigenbasis of a Hermitian matrix over R, C or H; the
+    one-matrix case of :func:`_eig_stack`."""
+    values, basis = _eig_stack(A.comps, A.algebra)
+    return EigenDecomposition(Matrix(A.algebra, basis), values)
 
 
 def _gram(c: np.ndarray, algebra: Algebra) -> np.ndarray:

@@ -40,18 +40,15 @@ redraw at once, which happens with probability near zero.
 
 The runners that decompose observables, ``extremality`` for its mixed
 states, ``separation`` for P - Q and the adapted-basis formula for the skew
-polar take one stacked eigendecomposition
-(:func:`~gleason_lab.spectral._eig_stack`).  It serves a trial's eigenbasis
-from the stacks where :func:`~gleason_lab.spectral.eig_hermitian` would give
-the same one: over R and C always, over H when no two eigenvalue pairs
-group.  The runners that build atoms need a simple spectrum too, as a
-Gaussian draw's is with probability 1: its atoms are the projectors onto its
-n eigenvectors, n matrices per trial in the chunk budget, built and certified
-as one stack.  Any other trial, such as a mixed state of rank below n - 1
-over H, runs the one-matrix code on its drawn matrices, in its turn
-(:func:`~gleason_lab.spectral._serve`); either way its terms have the same
-bits.  So does an adapted basis that drops one of its first n candidates,
-which no Gaussian draw was seen to do.
+polar read every trial's eigenbasis from one stacked eigendecomposition
+(:func:`~gleason_lab.spectral._eig_stack`), the bits that
+:func:`~gleason_lab.spectral.eig_hermitian` gives each matrix.  The runners
+that build atoms group each trial's spectrum as
+:func:`~gleason_lab.quantum.pvm_of` does; the trials with one block layout
+build and certify their atoms as one stack (``_atom_projectors``), and a
+trial's terms are as many as its atoms.  An adapted basis that drops one of
+its first n candidates, which no Gaussian draw was seen to do, runs the
+one-matrix sweep on that trial, with the same bits.
 
 The residual of a cell is the worst of its terms, trial-major, ``max(0.0,
 *terms)`` taken in order by ``_worst``, so a term <= 0 counts for nothing.  A
@@ -399,9 +396,7 @@ def _adapted_trace_formula(cell: Cell, ts: np.ndarray) -> np.ndarray:
     scale = 1.0 + tr._trace_norms(A, H)
     C = A - _adjoint_comps(A)
     gram = sp._gram(C, H)
-    served, values, U = sp._eig_stack(gram, H, atoms=False)
-    basis = np.array(sp._serve(served, U, lambda t: sp.eig_hermitian(Matrix(H, gram[t])).basis.comps))
-    J, skew = sp._skew_polars(C, values, basis)
+    J, skew = sp._skew_polars(C, *sp._eig_stack(gram, H))
     real = tr._real_traces(A)
     terms = []
     for units in (np.tile(Quaternion.I.to_array(), (ts.size, 1)), _unit_imaginaries(parts)):
@@ -422,8 +417,7 @@ _run_adapted_trace_formula = _stacked(_adapted_trace_formula, matrices=lambda n:
 def _run_diagonal_basis_cyclicity(cell: Cell, ts: np.ndarray) -> np.ndarray:
     G, B = _draw(cell, ts.size, _MATRIX, _MATRIX)
     A = _hermitian_part(G)
-    simple, _, U = sp._eig_stack(A, cell.algebra)
-    bases = np.array(sp._serve(simple, U, lambda t: sp.eig_hermitian(Matrix(cell.algebra, A[t])).basis.comps))
+    _, bases = sp._eig_stack(A, cell.algebra)
     count = cell.algebra.component_count
     ab, ba, full = (tr._traces(kernels.quat_matmul(x, y, count), bases, cell.algebra)
                     for x, y in ((A, B), (B, A), (A, _hermitian_part(B))))
@@ -619,9 +613,7 @@ def _extremality(cell: Cell, ts: np.ndarray) -> np.ndarray:
     terms = np.ones(ts.size)  # 1.0 for a mixed state that is extremal
     if split.size:
         S = mixed[split]
-        served, values, basis = sp._eig_stack(S, algebra, atoms=False)
-        basis = np.array(sp._serve(served, basis, lambda t: sp.eig_hermitian(Matrix(algebra, S[t])).basis.comps))
-        w1, T1, T2 = gl._extremal_splits(values, basis, algebra)
+        w1, T1, T2 = gl._extremal_splits(*sp._eig_stack(S, algebra), algebra)
         gl._state_spectra(T1, algebra)
         gl._state_spectra(T2, algebra)
         recombined = gl._convex_mixes([T1, T2], np.stack([w1, 1.0 - w1]))
@@ -721,14 +713,33 @@ def _run_dim2_obstruction(cell: Cell) -> float:
     return _worst((cert.additivity_gap + abs(cert.identity_value - 1.0), fit_shortfall))
 
 
-def _rank_one_atoms(U: np.ndarray, algebra: Algebra) -> np.ndarray:
-    """The certified (S, n, n, n, 4) stack of the atoms of S observables with
-    simple spectra and eigenbases U, built and certified as
-    :func:`~gleason_lab.quantum.pvm_of` builds and certifies them: the
-    projectors onto the single columns (:func:`_block_projectors`)."""
-    atoms = _block_projectors(U, [(c, c + 1) for c in range(U.shape[-2])], algebra)
-    _check_projectors(atoms, algebra)
-    return atoms
+def _atom_projectors(A: np.ndarray, algebra: Algebra) -> list:
+    """(trials, means, P) for each block layout of the atoms of the
+    observables of a (T, n, n, 4) stack, from one stacked eigendecomposition
+    (:func:`~gleason_lab.spectral._eig_stack`), each trial's spectrum grouped
+    as :func:`~gleason_lab.quantum.pvm_of` groups it
+    (:func:`~gleason_lab.quantum._atoms`): the trials that share the layout,
+    their (t, k) atom means and the certified (t, k, n, n, 4) stack of their
+    atoms, built and certified as :func:`~gleason_lab.quantum.pvm_of` builds
+    and certifies them: the projectors onto the column blocks
+    (:func:`_block_projectors`), one stack per layout (:func:`_groups`)."""
+    values, basis = sp._eig_stack(A, algebra)
+    atoms = [qm._atoms(row) for row in values]
+    out = []
+    for blocks, at in _groups([tuple((a, b) for a, b, _ in row) for row in atoms]):
+        P = _block_projectors(basis[at], blocks, algebra)
+        _check_projectors(P, algebra)
+        out.append((at, np.array([[s for _, _, s in atoms[t]] for t in at.tolist()]), P))
+    return out
+
+
+def _trial_rows(count: int, parts: Iterable) -> list:
+    """The terms of ``count`` trials, in trial order, from (trials, rows) parts."""
+    rows: list = [None] * count
+    for at, part in parts:
+        for t, row in zip(at.tolist(), part):
+            rows[t] = row
+    return rows
 
 
 def _pair_products(atoms: np.ndarray, algebra: Algebra) -> np.ndarray:
@@ -762,24 +773,20 @@ def _observables(G: np.ndarray, algebra: Algebra) -> np.ndarray:
     return A
 
 
-def _pvm_partition_terms(A: qm.Observable) -> Terms:
-    pvm = qm.pvm_of(A)
-    return [(pvm.total() - Matrix.identity(A.n, A.algebra)).max_abs()] + [
-        (P1.matrix @ P2.matrix).max_abs() for s1, P1 in pvm.atoms for s2, P2 in pvm.atoms if s1 != s2
-    ]
-
-
 def _pvm_partition(cell: Cell, ts: np.ndarray) -> np.ndarray:
     A = _observables(*_draw(cell, ts.size, _MATRIX), cell.algebra)
-    simple, _, U = sp._eig_stack(A, cell.algebra)
-    atoms = _rank_one_atoms(U, cell.algebra)
-    # PVMap.total(): the atoms added in order from zero, less the identity
-    total = np.zeros(U.shape)
-    for c in range(cell.dim):
-        total = total + atoms[:, c]
-    total[..., np.arange(cell.dim), np.arange(cell.dim), 0] -= 1.0
-    served = np.concatenate([_max_abs(total)[:, None], _pair_products(atoms, cell.algebra)], axis=1)
-    return _rows(sp._serve(simple, served, lambda t: _pvm_partition_terms(qm.Observable(Matrix(cell.algebra, A[t])))))
+    n = cell.dim
+
+    def terms(P: np.ndarray) -> np.ndarray:
+        # PVMap.total(): the atoms added in order from zero, less the identity
+        total = np.zeros(P.shape[:1] + P.shape[2:])
+        for c in range(P.shape[1]):
+            total = total + P[:, c]
+        total[..., np.arange(n), np.arange(n), 0] -= 1.0
+        return np.concatenate([_max_abs(total)[:, None], _pair_products(P, cell.algebra)], axis=1)
+
+    layouts = _atom_projectors(A, cell.algebra)
+    return _rows(_trial_rows(ts.size, ((at, terms(P)) for at, _, P in layouts)))
 
 
 _run_pvm_partition = _stacked(_pvm_partition, matrices=lambda n: n)  # n atoms per trial
@@ -791,18 +798,16 @@ def _run_functional_calculus(cell: Cell, ts: np.ndarray) -> np.ndarray:
     count = cell.algebra.component_count
     # max|A|^2 by Python's power, as the one-matrix form takes it
     scale = np.array([max(1.0, peak**2) for peak in _max_abs(A).tolist()])
-    simple, values, U = sp._eig_stack(A, cell.algebra)
-    # f(A) = U diag(f(s)) U* for f(x) = x and x * x, built and certified as apply_function does
-    values = values[simple]
-    fA = [_outer_sums(U, count, f) for f in (values, values * values)]
-    for F in fA:
+    values, basis = sp._eig_stack(A, cell.algebra)
+    # f(A) = U diag(f(s)) U* for f(x) = x and x * x, each atom's columns
+    # weighted by f(mean) (quantum._atoms), built and certified as apply_function does
+    means = np.empty(values.shape)
+    for row, spectrum in zip(means, values):
+        for a, b, s in qm._atoms(spectrum):
+            row[a:b] = s
+    identity, square = (_outer_sums(basis, count, f) for f in (means, means * means))
+    for F in (identity, square):
         qm._check_observables(F, cell.algebra)
-
-    def alone(t: int) -> list[np.ndarray]:
-        obs = qm.Observable(Matrix(cell.algebra, A[t]))
-        return [qm.apply_function(obs, f).matrix.comps for f in (lambda x: x, lambda x: x * x)]
-
-    identity, square = (np.array(stack) for stack in zip(*sp._serve(simple, zip(*fA), alone)))
     return np.stack([_max_abs(identity - A), _max_abs(square - kernels.quat_matmul(A, A, count)) / scale], axis=-1)
 
 
@@ -818,24 +823,20 @@ def _expectation_duality(cell: Cell, ts: np.ndarray) -> np.ndarray:
     T = _states(cell, H, raw)
     count = algebra.component_count
     expectation, std = tr._real_pairings(A, T, count), qm._std_deviations(A, T, algebra)
-    simple, values, U = sp._eig_stack(A, algebra)
-    # Re tr(P_s T) of each atom, as the state's lattice measure reads a stack
-    probs = tr._real_pairings(_rank_one_atoms(U, algebra).reshape(-1, n, n, 4),
-                              np.repeat(T[simple], n, axis=0), count).reshape(-1, n)
-    qm._check_probabilities(probs)
-    dists = (qm.OutcomeMeasure(tuple(sorted(zip(v, p)))) for v, p in zip(values[simple].tolist(), probs.tolist()))
 
-    def alone(t: int) -> qm.OutcomeMeasure:
-        return qm.outcome_measure(qm.Observable(Matrix(algebra, A[t])), gl.DensityOperator(Matrix(algebra, T[t])))
+    def dists(at: np.ndarray, means: np.ndarray, P: np.ndarray) -> list[qm.OutcomeMeasure]:
+        # Re tr(P_s T) of each atom, as the state's lattice measure reads a stack
+        k = P.shape[1]
+        probs = tr._real_pairings(P.reshape(-1, n, n, 4), np.repeat(T[at], k, axis=0), count).reshape(-1, k)
+        qm._check_probabilities(probs)
+        return [qm.OutcomeMeasure(tuple(sorted(zip(s, p)))) for s, p in zip(means.tolist(), probs.tolist())]
 
-    return np.array([_duality_terms(*row) for row in zip(sp._serve(simple, dists, alone), expectation, std)])
+    layouts = _atom_projectors(A, algebra)
+    measures = _trial_rows(ts.size, ((at, dists(at, means, P)) for at, means, P in layouts))
+    return np.array([_duality_terms(*row) for row in zip(measures, expectation, std)])
 
 
 _run_expectation_duality = _stacked(_expectation_duality, matrices=lambda n: n)
-
-
-def _reduction_terms(A: qm.Observable, psi: Matrix, T: Matrix) -> Terms:
-    return [abs(tr.real_trace(P.matrix @ T) - (P.matrix @ psi).norm() ** 2) for _, P in qm.pvm_of(A).atoms]
 
 
 def _pure_state_reduction(cell: Cell, ts: np.ndarray) -> np.ndarray:
@@ -849,17 +850,16 @@ def _pure_state_reduction(cell: Cell, ts: np.ndarray) -> np.ndarray:
     A_psi = kernels.quat_matmul(A, psi, k)
     bracket = _mul_comps(_conj_comps(psi[..., 0, :]), A_psi[..., 0, :]).sum(axis=-2)[:, 0]
     last = np.abs(tr._real_pairings(A, T, k) - bracket)
-    simple, _, U = sp._eig_stack(A, algebra)
-    atoms = _rank_one_atoms(U, algebra)
-    traces = tr._real_traces(kernels.quat_matmul(atoms, T[simple][:, None], k))
-    # |P psi|^2 by Python's power, as the one-matrix form takes it
-    lengths = [x**2 for x in _norms(kernels.quat_matmul(atoms, psi[simple][:, None], k)).ravel().tolist()]
-    served = np.abs(traces - np.reshape(lengths, traces.shape))
 
-    def alone(t: int) -> Terms:
-        return _reduction_terms(qm.Observable(Matrix(algebra, A[t])), Matrix(algebra, psi[t]), Matrix(algebra, T[t]))
+    def terms(at: np.ndarray, P: np.ndarray) -> np.ndarray:
+        traces = tr._real_traces(kernels.quat_matmul(P, T[at][:, None], k))
+        # |P psi|^2 by Python's power, as the one-matrix form takes it
+        lengths = [x**2 for x in _norms(kernels.quat_matmul(P, psi[at][:, None], k)).ravel().tolist()]
+        return np.abs(traces - np.reshape(lengths, traces.shape))
 
-    return _rows([[*row, x] for row, x in zip(sp._serve(simple, served, alone), last)])
+    layouts = _atom_projectors(A, algebra)
+    served = _trial_rows(ts.size, ((at, terms(at, P)) for at, _, P in layouts))
+    return _rows([[*row, x] for row, x in zip(served, last)])
 
 
 _run_pure_state_reduction = _stacked(_pure_state_reduction, matrices=lambda n: n)

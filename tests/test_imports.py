@@ -14,6 +14,12 @@ the benchmark stops binding its methods (ROADMAP item 1).
 ``pyproject.toml`` declares ``numpy>=1.24``, so no module of the package may
 read ``matvec``, ``vecmat`` or ``vecdot`` (numpy 2.0 and 2.2) as an attribute
 or import them; a stack's matrix-vector product is ``A @ x[..., None]``.
+
+Eigenbases have one path, the stacked ``spectral._eig_stack``: neither
+``suite`` nor ``gleason._witnesses`` reads a name of the one-matrix object path
+(``eig_hermitian``, ``Observable``, ``pvm_of``, ``apply_function``,
+``outcome_measure``), and no module defines or imports ``_serve``, the retired
+switch between the two.
 """
 
 import ast
@@ -102,3 +108,47 @@ def test_no_module_calls_numpy_beyond_its_floor(path):
     module = str(path.relative_to(ROOT))
     uses = _too_new_uses(path)
     assert uses == [], f"{module} uses numpy functions newer than numpy 1.24: {uses}"
+
+
+def _names(tree: ast.AST) -> list[tuple[str, int]]:
+    """(name, line) of every name that the tree reads or binds as a name or an
+    attribute, imports, or defines as a function or class."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            names.append((node.attr, node.lineno))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names += [(alias.name.split(".")[-1], node.lineno) for alias in node.names]
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append((node.name, node.lineno))
+    return names
+
+
+# the one-matrix eigen path, which the stacked runners and witnesses do not take
+_ONE_MATRIX_EIGEN = {"eig_hermitian", "Observable", "pvm_of", "apply_function", "outcome_measure"}
+
+
+def _parse(name: str) -> ast.Module:
+    path = ROOT / "src" / "gleason_lab" / name
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def test_the_suite_takes_no_one_matrix_eigen_path():
+    uses = sorted((name, line) for name, line in _names(_parse("suite.py")) if name in _ONE_MATRIX_EIGEN)
+    assert uses == [], f"suite.py reads the one-matrix eigen path: {uses}"
+
+
+def test_the_separation_witnesses_take_no_one_matrix_eigen_path():
+    (witnesses,) = [node for node in _parse("gleason.py").body
+                    if isinstance(node, ast.FunctionDef) and node.name == "_witnesses"]
+    uses = sorted((name, line) for name, line in _names(witnesses) if name in _ONE_MATRIX_EIGEN)
+    assert uses == [], f"gleason._witnesses reads the one-matrix eigen path: {uses}"
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_module_serves_a_matrix_by_a_second_eigen_path(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = sorted(line for name, line in _names(tree) if name == "_serve")
+    assert lines == [], f"{path.relative_to(ROOT)} defines, imports or reads _serve on lines {lines}"

@@ -258,7 +258,9 @@ class TestGramSchmidt:
         comps = np.zeros((3, 1, 4))
         comps[1, 0, 0] = bad
         poisoned = Matrix(algebra, comps)
-        all_nan = Matrix(algebra, np.full((3, 1, 4), np.nan))
+        nan = np.zeros((3, 1, 4))
+        nan[..., : algebra.component_count] = np.nan
+        all_nan = Matrix(algebra, nan)
         for vectors in ([poisoned], [good, poisoned], [poisoned, good], [all_nan]):
             W = Matrix.from_columns(vectors)
             with np.errstate(all="ignore"):
@@ -440,14 +442,34 @@ def test_rank_ones_in_the_algebra_match_the_four_component_construction(algebra,
 
 
 @pytest.mark.parametrize("algebra, component", [(Algebra.R, 1), (Algebra.R, 3), (Algebra.C, 2), (Algebra.C, 3)])
-def test_rank_ones_reject_a_column_outside_the_algebra(algebra, component):
-    # the R and C paths read only the algebra's components, so the column is refused, not cut
+def test_rank_ones_never_meet_a_column_outside_the_algebra(algebra, component):
+    # the R and C paths read only the algebra's components; the matrix that
+    # would hand rank_ones such a column is refused when it is built
     X = random_matrix(3, 4, algebra, SplitMix64(61)).comps.copy()
     X[1, 2, component] = 0.25
-    with pytest.raises(AlgebraMismatch, match=rf"outside {algebra.value} \(stack entry 2\)"):
-        Projector.rank_ones(Matrix(algebra, X.copy()))
+    with pytest.raises(AlgebraMismatch, match=rf"^an entry has components outside {algebra.value}$"):
+        Matrix(algebra, X.copy())
     X[1, 2, component] = -0.0  # a signed zero lies in the algebra
     assert Projector.rank_ones(Matrix(algebra, X)).shape == (4, 3, 3, 4)
+
+
+@pytest.mark.parametrize("algebra, component", [(Algebra.R, 1), (Algebra.R, 2), (Algebra.C, 2), (Algebra.C, 3)])
+def test_the_constructor_refuses_an_r_or_c_entry_outside_the_algebra(algebra, component):
+    # a Hermitian matrix of the next algebra up stored as R or C: the R and C
+    # products would drop its outside component without a word
+    c = np.zeros((2, 2, 4))
+    c[0, 0, 0] = c[1, 1, 0] = 1.0
+    c[0, 1, component], c[1, 0, component] = 0.5, -0.5
+    with pytest.raises(AlgebraMismatch, match=rf"^an entry has components outside {algebra.value}$"):
+        Matrix(algebra, c)
+    for build in (lambda: Matrix.from_rows([[1.0, Quaternion.from_array(c[0, 1])]], algebra),
+                  lambda: Matrix.diag([Quaternion.from_array(c[0, 1])], algebra)):
+        with pytest.raises(AlgebraMismatch, match=rf"^an entry has components outside {algebra.value}$"):
+            build()
+    # every entry lies in H, and a signed zero in every algebra
+    assert (Matrix(Algebra.H, c.copy()) @ Matrix.identity(2, Algebra.H)).comps.tobytes() == c.tobytes()
+    c[0, 1, component] = c[1, 0, component] = -0.0
+    assert Matrix(algebra, c).algebra is algebra
 
 
 @pytest.mark.parametrize("algebra", ALGEBRAS)

@@ -105,12 +105,13 @@ class TestPVM:
 
     @pytest.mark.parametrize("algebra, component", [(Algebra.R, 1), (Algebra.C, 2)])
     def test_rejects_a_hermitian_matrix_stored_outside_its_algebra_at_construction(self, algebra, component):
-        # Hermitian over the next algebra up (i or j in the off-diagonal entries),
-        # so the ratio test passes it; the eigensolver would refuse it later
+        # Hermitian over the next algebra up (i or j in the off-diagonal
+        # entries), so the ratio test passes it; the Matrix constructor refuses
+        # it, and the stacked guard refuses it as a raw stack entry
         comps = np.zeros((2, 2, 4))
         comps[0, 0, 0], comps[1, 1, 0] = 1.0, -1.0
         comps[0, 1, component], comps[1, 0, component] = 0.5, -0.5
-        assert Matrix(algebra, comps).is_hermitian()
+        assert Matrix(Algebra.H, comps).is_hermitian()
         with pytest.raises(AlgebraMismatch, match=f"outside {algebra.value}"):
             Observable(Matrix(algebra, comps))
         stack = np.stack([np.eye(2)[..., None] * [1.0, 0.0, 0.0, 0.0]] * 2 + [comps])

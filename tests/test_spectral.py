@@ -573,6 +573,97 @@ class TestNativeSolve:
         _assert_solve_keeps_its_bits(c, algebra)
 
 
+def _reference_eig_hermitian(c: np.ndarray, algebra: Algebra) -> tuple[np.ndarray, np.ndarray]:
+    """(values, basis) of one (n, n, 4) Hermitian matrix as the one-matrix
+    eigendecomposition gave them before the stack lifted grouped pairs: the
+    solve of ``_reference_solve``, over H the simple pairs lifted as one block
+    and each group of two or more equal pairs lifted alone."""
+    w, V = _reference_solve(c, algebra, True)
+    if algebra is not Algebra.H:
+        basis = np.zeros(V.shape + (4,))
+        basis[..., 0], basis[..., 1] = V.real, V.imag
+        return w, basis
+    n = c.shape[0]
+    values, [groups] = spectral._pair_spectra(w)
+    basis = np.empty((n, n, 4))
+    simple = np.array([a for a, b in groups if b - a == 1], dtype=np.intp)
+    basis[:, simple] = spectral._lift(V, simple)
+    for a, b in groups:
+        want = b - a
+        if want == 1:
+            continue
+        got, _ = linalg._orthonormalize(spectral._lifted(V[:, 2 * a : 2 * b]), 1e-6, limit=want)
+        if got.shape[1] != want:
+            raise ConvergenceFailure(f"could not lift {want} independent eigenvectors from a group of {2 * want}")
+        basis[:, a:b] = got
+    return values, basis
+
+
+def _planted_spectra(n: int, algebra: Algebra, seed: int) -> np.ndarray:
+    """Four exactly Hermitian n x n matrices U diag(s) U*: the spaced spectrum
+    n, n - 1, ..., 1, a doubled largest eigenvalue, the zero matrix, and the
+    spaced spectrum with its two largest eigenvalues a tenth of
+    ``_GROUP_TOL`` max|s| apart."""
+    rng = SplitMix64(seed)
+    spaced = [float(n - k) for k in range(n)]
+    doubled = [1.5, 1.5] + [0.25 - 0.75 * k for k in range(n - 2)]
+    close = [spaced[0], spaced[0] * (1.0 - 0.1 * spectral._GROUP_TOL)] + spaced[2:]
+    spaced, doubled, close = (linalg._hermitian_part(outer_sum(random_unitary(n, algebra, rng), s).comps)
+                              for s in (spaced, doubled, close))
+    return np.stack([spaced, doubled, np.zeros((n, n, 4)), close])
+
+
+class TestEigStack:
+    """``_eig_stack`` gives every matrix of a stack, at any leading shape, the
+    bits of the one-matrix eigendecomposition kept as ``_reference_eig_hermitian``."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    @pytest.mark.parametrize("algebra", ALGEBRAS)
+    def test_every_basis_is_the_reference_at_every_leading_shape(self, algebra, n):
+        c = _planted_spectra(n, algebra, 1900 + n)
+        want = [_reference_eig_hermitian(one, algebra) for one in c]
+        if algebra is Algebra.H:
+            # every matrix but the spaced one has a group of pairs to lift
+            w = spectral._solve(c, algebra, False)[0]
+            assert [any(b - a > 1 for a, b in g) for g in spectral._pair_spectra(w)[1]] == [False, True, True, True]
+        for lead in ((), (1,), (len(c),)):
+            parts = [c] if lead == (len(c),) else [one.reshape(lead + one.shape) for one in c]
+            got = [spectral._eig_stack(x, algebra) for x in parts]
+            assert all(v.shape == x.shape[:-2] and b.shape == x.shape for x, (v, b) in zip(parts, got))
+            _assert_same_bits(np.concatenate([v.reshape(-1, n) for v, _ in got]), np.stack([v for v, _ in want]))
+            _assert_same_bits(np.concatenate([b.reshape(-1, n, n, 4) for _, b in got]), np.stack([b for _, b in want]))
+        for one, (values, basis) in zip(c, want):
+            dec = eig_hermitian(Matrix(algebra, one))
+            _assert_same_bits(dec.values, values)
+            _assert_same_bits(dec.basis.comps, basis)
+
+    def test_a_group_whose_own_sweep_keeps_other_columns_gets_its_own_bits(self):
+        # n = 2 with both pairs in one group: the identity's eigenvectors lift
+        # to e0, e1, -e0 j and -e1 j, and the sweep keeps columns 0 and 1;
+        # with the columns permuted, the second is (0; e0), the partner of
+        # (e0; 0), whose lift -e0 j lies on the first one's line, and the
+        # sweep keeps columns 0 and 2
+        eye = np.eye(4, dtype=np.complex128)
+        V = np.stack([eye, eye[:, [0, 2, 1, 3]], eye])
+        alone = [linalg._orthonormalize(spectral._lifted(v), 1e-6, limit=2) for v in V]
+        assert [(r > 1e-6).tolist() for _, r in alone] == [[True, True], [True, False, True], [True, True]]
+        basis = np.full((3, 2, 2, 4), np.nan)
+        spectral._lift_groups(V, basis, [[(0, 2)]] * 3)
+        _assert_same_bits(basis, np.stack([q for q, _ in alone]))
+
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["one", "stack"])
+    def test_a_group_that_lifts_too_few_columns_names_the_lowest_failing_matrix(self, lead):
+        # the four columns lift to one quaternionic line: one kept of two
+        eye = np.eye(4, dtype=np.complex128)
+        bad = eye[:, [0, 0, 2, 2]]
+        V = np.stack([eye, bad, bad]) if lead else bad
+        basis = np.empty(lead + (2, 2, 4))
+        with pytest.raises(ConvergenceFailure) as caught:
+            spectral._lift_groups(V, basis, [[(0, 2)]] * (lead[0] if lead else 1))
+        suffix = " (stack entry 1)" if lead else ""
+        assert str(caught.value) == f"could not lift 2 independent eigenvectors from a group of 4{suffix}"
+
+
 class TestAbs:
     @pytest.mark.parametrize("algebra", ALGEBRAS)
     def test_abs_of_identity(self, algebra):

@@ -4,9 +4,9 @@ matrix, the bits that each matrix gives alone.
 Every stacked suite runner is checked against a per-trial reference, its form
 before it ran the trials as one stack, written with the one-matrix public
 functions: the terms agree bit for bit, and so do the stream positions that
-both leave behind.  The runners that decompose observables serve the trials
-with a simple spectrum from one stacked eigendecomposition and decompose the
-others alone; planted repeated eigenvalues send trials down that path.  The
+both leave behind.  The runners that decompose observables take every
+trial's eigenbasis from one stacked eigendecomposition; planted repeated
+eigenvalues give some trials grouped atoms and, over H, grouped pairs.  The
 runners whose draws depend on earlier draws meet planted rare branches: a
 mixed state with a repeated eigenvalue, a lemma weight that reaches 1, a
 nearly Hermitian matrix and rejected count-setting integers.  The last three
@@ -507,38 +507,50 @@ def _plant(monkeypatch, planted, hermitian=True):
     monkeypatch.setattr(suite, "_draw", planted_draw)
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 8, 17, 33])
-@pytest.mark.parametrize("name", sorted(SPECTRAL))
-def test_a_planted_grouped_spectrum_takes_the_one_matrix_path_bit_for_bit(name, n, monkeypatch):
-    masks = []
+def _stack_calls(monkeypatch) -> list:
+    """The leading shape of every stack that ``spectral._eig_stack``
+    decomposes, which still runs; a lone matrix is not recorded."""
+    shapes = []
     stack = spectral._eig_stack
 
     def spy(c, algebra):
-        out = stack(c, algebra)
-        masks.append(out[0])
-        return out
+        if c.ndim > 3:
+            shapes.append(c.shape[:-3])
+        return stack(c, algebra)
 
     monkeypatch.setattr(spectral, "_eig_stack", spy)
+    monkeypatch.setattr(gleason, "_eig_stack", spy)
+    return shapes
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 17, 33])
+@pytest.mark.parametrize("name", sorted(SPECTRAL))
+def test_a_planted_grouped_spectrum_runs_in_the_stack_bit_for_bit(name, n, monkeypatch):
+    # trials 1 and 3 double their largest eigenvalue: two atoms become one,
+    # and over H two pairs form one group; all four trials are decomposed as
+    # one stack
+    shapes = _stack_calls(monkeypatch)
     for algebra in ALGEBRAS:
         _plant(monkeypatch, {1: _degenerate(n, algebra, 30 + n), 3: _degenerate(n, algebra, 31 + n)})
         rng = SplitMix64(3).derive(name, algebra.value, n)
         ref = SplitMix64(3).derive(name, algebra.value, n)
         _assert_the_block_is_the_reference(name, Cell(algebra, n, rng, 4), Cell(algebra, n, ref, 4))
-        assert masks.pop().tolist() == [True, False, True, False]
+        assert shapes == [(4,)]
+        shapes.clear()
 
 
 @pytest.mark.parametrize("n", [5, 8])
-def test_a_grouped_mixed_state_spectrum_takes_the_one_matrix_path_bit_for_bit(n, monkeypatch):
-    # a mixed state of rank r < n - 1 has the eigenvalue 0 n - r times: over R
-    # and C the stack still serves its basis, over H the grouped pair is
-    # decomposed alone
-    masks = []
+def test_a_grouped_mixed_state_spectrum_runs_in_the_stack_bit_for_bit(n, monkeypatch):
+    # a mixed state of rank r < n - 1 has the eigenvalue 0 n - r times, which
+    # over H groups its pairs
+    grouped = []
     stack = spectral._eig_stack
 
-    def spy(c, algebra, atoms=True):
-        out = stack(c, algebra, atoms)
-        masks.append((algebra, out[0]))
-        return out
+    def spy(c, algebra):
+        if c.ndim > 3 and algebra is Algebra.H:
+            w = spectral._solve(c, algebra, vectors=False)[0]
+            grouped.extend(any(b - a > 1 for a, b in g) for g in spectral._pair_spectra(w)[1])
+        return stack(c, algebra)
 
     monkeypatch.setattr(spectral, "_eig_stack", spy)
     name = "gleason.extremality"
@@ -546,10 +558,7 @@ def test_a_grouped_mixed_state_spectrum_takes_the_one_matrix_path_bit_for_bit(n,
         rng = SplitMix64(5).derive(name, algebra.value, n)
         ref = SplitMix64(5).derive(name, algebra.value, n)
         _assert_the_block_is_the_reference(name, Cell(algebra, n, rng, 6), Cell(algebra, n, ref, 6))
-    assert [algebra for algebra, _ in masks] == list(ALGEBRAS)
-    assert all(flags.all() for algebra, flags in masks if algebra is not Algebra.H)
-    quaternionic = masks[-1][1]
-    assert quaternionic.any() and not quaternionic.all()
+    assert any(grouped) and not all(grouped)
 
 
 def _spy(monkeypatch, module, name) -> list:
@@ -567,20 +576,21 @@ def _spy(monkeypatch, module, name) -> list:
 
 @pytest.mark.parametrize("algebra", ALGEBRAS)
 @pytest.mark.parametrize("n", [2, 3, 5])
-def test_equal_pairs_need_no_eigenvector_and_a_grouped_pair_is_decomposed_alone_over_h(algebra, n, monkeypatch):
+def test_equal_pairs_need_no_eigenvector_and_every_pair_is_decomposed_in_the_stack(algebra, n, monkeypatch):
     # pairs P = Q, I against a projector of rank 1 (I - P repeats the
     # eigenvalue 1 from n = 3 on, and holds 0 and 1 at n = 2) and two random
     # projectors of rank 1
     rng = SplitMix64(70 + n)
     P = [random_projector(n, 1, algebra, rng) for _ in range(4)]
     pairs = [(P[0], P[0]), (Projector(Matrix.identity(n, algebra)), P[1]), (P[2], P[3])]
-    alone = _spy(monkeypatch, gleason, "eig_hermitian")
+    shapes = _stack_calls(monkeypatch)
+    alone = _spy(monkeypatch, spectral, "eig_hermitian")
     got = gleason._separations(*(np.stack([pair[i].matrix.comps for pair in pairs]) for i in (0, 1)), algebra)
+    # P = Q is decided by its spectrum, and the grouped pairs over H (the
+    # eigenvalue 1 of I - P from n = 3 on, the eigenvalue 0 of the last
+    # difference from n = 4 on) are lifted in the one stack of differences
+    assert shapes == [(3,)] and alone == []
     assert got.tolist() == [_separation_check(A, B) for A, B in pairs] == [False, True, True]
-    # P = Q is decided by its spectrum; over H the grouped pairs are
-    # decomposed alone: the eigenvalue 1 of I - P from n = 3 on, and the
-    # eigenvalue 0 of the last difference from n = 4 on
-    assert len(alone) == (algebra is Algebra.H) * ((n > 2) + (n > 3))
     assert [gleason.separation_check(A, B) for A, B in pairs] == got.tolist()
 
 
@@ -716,28 +726,6 @@ def test_stacked_residual_is_the_worst_reference_term(name):
     ref = Cell(algebra, 3, SplitMix64(7).derive(name, letter, 3), 5)
     want = suite._worst(term for t in range(5) for term in REFERENCES[name](ref, t))
     assert prop.runner(Cell(algebra, 3, rng, 5)) == want
-
-
-def test_the_one_matrix_path_gives_the_report_of_the_stacked_path(monkeypatch):
-    # no matrix served from the stacked eigendecomposition: the stacked runners
-    # decompose every matrix alone that needs its eigenbasis
-    cfg = suite.RunConfig(algebras=("R", "C", "H"), dims=(1, 2, 3, 5), trials=3)
-    stacked = suite.emit_report(suite.run_suite(cfg))
-    forced = []
-    stack = spectral._eig_stack
-
-    def alone(c, algebra, atoms=True):
-        served, values, basis = stack(c, algebra, atoms)
-        forced.append(served.size)
-        return np.zeros_like(served), values, basis[:0]
-
-    monkeypatch.setattr(spectral, "_eig_stack", alone)
-    monkeypatch.setattr(gleason, "_eig_stack", alone)
-    assert suite.emit_report(suite.run_suite(cfg)) == stacked
-    # three trials in every cell: five runners over three algebras and four
-    # dims; the mixed states of extremality, from dim 2 on; separation's two
-    # pairs per trial; and the adapted-basis formula over H
-    assert sum(forced) == 5 * 3 * 4 * 3 + 3 * 3 * 3 + 3 * 4 * 6 + 4 * 3
 
 
 # every runner not named here runs its cell's trials as one stack
@@ -999,7 +987,7 @@ def _grouped(c, algebra) -> bool:
     """Whether some group of the atoms or, over H, of chi's pairs has more
     than one member (spectral._group_indices)."""
     values = eig_hermitian(Matrix(algebra, c)).values
-    groups = spectral._group_indices(values, spectral._ATOM_REL_TOL * np.abs(values).max())
+    groups = spectral._group_indices(values, quantum._ATOM_REL_TOL * np.abs(values).max())
     if algebra is Algebra.H:
         w, _ = spectral._solve(c, algebra, vectors=False)
         groups += spectral._group_indices(0.5 * (w[0::2] + w[1::2]), spectral._GROUP_TOL * np.abs(w).max())
@@ -1009,31 +997,27 @@ def _grouped(c, algebra) -> bool:
 @pytest.mark.parametrize("T", [1, 4])
 @pytest.mark.parametrize("algebra", ALGEBRAS)
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 17])
-def test_the_stacked_eigendecomposition_is_eig_hermitian_on_every_simple_spectrum(T, algebra, n):
+def test_the_stacked_eigendecomposition_is_eig_hermitian_on_spaced_and_grouped_spectra(T, algebra, n):
     c = _spaced_spectra(T, n, algebra, 40 + n)
-    simple, values, basis = spectral._eig_stack(c, algebra)
-    assert simple.tolist() == [not _grouped(one, algebra) for one in c]
-    assert simple.tolist() == [n == 1 or t % 2 == 0 for t in range(T)]
+    assert [_grouped(one, algebra) for one in c] == [n > 1 and t % 2 == 1 for t in range(T)]
+    values, basis = spectral._eig_stack(c, algebra)
     decs = [eig_hermitian(Matrix(algebra, one)) for one in c]
     assert _same(values, [dec.values for dec in decs])
-    assert _same(basis, [dec.basis.comps for dec, flag in zip(decs, simple) if flag])
+    assert _same(basis, [dec.basis.comps for dec in decs])
 
 
 @pytest.mark.parametrize("algebra", ALGEBRAS)
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
-def test_the_stack_serves_every_basis_that_eig_hermitian_takes_as_solved(algebra, n):
-    # the spaced spectra, a doubled eigenvalue and the zero matrix: over R and
-    # C eig_hermitian never groups, so the stack serves every basis; over H a
-    # grouped pair (a gap below the tolerance, the doubled eigenvalue, the
-    # zero matrix) is left alone
+def test_the_stack_gives_every_basis_that_eig_hermitian_gives(algebra, n):
+    # the spaced spectra, a doubled eigenvalue and the zero matrix; over H a
+    # gap below the tolerance, the doubled eigenvalue and the zero matrix
+    # group pairs, each lifted in the stack
     c = np.concatenate([_spaced_spectra(4, n, algebra, 50 + n), _degenerate(n, algebra, 60 + n)[None],
                         np.zeros((1, n, n, 4))])
-    served, values, basis = spectral._eig_stack(c, algebra, atoms=False)
-    quaternionic = algebra is Algebra.H
-    assert served.tolist() == [not quaternionic or t % 2 == 0 for t in range(4)] + [not quaternionic] * 2
+    values, basis = spectral._eig_stack(c, algebra)
     decs = [eig_hermitian(Matrix(algebra, one)) for one in c]
     assert _same(values, [dec.values for dec in decs])
-    assert _same(basis, [dec.basis.comps for dec, flag in zip(decs, served) if flag])
+    assert _same(basis, [dec.basis.comps for dec in decs])
 
 
 @pytest.mark.parametrize("T", [1, 3, 10])
