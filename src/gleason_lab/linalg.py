@@ -157,8 +157,11 @@ class Matrix:
     ``component_count`` (an R matrix has components 1-3 zero, a C matrix
     components 2-3), since the R and C products read only the algebra's
     components.  The constructor raises AlgebraMismatch for an R or C matrix
-    with an entry outside its algebra; an H matrix, whose every entry lies in
-    H, pays no check.
+    with a finite nonzero component outside its algebra; an H matrix, whose
+    every entry lies in H, pays no check.  A NaN or inf component, which the
+    four-component arithmetic makes of 0 * inf, is left to the non-finite
+    guards of the routines that read the matrix, which reject it as
+    non-finite.
     """
 
     __slots__ = ("algebra", "comps")
@@ -167,9 +170,12 @@ class Matrix:
         comps = np.asarray(comps, dtype=np.float64)
         if comps.ndim != 3 or comps.shape[2] != 4:
             raise ValueError(f"matrix components must have shape (n, m, 4), got {comps.shape}")
-        # on a small matrix, count_nonzero reads the view in about half the time of any()
-        if algebra is not Algebra.H and np.count_nonzero(comps[..., algebra.component_count:]):
-            raise AlgebraMismatch(f"an entry has components outside {algebra.value}")
+        # on a small matrix, count_nonzero reads the view in about half the time
+        # of any(); a NaN or inf component is left to the non-finite guards
+        if algebra is not Algebra.H:
+            extra = comps[..., algebra.component_count:]
+            if np.count_nonzero(extra) and np.count_nonzero(extra[np.isfinite(extra)]):
+                raise AlgebraMismatch(f"an entry has components outside {algebra.value}")
         self.algebra = algebra
         self.comps = comps
         self.comps.flags.writeable = False

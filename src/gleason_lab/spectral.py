@@ -19,13 +19,12 @@ normalized, is taken at once (``_lift``); it has norm 1 for an honest solve,
 and one of norm at most 1e-6 raises ConvergenceFailure.  On a simple pair
 that is what the one Gram-Schmidt, :func:`gleason_lab.linalg._orthonormalize`,
 would give.  The lifted columns of a group of two or more equal pairs then go
-through that Gram-Schmidt (``_lift_groups``), which must keep one column per
-pair.
+through that Gram-Schmidt (``_lift_groups``), one matrix and group at a
+time, which must keep one column per pair.
 
 ``_eig_stack`` is the one eigendecomposition: one guarded solve of a stack
-with any leading axes, or of one matrix, and a basis for every matrix.  The
-matrices that share a group's place form one Gram-Schmidt stack, and each
-gets the bits it gets alone.  :func:`eig_hermitian` is its one-matrix case.
+with any leading axes, or of one matrix, and a basis for every matrix, each
+with the bits it gets alone.  :func:`eig_hermitian` is its one-matrix case.
 It and the eigenvalue-only ``_eigvals`` share the one guarded solve,
 ``_solve``, and its guards.  Over
 R and C the guards and the symmetrization run on the algebra's own
@@ -263,31 +262,22 @@ def _lift_groups(V: np.ndarray, basis: np.ndarray, groups: list) -> None:
     """Write into the (..., n, n, 4) ``basis`` the lifted columns of every
     group of two or more equal pairs, from chi's sorted (..., 2n, 2n)
     eigenvector columns V and each matrix's ``groups``, in row-major order:
-    the columns that :func:`_orthonormalize` keeps of the group's lifts, which
-    must be one per pair, else ConvergenceFailure, over a stack for the lowest
-    failing matrix.  The matrices that share a group's (a, b) form one stack
-    (:func:`_groups`); a matrix whose own sweep keeps other columns than the
-    stack's runs alone, so each gets the bits it gets alone."""
-    grouped = [(t, a, b) for t, row in enumerate(groups) for a, b in row if b - a > 1]
-    if not grouped:
-        return
+    the columns that :func:`_orthonormalize` keeps of the group's lifts, one
+    matrix and group at a time, which must be one per pair, else
+    ConvergenceFailure, over a stack for the lowest failing matrix."""
     n = basis.shape[-3]
     flat, Vf = basis.reshape(-1, n, n, 4), V.reshape(-1, 2 * n, 2 * n)
-    rows = np.array([t for t, _, _ in grouped], dtype=np.intp)
     failed = np.zeros(flat.shape[0], dtype=np.intp)  # per matrix, the size of its first group that failed
-    for (a, b), at in _groups([(a, b) for _, a, b in grouped]):
-        want, ts = b - a, rows[at]
-        lifted = _lifted(Vf[ts, :, 2 * a : 2 * b])
-        got, residuals = _orthonormalize(lifted, 1e-6, limit=want)
-        alone = (residuals > 1e-6).sum(axis=-1) != want
-        if not alone.all():
-            flat[ts[~alone], :, a:b] = got[~alone]
-        for i in np.flatnonzero(alone):
-            one, _ = _orthonormalize(lifted[i], 1e-6, limit=want)
-            if one.shape[-2] == want:
-                flat[ts[i], :, a:b] = one
-            elif not failed[ts[i]]:
-                failed[ts[i]] = want
+    for t, row in enumerate(groups):
+        for a, b in row:
+            want = b - a
+            if want == 1:
+                continue
+            got, _ = _orthonormalize(_lifted(Vf[t, :, 2 * a : 2 * b]), 1e-6, limit=want)
+            if got.shape[-2] == want:
+                flat[t, :, a:b] = got
+            elif not failed[t]:
+                failed[t] = want
     failed = failed.reshape(basis.shape[:-3])
     require(failed == 0, ConvergenceFailure,
             lambda i: f"could not lift {failed[i]} independent eigenvectors from a group of {2 * failed[i]}")

@@ -4,8 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from gleason_lab import kernels, linalg
-from gleason_lab.errors import AlgebraMismatch, DegenerateInput
+from gleason_lab import kernels, linalg, spectral
+from gleason_lab.errors import AlgebraMismatch, DegenerateInput, NotHermitian
 from gleason_lab.linalg import (
     Matrix,
     Projector,
@@ -258,9 +258,7 @@ class TestGramSchmidt:
         comps = np.zeros((3, 1, 4))
         comps[1, 0, 0] = bad
         poisoned = Matrix(algebra, comps)
-        nan = np.zeros((3, 1, 4))
-        nan[..., : algebra.component_count] = np.nan
-        all_nan = Matrix(algebra, nan)
+        all_nan = Matrix(algebra, np.full((3, 1, 4), np.nan))
         for vectors in ([poisoned], [good, poisoned], [poisoned, good], [all_nan]):
             W = Matrix.from_columns(vectors)
             with np.errstate(all="ignore"):
@@ -470,6 +468,19 @@ def test_the_constructor_refuses_an_r_or_c_entry_outside_the_algebra(algebra, co
     assert (Matrix(Algebra.H, c.copy()) @ Matrix.identity(2, Algebra.H)).comps.tobytes() == c.tobytes()
     c[0, 1, component] = c[1, 0, component] = -0.0
     assert Matrix(algebra, c).algebra is algebra
+
+
+@pytest.mark.parametrize("algebra", [Algebra.R, Algebra.C])
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+def test_a_non_finite_r_or_c_matrix_is_refused_as_non_finite(algebra, bad):
+    # 0 * inf puts NaN in the components beyond the algebra's; the matrix is
+    # built, and the eigensolve and the norms refuse it as non-finite
+    with np.errstate(all="ignore"):
+        A = Matrix.identity(2, algebra) * bad
+    assert A.algebra is algebra and np.isnan(A.comps[..., algebra.component_count:]).all()
+    for reads in (spectral.eig_hermitian, spectral.eigvals_hermitian, spectral.op_norm):
+        with pytest.raises(NotHermitian, match="^matrix has a non-finite entry$"):
+            reads(A)
 
 
 @pytest.mark.parametrize("algebra", ALGEBRAS)
