@@ -11,17 +11,21 @@ Measures are represented by oracles, not tables: even at n = 3 the lattice is
 infinite, so every check samples projectors.  Both oracles are block-shaped.
 A frame function takes the probe vectors as the columns of one matrix (a
 single vector, as everywhere in the package, is an n x 1 Matrix), and a
-lattice measure takes the certified (k, n, n, 4) stack of their line
-projectors from :meth:`Projector.rank_ones`.  The measure of a state reads
-Re tr(P T) for the whole stack in one contraction
-(:func:`gleason_lab.trace._real_pairings`), so :func:`reconstruct_state` makes
-one block call, over its four probe blocks side by side, and builds no object
-per probe.  Its verification step
-predicts each probe value as Re<x|Tx> from the vectors, not from the projector
-stack, so it checks the probe path rather than repeating it.  The dimension-2
-Bloch-cubic measure reads its stack projector by projector, and its
-certificate works on stacks too: the probe lines, their certified complements
-I - P and the fit error Re tr(P T) - mu(P), with no Projector object.
+lattice measure takes the certified (k, n, n, 4) stack of line projectors from
+:meth:`Projector.rank_ones`.  The measure of a state reads Re tr(P T) for the
+whole stack in one contraction (:func:`gleason_lab.trace._real_pairings`).  On
+the line of a vector x it is the frame function f(x) = Re<x|Tx> / <x|x>, and
+the measure carries that reading of probe columns (``LatticeMeasure.lines``,
+:func:`_line_values`): one product x* T per column, with no line projector.
+So :func:`reconstruct_state` makes one block call, over its four probe blocks
+side by side, and builds no object and no projector per probe.  Its
+verification step predicts each probe value as Re<x|Tx> from the rebuilt
+matrix, so it checks the probe path rather than repeating it.  A measure with
+no line reading, such as the dimension-2 Bloch-cubic one, which reads its
+stack projector by projector, is handed certified line projectors in chunks
+of ``_PROBE_CHUNK_ENTRIES`` stack entries.  The Bloch-cubic certificate works
+on stacks too: the probe lines, their certified complements I - P and the fit
+error Re tr(P T) - mu(P), with no Projector object.
 
 States have stack forms with leading axes, and each public function is the
 one-matrix or one-draw case of its stack form: the state certificate
@@ -37,9 +41,8 @@ whose cut draws are the recipe :func:`_cut_recipe`).  So do the separation
 check :func:`_separations` (:func:`separation_check`), whose witnesses are
 the top eigenvectors of P - Q, and the reconstruction :func:`_reconstructions`
 (:func:`reconstruct_state`), whose stacked frame functions read the probe
-columns of every state in chunks of ``_PROBE_CHUNK_ENTRIES`` entries
-(:func:`_probe_measures`).  The suite builds and certifies a cell's states
-with them at once.
+columns of every state in one product (:func:`_probe_measures`).  The suite
+builds and certifies a cell's states with them at once.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ import numpy as np
 from . import kernels
 from .errors import AlgebraMismatch, DegenerateInput, InvalidWeights, NotAFrameFunction, NotPositive, require
 from .linalg import (
+    _CONJ,
     _PROJECTOR_TOL,
     Matrix,
     Projector,
@@ -78,16 +82,11 @@ _STATE_TOL = 1e-8
 # modulus 1/2 of each of the probe's two nonzero entries
 _POLAR_WEIGHT = 0.5
 # entries of the (k, n, n, 4) stack of line projectors that FrameFunction.from_measure
-# builds at once; a wider probe block is read in column chunks of this many entries,
-# or of one column where one column alone holds more (n > 90).  1 << 15 entries is
-# a 256 KB stack, which stays in a 2 MB L2 cache with the temporaries of its
-# certificate and pairing.  Cost of rank_ones + _real_pairings per column, best of
-# 15 runs on one core of a Xeon with 2 MB of L2 per core, at 128, 256 and 1024
-# columns (256 KB, 512 KB, 2 MB) for n = 8 and at 2, 8 and 128 columns (256 KB,
-# 1 MB, 16 MB) for n = 64:
-#   R: n = 8: 1.0, 0.9, 1.1 us;              n = 64: 41-42, 36-37, 45-50 us;
-#   C: n = 8: 2.0-2.1, 1.9-2.0, 2.3-2.4 us;  n = 64: 101-104, 97-107, 143-163 us;
-#   H: n = 8: 2.9-3.1, 2.8-3.0, 3.7-4.1 us;  n = 64: 152-164, 158-167, 251-273 us.
+# builds at once for a measure with no line reading (the dimension-2 Bloch cubic),
+# and of the products in each box of suite._pair_products; a wider probe block is
+# read in column chunks of this many entries, or of one column where one column
+# alone holds more (n > 90).  1 << 15 entries is a 256 KB stack, which stays in a
+# 2 MB L2 cache with the temporaries of its certificate and pairing.
 _PROBE_CHUNK_ENTRIES = 1 << 15
 
 
@@ -203,9 +202,14 @@ class LatticeMeasure:
     ``evaluate`` is block-shaped: it takes the algebra and a certified (k, n, n, 4)
     stack of projectors, as :meth:`Projector.rank_ones` returns it, and gives
     their k values in stack order; ``mu(P)`` is its one-projector case.
+    ``lines``, where the measure has it, takes the algebra and the (n, k, 4)
+    components of k probe columns x and gives mu(P_x) of their lines, with no
+    projector built; :meth:`FrameFunction.from_measure` reads it in place of
+    ``evaluate``.
     """
 
     evaluate: Callable[[Algebra, np.ndarray], np.ndarray]
+    lines: Callable[[Algebra, np.ndarray], np.ndarray] | None = None
 
     def __call__(self, P: Projector) -> float:
         return float(self.evaluate(P.algebra, P.matrix.comps[None])[0])
@@ -214,15 +218,51 @@ class LatticeMeasure:
 def measure_from_state(state: DensityOperator) -> LatticeMeasure:
     """mu(P) = Re tr(P T); sigma-additive with values in [0, 1].
 
-    Reads the whole stack in one contraction, with no product PT.
+    Reads the whole stack in one contraction, with no product PT, and the line
+    of a probe column x as Re<x|Tx> / <x|x> (:func:`_line_values`).  Projectors
+    or probes of another algebra raise AlgebraMismatch.
     """
 
-    def ev(algebra: Algebra, stack: np.ndarray) -> np.ndarray:
+    def check(algebra: Algebra) -> None:
         if algebra is not state.algebra:
             raise AlgebraMismatch(f"mixed algebras {algebra.value} and {state.algebra.value}")
+
+    def ev(algebra: Algebra, stack: np.ndarray) -> np.ndarray:
+        check(algebra)
         return _real_pairings(stack, state.matrix.comps, algebra.component_count)
 
-    return LatticeMeasure(evaluate=ev)
+    def lines(algebra: Algebra, X: np.ndarray) -> np.ndarray:
+        check(algebra)
+        return _line_values(state.matrix.comps, X, algebra)
+
+    return LatticeMeasure(evaluate=ev, lines=lines)
+
+
+def _line_values(states: np.ndarray, X: np.ndarray, algebra: Algebra) -> np.ndarray:
+    """Re<x|Tx> / <x|x> = Re tr(P_x T) for every column x of the (..., n, k, 4)
+    probes ``X``, each with the state T of its stack entry in ``states``
+    (..., n, n, 4): the (..., k) values of the frame functions, with no line
+    projector.
+
+    Each column is read as the row x*, one vector-matrix product x* T per
+    column over the whole stack (:func:`gleason_lab.kernels.quat_matmul`), and
+    Re sum_c (x* T)_c x_c is the componentwise dot product of x* T with x*,
+    summed over the column's 4n contiguous components, as <x|x> is.  So a
+    column has the same bits in a block of any width, alone and over a stack
+    of states: one GEMM over the block would round each column by the width.
+    A zero or non-finite column raises DegenerateInput with the messages of
+    :meth:`Projector.rank_ones`; the caller keeps the columns in the algebra.
+    """
+    rows = np.empty(X.shape[:-3] + (X.shape[-2], 1, X.shape[-3], 4))
+    np.multiply(X.swapaxes(-3, -2)[..., None, :, :], _CONJ, out=rows)  # x*, a contiguous 1 x n row each
+    sq = (rows * rows).sum(axis=(-3, -2, -1))
+    # NaN would slip through the zero test, and an inf column would read as NaN
+    if not np.isfinite(sq).all():
+        raise DegenerateInput("input vector has a non-finite norm")
+    if (sq == 0.0).any():
+        raise DegenerateInput("zero input vector")
+    xT = kernels.quat_matmul(rows, states[..., None, :, :, :], algebra.component_count)
+    return np.multiply(rows, xT, out=xT).sum(axis=(-3, -2, -1)) / sq
 
 
 @dataclass(frozen=True)
@@ -231,11 +271,12 @@ class FrameFunction:
 
     ``evaluate`` is block-shaped: it takes an n x k :class:`Matrix` of probe
     columns and returns their k values, in column order, and ``f(x)`` is its
-    one-column case.  :meth:`from_measure` hands the measure the stack of line
-    projectors of :meth:`Projector.rank_ones`, one column chunk of at most
-    ``_PROBE_CHUNK_ENTRIES`` stack entries at a time (one column at n > 90,
-    where a column alone holds more), whatever kind of measure it is;
-    :meth:`pointwise` wraps an opaque per-vector oracle.
+    one-column case.  :meth:`from_measure` reads the measure's ``lines`` where
+    it has them, the whole block at once; any other measure is handed the
+    stack of line projectors of :meth:`Projector.rank_ones`, one column chunk
+    of at most ``_PROBE_CHUNK_ENTRIES`` stack entries at a time (one column at
+    n > 90, where a column alone holds more).  :meth:`pointwise` wraps an
+    opaque per-vector oracle.
     """
 
     evaluate: Callable[[Matrix], Sequence[float]]
@@ -248,6 +289,9 @@ class FrameFunction:
 
     @classmethod
     def from_measure(cls, mu: LatticeMeasure) -> "FrameFunction":
+        if mu.lines is not None:
+            return cls(evaluate=lambda X: mu.lines(X.algebra, X.comps).tolist())
+
         def ev(X: Matrix) -> list[float]:
             width = max(1, _PROBE_CHUNK_ENTRIES // (4 * X.n * X.n))
             values: list[float] = []
@@ -393,24 +437,10 @@ def _hermitian_fill(diag: np.ndarray, entries: np.ndarray, k: np.ndarray, l: np.
 def _probe_measures(states: np.ndarray, algebra: Algebra) -> Callable[[np.ndarray], np.ndarray]:
     """The ``evaluate`` of :func:`_reconstructions` for the frame functions
     ``FrameFunction.from_measure(measure_from_state(T))`` of a (S, n, n, 4)
-    stack of states: the probe columns of all states, state after state, in
-    chunks of at most ``_PROBE_CHUNK_ENTRIES`` line-projector entries, as
-    :meth:`FrameFunction.from_measure` reads one state's, each column paired
-    with its own state.  Every value has the bits that the state's own frame
-    function gives it."""
-
-    def evaluate(probes: np.ndarray) -> np.ndarray:
-        S, n, P = probes.shape[:3]
-        width = max(1, _PROBE_CHUNK_ENTRIES // (4 * n * n))
-        values = np.empty(S * P)
-        for start in range(0, S * P, width):
-            at = np.arange(start, min(start + width, S * P))
-            state, column = np.divmod(at, P)
-            stack = Projector.rank_ones(Matrix(algebra, probes[state, :, column].swapaxes(0, 1)))
-            values[at] = _real_pairings(stack, states[state], algebra.component_count)
-        return values.reshape(S, P)
-
-    return evaluate
+    stack of states: the line values (:func:`_line_values`) of the probe
+    columns of all states, each column with its own state, in one product.
+    Every value has the bits that the state's own frame function gives it."""
+    return lambda probes: _line_values(states, probes, algebra)
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,7 @@ from . import spectral as sp
 from . import trace as tr
 from .linalg import (
     Matrix,
+    Projector,
     _adjoint_comps,
     _block_projectors,
     _check_projectors,
@@ -551,16 +552,29 @@ def _round_trip(cell: Cell, ts: np.ndarray) -> np.ndarray:
     def unit_columns(x: np.ndarray, count: int) -> np.ndarray:
         return _unit_rows(_layout(x, (ts.size, count, n), algebra)).swapaxes(1, 2)
 
-    rebuilt = gl._reconstructions(gl._probe_measures(T, algebra), algebra, unit_columns(pairs, 2),
-                                  _unit_scalars(turns.reshape(ts.size, phases, k)),
-                                  unit_columns(X, _VERIFICATION_PROBES))
+    values = []
+
+    def read(probes: np.ndarray) -> np.ndarray:  # the frame functions, keeping what they return
+        values.append(gl._probe_measures(T, algebra)(probes))
+        return values[-1]
+
+    X = unit_columns(X, _VERIFICATION_PROBES)
+    rebuilt = gl._reconstructions(read, algebra, unit_columns(pairs, 2),
+                                  _unit_scalars(turns.reshape(ts.size, phases, k)), X)
     gl._state_spectra(rebuilt, algebra)
-    return _max_abs(rebuilt - T)[:, None]
+    # the lattice in the round trip: mu(P_x) = Re tr(P_x T) on the certified line projectors
+    # of the verification probes, which come last, against the frame functions' Re<x|Tx>/<x|x>
+    lines = Projector.rank_ones(Matrix(algebra, X.swapaxes(0, 1).reshape(n, -1, 4)))
+    mu = tr._real_pairings(lines, np.repeat(T, _VERIFICATION_PROBES, axis=0), k).reshape(ts.size, -1)
+    lattice = np.abs(mu - values[0][:, -_VERIFICATION_PROBES:]).max(axis=-1)
+    return np.stack([_max_abs(rebuilt - T), lattice], axis=1)
 
 
-# a trial's n x P probe columns, as n x n matrices
+# a trial's n x P probe columns, or its line projectors of the verification
+# probes, as n x n matrices
 _run_gleason_round_trip = _stacked(
-    _round_trip, matrices=lambda n: -(-gl._probe_count(n, Algebra.H, _VERIFICATION_PROBES) // n))
+    _round_trip,
+    matrices=lambda n: max(-(-gl._probe_count(n, Algebra.H, _VERIFICATION_PROBES) // n), _VERIFICATION_PROBES))
 
 
 def _sigma_additivity(cell: Cell, ts: np.ndarray) -> np.ndarray:

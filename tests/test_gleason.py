@@ -1,4 +1,6 @@
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -189,10 +191,10 @@ class TestBlockMeasure:
             mu(Projector(Matrix.identity(4, algebra)))
 
     @pytest.mark.parametrize("algebra", ALGEBRAS)
-    def test_every_probe_chunk_is_certified_once(self, algebra, monkeypatch):
+    def test_every_probe_chunk_of_an_opaque_measure_is_certified_once(self, algebra, monkeypatch):
         n = 5
         T = random_density(n, algebra, SplitMix64(946))
-        f = FrameFunction.from_measure(measure_from_state(T))
+        f = FrameFunction.from_measure(_opaque(measure_from_state(T)))
         certified = []
         certify = linalg._certify_projectors
 
@@ -209,14 +211,18 @@ class TestBlockMeasure:
         assert certified == [7] * 5 + [5]
 
     @pytest.mark.parametrize("algebra", ALGEBRAS)
-    def test_no_probe_builds_a_matrix(self, algebra, monkeypatch):
+    @pytest.mark.parametrize("opaque", [False, True], ids=["lines", "opaque"])
+    def test_no_probe_builds_a_matrix(self, algebra, opaque, monkeypatch):
         """A reconstruction at n = 8 makes 2.8 times the polarization probes of
-        one at n = 5, but builds only one more matrix per probe chunk."""
+        one at n = 5.  Through a state's line reading it builds no more
+        matrices and no line projector; through an opaque measure it builds
+        only one more matrix per probe chunk."""
 
         def matrices_built(n: int) -> tuple[int, int, int]:
             """(matrices built, probe chunks, probes) of one reconstruction."""
             T = random_density(n, algebra, SplitMix64(948))
-            f = FrameFunction.from_measure(measure_from_state(T))
+            mu = measure_from_state(T)
+            f = FrameFunction.from_measure(_opaque(mu) if opaque else mu)
             count, widths = 0, []
             init, rank_ones = Matrix.__init__, Projector.rank_ones
 
@@ -237,8 +243,145 @@ class TestBlockMeasure:
 
         built5, chunks5, probes5 = matrices_built(5)
         built8, chunks8, probes8 = matrices_built(8)
-        assert probes8 > probes5 and chunks5 == 1
+        if opaque:
+            assert probes8 > probes5 and chunks5 == 1
+        else:
+            assert chunks5 == chunks8 == 0
         assert built8 - chunks8 == built5 - chunks5
+
+
+def _opaque(mu):
+    """The measure ``mu`` without its line reading, as an oracle that reads only
+    projector stacks: its frame function hands it certified line projectors,
+    in chunks."""
+    return gleason.LatticeMeasure(evaluate=mu.evaluate)
+
+
+def _integer_hermitian(n, algebra, draw):
+    """An n x n Hermitian matrix of the algebra with small-integer components."""
+    k = algebra.component_count
+    comps = np.zeros((n, n, 4))
+    for r in range(n):
+        comps[r, r, 0] = draw()
+        for c in range(r + 1, n):
+            comps[r, c, :k] = [draw() for _ in range(k)]
+            comps[c, r] = linalg._conj_comps(comps[r, c])
+    return comps
+
+
+def _exact_line_value(T, x):
+    """Re<x|Tx> / <x|x> in exact rational arithmetic, from the Hamilton table,
+    for integer components T (n, n, 4) and x (n, 4)."""
+    table = kernels.HAMILTON.astype(int)
+
+    def product(p, q):
+        return [sum(int(table[a, b, e]) * p[a] * q[b] for a in range(4) for b in range(4)) for e in range(4)]
+
+    t = [[[int(v) for v in entry] for entry in row] for row in T]
+    u = [[int(v) for v in entry] for entry in x]
+    conj = [[e[0], -e[1], -e[2], -e[3]] for e in u]
+    n = len(u)
+    numerator = sum(product(product(conj[r], t[r][c]), u[c])[0] for r in range(n) for c in range(n))
+    return Fraction(numerator, sum(v * v for e in u for v in e))
+
+
+class TestLineReading:
+    """A state's frame function read as Re<x|Tx> / <x|x> (LatticeMeasure.lines)."""
+
+    @pytest.mark.parametrize("algebra", ALGEBRAS)
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 33, 64])
+    @pytest.mark.parametrize("e", [-20, 0, 20])
+    def test_the_reading_agrees_with_the_certified_lattice_reading(self, algebra, n, e):
+        rng = SplitMix64(1700 + n)
+        mu = measure_from_state(random_density(n, algebra, rng))
+        X = random_matrix(n, 12, algebra, rng).comps
+        scaled = Matrix(algebra, X * 2.0**e)
+        lines = mu.lines(algebra, scaled.comps)
+        lattice = mu.evaluate(algebra, Projector.rank_ones(scaled))
+        assert np.abs(lines - lattice).max() <= 1e-15
+        # x -> 2^e x scales <x|Tx> and <x|x> exactly alike
+        assert lines.tobytes() == mu.lines(algebra, X).tobytes()
+        assert FrameFunction.from_measure(mu).evaluate(scaled) == lines.tolist()
+
+    @pytest.mark.parametrize("algebra", ALGEBRAS)
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_the_reading_of_integer_data_is_the_exact_ratio_rounded_once(self, algebra, n):
+        # small integers keep every product and sum exact, so the one rounding
+        # left is the division's
+        draw = random.Random(1800 + n).randint
+        T = _integer_hermitian(n, algebra, lambda: draw(-3, 3))
+        X = np.zeros((n, 9, 4))
+        X[..., :algebra.component_count] = [[[draw(-3, 3) for _ in range(algebra.component_count)]
+                                             for _ in range(9)] for _ in range(n)]
+        X[0, :, 0] = [draw(1, 3) for _ in range(9)]  # no zero column
+        exact = [float(_exact_line_value(T, X[:, p])) for p in range(9)]
+        assert gleason._line_values(T, X, algebra).tolist() == exact
+
+    @pytest.mark.parametrize("algebra", ALGEBRAS)
+    @pytest.mark.parametrize("n", [3, 5, 8, 17, 33, 64])
+    def test_each_column_keeps_its_bits_alone_and_over_a_stack_of_states(self, algebra, n):
+        rng = SplitMix64(1850 + n)
+        states = np.stack([random_density(n, algebra, rng).matrix.comps for _ in range(3)])
+        X = np.stack([random_unit_vectors(n, 10, algebra, rng).comps for _ in range(3)])
+        stacked = gleason._line_values(states, X, algebra)
+        for s in range(3):
+            alone = gleason._line_values(states[s], X[s], algebra)
+            assert alone.tobytes() == stacked[s].tobytes()
+            assert alone[3:4].tobytes() == gleason._line_values(states[s], X[s, :, 3:4], algebra).tobytes()
+
+    @pytest.mark.parametrize("algebra", [Algebra.C, Algebra.H])
+    @pytest.mark.parametrize("n", [33, 53, 64])
+    def test_the_reading_keeps_its_bits_under_every_ufunc_buffer_size(self, algebra, n):
+        rng = SplitMix64(1870 + n)
+        mu = measure_from_state(random_density(n, algebra, rng))
+        X = random_unit_vectors(n, 20, algebra, rng).comps
+        default, read = np.getbufsize(), []
+        try:
+            for size in (1024, 8192, 65536):
+                np.setbufsize(size)
+                read.append(mu.lines(algebra, X).tobytes())
+        finally:
+            np.setbufsize(default)
+        assert read[0] == read[1] == read[2]
+
+    @pytest.mark.parametrize("algebra", ALGEBRAS)
+    @pytest.mark.parametrize("fault, message", [
+        ("zero", "zero input vector"),
+        ("nan", "input vector has a non-finite norm"),
+        ("inf", "input vector has a non-finite norm"),
+    ])
+    def test_a_degenerate_column_raises_what_rank_ones_raises(self, algebra, fault, message):
+        f = FrameFunction.from_measure(measure_from_state(random_density(3, algebra, SplitMix64(1890))))
+        comps = random_matrix(3, 6, algebra, SplitMix64(1891)).comps.copy()
+        if fault == "zero":
+            comps[:, 4] = 0.0
+        else:
+            comps[1, 4, 0] = np.nan if fault == "nan" else np.inf
+        X = Matrix(algebra, comps)
+        for read in (f.evaluate, Projector.rank_ones):
+            with pytest.raises(DegenerateInput) as raised:
+                read(X)
+            assert str(raised.value) == message
+
+    @pytest.mark.parametrize("algebra", [Algebra.R, Algebra.C])
+    def test_a_column_outside_the_algebra_is_refused_by_its_matrix(self, algebra):
+        f = FrameFunction.from_measure(measure_from_state(random_density(3, algebra, SplitMix64(1892))))
+        comps = random_matrix(3, 6, algebra, SplitMix64(1893)).comps.copy()
+        comps[1, 4, algebra.component_count] = 0.5
+        for read in (f.evaluate, Projector.rank_ones):
+            with pytest.raises(AlgebraMismatch) as raised:
+                read(Matrix(algebra, comps))
+            assert str(raised.value) == f"an entry has components outside {algebra.value}"
+
+    @pytest.mark.parametrize("state, probes", [("C", "R"), ("H", "C"), ("R", "H")])
+    def test_probes_of_another_algebra_raise_mixed_algebras(self, state, probes):
+        state, probes = Algebra.from_letter(state), Algebra.from_letter(probes)
+        mu = measure_from_state(random_density(3, state, SplitMix64(1894)))
+        X = random_matrix(3, 4, probes, SplitMix64(1895))
+        for read in (FrameFunction.from_measure(mu).evaluate, lambda X: mu.evaluate(probes, Projector.rank_ones(X))):
+            with pytest.raises(AlgebraMismatch) as raised:
+                read(X)
+            assert str(raised.value) == f"mixed algebras {probes.value} and {state.value}"
 
 
 def _four_block_reconstruction(f, n, algebra, rng=None, verification_probes=100):
@@ -377,12 +520,12 @@ class TestReconstruction:
         return widths
 
     @pytest.mark.parametrize("algebra", ALGEBRAS)
-    def test_probe_blocks_wider_than_one_chunk_match_pointwise_probes_bit_for_bit(
+    def test_opaque_probe_blocks_wider_than_one_chunk_match_pointwise_probes_bit_for_bit(
         self, algebra, monkeypatch
     ):
         n = 5
         T = random_density(n, algebra, SplitMix64(930))
-        f = FrameFunction.from_measure(measure_from_state(T))
+        f = FrameFunction.from_measure(_opaque(measure_from_state(T)))
         X = random_matrix(n, 40, algebra, SplitMix64(931))
         one_by_one = [f(x) for x in X.columns()]
         monkeypatch.setattr(gleason, "_PROBE_CHUNK_ENTRIES", 7 * 4 * n * n)  # 7 columns
@@ -397,7 +540,7 @@ class TestReconstruction:
 
     @pytest.mark.parametrize("algebra", ALGEBRAS)
     @pytest.mark.parametrize("n", [3, 4, 5, 8, 16])
-    def test_probe_chunks_stay_within_the_entry_budget_and_one_chunk_up_to_n_5(
+    def test_opaque_probe_chunks_stay_within_the_entry_budget_and_one_chunk_up_to_n_5(
         self, algebra, n, monkeypatch
     ):
         T = random_density(n, algebra, SplitMix64(932))
@@ -409,31 +552,35 @@ class TestReconstruction:
             return certify(stack, idem, tol)
 
         monkeypatch.setattr(linalg, "_certify_projectors", spy)
-        reconstruct_state(FrameFunction.from_measure(measure_from_state(T)), n, algebra)
+        reconstruct_state(FrameFunction.from_measure(_opaque(measure_from_state(T))), n, algebra)
         assert max(entries) <= gleason._PROBE_CHUNK_ENTRIES
         if n <= 5:
             assert len(entries) == 1
 
     @pytest.mark.parametrize("algebra", ALGEBRAS)
-    def test_frame_function_probe_builds_no_matrix_product(self, algebra, monkeypatch):
+    @pytest.mark.parametrize("opaque", [False, True], ids=["lines", "opaque"])
+    def test_frame_function_probe_makes_one_product_per_block(self, algebra, opaque, monkeypatch):
+        """A state's line reading makes one product x* T per probe block, with
+        every column of the block in one stack; an opaque measure makes none."""
         rng = SplitMix64(61)
         T = random_density(4, algebra, rng)
         x = random_matrix(4, 1, algebra, rng)
         expect = inner(x, T.matrix @ x).real / x.norm() ** 2
         X = random_matrix(4, 50, algebra, rng)
         expect_block = [inner(u, T.matrix @ u).real / u.norm() ** 2 for u in X.columns()]
-        f = FrameFunction.from_measure(measure_from_state(T))
+        mu = measure_from_state(T)
+        f = FrameFunction.from_measure(_opaque(mu) if opaque else mu)
         calls = []
         product = kernels.quat_matmul
 
-        def counting(A, B):
+        def counting(A, B, component_count=4):
             calls.append(A.shape)
-            return product(A, B)
+            return product(A, B, component_count)
 
         monkeypatch.setattr(kernels, "quat_matmul", counting)
         value = f(x)
         values = f.evaluate(X)
-        assert calls == []
+        assert calls == ([] if opaque else [(1, 1, 4, 4), (50, 1, 4, 4)])
         assert abs(value - expect) < 1e-12
         assert len(values) == 50 and np.abs(np.subtract(values, expect_block)).max() < 1e-12
 

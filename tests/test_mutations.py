@@ -247,6 +247,15 @@ def _adapted_bases_for_the_negated_unit(monkeypatch):
     _patch_every_binding(monkeypatch, build, lambda J, units: build(J, -units))
 
 
+def _line_values_reading_the_transpose(monkeypatch):
+    read = gleason._line_values
+
+    def transposed(states, X, algebra):  # Re<x|T^T x> in place of Re<x|Tx>: T^T = T over R alone
+        return read(states.swapaxes(-3, -2), X, algebra)
+
+    _patch_every_binding(monkeypatch, read, transposed)
+
+
 def _reconstruction_with_an_empty_lower_triangle(monkeypatch):
     def upper_only(diag, entries, k, l):  # the entries are never mirrored below the diagonal
         n = diag.shape[-1]
@@ -279,6 +288,7 @@ MUTANTS = {
     "complex_projector_defects_without_the_conjugate": _complex_projector_defects_without_the_conjugate,
     "real_pairings_reading_component_1": _real_pairings_reading_component_1,
     "complex_operands_copied_conjugated": _complex_operands_copied_conjugated,
+    "line_values_reading_the_transpose": _line_values_reading_the_transpose,
 }
 
 # Mutants of the R and C branches that no record of the suite can see, each
@@ -357,3 +367,18 @@ def test_the_stacked_runner_reaches_the_mutant_in_every_algebra(mutant, claim, m
     report = run_suite(RunConfig(algebras=("R", "C", "H"), dims=(3,), trials=2, only=claim))
     (prop,) = [p for p in REGISTRY if p.name == claim]
     assert sorted(_failed(report)) == [f"{claim}[{letter}]" for letter in sorted(prop.algebras)]
+
+
+@pytest.mark.parametrize("mutant, letters", [
+    ("line_projectors_j_part_negated", ["H"]),
+    ("real_line_projectors_as_the_row_squared", ["R"]),
+    ("complex_line_projectors_without_the_conjugate", ["C"]),
+    ("complex_projector_defects_without_the_conjugate", ["C"]),
+    ("line_values_reading_the_transpose", ["C", "H"]),
+])
+def test_the_round_trip_alone_reaches_the_probe_path_mutant(mutant, letters, monkeypatch):
+    # the frame functions read Re<x|Tx>/<x|x>, so a mutant of the line projectors
+    # reaches the round trip only through its term mu(P_x) - Re<x|Tx>/<x|x>
+    MUTANTS[mutant](monkeypatch)
+    report = run_suite(RunConfig(algebras=("R", "C", "H"), dims=(3,), trials=2, only="gleason.round_trip"))
+    assert sorted(_failed(report)) == [f"gleason.round_trip[{letter}]" for letter in letters]

@@ -383,9 +383,16 @@ def _adapted_trace_formula(cell, t):
 
 def _round_trip(cell, t):
     T = _draw_density(cell)
-    f = FrameFunction.from_measure(measure_from_state(T))
-    rebuilt = reconstruct_state(f, cell.dim, cell.algebra, rng=cell.rng)
-    return [(rebuilt.matrix - T.matrix).max_abs()]
+    mu = measure_from_state(T)
+    f = FrameFunction.from_measure(mu)
+    probes = []
+    rebuilt = reconstruct_state(FrameFunction(lambda X: probes.append(X) or f.evaluate(X)), cell.dim, cell.algebra,
+                                rng=cell.rng)
+    # the lattice term: the certified line projectors of the 100 verification
+    # probes, which come last, against the frame function's values
+    X = Matrix(cell.algebra, probes[0].comps[:, -100:])
+    lattice = np.abs(mu.evaluate(cell.algebra, Projector.rank_ones(X)) - f.evaluate(X)).max()
+    return [(rebuilt.matrix - T.matrix).max_abs(), float(lattice)]
 
 
 LAST = {
@@ -1349,10 +1356,12 @@ def test_chunked_trials_give_the_bits_of_one_stack(name, monkeypatch):
     whole = prop.runner.block(Cell(algebra, 3, ref, 7), np.arange(7))
     # chunks of two 3 x 3 trials, or one realified trial: a budget of 100
     # entries, of 250 where a trial holds up to three atoms or parts (108
-    # entries), and of 450 where it holds its twelve bases (432 entries)
+    # entries), of 450 where it holds its twelve bases (432 entries), and of
+    # 7200 where it holds 100 line projectors (3600 entries)
     budget = 250 if name in ("quantum.pvm_partition", "quantum.expectation_duality",
                              "quantum.pure_state_reduction", "gleason.sigma_additivity") else 100
     budget = 450 if name == "trace.nonhermitian_basis_dependence_h" else budget
+    budget = 7200 if name == "gleason.round_trip" else budget
     monkeypatch.setattr(quantum, "_ORBIT_CHUNK_ENTRIES", budget)
     sizes = _spy_on_products(monkeypatch)
     chunked = prop.runner(Cell(algebra, 3, rng, 7))
