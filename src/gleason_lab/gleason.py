@@ -17,15 +17,18 @@ whole stack in one contraction (:func:`gleason_lab.trace._real_pairings`).  On
 the line of a vector x it is the frame function f(x) = Re<x|Tx> / <x|x>, and
 the measure carries that reading of probe columns (``LatticeMeasure.lines``,
 :func:`_line_values`): one product x* T per column, with no line projector.
-So :func:`reconstruct_state` makes one block call, over its four probe blocks
-side by side, and builds no object and no projector per probe.  Its
-verification step predicts each probe value as Re<x|Tx> from the rebuilt
-matrix, so it checks the probe path rather than repeating it.  A measure with
-no line reading, such as the dimension-2 Bloch-cubic one, which reads its
-stack projector by projector, is handed certified line projectors in chunks
-of ``_PROBE_CHUNK_ENTRIES`` stack entries.  The Bloch-cubic certificate works
-on stacks too: the probe lines, their certified complements I - P and the fit
-error Re tr(P T) - mu(P), with no Projector object.
+So :func:`reconstruct_state` makes one draw, a Gaussian block split into its
+random pair, its phases and its verification probes in that order
+(:func:`_probe_draws`), and one block call, on one probe array with its four
+probe blocks written side by side in place; it builds no object and no
+projector per probe.  Its verification step predicts each probe value as
+Re<x|Tx> from the rebuilt matrix, so it checks the probe path rather than
+repeating it.  A measure with no line reading, such as the dimension-2
+Bloch-cubic one, which reads its stack projector by projector, is handed
+certified line projectors in chunks of ``_PROBE_CHUNK_ENTRIES`` stack
+entries.  The Bloch-cubic certificate works on stacks too: the probe lines,
+their certified complements I - P and the fit error Re tr(P T) - mu(P), with
+no Projector object.
 
 States have stack forms with leading axes, and each public function is the
 one-matrix or one-draw case of its stack form: the state certificate
@@ -48,6 +51,7 @@ builds and certifies a cell's states with them at once.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -65,10 +69,12 @@ from .linalg import (
     _check_same_algebra,
     _conj_comps,
     _groups,
+    _layout,
     _mul_comps,
     _outer_sums,
+    _unit_rows,
+    _unit_scalars,
     inner,  # re-exported: perfbench's tracer test checks this binding
-    random_phases,
     random_unit_vectors,
     random_unitary,
 )
@@ -328,23 +334,30 @@ def reconstruct_state(
 
     Diagonal entries are f(e_k); off-diagonal entries come from polarization
     probes f((e_k + e_l q)/sqrt2) = (T_kk + T_ll)/2 + Re(T_kl q) with q running
-    over 1 and the imaginary units of the algebra.  f is evaluated once, on
-    four probe blocks side by side, in this order: phase invariance (up to four
-    basis vectors and two random unit vectors, each followed by its turns x q
-    for 10 random phases q), the standard basis, every polarization probe, and
-    ``verification_probes`` random unit vectors drawn by
-    :func:`random_unit_vectors`; every draw comes before the call.  An opaque
+    over 1 and the imaginary units of the algebra.  Every draw comes first, as
+    one Gaussian block (:func:`_probe_draws`): two random unit vectors, 10
+    (min(n, 4) + 2) random phases and ``verification_probes`` random unit
+    vectors, bit for bit what :func:`random_unit_vectors`,
+    :func:`random_phases` and :func:`random_unit_vectors` give one after
+    another, with the stream left where they leave it.  f is then evaluated
+    once, on one probe array holding four blocks side by side, in this order:
+    phase invariance (up to four basis vectors and the two random unit
+    vectors, each followed by its turns x q for 10 phases q), the standard
+    basis, every polarization probe, and the verification probes.  An opaque
     oracle wrapped by :meth:`FrameFunction.pointwise` is called once per probe,
     in this order.  The checks then read their blocks' values in the same
     order: phase invariance to 1e-7, the basis weight to 1e-7 n and every
     verification probe to 1e-8, its Re<x|Tx> for all probes from the one
-    product T X.  The verified matrix is certified as a state.  The one-state
-    case of :func:`_reconstructions`.
+    product T X.  The verified matrix is certified as a state.  An n below 1
+    or a ``verification_probes`` that is not a nonnegative integer raises
+    ValueError before anything is drawn.  The one-state case of
+    :func:`_reconstructions`.
     """
+    for name, value, low in (("n", n, 1), ("verification_probes", verification_probes, 0)):
+        if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low):
+            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
     rng = rng or SplitMix64(0x51EA).derive("reconstruct", algebra.value, n)
-    pair = random_unit_vectors(n, 2, algebra, rng).comps
-    phases = random_phases(10 * (min(n, 4) + 2), algebra, rng)
-    X = random_unit_vectors(n, verification_probes, algebra, rng).comps
+    draws = rng.gaussian_block(_probe_draw_count(n, algebra, verification_probes))
 
     def evaluate(probes: np.ndarray) -> np.ndarray:
         values = np.asarray(f.evaluate(Matrix(algebra, probes)), dtype=np.float64)
@@ -352,7 +365,36 @@ def reconstruct_state(
             raise NotAFrameFunction(f"oracle returned {values.shape} values for {probes.shape[1]} probes")
         return values
 
-    return DensityOperator(Matrix(algebra, _reconstructions(evaluate, algebra, pair, phases, X)))
+    return DensityOperator(Matrix(algebra, _reconstructions(evaluate, algebra, *_probe_draws(draws, n, algebra))))
+
+
+def _phase_count(n: int) -> int:
+    """The random phases of one reconstruction: 10 per phase-invariance probe."""
+    return 10 * (min(n, 4) + 2)
+
+
+def _probe_draw_count(n: int, algebra: Algebra, verification_probes: int) -> int:
+    """The Gaussians that one reconstruction draws (:func:`_probe_draws`)."""
+    return (2 * n + _phase_count(n) + verification_probes * n) * algebra.component_count
+
+
+def _probe_draws(gaussians: np.ndarray, n: int, algebra: Algebra) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(pairs, phases, X) of :func:`_reconstructions` from the Gaussians that
+    one reconstruction draws, or from a (..., G) stack of them: in this order,
+    the two unit vectors (..., n, 2, 4) of the phase block, the
+    :func:`_phase_count` phases (..., ., 4) and the verification probes
+    (..., n, v, 4), v taken from the length.  Each is formed as its public
+    generator forms it, :func:`random_unit_vectors` (:func:`_unit_rows`) and
+    :func:`random_phases` (:func:`_unit_scalars`), so one block is bit for bit
+    what the three draws one after another give."""
+    k, lead = algebra.component_count, gaussians.shape[:-1]
+    at = 2 * n * k
+    to = at + _phase_count(n) * k
+    v = (gaussians.shape[-1] - to) // (n * k)
+    pairs = _unit_rows(_layout(gaussians[..., :at], lead + (2, n), algebra)).swapaxes(-3, -2)
+    phases = _unit_scalars(gaussians[..., at:to].reshape(lead + (_phase_count(n), k)))
+    X = _unit_rows(_layout(gaussians[..., to:], lead + (v, n), algebra)).swapaxes(-3, -2)
+    return pairs, phases, X
 
 
 def _probe_count(n: int, algebra: Algebra, verification_probes: int) -> int:
@@ -363,50 +405,53 @@ def _probe_count(n: int, algebra: Algebra, verification_probes: int) -> int:
 def _reconstructions(evaluate: Callable[[np.ndarray], np.ndarray], algebra: Algebra, pairs: np.ndarray,
                      phases: np.ndarray, X: np.ndarray) -> np.ndarray:
     """The (..., n, n, 4) matrices that :func:`reconstruct_state` rebuilds, for
-    one frame function or a stack of them, from their draws: the two unit
-    vectors ``pairs`` (..., n, 2, 4) of the phase block, the 10 (min(n, 4) + 2)
-    ``phases`` (..., ., 4) and the verification probes ``X`` (..., n, v, 4).
-    ``evaluate`` takes the (..., n, P, 4) probe columns, in
-    :func:`reconstruct_state`'s order, and returns their (..., P) values.
+    one frame function or a stack of them, from their draws
+    (:func:`_probe_draws`): the two unit vectors ``pairs`` (..., n, 2, 4) of
+    the phase block, the 10 (min(n, 4) + 2) ``phases`` (..., ., 4) and the
+    verification probes ``X`` (..., n, v, 4).  The (..., n, P, 4) probe
+    columns, in :func:`reconstruct_state`'s order, are one zero array with
+    each block written in place; ``evaluate`` takes them and returns their
+    (..., P) values, which the checks read by slices at the block offsets.
     Over a stack each check rejects the lowest failing state by the one-state
     message (:func:`gleason_lab.errors.require`).  The caller certifies the
     states."""
-    lead, n = X.shape[:-3], X.shape[-3]
-    units = np.array([q.to_array() for q in (Quaternion.ONE,) + algebra.imaginary_units])
-
+    lead, n, v = X.shape[:-3], X.shape[-3], X.shape[-2]
+    count = algebra.component_count
+    units = np.eye(4)[:count]  # 1 and the imaginary units of the algebra
+    # the pairs k < l in row order
+    k, l = np.nonzero(np.arange(n)[:, None] < np.arange(n))
     m = min(n, 4)
-    phase_probes = np.zeros(lead + (n, m + 2, 1, 4))
-    phase_probes[..., np.arange(m), np.arange(m), 0, 0] = 1.0
-    phase_probes[..., m:, 0, :] = pairs
-    turns = _mul_comps(phase_probes, phases.reshape(lead + (1, m + 2, 10, 4)))  # x q, column by column
-    phase_block = np.concatenate([phase_probes, turns], axis=-2).reshape(lead + (n, 11 * (m + 2), 4))
+    basis = 11 * (m + 2)
+    polar = basis + n
+    verify = polar + len(k) * count
+    probes = np.zeros(lead + (n, verify + v, 4))
 
-    # column (pair, q) of the polarization block is (e_k + e_l q)/sqrt2, pairs k < l in row order
-    k, l = np.triu_indices(n, 1)
+    # up to four basis vectors and the two unit vectors, each followed by its turns x q
+    phase_block = probes[..., :basis, :].reshape(lead + (n, m + 2, 11, 4))
+    phase_block[..., np.arange(m), np.arange(m), 0, 0] = 1.0
+    phase_block[..., m:, 0, :] = pairs
+    phase_block[..., 1:, :] = _mul_comps(phase_block[..., :1, :], phases.reshape(lead + (1, m + 2, 10, 4)))
+    probes[..., np.arange(n), basis + np.arange(n), 0] = 1.0
+    # column (pair, q) of the polarization block is (e_k + e_l q)/sqrt2
     pair_index = np.arange(len(k))
-    polar = np.zeros((n, len(k), len(units), 4))
-    polar[k, pair_index, :, 0] = 1.0
-    polar[l, pair_index] = units
-    polar /= np.sqrt(2.0)
-
-    shared = [Matrix.identity(n, algebra).comps, polar.reshape(n, -1, 4)]
-    if lead:  # the basis and polarization blocks are the same for every state
-        shared = [np.broadcast_to(b, lead + b.shape) for b in shared]
-    blocks = [phase_block, *shared, X]
-    probes = np.concatenate(blocks, axis=-2)
+    polar_block = probes[..., polar:verify, :].reshape(lead + (n, len(k), count, 4))
+    polar_block[..., k, pair_index, :, 0] = 1.0 / np.sqrt(2.0)
+    polar_block[..., l, pair_index, :, :] = units / np.sqrt(2.0)
+    probes[..., verify:, :] = X
     values = evaluate(probes)
-    fx, diag, r, fX = np.split(values, np.cumsum([block.shape[-2] for block in blocks[:-1]]), axis=-1)
 
-    fx = fx.reshape(lead + (m + 2, 11))
+    fx = values[..., :basis].reshape(lead + (m + 2, 11))
     # NaN fails every comparison
     require((np.abs(fx[..., 1:] - fx[..., :1]) <= 10.0 * _STATE_TOL).all(axis=(-2, -1)), NotAFrameFunction,
             f"oracle is not phase invariant: |f(xq) - f(x)| > {10.0 * _STATE_TOL}")
 
+    diag = values[..., basis:polar]
     weight = diag.sum(axis=-1)
     require(np.abs(weight - 1.0) <= 10.0 * _STATE_TOL * n, NotAFrameFunction,
             lambda t: f"basis weight {float(weight[t])} differs from 1")
 
-    r = r.reshape(lead + (len(k), len(units))) - ((diag[..., k] + diag[..., l]) * _POLAR_WEIGHT)[..., None]
+    r = values[..., polar:verify].reshape(lead + (len(k), count))
+    r = r - ((diag[..., k] + diag[..., l]) * _POLAR_WEIGHT)[..., None]
     # T_kl = sum_q conj(q) Re(T_kl q), summed from zero in the order of the units
     entries = np.zeros(lead + (len(k), 4))
     for u, q in enumerate(units):
@@ -414,8 +459,8 @@ def _reconstructions(evaluate: Callable[[np.ndarray], np.ndarray], algebra: Alge
     comps = _hermitian_fill(diag, entries, k, l)
 
     # Re<x|Tx> = sum_m Re(conj(x_m) (Tx)_m), the componentwise dot product
-    predicted = (X * kernels.quat_matmul(comps, X, algebra.component_count)).sum(axis=(-3, -1))
-    errors = np.abs(predicted - fX)
+    predicted = (X * kernels.quat_matmul(comps, X, count)).sum(axis=(-3, -1))
+    errors = np.abs(predicted - values[..., verify:])
     passed = errors <= _STATE_TOL
     require(passed.all(axis=-1), NotAFrameFunction,
             lambda t: f"oracle is not a quadratic form: probe error {errors[t][~passed[t]][0]:.3e}")

@@ -544,23 +544,17 @@ def _round_trip(cell: Cell, ts: np.ndarray) -> np.ndarray:
     # state -> lattice measure -> frame function -> reconstruct_state, one
     # state per trial with reconstruct_state's draws after it
     n, algebra, k = cell.dim, cell.algebra, cell.algebra.component_count
-    phases = 10 * (min(n, 4) + 2)
-    G, raw, pairs, turns, X = _draw(cell, ts.size, _MATRIX, ("uniform", n), ("gaussian", 2 * n * k),
-                                    ("gaussian", phases * k), ("gaussian", _VERIFICATION_PROBES * n * k))
+    G, raw, draws = _draw(cell, ts.size, _MATRIX, ("uniform", n),
+                          ("gaussian", gl._probe_draw_count(n, algebra, _VERIFICATION_PROBES)))
     T = _states(cell, G, raw)
-
-    def unit_columns(x: np.ndarray, count: int) -> np.ndarray:
-        return _unit_rows(_layout(x, (ts.size, count, n), algebra)).swapaxes(1, 2)
-
     values = []
 
     def read(probes: np.ndarray) -> np.ndarray:  # the frame functions, keeping what they return
         values.append(gl._probe_measures(T, algebra)(probes))
         return values[-1]
 
-    X = unit_columns(X, _VERIFICATION_PROBES)
-    rebuilt = gl._reconstructions(read, algebra, unit_columns(pairs, 2),
-                                  _unit_scalars(turns.reshape(ts.size, phases, k)), X)
+    pairs, phases, X = gl._probe_draws(draws, n, algebra)
+    rebuilt = gl._reconstructions(read, algebra, pairs, phases, X)
     gl._state_spectra(rebuilt, algebra)
     # the lattice in the round trip: mu(P_x) = Re tr(P_x T) on the certified line projectors
     # of the verification probes, which come last, against the frame functions' Re<x|Tx>/<x|x>

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -453,7 +454,7 @@ def _quartic(x: Matrix) -> float:
 
 class TestReconstruction:
     @pytest.mark.parametrize("algebra", ALGEBRAS)
-    @pytest.mark.parametrize("n", [3, 5, 8, 16])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
     def test_one_probe_call_matches_the_four_block_reference_bit_for_bit(self, algebra, n):
         T = random_density(n, algebra, SplitMix64(960 + n))
         f = FrameFunction.from_measure(measure_from_state(T))
@@ -473,6 +474,29 @@ class TestReconstruction:
         reconstruct_state(recording(seen), n, algebra)
         _four_block_reconstruction(recording(ref_seen), n, algebra)
         assert seen == ref_seen
+
+    @pytest.mark.parametrize("n, probes, name", [
+        (0, 100, "n"), (-2, 100, "n"), (3.0, 100, "n"), (True, 100, "n"),
+        (3, -1, "verification_probes"), (3, 2.5, "verification_probes"), (3, None, "verification_probes"),
+    ])
+    def test_a_bad_size_raises_before_anything_is_drawn(self, n, probes, name):
+        f = FrameFunction.from_measure(measure_from_state(random_density(3, Algebra.C, SplitMix64(975))))
+        rng = SplitMix64(976)
+        rng.gaussian_block(1)  # a spare is held
+        before = (rng._pos, rng._spare_gauss)
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
+            reconstruct_state(f, n, Algebra.C, rng=rng, verification_probes=probes)
+        assert (rng._pos, rng._spare_gauss) == before
+
+    def test_an_h_reconstruction_at_n_64_peaks_below_55_mib(self):
+        f = FrameFunction.from_measure(measure_from_state(random_density(64, Algebra.H, SplitMix64(979))))
+        tracemalloc.start()
+        try:
+            reconstruct_state(f, 64, Algebra.H)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 55 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     @pytest.mark.parametrize("algebra", ALGEBRAS)
     @pytest.mark.parametrize(

@@ -292,7 +292,7 @@ class TestCli:
         cli_main(["run", "--format", "json"])
         assert tool.digest(()) == hashlib.sha256(capsysbinary.readouterr().out).hexdigest()
 
-    def test_bench_pairs_summary_counts_wins_and_the_parent_iqr(self):
+    def test_bench_pairs_summary_counts_wins_and_the_parent_iqr(self, tmp_path):
         spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
         tool = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tool)
@@ -318,6 +318,18 @@ class TestCli:
         assert tool.quartiles([2.5]) == (2.5, 2.5, 2.5)
         lines = tool.format_rows([wall, rss])
         assert len(lines) == 3 and lines[1].startswith("wall_s") and " 9/10 " in lines[1]
+        # --out writes the pairs, the rows and the environment; the pairs read
+        # back give the rows again
+        better = {"wall_s": "lower", "score": "higher", "rss": "lower"}
+        rows = tool.summarize(pairs, better)
+        environment = {"parent": {"numpy": "2.0"}, "change": {"numpy": "2.0"}}
+        tool.write_record(tmp_path / "bench.json", "round_trip", 20.0, list(range(1, 11)), pairs, rows, environment)
+        record = _strict_loads((tmp_path / "bench.json").read_text())
+        assert (record["workload"], record["seconds"], record["environment"]) == ("round_trip", 20.0, environment)
+        assert [pair["seed"] for pair in record["pairs"]] == list(range(1, 11))
+        read = [(pair["parent"], pair["change"]) for pair in record["pairs"]]
+        assert read == pairs
+        assert record["summary"] == json.loads(json.dumps(tool.summarize(read, better)))
 
     def test_run_writes_json_report(self, tmp_path):
         out = tmp_path / "report.json"

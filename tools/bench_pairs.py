@@ -1,6 +1,6 @@
 """Alternating benchmark pairs in two checkouts, summarized per metric.
 
-    python3 tools/bench_pairs.py PARENT CHANGE --workload W --pairs N --seconds S [--seed S0]
+    python3 tools/bench_pairs.py PARENT CHANGE --workload W --pairs N --seconds S [--seed S0] [--out PATH]
 
 PARENT and CHANGE are the roots of two source checkouts.  Pair i runs
 ``perfbench/run.py --workload W --seed S0+i --seconds S --trace 0`` once in
@@ -13,6 +13,10 @@ the medians differ by more than the parent's interquartile range.  A claimed
 gain needs at least 9 wins in 10 pairs and a median shift beyond the parent's
 IQR, in the better direction: the ``gain`` column.  A run whose checks failed
 or whose answers were wrong is reported on standard error as it finishes.
+With ``--out PATH`` the tool also writes a JSON file (:func:`write_record`):
+every pair's seed and per-run metrics, the rows of :func:`summarize` and each
+side's environment block, the line that ``perfbench/run.py`` prints before
+its result.
 """
 
 from __future__ import annotations
@@ -77,12 +81,29 @@ def format_rows(rows: list[dict]) -> list[str]:
     return lines
 
 
-def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The result line of one benchmark run in ``checkout``."""
+def run(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+    """(environment block, result line) of one benchmark run in ``checkout``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
-    return json.loads(out.stdout.strip().splitlines()[-1])
+    *_, env, result = out.stdout.strip().splitlines()
+    return json.loads(env)["environment"], json.loads(result)
+
+
+def write_record(path: Path, workload: str, seconds: float, seeds: list[int], pairs: list[tuple[dict, dict]],
+                 rows: list[dict], environment: dict[str, dict]) -> None:
+    """The JSON file of ``--out``: the workload and run length, each pair's
+    seed with the (parent, change) metrics of :func:`summarize`, its rows,
+    and the environment block of each side."""
+    record = {
+        "workload": workload,
+        "seconds": seconds,
+        "environment": environment,
+        "pairs": [{"seed": seed, "parent": parent, "change": change}
+                  for seed, (parent, change) in zip(seeds, pairs)],
+        "summary": rows,
+    }
+    path.write_text(json.dumps(record, indent=2) + "\n")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -93,23 +114,30 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair; pair i takes seed + i")
+    parser.add_argument("--out", type=Path, help="also write the pairs, the summary and the environment as JSON")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    pairs = []
+    pairs, environment = [], {}
     for i in range(args.pairs):
         seed = args.seed + i
         order = [("parent", args.parent), ("change", args.change)]
         if i % 2:
             order.reverse()
-        results = {side: run(path, args.workload, seed, args.seconds) for side, path in order}
+        results = {}
+        for side, path in order:
+            environment[side], results[side] = run(path, args.workload, seed, args.seconds)
         for side, result in results.items():
             if result["failed"] or not result["correct"]:
                 print(f"seed {seed}: {side} failed {result['failed']} of {result['attempted']} checks, "
                       f"correct={result['correct']}", file=sys.stderr)
         pairs.append(tuple({k: v["value"] for k, v in results[s]["metrics"].items()} for s in ("parent", "change")))
         print(f"pair {i + 1}/{args.pairs} (seed {seed}) done", file=sys.stderr, flush=True)
-    print("\n".join(format_rows(summarize(pairs, better))))
+    rows = summarize(pairs, better)
+    print("\n".join(format_rows(rows)))
+    if args.out:
+        seeds = [args.seed + i for i in range(args.pairs)]
+        write_record(args.out, args.workload, args.seconds, seeds, pairs, rows, environment)
     return 0
 
 
