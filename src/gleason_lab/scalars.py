@@ -113,7 +113,8 @@ class Quaternion:
 
     @classmethod
     def from_array(cls, comps) -> "Quaternion":
-        a, b, c, d = (float(x) for x in comps)
+        # one tolist() reads an ndarray's four floats at once
+        a, b, c, d = map(float, comps.tolist() if isinstance(comps, np.ndarray) else comps)
         return cls(a, b, c, d)
 
     def __repr__(self) -> str:

@@ -41,10 +41,11 @@ check read only the spectrum, so they take :func:`eigvals_hermitian` and
 compute no eigenvectors.  Spectral measures need the basis, and so do |A| and
 the polar direction J, each from one eigendecomposition of A*A.  The skew
 polar (J, tr|A - A*|) of :func:`make_J` is the one-matrix case of
-``_skew_polars``, which builds it from the decomposition of (A - A*)*(A - A*)
-for a whole stack, and ``_adapted_bases`` runs the sweep of
-:func:`adapted_basis` over a stack of J.
-
+``_skew_polars``, from the ``_eig_stack`` decomposition of (A - A*)*(A - A*).
+:func:`adapted_basis` and its stacked twin ``_adapted_bases`` share the J
+guard, the candidate block and the residual certificate, for one J (n, n, 4)
+and unit (4,) or a stack of them; only the two-pass sweep differs, per column
+through :func:`inner` in :func:`adapted_basis` until ROADMAP item 1a.
 Eigenbases and adapted bases come back as the columns of one
 :class:`~gleason_lab.linalg.Matrix`; a single vector is an n x 1 Matrix.
 """
@@ -382,39 +383,72 @@ def _skew_polar(A: Matrix, kernel_unit: Quaternion = Quaternion.I) -> tuple[Matr
     if not np.isfinite(A.comps).all():
         raise NotHermitian("matrix has a non-finite entry")
     C = A.comps - _adjoint_comps(A.comps)
-    dec = eig_hermitian(Matrix(Algebra.H, _gram(C, Algebra.H)))
-    J, norms = _skew_polars(C[None], dec.values[None], dec.basis.comps[None], kernel_unit)
+    values, basis = _eig_stack(_gram(C, Algebra.H), Algebra.H)
+    J, norms = _skew_polars(C[None], values[None], basis[None], kernel_unit)
     return Matrix(Algebra.H, J[0]), float(norms[0])
 
 
 def _skew_polars(C: np.ndarray, values: np.ndarray, basis: np.ndarray,
                  kernel_unit: Quaternion = Quaternion.I) -> tuple[np.ndarray, np.ndarray]:
     """(J, tr|C|) of every C = A - A* of a (T, n, n, 4) stack, from the
-    eigendecomposition of C*C that :func:`eig_hermitian` gives, values (T, n)
+    eigendecomposition of C*C that :func:`_eig_stack` gives, values (T, n)
     and basis (T, n, n, 4).  The singular values s of C are those that
     :func:`_root_spectrum` leaves, and J = C U+ diag(1/s) U+* + U0 diag(q) U0*
     over the live columns U+ (s > 0) and the kernel columns U0, q the
     ``kernel_unit``: the kernel holds every singular value cut to zero, those
     at most 1e-5 of the largest.  The matrices with as many live columns form
-    one stack (:func:`_groups`), so every product has the shape it has alone."""
+    one stack (:func:`_groups`), so every product has the shape it has alone;
+    a stack with no kernel adds 0.0 for its empty kernel term, the same bits,
+    signed zeros included."""
     sigmas = _root_spectrum(values)
     J = np.empty(C.shape)
     for live, at in _groups((sigmas > 0.0).sum(axis=-1).tolist()):
-        U = basis[at]
-        plus, zero = U[..., :live, :], U[..., live:, :]
-        units = np.broadcast_to(kernel_unit.to_array(), zero.shape[:-3] + zero.shape[-2:])
-        J[at] = (_outer_sums(kernels.quat_matmul(C[at], plus), 4, 1.0 / sigmas[at, :live], plus)
-                 + _outer_sums(zero, 4, units))
+        plus, zero = basis[at, :, :live], basis[at, :, live:]
+        kernel = (_outer_sums(zero, 4, np.broadcast_to(kernel_unit.to_array(), zero.shape[:-3] + zero.shape[-2:]))
+                  if zero.size else 0.0)
+        J[at] = _outer_sums(kernels.quat_matmul(C[at], plus), 4, 1.0 / sigmas[at, :live], plus) + kernel
     return J, sigmas.sum(axis=-1)
 
 
-def _perpendicular_imaginary(imag_unit: Quaternion) -> Quaternion:
-    vec = imag_unit.to_array()[1:]
+def _perpendicular_imaginary(unit: np.ndarray) -> np.ndarray:
+    """A unit imaginary perpendicular to the unit imaginary ``unit``, as (4,) components."""
+    vec = unit[1:]
     axis = np.zeros(3)
     axis[int(np.argmin(np.abs(vec)))] = 1.0
     perp = axis - float(np.dot(axis, vec)) * vec
     perp /= np.linalg.norm(perp)
-    return Quaternion(0.0, *perp)
+    return np.concatenate(([0.0], perp))
+
+
+def _require_anti_unitary(J: np.ndarray) -> None:
+    """Raise ValueError unless J is finite, |J + J*| <= 1e-8 and |J^2 + I| <= 1e-8."""
+    message = "J must be an anti-selfadjoint unitary"
+    # finite first: NaN would pass the defect tests, and inf would make numpy warn
+    require(np.isfinite(J).all(axis=(-3, -2, -1)), ValueError, message)
+    m = np.arange(J.shape[-3])
+    square = kernels.quat_matmul(J, J)
+    square[..., m, m, 0] += 1.0
+    require((_max_abs(J + _adjoint_comps(J)) <= 1e-8) & (_max_abs(square) <= 1e-8), ValueError, message)
+
+
+def _candidates(J: np.ndarray, units: np.ndarray) -> np.ndarray:
+    """pi(z) = (z - (J z) unit) / 2 of Z = [e_0, e_0 t, e_1, ...] from one J Z, one row per candidate."""
+    n = J.shape[-3]
+    m = np.arange(n)
+    Z = np.zeros(J.shape[:-3] + (n, 2 * n, 4))
+    Z[..., m, 2 * m, 0] = 1.0
+    perps = [_perpendicular_imaginary(u) for u in units.reshape(-1, 4)]
+    Z[..., m, 2 * m + 1, :] = np.reshape(perps, units.shape)[..., None, :]
+    Pi = (Z - _mul_comps(kernels.quat_matmul(J, Z), units[..., None, None, :])) * 0.5
+    return np.ascontiguousarray(Pi.swapaxes(-3, -2))
+
+
+def _certify_adapted(J: np.ndarray, basis: np.ndarray, units: np.ndarray, kept=np.True_) -> None:
+    """Raise ConvergenceFailure if a column u of a ``kept`` basis has |J u - u unit| > 1e-9."""
+    defect = kernels.quat_matmul(J, basis) - _mul_comps(basis, units[..., None, None, :])
+    worst = np.sqrt((defect**2).sum(axis=(-3, -1))).max(axis=-1)
+    require(~((worst > 1e-9) & kept), ConvergenceFailure,
+            lambda t: f"adapted-basis residual {worst[t]:.3e} exceeds 1e-9")
 
 
 def adapted_basis(J: Matrix, imag_unit: Quaternion) -> Matrix:
@@ -431,28 +465,17 @@ def adapted_basis(J: Matrix, imag_unit: Quaternion) -> Matrix:
     orthogonal to the vectors kept so far has |<x|e_m>| >= 1/sqrt(n) for some
     m, hence a component of at least 1/(2 sqrt(n)) along one of them.  Gram-Schmidt coefficients between
     slice members commute with imag_unit, so orthonormalization does not
-    leave the slice.
+    leave the slice.  The J guard, the candidates and the certificate are
+    :func:`_adapted_bases`' own; the sweep stays per column on :func:`inner`
+    until ROADMAP item 1a.
     """
     if J.algebra is not Algebra.H:
         raise AlgebraMismatch("adapted bases live in quaternionic space")
     if abs(abs(imag_unit) - 1.0) > 1e-12 or abs(imag_unit.real) > 1e-12:
         raise ValueError("imag_unit must be a unit imaginary quaternion")
-    n = J.n
-    ident = Matrix.identity(n, Algebra.H)
-    # checked first: NaN would pass the defect tests, and inf would make numpy warn
-    finite = np.isfinite(J.comps).all()
-    if not finite or (J + J.adjoint()).max_abs() > 1e-8 or (J @ J + ident).max_abs() > 1e-8:
-        raise ValueError("J must be an anti-selfadjoint unitary")
-
-    # Z = [e_0, e_0 t, e_1, e_1 t, ...]; Pi holds every pi(z) = (z - (J z) imag_unit) / 2,
-    # one contiguous row of components per candidate
-    m = np.arange(n)
-    Z = np.zeros((n, 2 * n, 4))
-    Z[m, 2 * m, 0] = 1.0
-    Z[m, 2 * m + 1] = _perpendicular_imaginary(imag_unit).to_array()
-    Pi = (Z - _mul_comps((J @ Matrix(Algebra.H, Z)).comps, imag_unit.to_array())) * 0.5
-    Pi = np.ascontiguousarray(Pi.transpose(1, 0, 2))
-
+    n, unit = J.n, imag_unit.to_array()
+    _require_anti_unitary(J.comps)
+    Pi = _candidates(J.comps, unit)
     out: list[Matrix] = []
     for c in range(2 * n):
         w = Matrix(Algebra.H, Pi[c][:, None])
@@ -466,13 +489,9 @@ def adapted_basis(J: Matrix, imag_unit: Quaternion) -> Matrix:
                 break
     if len(out) != n:
         raise ConvergenceFailure("could not extract a full adapted basis")
-    basis = Matrix.from_columns(out)
-    # J u - u imag_unit for every column u at once
-    defect = (J @ basis).comps - _mul_comps(basis.comps, imag_unit.to_array())
-    worst = float(np.sqrt((defect**2).sum(axis=(0, 2))).max())
-    if worst > 1e-9:
-        raise ConvergenceFailure(f"adapted-basis residual {worst:.3e} exceeds 1e-9")
-    return basis
+    basis = np.concatenate([u.comps for u in out], axis=1)
+    _certify_adapted(J.comps, basis, unit)
+    return Matrix(Algebra.H, basis)
 
 
 def _reject(u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -483,32 +502,14 @@ def _reject(u: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def _adapted_bases(J: np.ndarray, units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(kept, basis) of :func:`adapted_basis` for every J of a (T, n, n, 4)
-    stack, each with its unit imaginary scalar, the (T, 4) ``units``: the
-    same candidates and the same two-pass sweep w - u<u|w>, by the pointwise
-    product, over the whole stack, for the first n candidates.  ``kept``
-    flags the trials that keep all n of them, and ``basis`` holds their
-    bases, bit for bit; a trial that drops one goes on to later candidates,
-    which its caller runs alone (:func:`adapted_basis`).  The twin of
-    :func:`adapted_basis`, which the benchmark times and counts as it is.
-    Over a stack the guards reject the lowest failing trial: ValueError
-    unless J is an anti-selfadjoint unitary, ConvergenceFailure for a kept
-    basis whose residual |J u - u unit| passes 1e-9."""
+    stack with its unit of the (T, 4) ``units``: the same J guard, candidates
+    and certificate (of the kept trials), and its sweep w - u<u|w> by the
+    pointwise product over the stack, for the first n candidates.  ``kept``
+    flags the trials that keep all n, whose bases are its bases bit for bit;
+    a trial that drops one is its caller's to run alone."""
     T, n = J.shape[:2]
-    message = "J must be an anti-selfadjoint unitary"
-    # checked first: NaN would pass the defect tests, and inf would make numpy warn
-    require(np.isfinite(J).all(axis=(-3, -2, -1)), ValueError, message)
-    square = kernels.quat_matmul(J, J)
-    square[:, np.arange(n), np.arange(n), 0] += 1.0
-    require((_max_abs(J + _adjoint_comps(J)) <= 1e-8) & (_max_abs(square) <= 1e-8), ValueError, message)
-
-    m = np.arange(n)
-    Z = np.zeros((T, n, 2 * n, 4))
-    Z[:, m, 2 * m, 0] = 1.0
-    Z[:, m, 2 * m + 1] = np.array([_perpendicular_imaginary(Quaternion.from_array(u)).to_array()
-                                   for u in units])[:, None, :]
-    Pi = (Z - _mul_comps(kernels.quat_matmul(J, Z), units[:, None, None, :])) * 0.5
-    Pi = np.ascontiguousarray(Pi.swapaxes(1, 2))
-
+    _require_anti_unitary(J)
+    Pi = _candidates(J, units)
     kept = np.ones(T, dtype=bool)
     out: list[np.ndarray] = []
     for c in range(n):
@@ -522,7 +523,5 @@ def _adapted_bases(J: np.ndarray, units: np.ndarray) -> tuple[np.ndarray, np.nda
         scale[:, 0] = 1.0 / np.where(kept, nrm, 1.0)
         out.append(_mul_comps(w, scale[:, None, None, :]))
     basis = np.concatenate(out, axis=2)
-    defect = kernels.quat_matmul(J, basis) - _mul_comps(basis, units[:, None, None, :])
-    worst = np.sqrt((defect**2).sum(axis=(1, 3))).max(axis=-1)
-    require(~kept | ~(worst > 1e-9), ConvergenceFailure, lambda t: f"adapted-basis residual {worst[t]:.3e} exceeds 1e-9")
+    _certify_adapted(J, basis, units, kept)
     return kept, basis

@@ -559,7 +559,7 @@ def _round_trip(cell: Cell, ts: np.ndarray) -> np.ndarray:
     # the lattice in the round trip: mu(P_x) = Re tr(P_x T) on the certified line projectors
     # of the verification probes, which come last, against the frame functions' Re<x|Tx>/<x|x>
     lines = Projector.rank_ones(Matrix(algebra, X.swapaxes(0, 1).reshape(n, -1, 4)))
-    mu = tr._real_pairings(lines, np.repeat(T, _VERIFICATION_PROBES, axis=0), k).reshape(ts.size, -1)
+    mu = tr._real_pairings(lines, T, k).reshape(ts.size, -1)
     lattice = np.abs(mu - values[0][:, -_VERIFICATION_PROBES:]).max(axis=-1)
     return np.stack([_max_abs(rebuilt - T), lattice], axis=1)
 
@@ -580,8 +580,7 @@ def _sigma_additivity(cell: Cell, ts: np.ndarray) -> np.ndarray:
     for at, parts in gl._decompositions(U, gl._decomposition_bounds(cuts, n), cell.algebra):
         _check_projectors(parts, cell.algebra)
         k = parts.shape[1]
-        mu = tr._real_pairings(parts.reshape(-1, n, n, 4), np.repeat(T[at], k, axis=0),
-                               cell.algebra.component_count).reshape(-1, k)
+        mu = tr._real_pairings(parts.reshape(-1, n, n, 4), T[at], cell.algebra.component_count).reshape(-1, k)
         # sum(mu(P) for P in parts): the parts' measures added in part order
         total = mu[:, 0]
         for c in range(1, k):
@@ -835,7 +834,7 @@ def _expectation_duality(cell: Cell, ts: np.ndarray) -> np.ndarray:
     def dists(at: np.ndarray, means: np.ndarray, P: np.ndarray) -> list[qm.OutcomeMeasure]:
         # Re tr(P_s T) of each atom, as the state's lattice measure reads a stack
         k = P.shape[1]
-        probs = tr._real_pairings(P.reshape(-1, n, n, 4), np.repeat(T[at], k, axis=0), count).reshape(-1, k)
+        probs = tr._real_pairings(P.reshape(-1, n, n, 4), T[at], count).reshape(-1, k)
         qm._check_probabilities(probs)
         return [qm.OutcomeMeasure(tuple(sorted(zip(s, p)))) for s, p in zip(means.tolist(), probs.tolist())]
 

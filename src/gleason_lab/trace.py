@@ -76,9 +76,12 @@ def real_trace(A: Matrix) -> float:
 
 def _real_pairings(stack: np.ndarray, B: np.ndarray, component_count: int = 4) -> np.ndarray:
     """Re tr(A_p B) for every A_p of the (k, n, m, 4) ``stack`` and the (m, n, 4)
-    operand ``B``, or, for a (k, m, n, 4) stack ``B``, Re tr(A_p B_p) of every
-    pair, over the algebra with ``component_count`` components: the one
-    pairing kernel, shared by :func:`real_pairing`.
+    operand ``B``, or, for a (g, m, n, 4) stack ``B`` of operands, Re tr(A_p
+    B_q) with one operand B_q per group of k / g consecutive entries of the
+    stack (g = k pairs each entry with its own operand), over the algebra with
+    ``component_count`` components: the one pairing kernel, shared by
+    :func:`real_pairing`.  A group count that does not divide k raises
+    ValueError.
 
     Re(pq) = p_0 q_0 - p_1 q_1 - p_2 q_2 - p_3 q_3, so this is O(knm) work and
     forms no product.  Over R (1) the entries are real, and only components 0
@@ -87,8 +90,11 @@ def _real_pairings(stack: np.ndarray, B: np.ndarray, component_count: int = 4) -
     bit of some values, since numpy sums the three imaginary products of each
     entry in one buffered reduction whose order follows the four-component
     layout.  Zero components change no nonzero sum, so an R pairing has the
-    four-component bits.  Value p sums only the entries of A_p and B_p, so a
-    stack of k gives the k one-matrix values, bit for bit.
+    four-component bits.  Value p sums only the entries of A_p and its
+    operand, so a stack of k gives the k one-matrix values, bit for bit.  The
+    grouped product is formed as (g, k / g, n, m) entries and read as (k, n,
+    m): on a C-contiguous stack, as every caller passes, that is the array,
+    and so are the bytes, that k operands repeated per group would give.
     """
     if stack.ndim != 4 or B.ndim not in (3, 4):
         raise ValueError(f"need a (k, n, m, 4) stack and one or k operands, got shapes {stack.shape} and {B.shape}")
@@ -97,9 +103,15 @@ def _real_pairings(stack: np.ndarray, B: np.ndarray, component_count: int = 4) -
             f"cannot pair {stack.shape[1]}x{stack.shape[2]} with {B.shape[-3]}x{B.shape[-2]}: "
             "need (n, m) and (m, n)"
         )
+    shape = stack.shape
+    if B.ndim == 4 and B.shape[0] != shape[0]:
+        k, g = shape[0], B.shape[0]
+        if g == 0 or k % g:
+            raise ValueError(f"cannot pair a stack of {k} with {g} operands: need one operand per group of k / g")
+        stack, B = stack.reshape((g, k // g) + shape[1:]), B[:, None]
     if component_count == 1:
-        return (stack[..., 0] * B[..., 0].swapaxes(-2, -1)).sum(axis=(1, 2))
-    return _real_sums(stack * B.swapaxes(-3, -2))
+        return (stack[..., 0] * B[..., 0].swapaxes(-2, -1)).reshape(shape[:3]).sum(axis=(1, 2))
+    return _real_sums((stack * B.swapaxes(-3, -2)).reshape(shape))
 
 
 def _real_sums(prod: np.ndarray) -> np.ndarray:

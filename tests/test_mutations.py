@@ -126,13 +126,19 @@ def _real_projector_defects_without_the_transpose(monkeypatch):
     _patch_every_binding(monkeypatch, defects, untransposed)
 
 
+def _per_entry(stack, B):
+    """The operands of a ``_real_pairings`` call, one per stack entry: a
+    grouped operand stack repeated over its groups."""
+    return np.repeat(B, stack.shape[0] // B.shape[0], axis=0) if B.ndim == 4 else B
+
+
 def _real_pairings_reading_component_1(monkeypatch):
     pair = trace._real_pairings
 
     def imaginary(stack, B, component_count=4):  # the R branch pairs components 1, all zero
         if component_count != 1:
             return pair(stack, B, component_count)
-        return (stack[..., 1] * B[..., 1].swapaxes(-2, -1)).sum(axis=(1, 2))
+        return (stack[..., 1] * _per_entry(stack, B)[..., 1].swapaxes(-2, -1)).sum(axis=(1, 2))
 
     _patch_every_binding(monkeypatch, pair, imaginary)
 
@@ -143,7 +149,7 @@ def _real_pairings_without_the_transpose(monkeypatch):
     def untransposed(stack, B, component_count=4):  # sum_rc A_rc B_rc in the R branch
         if component_count != 1:
             return pair(stack, B, component_count)
-        return (stack[..., 0] * B[..., 0]).sum(axis=(1, 2))
+        return (stack[..., 0] * _per_entry(stack, B)[..., 0]).sum(axis=(1, 2))
 
     _patch_every_binding(monkeypatch, pair, untransposed)
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -859,3 +860,110 @@ class TestAdaptedBasis:
     def test_rejects_non_unitary_J(self):
         with pytest.raises(ValueError):
             adapted_basis(Matrix.diag([I, 0.0], Algebra.H), I)
+
+
+def _skew_polar_reference(C: np.ndarray, kernel_unit: Quaternion) -> np.ndarray:
+    """J of one C = A - A* as the live term plus the kernel term, the kernel
+    term formed also when it has no column (no shortcut for a full rank)."""
+    values, U = spectral._eig_stack(spectral._gram(C, Algebra.H), Algebra.H)
+    sigmas = spectral._root_spectrum(values)
+    live = int((sigmas > 0.0).sum())
+    plus, zero = U[:, :live], U[:, live:]
+    units = np.broadcast_to(kernel_unit.to_array(), (zero.shape[1], 4))
+    return (linalg._outer_sums(kernels.quat_matmul(C, plus), 4, 1.0 / sigmas[:live], plus)
+            + linalg._outer_sums(zero, 4, units))
+
+
+# no kernel, and the live term of its J has a -0.0 entry, which the kernel
+# term's +0.0 turns into +0.0
+_SIGNED_ZEROS = [
+    [[0.0, 0.0, 1.0, -1.0], [0.0, -1.0, -0.0, 1.0], [0.0, 0.0, 0.0, -0.0]],
+    [[0.0, 1.0, -1.0, -0.0], [0.0, 0.0, 0.0, -1.0], [0.0, 0.0, 0.0, 0.0]],
+    [[0.0, 0.0, 0.0, 0.0], [0.0, -0.0, -0.0, 0.0], [0.0, 1.0, -0.0, -1.0]],
+]
+
+
+def _skew_inputs() -> dict[str, Matrix]:
+    return {
+        "generic": random_matrix(3, 3, Algebra.H, SplitMix64(1400)),  # no kernel
+        "signed_zeros": Matrix(Algebra.H, np.array(_SIGNED_ZEROS)),
+        "j_kernel": Matrix.diag([J, 0.0, 0.0], Algebra.H),
+        "small_kernel": Matrix.diag([I * 1e-6, 0.0, 0.0], Algebra.H),
+    }
+
+
+class TestSkewPolars:
+    @pytest.mark.parametrize("kernel_unit", [I, J])
+    @pytest.mark.parametrize("name", list(_skew_inputs()))
+    def test_the_one_matrix_polar_is_the_stack_of_one_byte_for_byte(self, name, kernel_unit):
+        A = _skew_inputs()[name]
+        C = A.comps - linalg._adjoint_comps(A.comps)
+        values, basis = spectral._eig_stack(spectral._gram(C, Algebra.H), Algebra.H)
+        J_stack, norms = spectral._skew_polars(C[None], values[None], basis[None], kernel_unit)
+        J_alone, norm = spectral._skew_polar(A, kernel_unit)
+        assert J_alone.comps.tobytes() == make_J(A, kernel_unit).comps.tobytes() == J_stack[0].tobytes()
+        assert norm == float(norms[0])
+        # signed zeros included: a stack with no kernel adds 0.0 for its empty kernel term
+        reference = _skew_polar_reference(C, kernel_unit)
+        assert J_stack[0].tobytes() == reference.tobytes()
+        if name == "signed_zeros":
+            assert not np.signbit(reference[reference == 0.0]).any()
+
+    def test_a_mixed_stack_gives_each_trial_its_own_polar(self):
+        # trials with and without a kernel, in an order that splits the live-column groups
+        inputs = list(_skew_inputs().values())
+        As = [inputs[i] for i in (2, 0, 3, 1, 0)]
+        C = np.stack([A.comps - linalg._adjoint_comps(A.comps) for A in As])
+        J_stack, norms = spectral._skew_polars(C, *spectral._eig_stack(spectral._gram(C, Algebra.H), Algebra.H))
+        for t, A in enumerate(As):
+            J_alone, norm = spectral._skew_polar(A)
+            assert J_stack[t].tobytes() == J_alone.comps.tobytes()
+            assert norms[t] == norm
+
+
+def _unitary_but_not_anti_selfadjoint() -> Matrix:
+    # J = [[0, 2], [-1/2, 0]] squares to -I, but J + J* = [[0, 3/2], [3/2, 0]]
+    return Matrix.from_rows([[0.0, 2.0], [-0.5, 0.0]], Algebra.H)
+
+
+def _nan_entry() -> Matrix:
+    c = Matrix.diag([I, I], Algebra.H).comps.copy()
+    c[0, 1, 2] = np.nan
+    return Matrix(Algebra.H, c)
+
+
+def _inf_entry() -> Matrix:
+    c = Matrix.diag([I, I], Algebra.H).comps.copy()
+    c[1, 0, 0] = np.inf
+    return Matrix(Algebra.H, c)
+
+
+class TestAdaptedGuards:
+    @pytest.mark.parametrize("fault", [
+        _nan_entry,
+        _inf_entry,
+        _unitary_but_not_anti_selfadjoint,  # J + J* != 0
+        lambda: Matrix.diag([I * 2.0, I * 2.0], Algebra.H),  # anti-selfadjoint, J^2 = -4 I
+    ], ids=["nan", "inf", "not_anti_selfadjoint", "not_unitary"])
+    @pytest.mark.parametrize("unit", [I, J])
+    def test_one_guard_rejects_one_j_and_a_stack_of_it_alike(self, fault, unit):
+        Jop = fault()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as alone:
+                adapted_basis(Jop, unit)
+            with pytest.raises(ValueError) as stacked:
+                spectral._adapted_bases(Jop.comps[None], unit.to_array()[None])
+        assert type(alone.value) is type(stacked.value) is ValueError
+        assert str(alone.value) == "J must be an anti-selfadjoint unitary"
+        # the stack names its failing entry after the same message
+        assert str(stacked.value) == f"{alone.value} (stack entry 0)"
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_a_kept_trial_gets_the_one_matrix_basis_byte_for_byte(self, n):
+        rng = SplitMix64(1410 + n)
+        Jop = make_J(random_matrix(n, n, Algebra.H, rng))
+        for unit in (I, J, linalg.random_unit_imaginary(Algebra.H, rng)):
+            kept, bases = spectral._adapted_bases(Jop.comps[None], unit.to_array()[None])
+            assert kept.tolist() == [True]
+            assert adapted_basis(Jop, unit).comps.tobytes() == bases[0].tobytes()

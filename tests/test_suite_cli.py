@@ -318,14 +318,20 @@ class TestCli:
         assert tool.quartiles([2.5]) == (2.5, 2.5, 2.5)
         lines = tool.format_rows([wall, rss])
         assert len(lines) == 3 and lines[1].startswith("wall_s") and " 9/10 " in lines[1]
-        # --out writes the pairs, the rows and the environment; the pairs read
-        # back give the rows again
+        # --out writes the commits, the pairs with their check counts, the rows
+        # and the environment; the pairs read back give the rows again
         better = {"wall_s": "lower", "score": "higher", "rss": "lower"}
         rows = tool.summarize(pairs, better)
         environment = {"parent": {"numpy": "2.0"}, "change": {"numpy": "2.0"}}
-        tool.write_record(tmp_path / "bench.json", "round_trip", 20.0, list(range(1, 11)), pairs, rows, environment)
+        commits = {"parent": {"commit": "a" * 40, "dirty": False}, "change": {"commit": "b" * 40, "dirty": True}}
+        checks = [{"parent": {"attempted": 30, "failed": 0, "correct": True},
+                   "change": {"attempted": 30, "failed": i % 2, "correct": i != 3}} for i in range(10)]
+        tool.write_record(tmp_path / "bench.json", "round_trip", 20.0, list(range(1, 11)), pairs, checks, rows,
+                          environment, commits)
         record = _strict_loads((tmp_path / "bench.json").read_text())
         assert (record["workload"], record["seconds"], record["environment"]) == ("round_trip", 20.0, environment)
+        assert record["commits"] == commits
+        assert [pair["checks"] for pair in record["pairs"]] == checks
         assert [pair["seed"] for pair in record["pairs"]] == list(range(1, 11))
         read = [(pair["parent"], pair["change"]) for pair in record["pairs"]]
         assert read == pairs

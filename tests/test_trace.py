@@ -83,6 +83,32 @@ def test_stacked_pairing_is_a_loop_of_real_pairing_bit_for_bit(algebra, n, k):
     assert values.tobytes() == _real_pairings(stack, B.comps).tobytes()
 
 
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+@pytest.mark.parametrize("n", [3, 5, 8, 33, 64])
+def test_grouped_operands_pair_as_the_operands_repeated_per_group_byte_for_byte(algebra, n):
+    # one operand per group of r consecutive entries of a contiguous stack, as
+    # the suite passes them: the bytes of the operands repeated r times each
+    rng = SplitMix64(46 + n)
+    k = algebra.component_count
+    for g, r in [(1, 3), (3, 4)] + ([(2, 100)] if n <= 5 else []):
+        stack = np.stack([random_matrix(n, n, algebra, rng).comps for _ in range(g * r)])
+        B = np.stack([random_matrix(n, n, algebra, rng).comps for _ in range(g)])
+        for count in (k, 4):
+            got = _real_pairings(stack, B, count)
+            assert got.shape == (g * r,)
+            assert got.tobytes() == _real_pairings(stack, np.repeat(B, r, axis=0), count).tobytes()
+        # a strided stack sums its entries in another order, to rounding
+        strided = np.ascontiguousarray(stack.swapaxes(1, 2)).swapaxes(1, 2)
+        assert np.allclose(_real_pairings(strided, B, k), got, rtol=1e-13, atol=1e-13 * n)
+
+
+@pytest.mark.parametrize("groups", [0, 4, 5, 7])
+def test_a_group_count_that_does_not_divide_the_stack_raises(groups):
+    stack = np.zeros((6, 2, 2, 4))
+    with pytest.raises(ValueError, match=f"cannot pair a stack of 6 with {groups} operands"):
+        _real_pairings(stack, np.zeros((groups, 2, 2, 4)))
+
+
 class TestTraceN:
     def test_identity_has_trace_n(self):
         for algebra in ALGEBRAS:

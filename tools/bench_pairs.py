@@ -14,9 +14,10 @@ gain needs at least 9 wins in 10 pairs and a median shift beyond the parent's
 IQR, in the better direction: the ``gain`` column.  A run whose checks failed
 or whose answers were wrong is reported on standard error as it finishes.
 With ``--out PATH`` the tool also writes a JSON file (:func:`write_record`):
-every pair's seed and per-run metrics, the rows of :func:`summarize` and each
-side's environment block, the line that ``perfbench/run.py`` prints before
-its result.
+each side's commit and whether its tree differs from it (:func:`commit_of`),
+every pair's seed, per-run metrics and per-run check counts, the rows of
+:func:`summarize` and each side's environment block, the line that
+``perfbench/run.py`` prints before its result.
 """
 
 from __future__ import annotations
@@ -90,17 +91,30 @@ def run(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict,
     return json.loads(env)["environment"], json.loads(result)
 
 
+def commit_of(checkout: Path) -> dict:
+    """{"commit": the checkout's HEAD, "dirty": whether its tree differs from
+    that commit, by ``git status --porcelain``}."""
+    def git(*args: str) -> str:
+        return subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True, check=True).stdout
+
+    return {"commit": git("rev-parse", "HEAD").strip(), "dirty": bool(git("status", "--porcelain").strip())}
+
+
 def write_record(path: Path, workload: str, seconds: float, seeds: list[int], pairs: list[tuple[dict, dict]],
-                 rows: list[dict], environment: dict[str, dict]) -> None:
-    """The JSON file of ``--out``: the workload and run length, each pair's
-    seed with the (parent, change) metrics of :func:`summarize`, its rows,
-    and the environment block of each side."""
+                 checks: list[dict[str, dict]], rows: list[dict], environment: dict[str, dict],
+                 commits: dict[str, dict]) -> None:
+    """The JSON file of ``--out``: the workload and run length, the commit of
+    each side (:func:`commit_of`), each pair's seed with the (parent, change)
+    metrics of :func:`summarize` and, per side, the run's ``attempted``,
+    ``failed`` and ``correct`` (``checks``), the rows, and the environment
+    block of each side."""
     record = {
         "workload": workload,
         "seconds": seconds,
+        "commits": commits,
         "environment": environment,
-        "pairs": [{"seed": seed, "parent": parent, "change": change}
-                  for seed, (parent, change) in zip(seeds, pairs)],
+        "pairs": [{"seed": seed, "parent": parent, "change": change, "checks": check}
+                  for seed, (parent, change), check in zip(seeds, pairs, checks)],
         "summary": rows,
     }
     path.write_text(json.dumps(record, indent=2) + "\n")
@@ -118,7 +132,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    pairs, environment = [], {}
+    pairs, checks, environment = [], [], {}
     for i in range(args.pairs):
         seed = args.seed + i
         order = [("parent", args.parent), ("change", args.change)]
@@ -132,12 +146,14 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"seed {seed}: {side} failed {result['failed']} of {result['attempted']} checks, "
                       f"correct={result['correct']}", file=sys.stderr)
         pairs.append(tuple({k: v["value"] for k, v in results[s]["metrics"].items()} for s in ("parent", "change")))
+        checks.append({s: {k: results[s][k] for k in ("attempted", "failed", "correct")} for s in ("parent", "change")})
         print(f"pair {i + 1}/{args.pairs} (seed {seed}) done", file=sys.stderr, flush=True)
     rows = summarize(pairs, better)
     print("\n".join(format_rows(rows)))
     if args.out:
         seeds = [args.seed + i for i in range(args.pairs)]
-        write_record(args.out, args.workload, args.seconds, seeds, pairs, rows, environment)
+        commits = {"parent": commit_of(args.parent), "change": commit_of(args.change)}
+        write_record(args.out, args.workload, args.seconds, seeds, pairs, checks, rows, environment, commits)
     return 0
 
 
