@@ -12,12 +12,18 @@ output pairs, so they are equally reproducible.
 
 Because every output is addressed by its position, a per-trial list of draws
 can be planned before any of it is served: :meth:`SplitMix64.recipe_block`
-walks many trials of Gaussian, uniform and integer draws, reading only the
-outputs that an integer's rejection loop or a drawn count needs, and then
-serves the whole run from one output block, bit for bit as the draws one
-after another would give them.  A count may depend on the trial's earlier
-values (a rank drawn as an integer, a branch taken on a uniform or on a
-Gaussian matrix), since the walk knows those values where the draws would.
+draws one block of outputs and their uniforms ahead of the stream, walks
+many trials of Gaussian, uniform and integer draws over it, reading an
+integer's rejection loop and a drawn count's inputs straight from the block
+(and extending it when a trial reaches past its end), and then serves the
+whole run from that block, bit for bit as the draws one after another would
+give them.  A count may depend on the trial's earlier values (a rank drawn
+as an integer, a branch taken on a uniform or on a Gaussian matrix), since
+the walk knows those values where the draws would.
+
+The per-call paths avoid numpy's per-call cost where it is most of the work:
+a derived seed is mixed in Python integers, and the output mix, the
+uniforms and Box-Muller work in place on the block they form.
 """
 
 from __future__ import annotations
@@ -29,9 +35,12 @@ from typing import NamedTuple
 import numpy as np
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+# the two multipliers of the mix, as Python integers and as uint64
+_MIX1_INT, _MIX2_INT = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_MIX1, _MIX2 = np.uint64(_MIX1_INT), np.uint64(_MIX2_INT)
+_SHIFT11, _SHIFT27, _SHIFT30, _SHIFT31 = (np.uint64(k) for k in (11, 27, 30, 31))
 _MASK64 = (1 << 64) - 1
+_TWO_PI = 2.0 * np.pi
 
 # FNV-1a, used only to fold label strings into derived seeds.
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -45,25 +54,44 @@ def _fnv1a(text: str) -> int:
     return h
 
 
-def _mix(block: np.ndarray) -> np.ndarray:
-    z = block
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+def _mix_int(z: int) -> int:
+    """The avalanche mix of one 64-bit Python integer."""
+    z = ((z ^ (z >> 30)) * _MIX1_INT) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2_INT) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """The avalanche mix of every uint64 of ``z``, in place; returns ``z``."""
+    t = z >> _SHIFT30
+    z ^= t
+    z *= _MIX1
+    np.right_shift(z, _SHIFT27, out=t)
+    z ^= t
+    z *= _MIX2
+    np.right_shift(z, _SHIFT31, out=t)
+    z ^= t
+    return z
 
 
 def _uniforms(z: np.ndarray) -> np.ndarray:
-    """Uniform doubles in (0, 1], from the top 53 bits of each output."""
-    return ((z >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+    """Uniform doubles in (0, 1], from the top 53 bits of each output; every
+    step is exact, so any order of them gives the same bits."""
+    u = np.add(z >> _SHIFT11, 1.0)
+    u *= 2.0**-53
+    return u
 
 
 def _box_muller(u: np.ndarray) -> np.ndarray:
-    """The two Gaussians of each consecutive pair (u1, u2) of uniforms, in order."""
-    u1, u2 = u[0::2], u[1::2]
-    r = np.sqrt(-2.0 * np.log(u1))
+    """The two Gaussians of each consecutive pair (u1, u2) of uniforms, in
+    order: r cos(2 pi u2) and r sin(2 pi u2) with r = sqrt(-2 log u1)."""
+    theta = u[1::2] * _TWO_PI
+    r = np.log(u[0::2])
+    r *= -2.0
+    np.sqrt(r, out=r)
     both = np.empty(u.size)
-    both[0::2] = r * np.cos(2.0 * np.pi * u2)
-    both[1::2] = r * np.sin(2.0 * np.pi * u2)
+    np.multiply(np.cos(theta), r, out=both[0::2])
+    np.multiply(np.sin(theta, out=theta), r, out=both[1::2])
     return both
 
 
@@ -110,59 +138,32 @@ def _parse_item(item) -> tuple:
     return kind, bound, count, scalar
 
 
-class _Outputs:
-    """The stream's outputs from its position on, read by position and drawn
-    as far as a read needs, at least ``ahead`` of them at the first draw; the
-    stream itself stays where it is."""
-
-    def __init__(self, rng: "SplitMix64", ahead: int):
-        self._rng = rng
-        self._ahead = ahead
-        self._z = np.empty(0, dtype=np.uint64)
-        self._u = self._z.astype(np.float64)
-
-    def _reach(self, end: int) -> None:
-        have = self._z.size
-        if end > have:
-            more = self._rng._outputs(self._rng._pos + have, max(end, self._ahead, 2 * have) - have)
-            self._z = np.concatenate([self._z, more])
-
-    def integer(self, pos: int) -> int:
-        """The output at ``pos``, as a Python integer."""
-        self._reach(pos + 1)
-        return int(self._z[pos])
-
-    def uniforms(self, pos: int, count: int) -> np.ndarray:
-        """The uniforms of the ``count`` outputs from ``pos`` on."""
-        self._reach(pos + count)
-        have = self._u.size
-        if have < self._z.size:
-            fresh = _uniforms(self._z[have:])
-            self._u = np.concatenate([self._u, fresh]) if have else fresh
-        return self._u[pos:pos + count]
+def _gaussians(u: np.ndarray, spare, pos: int, need: int) -> np.ndarray:
+    """The Gaussians of one item: the held spare first, unless ``spare`` is
+    None (a float, or the position of the output pair whose second Gaussian
+    it is), then the first ``need`` of Box-Muller over the uniforms ``u``
+    from ``pos`` on."""
+    fresh = _box_muller(u[pos:pos + need + need % 2])[:need]
+    if spare is None:
+        return fresh
+    if type(spare) is int:
+        spare = _box_muller(u[spare:spare + 2])[1]
+    return np.concatenate([[spare], fresh])
 
 
 class _Prior(Sequence):
-    """The values of one trial's items so far, as a count function reads them.
-    A Gaussian item is held as the tuple (takes the spare, where the spare
-    was drawn, first output, Gaussians drawn) and formed when first read."""
+    """The values of one trial's items so far, as a count function reads them,
+    where a count follows a Gaussian item: such an item is held as the
+    arguments of :func:`_gaussians` and formed when first read."""
 
-    def __init__(self, outputs: _Outputs, spare: float | None):
-        self._outputs = outputs
-        self._spare = spare
+    def __init__(self):
         self.values: list = []
-
-    def _gaussians(self, takes_spare: bool, spare_at: int, pos: int, need: int) -> np.ndarray:
-        fresh = _box_muller(self._outputs.uniforms(pos, need + need % 2))[:need]
-        if not takes_spare:
-            return fresh
-        held = self._spare if spare_at < 0 else _box_muller(self._outputs.uniforms(spare_at, 2))[1]
-        return np.concatenate([[held], fresh])
+        self.append = self.values.append
 
     def __getitem__(self, i):
         value = self.values[i]
         if type(value) is tuple:
-            value = self.values[i] = self._gaussians(*value)
+            value = self.values[i] = _gaussians(*value)
         return value
 
     def __len__(self) -> int:
@@ -181,8 +182,10 @@ class SplitMix64:
     def _outputs(self, start: int, count: int) -> np.ndarray:
         """The ``count`` outputs from stream position ``start`` on, each a pure
         function of its position; the stream does not move."""
-        idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-        return _mix(np.uint64(self.seed) + idx * _GAMMA)
+        z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+        z *= _GAMMA
+        z += np.uint64(self.seed)
+        return _mix(z)
 
     def uint64_block(self, count: int) -> np.ndarray:
         z = self._outputs(self._pos, count)
@@ -194,18 +197,21 @@ class SplitMix64:
         return _uniforms(self.uint64_block(count))
 
     def gaussian_block(self, count: int) -> np.ndarray:
-        out = np.empty(count)
-        have = 0
-        if count and self._spare_gauss is not None:
-            out[0], self._spare_gauss = self._spare_gauss, None
-            have = 1
-        need = count - have
-        if need > 0:
-            both = _box_muller(self.uniform_block(2 * ((need + 1) // 2)))
-            out[have:] = both[:need]
-            if need < both.size:
-                self._spare_gauss = float(both[-1])
-        return out
+        """``count`` Gaussians: the held spare first, then Box-Muller on whole
+        output pairs, whose last Gaussian is held when ``count`` leaves it over."""
+        spare = self._spare_gauss if count else None
+        need = count - (spare is not None)
+        both = _box_muller(self.uniform_block(need + need % 2))
+        if spare is not None or need % 2:
+            self._spare_gauss = float(both[-1]) if need % 2 else None
+        return both[:need] if spare is None else np.concatenate([[spare], both[:need]])
+
+    def _more(self, z: np.ndarray, u: np.ndarray, end: int) -> tuple[np.ndarray, np.ndarray]:
+        """The outputs ``z`` from the stream's position on and their uniforms
+        ``u``, extended to at least ``end`` outputs and at least doubled; the
+        stream does not move."""
+        more = self._outputs(self._pos + z.size, max(end, 2 * z.size) - z.size)
+        return np.concatenate([z, more]), np.concatenate([u, _uniforms(more)])
 
     def recipe_block(self, trials: int, recipe) -> list:
         """``trials`` runs of the per-trial ``recipe`` of draws, served from one
@@ -222,27 +228,33 @@ class SplitMix64:
         item: (trials, count) for a fixed count, (trials,) uint64 for one
         integer, and a :class:`Ragged` for a drawn count.
 
-        The plan walks the recipe over all trials before any output is served:
-        it reads the outputs that an integer or a count function needs at
-        their stream positions (:meth:`_outputs`, which leaves the stream
-        where it is), runs each integer's rejection loop where the draw would,
-        and holds the spare Gaussian exactly where an odd number of Gaussians
-        has been consumed, counting the spare held at the start.  So every
-        item's stream position is known, and one block of outputs serves the
-        whole run.  Uniforms are formed as ``uniform_block`` forms them; the
+        The plan walks the recipe over all trials before any output is served.
+        It draws the outputs and their uniforms from the stream's position on
+        (:meth:`_outputs`, which leaves the stream where it is), enough for
+        the fixed counts without rejections, and doubles them whenever an item
+        reaches past their end.  An integer reads its outputs from that block
+        and runs its rejection loop where the draw would; a count function
+        gets the trial's earlier values as a plain list, a uniform item's
+        values as a slice of the block's uniforms.  The walk holds the spare
+        Gaussian exactly where an odd number of Gaussians has been consumed,
+        counting the spare held at the start, so every item's stream position
+        is known.  Uniforms are formed as ``uniform_block`` forms them; the
         Gaussians come from Box-Muller on the output pairs that
         ``gaussian_block`` would use, with the spare carried across uniform
         and integer items; an integer is ``z % bound`` of the first output
         below its rejection limit.  A Gaussian item's values are formed in the
-        walk only when a count function reads them.  The stream is then moved
-        to the position and spare that the draws one after another would
-        leave.  An unknown kind, a negative count or a bound outside 1..2**64
-        raises ValueError and leaves the stream as it was.
+        walk only when a count function reads them: where a count follows a
+        Gaussian item, the trial's values are a :class:`_Prior`.  The stream
+        is then moved to the position and spare that the draws one after
+        another would leave.  An unknown kind, a negative count or a bound
+        outside 1..2**64 raises ValueError and leaves the stream as it was.
         """
         if trials < 0:
             raise ValueError(f"trials must be >= 0, got {trials}")
         items = [_parse_item(item) for item in recipe]
         dependent = any(callable(count) for _, _, count, _ in items)
+        gaussian = next((i for i, (kind, _, _, _) in enumerate(items) if kind == "gaussian"), len(items))
+        lazy = any(callable(count) for _, _, count, _ in items[gaussian + 1:])
         # per item, per trial: the count, and where its values start (an
         # integer item keeps its values); a Gaussian item's start is its offset
         # in the Gaussians consumed, in order
@@ -253,48 +265,60 @@ class SplitMix64:
         # the outputs that the fixed counts draw, without rejections, a Gaussian
         # item one more at most
         fixed = sum(count + (kind == "gaussian") for kind, _, count, _ in items if not callable(count))
-        outputs = _Outputs(self, trials * fixed)
+        z = self._outputs(self._pos, trials * fixed)
+        u = _uniforms(z)
         spare = self._spare_gauss
-        runs = []
+        runs = []  # the [start, end) outputs of the Gaussian items, adjacent ones merged
         pos = used = 0
         held = int(spare is not None)
         spare_at = -1  # the output pair whose second Gaussian is held; -1 for the spare held at the start
         for _ in range(trials):
-            prior = _Prior(outputs, spare) if dependent else None
+            prior = (_Prior() if lazy else []) if dependent else None
             for kind, bound, count, drawn_count, scalar, limit, sizes, first in walk:
                 if drawn_count:
-                    count = _checked_count(kind, count(prior))
+                    count = operator.index(count(prior))
+                    if count < 0:
+                        _checked_count(kind, count)
                     sizes.append(count)
                 if kind == "gaussian":
                     # a held spare is taken first, then whole pairs are drawn
                     need = count - held if count > held else 0
                     end = pos + need + need % 2
+                    if end > z.size:
+                        z, u = self._more(z, u, end)
                     if prior is not None:
-                        prior.values.append((bool(held and count), spare_at, pos, need))
+                        prior.append((u, (spare if spare_at < 0 else spare_at) if held and count else None, pos, need))
                     first.append(used)
                     if need:
-                        runs.append((pos, end))
+                        if runs and runs[-1][1] == pos:
+                            runs[-1][1] = end
+                        else:
+                            runs.append([pos, end])
                         if need % 2:
                             spare_at = end - 2
                     used += count
                     held = (held + count) % 2
                     pos = end
                 elif kind == "uniform":
+                    end = pos + count
+                    if end > z.size:
+                        z, u = self._more(z, u, end)
                     if prior is not None:
-                        prior.values.append(outputs.uniforms(pos, count))
+                        prior.append(u[pos:end])
                     first.append(pos)
-                    pos += count
+                    pos = end
                 else:
                     drawn = []
                     while len(drawn) < count:
-                        z = outputs.integer(pos)
+                        if pos == z.size:
+                            z, u = self._more(z, u, pos + 1)
+                        value = z.item(pos)
                         pos += 1
-                        if z < limit:
-                            drawn.append(z % bound)
+                        if value < limit:
+                            drawn.append(value % bound)
                     first.append(drawn)
                     if prior is not None:
-                        prior.values.append(drawn[0] if scalar else np.array(drawn, dtype=np.uint64))
-        u = outputs.uniforms(0, pos)
+                        prior.append(drawn[0] if scalar else np.array(drawn, dtype=np.uint64))
         self._pos += pos
 
         # the outputs of the Gaussian items, in stream order, are the pairs that
@@ -343,5 +367,4 @@ class SplitMix64:
     def derive(self, *labels: object) -> "SplitMix64":
         """Independent child stream keyed by the labels (order sensitive)."""
         key = "/".join(str(label) for label in labels)
-        folded = np.array([self.seed ^ _fnv1a(key)], dtype=np.uint64)
-        return SplitMix64(int(_mix(folded)[0]))
+        return SplitMix64(_mix_int(self.seed ^ _fnv1a(key)))

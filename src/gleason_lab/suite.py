@@ -274,13 +274,21 @@ def _stacked(block: Callable[[Cell, np.ndarray], np.ndarray],
     The trials run in order, in chunks whose largest stack, ``matrices(n)``
     n x n matrices per trial, holds at most ``quantum._ORBIT_CHUNK_ENTRIES``
     entries, one trial at least.  The residual is the worst of all the terms,
-    trial-major.  The runner keeps ``block`` as its ``block`` attribute.
+    as :func:`_worst` takes them, with one max per chunk: NaN as soon as a
+    chunk has a NaN term, and no later chunk is drawn.  The runner
+    keeps ``block`` as its ``block`` attribute.
     """
 
     def runner(cell: Cell) -> float:
         width = max(1, qm._ORBIT_CHUNK_ENTRIES // (4 * cell.dim**2 * matrices(cell.dim)))
-        chunks = (np.arange(a, min(a + width, cell.trials)) for a in range(0, cell.trials, width))
-        return _worst(term for ts in chunks for term in block(cell, ts).ravel())
+        peak = 0.0
+        for a in range(0, cell.trials, width):
+            # numpy's max is NaN where a term is, and 0.0 over no terms
+            top = float(block(cell, np.arange(a, min(a + width, cell.trials))).max(initial=0.0))
+            if math.isnan(top):
+                return math.nan
+            peak = max(peak, top)
+        return peak
 
     runner.block = block
     return runner
@@ -649,9 +657,12 @@ _run_separation = _stacked(_separation, matrices=lambda n: 2)  # the pairs (P, Q
 def _lemma_checkable(raw: np.ndarray) -> int:
     """1 if every weight raw / sum(raw) of one draw's uniforms lies strictly
     inside (0, 1), else 0: division by the sum is monotone, so the smallest
-    and largest weights are those of the smallest and largest uniform."""
-    total = float(raw.sum())
+    and largest weights are those of the smallest and largest uniform.  The
+    sum is taken in order, as numpy sums the fewer than 8 values of a draw."""
     values = raw.tolist()
+    total = 0.0
+    for value in values:
+        total += value
     return int(min(values) / total > 0.0 and max(values) / total < 1.0)
 
 

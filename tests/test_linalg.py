@@ -268,6 +268,63 @@ class TestGramSchmidt:
                     projector_onto(W, drop=drop)
 
 
+# rank-deficient input: the columns, built from three independent columns
+# v0, v1, v2, and the indices of those the sweep keeps (None: every column
+# is zero)
+_SCALARS = {Algebra.R: (0.5, -2.0), Algebra.C: (Quaternion(0.5, 1.0, 0, 0), Quaternion(-2.0, 0.25, 0, 0)),
+            Algebra.H: (Quaternion(0.5, 1.0, -2.0, 0.25), Quaternion(-2.0, 0.25, 0.75, -1.0))}
+_DEFICIENT = {
+    "repeated": (lambda v, a, b, zero: [v[0], v[1], v[0], v[2]], [0, 1, 3]),
+    "zero-column": (lambda v, a, b, zero: [v[0], zero, v[1], v[2]], [0, 2, 3]),
+    "in-the-span": (lambda v, a, b, zero: [v[0], v[1], v[0].scale_right(a) + v[1].scale_right(b), v[2]], [0, 1, 3]),
+    "all-zeros": (lambda v, a, b, zero: [zero, zero, zero], None),
+}
+
+
+def _deficient(algebra, case, seed):
+    v = [random_matrix(4, 1, algebra, SplitMix64(seed + i)) for i in range(3)]
+    columns, kept = _DEFICIENT[case]
+    W = Matrix.from_columns(columns(v, *_SCALARS[algebra], Matrix.zeros(4, 1, algebra)))
+    return W, None if kept is None else Matrix(algebra, W.comps[:, kept])
+
+
+@pytest.mark.parametrize("case", sorted(_DEFICIENT))
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+def test_rank_deficient_gram_schmidt_raises_or_keeps_the_independent_columns(algebra, case):
+    W, independent = _deficient(algebra, case, 60)
+    with pytest.raises(DegenerateInput) as raised:
+        gram_schmidt(W)
+    message = str(raised.value)
+    if independent is None:
+        assert message == "zero input vector"
+        with pytest.raises(DegenerateInput, match="^all inputs are zero$"):
+            gram_schmidt(W, drop=True)
+    else:
+        residual = float(message.removeprefix("vector numerically dependent (residual ").removesuffix(")"))
+        assert message == f"vector numerically dependent (residual {residual:.3e})"
+        assert residual <= 1e-10 * max(c.norm() for c in W.columns())
+        # the dependent column is skipped, and each kept column swept as if it
+        # had never been there
+        basis = gram_schmidt(W, drop=True)
+        assert basis.m == 3 and orthonormality_defect(basis) < 1e-12
+        assert basis.comps.tobytes() == gram_schmidt(independent).comps.tobytes()
+    # over a stack, the lowest deficient matrix fails with its own message;
+    # a stack deficient throughout drops its dependent column in every matrix
+    full = Matrix.from_columns([random_matrix(4, 1, algebra, SplitMix64(70 + i)) for i in range(W.m)])
+    others = [_deficient(algebra, case, seed) for seed in (80, 90)]
+    stack = np.stack([full.comps, W.comps] + [w.comps for w, _ in others])
+    with pytest.raises(DegenerateInput) as raised:
+        linalg._gram_schmidt(stack)
+    assert str(raised.value) == f"{message} (stack entry 1)"
+    stack = stack[1:]
+    if independent is None:
+        with pytest.raises(DegenerateInput, match=r"^all inputs are zero \(stack entry 0\)$"):
+            linalg._gram_schmidt(stack, drop=True)
+    else:
+        alone = [gram_schmidt(Matrix(algebra, w), drop=True).comps for w in stack]
+        assert linalg._gram_schmidt(stack, drop=True).tobytes() == np.stack(alone).tobytes()
+
+
 class TestPositivity:
     def test_identity_and_negated_identity(self):
         assert is_positive(Matrix.identity(3, Algebra.C))
@@ -812,3 +869,19 @@ def test_squared_moduli_and_max_abs_propagate_nan_without_a_warning(offset):
         biggest = Matrix(Algebra.H, comps).max_abs()
     assert np.isnan(sq[0, entries // 2]) and np.isnan(sq).sum() == 1
     assert math.isnan(biggest)
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+@pytest.mark.parametrize("n", [3, 8, 16, 32, 64])
+@pytest.mark.parametrize("lead", [(), (3,), (2, 5)], ids=["one", "stack", "stack-2d"])
+def test_the_adjoint_is_the_sign_vector_product_bit_for_bit(k, n, lead):
+    # both sides of the complex-pair size rule, with signed zeros and
+    # infinities among Gaussian entries
+    comps = np.random.default_rng(n + k).standard_normal(lead + (n, n + 1, k))
+    comps.reshape(-1)[::7] = 0.0
+    comps.reshape(-1)[3::11] = -0.0
+    comps.reshape(-1)[5::97] = -np.inf
+    expect = np.multiply(comps.swapaxes(-3, -2), linalg._CONJ[:k])
+    got = linalg._adjoint_comps(comps)
+    assert got.shape == lead + (n + 1, n, k) and got.flags.c_contiguous
+    assert got.tobytes() == expect.tobytes()

@@ -735,6 +735,39 @@ def test_stacked_residual_is_the_worst_reference_term(name):
     assert prop.runner(Cell(algebra, 3, rng, 5)) == want
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
+# per trial, its terms; trials 0 and 1 form the first chunk, 2 and 3 the second
+@pytest.mark.parametrize("terms, want, drawn", [
+    ([[], [], [], [], []], 0.0, 5),
+    ([[-0.0], [-0.0, -0.0], [-0.0], [], [-0.0]], 0.0, 5),
+    ([[-1.0], [-2.0, -0.5], [-3.0], [-0.0], [-1e300]], 0.0, 5),
+    ([[0.25], [0.5], [0.125, 0.75], [0.0], [0.5]], 0.75, 5),
+    ([[0.25], [0.5], [0.125], [0.0], [0.875, -1.0]], 0.875, 5),
+    ([[1.0], [2.0], [3.0, _NAN], [9.0], [10.0]], _NAN, 4),
+    ([[_NAN], [5.0], [], [], []], _NAN, 2),
+    ([[5.0], [1.0, _NAN], [], [], []], _NAN, 2),
+    ([[-0.0, 2.0], [_INF], [1.0], [-_INF], [3.0]], _INF, 5),
+    ([[], [], [], [], [_NAN, -0.0]], _NAN, 5),
+], ids=["none", "negative-zeros", "negative", "middle-chunk", "last-chunk", "nan-second-chunk",
+        "nan-first-term", "nan-after-peak", "inf", "nan-last"])
+def test_a_stacked_residual_reduces_its_chunks_as_worst_takes_the_terms(terms, want, drawn):
+    seen = []
+
+    def block(cell, ts):
+        seen.extend(ts.tolist())
+        return np.array([x for t in ts for x in terms[t]], dtype=np.float64)
+
+    # four matrices of 2**19 entries hold two trials per chunk
+    runner = suite._stacked(block, matrices=lambda n: 1 << 18)
+    got = runner(Cell(Algebra.R, 1, SplitMix64(0), len(terms)))
+    reference = suite._worst(x for row in terms for x in row)
+    assert type(got) is float
+    assert got.hex() == want.hex() == reference.hex()
+    assert seen == list(range(drawn))
+
+
 # every runner not named here runs its cell's trials as one stack
 CELL_LEVEL = {
     "witness.basis_dependent_trace",

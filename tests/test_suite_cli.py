@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import math
+import subprocess
 from dataclasses import asdict
 from pathlib import Path
 
@@ -336,6 +337,42 @@ class TestCli:
         read = [(pair["parent"], pair["change"]) for pair in record["pairs"]]
         assert read == pairs
         assert record["summary"] == json.loads(json.dumps(tool.summarize(read, better)))
+
+    def test_bench_pairs_runs_under_a_fresh_cache_and_counts_bytecode_as_dirty(self, monkeypatch, tmp_path):
+        spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        calls, caches = [], []
+
+        def fake_run(cmd, cwd, capture_output, text, check, env=None):
+            calls.append(cmd)
+            if cmd[0] == "git":
+                out = {"rev-parse": "f" * 40 + "\n", "status": status}[cmd[1]]
+            else:
+                cache = Path(env["PYTHONPYCACHEPREFIX"])
+                assert cache.is_dir() and not any(cache.iterdir())
+                caches.append(cache)
+                (cache / "stale.pyc").write_bytes(b"")  # what the run would leave there
+                out = '{"environment": {"numpy": "2.0"}}\n{"metrics": {}}\n'
+            return subprocess.CompletedProcess(cmd, 0, stdout=out)
+
+        monkeypatch.setattr(tool.subprocess, "run", fake_run)
+        for seed in (1, 2):
+            assert tool.run(tmp_path, "suite", seed, 1.0) == ({"numpy": "2.0"}, {"metrics": {}})
+        # one new, empty prefix per run, removed when the run ends
+        assert len(set(caches)) == 2 and not any(cache.exists() for cache in caches)
+        for status, dirty in [
+            ("", False),
+            ("!! perfbench/out/\n", False),
+            ("!! .pytest_cache/\n!! build/\n", False),
+            ("!! src/gleason_lab/__pycache__/\n", True),
+            ("!! perfbench/out/\n!! tools/stale.pyc\n", True),
+            (" M src/gleason_lab/rng.py\n", True),
+            ("?? notes.txt\n", True),
+        ]:
+            assert tool.commit_of(tmp_path) == {"commit": "f" * 40, "dirty": dirty}, status
+        assert calls[-1] == ["git", "rev-parse", "HEAD"]
+        assert calls[-2] == ["git", "status", "--porcelain", "--ignored"]
 
     def test_run_writes_json_report(self, tmp_path):
         out = tmp_path / "report.json"

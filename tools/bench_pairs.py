@@ -14,10 +14,11 @@ gain needs at least 9 wins in 10 pairs and a median shift beyond the parent's
 IQR, in the better direction: the ``gain`` column.  A run whose checks failed
 or whose answers were wrong is reported on standard error as it finishes.
 With ``--out PATH`` the tool also writes a JSON file (:func:`write_record`):
-each side's commit and whether its tree differs from it (:func:`commit_of`),
-every pair's seed, per-run metrics and per-run check counts, the rows of
-:func:`summarize` and each side's environment block, the line that
-``perfbench/run.py`` prints before its result.
+each side's commit and whether its tree differs from it or holds bytecode
+(:func:`commit_of`), every pair's seed, per-run metrics and per-run check
+counts, the rows of :func:`summarize` and each side's environment block, the
+line that ``perfbench/run.py`` prints before its result.  Every run compiles
+the package from source (:func:`run`).
 """
 
 from __future__ import annotations
@@ -25,9 +26,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -83,21 +86,35 @@ def format_rows(rows: list[dict]) -> list[str]:
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
-    """(environment block, result line) of one benchmark run in ``checkout``."""
+    """(environment block, result line) of one benchmark run in ``checkout``.
+
+    The run and every interpreter it starts read and write bytecode under a
+    fresh, empty ``PYTHONPYCACHEPREFIX``, so each compiles the package from
+    source whatever ``__pycache__`` the checkout holds."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        env = {**os.environ, "PYTHONPYCACHEPREFIX": cache}
+        out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True, env=env)
     *_, env, result = out.stdout.strip().splitlines()
     return json.loads(env)["environment"], json.loads(result)
 
 
+def _bytecode(path: str) -> bool:
+    return "__pycache__" in path.split("/") or path.endswith((".pyc", ".pyo"))
+
+
 def commit_of(checkout: Path) -> dict:
     """{"commit": the checkout's HEAD, "dirty": whether its tree differs from
-    that commit, by ``git status --porcelain``}."""
+    that commit, by ``git status --porcelain --ignored``}: a changed or
+    untracked file makes it dirty, and so does ignored bytecode, which an
+    import without a cache prefix would read; other ignored files do not."""
     def git(*args: str) -> str:
         return subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True, check=True).stdout
 
-    return {"commit": git("rev-parse", "HEAD").strip(), "dirty": bool(git("status", "--porcelain").strip())}
+    status = git("status", "--porcelain", "--ignored").splitlines()
+    dirty = any(not line.startswith("!! ") or _bytecode(line[3:]) for line in status)
+    return {"commit": git("rev-parse", "HEAD").strip(), "dirty": dirty}
 
 
 def write_record(path: Path, workload: str, seconds: float, seeds: list[int], pairs: list[tuple[dict, dict]],
