@@ -318,9 +318,10 @@ def _adjoint_comps(comps: np.ndarray) -> np.ndarray:
     transposed in one pass, except that a complex entry, and a quaternion
     entry from ``_ADJOINT_COMPLEX_ENTRIES`` entries on, is read as complex128
     numbers: (a, b) is conjugated and a quaternion's second pair (c, d)
-    negated.  The product by the signs runs numpy's inner loop over one
-    entry, several times slower on large stacks, but fewer calls on small
-    ones.  Negation is exact, so the bits are those of that product.
+    negated.  The product by the signs runs numpy's inner loop over the k
+    components of one entry, several times slower on large stacks, while on
+    small ones its one call beats the two complex ones.  Negation is exact,
+    so the bits are those of that product.
     """
     n, m, k = comps.shape[-3:]
     out = np.empty(comps.shape[:-3] + (m, n, k))

@@ -90,12 +90,13 @@ def run(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict,
 
     The run and every interpreter it starts read and write bytecode under a
     fresh, empty ``PYTHONPYCACHEPREFIX``, so each compiles the package from
-    source whatever ``__pycache__`` the checkout holds."""
+    source whatever ``__pycache__`` the checkout holds; the standard library
+    and numpy are compiled too, which adds about 0.5 s to ``setup_s``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
-        env = {**os.environ, "PYTHONPYCACHEPREFIX": cache}
-        out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True, env=env)
+        environ = {**os.environ, "PYTHONPYCACHEPREFIX": cache}
+        out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True, env=environ)
     *_, env, result = out.stdout.strip().splitlines()
     return json.loads(env)["environment"], json.loads(result)
 
