@@ -44,7 +44,7 @@ whose cut draws are the recipe :func:`_cut_recipe`).  So do the separation
 check :func:`_separations` (:func:`separation_check`), whose witnesses are
 the top eigenvectors of P - Q, and the reconstruction :func:`_reconstructions`
 (:func:`reconstruct_state`), whose stacked frame functions read the probe
-columns of every state in one product (:func:`_probe_measures`).  The suite
+columns of every state in one product (:func:`_line_values`).  The suite
 builds and certifies a cell's states with them at once.
 """
 
@@ -477,15 +477,6 @@ def _hermitian_fill(diag: np.ndarray, entries: np.ndarray, k: np.ndarray, l: np.
     comps[..., k, l, :] = entries
     comps[..., l, k, :] = _conj_comps(entries)
     return comps
-
-
-def _probe_measures(states: np.ndarray, algebra: Algebra) -> Callable[[np.ndarray], np.ndarray]:
-    """The ``evaluate`` of :func:`_reconstructions` for the frame functions
-    ``FrameFunction.from_measure(measure_from_state(T))`` of a (S, n, n, 4)
-    stack of states: the line values (:func:`_line_values`) of the probe
-    columns of all states, each column with its own state, in one product.
-    Every value has the bits that the state's own frame function gives it."""
-    return lambda probes: _line_values(states, probes, algebra)
 
 
 # ---------------------------------------------------------------------------

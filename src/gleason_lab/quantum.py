@@ -9,13 +9,10 @@ A symmetry acts through ``_transform_states`` and ``_dual_transforms``, which
 take a stack of unitary factors with a per-matrix anti-unitary mask;
 :class:`SymmetryOp` is the one-symmetry case.
 
-A one-parameter group is a :class:`GroupPath`, block-shaped like the projector
-stacks: it maps k times to the (k, n, n, 4) stack of the U_t.
-:func:`continuity_scan` reads a sampled orbit from such stacks, two products
-per chunk.  A chunk is a power of two of samples wide and its stack holds at
-most ``_ORBIT_CHUNK_ENTRIES`` entries (16 MB).  The chunks do not shrink to the
-cache-sized budget of the probe stacks, since that would move the last bits of
-the orbit values (:func:`_orbit_values`).
+A one-parameter group is a :class:`GroupPath`, held in its generator's
+eigenbasis: it maps k times to the (k, n, n, 4) stack of the U_t.
+:func:`continuity_scan` reads a sampled orbit in that eigenbasis, in closed
+form, with no U_t formed (:func:`_orbit_values`).
 """
 
 from __future__ import annotations
@@ -34,7 +31,6 @@ from .linalg import (
     _adjoint_comps,
     _block_projectors,
     _check_same_algebra,
-    _conj_comps,
     _hermitian_ratio,
     _max_abs,
     _mul_comps,
@@ -44,15 +40,8 @@ from .linalg import (
 )
 from .scalars import Algebra, Quaternion
 from .spectral import _HERMITIAN_TOL, EigenDecomposition, _group_indices, eig_hermitian
-from .trace import _real_pairings, _real_sums, _real_traces, real_pairing
+from .trace import _real_pairings, _real_traces, real_pairing
 
-# entries of the (k, n, n, 4) stack of U_t that _orbit_values builds at once (16 MB).
-# The two GEMMs of a chunk can round differently at another width: OpenBLAS takes
-# its AVX-512 small-matrix kernel up to M*N*K = 100^3, which over R can differ from
-# the blocked kernel in the last bit, and at odd n a narrow chunk ends a GEMM in an
-# edge tile.  The cache-sized probe budget, 64 times smaller, moved orbit values
-# this way at n = 17, 33 and 65, among others.
-_ORBIT_CHUNK_ENTRIES = 1 << 21
 # the atoms of an observable are its eigenvalues grouped at this tolerance,
 # relative to the largest |eigenvalue| (_atoms)
 _ATOM_REL_TOL = 1e-7
@@ -317,19 +306,44 @@ def symmetry_duality_gap(A: Matrix, B: Matrix, sym: SymmetryOp) -> float:
 # ---------------------------------------------------------------------------
 
 class GroupPath:
-    """A one-parameter group t -> U_t, read block-shaped.
+    """A one-parameter group t -> U_t = V D_t V*, held in its generator's eigenbasis.
 
-    :meth:`stack` maps a 1-D array of k times to the (k, n, n, 4) component
-    stack of the U_t.  Calling the path with one time gives the Matrix U_t,
-    entry 0 of a one-time stack, as a one-column :meth:`Projector.rank_ones`
-    stack holds the projector onto the line of one vector.
+    ``basis`` is the (n, n, 4) unitary V whose columns are the eigenvectors,
+    ``values`` the n eigenvalues s and ``unit`` the (4,) components of a unit
+    imaginary u, so that D_t = diag(exp(u t s)), exp(u x) = cos x + u sin x.
+    The arithmetic follows from the algebra: quaternionic over H, complex
+    over C and over R, where V is complex and U_t is the real part of
+    V D_t V*.  :meth:`stack` maps a 1-D array of k times to the (k, n, n, 4)
+    component stack of the U_t.  Calling the path with one time gives the
+    Matrix U_t, entry 0 of a one-time stack, as a one-column
+    :meth:`Projector.rank_ones` stack holds the projector onto the line of
+    one vector.
     """
 
-    __slots__ = ("algebra", "stack")
+    __slots__ = ("algebra", "basis", "values", "unit")
 
-    def __init__(self, algebra: Algebra, stack: Callable[[np.ndarray], np.ndarray]):
+    def __init__(self, algebra: Algebra, basis: np.ndarray, values: np.ndarray, unit: np.ndarray):
         self.algebra = algebra
-        self.stack = stack
+        self.basis = basis
+        self.values = values
+        self.unit = unit
+
+    @property
+    def _count(self) -> int:
+        return 4 if self.algebra is Algebra.H else 2
+
+    def stack(self, ts: np.ndarray) -> np.ndarray:
+        """V times its phases, broadcast over the times, then one product of
+        that (k n, n) column of blocks with V*."""
+        n = self.values.size
+        angles = ts[:, None] * self.values
+        phases = np.sin(angles)[..., None] * self.unit
+        phases[..., 0] += np.cos(angles)
+        scaled = _mul_comps(self.basis, phases[:, None]).reshape(ts.size * n, n, 4)
+        U = kernels.quat_matmul(scaled, _adjoint_comps(self.basis), self._count).reshape(ts.size, n, n, 4)
+        if self.algebra is Algebra.R:
+            U[..., 1] = 0.0
+        return U
 
     def __call__(self, t: float) -> Matrix:
         return Matrix(self.algebra, self.stack(np.array([t], dtype=np.float64))[0])
@@ -341,37 +355,26 @@ def rotation_group_from_hermitian(H: Matrix, imag_unit: Quaternion) -> GroupPath
     Over C with imag_unit = i this is exp(itH); over H it rotates each
     eigenvector by left multiplication with the fixed unit imaginary.  The
     group law U_{t+s} = U_t U_s holds because all phases share one slice.
-    A unit outside the algebra raises AlgebraMismatch.
-    A stack of k times is the eigenbasis U times its phases, broadcast over
-    the times, then one product of that (k n, n) column of blocks with U*.
+    A unit that is not a unit imaginary raises ValueError, and a unit outside
+    the algebra AlgebraMismatch.
     """
     if H.algebra is Algebra.R:
         raise ValueError("use rotation_group_from_skew over R")
+    if abs(abs(imag_unit) - 1.0) > 1e-12 or abs(imag_unit.real) > 1e-12:
+        raise ValueError("imag_unit must be a unit imaginary quaternion")
     unit = imag_unit.to_array()
     _require_in_algebra(unit, H.algebra, axis=-1)
     dec = eig_hermitian(H)
-    U = dec.basis.comps
-    U_star = np.transpose(_conj_comps(U), (1, 0, 2))
-    count = H.algebra.component_count
-    n = H.n
-
-    def stack(ts: np.ndarray) -> np.ndarray:
-        angles = ts[:, None] * dec.values
-        phases = np.sin(angles)[..., None] * unit
-        phases[..., 0] += np.cos(angles)
-        scaled = _mul_comps(U, phases[:, None]).reshape(ts.size * n, n, 4)
-        return kernels.quat_matmul(scaled, U_star, count).reshape(ts.size, n, n, 4)
-
-    return GroupPath(H.algebra, stack)
+    return GroupPath(H.algebra, dec.basis.comps, dec.values, unit)
 
 
 def rotation_group_from_skew(W: Matrix) -> GroupPath:
     """t -> exp(tW) for a real antisymmetric generator W.
 
-    Diagonalizes the complex Hermitian iW; the assembled exponential is real
-    because the spectrum pairs up, and the tiny imaginary residue is dropped.
-    A stack of k times is one complex product of the (k n, n) block of the
-    phased eigenvectors with V*.
+    iW is complex Hermitian, and exp(tW) = V diag(exp(-i t s)) V* on its
+    eigenbasis V with eigenvalues s: the path holds V, the values -s and the
+    unit i.  The assembled exponential is real because the spectrum pairs
+    up, and the tiny imaginary residue is dropped.
     """
     if W.algebra is not Algebra.R:
         raise ValueError("skew generator path is the real-algebra route")
@@ -381,17 +384,9 @@ def rotation_group_from_skew(W: Matrix) -> GroupPath:
         raise ValueError("generator must be antisymmetric")
     # the solver reads one triangle, so hand it the exactly Hermitian part
     vals, vecs = kernels.eigh(1j * (W0 - W0.T) / 2)
-    vecs_star = vecs.conj().T
-    n = W.n
-
-    def stack(ts: np.ndarray) -> np.ndarray:
-        phases = np.exp(-1j * ts[:, None] * vals)
-        U = (vecs * phases[:, None, :]).reshape(ts.size * n, n) @ vecs_star
-        comps = np.zeros((ts.size, n, n, 4))
-        comps[..., 0] = U.real.reshape(ts.size, n, n)
-        return comps
-
-    return GroupPath(Algebra.R, stack)
+    zero = np.zeros(vecs.shape)
+    basis = np.stack([vecs.real, vecs.imag, zero, zero], axis=-1)
+    return GroupPath(Algebra.R, basis, -vals, Quaternion.I.to_array())
 
 
 @dataclass(frozen=True)
@@ -401,37 +396,34 @@ class ContinuityReport:
 
 
 def _orbit_values(A: Matrix, T: DensityOperator, group_path: GroupPath, ts: np.ndarray) -> np.ndarray:
-    """Re tr(A U_t T U_t^{-1}) for every time t of ``ts``, read block-shaped.
+    """Re tr(A U_t T U_t^{-1}) for every time t of ``ts``, read in the
+    generator's eigenbasis with no U_t formed: O(n^3) once, then O(n^2) per time.
 
-    The times go in chunks whose stack of U_t has at most
-    ``_ORBIT_CHUNK_ENTRIES`` entries.  Per chunk: one product of A with the
-    stack laid side by side, [A U_1 ... A U_k] = A [U_1 ... U_k]; one product
-    of the column [A U_1; ...; A U_k] with T, which gives Y_t = A U_t T; and
-    Re tr(Y_t U_t*) = sum_rc Re(Y_rc conj(U_rc)), read entrywise with the
-    sums of :func:`_real_sums`, with no adjoint and no product formed.
+    With U_t = V D_t V*, the value is Re tr(Av D_t Tv D_t*) for Av = V*AV and
+    Tv = V*TV, that is sum_ab Re(Av_ba d_a Tv_ab conj(d_b)), d_a = exp(u t s_a).
+    Split Tv into x = (Tv - uTvu)/2, which commutes with u, and
+    y = (Tv + uTvu)/2, which anticommutes with it (y = 0 in complex
+    arithmetic): d_a x_ab conj(d_b) = x_ab exp(u t (s_a - s_b)) and
+    d_a y_ab conj(d_b) = y_ab exp(-u t (s_a + s_b)).  With the entrywise
+    products P1 = Av^T x and P2 = Av^T y, R = Re P and I = Im P . u, each value
+    is the quadratic form X^T M X of X = (cos ts, sin ts), where
+    M = [[R1 + R2, I1 + I2], [I2 - I1, R1 - R2]].
     """
     _check_same_algebra(A, T.matrix)
     _check_same_algebra(A, group_path)
     if not A.is_square:
         raise ValueError(f"cannot scan a {A.n}x{A.m} observable")
-    n = A.n
-    count = A.algebra.component_count
-    # a power of two, so that every full chunk meets the GEMM kernels' tiles the
-    # way one long scan does; where every chunk takes the same kernel, a value
-    # then does not depend on where a chunk ends (see _ORBIT_CHUNK_ENTRIES)
-    width = 1 << (max(1, _ORBIT_CHUNK_ENTRIES // (4 * n * n)).bit_length() - 1)
-    values = np.empty(ts.size)
-    for a in range(0, ts.size, width):
-        U = group_path.stack(ts[a:a + width])
-        k = U.shape[0]
-        AU = kernels.quat_matmul(A.comps, U.transpose(1, 0, 2, 3).reshape(n, k * n, 4), count)
-        column = AU.reshape(n, k, n, 4).transpose(1, 0, 2, 3).reshape(k * n, n, 4)
-        del AU  # free each stack-sized intermediate once the next one is built
-        Y = kernels.quat_matmul(column, T.matrix.comps, count).reshape(k, n, n, 4)
-        del column
-        Y *= _conj_comps(U)
-        values[a:a + k] = _real_sums(Y)
-    return values
+    V, u, count = group_path.basis, group_path.unit, group_path._count
+    V_star = _adjoint_comps(V)
+    Av, Tv = (kernels.quat_matmul(kernels.quat_matmul(V_star, X.comps, count), V, count) for X in (A, T.matrix))
+    uTu = _mul_comps(_mul_comps(u, Tv), u)
+    P = _mul_comps(Av.swapaxes(0, 1), np.stack([Tv - uTu, Tv + uTu]) / 2)  # P1, P2
+    R, I = P[..., 0], P[..., 1:] @ u[1:]
+    M = np.block([[R[0] + R[1], I[0] + I[1]], [I[1] - I[0], R[0] - R[1]]])
+    angles = ts[:, None] * group_path.values
+    X = np.concatenate([np.cos(angles), np.sin(angles)], axis=1)
+    # einsum, not a BLAS product, which can round equal rows differently
+    return np.einsum("ta,ab,tb->t", X, M, X)
 
 
 def continuity_scan(
@@ -441,11 +433,8 @@ def continuity_scan(
     samples: int,
 ) -> ContinuityReport:
     """Sample t -> Re tr(A U_t T U_t^{-1}) at ``samples + 1`` evenly spaced
-    times over [0, 1] and report the largest adjacent jump.
-
-    Every value is read (:func:`_orbit_values`) before any difference is
-    taken, so the chunking of the samples cannot change a jump.
-    """
+    times over [0, 1] (:func:`_orbit_values`) and report the largest adjacent
+    jump."""
     arr = _orbit_values(A, T, group_path, np.linspace(0.0, 1.0, samples + 1))
     jumps = np.abs(np.diff(arr))
     return ContinuityReport(

@@ -32,7 +32,7 @@ decomposition, the kept columns of a split, the weights of a drawn count) are
 built in one stack per shape (``_groups``), so every product and sum keeps
 the shape it has alone.  ``_stacked`` turns the block into the cell runner,
 which runs the trial axis in chunks when a stack would pass
-``quantum._ORBIT_CHUNK_ENTRIES`` entries.  Each matrix of a stack is computed
+``_STACK_CHUNK_ENTRIES`` entries.  Each matrix of a stack is computed
 as a lone matrix is, so a stacked runner reports the bits that its per-trial
 form would.  The one exception is a Gaussian matrix that Gram-Schmidt
 rejects: the stack redraws it after the block, where the per-trial form would
@@ -252,6 +252,10 @@ class SuiteReport:
 # property runners; each returns a worst-case residual (smaller is better)
 # ---------------------------------------------------------------------------
 
+# entries of the largest stack that a chunk of a cell's trials builds (16 MB):
+# _stacked sets the chunk width by it, and _pair_products caps its boxes at it
+_STACK_CHUNK_ENTRIES = 1 << 21
+
 Terms = Iterable[float]
 
 
@@ -272,7 +276,7 @@ def _stacked(block: Callable[[Cell, np.ndarray], np.ndarray],
     from ``cell.rng`` and returns their terms (:func:`_rows`).
 
     The trials run in order, in chunks whose largest stack, ``matrices(n)``
-    n x n matrices per trial, holds at most ``quantum._ORBIT_CHUNK_ENTRIES``
+    n x n matrices per trial, holds at most ``_STACK_CHUNK_ENTRIES``
     entries, one trial at least.  The residual is the worst of all the terms,
     as :func:`_worst` takes them, with one max per chunk: NaN as soon as a
     chunk has a NaN term, and no later chunk is drawn.  The runner
@@ -280,7 +284,7 @@ def _stacked(block: Callable[[Cell, np.ndarray], np.ndarray],
     """
 
     def runner(cell: Cell) -> float:
-        width = max(1, qm._ORBIT_CHUNK_ENTRIES // (4 * cell.dim**2 * matrices(cell.dim)))
+        width = max(1, _STACK_CHUNK_ENTRIES // (4 * cell.dim**2 * matrices(cell.dim)))
         peak = 0.0
         for a in range(0, cell.trials, width):
             # numpy's max is NaN where a term is, and 0.0 over no terms
@@ -558,7 +562,7 @@ def _round_trip(cell: Cell, ts: np.ndarray) -> np.ndarray:
     values = []
 
     def read(probes: np.ndarray) -> np.ndarray:  # the frame functions, keeping what they return
-        values.append(gl._probe_measures(T, algebra)(probes))
+        values.append(gl._line_values(T, probes, algebra))
         return values[-1]
 
     pairs, phases, X = gl._probe_draws(draws, n, algebra)
@@ -770,7 +774,7 @@ def _pair_products(atoms: np.ndarray, algebra: Algebra) -> np.ndarray:
     each product as it runs alone.  The k products P_a P_a come along and are
     dropped."""
     S, k, n = atoms.shape[:3]
-    width = max(1, min(gl._PROBE_CHUNK_ENTRIES, qm._ORBIT_CHUNK_ENTRIES) // (4 * n * n))
+    width = max(1, min(gl._PROBE_CHUNK_ENTRIES, _STACK_CHUNK_ENTRIES) // (4 * n * n))
     trials, rows, partners = max(1, width // (k * k)), min(k, max(1, width // k)), min(k, width)
     out = np.empty((S, k, k))
     for t in range(0, S, trials):

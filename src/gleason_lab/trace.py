@@ -9,10 +9,9 @@ every operator is trace class and the norm is the nuclear norm.
 
 Re tr(AB) has one kernel, :func:`_real_pairings`: it pairs a whole stack of
 matrices with one operand in a single broadcast product and forms no matrix
-product, over R on the real components alone.  :func:`real_pairing` is its one-matrix case, and the lattice
-measure of a state in :mod:`gleason_lab.gleason` reads a probe stack with it.
-Its sums of real parts, :func:`_real_sums`, also read the sampled orbits of
-:func:`gleason_lab.quantum.continuity_scan`.
+product, over R on the real components alone.  :func:`real_pairing` is its
+one-matrix case, and the lattice measure of a state in
+:mod:`gleason_lab.gleason` reads a probe stack with it.
 
 The real trace, the basis trace, the trace norm, the absolute diagonal sum,
 the norm inequalities, the cyclicity gap and the realification check each
@@ -111,12 +110,7 @@ def _real_pairings(stack: np.ndarray, B: np.ndarray, component_count: int = 4) -
         stack, B = stack.reshape((g, k // g) + shape[1:]), B[:, None]
     if component_count == 1:
         return (stack[..., 0] * B[..., 0].swapaxes(-2, -1)).reshape(shape[:3]).sum(axis=(1, 2))
-    return _real_sums((stack * B.swapaxes(-3, -2)).reshape(shape))
-
-
-def _real_sums(prod: np.ndarray) -> np.ndarray:
-    """sum_rc Re(p_rc q_rc) for every matrix of a (k, n, m, 4) stack of entrywise
-    component products prod = p * q, since Re(pq) = p_0 q_0 - p_1 q_1 - p_2 q_2 - p_3 q_3."""
+    prod = (stack * B.swapaxes(-3, -2)).reshape(shape)
     # plain sums, not einsum, which would reorder the additions
     return prod[..., 0].sum(axis=(1, 2)) - prod[..., 1:].sum(axis=(1, 2, 3))
 

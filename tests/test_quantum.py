@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -266,6 +267,22 @@ class TestSymmetries:
             sym = SymmetryOp(random_unitary(3, Algebra.C, rng), antiunitary=True)
             assert symmetry_duality_gap(A, B, sym) < 1e-9
 
+    @pytest.mark.parametrize("algebra, anti", [(Algebra.R, False), (Algebra.C, False), (Algebra.C, True),
+                                               (Algebra.H, False)], ids=["R", "C", "C-anti", "H"])
+    def test_dual_transform_is_the_real_trace_adjoint_of_transform_state(self, algebra, anti):
+        # Re tr(A U B U^-1) = Re tr(U^-1 A U B), each side through the public methods
+        rng = SplitMix64(121)
+        for _ in range(10):
+            A = random_matrix(4, 4, algebra, rng)
+            B = random_matrix(4, 4, algebra, rng)
+            sym = SymmetryOp(random_unitary(4, algebra, rng), antiunitary=anti)
+            lhs = real_trace(A @ sym.transform_state(B))
+            rhs = real_trace(sym.dual_transform(A) @ B)
+            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+            if not anti:
+                U = sym.unitary
+                assert matrices_close(sym.dual_transform(A), U.adjoint() @ A @ U, 1e-12)
+
     def test_antiunitary_rejected_outside_c(self):
         with pytest.raises(ValueError):
             SymmetryOp(Matrix.identity(2, Algebra.H), antiunitary=True)
@@ -315,6 +332,15 @@ class TestGroupPathsAndContinuity:
         with pytest.raises(AlgebraMismatch):
             rotation_group_from_hermitian(H, unit)
 
+    @pytest.mark.parametrize("unit", [Quaternion(0, 2), Quaternion(1), Quaternion(0.5, 0.5, 0.5, 0.5)],
+                             ids=["2i", "1", "(1+i+j+k)/2"])
+    @pytest.mark.parametrize("algebra", [Algebra.C, Algebra.H])
+    def test_path_rejects_a_unit_that_is_not_a_unit_imaginary(self, algebra, unit):
+        # exp(u x) = cos x + u sin x is unitary, and splits T~ by its slice, only where u^2 = -1
+        H = random_hermitian(3, algebra, SplitMix64(126))
+        with pytest.raises(ValueError, match="imag_unit must be a unit imaginary quaternion"):
+            rotation_group_from_hermitian(H, unit)
+
     def test_group_law_quaternionic(self):
         rng = SplitMix64(127)
         H = random_hermitian(3, Algebra.H, rng)
@@ -351,16 +377,16 @@ class TestGroupPathsAndContinuity:
         for p, t in enumerate(ts):
             assert np.array_equal(stack[p], path(float(t)).comps)
 
-    @pytest.mark.parametrize("n", [1, 3, 8])
+    @pytest.mark.parametrize("n", [1, 3, 8, 33])
     @pytest.mark.parametrize("algebra", ALGEBRAS)
     def test_scan_values_match_a_per_sample_reference(self, algebra, n):
-        # the scan's wide and tall products round like the per-sample ones only
-        # up to the order of BLAS additions, so the bound is relative, at 1e-14
+        # the closed form in the eigenbasis rounds like the per-sample products
+        # only up to the order of additions, so the bound is relative, at 1e-14
         rng = SplitMix64(134)
         A = random_matrix(n, n, algebra, rng)
         T = random_density(n, algebra, rng)
         path = _random_group_path(n, algebra, rng)
-        ts = np.linspace(0.0, 1.0, 65)
+        ts = np.linspace(-1.5, 2.5, 65)
         reference = []
         for t in ts:
             U = path(float(t))
@@ -369,48 +395,21 @@ class TestGroupPathsAndContinuity:
         values = quantum._orbit_values(A, T, path, ts)
         assert np.abs(values - reference).max() <= 1e-14 * max(1.0, np.abs(reference).max())
 
-    @pytest.mark.parametrize("n", [1, 3, 8])
     @pytest.mark.parametrize("algebra", ALGEBRAS)
-    def test_scan_wider_than_one_chunk_keeps_every_value(self, algebra, n, monkeypatch):
-        rng = SplitMix64(135)
-        A = random_matrix(n, n, algebra, rng)
-        T = random_density(n, algebra, rng)
-        path = _random_group_path(n, algebra, rng)
-        ts = np.linspace(0.0, 1.0, 101)
-        whole = quantum._orbit_values(A, T, path, ts)
-        monkeypatch.setattr(quantum, "_ORBIT_CHUNK_ENTRIES", 7 * 4 * n * n)  # 7 samples
-        build, sizes = path.stack, []
-
-        def spy(chunk):
-            stack = build(chunk)
-            sizes.append(stack.size)
-            return stack
-
-        path.stack = spy
-        chunked = quantum._orbit_values(A, T, path, ts)
-        assert np.array_equal(chunked, whole)
-        assert len(sizes) > 1 and max(sizes) <= 7 * 4 * n * n
-
-    @pytest.mark.parametrize("n, width", [(3, 32768), (17, 1024), (64, 128), (65, 64), (96, 32)])
-    @pytest.mark.parametrize("algebra", ALGEBRAS)
-    def test_orbit_chunks_keep_their_16_mb_width(self, algebra, n, width):
-        # the widths the orbit values were fixed at: the largest power of two of
-        # samples whose stack holds at most 1 << 21 entries.  The cache-sized
-        # probe budget gave 16, 1 and 1 samples at n = 17, 65 and 96, which moved
-        # the last bits of values over R at n = 17 and over R, C and H at n = 65
-        rng = SplitMix64(136 + n)
-        A = random_matrix(n, n, algebra, rng)
-        T = random_density(n, algebra, rng)
-        path = _random_group_path(n, algebra, rng)
-        build, widths = path.stack, []
-
-        def spy(chunk):
-            widths.append(chunk.size)
-            return build(chunk)
-
-        path.stack = spy
-        quantum._orbit_values(A, T, path, np.linspace(0.0, 1.0, width + 3))
-        assert widths == [width, 3]
+    def test_scan_forms_no_stack_of_u_t(self, algebra):
+        # one n = 64 scan of 257 samples: a stack of its U_t alone would hold 64 MiB
+        rng = SplitMix64(136)
+        A = random_matrix(64, 64, algebra, rng)
+        T = random_density(64, algebra, rng)
+        path = _random_group_path(64, algebra, rng)
+        ts = np.linspace(0.0, 1.0, 257)
+        tracemalloc.start()
+        try:
+            quantum._orbit_values(A, T, path, ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
     def test_commuting_generator_freezes_the_orbit(self):
         # a state built from the generator's own eigenprojectors commutes with

@@ -15,7 +15,7 @@ separation check, an adapted basis that drops a candidate, and a frame
 function that fails one of the round trip's checks.  The planned
 draws, fixed and dependent, are checked against the draws one after another,
 the stacked kernels against per-matrix calls, the guards over a stack against
-the one-matrix messages, and the chunking of the trial axis against the orbit
+the one-matrix messages, and the chunking of the trial axis against the trial
 chunk budget.
 """
 
@@ -640,13 +640,12 @@ def test_a_planted_frame_function_failure_names_the_lowest_failing_trial(algebra
     honest = FrameFunction.from_measure(measure_from_state(random_density(n, algebra, ref.rng)))
     shifted = FrameFunction(lambda X: np.asarray(honest.evaluate(X)) + shift)
     alone = _message(lambda: reconstruct_state(shifted, n, algebra, rng=ref.rng), NotAFrameFunction)
-    measures = gleason._probe_measures
+    line_values = gleason._line_values
 
-    def shifted_measures(states, alg):
-        evaluate = measures(states, alg)
-        return lambda probes: evaluate(probes) + np.outer(np.arange(4) % 2, shift)
+    def shifted_values(states, probes, alg):
+        return line_values(states, probes, alg) + np.outer(np.arange(4) % 2, shift)
 
-    monkeypatch.setattr(gleason, "_probe_measures", shifted_measures)
+    monkeypatch.setattr(gleason, "_line_values", shifted_values)
     cell = Cell(algebra, n, SplitMix64(11).derive(name), 4)
     assert _message(lambda: RUNNERS[name].runner.block(cell, np.arange(4)), NotAFrameFunction) == f"{alone} (stack entry 1)"
 
@@ -1374,8 +1373,8 @@ def test_no_stack_passes_the_chunk_budget_at_a_large_trial_count(monkeypatch):
     prop = RUNNERS["trace.realification_quarter"]
     rng, ref = SplitMix64(15), SplitMix64(15)
     chunked = prop.runner(Cell(Algebra.H, 17, rng, 120))
-    assert sizes and max(sizes) <= quantum._ORBIT_CHUNK_ENTRIES
-    assert max(sizes) > quantum._ORBIT_CHUNK_ENTRIES // 2
+    assert sizes and max(sizes) <= suite._STACK_CHUNK_ENTRIES
+    assert max(sizes) > suite._STACK_CHUNK_ENTRIES // 2
     whole = suite._worst(prop.runner.block(Cell(Algebra.H, 17, ref, 120), np.arange(120)).ravel())
     assert chunked == whole and rng._pos == ref._pos
 
@@ -1395,7 +1394,7 @@ def test_chunked_trials_give_the_bits_of_one_stack(name, monkeypatch):
                              "quantum.pure_state_reduction", "gleason.sigma_additivity") else 100
     budget = 450 if name == "trace.nonhermitian_basis_dependence_h" else budget
     budget = 7200 if name == "gleason.round_trip" else budget
-    monkeypatch.setattr(quantum, "_ORBIT_CHUNK_ENTRIES", budget)
+    monkeypatch.setattr(suite, "_STACK_CHUNK_ENTRIES", budget)
     sizes = _spy_on_products(monkeypatch)
     chunked = prop.runner(Cell(algebra, 3, rng, 7))
     assert all(size <= budget for size in sizes)

@@ -342,15 +342,24 @@ class TestCli:
         spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
         tool = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tool)
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
         calls, caches = [], []
 
-        def fake_run(cmd, cwd, capture_output, text, check, env=None):
+        def fake_run(cmd, cwd, check, env=None, capture_output=False, text=False):
             calls.append(cmd)
             if cmd[0] == "git":
                 out = {"rev-parse": "f" * 40 + "\n", "status": status}[cmd[1]]
-            else:
+            elif cmd[1] == "-c":  # the prefill: numpy and the standard library, from outside the checkout
                 cache = Path(env["PYTHONPYCACHEPREFIX"])
                 assert cache.is_dir() and not any(cache.iterdir())
+                assert Path(cwd) == cache and "PYTHONDONTWRITEBYTECODE" not in env
+                assert cmd[2].startswith("import numpy, ") and "gleason_lab" not in cmd[2]
+                (cache / "numpy.pyc").write_bytes(b"")  # what the prefill would leave there
+                out = ""
+            else:
+                cache = Path(env["PYTHONPYCACHEPREFIX"])
+                assert [p.name for p in cache.iterdir()] == ["numpy.pyc"] and Path(cwd) == tmp_path
+                assert env["PYTHONDONTWRITEBYTECODE"] == "1"
                 caches.append(cache)
                 (cache / "stale.pyc").write_bytes(b"")  # what the run would leave there
                 out = '{"environment": {"numpy": "2.0"}}\n{"metrics": {}}\n'
@@ -359,7 +368,7 @@ class TestCli:
         monkeypatch.setattr(tool.subprocess, "run", fake_run)
         for seed in (1, 2):
             assert tool.run(tmp_path, "suite", seed, 1.0) == ({"numpy": "2.0"}, {"metrics": {}})
-        # one new, empty prefix per run, removed when the run ends
+        # one new prefix per run, prefilled before it and removed when the run ends
         assert len(set(caches)) == 2 and not any(cache.exists() for cache in caches)
         for status, dirty in [
             ("", False),

@@ -18,7 +18,7 @@ each side's commit and whether its tree differs from it or holds bytecode
 (:func:`commit_of`), every pair's seed, per-run metrics and per-run check
 counts, the rows of :func:`summarize` and each side's environment block, the
 line that ``perfbench/run.py`` prints before its result.  Every run compiles
-the package from source (:func:`run`).
+the package from source, and only the package (:func:`run`).
 """
 
 from __future__ import annotations
@@ -85,17 +85,30 @@ def format_rows(rows: list[dict]) -> list[str]:
     return lines
 
 
+# numpy and the standard-library modules that a run of perfbench/run.py imports
+# (dataclasses through its tracer, its workloads and the package): their bytecode
+# is compiled into each run's cache before the run (:func:`run`)
+PREFILL = ("numpy", "__future__", "argparse", "ctypes", "dataclasses", "json", "platform", "resource", "statistics",
+           "subprocess", "time", "pathlib")
+
+
 def run(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
     """(environment block, result line) of one benchmark run in ``checkout``.
 
     The run and every interpreter it starts read and write bytecode under a
-    fresh, empty ``PYTHONPYCACHEPREFIX``, so each compiles the package from
-    source whatever ``__pycache__`` the checkout holds; the standard library
-    and numpy are compiled too, which adds about 0.5 s to ``setup_s``."""
+    fresh ``PYTHONPYCACHEPREFIX``, so each compiles the package from source
+    whatever ``__pycache__`` the checkout holds.  An interpreter started
+    outside the checkout first imports the modules of ``PREFILL`` under the
+    same prefix, writing their bytecode even where ``PYTHONDONTWRITEBYTECODE``
+    is set, so that the run does not compile numpy and the standard library:
+    otherwise they add about 0.5 s to ``setup_s``, which ``perfbench/run.py``
+    run directly, on the interpreter's own caches, does not pay."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
         environ = {**os.environ, "PYTHONPYCACHEPREFIX": cache}
+        writer = {k: v for k, v in environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+        subprocess.run([sys.executable, "-c", f"import {', '.join(PREFILL)}"], cwd=cache, check=True, env=writer)
         out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True, env=environ)
     *_, env, result = out.stdout.strip().splitlines()
     return json.loads(env)["environment"], json.loads(result)
