@@ -395,6 +395,21 @@ class TestGroupPathsAndContinuity:
         values = quantum._orbit_values(A, T, path, ts)
         assert np.abs(values - reference).max() <= 1e-14 * max(1.0, np.abs(reference).max())
 
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    @pytest.mark.parametrize("algebra", ALGEBRAS)
+    def test_scan_wider_than_one_chunk_keeps_every_value(self, algebra, n):
+        # each value reads only its own time, so a scan cut into chunks of
+        # 7 samples keeps every value of the whole scan bit for bit
+        rng = SplitMix64(135)
+        A = random_matrix(n, n, algebra, rng)
+        T = random_density(n, algebra, rng)
+        path = _random_group_path(n, algebra, rng)
+        ts = np.linspace(0.0, 1.0, 101)
+        whole = quantum._orbit_values(A, T, path, ts)
+        chunks = [quantum._orbit_values(A, T, path, ts[i : i + 7]) for i in range(0, ts.size, 7)]
+        assert len(chunks) > 1
+        assert np.array_equal(np.concatenate(chunks), whole)
+
     @pytest.mark.parametrize("algebra", ALGEBRAS)
     def test_scan_forms_no_stack_of_u_t(self, algebra):
         # one n = 64 scan of 257 samples: a stack of its U_t alone would hold 64 MiB
