@@ -88,11 +88,11 @@ _STATE_TOL = 1e-8
 # modulus 1/2 of each of the probe's two nonzero entries
 _POLAR_WEIGHT = 0.5
 # entries of the (k, n, n, 4) stack of line projectors that FrameFunction.from_measure
-# builds at once for a measure with no line reading (the dimension-2 Bloch cubic),
-# and of the products in each box of suite._pair_products; a wider probe block is
-# read in column chunks of this many entries, or of one column where one column
-# alone holds more (n > 90).  1 << 15 entries is a 256 KB stack, which stays in a
-# 2 MB L2 cache with the temporaries of its certificate and pairing.
+# builds at once for a measure with no line reading (the dimension-2 Bloch cubic);
+# a wider probe block is read in column chunks of this many entries, or of one
+# column where one column alone holds more (n > 90).  1 << 15 entries is a 256 KB
+# stack, which stays in a 2 MB L2 cache with the temporaries of its certificate
+# and pairing.
 _PROBE_CHUNK_ENTRIES = 1 << 15
 
 

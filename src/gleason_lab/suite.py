@@ -46,7 +46,9 @@ polar read every trial's eigenbasis from one stacked eigendecomposition
 that build atoms group each trial's spectrum as
 :func:`~gleason_lab.quantum.pvm_of` does; the trials with one block layout
 build and certify their atoms as one stack (``_atom_projectors``), and a
-trial's terms are as many as its atoms.  An adapted basis that drops one of
+trial's terms are as many as its atoms; ``pvm_partition`` reads the
+orthogonality of every pair of atoms off one Gram matrix of the eigenbasis
+(``_cross_terms``).  An adapted basis that drops one of
 its first n candidates, which no Gaussian draw was seen to do, runs the
 one-matrix sweep on that trial, with the same bits.
 
@@ -253,7 +255,7 @@ class SuiteReport:
 # ---------------------------------------------------------------------------
 
 # entries of the largest stack that a chunk of a cell's trials builds (16 MB):
-# _stacked sets the chunk width by it, and _pair_products caps its boxes at it
+# _stacked sets the chunk width by it
 _STACK_CHUNK_ENTRIES = 1 << 21
 
 Terms = Iterable[float]
@@ -736,22 +738,24 @@ def _run_dim2_obstruction(cell: Cell) -> float:
 
 
 def _atom_projectors(A: np.ndarray, algebra: Algebra) -> list:
-    """(trials, means, P) for each block layout of the atoms of the
+    """(trials, means, P, U, blocks) for each block layout of the atoms of the
     observables of a (T, n, n, 4) stack, from one stacked eigendecomposition
     (:func:`~gleason_lab.spectral._eig_stack`), each trial's spectrum grouped
     as :func:`~gleason_lab.quantum.pvm_of` groups it
     (:func:`~gleason_lab.quantum._atoms`): the trials that share the layout,
-    their (t, k) atom means and the certified (t, k, n, n, 4) stack of their
+    their (t, k) atom means, the certified (t, k, n, n, 4) stack of their
     atoms, built and certified as :func:`~gleason_lab.quantum.pvm_of` builds
     and certifies them: the projectors onto the column blocks
-    (:func:`_block_projectors`), one stack per layout (:func:`_groups`)."""
+    (:func:`_block_projectors`), one stack per layout (:func:`_groups`), the
+    (t, n, n, 4) stack of their eigenbases and the layout's (lo, hi) blocks."""
     values, basis = sp._eig_stack(A, algebra)
     atoms = [qm._atoms(row) for row in values]
     out = []
     for blocks, at in _groups([tuple((a, b) for a, b, _ in row) for row in atoms]):
-        P = _block_projectors(basis[at], blocks, algebra)
+        U = basis[at]
+        P = _block_projectors(U, blocks, algebra)
         _check_projectors(P, algebra)
-        out.append((at, np.array([[s for _, _, s in atoms[t]] for t in at.tolist()]), P))
+        out.append((at, np.array([[s for _, _, s in atoms[t]] for t in at.tolist()]), P, U, blocks))
     return out
 
 
@@ -764,27 +768,21 @@ def _trial_rows(count: int, parts: Iterable) -> list:
     return rows
 
 
-def _pair_products(atoms: np.ndarray, algebra: Algebra) -> np.ndarray:
-    """max|P_a P_b| for every ordered pair a != b of the atoms of each trial of
-    an (S, k, n, n, 4) stack, row-major in (a, b), as an (S, k (k - 1)) array.
+def _cross_terms(U: np.ndarray, blocks, algebra: Algebra) -> np.ndarray:
+    """max_r |(U_a)_r| * |U_a* U_b|_F * max_c |(U_b)_c| for every ordered pair
+    a != b of the column blocks ``U_a = U[..., lo:hi]`` of each matrix of an
+    (S, n, n, 4) stack, row-major in (a, b), as an (S, k (k - 1)) array, read
+    off one Gram matrix U*U per matrix.
 
-    The products run in boxes of trials x rows a x partners b, each operand a
-    view of the stack, with at most ``gleason._PROBE_CHUNK_ENTRIES`` entries of
-    products per box (and never more than the trial budget): cache-sized, and
-    each product as it runs alone.  The k products P_a P_a come along and are
-    dropped."""
-    S, k, n = atoms.shape[:3]
-    width = max(1, min(gl._PROBE_CHUNK_ENTRIES, _STACK_CHUNK_ENTRIES) // (4 * n * n))
-    trials, rows, partners = max(1, width // (k * k)), min(k, max(1, width // k)), min(k, width)
-    out = np.empty((S, k, k))
-    for t in range(0, S, trials):
-        for a in range(0, k, rows):
-            for b in range(0, k, partners):
-                box = np.s_[t:t + trials, a:a + rows, b:b + partners]
-                out[box] = _max_abs(kernels.quat_matmul(atoms[t:t + trials, a:a + rows, None],
-                                                        atoms[t:t + trials, None, b:b + partners],
-                                                        algebra.component_count))
-    return out[:, ~np.eye(k, dtype=bool)]
+    Entry (r, c) of P_a P_b = U_a (U_a* U_b) U_b* is x G y* for the rows x of
+    U_a and y of U_b, at most |x| |G|_F |y|; so the term bounds max|P_a P_b|,
+    and for rank-one atoms, where |x q y| = |x| |q| |y| in H, it is
+    max|P_a P_b|."""
+    starts, k = [lo for lo, _ in blocks], len(blocks)
+    rows = np.sqrt(np.add.reduceat(_sq_moduli(U), starts, axis=-1).max(axis=-2))
+    gram = kernels.quat_matmul(_adjoint_comps(U), U, algebra.component_count)
+    frob = np.sqrt(np.add.reduceat(np.add.reduceat(_sq_moduli(gram), starts, axis=-1), starts, axis=-2))
+    return (rows[:, :, None] * frob * rows[:, None, :])[:, ~np.eye(k, dtype=bool)]
 
 
 def _observables(G: np.ndarray, algebra: Algebra) -> np.ndarray:
@@ -799,16 +797,16 @@ def _pvm_partition(cell: Cell, ts: np.ndarray) -> np.ndarray:
     A = _observables(*_draw(cell, ts.size, _MATRIX), cell.algebra)
     n = cell.dim
 
-    def terms(P: np.ndarray) -> np.ndarray:
+    def terms(P: np.ndarray, U: np.ndarray, blocks) -> np.ndarray:
         # PVMap.total(): the atoms added in order from zero, less the identity
         total = np.zeros(P.shape[:1] + P.shape[2:])
         for c in range(P.shape[1]):
             total = total + P[:, c]
         total[..., np.arange(n), np.arange(n), 0] -= 1.0
-        return np.concatenate([_max_abs(total)[:, None], _pair_products(P, cell.algebra)], axis=1)
+        return np.concatenate([_max_abs(total)[:, None], _cross_terms(U, blocks, cell.algebra)], axis=1)
 
     layouts = _atom_projectors(A, cell.algebra)
-    return _rows(_trial_rows(ts.size, ((at, terms(P)) for at, _, P in layouts)))
+    return _rows(_trial_rows(ts.size, ((at, terms(P, U, blocks)) for at, _, P, U, blocks in layouts)))
 
 
 _run_pvm_partition = _stacked(_pvm_partition, matrices=lambda n: n)  # n atoms per trial
@@ -854,7 +852,7 @@ def _expectation_duality(cell: Cell, ts: np.ndarray) -> np.ndarray:
         return [qm.OutcomeMeasure(tuple(sorted(zip(s, p)))) for s, p in zip(means.tolist(), probs.tolist())]
 
     layouts = _atom_projectors(A, algebra)
-    measures = _trial_rows(ts.size, ((at, dists(at, means, P)) for at, means, P in layouts))
+    measures = _trial_rows(ts.size, ((at, dists(at, means, P)) for at, means, P, _, _ in layouts))
     return np.array([_duality_terms(*row) for row in zip(measures, expectation, std)])
 
 
@@ -880,7 +878,7 @@ def _pure_state_reduction(cell: Cell, ts: np.ndarray) -> np.ndarray:
         return np.abs(traces - np.reshape(lengths, traces.shape))
 
     layouts = _atom_projectors(A, algebra)
-    served = _trial_rows(ts.size, ((at, terms(at, P)) for at, _, P in layouts))
+    served = _trial_rows(ts.size, ((at, terms(at, P)) for at, _, P, _, _ in layouts))
     return _rows([[*row, x] for row, x in zip(served, last)])
 
 

@@ -16,10 +16,14 @@ function that fails one of the round trip's checks.  The planned
 draws, fixed and dependent, are checked against the draws one after another,
 the stacked kernels against per-matrix calls, the guards over a stack against
 the one-matrix messages, and the chunking of the trial axis against the trial
-chunk budget.
+chunk budget.  ``pvm_partition``'s cross terms, read off one Gram matrix, are
+checked against explicit products of the atoms, and its product work against
+n^4.
 """
 
+import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -211,9 +215,16 @@ def _draw_hermitian(cell, t):
 
 
 def _pvm_partition(cell, t):
-    pvm = pvm_of(Observable(_draw_hermitian(cell, t)))
+    A = Observable(_draw_hermitian(cell, t))
+    pvm, U = pvm_of(A), A.decomposition.basis
+    # max_r |(U_a)_r| |U_a* U_b|_F max_c |(U_b)_c| for each ordered pair of atoms
+    starts = [a for a, _, _ in quantum._atoms(A.decomposition.values)]
+    rows = np.sqrt(np.add.reduceat((U.comps**2).sum(-1), starts, axis=-1).max(axis=0))
+    gram = ((U.adjoint() @ U).comps ** 2).sum(-1)
+    frob = np.sqrt(np.add.reduceat(np.add.reduceat(gram, starts, axis=-1), starts, axis=0))
+    k = len(starts)
     return [(pvm.total() - Matrix.identity(cell.dim, cell.algebra)).max_abs()] + [
-        (P1.matrix @ P2.matrix).max_abs() for s1, P1 in pvm.atoms for s2, P2 in pvm.atoms if s1 != s2
+        rows[a] * frob[a, b] * rows[b] for a in range(k) for b in range(k) if a != b
     ]
 
 
@@ -566,6 +577,86 @@ def test_a_grouped_mixed_state_spectrum_runs_in_the_stack_bit_for_bit(n, monkeyp
         ref = SplitMix64(5).derive(name, algebra.value, n)
         _assert_the_block_is_the_reference(name, Cell(algebra, n, rng, 6), Cell(algebra, n, ref, 6))
     assert any(grouped) and not all(grouped)
+
+
+# ---------------------------------------------------------------------------
+# pvm_partition's cross terms against the products of its atoms
+# ---------------------------------------------------------------------------
+
+def _cross_terms_and_products(U, blocks, algebra):
+    """suite._cross_terms of the columns ``U`` of one matrix, and max|P_a P_b|
+    for the outer sums P_a = U_a U_a* of its blocks from explicit products,
+    both row-major in (a, b) for a != b."""
+    got = suite._cross_terms(U[None], blocks, algebra)[0]
+    atoms = linalg._block_projectors(U, blocks, algebra)
+    want = [linalg._max_abs(kernels.quat_matmul(P, Q, algebra.component_count))
+            for a, P in enumerate(atoms) for b, Q in enumerate(atoms) if a != b]
+    return got, np.array(want)
+
+
+def _eigen_blocks(A):
+    """The eigenbasis of an observable and the (lo, hi) blocks of its atoms."""
+    dec = Observable(A).decomposition
+    return dec.basis.comps, [(a, b) for a, b, _ in quantum._atoms(dec.values)]
+
+
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+@pytest.mark.parametrize("n", [3, 8, 33])
+def test_the_cross_terms_of_rank_one_atoms_are_their_pair_products(algebra, n):
+    for seed in range(3):
+        U, blocks = _eigen_blocks(random_hermitian(n, algebra, SplitMix64(seed)))
+        assert len(blocks) == n
+        got, want = _cross_terms_and_products(U, blocks, algebra)
+        assert got.shape == (n * (n - 1),)
+        assert np.abs(got - want).max() <= 1e-15
+    # the identity needs no orthogonality: on Gaussian columns the terms are of order 1
+    U = random_matrix(n, n, algebra, SplitMix64(n)).comps
+    got, want = _cross_terms_and_products(U, [(c, c + 1) for c in range(n)], algebra)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+def test_the_cross_terms_of_grouped_atoms_bound_their_pair_products(algebra):
+    spectrum = [3.0, 3.0, 1.0, 1.0, -2.0, -2.0]
+    A = Matrix(algebra, _hermitian_part(outer_sum(random_unitary(6, algebra, SplitMix64(36)), spectrum).comps))
+    U, blocks = _eigen_blocks(A)
+    assert [b - a for a, b in blocks] == [2, 2, 2]
+    for U in (U, random_matrix(6, 6, algebra, SplitMix64(37)).comps):
+        got, want = _cross_terms_and_products(U, blocks, algebra)
+        assert got.shape == (6,)
+        assert (got >= want * (1.0 - 1e-12)).all()
+
+
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+def test_a_scalar_observable_has_no_cross_term(algebra):
+    U, blocks = _eigen_blocks(Matrix.identity(5, algebra) * 2.5)
+    assert blocks == [(0, 5)]
+    assert _cross_terms_and_products(U, blocks, algebra)[0].shape == (0,)
+
+
+def test_pvm_partition_multiplies_no_pair_of_atoms(monkeypatch):
+    # sum of lead * n * k * m over every quat_matmul call of one cell at n = 33
+    # and one trial: the Gram matrix and the atoms' outer sums are n^3 each,
+    # the atoms' certificate (P P for n atoms) n^4; a product per pair of
+    # atoms would be n^5
+    work = []
+    product = kernels.quat_matmul
+
+    def spy(A, B, component_count=4):
+        lead = math.prod(np.broadcast_shapes(A.shape[:-3], B.shape[:-3]))
+        work.append(lead * A.shape[-3] * A.shape[-2] * B.shape[-2])
+        return product(A, B, component_count)
+
+    for name, module in list(sys.modules.items()):
+        if name == "gleason_lab" or name.startswith("gleason_lab."):
+            for attr, value in list(vars(module).items()):
+                if value is product:
+                    monkeypatch.setattr(module, attr, spy)
+    n = 33
+    for algebra in ALGEBRAS:
+        work.clear()
+        RUNNERS["quantum.pvm_partition"].runner(Cell(algebra, n, SplitMix64(0), 1))
+        assert 0 < sum(work) <= 2 * n**4, algebra
 
 
 def _spy(monkeypatch, module, name) -> list:
@@ -1354,8 +1445,8 @@ def test_a_draw_degenerate_four_times_raises(count):
 
 def _spy_on_products(monkeypatch) -> list[int]:
     """Entry counts of the operands of every quat_matmul call that are stacks
-    of more than one matrix: the stacks of a chunk of trials, a trial's atoms
-    and a chunk of their pair products."""
+    of more than one matrix: the stacks of a chunk of trials and a trial's
+    atoms."""
     sizes = []
     product = kernels.quat_matmul
 
