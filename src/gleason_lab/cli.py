@@ -4,7 +4,8 @@
 matrix and writes a JSON or text report; exit code 0 means every non-skipped
 record passed.  ``gleason-lab demo`` writes the counterexample transcript.
 Both write to ``--out`` if it is given, else to stdout, and a bad flag or
-config exits 2 with the usage line.
+config, or an ``--only`` pattern that matches no property, exits 2 with the
+usage line and writes nothing.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .suite import RunConfig, demo_counterexamples, emit_report, run_suite
+from .suite import RunConfig, demo_counterexamples, emit_report, run_suite, selected
 
 
 def _parse_tolerances(pairs: list[str]) -> dict:
@@ -79,6 +80,8 @@ def main(argv: list[str] | None = None) -> int:
             cfg = _config_from_args(args)
         except (ValueError, OSError) as exc:
             parser.error(str(exc))
+        if not selected(cfg.only):
+            parser.error(f"--only {cfg.only!r} matches no registered property (see --list)")
         report = run_suite(cfg)
         blob = emit_report(report, args.format)
         code = 0 if report.all_passed else 1

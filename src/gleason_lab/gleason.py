@@ -605,12 +605,14 @@ def _separations(P: np.ndarray, Q: np.ndarray, algebra: Algebra) -> np.ndarray:
     projectors.  The pure state at the top eigenvector psi of P - Q
     (:func:`_witnesses`) maximizes |mu_psi(P) - mu_psi(Q)|, which equals its
     eigenvalue; certified, it must give P and Q measures more than 1e-8
-    apart."""
+    apart.  Both measures of every witness come from one pairing, P and Q
+    side by side in the group of its state."""
     found, psi = _witnesses(P - Q, algebra)
     witness = _pure_states(psi, algebra.component_count)
     _state_spectra(witness, algebra)
-    count = algebra.component_count
-    gaps = np.abs(_real_pairings(P[found], witness, count) - _real_pairings(Q[found], witness, count))
+    pairs = np.stack([P[found], Q[found]], axis=1).reshape((-1,) + P.shape[1:])
+    mu = _real_pairings(pairs, witness, algebra.component_count).reshape(-1, 2)
+    gaps = np.abs(mu[:, 0] - mu[:, 1])
     separated = np.zeros(found.shape, dtype=bool)
     separated[found] = gaps > 1e-8
     return separated

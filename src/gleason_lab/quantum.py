@@ -253,10 +253,11 @@ def _dual_transforms(v: np.ndarray, a: np.ndarray, anti, algebra: Algebra) -> np
 
 def _duality_gaps(a: np.ndarray, b: np.ndarray, v: np.ndarray, anti, algebra: Algebra) -> np.ndarray:
     """:func:`symmetry_duality_gap` of every quadruple (A, B, V, anti) of a
-    stack whose factors V have passed :func:`_check_unitaries`."""
-    count = algebra.component_count
-    lhs = _real_traces(kernels.quat_matmul(a, _transform_states(v, b, anti, algebra), count))
-    rhs = _real_traces(kernels.quat_matmul(_dual_transforms(v, a, anti, algebra), b, count))
+    stack whose factors V have passed :func:`_check_unitaries`; both sides'
+    products A (U B U^-1) and (U^-1 A U) B come from one product."""
+    left = np.stack([a, _dual_transforms(v, a, anti, algebra)])
+    right = np.stack([_transform_states(v, b, anti, algebra), b])
+    lhs, rhs = _real_traces(kernels.quat_matmul(left, right, algebra.component_count))
     return np.abs(lhs - rhs)
 
 

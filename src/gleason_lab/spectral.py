@@ -319,10 +319,21 @@ def _gram(c: np.ndarray, algebra: Algebra) -> np.ndarray:
     return kernels.quat_matmul(_adjoint_comps(c[..., :k]), c, k)
 
 
+def _gram_spectra(c: np.ndarray, algebra: Algebra) -> np.ndarray:
+    """The spectra of A*A of every matrix of a stack, from one guarded solve:
+    what the norms read.  A caller with sibling stacks of one shape solves
+    them in one call and reads each norm off its part of the spectra."""
+    return _eigvals(_gram(c, algebra), algebra)
+
+
+def _op_norms_of(values: np.ndarray) -> np.ndarray:
+    """The operator norms of the matrices whose Gram spectra are ``values``."""
+    return np.sqrt(np.maximum(values.max(axis=-1, initial=0.0), 0.0))
+
+
 def _op_norms(c: np.ndarray, algebra: Algebra) -> np.ndarray:
     """Operator norm of every matrix of a stack; see :func:`op_norm`."""
-    gram_values = _eigvals(_gram(c, algebra), algebra)
-    return np.sqrt(np.maximum(gram_values.max(axis=-1, initial=0.0), 0.0))
+    return _op_norms_of(_gram_spectra(c, algebra))
 
 
 def op_norm(A: Matrix) -> float:
@@ -349,7 +360,7 @@ def abs_op(A: Matrix) -> Matrix:
 
 def _singular_values(c: np.ndarray, algebra: Algebra) -> np.ndarray:
     """Singular values of every matrix of a stack, from the spectrum of A*A."""
-    return _root_spectrum(_eigvals(_gram(c, algebra), algebra))
+    return _root_spectrum(_gram_spectra(c, algebra))
 
 
 def singular_values(A: Matrix) -> np.ndarray:
@@ -432,10 +443,11 @@ def _require_anti_unitary(J: np.ndarray) -> None:
 
 
 def _candidates(J: np.ndarray, units: np.ndarray) -> np.ndarray:
-    """pi(z) = (z - (J z) unit) / 2 of Z = [e_0, e_0 t, e_1, ...] from one J Z, one row per candidate."""
+    """pi(z) = (z - (J z) unit) / 2 of Z = [e_0, e_0 t, e_1, ...] from one J Z, one row per candidate;
+    J broadcasts over the leading axes of the units."""
     n = J.shape[-3]
     m = np.arange(n)
-    Z = np.zeros(J.shape[:-3] + (n, 2 * n, 4))
+    Z = np.zeros(units.shape[:-1] + (n, 2 * n, 4))
     Z[..., m, 2 * m, 0] = 1.0
     perps = [_perpendicular_imaginary(u) for u in units.reshape(-1, 4)]
     Z[..., m, 2 * m + 1, :] = np.reshape(perps, units.shape)[..., None, :]
@@ -495,33 +507,34 @@ def adapted_basis(J: Matrix, imag_unit: Quaternion) -> Matrix:
 
 
 def _reject(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """w - u <u|w> for every pair of columns of two (T, n, 1, 4) stacks, with
+    """w - u <u|w> for every pair of columns of two (..., n, 1, 4) stacks, with
     the arithmetic of :func:`inner` and :meth:`Matrix.scale_right`."""
-    return w - _mul_comps(u, _mul_comps(_conj_comps(u[:, :, 0]), w[:, :, 0]).sum(axis=1)[:, None, None, :])
+    return w - _mul_comps(u, _mul_comps(_conj_comps(u[..., 0, :]), w[..., 0, :]).sum(axis=-2)[..., None, None, :])
 
 
 def _adapted_bases(J: np.ndarray, units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(kept, basis) of :func:`adapted_basis` for every J of a (T, n, n, 4)
-    stack with its unit of the (T, 4) ``units``: the same J guard, candidates
-    and certificate (of the kept trials), and its sweep w - u<u|w> by the
-    pointwise product over the stack, for the first n candidates.  ``kept``
-    flags the trials that keep all n, whose bases are its bases bit for bit;
-    a trial that drops one is its caller's to run alone."""
-    T, n = J.shape[:2]
+    stack with its unit of the (..., T, 4) ``units``, J broadcast over their
+    leading sibling axes: the same J guard, candidates and certificate (of the
+    kept trials), and its sweep w - u<u|w> by the pointwise product over the
+    stack, for the first n candidates.  ``kept`` (..., T) flags the trials
+    that keep all n, whose bases are its bases bit for bit; a trial that
+    drops one is its caller's to run alone."""
+    n, lead = J.shape[-3], units.shape[:-1]
     _require_anti_unitary(J)
     Pi = _candidates(J, units)
-    kept = np.ones(T, dtype=bool)
+    kept = np.ones(lead, dtype=bool)
     out: list[np.ndarray] = []
     for c in range(n):
-        w = Pi[:, c, :, None, :]
+        w = Pi[..., c, :, None, :]
         for _ in range(2):
             for u in out:
                 w = _reject(u, w)
         nrm = _norms(w)
         kept &= nrm > 1e-8
-        scale = np.zeros((T, 4))
-        scale[:, 0] = 1.0 / np.where(kept, nrm, 1.0)
-        out.append(_mul_comps(w, scale[:, None, None, :]))
-    basis = np.concatenate(out, axis=2)
+        scale = np.zeros(lead + (4,))
+        scale[..., 0] = 1.0 / np.where(kept, nrm, 1.0)
+        out.append(_mul_comps(w, scale[..., None, None, :]))
+    basis = np.concatenate(out, axis=-2)
     _certify_adapted(J, basis, units, kept)
     return kept, basis

@@ -38,6 +38,20 @@ form would.  The one exception is a Gaussian matrix that Gram-Schmidt
 rejects: the stack redraws it after the block, where the per-trial form would
 redraw at once, which happens with probability near zero.
 
+Sibling stacks, independent stacks of one shape that a runner, or a stacked
+kernel it calls, hands to one kernel, go to it as one call on a stack with a
+leading sibling axis, (S, T, n, n, 4): a trial's random bases, its two or
+three states, both projectors of ``separation``, the products AB and BA of a
+pair, the five Gram matrices of the norm inequalities, ||A||_1 with ||B||
+(``_norm_scales``), both functions of ``functional_calculus`` and both unit
+sets of the adapted-basis formula.  The bits are those of the separate
+calls, and every guard still runs over every matrix; one that fails names
+the matrix "(stack entry (s, t))".  ``matrices(n)`` of ``_stacked`` counts
+the n x n matrices per trial of a runner's largest stack, siblings included,
+so that a chunk's stacks stay within ``_STACK_CHUNK_ENTRIES``.  The
+continuity trend reads its scans of 64, 128 and 256 steps as every 4th, 2nd
+and 1st time of one orbit of 257 times.
+
 The runners that decompose observables, ``extremality`` for its mixed
 states, ``separation`` for P - Q and the adapted-basis formula for the skew
 polar read every trial's eigenbasis from one stacked eigendecomposition
@@ -136,6 +150,9 @@ class RunConfig:
     only: str | None = None
 
     def __post_init__(self):
+        for name in ("algebras", "dims", "seeds"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must name at least one value: an empty list runs nothing")
         if any(d < 1 for d in self.dims):
             raise ValueError("dimensions must be >= 1")
         if self.trials < 1:
@@ -343,13 +360,13 @@ def _basis_invariance(hermitian: bool) -> Callable[[Cell], float]:
     Hermitian part, between two random bases drawn after it."""
 
     def block(cell: Cell, ts: np.ndarray) -> np.ndarray:
-        A, G0, G1 = _draw(cell, ts.size, _MATRIX, _MATRIX, _MATRIX)
+        A, *G = _draw(cell, ts.size, _MATRIX, _MATRIX, _MATRIX)
         if hermitian:
             A = _hermitian_part(A)
-        U0, U1 = (_unitaries(G, cell.algebra, cell.rng) for G in (G0, G1))
-        return _moduli(tr._traces(A, U0, cell.algebra) - tr._traces(A, U1, cell.algebra))[:, None]
+        t0, t1 = tr._traces(A, _unitaries(np.stack(G), cell.algebra, cell.rng), cell.algebra)
+        return _moduli(t0 - t1)[:, None]
 
-    return _stacked(block)
+    return _stacked(block, matrices=lambda n: 2)  # both bases of every trial
 
 
 _run_basis_invariance_rc = _basis_invariance(hermitian=False)
@@ -381,25 +398,37 @@ def _nonhermitian_dependence(cell: Cell, ts: np.ndarray) -> np.ndarray:
 _run_nonhermitian_dependence_h = _stacked(_nonhermitian_dependence, matrices=lambda n: 12)  # 12 bases per trial
 
 
-@_stacked
-def _run_real_trace_invariance(cell: Cell, ts: np.ndarray) -> np.ndarray:
+def _real_trace_invariance(cell: Cell, ts: np.ndarray) -> np.ndarray:
     A, *G = _draw(cell, ts.size, *4 * [_MATRIX])
-    base = tr._real_traces(A)
-    bases = (_unitaries(g, cell.algebra, cell.rng) for g in G)
-    return np.stack([np.abs(tr._traces(A, U, cell.algebra)[:, 0] - base) for U in bases], axis=-1)
+    traces = tr._traces(A, _unitaries(np.stack(G), cell.algebra, cell.rng), cell.algebra)
+    return np.abs(traces[..., 0] - tr._real_traces(A)).T
 
 
-@_stacked
-def _run_real_cyclicity(cell: Cell, ts: np.ndarray) -> np.ndarray:
+_run_real_trace_invariance = _stacked(_real_trace_invariance, matrices=lambda n: 3)  # three bases per trial
+
+
+def _norm_scales(A: np.ndarray, B: np.ndarray, algebra: Algebra) -> np.ndarray:
+    """1 + ||A||_1 ||B|| of every pair of two (T, n, n, 4) stacks, from one
+    solve of both stacks' Gram matrices."""
+    values = sp._gram_spectra(np.stack([A, B]), algebra)
+    return 1.0 + tr._trace_norms(A, algebra, values[0]) * sp._op_norms_of(values[1])
+
+
+def _real_cyclicity(cell: Cell, ts: np.ndarray) -> np.ndarray:
     A, B = _draw(cell, ts.size, _MATRIX, _MATRIX)
-    gap = tr._cyclic_gaps(A, B, cell.algebra)
-    return (gap / (1.0 + tr._trace_norms(A, cell.algebra) * sp._op_norms(B, cell.algebra)))[:, None]
+    return (tr._cyclic_gaps(A, B, cell.algebra) / _norm_scales(A, B, cell.algebra))[:, None]
 
 
-@_stacked
-def _run_norm_inequalities(cell: Cell, ts: np.ndarray) -> np.ndarray:
+_run_real_cyclicity = _stacked(_real_cyclicity, matrices=lambda n: 2)  # (A, B) and (AB, BA) per trial
+
+
+def _norm_inequalities(cell: Cell, ts: np.ndarray) -> np.ndarray:
     rep = tr._norm_inequalities(*_draw(cell, ts.size, _MATRIX, _MATRIX), cell.algebra)
     return np.stack([-rep.slack_ab, -rep.slack_ba, np.abs(rep.adjoint_gap), -rep.op_vs_trace_slack], axis=-1)
+
+
+# A, AB, BA, A* and B per trial, solved as one stack
+_run_norm_inequalities = _stacked(_norm_inequalities, matrices=lambda n: 5)
 
 
 def _adapted_trace_formula(cell: Cell, ts: np.ndarray) -> np.ndarray:
@@ -412,47 +441,52 @@ def _adapted_trace_formula(cell: Cell, ts: np.ndarray) -> np.ndarray:
     C = A - _adjoint_comps(A)
     gram = sp._gram(C, H)
     J, skew = sp._skew_polars(C, *sp._eig_stack(gram, H))
-    real = tr._real_traces(A)
-    terms = []
-    for units in (np.tile(Quaternion.I.to_array(), (ts.size, 1)), _unit_imaginaries(parts)):
-        kept, bases = sp._adapted_bases(J, units)
-        for t in np.flatnonzero(~kept):
-            bases[t] = sp.adapted_basis(Matrix(H, J[t]), Quaternion.from_array(units[t])).comps
-        # tr_N(A) less Re tr(A) + unit (tr|A - A*| / 2), as Quaternion arithmetic forms it
-        rhs = units * (skew / 2.0)[:, None]
-        rhs[:, 0] = real
-        terms.append(_moduli(tr._traces(A, bases, H) - rhs) / scale)
-    return np.stack(terms, axis=-1)
+    # both unit sets, i and the drawn units, in one sweep
+    units = np.stack([np.tile(Quaternion.I.to_array(), (ts.size, 1)), _unit_imaginaries(parts)])
+    kept, bases = sp._adapted_bases(J, units)
+    for s, t in np.argwhere(~kept).tolist():
+        bases[s, t] = sp.adapted_basis(Matrix(H, J[t]), Quaternion.from_array(units[s, t])).comps
+    # tr_N(A) less Re tr(A) + unit (tr|A - A*| / 2), as Quaternion arithmetic forms it
+    rhs = units * (skew / 2.0)[:, None]
+    rhs[..., 0] = tr._real_traces(A)
+    return (_moduli(tr._traces(A, bases, H) - rhs) / scale).T
 
 
-_run_adapted_trace_formula = _stacked(_adapted_trace_formula, matrices=lambda n: 2)  # 2n candidates per trial
+# 2n candidates per trial and unit set
+_run_adapted_trace_formula = _stacked(_adapted_trace_formula, matrices=lambda n: 4)
 
 
-@_stacked
-def _run_diagonal_basis_cyclicity(cell: Cell, ts: np.ndarray) -> np.ndarray:
+def _diagonal_basis_cyclicity(cell: Cell, ts: np.ndarray) -> np.ndarray:
     G, B = _draw(cell, ts.size, _MATRIX, _MATRIX)
     A = _hermitian_part(G)
     _, bases = sp._eig_stack(A, cell.algebra)
-    count = cell.algebra.component_count
-    ab, ba, full = (tr._traces(kernels.quat_matmul(x, y, count), bases, cell.algebra)
-                    for x, y in ((A, B), (B, A), (A, _hermitian_part(B))))
+    products = kernels.quat_matmul(np.stack([A, B, A]), np.stack([B, A, _hermitian_part(B)]),
+                                   cell.algebra.component_count)
+    ab, ba, full = tr._traces(products, bases, cell.algebra)
     # tr_N(A B_H) less its real part, as Quaternion subtraction forms it
     skew = full.copy()
     skew[:, 0] -= full[:, 0]
     return np.stack([_moduli(ab - ba), _moduli(skew)], axis=-1)
 
 
+_run_diagonal_basis_cyclicity = _stacked(_diagonal_basis_cyclicity, matrices=lambda n: 3)  # three products per trial
+
+
 def _projectors(cell: Cell, G: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     """The certified projectors that :func:`random_projector` builds from the
-    Gaussian draws ``G`` at the drawn ranks 1 + ``ranks``, one per trial."""
-    P = _random_projectors(_unitaries(G, cell.algebra, cell.rng), (1 + ranks).tolist(), cell.algebra)
+    Gaussian draws ``G`` at the drawn ranks 1 + ``ranks``, one per trial, or
+    one per trial and sibling of a (S, T, n, n, 4) stack."""
+    U = _unitaries(G, cell.algebra, cell.rng)
+    flat = (-1,) + U.shape[-3:]
+    P = _random_projectors(U.reshape(flat), (1 + ranks).ravel().tolist(), cell.algebra).reshape(U.shape)
     _check_projectors(P, cell.algebra)
     return P
 
 
 def _states(cell: Cell, G: np.ndarray, raw: np.ndarray) -> np.ndarray:
     """The certified states that :func:`~gleason_lab.gleason.random_density` builds from the
-    Gaussian draws ``G`` and the uniforms ``raw``, one per trial."""
+    Gaussian draws ``G`` and the uniforms ``raw``, one per trial, or one per
+    trial and sibling of a (S, T, n, n, 4) stack."""
     T = gl._mixtures(_unitaries(G, cell.algebra, cell.rng), raw, cell.algebra.component_count)
     gl._state_spectra(T, cell.algebra)
     return T
@@ -482,23 +516,27 @@ def _run_linearity_star(cell: Cell, ts: np.ndarray) -> np.ndarray:
     return np.stack([np.abs(lin), np.abs(star)], axis=-1)
 
 
-@_stacked
-def _run_positivity_monotonicity(cell: Cell, ts: np.ndarray) -> np.ndarray:
+def _positivity_monotonicity(cell: Cell, ts: np.ndarray) -> np.ndarray:
     C, D, G = _draw(cell, ts.size, _MATRIX, _MATRIX, _MATRIX)
-    count = cell.algebra.component_count
+    factors = np.stack([C, D])
+    CC, DD = kernels.quat_matmul(_adjoint_comps(factors), factors, cell.algebra.component_count)
     B = _hermitian_part(G)
-    A = B + kernels.quat_matmul(_adjoint_comps(D), D, count)  # A >= B by construction
+    A = B + DD  # A >= B by construction
     rt = tr._real_traces
-    return np.stack([-rt(kernels.quat_matmul(_adjoint_comps(C), C, count)), rt(B) - rt(A)], axis=-1)
+    return np.stack([-rt(CC), rt(B) - rt(A)], axis=-1)
 
 
-@_stacked
-def _run_absolute_sum_bound(cell: Cell, ts: np.ndarray) -> np.ndarray:
+_run_positivity_monotonicity = _stacked(_positivity_monotonicity, matrices=lambda n: 2)  # C*C and D*D per trial
+
+
+def _absolute_sum_bound(cell: Cell, ts: np.ndarray) -> np.ndarray:
     A, *G = _draw(cell, ts.size, *4 * [_MATRIX])
     bound = tr._trace_norms(A, cell.algebra)
-    bases = (_unitaries(g, cell.algebra, cell.rng) for g in G)
-    sums = [tr._absolute_diagonal_sums(A, U, cell.algebra) for U in bases]
-    return np.stack([(s - bound) / np.maximum(1.0, bound) for s in sums], axis=-1)
+    sums = tr._absolute_diagonal_sums(A, _unitaries(np.stack(G), cell.algebra, cell.rng), cell.algebra)
+    return ((sums - bound) / np.maximum(1.0, bound)).T
+
+
+_run_absolute_sum_bound = _stacked(_absolute_sum_bound, matrices=lambda n: 3)  # three bases per trial
 
 
 def _realification_quarter(cell: Cell, ts: np.ndarray) -> np.ndarray:
@@ -624,26 +662,26 @@ def _extremality(cell: Cell, ts: np.ndarray) -> np.ndarray:
 
     X, *_, G, raw = _draw(cell, ts.size, ("gaussian", n * k), *ranks, _MATRIX, ("uniform", rank))
     psi = _unit_rows(_layout(X, (ts.size, n), algebra))[:, :, None, :]
-    pure_failed = ~gl._extremal(gl._state_spectra(gl._pure_states(psi, k), algebra))
     U = _unitaries(G, algebra, cell.rng)
-    # the mixed states of one drawn rank as one stack
-    mixed = np.empty(U.shape)
+    # the pure states, then the mixed states, those of one drawn rank as one stack
+    states = np.empty((2,) + U.shape)
+    states[0] = gl._pure_states(psi, k)
     for r, at in _groups(raw.counts.tolist()):
-        mixed[at] = gl._mixtures(U[at], raw.values[at, :r], k)
-    split = np.flatnonzero(~gl._extremal(gl._state_spectra(mixed, algebra)))
+        states[1, at] = gl._mixtures(U[at], raw.values[at, :r], k)
+    pure, mixed = gl._extremal(gl._state_spectra(states, algebra))
+    split = np.flatnonzero(~mixed)
     terms = np.ones(ts.size)  # 1.0 for a mixed state that is extremal
     if split.size:
-        S = mixed[split]
+        S = states[1, split]
         w1, T1, T2 = gl._extremal_splits(*sp._eig_stack(S, algebra), algebra)
-        gl._state_spectra(T1, algebra)
-        gl._state_spectra(T2, algebra)
+        gl._state_spectra(np.stack([T1, T2]), algebra)
         recombined = gl._convex_mixes([T1, T2], np.stack([w1, 1.0 - w1]))
         gl._state_spectra(recombined, algebra)
         terms[split] = _max_abs(recombined - S)
-    return np.stack([pure_failed.astype(np.float64), terms], axis=-1)
+    return np.stack([(~pure).astype(np.float64), terms], axis=-1)
 
 
-_run_extremality = _stacked(_extremality)
+_run_extremality = _stacked(_extremality, matrices=lambda n: 2)  # the pure and mixed states per trial
 
 
 def _separation(cell: Cell, ts: np.ndarray) -> np.ndarray:
@@ -651,13 +689,14 @@ def _separation(cell: Cell, ts: np.ndarray) -> np.ndarray:
     # separates P from itself; both pairs of every trial in one stack
     n = cell.dim
     rank_p, rank_q, G, H = _draw(cell, ts.size, ("integer", n), ("integer", n), _MATRIX, _MATRIX)
-    P, Q = _projectors(cell, G, rank_p), _projectors(cell, H, rank_q)
+    P, Q = _projectors(cell, np.stack([G, H]), np.stack([rank_p, rank_q]))
     distinct = _max_abs(P - Q) > 1e-6
     separated = gl._separations(np.concatenate([P, P]), np.concatenate([Q, P]), cell.algebra)
     return np.stack([distinct != separated[:ts.size], separated[ts.size:]], axis=-1).astype(np.float64)
 
 
-_run_separation = _stacked(_separation, matrices=lambda n: 2)  # the pairs (P, Q) and (P, P) per trial
+# the pairs (P, Q) and (P, P) per trial, paired side by side with their witnesses
+_run_separation = _stacked(_separation, matrices=lambda n: 4)
 
 
 def _lemma_checkable(raw: np.ndarray) -> int:
@@ -703,31 +742,35 @@ def _run_unit_lemma(cell: Cell, ts: np.ndarray) -> np.ndarray:
     return failed.reshape(ts.size, _LEMMA_DRAWS_PER_TRIAL)
 
 
-@_stacked
-def _run_mix_linearity(cell: Cell, ts: np.ndarray) -> np.ndarray:
+def _mix_linearity(cell: Cell, ts: np.ndarray) -> np.ndarray:
     n = cell.dim
     G1, raw1, G2, raw2, w, ranks, H = _draw(
         cell, ts.size, _MATRIX, ("uniform", n), _MATRIX, ("uniform", n), ("uniform", 1), ("integer", n), _MATRIX)
-    t1, t2 = _states(cell, G1, raw1), _states(cell, G2, raw2)
+    states = np.empty((3, ts.size, n, n, 4))  # the mixture, then its two states
+    states[1:] = _states(cell, np.stack([G1, G2]), np.stack([raw1, raw2]))
     w = w[:, 0]
-    mixed = gl._convex_mixes([t1, t2], np.stack([w, 1.0 - w]))
-    gl._state_spectra(mixed, cell.algebra)
-    P = _projectors(cell, H, ranks)
-    mu_mixed, mu1, mu2 = (tr._real_pairings(P, T, cell.algebra.component_count) for T in (mixed, t1, t2))
+    states[0] = gl._convex_mixes(list(states[1:]), np.stack([w, 1.0 - w]))
+    gl._state_spectra(states[0], cell.algebra)
+    P = np.broadcast_to(_projectors(cell, H, ranks), states.shape).reshape(-1, n, n, 4)
+    pairings = tr._real_pairings(P, states.reshape(-1, n, n, 4), cell.algebra.component_count)
+    mu_mixed, mu1, mu2 = pairings.reshape(3, ts.size)
     return np.abs(mu_mixed - (w * mu1 + (1.0 - w) * mu2))[:, None]
 
 
-@_stacked
-def _run_pure_phase_classes(cell: Cell, ts: np.ndarray) -> np.ndarray:
+_run_mix_linearity = _stacked(_mix_linearity, matrices=lambda n: 3)  # the three pairings per trial
+
+
+def _pure_phase_classes(cell: Cell, ts: np.ndarray) -> np.ndarray:
     n, k = cell.dim, cell.algebra.component_count
     X, parts = _draw(cell, ts.size, ("gaussian", n * k), ("gaussian", k))
     psi = _unit_rows(_layout(X, (ts.size, n), cell.algebra))[:, :, None, :]
     q = _unit_scalars(parts)
-    T0 = gl._pure_states(psi, k)
-    T1 = gl._pure_states(_mul_comps(psi, q[:, None, None, :]), k)
-    gl._state_spectra(T0, cell.algebra)
-    gl._state_spectra(T1, cell.algebra)
+    T0, T1 = states = gl._pure_states(np.stack([psi, _mul_comps(psi, q[:, None, None, :])]), k)
+    gl._state_spectra(states, cell.algebra)
     return _max_abs(T0 - T1)[:, None]
+
+
+_run_pure_phase_classes = _stacked(_pure_phase_classes, matrices=lambda n: 2)  # both states per trial
 
 
 def _run_dim2_obstruction(cell: Cell) -> float:
@@ -812,8 +855,7 @@ def _pvm_partition(cell: Cell, ts: np.ndarray) -> np.ndarray:
 _run_pvm_partition = _stacked(_pvm_partition, matrices=lambda n: n)  # n atoms per trial
 
 
-@_stacked
-def _run_functional_calculus(cell: Cell, ts: np.ndarray) -> np.ndarray:
+def _functional_calculus(cell: Cell, ts: np.ndarray) -> np.ndarray:
     A = _observables(*_draw(cell, ts.size, _MATRIX), cell.algebra)
     count = cell.algebra.component_count
     # max|A|^2 by Python's power, as the one-matrix form takes it
@@ -825,10 +867,13 @@ def _run_functional_calculus(cell: Cell, ts: np.ndarray) -> np.ndarray:
     for row, spectrum in zip(means, values):
         for a, b, s in qm._atoms(spectrum):
             row[a:b] = s
-    identity, square = (_outer_sums(basis, count, f) for f in (means, means * means))
-    for F in (identity, square):
-        qm._check_observables(F, cell.algebra)
+    bases = np.broadcast_to(basis, (2,) + basis.shape)
+    identity, square = F = _outer_sums(bases, count, np.stack([means, means * means]))
+    qm._check_observables(F, cell.algebra)
     return np.stack([_max_abs(identity - A), _max_abs(square - kernels.quat_matmul(A, A, count)) / scale], axis=-1)
+
+
+_run_functional_calculus = _stacked(_functional_calculus, matrices=lambda n: 2)  # f(A) for both f per trial
 
 
 def _duality_terms(dist: qm.OutcomeMeasure, expectation: float, std: float) -> Terms:
@@ -885,15 +930,16 @@ def _pure_state_reduction(cell: Cell, ts: np.ndarray) -> np.ndarray:
 _run_pure_state_reduction = _stacked(_pure_state_reduction, matrices=lambda n: n)
 
 
-@_stacked
-def _run_symmetry_duality(cell: Cell, ts: np.ndarray) -> np.ndarray:
+def _symmetry_duality(cell: Cell, ts: np.ndarray) -> np.ndarray:
     # over C the odd trials are anti-unitary
     A, B, G = _draw(cell, ts.size, _MATRIX, _MATRIX, _MATRIX)
     U = _unitaries(G, cell.algebra, cell.rng)
     qm._check_unitaries(U, cell.algebra)
     anti = (cell.algebra is Algebra.C) & (ts % 2 == 1)
-    gap = qm._duality_gaps(A, B, U, anti, cell.algebra)
-    return (gap / (1.0 + tr._trace_norms(A, cell.algebra) * sp._op_norms(B, cell.algebra)))[:, None]
+    return (qm._duality_gaps(A, B, U, anti, cell.algebra) / _norm_scales(A, B, cell.algebra))[:, None]
+
+
+_run_symmetry_duality = _stacked(_symmetry_duality, matrices=lambda n: 2)  # (A, B) and both sides' products per trial
 
 
 @_stacked
@@ -921,8 +967,10 @@ def _run_continuity_trend(cell: Cell) -> float:
     A = random_matrix(cell.dim, cell.dim, cell.algebra, cell.rng)
     T = gl.random_density(cell.dim, cell.algebra, cell.rng)
     path = _make_group_path(cell)
-    base = 64
-    jumps = [qm.continuity_scan(A, T, path, base * (2**k)).max_jump for k in range(3)]
+    # the scans of 64, 128 and 256 steps: every 4th, 2nd and 1st time of one
+    # orbit, since linspace(0, 1, 65) is bit for bit every 4th of linspace(0, 1, 257)
+    orbit = qm._orbit_values(A, T, path, np.linspace(0.0, 1.0, 257))
+    jumps = [float(np.abs(np.diff(orbit[::step])).max(initial=0.0)) for step in (4, 2, 1)]
     U_a, U_b, U_ab = (Matrix(cell.algebra, U) for U in path.stack(np.array([0.3, 0.4, 0.7])))
     group_defect = (U_a @ U_b - U_ab).max_abs()
     return _worst([nxt - 0.7 * prev for prev, nxt in zip(jumps, jumps[1:])] + [group_defect])
@@ -1159,11 +1207,15 @@ def _skip_reason(prop: PropertyDef, letter: str, dim: int) -> str | None:
     return None
 
 
+def selected(only: str | None) -> list[PropertyDef]:
+    """The registered properties whose names match the glob ``only``, in
+    registry order; every one for None or an empty pattern."""
+    return [prop for prop in REGISTRY if not only or fnmatch.fnmatch(prop.name, only)]
+
+
 def run_suite(cfg: RunConfig) -> SuiteReport:
     records: list[PropertyRecord] = []
-    for prop in REGISTRY:
-        if cfg.only and not fnmatch.fnmatch(prop.name, cfg.only):
-            continue
+    for prop in selected(cfg.only):
         tol = float(cfg.tolerances.get(prop.name, prop.tol))
         for letter in cfg.algebras:
             algebra = Algebra.from_letter(letter)

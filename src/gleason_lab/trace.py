@@ -31,7 +31,7 @@ from . import kernels
 from .kernels import HAMILTON
 from .linalg import Matrix, _adjoint_comps, _check_same_algebra, _conj_comps, _mul_comps
 from .scalars import Algebra, Quaternion
-from .spectral import _op_norms, _singular_values, _skew_polar, adapted_basis, op_norm, singular_values
+from .spectral import _gram_spectra, _op_norms_of, _root_spectrum, _skew_polar, adapted_basis, op_norm, singular_values
 
 
 def _diagonal(a: np.ndarray, basis: np.ndarray, algebra: Algebra) -> np.ndarray:
@@ -124,9 +124,12 @@ def real_pairing(A: Matrix, B: Matrix) -> float:
     return float(_real_pairings(A.comps[None], B.comps, algebra.component_count)[0])
 
 
-def _trace_norms(c: np.ndarray, algebra: Algebra) -> np.ndarray:
-    """Trace norm of every matrix of a stack; see :func:`trace_norm`."""
-    return _singular_values(c, algebra).sum(axis=-1)
+def _trace_norms(c: np.ndarray, algebra: Algebra, values: np.ndarray | None = None) -> np.ndarray:
+    """Trace norm of every matrix of a stack; see :func:`trace_norm`.  A
+    caller that solved the Gram matrices of ``c`` among siblings passes
+    their spectra, ``values`` (:func:`~gleason_lab.spectral._gram_spectra`),
+    and the solve is not repeated."""
+    return _root_spectrum(_gram_spectra(c, algebra) if values is None else values).sum(axis=-1)
 
 
 def trace_norm(A: Matrix) -> float:
@@ -174,13 +177,14 @@ def _norm_report(a1, b_op, adjoint_sigmas, ab1, ba1) -> NormInequalityReport:
 
 def _norm_inequalities(a: np.ndarray, b: np.ndarray, algebra: Algebra) -> NormInequalityReport:
     """The report of :func:`check_norm_inequalities` for every pair of a stack
-    of square operators, each slack an array over the stack."""
-    count = algebra.component_count
-    a1 = _trace_norms(a, algebra)
-    b_op = _op_norms(b, algebra)
-    adjoint_sigmas = _singular_values(_adjoint_comps(a), algebra)
-    ab1 = _trace_norms(kernels.quat_matmul(a, b, count), algebra)
-    return _norm_report(a1, b_op, adjoint_sigmas, ab1, _trace_norms(kernels.quat_matmul(b, a, count), algebra))
+    of square operators, each slack an array over the stack.  AB and BA come
+    from one product, and the five Gram matrices, of A, AB, BA, A* and B,
+    from one solve: the norms of one pair have the bits they have alone."""
+    products = kernels.quat_matmul(np.stack([a, b]), np.stack([b, a]), algebra.component_count)
+    stack = np.stack([a, *products, _adjoint_comps(a), b])
+    values = _gram_spectra(stack, algebra)
+    a1, ab1, ba1 = _trace_norms(stack[:3], algebra, values[:3])
+    return _norm_report(a1, _op_norms_of(values[4]), _root_spectrum(values[3]), ab1, ba1)
 
 
 def check_norm_inequalities(A: Matrix, B: Matrix) -> NormInequalityReport:
@@ -199,9 +203,9 @@ def check_norm_inequalities(A: Matrix, B: Matrix) -> NormInequalityReport:
 
 
 def _cyclic_gaps(a: np.ndarray, b: np.ndarray, algebra: Algebra) -> np.ndarray:
-    """:func:`real_trace_cyclic_gap` of every pair of a stack."""
-    count = algebra.component_count
-    return np.abs(_real_traces(kernels.quat_matmul(a, b, count)) - _real_traces(kernels.quat_matmul(b, a, count)))
+    """:func:`real_trace_cyclic_gap` of every pair of a stack, AB and BA from one product."""
+    ab, ba = _real_traces(kernels.quat_matmul(np.stack([a, b]), np.stack([b, a]), algebra.component_count))
+    return np.abs(ab - ba)
 
 
 def real_trace_cyclic_gap(A: Matrix, B: Matrix) -> float:

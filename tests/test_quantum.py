@@ -410,6 +410,25 @@ class TestGroupPathsAndContinuity:
         assert len(chunks) > 1
         assert np.array_equal(np.concatenate(chunks), whole)
 
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    @pytest.mark.parametrize("algebra", ALGEBRAS)
+    def test_scans_of_64_128_and_256_steps_are_read_off_one_orbit(self, algebra, n):
+        # linspace(0, 1, 65) and linspace(0, 1, 129) are every 4th and every
+        # 2nd time of linspace(0, 1, 257), bit for bit, and each value reads
+        # only its own time: the continuity trend's three scans are one orbit
+        rng = SplitMix64(137)
+        A = random_matrix(n, n, algebra, rng)
+        T = random_density(n, algebra, rng)
+        path = _random_group_path(n, algebra, rng)
+        times = np.linspace(0.0, 1.0, 257)
+        orbit = quantum._orbit_values(A, T, path, times)
+        for step, samples in ((4, 64), (2, 128), (1, 256)):
+            ts = np.linspace(0.0, 1.0, samples + 1)
+            assert np.array_equal(times[::step], ts)
+            assert np.array_equal(orbit[::step], quantum._orbit_values(A, T, path, ts))
+            jump = float(np.abs(np.diff(orbit[::step])).max(initial=0.0))
+            assert jump == continuity_scan(A, T, path, samples).max_jump
+
     @pytest.mark.parametrize("algebra", ALGEBRAS)
     def test_scan_forms_no_stack_of_u_t(self, algebra):
         # one n = 64 scan of 257 samples: a stack of its U_t alone would hold 64 MiB

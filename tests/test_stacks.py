@@ -1470,6 +1470,25 @@ def test_no_stack_passes_the_chunk_budget_at_a_large_trial_count(monkeypatch):
     assert chunked == whole and rng._pos == ref._pos
 
 
+def test_a_suite_round_solves_and_sweeps_each_sibling_set_in_one_call(monkeypatch):
+    # the benchmark's suite round (R, C and H at n = 2 and 3, 10 trials): one
+    # call per set of sibling stacks makes 172 eigensolves and 107
+    # Gram-Schmidt sweeps, where a call per sibling made 232 and 145
+    calls = {"eigh": 0, "sweep": 0}
+
+    def counted(key, kernel):
+        def spy(*args, **kwargs):
+            calls[key] += 1
+            return kernel(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(kernels, "eigh", counted("eigh", kernels.eigh))
+    monkeypatch.setattr(linalg, "_orthonormalize", counted("sweep", linalg._orthonormalize))
+    report = suite.run_suite(suite.RunConfig(algebras=("R", "C", "H"), dims=(2, 3), seeds=(1,), trials=10))
+    assert report.all_passed
+    assert calls["eigh"] <= 172 and calls["sweep"] <= 107, calls
+
+
 @pytest.mark.parametrize("name", sorted(REFERENCES))
 def test_chunked_trials_give_the_bits_of_one_stack(name, monkeypatch):
     prop = RUNNERS[name]
@@ -1477,14 +1496,22 @@ def test_chunked_trials_give_the_bits_of_one_stack(name, monkeypatch):
     algebra = Algebra.from_letter(letter)
     rng, ref = SplitMix64(16).derive(name), SplitMix64(16).derive(name)
     whole = prop.runner.block(Cell(algebra, 3, ref, 7), np.arange(7))
-    # chunks of two 3 x 3 trials, or one realified trial: a budget of 100
-    # entries, of 250 where a trial holds up to three atoms or parts (108
-    # entries), of 450 where it holds its twelve bases (432 entries), and of
-    # 7200 where it holds 100 line projectors (3600 entries)
-    budget = 250 if name in ("quantum.pvm_partition", "quantum.expectation_duality",
-                             "quantum.pure_state_reduction", "gleason.sigma_additivity") else 100
-    budget = 450 if name == "trace.nonhermitian_basis_dependence_h" else budget
-    budget = 7200 if name == "gleason.round_trip" else budget
+    # chunks of one or two 3 x 3 trials, or one realified trial: a budget of
+    # 100 entries where a trial's largest stack holds one or two matrices (36
+    # or 72 entries), of 250 where it holds three atoms, parts, bases,
+    # products or pairings (108 entries), of 300 where it holds four (144
+    # entries), of 360 where it holds the five Gram matrices of the norm
+    # inequalities (180 entries), of 450 where it holds its twelve bases (432
+    # entries), and of 7200 where it holds 100 line projectors (3600 entries)
+    budget = {
+        "quantum.pvm_partition": 250, "quantum.expectation_duality": 250, "quantum.pure_state_reduction": 250,
+        "gleason.sigma_additivity": 250, "trace.real_basis_invariance": 250, "trace.absolute_sum_bound": 250,
+        "trace.diagonal_basis_cyclicity": 250, "gleason.mix_linearity": 250,
+        "trace.adapted_basis_formula": 300, "gleason.separation": 300,
+        "trace.norm_inequalities": 360,
+        "trace.nonhermitian_basis_dependence_h": 450,
+        "gleason.round_trip": 7200,
+    }.get(name, 100)
     monkeypatch.setattr(suite, "_STACK_CHUNK_ENTRIES", budget)
     sizes = _spy_on_products(monkeypatch)
     chunked = prop.runner(Cell(algebra, 3, rng, 7))

@@ -179,6 +179,14 @@ class TestRunSuite:
             RunConfig.from_json(obj)
         assert message in str(exc.value)
 
+    @pytest.mark.parametrize("key", ["algebras", "dims", "seeds"])
+    def test_an_empty_config_list_is_rejected(self, key):
+        # an empty list would run no cell and pass
+        with pytest.raises(ValueError, match=f"^{key} must name at least one value"):
+            RunConfig.from_json({key: []})
+        with pytest.raises(ValueError, match=f"^{key} must name at least one value"):
+            RunConfig(**{key: ()})
+
     def test_config_json_takes_the_field_defaults(self):
         assert RunConfig.from_json({}) == RunConfig()
         cfg = RunConfig(algebras=("C",), dims=(2, 4), seeds=(7,), trials=3,
@@ -292,6 +300,30 @@ class TestCli:
         assert tool.CONFIGS[0] == ()
         cli_main(["run", "--format", "json"])
         assert tool.digest(()) == hashlib.sha256(capsysbinary.readouterr().out).hexdigest()
+
+    def test_report_digests_check_names_each_config_that_differs(self, monkeypatch, tmp_path, capsys):
+        spec = importlib.util.spec_from_file_location("report_digests", ROOT / "tools" / "report_digests.py")
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        monkeypatch.setattr(tool, "CONFIGS", (
+            ("--only", "trace.linearity_star", "--dim", "2", "--trials", "1"),
+            ("--only", "trace.real_cyclicity", "--algebra", "C", "--dim", "2", "--trials", "1"),
+        ))
+        assert tool.main([]) == 0
+        digests = tmp_path / "digests.txt"
+        digests.write_text(capsys.readouterr().out)
+        first, second = digests.read_text().splitlines()
+        assert tool.main(["--check", str(digests)]) == 0
+        assert capsys.readouterr().out == f"0 of 2 configs differ from {digests}\n"
+        # one digest changed, one config missing from the file
+        stale = tmp_path / "stale.txt"
+        stale.write_text("0" * 64 + first[64:] + "\n")
+        assert tool.main(["--check", str(stale)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"{first}  ({stale} holds {'0' * 64})",
+            f"{second}  ({stale} holds no digest)",
+            f"2 of 2 configs differ from {stale}",
+        ]
 
     def test_bench_pairs_summary_counts_wins_and_the_parent_iqr(self, tmp_path):
         spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
@@ -443,6 +475,34 @@ class TestCli:
             cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r.json")])
         assert exc.value.code == 2  # parser.error, not a traceback
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("key", ["algebras", "dims", "seeds"])
+    def test_config_file_with_an_empty_list_exits_with_usage(self, tmp_path, capsys, key):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({key: []}))
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r.json")])
+        assert exc.value.code == 2  # parser.error, not a traceback
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and f"{key} must name at least one value" in err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_an_only_pattern_that_matches_no_property_exits_with_usage(self, tmp_path, capsys, source):
+        # trace.rel_cyclicity misspells trace.real_cyclicity; run_suite alone
+        # still gives the empty report (test_empty_selection_gives_a_valid_report)
+        if source == "flag":
+            argv = ["--only", "trace.rel_cyclicity"]
+        else:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps({"only": "trace.rel_cyclicity"}))
+            argv = ["--config", str(cfg_path)]
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", *argv, "--format", "json", "--out", str(tmp_path / "r.json")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and "'trace.rel_cyclicity' matches no registered property" in err
         assert not (tmp_path / "r.json").exists()
 
     def test_config_file_with_flag_override(self, tmp_path):

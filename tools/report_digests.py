@@ -1,18 +1,23 @@
 """Digests of the JSON report at the configs where reports must stay byte-identical.
 
     python3 tools/report_digests.py > digests.txt
+    python3 tools/report_digests.py --check digests.txt
 
 Run from the root of a source checkout; the program is imported from
 ``src/``.  For each config the tool runs ``gleason-lab run --format json``
 in-process and prints one line, ``<sha256>  <argv>``.  Two checkouts give the
 same reports at every config exactly when their outputs are equal, so one
-``diff`` of the two files checks byte identity.  The whole list takes
+``diff`` of the two files checks byte identity.  ``--check FILE`` does that
+in one command: it recomputes every digest, prints the line of each config
+whose digest differs from FILE's, or that FILE lacks, and exits 1 if there
+is one, else 0.  The whole list takes
 about 2.5 s on a two-core machine at one BLAS thread, half of it the n = 64
 config.  n = 128 is left out: it takes about 11 s alone.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import sys
 import tempfile
@@ -50,10 +55,29 @@ def digest(config: tuple[str, ...]) -> str:
         return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
-def main() -> int:
+def line(config: tuple[str, ...]) -> str:
+    return f"gleason-lab {' '.join(argv(config))}"
+
+
+def main(args: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="digests of the JSON report at fixed configs")
+    parser.add_argument("--check", metavar="FILE", help="compare with the digests FILE holds; exit 1 on a mismatch")
+    check = parser.parse_args(args).check
+    if check is None:
+        for config in CONFIGS:
+            print(f"{digest(config)}  {line(config)}", flush=True)
+        return 0
+    # FILE holds lines as this tool prints them: "<sha256>  <argv>"
+    rows = (row.partition("  ") for row in Path(check).read_text().splitlines())
+    expected = {command: sha for sha, _, command in rows}
+    mismatched = 0
     for config in CONFIGS:
-        print(f"{digest(config)}  gleason-lab {' '.join(argv(config))}", flush=True)
-    return 0
+        got = digest(config)
+        if expected.get(line(config)) != got:
+            mismatched += 1
+            print(f"{got}  {line(config)}  ({check} holds {expected.get(line(config), 'no digest')})", flush=True)
+    print(f"{mismatched} of {len(CONFIGS)} configs differ from {check}")
+    return 1 if mismatched else 0
 
 
 if __name__ == "__main__":
