@@ -1300,6 +1300,17 @@ def test_dependent_gram_schmidt_columns_name_the_lowest_failing_matrix(algebra):
 
 
 @pytest.mark.parametrize("algebra", ALGEBRAS)
+def test_a_guard_over_sibling_stacks_names_the_sibling_and_the_trial(algebra):
+    # a runner hands sibling stacks, such as a trial's random bases, to
+    # Gram-Schmidt as one (S, T) stack: the failing matrix is named by both
+    W = _stack(8, (3, 3), algebra, 13).reshape(2, 4, 3, 3, 4)
+    W[1, 2, :, 2] = 2.0 * W[1, 2, :, 0]
+    W[1, 3, :, 1] = W[1, 3, :, 0]
+    alone = _message(lambda: gram_schmidt(Matrix(algebra, W[1, 2])), DegenerateInput)
+    assert _message(lambda: _gram_schmidt(W), DegenerateInput) == f"{alone} (stack entry (1, 2))"
+
+
+@pytest.mark.parametrize("algebra", ALGEBRAS)
 def test_a_non_unitary_factor_names_the_lowest_failing_matrix(algebra):
     U = random_unitaries(3, 4, algebra, SplitMix64(13))
     U[2] *= 1.5
